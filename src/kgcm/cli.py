@@ -16,8 +16,6 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from .configio import ParsedConfig, parse_config
 from .data import atomic_write_text, generate_synthetic, load_csv, write_dataset, write_predictions
 from .errors import (
@@ -32,7 +30,6 @@ from .errors import (
 )
 from .evaluate import ablation_csv, evaluate, render_ablation_table, run_ablation
 from .gradcheck import run_all_checks
-from .model import ALL_COMPONENTS
 from .pipeline import build_windows, fit, load_model, save_model, split_windows, train_stage2
 from .text import EncoderConfig, load_embedding_file
 
@@ -100,14 +97,15 @@ def cmd_train(args) -> int:
     seed = _resolve_seed(args.seed, parsed, "train", "seed", parsed.train.seed)
     config = parsed.train.scaled(seed=seed)
     dataset = _load_dataset(args.data)
-    encoder = _encoder_config(parsed, config.d)
     if args.stage == "2":
         if not args.init:
             raise UsageError("--stage 2 requires --init MODEL from a stage-1 run")
         model = load_model(args.init)
+        encoder = _encoder_config(parsed, model.config.d)
         split = split_windows(build_windows(dataset, model.config, encoder))
         train_stage2(model, split.train, model.config)
     else:
+        encoder = _encoder_config(parsed, config.d)
         model = _fit_stages(dataset, config, parsed.components, encoder, stage=args.stage)
     save_model(model, args.out)
     for epoch, loss in enumerate(model.stage1_history):
@@ -178,8 +176,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else int(os.environ.get("KGCM_SEED", "0"))
-    results = run_all_checks(seed=seed)
+    results = run_all_checks(seed=_resolve_seed(args.seed, None, "train", "seed", 0))
     failed = [r for r in results if not r.passed(args.tolerance)]
     for r in results:
         status = "pass" if r.passed(args.tolerance) else "FAIL"

@@ -1,8 +1,11 @@
-"""Shared-context injection and frozen relation-matrix weighting.
+"""Shared-context gate parameters and frozen relation-matrix weighting.
 
-A pooled vector for the cross-region text is gated into every step's
-representation, and the relation matrix frozen after the first training
-stage reweights feature dimensions as a fixed linear operator.
+The shared-context gate (rcpg) blends a window's (T, d) step rows with the
+pooled cross-region text vector through ``fusion_local.gated_fuse``; this
+module holds its weights. ``acmfw_weight`` applies the relation matrix
+frozen after the first training stage to the (T, d) rows as a fixed linear
+operator. ``load_model`` validates a stored matrix. These are the functions
+``Model`` calls and ``gradcheck`` checks.
 """
 
 from __future__ import annotations
@@ -12,39 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .numeric import SeededRng, Tensor, concat, constant, linear, matmul, mix, sigmoid
-from .text import EncoderConfig, TextRecord, encode
+from .numeric import SeededRng, Tensor, constant, matmul_nt
 
-__all__ = [
-    "GlobalGateParams",
-    "FrozenStructure",
-    "init_global_gate",
-    "encode_global_prompt",
-    "conditional_gate",
-    "acmfw_weight",
-]
+__all__ = ["GlobalGateParams", "init_global_gate", "acmfw_weight"]
 
 
 @dataclass
 class GlobalGateParams:
     w_gate: Tensor  # (d, 2d)
     b_gate: Tensor  # (d,)
-
-
-@dataclass(frozen=True)
-class FrozenStructure:
-    """Row-stochastic relation matrix snapshot, immutable after stage 1."""
-
-    matrix: np.ndarray  # (d, d)
-    provenance: str
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeError(f"frozen structure must be square, got shape {m.shape}")
-        if not np.allclose(m.sum(axis=1), 1.0, atol=1e-9) or (m < 0).any():
-            raise ShapeError("frozen structure must be row-stochastic")
-        m.setflags(write=False)
 
 
 def init_global_gate(d: int, rng: SeededRng) -> GlobalGateParams:
@@ -54,22 +33,9 @@ def init_global_gate(d: int, rng: SeededRng) -> GlobalGateParams:
     )
 
 
-def encode_global_prompt(record: TextRecord, encoder: EncoderConfig) -> np.ndarray:
-    """Pooled vector for the cross-region text (zero vector for empty text)."""
-    return encode(record, encoder).pooled
-
-
-def conditional_gate(h: Tensor, p_global: Tensor, params: GlobalGateParams) -> Tensor:
-    """sigmoid(W [h; p] + b) gates h against the shared-context vector."""
-    if h.data.shape != p_global.data.shape:
-        raise ShapeError(f"gate inputs disagree: {h.data.shape} vs {p_global.data.shape}")
-    g = sigmoid(linear(concat([h, p_global]), params.w_gate, params.b_gate))
-    return mix(g, h, p_global)
-
-
-def acmfw_weight(h: Tensor, structure: FrozenStructure) -> Tensor:
-    """Reweight feature dimensions by the frozen relation matrix: A h."""
-    d = structure.matrix.shape[0]
-    if h.data.shape != (d,):
-        raise ShapeError(f"vector has shape {h.data.shape}, expected ({d},)")
-    return matmul(constant(structure.matrix), h)
+def acmfw_weight(rows: Tensor, matrix: np.ndarray) -> Tensor:
+    """Reweight the feature dimensions of each (T, d) row by the frozen matrix: row i becomes A h_i."""
+    d = matrix.shape[0]
+    if matrix.shape != (d, d) or rows.data.ndim != 2 or rows.data.shape[1] != d:
+        raise ShapeError(f"rows {rows.data.shape} cannot be weighted by a matrix of shape {matrix.shape}")
+    return matmul_nt(rows, constant(matrix))

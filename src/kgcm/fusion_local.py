@@ -1,9 +1,12 @@
 """Local fusion of structured features with step-aligned text.
 
-Each time step embeds its structured row, queries the step's token vectors
-through prompt-augmented cross-attention, and blends the two modalities with
-a learned sigmoid gate. A squared-distance penalty keeps the two modality
-prompts aligned.
+A window's (T, F) structured rows are embedded as (T, d) rows in one pass.
+Each step's embedded row queries that step's token vectors through
+prompt-augmented cross-attention, and ``gated_fuse`` blends the (T, d)
+structured and text rows with a learned sigmoid gate. The shared-context
+gate (rcpg) is the same function with the pooled vector tiled over the
+steps and a bias. A squared-distance penalty keeps the two modality prompts
+aligned. These are the functions ``Model`` calls and ``gradcheck`` checks.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .numeric import (
     SeededRng,
     Tensor,
     add,
-    concat,
+    concat_cols,
     constant,
     linear,
     matmul,
@@ -38,7 +41,7 @@ from .numeric import (
 
 log = logging.getLogger(__name__)
 
-__all__ = ["LpoParams", "init_lpo_params", "embed_structured", "guided_cross_attention", "gated_fuse", "prompt_loss"]
+__all__ = ["LpoParams", "init_lpo_params", "embed_structured_rows", "guided_cross_attention", "gated_fuse", "prompt_loss"]
 
 
 @dataclass
@@ -83,16 +86,8 @@ def init_lpo_params(d: int, feature_count: int, rng: SeededRng, with_text: bool)
     return params
 
 
-def embed_structured(x, params: LpoParams) -> Tensor:
-    """ReLU(W x + b) for one structured input row."""
-    vec = x if isinstance(x, Tensor) else constant(np.asarray(x, dtype=np.float64))
-    if vec.data.shape != (params.w_embed.data.shape[1],):
-        raise ShapeError(f"structured input has shape {vec.data.shape}, expected ({params.w_embed.data.shape[1]},)")
-    return relu(linear(vec, params.w_embed, params.b_embed))
-
-
 def embed_structured_rows(x: Tensor, params: LpoParams) -> Tensor:
-    """Batched embedding of a (T, F) matrix of structured rows."""
+    """ReLU(x W^T + b) for a (T, F) matrix of structured rows."""
     return relu(linear(x, params.w_embed, params.b_embed))
 
 
@@ -118,12 +113,12 @@ def guided_cross_attention(h_s: Tensor, tokens: np.ndarray, params: LpoParams) -
     return take_row(matmul(weights, v), 0)
 
 
-def gated_fuse(h_s: Tensor, z: Tensor, params: LpoParams) -> tuple[Tensor, Tensor]:
-    """sigmoid gate over [h_s; z], then the convex blend of the two."""
-    if h_s.data.shape != z.data.shape:
-        raise ShapeError(f"gate inputs disagree: {h_s.data.shape} vs {z.data.shape}")
-    g = sigmoid(linear(concat([h_s, z]), params.w_gate))
-    return g, mix(g, h_s, z)
+def gated_fuse(h: Tensor, z: Tensor, w_gate: Tensor, b_gate: Tensor | None = None) -> Tensor:
+    """Row by row over (T, d) inputs: g = sigmoid(W [h; z] + b), then g * h + (1 - g) * z."""
+    if h.data.ndim != 2 or h.data.shape != z.data.shape:
+        raise ShapeError(f"gate inputs must be matching (T, d) rows, got {h.data.shape} and {z.data.shape}")
+    g = sigmoid(linear(concat_cols(h, z), w_gate, b_gate))
+    return mix(g, h, z)
 
 
 def prompt_loss(params: LpoParams) -> Tensor:

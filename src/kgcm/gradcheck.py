@@ -2,6 +2,10 @@
 
 Each check builds a scalar function around one operation (or the whole
 joint objective) and compares tape gradients against central differences.
+Each component check calls the function ``Model`` calls, on the shapes it
+passes: (T, F) structured rows, (T, d) gate rows with the rcpg pooled vector
+tiled over the steps, (T, d) rows for ``acmfw_weight``, one (d,) query row
+for cross-attention, (d, n) node states and (T, d) rows for the graph.
 The end-to-end instance keeps the smoothing coefficient at zero because the
 smoothing history is deliberately carried as a constant; any nonzero
 coefficient would make the comparison measure that design choice instead of
@@ -13,14 +17,14 @@ the true gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numeric as nm
-from .fusion_global import init_global_gate, conditional_gate
-from .fusion_local import LpoParams, embed_structured, gated_fuse, guided_cross_attention, init_lpo_params, prompt_loss
-from .graph import DgsoLayerParams, DgsoParams, build_relation_matrix, graph_conv_layer, run_dgso
+from .fusion_global import acmfw_weight, init_global_gate
+from .fusion_local import embed_structured_rows, gated_fuse, guided_cross_attention, init_lpo_params, prompt_loss
+from .graph import build_relation_matrix, graph_conv_layer, init_dgso_params, run_dgso
 from .model import ALL_COMPONENTS, SeriesWindow, TrainConfig, build_model, joint_loss
 from .numeric import SeededRng, Tensor, grad_check, sum_sq, tensor
 from .predictor import forecast, init_ssa_params, structural_bias
@@ -80,15 +84,11 @@ def _check_gate_mix(rng: SeededRng) -> float:
     return grad_check(lambda g: sum_sq(nm.mix(nm.sigmoid(g), a, b)), tensor(rng.normal((5,))))
 
 
-def _check_embed_structured(rng: SeededRng) -> float:
+def _check_embed_structured_rows(rng: SeededRng) -> float:
     params = init_lpo_params(6, 5, rng.child("p"), with_text=False)
-    x = rng.normal((5,))
-
-    def f(w):
-        p = LpoParams(w_embed=w, b_embed=params.b_embed)
-        return sum_sq(embed_structured(x, p))
-
-    return grad_check(f, Tensor(params.w_embed.data.copy()))
+    x = tensor(rng.normal((4, 5)))
+    return grad_check(lambda w: sum_sq(embed_structured_rows(x, replace(params, w_embed=w))),
+                      Tensor(params.w_embed.data.copy()))
 
 
 def _check_cross_attention(rng: SeededRng) -> float:
@@ -96,115 +96,63 @@ def _check_cross_attention(rng: SeededRng) -> float:
     params = init_lpo_params(d, 5, rng.child("p"), with_text=True)
     tokens = encode_hashed("festival crowd near stadium tonight", d).tokens
     h_s = tensor(rng.normal((d,)))
-
-    def f(wq):
-        p = LpoParams(
-            w_embed=params.w_embed, b_embed=params.b_embed,
-            prompt_struct=params.prompt_struct, prompt_text=params.prompt_text,
-            w_query=wq, w_key=params.w_key, w_value=params.w_value, w_gate=params.w_gate,
-        )
-        return sum_sq(guided_cross_attention(h_s, tokens, p))
-
-    return grad_check(f, Tensor(params.w_query.data.copy()))
+    return grad_check(lambda wq: sum_sq(guided_cross_attention(h_s, tokens, replace(params, w_query=wq))),
+                      Tensor(params.w_query.data.copy()))
 
 
-def _check_gated_fuse(rng: SeededRng) -> float:
+def _check_lpo_gate(rng: SeededRng) -> float:
     d = 6
     params = init_lpo_params(d, 5, rng.child("p"), with_text=True)
-    h_s = tensor(rng.normal((d,)))
-    z = tensor(rng.normal((d,)))
+    h = tensor(rng.normal((4, d)))
+    z = tensor(rng.normal((4, d)))
+    return grad_check(lambda w: sum_sq(gated_fuse(h, z, w)), Tensor(params.w_gate.data.copy()))
 
-    def f(wg):
-        p = LpoParams(
-            w_embed=params.w_embed, b_embed=params.b_embed,
-            prompt_struct=params.prompt_struct, prompt_text=params.prompt_text,
-            w_query=params.w_query, w_key=params.w_key, w_value=params.w_value, w_gate=wg,
-        )
-        _, fused = gated_fuse(h_s, z, p)
-        return sum_sq(fused)
 
-    return grad_check(f, Tensor(params.w_gate.data.copy()))
+def _check_rcpg_gate(rng: SeededRng) -> float:
+    d = 6
+    params = init_global_gate(d, rng.child("p"))
+    h = tensor(rng.normal((4, d)))
+    pooled = tensor(np.tile(rng.normal((d,)), (4, 1)))
+    return grad_check(lambda w: sum_sq(gated_fuse(h, pooled, w, params.b_gate)), Tensor(params.w_gate.data.copy()))
+
+
+def _check_acmfw_weight(rng: SeededRng) -> float:
+    raw = rng.uniform((6, 6)) + 0.1
+    matrix = raw / raw.sum(axis=1, keepdims=True)
+    return grad_check(lambda x: _weighted(acmfw_weight(x, matrix), rng.child("w")), tensor(rng.normal((4, 6))))
 
 
 def _check_prompt_loss(rng: SeededRng) -> float:
-    d = 6
-    params = init_lpo_params(d, 5, rng.child("p"), with_text=True)
-
-    def f(ps):
-        p = LpoParams(
-            w_embed=params.w_embed, b_embed=params.b_embed,
-            prompt_struct=ps, prompt_text=params.prompt_text,
-            w_query=params.w_query, w_key=params.w_key, w_value=params.w_value, w_gate=params.w_gate,
-        )
-        return prompt_loss(p)
-
-    return grad_check(f, Tensor(params.prompt_struct.data.copy()))
-
-
-def _dgso_layer(rng: SeededRng, n: int) -> DgsoLayerParams:
-    return DgsoLayerParams(
-        w_query=Tensor(rng.glorot(n, n), requires_grad=True),
-        w_key=Tensor(rng.glorot(n, n), requires_grad=True),
-        w_trans=Tensor(rng.glorot(n, n), requires_grad=True),
-        ln_gamma=Tensor(np.ones(n), requires_grad=True),
-        ln_beta=Tensor(np.zeros(n), requires_grad=True),
-    )
+    params = init_lpo_params(6, 5, rng.child("p"), with_text=True)
+    return grad_check(lambda ps: prompt_loss(replace(params, prompt_struct=ps)), Tensor(params.prompt_struct.data.copy()))
 
 
 def _check_relation_matrix(rng: SeededRng) -> float:
-    n = 4
-    layer = _dgso_layer(rng.child("p"), n)
-    states_data = rng.normal((5, n))
-
-    def f(wq):
-        probe = DgsoLayerParams(w_query=wq, w_key=layer.w_key, w_trans=layer.w_trans,
-                                ln_gamma=layer.ln_gamma, ln_beta=layer.ln_beta)
-        return _weighted(build_relation_matrix(tensor(states_data), probe), rng.child("w"))
-
-    return grad_check(f, Tensor(layer.w_query.data.copy()))
+    layer = init_dgso_params(4, 4, 1, 0.0, rng.child("p")).layers[0]
+    states = tensor(rng.normal((5, 4)))
+    return grad_check(lambda wq: _weighted(build_relation_matrix(states, replace(layer, w_query=wq)), rng.child("w")),
+                      Tensor(layer.w_query.data.copy()))
 
 
 def _check_graph_conv(rng: SeededRng) -> float:
-    n = 4
-    layer = _dgso_layer(rng.child("p"), n)
-    states_data = rng.normal((5, n))
-    relation = np.full((5, 5), 0.2)
-
-    def f(w):
-        probe = DgsoLayerParams(w_query=layer.w_query, w_key=layer.w_key, w_trans=w,
-                                ln_gamma=layer.ln_gamma, ln_beta=layer.ln_beta)
-        return _weighted(graph_conv_layer(tensor(states_data), tensor(relation), probe), rng.child("w"))
-
-    return grad_check(f, Tensor(layer.w_trans.data.copy()))
+    layer = init_dgso_params(4, 4, 1, 0.0, rng.child("p")).layers[0]
+    states = tensor(rng.normal((5, 4)))
+    relation = tensor(np.full((5, 5), 0.2))
+    return grad_check(lambda w: _weighted(graph_conv_layer(states, relation, replace(layer, w_trans=w)), rng.child("w")),
+                      Tensor(layer.w_trans.data.copy()))
 
 
 def _check_graph_pass(rng: SeededRng) -> float:
     n = 4
-    layer = _dgso_layer(rng.child("p"), n)
-    rows = rng.normal((6, 3))
+    params = init_dgso_params(n, n, 1, 0.0, rng.child("p"))
+    layer = params.layers[0]
+    rows = tensor(rng.normal((6, 3)))
 
     def f(wk):
-        probe = DgsoLayerParams(w_query=layer.w_query, w_key=wk, w_trans=layer.w_trans,
-                                ln_gamma=layer.ln_gamma, ln_beta=layer.ln_beta)
-        params = DgsoParams(layers=[probe], ema_lambda=0.0)
-        return _weighted(run_dgso(tensor(rows), params, n).final_states, rng.child("w"))
+        probe = replace(params, layers=[replace(layer, w_key=wk)])
+        return _weighted(run_dgso(rows, probe, n).final_states, rng.child("w"))
 
     return grad_check(f, Tensor(layer.w_key.data.copy()))
-
-
-def _check_conditional_gate(rng: SeededRng) -> float:
-    d = 6
-    params = init_global_gate(d, rng.child("p"))
-    h = tensor(rng.normal((d,)))
-    p_global = tensor(rng.normal((d,)))
-
-    def f(w):
-        from .fusion_global import GlobalGateParams
-
-        probe = GlobalGateParams(w_gate=w, b_gate=params.b_gate)
-        return sum_sq(conditional_gate(h, p_global, probe))
-
-    return grad_check(f, Tensor(params.w_gate.data.copy()))
 
 
 def _check_predictor(rng: SeededRng) -> float:
@@ -253,7 +201,7 @@ def _check_joint_loss(seed: int, h: float) -> float:
     config = tiny_instance_config(seed)
     model = build_model(config, ALL_COMPONENTS, feature_count=5)
     window = tiny_instance_window(config, seed)
-    params = {k: v for k, v in model.named_parameters().items() if not k.startswith("aux/")}
+    params = model.stage2_parameters()
 
     def loss_value() -> Tensor:
         result = model.stage2_forward(window)
@@ -293,14 +241,15 @@ def run_all_checks(seed: int = 0, h: float = 1e-5) -> list[CheckResult]:
         ("layer_norm", _check_layer_norm),
         ("linear", _check_linear),
         ("gate_mix", _check_gate_mix),
-        ("embed_structured", _check_embed_structured),
+        ("embed_structured_rows", _check_embed_structured_rows),
         ("guided_cross_attention", _check_cross_attention),
-        ("gated_fuse", _check_gated_fuse),
+        ("gated_fuse/lpo", _check_lpo_gate),
         ("prompt_loss", _check_prompt_loss),
         ("relation_matrix", _check_relation_matrix),
         ("graph_conv", _check_graph_conv),
         ("graph_pass", _check_graph_pass),
-        ("conditional_gate", _check_conditional_gate),
+        ("gated_fuse/rcpg", _check_rcpg_gate),
+        ("acmfw_weight", _check_acmfw_weight),
         ("predictor", _check_predictor),
     ]
     results = []

@@ -1,16 +1,18 @@
 """Adaptive feature-relation graph with smoothed updates.
 
-The d model dimensions act as graph nodes whose states are their own recent
-history (an n-wide window). Every step builds a row-stochastic relation
-matrix from projected node states, smooths it against the previous step's
-matrix, and runs one graph convolution per layer with residual + layer norm.
-Gradients flow through the current step's raw matrix only; the smoothing
-history is carried as a constant.
+``run_dgso`` takes a window's (T, d) fused rows. The d model dimensions act
+as graph nodes whose states are their own recent history: at step t,
+``numeric.history_columns`` lifts rows t-n+1..t to the (d, n) node states.
+Every step builds a row-stochastic relation matrix from projected node
+states, smooths it against the previous step's matrix, and runs one graph
+convolution per layer with residual + layer norm. Gradients flow through
+the current step's raw matrix only; the smoothing history is carried as a
+constant. ``run_dgso`` is what ``Model`` calls; ``gradcheck`` checks it and
+the per-layer functions it runs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +26,6 @@ from .numeric import (
     history_columns,
     lerp_const,
     relation_softmax,
-    stack_cols,
     take_col,
 )
 
@@ -34,7 +35,6 @@ __all__ = [
     "DgsoResult",
     "init_dgso_params",
     "uniform_matrix",
-    "lift_to_nodes",
     "build_relation_matrix",
     "ema_update",
     "graph_conv_layer",
@@ -83,16 +83,6 @@ def init_dgso_params(n: int, n_prime: int, depth: int, ema_lambda: float, rng: S
 def uniform_matrix(d: int) -> np.ndarray:
     """The unbiased row-stochastic start state: every entry 1/d."""
     return np.full((d, d), 1.0 / d, dtype=np.float64)
-
-
-def lift_to_nodes(fused_steps: Sequence[Tensor], n: int) -> Tensor:
-    """Stack the last n fused vectors as columns: node i's state is its own history.
-
-    Row i, column k holds dimension i of the fused vector n-1-k steps back.
-    """
-    if len(fused_steps) < n:
-        raise ContractError(f"need at least {n} fused steps to build node states, got {len(fused_steps)}")
-    return stack_cols(list(fused_steps[-n:]))
 
 
 def build_relation_matrix(states: Tensor, layer: DgsoLayerParams) -> Tensor:

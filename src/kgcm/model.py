@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .fusion_global import GlobalGateParams, init_global_gate
+from .fusion_global import GlobalGateParams, acmfw_weight, init_global_gate
 from .fusion_local import (
     LpoParams,
     embed_structured_rows,
@@ -31,15 +31,11 @@ from .numeric import (
     SeededRng,
     Tensor,
     add,
-    concat_cols,
     constant,
     history_columns,
     linear,
-    matmul_nt,
     mean_rows,
-    mix,
     scale,
-    sigmoid,
     sse,
     stack_rows,
     take_row,
@@ -56,7 +52,6 @@ __all__ = [
     "SeriesWindow",
     "Model",
     "build_model",
-    "build_backbone",
     "joint_loss",
 ]
 
@@ -137,8 +132,6 @@ class SeriesWindow:
 @dataclass
 class ForwardResult:
     predictions: Tensor | None  # (T',) on the scaled target scale
-    prompt_term: Tensor | None
-    aux_prediction: Tensor | None  # (1,) stage-1 head output
     final_matrices: list[np.ndarray] | None
     pad_count: int = 0
 
@@ -264,85 +257,51 @@ class Model:
         hs = embed_structured_rows(x, self.lpo)
         if "lpo" not in self.components:
             return hs
-        t_steps = window.inputs.shape[0]
         z_rows = []
-        for t in range(t_steps):
-            tokens = window.local_tokens[t]
+        for t, tokens in enumerate(window.local_tokens):
             if tokens.shape[0]:
                 z_rows.append(guided_cross_attention(take_row(hs, t), tokens, self.lpo))
             else:
                 z_rows.append(zeros(self.config.d))
-        z = stack_rows(z_rows)
-        g = sigmoid(linear(concat_cols(hs, z), self.lpo.w_gate))
-        return mix(g, hs, z)
-
-    def _step_vectors(self, window: SeriesWindow, fused: Tensor) -> tuple[Tensor, list[np.ndarray] | None, int]:
-        if self.dgso is None:
-            return fused, None, 0
-        result = run_dgso(fused, self.dgso, self.config.n)
-        return stack_rows(result.step_vectors), result.final_matrices, result.pad_count
-
-    def _prompt_term(self) -> Tensor | None:
-        if "lpo" in self.components:
-            return prompt_loss(self.lpo)
-        return None
+        return gated_fuse(hs, stack_rows(z_rows), self.lpo.w_gate)
 
     def stage1_forward(self, window: SeriesWindow) -> tuple[Tensor, ForwardResult]:
         """Auxiliary one-step-ahead objective over the graph's node states."""
         fused = self._fused_rows(window)
         t_steps = fused.data.shape[0]
-        pad = 0
         if self.dgso is not None:
             result = run_dgso(fused, self.dgso, self.config.n)
-            final_states = result.final_states
-            matrices = result.final_matrices
-            pad = result.pad_count
+            final_states, matrices, pad = result.final_states, result.final_matrices, result.pad_count
         else:
             n = self.config.n
-            pad = max(0, n - t_steps)
-            final_states = history_columns(fused, t_steps - 1, n)
-            matrices = None
-        aux_in = mean_rows(final_states)
-        aux_pred = linear(aux_in, self.aux_w, self.aux_b)
-        target = self.scale_targets(window.targets[:1])
-        loss = sse(aux_pred, target)
-        prompt = self._prompt_term()
-        if prompt is not None and self.config.lambda_prompt > 0.0:
-            loss = add(loss, scale(prompt, self.config.lambda_prompt))
-        return loss, ForwardResult(
-            predictions=None,
-            prompt_term=prompt,
-            aux_prediction=aux_pred,
-            final_matrices=matrices,
-            pad_count=pad,
-        )
+            final_states, matrices, pad = history_columns(fused, t_steps - 1, n), None, max(0, n - t_steps)
+        aux_pred = linear(mean_rows(final_states), self.aux_w, self.aux_b)
+        loss = joint_loss(aux_pred, self.scale_targets(window.targets[:1]), self.lpo, self.config.lambda_prompt)
+        return loss, ForwardResult(predictions=None, final_matrices=matrices, pad_count=pad)
 
     def stage2_forward(self, window: SeriesWindow) -> ForwardResult:
         """Full value path: fuse, refine, gate, weight, encode, forecast."""
-        fused = self._fused_rows(window)
-        vecs, matrices, pad = self._step_vectors(window, fused)
-        t_steps = window.inputs.shape[0]
+        vecs = self._fused_rows(window)
+        matrices, pad = None, 0
+        if self.dgso is not None:
+            result = run_dgso(vecs, self.dgso, self.config.n)
+            vecs, matrices, pad = stack_rows(result.step_vectors), result.final_matrices, result.pad_count
         if self.global_gate is not None:
-            pooled = window.global_pooled
-            tiled = constant(np.tile(pooled, (t_steps, 1)))
-            g = sigmoid(linear(concat_cols(vecs, tiled), self.global_gate.w_gate, self.global_gate.b_gate))
-            vecs = mix(g, vecs, constant(pooled))
+            pooled = constant(np.tile(window.global_pooled, (vecs.data.shape[0], 1)))
+            vecs = gated_fuse(vecs, pooled, self.global_gate.w_gate, self.global_gate.b_gate)
         if "acmfw" in self.components:
-            vecs = matmul_nt(vecs, constant(self.structure_or_uniform()))
+            vecs = acmfw_weight(vecs, self.structure_or_uniform())
         e = embed_sequence(vecs, window.slots, window.dows, self.ssa)
         bias = structural_bias(self.structure_or_uniform()) if "ssa" in self.components else None
-        predictions = forecast(e, bias, self.ssa)
-        return ForwardResult(
-            predictions=predictions,
-            prompt_term=self._prompt_term(),
-            aux_prediction=None,
-            final_matrices=matrices,
-            pad_count=pad,
-        )
+        return ForwardResult(predictions=forecast(e, bias, self.ssa), final_matrices=matrices, pad_count=pad)
 
 
 def joint_loss(predictions: Tensor, targets: np.ndarray, lpo_params: LpoParams | None, lambda_prompt: float) -> Tensor:
-    """Sum of squared horizon errors plus the weighted prompt-alignment term."""
+    """Sum of squared errors plus the weighted prompt-alignment term.
+
+    Stage 2 scores the horizon forecast with it, stage 1 the auxiliary
+    one-step prediction.
+    """
     targets = np.asarray(targets, dtype=np.float64)
     if predictions.data.shape != targets.shape:
         raise ShapeError(f"predictions {predictions.data.shape} do not match targets {targets.shape}")
@@ -355,8 +314,3 @@ def joint_loss(predictions: Tensor, targets: np.ndarray, lpo_params: LpoParams |
 def build_model(config: TrainConfig, components: frozenset[str] | Sequence[str] = ALL_COMPONENTS,
                 feature_count: int = 5) -> Model:
     return Model(config, frozenset(components), feature_count)
-
-
-def build_backbone(config: TrainConfig, feature_count: int = 5) -> Model:
-    """Structured embedding + temporal-only encoder + heads, texts ignored."""
-    return Model(config, frozenset(), feature_count)

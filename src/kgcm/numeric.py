@@ -46,11 +46,8 @@ __all__ = [
     "layer_norm",
     "mix",
     "lerp_const",
-    "concat",
     "concat_cols",
     "stack_rows",
-    "stack_cols",
-    "transpose",
     "take_row",
     "take_col",
     "slice_cols",
@@ -440,20 +437,6 @@ def layer_norm(h: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate rank-1 tensors into one vector."""
-    if any(p.data.ndim != 1 for p in parts):
-        raise ShapeError("concat expects rank-1 parts")
-    sizes = [p.data.shape[0] for p in parts]
-    out = np.concatenate([p.data for p in parts])
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return _result(out, tuple(parts), bw)
-
-
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate two rank-2 tensors along the column axis."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
@@ -477,29 +460,6 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
         return tuple(g[i] for i in range(len(rows)))
 
     return _result(out, tuple(rows), bw)
-
-
-def stack_cols(cols: Sequence[Tensor]) -> Tensor:
-    """Stack rank-1 tensors as the columns of a rank-2 tensor."""
-    if any(c.data.ndim != 1 for c in cols):
-        raise ShapeError("stack_cols expects rank-1 columns")
-    out = np.stack([c.data for c in cols], axis=1)
-
-    def bw(g):
-        return tuple(g[:, i] for i in range(len(cols)))
-
-    return _result(out, tuple(cols), bw)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects rank 2, got shape {a.data.shape}")
-    out = a.data.T.copy()
-
-    def bw(g):
-        return (g.T,)
-
-    return _result(out, (a,), bw)
 
 
 def take_row(a: Tensor, i: int) -> Tensor:

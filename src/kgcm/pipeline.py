@@ -3,7 +3,8 @@
 Stage 1 fits the local fusion and graph parameters against a one-step-ahead
 auxiliary head, then freezes the epoch-averaged relation matrix. Stage 2
 trains the whole value path end to end under the joint objective with that
-matrix held fixed. Both stages are deterministic given the config seed.
+matrix held fixed. Both stages run the same minibatch loop and are
+deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ import os
 import struct
 from dataclasses import dataclass
 from datetime import datetime
+from typing import Callable
 
 import numpy as np
 
 from .data import DemandDataset
 from .errors import ConfigError, FormatError, NumericError, TrainingError
 from .model import ALL_COMPONENTS, Model, SeriesWindow, TrainConfig, build_model, joint_loss
-from .numeric import SeededRng, backward, clear_tape, no_tape
+from .numeric import SeededRng, Tensor, backward, clear_tape, no_tape
 from .optim import AdamState, adam_step
 from .text import EncoderConfig, TextRecord, encode
 
@@ -165,74 +167,73 @@ def _batch_grads(params: dict, sums: dict[str, np.ndarray], batch_size: int) -> 
     }
 
 
-def train_stage1(model: Model, windows: list[SeriesWindow], config: TrainConfig) -> None:
-    """Fit fusion + graph weights on the auxiliary objective; freeze the matrix."""
-    if not model.uses_stage1:
-        raise TrainingError("stage 1 requires the graph or local-text component")
+def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig, stage: int,
+                  window_loss: Callable[[SeriesWindow, int], Tensor]) -> None:
+    """The minibatch loop both stages share.
+
+    Every epoch shuffles the windows with the stage's own random stream. Each
+    batch backpropagates ``window_loss(window, epoch)`` window by window and
+    takes one Adam step on the stage's parameters with the mean gradient. The
+    epoch's mean loss is appended to the stage's history.
+    """
     if not windows:
-        raise TrainingError("stage 1 needs a nonempty training set")
-    params = model.stage1_parameters()
+        raise TrainingError(f"stage {stage} needs a nonempty training set")
+    if stage == 1:
+        params, history, epochs = model.stage1_parameters(), model.stage1_history, config.epochs_stage1
+    else:
+        params, history, epochs = model.stage2_parameters(), model.stage2_history, config.epochs_stage2
     adam = AdamState(lr=config.lr, clip_norm=config.clip_norm)
-    shuffle = SeededRng(config.seed).child("stage1/shuffle")
-    d = config.d
-    matrix_sum = np.zeros((d, d))
-    matrix_count = 0
-    for epoch in range(config.epochs_stage1):
+    shuffle = SeededRng(config.seed).child(f"stage{stage}/shuffle")
+    for epoch in range(epochs):
         order = shuffle.permutation(len(windows))
-        last_epoch = epoch == config.epochs_stage1 - 1
         loss_total = 0.0
         for batch_no, batch in enumerate(_chunks(order, config.batch_size)):
             sums: dict[str, np.ndarray] = {}
             try:
                 for idx in batch:
-                    loss, result = model.stage1_forward(windows[idx])
+                    loss = window_loss(windows[idx], epoch)
                     loss_total += loss.item()
-                    grads = backward(loss)
-                    _accumulate(params, grads, sums)
-                    model.pad_events += result.pad_count
-                    if last_epoch and result.final_matrices is not None:
-                        matrix_sum += result.final_matrices[-1]
-                        matrix_count += 1
+                    _accumulate(params, backward(loss), sums)
                 adam_step(adam, params, _batch_grads(params, sums, len(batch)))
             except NumericError as exc:
-                raise TrainingError(f"stage 1, epoch {epoch}, batch {batch_no}: {exc}") from exc
-        model.stage1_history.append(loss_total / len(windows))
-    if matrix_count:
-        model.freeze_structure(matrix_sum / matrix_count)
+                raise TrainingError(f"stage {stage}, epoch {epoch}, batch {batch_no}: {exc}") from exc
+        history.append(loss_total / len(windows))
+
+
+def train_stage1(model: Model, windows: list[SeriesWindow], config: TrainConfig) -> None:
+    """Fit fusion + graph weights on the auxiliary objective; freeze the matrix.
+
+    The frozen matrix is the mean of the last graph layer's final smoothed
+    matrix over the last epoch's windows.
+    """
+    if not model.uses_stage1:
+        raise TrainingError("stage 1 requires the graph or local-text component")
+    matrix_sum = np.zeros((config.d, config.d))
+
+    def window_loss(window: SeriesWindow, epoch: int) -> Tensor:
+        nonlocal matrix_sum
+        loss, result = model.stage1_forward(window)
+        model.pad_events += result.pad_count
+        if epoch == config.epochs_stage1 - 1 and result.final_matrices is not None:
+            matrix_sum += result.final_matrices[-1]
+        return loss
+
+    _train_epochs(model, windows, config, 1, window_loss)
+    if model.dgso is not None:
+        model.freeze_structure(matrix_sum / len(windows))
     if model.pad_events:
         log.debug("stage 1 padded %d short history lifts", model.pad_events)
 
 
 def train_stage2(model: Model, windows: list[SeriesWindow], config: TrainConfig) -> None:
     """End-to-end training of the full value path under the joint objective."""
-    if not windows:
-        raise TrainingError("stage 2 needs a nonempty training set")
-    params = model.stage2_parameters()
-    adam = AdamState(lr=config.lr, clip_norm=config.clip_norm)
-    shuffle = SeededRng(config.seed).child("stage2/shuffle")
     frozen_bytes = model.a_star.tobytes() if model.a_star is not None else None
-    for epoch in range(config.epochs_stage2):
-        order = shuffle.permutation(len(windows))
-        loss_total = 0.0
-        for batch_no, batch in enumerate(_chunks(order, config.batch_size)):
-            sums: dict[str, np.ndarray] = {}
-            try:
-                for idx in batch:
-                    window = windows[idx]
-                    result = model.stage2_forward(window)
-                    loss = joint_loss(
-                        result.predictions,
-                        model.scale_targets(window.targets),
-                        model.lpo,
-                        config.lambda_prompt,
-                    )
-                    loss_total += loss.item()
-                    grads = backward(loss)
-                    _accumulate(params, grads, sums)
-                adam_step(adam, params, _batch_grads(params, sums, len(batch)))
-            except NumericError as exc:
-                raise TrainingError(f"stage 2, epoch {epoch}, batch {batch_no}: {exc}") from exc
-        model.stage2_history.append(loss_total / len(windows))
+
+    def window_loss(window: SeriesWindow, epoch: int) -> Tensor:
+        result = model.stage2_forward(window)
+        return joint_loss(result.predictions, model.scale_targets(window.targets), model.lpo, config.lambda_prompt)
+
+    _train_epochs(model, windows, config, 2, window_loss)
     if frozen_bytes is not None and model.a_star.tobytes() != frozen_bytes:
         raise TrainingError("frozen relation matrix changed during stage 2")
 
@@ -284,6 +285,12 @@ class _Reader:
     def u8(self) -> int:
         return struct.unpack("<B", self.take(1))[0]
 
+    def text(self, count: int) -> str:
+        try:
+            return self.take(count).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"invalid UTF-8 text at offset {self.pos - count}") from exc
+
 
 def _pack_record(name: str, arr: np.ndarray) -> bytes:
     encoded = name.encode("utf-8")
@@ -334,6 +341,12 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
+    """Read a model file, rejecting any record a trained model could not have written.
+
+    Every array must be finite, the scaler records must be present, and a
+    stored relation matrix must be d x d and row-stochastic. Any violation,
+    and bytes after the embedded config, raise ``FormatError``.
+    """
     from .configio import parse_model_config
 
     with open(path, "rb") as fh:
@@ -344,17 +357,21 @@ def load_model(path) -> Model:
     count = reader.u32()
     records: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = reader.take(reader.u32()).decode("utf-8")
+        name = reader.text(reader.u32())
         rank = reader.u8()
         dims = tuple(reader.u32() for _ in range(rank))
         size = int(np.prod(dims)) if dims else 1
         arr = np.frombuffer(reader.take(8 * size), dtype="<f8").reshape(dims).copy()
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: record {name} holds non-finite values")
         records[name] = arr
     a_star = None
     if reader.u8():
         d = reader.u32()
         a_star = np.frombuffer(reader.take(8 * d * d), dtype="<f8").reshape(d, d).copy()
-    config_text = reader.take(reader.u32()).decode("utf-8")
+    config_text = reader.text(reader.u32())
+    if reader.pos != len(blob):
+        raise FormatError(f"{path}: {len(blob) - reader.pos} trailing bytes after the model config")
     config, components, features = parse_model_config(config_text)
     model = build_model(config, components, features)
     params = model.named_parameters()
@@ -368,8 +385,15 @@ def load_model(path) -> Model:
             raise FormatError(f"{path}: record {name} has shape {arr.shape}, expected {params[name].data.shape}")
         params[name].data = arr
     if a_star is not None:
+        if a_star.shape != (config.d, config.d):
+            raise FormatError(f"{path}: relation matrix has shape {a_star.shape}, expected ({config.d}, {config.d})")
+        if not np.isfinite(a_star).all() or (a_star < 0).any() or np.abs(a_star.sum(axis=1) - 1.0).max() > 1e-9:
+            raise FormatError(f"{path}: relation matrix is not row-stochastic")
         a_star.setflags(write=False)
         model.a_star = a_star
+    for key in ("_meta/scaler_mean", "_meta/scaler_std"):
+        if key not in records or records[key].shape != (features,):
+            raise FormatError(f"{path}: record {key} is missing or does not have shape ({features},)")
     model.scaler_mean = records["_meta/scaler_mean"]
     model.scaler_std = records["_meta/scaler_std"]
     model.stage1_history = list(records.get("_meta/history_stage1", np.array([])))

@@ -3,17 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from kgcm.errors import ShapeError
-from kgcm.fusion_global import (
-    FrozenStructure,
-    GlobalGateParams,
-    acmfw_weight,
-    conditional_gate,
-    encode_global_prompt,
-    init_global_gate,
-)
+from kgcm.errors import FormatError, ShapeError
+from kgcm.fusion_global import GlobalGateParams, acmfw_weight, init_global_gate
+from kgcm.fusion_local import gated_fuse
+from kgcm.model import TrainConfig, build_model
 from kgcm.numeric import SeededRng, clear_tape, tensor
-from kgcm.text import EncoderConfig, TextRecord, encode_hashed
+from kgcm.pipeline import load_model, save_model
+from kgcm.text import EncoderConfig, TextRecord, encode
 
 
 @pytest.fixture(autouse=True)
@@ -23,15 +19,23 @@ def fresh_tape():
     clear_tape()
 
 
+def _rcpg_gate(h, pooled, params):
+    """The shared-context gate as Model runs it: the pooled vector tiled over the (T, d) rows."""
+    tiled = tensor(np.tile(pooled, (h.shape[0], 1)))
+    return gated_fuse(tensor(h), tiled, params.w_gate, params.b_gate).data
+
+
 class TestEncodeGlobalPrompt:
+    """The shared-context vector of a window is the pooled encoding of the cross-region text."""
+
     def test_empty_text_zero_vector(self):
         cfg = EncoderConfig(mode="hashed", dim=8)
-        np.testing.assert_array_equal(encode_global_prompt(TextRecord(""), cfg), np.zeros(8))
+        np.testing.assert_array_equal(encode(TextRecord(""), cfg).pooled, np.zeros(8))
 
     def test_same_text_same_vector(self):
         cfg = EncoderConfig(mode="hashed", dim=8)
-        a = encode_global_prompt(TextRecord("citywide holiday surge"), cfg)
-        b = encode_global_prompt(TextRecord("citywide holiday surge"), cfg)
+        a = encode(TextRecord("citywide holiday surge"), cfg).pooled
+        b = encode(TextRecord("citywide holiday surge"), cfg).pooled
         np.testing.assert_array_equal(a, b)
 
     def test_matches_independent_hash_walkthrough(self):
@@ -49,109 +53,140 @@ class TestEncodeGlobalPrompt:
             expected[h % d] += -1.0 if h >> 63 else 1.0
         expected = expected / np.linalg.norm(expected)
         cfg = EncoderConfig(mode="hashed", dim=d)
-        out = encode_global_prompt(TextRecord("holiday surge citywide"), cfg)
+        out = encode(TextRecord("holiday surge citywide"), cfg).pooled
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
 
 class TestConditionalGate:
+    """The rcpg gate: ``gated_fuse`` with a bias and the pooled vector on every row."""
+
     def test_zero_params_average(self):
         d = 3
         params = GlobalGateParams(w_gate=tensor(np.zeros((d, 2 * d))), b_gate=tensor(np.zeros(d)))
-        h = tensor(np.array([2.0, 4.0, 6.0]))
-        p = tensor(np.array([0.0, 0.0, 0.0]))
-        out = conditional_gate(h, p, params)
-        np.testing.assert_allclose(out.data, [1.0, 2.0, 3.0])
+        h = np.array([[2.0, 4.0, 6.0], [-2.0, 0.0, 8.0]])
+        out = _rcpg_gate(h, np.zeros(d), params)
+        np.testing.assert_allclose(out, [[1.0, 2.0, 3.0], [-1.0, 0.0, 4.0]])
 
     def test_bias_saturation_keeps_h(self):
         d = 2
         params = GlobalGateParams(w_gate=tensor(np.zeros((d, 2 * d))), b_gate=tensor(np.full(d, 60.0)))
-        h = tensor(np.array([1.5, -2.5]))
-        p = tensor(np.array([9.0, 9.0]))
-        out = conditional_gate(h, p, params)
-        np.testing.assert_allclose(out.data, h.data, atol=1e-12)
+        h = np.array([[1.5, -2.5], [0.5, 3.0]])
+        out = _rcpg_gate(h, np.array([9.0, 9.0]), params)
+        np.testing.assert_allclose(out, h, atol=1e-12)
 
     def test_equal_inputs_fixed_point(self):
         d = 5
         params = init_global_gate(d, SeededRng(0))
-        h = tensor(SeededRng(1).normal((d,)))
-        out = conditional_gate(h, h, params)
-        np.testing.assert_allclose(out.data, h.data, atol=1e-12)
+        p = SeededRng(1).normal((d,))
+        h = np.tile(p, (3, 1))
+        out = _rcpg_gate(h, p, params)
+        np.testing.assert_allclose(out, h, atol=1e-12)
 
     def test_convex_combination(self):
         d = 4
         rng = SeededRng(2)
         params = init_global_gate(d, rng)
         for _ in range(50):
-            h = tensor(rng.normal((d,)))
-            p = tensor(rng.normal((d,)))
-            out = conditional_gate(h, p, params)
-            lo = np.minimum(h.data, p.data) - 1e-12
-            hi = np.maximum(h.data, p.data) + 1e-12
-            assert ((out.data >= lo) & (out.data <= hi)).all()
+            h = rng.normal((3, d))
+            p = rng.normal((d,))
+            out = _rcpg_gate(h, p, params)
+            lo = np.minimum(h, p) - 1e-12
+            hi = np.maximum(h, p) + 1e-12
+            assert ((out >= lo) & (out <= hi)).all()
+
+
+def _model_file(tmp_path, a_star):
+    """A saved dgso model whose stored relation matrix is ``a_star``, written as given."""
+    config = TrainConfig(d=2, n=2, window=4, horizon=2, blocks=1, day_slots=4, epochs_stage1=1, epochs_stage2=1)
+    model = build_model(config, {"dgso"}, 5)
+    model.a_star = np.asarray(a_star, dtype=np.float64)
+    path = tmp_path / "model.kgcm"
+    save_model(model, path)
+    return path
 
 
 class TestFrozenStructure:
-    def test_rejects_non_stochastic(self):
-        with pytest.raises(ShapeError):
-            FrozenStructure(np.array([[0.5, 0.6], [0.5, 0.5]]), provenance="test")
+    """The frozen matrix enters from outside only through a model file, so load_model checks it."""
 
-    def test_rejects_non_square(self):
-        with pytest.raises(ShapeError):
-            FrozenStructure(np.ones((2, 3)) / 3.0, provenance="test")
+    def test_rejects_non_stochastic(self, tmp_path):
+        with pytest.raises(FormatError, match="row-stochastic"):
+            load_model(_model_file(tmp_path, [[0.5, 0.6], [0.5, 0.5]]))
 
-    def test_matrix_is_write_protected(self):
-        fs = FrozenStructure(np.full((2, 2), 0.5), provenance="test")
+    def test_rejects_non_square(self, tmp_path):
+        # the file stores a square matrix with its side length; one of the
+        # wrong side is what a matrix that is not d x d looks like on disk
+        with pytest.raises(FormatError, match="shape"):
+            load_model(_model_file(tmp_path, np.full((3, 3), 1.0 / 3.0)))
+
+    def test_rejects_negative_entries(self, tmp_path):
+        with pytest.raises(FormatError, match="row-stochastic"):
+            load_model(_model_file(tmp_path, [[1.5, -0.5], [0.5, 0.5]]))
+
+    def test_rejects_non_finite(self, tmp_path):
+        with pytest.raises(FormatError, match="row-stochastic"):
+            load_model(_model_file(tmp_path, [[np.nan, 0.5], [0.5, 0.5]]))
+
+    def test_rejects_row_sum_off_by_more_than_1e_9(self, tmp_path):
+        with pytest.raises(FormatError, match="row-stochastic"):
+            load_model(_model_file(tmp_path, [[0.5, 0.5 + 1e-8], [0.5, 0.5]]))
+        model = load_model(_model_file(tmp_path, [[0.5, 0.5 + 1e-11], [0.5, 0.5]]))
+        assert model.a_star[0, 1] == 0.5 + 1e-11
+
+    def test_matrix_is_write_protected(self, tmp_path):
+        model = load_model(_model_file(tmp_path, np.full((2, 2), 0.5)))
         with pytest.raises(ValueError):
-            fs.matrix[0, 0] = 1.0
+            model.a_star[0, 0] = 1.0
+        model.freeze_structure(np.array([[1.0, 3.0], [2.0, 2.0]]))
+        np.testing.assert_array_equal(model.a_star, [[0.25, 0.75], [0.5, 0.5]])
+        with pytest.raises(ValueError):
+            model.a_star[0, 0] = 1.0
 
     def test_bytes_stable(self):
-        fs = FrozenStructure(np.full((3, 3), 1.0 / 3.0), provenance="test")
-        before = hashlib.sha256(fs.matrix.tobytes()).hexdigest()
-        _ = acmfw_weight(tensor(np.ones(3)), fs)
-        after = hashlib.sha256(fs.matrix.tobytes()).hexdigest()
+        matrix = np.full((3, 3), 1.0 / 3.0)
+        before = hashlib.sha256(matrix.tobytes()).hexdigest()
+        _ = acmfw_weight(tensor(np.ones((2, 3))), matrix)
+        after = hashlib.sha256(matrix.tobytes()).hexdigest()
         assert before == after
 
 
 class TestAcmfwWeight:
     def test_identity_matrix(self):
-        fs = FrozenStructure(np.eye(3), provenance="test")
-        h = tensor(np.array([1.0, -2.0, 5.0]))
-        out = acmfw_weight(h, fs)
+        h = tensor(np.array([[1.0, -2.0, 5.0], [0.5, 0.0, -1.0]]))
+        out = acmfw_weight(h, np.eye(3))
         np.testing.assert_allclose(out.data, h.data, atol=1e-12)
 
     def test_uniform_matrix_averages(self):
-        fs = FrozenStructure(np.full((4, 4), 0.25), provenance="test")
-        h = tensor(np.array([1.0, 2.0, 3.0, 6.0]))
-        out = acmfw_weight(h, fs)
-        np.testing.assert_allclose(out.data, np.full(4, 3.0), atol=1e-12)
+        h = tensor(np.array([[1.0, 2.0, 3.0, 6.0], [0.0, 0.0, 4.0, 4.0]]))
+        out = acmfw_weight(h, np.full((4, 4), 0.25))
+        np.testing.assert_allclose(out.data, [np.full(4, 3.0), np.full(4, 2.0)], atol=1e-12)
 
     def test_hand_matrix_vector_oracle(self):
-        fs = FrozenStructure(np.array([[0.7, 0.3], [0.2, 0.8]]), provenance="test")
-        out = acmfw_weight(tensor(np.array([1.0, 2.0])), fs)
-        np.testing.assert_allclose(out.data, [1.3, 1.8], atol=1e-12)
+        out = acmfw_weight(tensor(np.array([[1.0, 2.0], [0.0, 1.0]])), np.array([[0.7, 0.3], [0.2, 0.8]]))
+        np.testing.assert_allclose(out.data, [[1.3, 1.8], [0.3, 0.8]], atol=1e-12)
 
     def test_linearity(self):
         rng = SeededRng(3)
         raw = np.abs(rng.uniform((3, 3))) + 0.1
-        fs = FrozenStructure(raw / raw.sum(axis=1, keepdims=True), provenance="test")
-        u = rng.normal((3,))
-        v = rng.normal((3,))
+        matrix = raw / raw.sum(axis=1, keepdims=True)
+        u = rng.normal((4, 3))
+        v = rng.normal((4, 3))
         a, b = 2.5, -1.25
-        left = acmfw_weight(tensor(a * u + b * v), fs).data
-        right = a * acmfw_weight(tensor(u), fs).data + b * acmfw_weight(tensor(v), fs).data
+        left = acmfw_weight(tensor(a * u + b * v), matrix).data
+        right = a * acmfw_weight(tensor(u), matrix).data + b * acmfw_weight(tensor(v), matrix).data
         np.testing.assert_allclose(left, right, atol=1e-12)
 
     def test_range_contraction(self):
         rng = SeededRng(4)
         raw = np.abs(rng.uniform((5, 5))) + 0.05
-        fs = FrozenStructure(raw / raw.sum(axis=1, keepdims=True), provenance="test")
+        matrix = raw / raw.sum(axis=1, keepdims=True)
         for _ in range(50):
-            h = rng.normal((5,), std=3.0)
-            out = acmfw_weight(tensor(h), fs).data
-            assert out.min() >= h.min() - 1e-12
-            assert out.max() <= h.max() + 1e-12
+            h = rng.normal((3, 5), std=3.0)
+            out = acmfw_weight(tensor(h), matrix).data
+            assert (out.min(axis=1) >= h.min(axis=1) - 1e-12).all()
+            assert (out.max(axis=1) <= h.max(axis=1) + 1e-12).all()
 
     def test_shape_mismatch(self):
-        fs = FrozenStructure(np.eye(3), provenance="test")
         with pytest.raises(ShapeError):
-            acmfw_weight(tensor(np.ones(4)), fs)
+            acmfw_weight(tensor(np.ones((2, 4))), np.eye(3))
+        with pytest.raises(ShapeError):
+            acmfw_weight(tensor(np.ones(3)), np.eye(3))

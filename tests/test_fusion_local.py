@@ -7,13 +7,13 @@ import pytest
 from kgcm.errors import ShapeError
 from kgcm.fusion_local import (
     LpoParams,
-    embed_structured,
+    embed_structured_rows,
     gated_fuse,
     guided_cross_attention,
     init_lpo_params,
     prompt_loss,
 )
-from kgcm.numeric import SeededRng, Tensor, backward, clear_tape, grad_check, sum_sq, tensor
+from kgcm.numeric import SeededRng, Tensor, backward, clear_tape, grad_check, stack_rows, sum_sq, take_row, tensor
 from kgcm.text import encode_hashed
 
 
@@ -45,34 +45,35 @@ class TestEmbedStructured:
         w = np.zeros((d, f))
         w[:f, :f] = np.eye(f)
         params = _manual_params(d, f, w_embed=tensor(w))
-        x = np.array([1.0, 2.0, 3.0])
-        out = embed_structured(x, params)
-        np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0, 0.0, 0.0])
+        x = tensor(np.array([[1.0, 2.0, 3.0], [4.0, 0.0, 6.0]]))
+        out = embed_structured_rows(x, params)
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0, 0.0, 0.0], [4.0, 0.0, 6.0, 0.0, 0.0]])
 
     def test_all_negative_preactivation(self):
         params = _manual_params(2, 2, w_embed=tensor(-np.eye(2)))
-        out = embed_structured(np.array([3.0, 5.0]), params)
-        np.testing.assert_array_equal(out.data, np.zeros(2))
+        out = embed_structured_rows(tensor(np.array([[3.0, 5.0], [1.0, 0.5]])), params)
+        np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
 
     def test_hand_affine_oracle(self):
-        # W x + b = [-2, 7] -> ReLU -> [0, 7]
+        # row [3, 5]: W x + b = [-2, 7] -> ReLU -> [0, 7]
+        # row [1, 0]: W x + b = [1, 3] -> ReLU -> [1, 3]
         params = _manual_params(
             2, 2,
             w_embed=tensor([[1.0, -1.0], [2.0, 0.0]]),
             b_embed=tensor([0.0, 1.0]),
         )
-        out = embed_structured(np.array([3.0, 5.0]), params)
-        np.testing.assert_array_equal(out.data, [0.0, 7.0])
+        out = embed_structured_rows(tensor(np.array([[3.0, 5.0], [1.0, 0.0]])), params)
+        np.testing.assert_array_equal(out.data, [[0.0, 7.0], [1.0, 3.0]])
 
     def test_length_mismatch(self):
         params = _manual_params(2, 2)
         with pytest.raises(ShapeError):
-            embed_structured(np.array([1.0, 2.0, 3.0]), params)
+            embed_structured_rows(tensor(np.ones((4, 3))), params)
 
     def test_output_nonnegative(self):
         rng = SeededRng(0)
         params = init_lpo_params(8, 5, rng, with_text=True)
-        out = embed_structured(rng.normal((5,)), params)
+        out = embed_structured_rows(tensor(rng.normal((6, 5))), params)
         assert (out.data >= 0).all()
 
 
@@ -141,25 +142,24 @@ class TestGatedFuse:
     def test_zero_gate_weights_average(self):
         d = 3
         params = _manual_params(d, d)
-        h = tensor(np.array([1.0, 2.0, 3.0]))
-        z = tensor(np.array([5.0, 6.0, 7.0]))
-        g, fused = gated_fuse(h, z, params)
-        np.testing.assert_allclose(g.data, np.full(d, 0.5))
-        np.testing.assert_allclose(fused.data, [3.0, 4.0, 5.0])
+        h = tensor(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
+        z = tensor(np.array([[5.0, 6.0, 7.0], [2.0, -2.0, 4.0]]))
+        fused = gated_fuse(h, z, params.w_gate)
+        np.testing.assert_allclose(fused.data, [[3.0, 4.0, 5.0], [1.0, -1.0, 2.0]])
 
     def test_gate_saturation(self):
         d = 2
         params = _manual_params(d, d, w_gate=tensor(np.full((d, 2 * d), 50.0)))
-        h = tensor(np.array([1.0, 1.0]))
-        z = tensor(np.array([9.0, 9.0]))
-        _, fused = gated_fuse(h, z, params)
+        h = tensor(np.array([[1.0, 1.0], [2.0, 0.5]]))
+        z = tensor(np.array([[9.0, 9.0], [8.0, 7.0]]))
+        fused = gated_fuse(h, z, params.w_gate)
         np.testing.assert_allclose(fused.data, h.data, atol=1e-6)
 
     def test_equal_inputs_fixed_point(self):
         d = 4
         params = init_lpo_params(d, 2, SeededRng(5), with_text=True)
-        h = tensor(SeededRng(6).normal((d,)))
-        _, fused = gated_fuse(h, h, params)
+        h = tensor(SeededRng(6).normal((3, d)))
+        fused = gated_fuse(h, h, params.w_gate)
         np.testing.assert_allclose(fused.data, h.data, atol=1e-12)
 
     def test_convexity_bounds(self):
@@ -167,13 +167,31 @@ class TestGatedFuse:
         rng = SeededRng(7)
         params = init_lpo_params(d, 2, rng, with_text=True)
         for _ in range(50):
-            h = tensor(rng.normal((d,)))
-            z = tensor(rng.normal((d,)))
-            g, fused = gated_fuse(h, z, params)
-            assert ((g.data > 0) & (g.data < 1)).all()
+            h = tensor(rng.normal((3, d)))
+            z = tensor(rng.normal((3, d)))
+            fused = gated_fuse(h, z, params.w_gate)
             lo = np.minimum(h.data, z.data) - 1e-12
             hi = np.maximum(h.data, z.data) + 1e-12
             assert ((fused.data >= lo) & (fused.data <= hi)).all()
+
+    def test_rows_gate_independently(self):
+        # each row's gate reads only that row: fusing rows together equals
+        # fusing each row on its own
+        d = 4
+        rng = SeededRng(8)
+        params = init_lpo_params(d, 2, rng, with_text=True)
+        h, z = rng.normal((3, d)), rng.normal((3, d))
+        together = gated_fuse(tensor(h), tensor(z), params.w_gate).data
+        for t in range(3):
+            alone = gated_fuse(tensor(h[t:t + 1]), tensor(z[t:t + 1]), params.w_gate).data
+            np.testing.assert_allclose(together[t], alone[0], atol=1e-12)
+
+    def test_shape_mismatch(self):
+        w = tensor(np.zeros((3, 6)))
+        with pytest.raises(ShapeError):
+            gated_fuse(tensor(np.ones((2, 3))), tensor(np.ones((3, 3))), w)
+        with pytest.raises(ShapeError):
+            gated_fuse(tensor(np.ones(3)), tensor(np.ones(3)), w)
 
 
 class TestPromptLoss:
@@ -215,23 +233,12 @@ class TestLpoGradients:
         rng = SeededRng(9)
         params = init_lpo_params(d, 3, rng, with_text=True)
         tokens = encode_hashed("crowd surge after the show", d).tokens
-        x = rng.normal((3,))
+        x = tensor(rng.normal((2, 3)))
 
         def f(w_gate):
-            p = LpoParams(
-                w_embed=params.w_embed,
-                b_embed=params.b_embed,
-                prompt_struct=params.prompt_struct,
-                prompt_text=params.prompt_text,
-                w_query=params.w_query,
-                w_key=params.w_key,
-                w_value=params.w_value,
-                w_gate=w_gate,
-            )
-            h_s = embed_structured(x, p)
-            z = guided_cross_attention(h_s, tokens, p)
-            _, fused = gated_fuse(h_s, z, p)
-            return sum_sq(fused)
+            h_s = embed_structured_rows(x, params)
+            z = stack_rows([guided_cross_attention(take_row(h_s, t), tokens, params) for t in range(2)])
+            return sum_sq(gated_fuse(h_s, z, w_gate))
 
         assert grad_check(f, Tensor(params.w_gate.data.copy())) < 1e-4
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kgcm.errors import ConfigError, ContractError
+from kgcm.errors import ConfigError, ShapeError
 from kgcm.graph import (
     DgsoLayerParams,
     DgsoParams,
@@ -9,11 +9,10 @@ from kgcm.graph import (
     ema_update,
     graph_conv_layer,
     init_dgso_params,
-    lift_to_nodes,
     run_dgso,
     uniform_matrix,
 )
-from kgcm.numeric import SeededRng, Tensor, clear_tape, grad_check, mul, sum_sq, take_col, tensor
+from kgcm.numeric import SeededRng, Tensor, clear_tape, grad_check, history_columns, mul, sum_sq, tensor
 
 
 @pytest.fixture(autouse=True)
@@ -34,25 +33,27 @@ def _identity_layer(n):
 
 
 class TestLiftToNodes:
+    """Node states at step t are ``history_columns(rows, t, n)``: node i's last n values."""
+
     def test_single_column(self):
-        h = tensor([1.0, 2.0, 3.0])
-        out = lift_to_nodes([h], 1)
+        out = history_columns(tensor([[1.0, 2.0, 3.0]]), 0, 1)
         np.testing.assert_array_equal(out.data, [[1.0], [2.0], [3.0]])
 
     def test_constant_series_gives_constant_rows(self):
-        h = tensor([4.0, 5.0])
-        out = lift_to_nodes([h, h, h], 3)
+        out = history_columns(tensor([[4.0, 5.0]] * 3), 2, 3)
         np.testing.assert_array_equal(out.data, [[4.0, 4.0, 4.0], [5.0, 5.0, 5.0]])
 
     def test_history_layout(self):
-        h_prev = tensor([1.0, 2.0])
-        h_curr = tensor([3.0, 4.0])
-        out = lift_to_nodes([h_prev, h_curr], 2)
+        # column k holds the row n-1-k steps back: the current step is last
+        out = history_columns(tensor([[1.0, 2.0], [3.0, 4.0]]), 1, 2)
         np.testing.assert_array_equal(out.data, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_too_few_steps(self):
-        with pytest.raises(ContractError):
-            lift_to_nodes([tensor([1.0])], 2)
+        # fewer than n steps of history: the first row is repeated in front
+        out = history_columns(tensor([[1.0, 2.0], [3.0, 4.0]]), 1, 3)
+        np.testing.assert_array_equal(out.data, [[1.0, 1.0, 3.0], [2.0, 2.0, 4.0]])
+        with pytest.raises(ShapeError):
+            history_columns(tensor([[1.0, 2.0]]), 1, 2)
 
 
 class TestBuildRelationMatrix:
@@ -176,7 +177,7 @@ class TestRunDgso:
         params = init_dgso_params(2, 2, 1, 0.0, rng)
         rows = rng.normal((4, 3))
         result = run_dgso(tensor(rows), params, 2)
-        states = lift_to_nodes([tensor(rows[-2]), tensor(rows[-1])], 2)
+        states = history_columns(tensor(rows), 3, 2)
         raw = build_relation_matrix(states, params.layers[0])
         np.testing.assert_allclose(result.final_matrices[0], raw.data, atol=1e-12)
 
@@ -199,10 +200,9 @@ class TestRunDgso:
         raws = []
         prev = uniform_matrix(d)
         carried = []
-        steps = [tensor(rng.normal((d,))) for _ in range(100)]
+        steps = tensor(rng.normal((100, d)))
         for t in range(100):
-            history = [steps[0]] * max(0, 2 - t - 1) + steps[max(0, t - 1): t + 1]
-            states = lift_to_nodes(history, 2)
+            states = history_columns(steps, t, 2)
             raw = build_relation_matrix(states, params.layers[0])
             raws.append(raw.data.copy())
             smoothed = ema_update(prev, raw, 0.9)

@@ -1,0 +1,151 @@
+import numpy as np
+import pytest
+
+from kgcm import pipeline
+from kgcm.data import GeneratorConfig, generate_synthetic
+from kgcm.errors import FormatError, TrainingError
+from kgcm.model import ALL_COMPONENTS, TrainConfig, build_model
+from kgcm.numeric import clear_tape
+
+
+@pytest.fixture(autouse=True)
+def fresh_tape():
+    clear_tape()
+    yield
+    clear_tape()
+
+
+def _config(**overrides) -> TrainConfig:
+    base = dict(d=8, n=2, window=8, horizon=2, blocks=1, day_slots=12,
+                epochs_stage1=1, epochs_stage2=2, batch_size=4, seed=3)
+    base.update(overrides)
+    return TrainConfig(**base)
+
+
+def _dataset(seed: int = 0):
+    return generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12, event_rate=0.3, seed=seed))
+
+
+def _split(config):
+    return pipeline.split_windows(pipeline.build_windows(_dataset(), config))
+
+
+def _fit(config=None):
+    config = config or _config()
+    model = pipeline.fit(_dataset(), config, ALL_COMPONENTS)
+    return model, _split(config).test
+
+
+def _forecasts(model, windows) -> bytes:
+    return np.stack([pipeline.predict(model, w) for w in windows]).tobytes()
+
+
+class TestTrainingLoop:
+    def test_same_seed_fits_are_bitwise_equal(self):
+        first, test = _fit()
+        second, _ = _fit()
+        assert len(first.stage1_history) == 1 and len(first.stage2_history) == 2
+        assert np.array(first.stage1_history).tobytes() == np.array(second.stage1_history).tobytes()
+        assert np.array(first.stage2_history).tobytes() == np.array(second.stage2_history).tobytes()
+        assert first.a_star.tobytes() == second.a_star.tobytes()
+        assert _forecasts(first, test) == _forecasts(second, test)
+
+    def test_frozen_matrix_is_last_epoch_mean(self):
+        config = _config(epochs_stage1=2)
+        windows = _split(config).train
+        model = build_model(config, ALL_COMPONENTS, pipeline.FEATURE_COUNT)
+        results = []
+        forward = model.stage1_forward
+
+        def recording(window):
+            loss, result = forward(window)
+            results.append(result)
+            return loss, result
+
+        model.stage1_forward = recording
+        pipeline.train_stage1(model, windows, config)
+        last = [r.final_matrices[-1] for r in results[-len(windows):]]
+        mean = sum(last, np.zeros((8, 8))) / len(windows)
+        np.testing.assert_array_equal(model.a_star, mean / mean.sum(axis=1, keepdims=True))
+        assert len(results) == 2 * len(windows)
+        assert model.pad_events == sum(r.pad_count for r in results) > 0
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_nan_input_names_stage_and_epoch(self, stage):
+        config = _config()
+        windows = _split(config).train
+        windows[1].inputs = windows[1].inputs.copy()
+        windows[1].inputs[3, 0] = np.nan
+        model = build_model(config, ALL_COMPONENTS, pipeline.FEATURE_COUNT)
+        train = pipeline.train_stage1 if stage == 1 else pipeline.train_stage2
+        with pytest.raises(TrainingError, match=f"stage {stage}, epoch 0, batch "):
+            train(model, windows, config)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_empty_window_list(self, stage):
+        config = _config()
+        model = build_model(config, ALL_COMPONENTS, pipeline.FEATURE_COUNT)
+        train = pipeline.train_stage1 if stage == 1 else pipeline.train_stage2
+        with pytest.raises(TrainingError, match=f"stage {stage} needs a nonempty training set"):
+            train(model, [], config)
+
+    def test_stage1_needs_graph_or_text(self):
+        config = _config()
+        model = build_model(config, {"ssa", "rcpg"}, pipeline.FEATURE_COUNT)
+        with pytest.raises(TrainingError, match="stage 1 requires"):
+            pipeline.train_stage1(model, _split(config).train, config)
+
+
+class TestModelFile:
+    def test_save_load_predict_bitwise(self, tmp_path):
+        model, test = _fit()
+        path = tmp_path / "model.kgcm"
+        pipeline.save_model(model, path)
+        loaded = pipeline.load_model(path)
+        assert _forecasts(loaded, test) == _forecasts(model, test)
+        assert loaded.stage1_history == model.stage1_history
+        assert loaded.stage2_history == model.stage2_history
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model = build_model(_config(), ALL_COMPONENTS, pipeline.FEATURE_COUNT)
+        model.freeze_structure(np.ones((8, 8)))
+        return model, tmp_path / "model.kgcm"
+
+    @pytest.mark.parametrize("key", ["_meta/scaler_mean", "_meta/scaler_std"])
+    def test_missing_scaler_record(self, saved, monkeypatch, key):
+        model, path = saved
+        meta = pipeline._meta_records
+        monkeypatch.setattr(pipeline, "_meta_records", lambda m: {k: v for k, v in meta(m).items() if k != key})
+        pipeline.save_model(model, path)
+        with pytest.raises(FormatError, match=key):
+            pipeline.load_model(path)
+
+    @pytest.mark.parametrize("key", ["lpo/w_embed", "_meta/scaler_std"])
+    def test_non_finite_record(self, saved, key):
+        model, path = saved
+        if key.startswith("_meta/"):
+            model.scaler_std = np.full(pipeline.FEATURE_COUNT, np.inf)
+        else:
+            model.named_parameters()[key].data[0, 0] = np.nan
+        pipeline.save_model(model, path)
+        with pytest.raises(FormatError, match="non-finite"):
+            pipeline.load_model(path)
+
+    def test_trailing_bytes(self, saved):
+        model, path = saved
+        pipeline.save_model(model, path)
+        pipeline.load_model(path)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
+            pipeline.load_model(path)
+
+    def test_invalid_utf8_config(self, saved):
+        model, path = saved
+        pipeline.save_model(model, path)
+        blob = bytearray(path.read_bytes())
+        blob[-2] = 0xFF  # inside the embedded config text
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="UTF-8"):
+            pipeline.load_model(path)
