@@ -169,7 +169,8 @@ def cmd_ablate(args) -> int:
     dataset = _load_dataset(args.data)
     base_seed = _resolve_seed(args.seed, parsed, "train", "seed", parsed.train.seed)
     seeds = [base_seed + k for k in range(args.seeds)]
-    rows = run_ablation(dataset, parsed.train, seeds, floor=parsed.mape_floor, jobs=args.jobs)
+    encoder = _encoder_config(parsed, parsed.train.d)
+    rows = run_ablation(dataset, parsed.train, seeds, floor=parsed.mape_floor, jobs=args.jobs, encoder=encoder)
     atomic_write_text(args.out, ablation_csv(rows))
     print(render_ablation_table(rows))
     return EXIT_OK

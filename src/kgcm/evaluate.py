@@ -19,6 +19,7 @@ from .data import DemandDataset, PredictionRow
 from .errors import MetricError
 from .model import COMPONENT_ORDER, TrainConfig
 from .pipeline import build_windows, fit, predict, split_windows
+from .text import EncoderConfig
 
 __all__ = [
     "MetricReport",
@@ -143,22 +144,22 @@ def ablation_variants() -> list[tuple[str, frozenset[str]]]:
 
 
 def _run_one(args) -> AblationRow:
-    dataset, config, variant, components, seed, floor = args
+    dataset, config, variant, components, seed, floor, encoder = args
     run_config = config.scaled(seed=seed)
-    model = fit(dataset, run_config, components)
-    split = split_windows(build_windows(dataset, run_config))
+    model = fit(dataset, run_config, components, encoder)
+    split = split_windows(build_windows(dataset, run_config, encoder))
     report = evaluate(model, split.test, floor)
     return AblationRow(variant=variant, components=components, seed=seed, report=report.metrics)
 
 
 def run_ablation(dataset: DemandDataset, config: TrainConfig, seeds, floor: float = DEFAULT_MAPE_FLOOR,
-                 jobs: int = 1) -> list[AblationRow]:
-    """Train and evaluate the six cumulative variants for every seed."""
+                 jobs: int = 1, encoder: EncoderConfig | None = None) -> list[AblationRow]:
+    """Train and evaluate the six cumulative variants for every seed, all on text encoded by ``encoder``."""
     seeds = list(seeds)
     if not seeds:
         raise MetricError("ablation needs at least one seed")
     tasks = [
-        (dataset, config, variant, components, seed, floor)
+        (dataset, config, variant, components, seed, floor, encoder)
         for seed in seeds
         for variant, components in ablation_variants()
     ]

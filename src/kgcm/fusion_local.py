@@ -1,12 +1,13 @@
 """Local fusion of structured features with step-aligned text.
 
 A window's (T, F) structured rows are embedded as (T, d) rows in one pass.
-Each step's embedded row queries that step's token vectors through
-prompt-augmented cross-attention, and ``gated_fuse`` blends the (T, d)
-structured and text rows with a learned sigmoid gate. The shared-context
-gate (rcpg) is the same function with the pooled vector tiled over the
-steps and a bias. A squared-distance penalty keeps the two modality prompts
-aligned. These are the functions ``Model`` calls and ``gradcheck`` checks.
+All T embedded rows query the window's packed token vectors in one
+prompt-augmented cross-attention call, masked so that each row sees only its
+own step's tokens, and ``gated_fuse`` blends the (T, d) structured and text
+rows with a learned sigmoid gate. The shared-context gate (rcpg) is the same
+function with the pooled vector tiled over the steps and a bias. A
+squared-distance penalty keeps the two modality prompts aligned. These are
+the functions ``Model`` calls and ``gradcheck`` checks.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,18 +30,21 @@ from .numeric import (
     matmul,
     matmul_nt,
     mix,
+    mul,
     relu,
     scale,
     sigmoid,
     softmax_rows,
-    stack_rows,
     sub,
     sum_sq,
-    take_row,
     zeros,
 )
 
 log = logging.getLogger(__name__)
+
+# Score added where a row must not see a token: finite because tensors must be,
+# and so large that exp gives exactly 0 there after softmax's max shift.
+_MASKED_SCORE = -1e30
 
 __all__ = ["LpoParams", "init_lpo_params", "embed_structured_rows", "guided_cross_attention", "gated_fuse", "prompt_loss"]
 
@@ -91,26 +96,37 @@ def embed_structured_rows(x: Tensor, params: LpoParams) -> Tensor:
     return relu(linear(x, params.w_embed, params.b_embed))
 
 
-def guided_cross_attention(h_s: Tensor, tokens: np.ndarray, params: LpoParams) -> Tensor:
-    """Attend from the structured query to the step's token rows.
+def guided_cross_attention(h_s: Tensor, tokens: Sequence[np.ndarray], params: LpoParams) -> Tensor:
+    """Attend from each step's structured row to that step's token rows.
 
-    ``tokens`` is the (m, d) token matrix for this step. m = 0 is legal: the
-    result is a zero vector and the event is logged, so sparsely annotated
-    data still flows through.
+    ``h_s`` holds the window's (T, d) embedded rows and ``tokens[t]`` is the
+    (m_t, d) token matrix of step t. The tokens are packed into one (M, d)
+    block, every row is scored against all M tokens, and a constant mask
+    leaves each row only its own step's tokens. m_t = 0 is legal: that row of
+    the (T, d) result is zero. A window with no tokens at all returns
+    untracked zeros and logs the event, so sparsely annotated data still
+    flows through.
     """
     d = params.dim
-    if tokens.ndim != 2 or tokens.shape[1] != d:
-        raise ShapeError(f"token matrix has shape {tokens.shape}, expected (m, {d})")
-    if tokens.shape[0] == 0:
-        log.debug("empty local text: cross-attention output is the zero vector")
-        return zeros(d)
-    tok = constant(tokens)
+    rows = h_s.data
+    if rows.ndim != 2 or rows.shape[1] != d or len(tokens) != rows.shape[0]:
+        raise ShapeError(f"query rows {rows.shape} need shape (T, {d}) and one token matrix per row, got {len(tokens)}")
+    for step in tokens:
+        if step.ndim != 2 or step.shape[1] != d:
+            raise ShapeError(f"token matrix has shape {step.shape}, expected (m, {d})")
+    counts = np.array([step.shape[0] for step in tokens])
+    if not counts.any():
+        log.debug("empty local text: cross-attention output is the zero matrix")
+        return zeros(rows.shape)
+    steps = np.arange(len(tokens))
+    mask = np.where(np.repeat(steps, counts) == steps[:, None], 0.0, _MASKED_SCORE)
+    tok = constant(np.concatenate(tokens))
     q = add(linear(h_s, params.w_query), params.prompt_struct)
     k = add(linear(tok, params.w_key), params.prompt_text)
     v = linear(tok, params.w_value)
-    scores = scale(matmul_nt(stack_rows([q]), k), 1.0 / math.sqrt(d))
-    weights = softmax_rows(scores)
-    return take_row(matmul(weights, v), 0)
+    scores = add(scale(matmul_nt(q, k), 1.0 / math.sqrt(d)), constant(mask))
+    attended = matmul(softmax_rows(scores), v)
+    return mul(attended, constant((counts > 0).astype(np.float64)[:, None]))
 
 
 def gated_fuse(h: Tensor, z: Tensor, w_gate: Tensor, b_gate: Tensor | None = None) -> Tensor:

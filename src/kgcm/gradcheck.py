@@ -4,8 +4,9 @@ Each check builds a scalar function around one operation (or the whole
 joint objective) and compares tape gradients against central differences.
 Each component check calls the function ``Model`` calls, on the shapes it
 passes: (T, F) structured rows, (T, d) gate rows with the rcpg pooled vector
-tiled over the steps, (T, d) rows for ``acmfw_weight``, one (d,) query row
-for cross-attention, (d, n) node states and (T, d) rows for the graph.
+tiled over the steps, (T, d) rows for ``acmfw_weight``, (T, d) query rows
+with a text-free step and unequal token counts for cross-attention, (d, n)
+node states and (T, d) rows for the graph.
 The end-to-end instance keeps the smoothing coefficient at zero because the
 smoothing history is deliberately carried as a constant; any nonzero
 coefficient would make the comparison measure that design choice instead of
@@ -94,10 +95,14 @@ def _check_embed_structured_rows(rng: SeededRng) -> float:
 def _check_cross_attention(rng: SeededRng) -> float:
     d = 6
     params = init_lpo_params(d, 5, rng.child("p"), with_text=True)
-    tokens = encode_hashed("festival crowd near stadium tonight", d).tokens
-    h_s = tensor(rng.normal((d,)))
-    return grad_check(lambda wq: sum_sq(guided_cross_attention(h_s, tokens, replace(params, w_query=wq))),
-                      Tensor(params.w_query.data.copy()))
+    tokens = [encode_hashed("festival crowd near stadium tonight", d).tokens, np.zeros((0, d)),
+              encode_hashed("rain", d).tokens, encode_hashed("late trains", d).tokens]
+    h_s = tensor(rng.normal((len(tokens), d)))
+
+    def f(wk):
+        return _weighted(guided_cross_attention(h_s, tokens, replace(params, w_key=wk)), rng.child("w"))
+
+    return grad_check(f, Tensor(params.w_key.data.copy()))
 
 
 def _check_lpo_gate(rng: SeededRng) -> float:

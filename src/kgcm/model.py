@@ -38,8 +38,6 @@ from .numeric import (
     scale,
     sse,
     stack_rows,
-    take_row,
-    zeros,
 )
 from .predictor import SsaParams, embed_sequence, forecast, init_ssa_params, structural_bias
 
@@ -253,17 +251,12 @@ class Model:
     # -- forwards ------------------------------------------------------
 
     def _fused_rows(self, window: SeriesWindow) -> Tensor:
+        """Embedded (T, d) rows, gated with the step text by one cross-attention call when lpo is on."""
         x = constant(self.scale_inputs(window.inputs))
         hs = embed_structured_rows(x, self.lpo)
         if "lpo" not in self.components:
             return hs
-        z_rows = []
-        for t, tokens in enumerate(window.local_tokens):
-            if tokens.shape[0]:
-                z_rows.append(guided_cross_attention(take_row(hs, t), tokens, self.lpo))
-            else:
-                z_rows.append(zeros(self.config.d))
-        return gated_fuse(hs, stack_rows(z_rows), self.lpo.w_gate)
+        return gated_fuse(hs, guided_cross_attention(hs, window.local_tokens, self.lpo), self.lpo.w_gate)
 
     def stage1_forward(self, window: SeriesWindow) -> tuple[Tensor, ForwardResult]:
         """Auxiliary one-step-ahead objective over the graph's node states."""

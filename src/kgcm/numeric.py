@@ -85,7 +85,7 @@ def fnv1a64(data: bytes) -> int:
 class Tensor:
     """Rank <= 3 float64 array that can participate in differentiation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(data, dtype=np.float64)
@@ -95,7 +95,6 @@ class Tensor:
             raise NumericError(f"non-finite values in tensor {name or '<anonymous>'}")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
         self.name = name
 
     @property
@@ -161,7 +160,6 @@ def _result(arr: np.ndarray, inputs: tuple[Tensor, ...], backward_fn: Callable) 
         raise NumericError("operation produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = arr
-    out.grad = None
     out.name = None
     if _TRACING and any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -197,8 +195,6 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> dict[Tensor, np.nda
     for p in params:
         if p not in grads:
             grads[p] = np.zeros_like(p.data)
-    for t, g in grads.items():
-        t.grad = g
     return grads
 
 
@@ -309,22 +305,16 @@ def lerp_const(raw: Tensor, prev: np.ndarray, lam: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard product for rank-1/rank-2 operands (vector dot included)."""
+    """a @ b for rank-2 operands."""
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0 or ad.ndim > 2 or bd.ndim > 2:
-        raise ShapeError(f"matmul supports rank 1 or 2, got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != (bd.shape[0] if bd.ndim >= 1 else None):
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul expects rank-2 operands, got {ad.shape} @ {bd.shape}")
+    if ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} @ {bd.shape}")
     out = ad @ bd
 
     def bw(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return bd @ g, np.outer(ad, g)
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        return g * bd, g * ad
+        return g @ bd.T, ad.T @ g
 
     return _result(out, (a, b), bw)
 

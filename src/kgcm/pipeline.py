@@ -23,7 +23,7 @@ from .errors import ConfigError, FormatError, NumericError, TrainingError
 from .model import ALL_COMPONENTS, Model, SeriesWindow, TrainConfig, build_model, joint_loss
 from .numeric import SeededRng, Tensor, backward, clear_tape, no_tape
 from .optim import AdamState, adam_step
-from .text import EncoderConfig, TextRecord, encode
+from .text import EncoderConfig, TextRecord, TokenEmbeddings, encode
 
 log = logging.getLogger(__name__)
 
@@ -58,20 +58,13 @@ def build_windows(dataset: DemandDataset, config: TrainConfig, encoder: EncoderC
     if encoder is None:
         encoder = EncoderConfig(mode="hashed", dim=config.d)
     t, horizon = config.window, config.horizon
-    token_cache: dict[str, np.ndarray] = {}
-    pooled_cache: dict[str, np.ndarray] = {}
+    cache: dict[str, TokenEmbeddings] = {}
 
-    def tokens_for(text: str, rec_id: str) -> np.ndarray:
+    def encoded(text: str, rec_id: str) -> TokenEmbeddings:
         key = text if encoder.mode == "hashed" else rec_id
-        if key not in token_cache:
-            token_cache[key] = encode(TextRecord(text, id=rec_id), encoder).tokens
-        return token_cache[key]
-
-    def pooled_for(text: str, rec_id: str) -> np.ndarray:
-        key = text if encoder.mode == "hashed" else rec_id
-        if key not in pooled_cache:
-            pooled_cache[key] = encode(TextRecord(text, id=rec_id), encoder).pooled
-        return pooled_cache[key]
+        if key not in cache:
+            cache[key] = encode(TextRecord(text, id=rec_id), encoder)
+        return cache[key]
 
     out: dict[str, list[SeriesWindow]] = {}
     for series in dataset.regions:
@@ -90,13 +83,13 @@ def build_windows(dataset: DemandDataset, config: TrainConfig, encoder: EncoderC
         windows = []
         for start in range(0, total - t - horizon + 1):
             local = [
-                tokens_for(series.local_texts[start + k], f"{series.region}|{series.timestamps[start + k].isoformat()}")
-                for k in range(t)
+                encoded(series.local_texts[i], f"{series.region}|{series.timestamps[i].isoformat()}").tokens
+                for i in range(start, start + t)
             ]
             last_input = start + t - 1
-            pooled = pooled_for(
+            pooled = encoded(
                 dataset.global_texts[last_input], f"global|{dataset.timestamps[last_input].isoformat()}"
-            )
+            ).pooled
             if pooled.shape != (config.d,):
                 raise ConfigError(f"text vectors have dimension {pooled.shape[0]}, model expects {config.d}")
             windows.append(

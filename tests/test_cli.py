@@ -43,3 +43,19 @@ def test_stage2_encodes_text_at_the_loaded_model_width(tmp_path, capsys):
     model = load_model(stage2)
     assert model.config.d == 8
     assert len(model.stage1_history) == 1 and len(model.stage2_history) == 1
+
+
+def test_ablate_encodes_text_as_the_config_says(tmp_path, capsys):
+    # an embedding table without the dataset's ids must stop the run; a run
+    # that ignores [text] would train on hashed vectors and exit 0
+    data_dir = tmp_path / "data"
+    write_dataset(generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12, event_rate=0.3)), data_dir)
+    table = tmp_path / "embeddings.csv"
+    table.write_text("unrelated-id," + ",".join(["0.5"] * 8) + "\n")
+    config = tmp_path / "file.cfg"
+    config.write_text(TINY.format(d=8) + f"[text]\nencoder = file\nembedding_file = {table}\n")
+    code = cli.main(["ablate", "--config", str(config), "--data", str(data_dir), "--seeds", "1",
+                     "--out", str(tmp_path / "ablation.csv")])
+    assert code == cli.EXIT_DATA
+    assert "no precomputed embedding" in capsys.readouterr().err
+    assert not (tmp_path / "ablation.csv").exists()

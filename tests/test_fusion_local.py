@@ -13,7 +13,7 @@ from kgcm.fusion_local import (
     init_lpo_params,
     prompt_loss,
 )
-from kgcm.numeric import SeededRng, Tensor, backward, clear_tape, grad_check, stack_rows, sum_sq, take_row, tensor
+from kgcm.numeric import SeededRng, Tensor, backward, clear_tape, grad_check, sum_sq, tensor
 from kgcm.text import encode_hashed
 
 
@@ -82,37 +82,38 @@ class TestGuidedCrossAttention:
         d = 4
         rng = SeededRng(1)
         params = init_lpo_params(d, 2, rng, with_text=True)
-        h_s = tensor(rng.normal((d,)))
-        tokens = rng.normal((1, d))
+        h_s = tensor(rng.normal((2, d)))
+        tokens = [rng.normal((1, d)), rng.normal((1, d))]
         z = guided_cross_attention(h_s, tokens, params)
-        expected = tokens[0] @ params.w_value.data.T
+        expected = np.concatenate(tokens) @ params.w_value.data.T
         np.testing.assert_allclose(z.data, expected, atol=1e-12)
 
     def test_identical_keys_average_values(self):
         d = 3
         rng = SeededRng(2)
         params = init_lpo_params(d, 2, rng, with_text=True)
-        h_s = tensor(rng.normal((d,)))
+        h_s = tensor(rng.normal((1, d)))
         row = rng.normal((d,))
         tokens = np.stack([row, row, row])
-        z = guided_cross_attention(h_s, tokens, params)
+        z = guided_cross_attention(h_s, [tokens], params)
         values = tokens @ params.w_value.data.T
-        np.testing.assert_allclose(z.data, values.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(z.data, values.mean(axis=0, keepdims=True), atol=1e-12)
 
     def test_scalar_softmax_oracle(self):
         # identity projections, zero prompts, h_s=[10,0], two axis-aligned tokens
         d = 2
         params = _manual_params(d, d)
-        z = guided_cross_attention(tensor([10.0, 0.0]), np.eye(2), params)
+        z = guided_cross_attention(tensor([[10.0, 0.0]]), [np.eye(2)], params)
         w0 = 1.0 / (1.0 + math.exp(-10.0 / math.sqrt(2.0)))
-        np.testing.assert_allclose(z.data, [w0, 1.0 - w0], atol=1e-5)
-        np.testing.assert_allclose(z.data, [0.99915, 0.00085], atol=5e-6)
+        np.testing.assert_allclose(z.data, [[w0, 1.0 - w0]], atol=1e-5)
+        np.testing.assert_allclose(z.data, [[0.99915, 0.00085]], atol=5e-6)
 
     def test_empty_text_yields_zero_and_logs(self, caplog):
         params = init_lpo_params(4, 2, SeededRng(3), with_text=True)
         with caplog.at_level(logging.DEBUG, logger="kgcm.fusion_local"):
-            z = guided_cross_attention(tensor(np.ones(4)), np.zeros((0, 4)), params)
-        np.testing.assert_array_equal(z.data, np.zeros(4))
+            z = guided_cross_attention(tensor(np.ones((3, 4))), [np.zeros((0, 4))] * 3, params)
+        np.testing.assert_array_equal(z.data, np.zeros((3, 4)))
+        assert not z.requires_grad
         assert any("empty local text" in r.message for r in caplog.records)
 
     def test_score_shift_invariance(self):
@@ -122,20 +123,54 @@ class TestGuidedCrossAttention:
         rng = SeededRng(4)
         params = init_lpo_params(d, 2, rng, with_text=True)
         tokens = encode_hashed("match tonight expect surge", d).tokens
-        h_s = tensor(rng.normal((d,)))
-        z1 = guided_cross_attention(h_s, tokens, params)
+        h_s = tensor(rng.normal((1, d)))
+        z1 = guided_cross_attention(h_s, [tokens], params)
         # same computation with prompts shifted identically on both sides of
         # the score product: softmax([s + c]) == softmax([s])
         scores_fn = lambda q, k: (q @ k.T) / math.sqrt(d)
         q = h_s.data @ params.w_query.data.T + params.prompt_struct.data
         k = tokens @ params.w_key.data.T + params.prompt_text.data
-        s = scores_fn(q[None, :], k)
+        s = scores_fn(q, k)
         e1 = np.exp(s - s.max())
         w1 = e1 / e1.sum()
         e2 = np.exp((s + 7.5) - (s + 7.5).max())
         w2 = e2 / e2.sum()
         np.testing.assert_allclose(w1, w2, atol=1e-12)
-        assert z1.data.shape == (d,)
+        np.testing.assert_allclose(z1.data, w1 @ (tokens @ params.w_value.data.T), atol=1e-12)
+
+    def test_rows_see_only_their_own_step(self):
+        # the masked window call equals attending each row to its step alone;
+        # a text-free step gives a zero row
+        d = 4
+        rng = SeededRng(11)
+        params = init_lpo_params(d, 2, rng, with_text=True)
+        h = rng.normal((4, d))
+        tokens = [encode_hashed("crowd surge after the show", d).tokens, np.zeros((0, d)),
+                  encode_hashed("rain", d).tokens, encode_hashed("stadium match", d).tokens]
+        together = guided_cross_attention(tensor(h), tokens, params).data
+        np.testing.assert_array_equal(together[1], np.zeros(d))
+        for t in (0, 2, 3):
+            alone = guided_cross_attention(tensor(h[t:t + 1]), [tokens[t]], params).data
+            np.testing.assert_allclose(together[t], alone[0], rtol=1e-12, atol=1e-14)
+
+    def test_text_free_step_gets_no_gradient(self):
+        d = 4
+        rng = SeededRng(12)
+        params = init_lpo_params(d, 2, rng, with_text=True)
+        tokens = [encode_hashed("festival crowd", d).tokens, np.zeros((0, d)), encode_hashed("parade", d).tokens]
+        h = tensor(rng.normal((3, d)), requires_grad=True)
+        grads = backward(sum_sq(guided_cross_attention(h, tokens, params)), params=(h,))
+        np.testing.assert_array_equal(grads[h][1], np.zeros(d))
+        assert np.abs(grads[h][[0, 2]]).max() > 0.0
+
+    def test_shape_mismatch(self):
+        params = init_lpo_params(4, 2, SeededRng(13), with_text=True)
+        with pytest.raises(ShapeError):
+            guided_cross_attention(tensor(np.ones((2, 4))), [np.ones((1, 4))], params)
+        with pytest.raises(ShapeError):
+            guided_cross_attention(tensor(np.ones((1, 4))), [np.ones((2, 3))], params)
+        with pytest.raises(ShapeError):
+            guided_cross_attention(tensor(np.ones(4)), [np.ones((1, 4))], params)
 
 
 class TestGatedFuse:
@@ -232,13 +267,13 @@ class TestLpoGradients:
         d = 4
         rng = SeededRng(9)
         params = init_lpo_params(d, 3, rng, with_text=True)
-        tokens = encode_hashed("crowd surge after the show", d).tokens
-        x = tensor(rng.normal((2, 3)))
+        tokens = [encode_hashed("crowd surge after the show", d).tokens, np.zeros((0, d)),
+                  encode_hashed("match", d).tokens]
+        x = tensor(rng.normal((3, 3)))
 
         def f(w_gate):
             h_s = embed_structured_rows(x, params)
-            z = stack_rows([guided_cross_attention(take_row(h_s, t), tokens, params) for t in range(2)])
-            return sum_sq(gated_fuse(h_s, z, w_gate))
+            return sum_sq(gated_fuse(h_s, guided_cross_attention(h_s, tokens, params), w_gate))
 
         assert grad_check(f, Tensor(params.w_gate.data.copy())) < 1e-4
 
@@ -246,8 +281,8 @@ class TestLpoGradients:
         d = 4
         rng = SeededRng(10)
         params = init_lpo_params(d, 3, rng, with_text=True)
-        tokens = encode_hashed("stadium event expected", d).tokens
-        h_s = tensor(rng.normal((d,)))
+        tokens = [encode_hashed("stadium event expected", d).tokens, encode_hashed("late trains", d).tokens]
+        h_s = tensor(rng.normal((2, d)))
 
         def f(p_s):
             p = LpoParams(

@@ -47,6 +47,10 @@ class TestMatmul:
         b = tensor(np.ones((2, 2)))
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             matmul(a, b)
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3,\)"):
+            matmul(a, tensor(np.ones(3)))
+        with pytest.raises(ShapeError, match=r"\(3,\).*\(3, 2\)"):
+            matmul(tensor(np.ones(3)), tensor(np.ones((3, 2))))
 
     def test_gradients(self):
         rng = SeededRng(0)
@@ -194,7 +198,6 @@ class TestGradCheck:
             out = Tensor.__new__(Tensor)
             out.data = np.asarray(val)
             out.requires_grad = False
-            out.grad = None
             out.name = None
             return out
 

@@ -96,6 +96,27 @@ class TestTrainingLoop:
             pipeline.train_stage1(model, _split(config).train, config)
 
 
+class TestBuildWindows:
+    def test_each_distinct_text_is_encoded_once(self, monkeypatch):
+        # local and cross-region texts share one cache: a text that occurs in
+        # both, such as the empty text, is encoded once
+        calls = []
+        real = pipeline.encode
+
+        def counted(record, encoder):
+            calls.append(record.text)
+            return real(record, encoder)
+
+        monkeypatch.setattr(pipeline, "encode", counted)
+        config, dataset = _config(), _dataset()
+        pipeline.build_windows(dataset, config)
+        last = len(dataset.timestamps) - config.horizon
+        texts = {series.local_texts[i] for series in dataset.regions for i in range(last)}
+        texts |= {dataset.global_texts[i] for i in range(config.window - 1, last)}
+        assert "" in texts
+        assert sorted(calls) == sorted(texts)
+
+
 class TestModelFile:
     def test_save_load_predict_bitwise(self, tmp_path):
         model, test = _fit()
