@@ -63,10 +63,9 @@ def _resolve_seed(flag_seed: int | None, parsed: ParsedConfig | None, section: s
     return 0
 
 
-def _encoder_config(parsed: ParsedConfig, dim: int) -> EncoderConfig:
-    if parsed.encoder_mode == "file":
-        table = load_embedding_file(parsed.embedding_file)
-        return EncoderConfig(mode="file", dim=dim, embeddings=table)
+def _encoder_config(mode: str, embedding_file: str | None, dim: int) -> EncoderConfig:
+    if mode == "file":
+        return EncoderConfig(mode="file", dim=dim, embeddings=load_embedding_file(embedding_file))
     return EncoderConfig(mode="hashed", dim=dim)
 
 
@@ -101,12 +100,13 @@ def cmd_train(args) -> int:
         if not args.init:
             raise UsageError("--stage 2 requires --init MODEL from a stage-1 run")
         model = load_model(args.init)
-        encoder = _encoder_config(parsed, model.config.d)
+        encoder = _encoder_config(parsed.encoder_mode, parsed.embedding_file, model.config.d)
         split = split_windows(build_windows(dataset, model.config, encoder))
         train_stage2(model, split.train, model.config)
     else:
-        encoder = _encoder_config(parsed, config.d)
+        encoder = _encoder_config(parsed.encoder_mode, parsed.embedding_file, config.d)
         model = _fit_stages(dataset, config, parsed.components, encoder, stage=args.stage)
+    model.encoder_mode, model.embedding_file = parsed.encoder_mode, parsed.embedding_file
     save_model(model, args.out)
     for epoch, loss in enumerate(model.stage1_history):
         print(f"1,{epoch},{format(loss, '.17g')}")
@@ -135,11 +135,15 @@ def _fit_stages(dataset, config, components, encoder, stage: str):
     return model
 
 
+def _test_windows(model, data_dir: str):
+    """The test split, encoded the way the model's training windows were."""
+    encoder = _encoder_config(model.encoder_mode, model.embedding_file, model.config.d)
+    return split_windows(build_windows(_load_dataset(data_dir), model.config, encoder)).test
+
+
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    dataset = _load_dataset(args.data)
-    split = split_windows(build_windows(dataset, model.config))
-    report = evaluate(model, split.test, floor=args.mape_floor)
+    report = evaluate(model, _test_windows(model, args.data), floor=args.mape_floor)
     m = report.metrics
     lines = ["metric,value"]
     lines.append(f"mae,{format(m.mae, '.17g')}")
@@ -156,9 +160,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    dataset = _load_dataset(args.data)
-    split = split_windows(build_windows(dataset, model.config))
-    report = evaluate(model, split.test)
+    report = evaluate(model, _test_windows(model, args.data))
     write_predictions(report.rows, args.out)
     print(f"predictions,{args.out},rows={len(report.rows)},horizon={model.config.horizon}")
     return EXIT_OK
@@ -169,7 +171,7 @@ def cmd_ablate(args) -> int:
     dataset = _load_dataset(args.data)
     base_seed = _resolve_seed(args.seed, parsed, "train", "seed", parsed.train.seed)
     seeds = [base_seed + k for k in range(args.seeds)]
-    encoder = _encoder_config(parsed, parsed.train.d)
+    encoder = _encoder_config(parsed.encoder_mode, parsed.embedding_file, parsed.train.d)
     rows = run_ablation(dataset, parsed.train, seeds, floor=parsed.mape_floor, jobs=args.jobs, encoder=encoder)
     atomic_write_text(args.out, ablation_csv(rows))
     print(render_ablation_table(rows))

@@ -13,7 +13,7 @@ from .data import GeneratorConfig
 from .errors import ConfigError
 from .model import ALL_COMPONENTS, COMPONENT_ORDER, TrainConfig
 
-__all__ = ["ParsedConfig", "parse_config", "parse_config_text", "render_model_config", "parse_model_config"]
+__all__ = ["ParsedConfig", "parse_config", "parse_config_text", "render_model_config"]
 
 _MODEL_KEYS = {
     "d": int,
@@ -165,8 +165,9 @@ def parse_config(path) -> ParsedConfig:
         return parse_config_text(fh.read())
 
 
-def render_model_config(config: TrainConfig, components: frozenset[str], features: int) -> str:
-    """Canonical [model]/[train] text embedded in saved model files."""
+def render_model_config(config: TrainConfig, components: frozenset[str], features: int,
+                        encoder_mode: str = "hashed", embedding_file: str | None = None) -> str:
+    """Canonical [model]/[train]/[text] text embedded in saved model files."""
     ordered = [name for name in COMPONENT_ORDER if name in components]
     lines = [
         "[model]",
@@ -191,10 +192,11 @@ def render_model_config(config: TrainConfig, components: frozenset[str], feature
         f"epochs_stage2 = {config.epochs_stage2}",
         f"batch_size = {config.batch_size}",
         f"seed = {config.seed}",
+        "[text]",
+        f"encoder = {encoder_mode}",
     ]
+    if embedding_file is not None:
+        if "#" in embedding_file or embedding_file.strip() != embedding_file or len(embedding_file.splitlines()) != 1:
+            raise ConfigError(f"text.embedding_file {embedding_file!r} cannot be written as a config value")
+        lines.append(f"embedding_file = {embedding_file}")
     return "\n".join(lines) + "\n"
-
-
-def parse_model_config(text: str) -> tuple[TrainConfig, frozenset[str], int]:
-    parsed = parse_config_text(text)
-    return parsed.train, parsed.components, parsed.features

@@ -6,7 +6,9 @@ Each component check calls the function ``Model`` calls, on the shapes it
 passes: (T, F) structured rows, (T, d) gate rows with the rcpg pooled vector
 tiled over the steps, (T, d) rows for ``acmfw_weight``, (T, d) query rows
 with a text-free step and unequal token counts for cross-attention, (d, n)
-node states and (T, d) rows for the graph.
+node states and (S, d, n) stacks of them with one step read out as zero for
+the graph kernels, and (T, d) rows with T > n through two layers for the
+graph pass.
 The end-to-end instance keeps the smoothing coefficient at zero because the
 smoothing history is deliberately carried as a constant; any nonzero
 coefficient would make the comparison measure that design choice instead of
@@ -34,6 +36,7 @@ from .text import encode_hashed
 __all__ = ["CheckResult", "run_all_checks", "tiny_instance_window", "tiny_instance_config"]
 
 DEFAULT_TOLERANCE = 1e-4
+STACK_STEPS = 4  # stacked graph-kernel checks: enough steps for one read out as zero
 
 
 @dataclass
@@ -132,32 +135,51 @@ def _check_prompt_loss(rng: SeededRng) -> float:
     return grad_check(lambda ps: prompt_loss(replace(params, prompt_struct=ps)), Tensor(params.prompt_struct.data.copy()))
 
 
+def _weighted_steps(x: Tensor, rng: SeededRng) -> Tensor:
+    """Random readout of a stack of steps that reads step 1 as zero, so its gradient is exactly zero."""
+    w = rng.normal(x.data.shape)
+    w[1] = 0.0
+    return sum_sq(nm.mul(x, tensor(w)))
+
+
 def _check_relation_matrix(rng: SeededRng) -> float:
     layer = init_dgso_params(4, 4, 1, 0.0, rng.child("p")).layers[0]
     states = tensor(rng.normal((5, 4)))
-    return grad_check(lambda wq: _weighted(build_relation_matrix(states, replace(layer, w_query=wq)), rng.child("w")),
-                      Tensor(layer.w_query.data.copy()))
+    stack = tensor(rng.normal((STACK_STEPS, 5, 4)))
+    one = grad_check(lambda wq: _weighted(build_relation_matrix(states, replace(layer, w_query=wq)), rng.child("w")),
+                     Tensor(layer.w_query.data.copy()))
+    stacked = grad_check(
+        lambda wq: _weighted_steps(build_relation_matrix(stack, replace(layer, w_query=wq)), rng.child("ws")),
+        Tensor(layer.w_query.data.copy()))
+    return max(one, stacked)
 
 
 def _check_graph_conv(rng: SeededRng) -> float:
     layer = init_dgso_params(4, 4, 1, 0.0, rng.child("p")).layers[0]
     states = tensor(rng.normal((5, 4)))
     relation = tensor(np.full((5, 5), 0.2))
-    return grad_check(lambda w: _weighted(graph_conv_layer(states, relation, replace(layer, w_trans=w)), rng.child("w")),
-                      Tensor(layer.w_trans.data.copy()))
+    stack = tensor(rng.normal((STACK_STEPS, 5, 4)))
+    raw = rng.uniform((STACK_STEPS, 5, 5)) + 0.1
+    relations = tensor(raw / raw.sum(axis=2, keepdims=True))
+    one = grad_check(lambda w: _weighted(graph_conv_layer(states, relation, replace(layer, w_trans=w)), rng.child("w")),
+                     Tensor(layer.w_trans.data.copy()))
+    stacked = grad_check(
+        lambda w: _weighted_steps(graph_conv_layer(stack, relations, replace(layer, w_trans=w)), rng.child("ws")),
+        Tensor(layer.w_trans.data.copy()))
+    return max(one, stacked)
 
 
 def _check_graph_pass(rng: SeededRng) -> float:
     n = 4
-    params = init_dgso_params(n, n, 1, 0.0, rng.child("p"))
-    layer = params.layers[0]
+    params = init_dgso_params(n, n, 2, 0.0, rng.child("p"))
+    first = params.layers[0]
     rows = tensor(rng.normal((6, 3)))
 
     def f(wk):
-        probe = replace(params, layers=[replace(layer, w_key=wk)])
-        return _weighted(run_dgso(rows, probe, n).final_states, rng.child("w"))
+        result = run_dgso(rows, replace(params, layers=[replace(first, w_key=wk)] + params.layers[1:]), n)
+        return nm.add(_weighted(result.step_rows, rng.child("w")), _weighted(result.final_states, rng.child("wf")))
 
-    return grad_check(f, Tensor(layer.w_key.data.copy()))
+    return grad_check(f, Tensor(first.w_key.data.copy()))
 
 
 def _check_predictor(rng: SeededRng) -> float:

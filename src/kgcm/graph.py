@@ -7,8 +7,14 @@ Every step builds a row-stochastic relation matrix from projected node
 states, smooths it against the previous step's matrix, and runs one graph
 convolution per layer with residual + layer norm. Gradients flow through
 the current step's raw matrix only; the smoothing history is carried as a
-constant. ``run_dgso`` is what ``Model`` calls; ``gradcheck`` checks it and
-the per-layer functions it runs.
+constant. A step's math therefore depends only on its own inputs and the
+parameters, so each layer runs on all T steps at once: one lift of the
+(T, d, n) states, then per layer one stacked relation kernel, one
+smoothing scan over the (T, d, d) raw matrices and one stacked convolution.
+``build_relation_matrix``, ``ema_update`` and ``graph_conv_layer`` take one
+step or a stack of steps through the same kernels. ``run_dgso`` is what
+``Model`` calls; ``gradcheck`` checks it and the per-layer functions it
+runs.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .numeric import (
     history_columns,
     lerp_const,
     relation_softmax,
-    take_col,
+    take,
 )
 
 __all__ = [
@@ -86,27 +92,29 @@ def uniform_matrix(d: int) -> np.ndarray:
 
 
 def build_relation_matrix(states: Tensor, layer: DgsoLayerParams) -> Tensor:
-    """Row-softmax of ReLU(Q K^T) over projected node states."""
+    """Row-softmax of ReLU(Q K^T) over projected node states, per step of a stack."""
     return relation_softmax(states, layer.w_query, layer.w_key)
 
 
 def ema_update(prev: np.ndarray, raw: Tensor, ema_lambda: float) -> Tensor:
-    """lambda * prev + (1 - lambda) * raw; ``prev`` is carried as a constant."""
+    """lambda * prev + (1 - lambda) * raw; ``prev`` is carried as a constant.
+
+    A (T, d, d) stack of raw matrices is smoothed step after step from
+    ``prev``, each step's history again a constant.
+    """
     if not 0.0 <= ema_lambda <= 1.0:
         raise ConfigError(f"ema_lambda must lie in [0, 1], got {ema_lambda}")
-    if prev.shape != raw.data.shape:
-        raise ShapeError(f"smoothing shapes disagree: {prev.shape} vs {raw.data.shape}")
     return lerp_const(raw, prev, ema_lambda)
 
 
 def graph_conv_layer(states: Tensor, relation: Tensor, layer: DgsoLayerParams) -> Tensor:
-    """ReLU(A H W) with residual connection and per-node layer norm."""
+    """ReLU(A H W) with residual connection and per-node layer norm, per step of a stack."""
     return conv_residual_norm(states, relation, layer.w_trans, layer.ln_gamma, layer.ln_beta)
 
 
 @dataclass
 class DgsoResult:
-    step_vectors: list[Tensor]  # refined current-state vector per step, each (d,)
+    step_rows: Tensor  # (T, d) refined current-state row per step
     final_states: Tensor  # (d, n) node states after the last step
     final_matrices: list[np.ndarray]  # smoothed relation matrix per layer, last step
     pad_count: int
@@ -128,19 +136,18 @@ def run_dgso(
     if fused_rows.data.ndim != 2 or fused_rows.data.shape[0] < 1:
         raise ContractError(f"run_dgso needs a (T, d) window, got shape {fused_rows.data.shape}")
     t_steps, d = fused_rows.data.shape
-    prev = [m.copy() for m in init_matrices] if init_matrices is not None else [uniform_matrix(d) for _ in params.layers]
-    if len(prev) != params.depth:
-        raise ShapeError(f"expected {params.depth} smoothing matrices, got {len(prev)}")
-    step_vectors: list[Tensor] = []
-    pad_count = 0
-    states: Tensor | None = None
-    for t in range(t_steps):
-        pad_count += max(0, n - 1 - t)
-        states = history_columns(fused_rows, t, n)
-        for l, layer in enumerate(params.layers):
-            raw = build_relation_matrix(states, layer)
-            smoothed = ema_update(prev[l], raw, params.ema_lambda)
-            prev[l] = smoothed.data.copy()
-            states = graph_conv_layer(states, smoothed, layer)
-        step_vectors.append(take_col(states, n - 1))
-    return DgsoResult(step_vectors=step_vectors, final_states=states, final_matrices=prev, pad_count=pad_count)
+    start = list(init_matrices) if init_matrices is not None else [uniform_matrix(d) for _ in params.layers]
+    if len(start) != params.depth:
+        raise ShapeError(f"expected {params.depth} smoothing matrices, got {len(start)}")
+    states = history_columns(fused_rows, range(t_steps), n)
+    final_matrices: list[np.ndarray] = []
+    for prev, layer in zip(start, params.layers):
+        smoothed = ema_update(prev, build_relation_matrix(states, layer), params.ema_lambda)
+        final_matrices.append(smoothed.data[-1].copy())
+        states = graph_conv_layer(states, smoothed, layer)
+    return DgsoResult(
+        step_rows=take(states, np.s_[:, :, n - 1]),
+        final_states=take(states, t_steps - 1),
+        final_matrices=final_matrices,
+        pad_count=sum(max(0, n - 1 - t) for t in range(t_steps)),
+    )

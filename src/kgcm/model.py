@@ -37,7 +37,6 @@ from .numeric import (
     mean_rows,
     scale,
     sse,
-    stack_rows,
 )
 from .predictor import SsaParams, embed_sequence, forecast, init_ssa_params, structural_bias
 
@@ -171,6 +170,9 @@ class Model:
             self.aux_w = Tensor(aux_rng.glorot(1, config.n), requires_grad=True, name="aux/w")
             self.aux_b = Tensor(np.zeros(1), requires_grad=True, name="aux/b")
         self.a_star: np.ndarray | None = None
+        # the [text] settings the training windows were encoded with; saved in the model file
+        self.encoder_mode = "hashed"
+        self.embedding_file: str | None = None
         self.scaler_mean = np.zeros(feature_count)
         self.scaler_std = np.ones(feature_count)
         self.stage1_history: list[float] = []
@@ -278,7 +280,7 @@ class Model:
         matrices, pad = None, 0
         if self.dgso is not None:
             result = run_dgso(vecs, self.dgso, self.config.n)
-            vecs, matrices, pad = stack_rows(result.step_vectors), result.final_matrices, result.pad_count
+            vecs, matrices, pad = result.step_rows, result.final_matrices, result.pad_count
         if self.global_gate is not None:
             pooled = constant(np.tile(window.global_pooled, (vecs.data.shape[0], 1)))
             vecs = gated_fuse(vecs, pooled, self.global_gate.w_gate, self.global_gate.b_gate)

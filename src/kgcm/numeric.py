@@ -47,10 +47,7 @@ __all__ = [
     "mix",
     "lerp_const",
     "concat_cols",
-    "stack_rows",
-    "take_row",
-    "take_col",
-    "slice_cols",
+    "take",
     "gather_rows",
     "mean_rows",
     "sum_all",
@@ -290,13 +287,24 @@ def mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
 
 
 def lerp_const(raw: Tensor, prev: np.ndarray, lam: float) -> Tensor:
-    """lam * prev + (1 - lam) * raw where ``prev`` is a plain constant array."""
-    out = lam * prev + (1.0 - lam) * raw.data
+    """Smoothing scan ``out[t] = lam * out[t-1] + (1 - lam) * raw[t]`` from ``out[-1] = prev``.
+
+    ``raw`` is one step of shape ``prev.shape`` or a stack of steps with one
+    more leading axis. The history is carried as a constant, so the gradient
+    reaches ``raw[t]`` through ``out[t]`` alone.
+    """
+    r = raw.data
+    if r.shape[-prev.ndim:] != prev.shape or r.ndim - prev.ndim not in (0, 1):
+        raise ShapeError(f"lerp_const shapes disagree: {r.shape} vs {prev.shape}")
+    out = (1.0 - lam) * r.reshape((-1,) + prev.shape)
+    for t in range(len(out)):
+        out[t] += lam * prev
+        prev = out[t]
 
     def bw(g):
         return (g * (1.0 - lam),)
 
-    return _result(out, (raw,), bw)
+    return _result(out.reshape(r.shape), (raw,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -440,52 +448,19 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return _result(out, (a, b), bw)
 
 
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack rank-1 tensors as the rows of a rank-2 tensor."""
-    if any(r.data.ndim != 1 for r in rows):
-        raise ShapeError("stack_rows expects rank-1 rows")
-    out = np.stack([r.data for r in rows], axis=0)
-
-    def bw(g):
-        return tuple(g[i] for i in range(len(rows)))
-
-    return _result(out, tuple(rows), bw)
-
-
-def take_row(a: Tensor, i: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_row expects rank 2, got shape {a.data.shape}")
-    out = a.data[i].copy()
+def take(a: Tensor, key) -> Tensor:
+    """``a[key]`` for a basic index of ints and slices; the gradient is zero elsewhere."""
+    parts = key if isinstance(key, tuple) else (key,)
+    if not all(isinstance(p, (int, np.integer, slice)) for p in parts):
+        raise ShapeError(f"take expects an index of ints and slices, got {key!r}")
+    try:
+        out = a.data[key].copy()
+    except IndexError as exc:
+        raise ShapeError(f"take index {key!r} does not fit shape {a.data.shape}") from exc
 
     def bw(g):
         full = np.zeros_like(a.data)
-        full[i] = g
-        return (full,)
-
-    return _result(out, (a,), bw)
-
-
-def take_col(a: Tensor, j: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_col expects rank 2, got shape {a.data.shape}")
-    out = a.data[:, j].copy()
-
-    def bw(g):
-        full = np.zeros_like(a.data)
-        full[:, j] = g
-        return (full,)
-
-    return _result(out, (a,), bw)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"slice_cols expects rank 2, got shape {a.data.shape}")
-    out = a.data[:, start:stop].copy()
-
-    def bw(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
+        full[key] = g
         return (full,)
 
     return _result(out, (a,), bw)
@@ -562,43 +537,95 @@ def sse(pred: Tensor, target: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # Fused kernels for the graph hot path
 # ---------------------------------------------------------------------------
+#
+# Each kernel takes one step, rank-2 (d, n) states, or a stack of S steps
+# with a leading step axis, (S, d, n), and records one tape entry either
+# way; the graph pass runs all T steps of a window as one stack. Parameter
+# gradients sum over the steps. Backward leaves out the steps whose
+# incoming gradient is exactly zero: backward is linear in that gradient,
+# so this is exact, and a readout of the last step alone (stage 1) then
+# costs one step of backward instead of T.
+
+
+def _stacked(x: np.ndarray) -> np.ndarray:
+    """A rank-2 step as a stack of one; a rank-3 stack as it is."""
+    return x if x.ndim == 3 else x[None]
+
+
+def _live_steps(g: np.ndarray, *arrays: np.ndarray):
+    """The stacked steps whose gradient is not all zero, and ``g`` and ``arrays`` cut to them.
+
+    Backward is linear in ``g``, so leaving out the all-zero steps is exact.
+    Returns ``slice(None)`` and the inputs unchanged when every step is live.
+    """
+    live = np.flatnonzero(g.reshape(len(g), -1).any(axis=1))
+    if live.size == len(g):
+        return slice(None), (g,) + arrays
+    return live, tuple(x[live] for x in (g,) + arrays)
+
+
+def _on_steps(part: np.ndarray, live, shape: tuple[int, ...]) -> np.ndarray:
+    """The live steps' gradient placed in zeros of the full stacked ``shape``."""
+    if isinstance(live, slice):
+        return part
+    full = np.zeros(shape)
+    full[live] = part
+    return full
 
 
 def relation_softmax(states: Tensor, w_query: Tensor, w_key: Tensor) -> Tensor:
-    """softmax_rows(relu((H Wq)(H Wk)^T)) as a single tape entry."""
+    """softmax_rows(relu((H Wq)(H Wk)^T)) as a single tape entry.
+
+    ``states`` is one (d, n) step or a stack of (S, d, n) steps, one (d, d)
+    matrix each; the weight gradients sum over the steps.
+    """
     h, wq, wk = states.data, w_query.data, w_key.data
-    if h.ndim != 2 or wq.ndim != 2 or wk.ndim != 2 or h.shape[1] != wq.shape[0] or h.shape[1] != wk.shape[0]:
+    if h.ndim not in (2, 3) or wq.ndim != 2 or wk.ndim != 2 or h.shape[-1] != wq.shape[0] or h.shape[-1] != wk.shape[0]:
         raise ShapeError(f"relation_softmax shapes disagree: {h.shape}, {wq.shape}, {wk.shape}")
-    q = h @ wq
-    k = h @ wk
-    scores = q @ k.T
-    pre = np.maximum(scores, 0.0)
-    shifted = pre - pre.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    h3 = _stacked(h)
+    q = h3 @ wq
+    k = h3 @ wk
+    # in place from the scores on: the (S, d, d) temporaries dominate the memory traffic
+    out = q @ k.transpose(0, 2, 1)
+    positive = out > 0.0
+    np.maximum(out, 0.0, out=out)
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        gp = out * (g - (g * out).sum(axis=1, keepdims=True))
-        gs = gp * (scores > 0.0)
-        gq = gs @ k
-        gk = gs.T @ q
-        return gq @ wq.T + gk @ wk.T, h.T @ gq, h.T @ gk
+        live, (g, o, pos, hl, ql, kl) = _live_steps(g.reshape(out.shape), out, positive, h3, q, k)
+        gs = g * o
+        np.subtract(g, gs.sum(axis=-1, keepdims=True), out=gs)
+        gs *= o
+        gs *= pos
+        gq = gs @ kl
+        gk = gs.transpose(0, 2, 1) @ ql
+        gh = _on_steps(gq @ wq.T + gk @ wk.T, live, h3.shape)
+        flat = hl.reshape(-1, h.shape[-1]).T
+        return gh.reshape(h.shape), flat @ gq.reshape(-1, wq.shape[1]), flat @ gk.reshape(-1, wk.shape[1])
 
-    return _result(out, (states, w_query, w_key), bw)
+    return _result(out.reshape(h.shape[:-1] + (h.shape[-2],)), (states, w_query, w_key), bw)
 
 
 def conv_residual_norm(states: Tensor, relation: Tensor, w_trans: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """layer_norm(relu(A H W) + H) as a single tape entry."""
+    """layer_norm(relu(A H W) + H) as a single tape entry.
+
+    ``states`` is one (d, n) step with a (d, d) relation or a stack of
+    (S, d, n) steps with (S, d, d) relations; the parameter gradients sum
+    over the steps.
+    """
     h, a, w = states.data, relation.data, w_trans.data
     n = h.shape[-1]
-    if a.shape != (h.shape[0], h.shape[0]) or w.shape != (n, n):
+    if h.ndim not in (2, 3) or a.shape != h.shape[:-1] + (h.shape[-2],) or w.shape != (n, n):
         raise ShapeError(f"conv_residual_norm shapes disagree: {h.shape}, {a.shape}, {w.shape}")
     if gamma.data.shape != (n,) or beta.data.shape != (n,):
         raise ShapeError(f"conv_residual_norm affine params must have length {n}")
-    mixed = a @ h
+    h3, a3 = _stacked(h), _stacked(a)
+    mixed = a3 @ h3
     z = mixed @ w
     u = np.maximum(z, 0.0)
-    y = u + h
+    y = u + h3
     mu = y.sum(axis=-1, keepdims=True) / n
     centered = y - mu
     var = (centered * centered).sum(axis=-1, keepdims=True) / n
@@ -607,41 +634,47 @@ def conv_residual_norm(states: Tensor, relation: Tensor, w_trans: Tensor, gamma:
     out = gamma.data * xhat + beta.data
 
     def bw(g):
+        live, (g, al, hl, ml, zl, il, xl) = _live_steps(g.reshape(out.shape), a3, h3, mixed, z, inv, xhat)
         dxhat = g * gamma.data
-        dy = inv * (
+        dy = il * (
             dxhat
             - dxhat.sum(axis=-1, keepdims=True) / n
-            - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / n
+            - xl * (dxhat * xl).sum(axis=-1, keepdims=True) / n
         )
-        dgamma = (g * xhat).sum(axis=0)
-        dbeta = g.sum(axis=0)
-        dz = dy * (z > 0.0)
-        dw = mixed.T @ dz
+        dgamma = (g * xl).reshape(-1, n).sum(axis=0)
+        dbeta = g.reshape(-1, n).sum(axis=0)
+        dz = dy * (zl > 0.0)
+        dw = ml.reshape(-1, n).T @ dz.reshape(-1, n)
         dmixed = dz @ w.T
-        da = dmixed @ h.T
-        dh = a.T @ dmixed + dy
-        return dh, da, dw, dgamma, dbeta
+        da = _on_steps(dmixed @ hl.transpose(0, 2, 1), live, a3.shape)
+        dh = _on_steps(al.transpose(0, 2, 1) @ dmixed + dy, live, h3.shape)
+        return dh.reshape(h.shape), da.reshape(a.shape), dw, dgamma, dbeta
 
-    return _result(out, (states, relation, w_trans, gamma, beta), bw)
+    return _result(out.reshape(h.shape), (states, relation, w_trans, gamma, beta), bw)
 
 
-def history_columns(rows: Tensor, t: int, n: int) -> Tensor:
-    """Columns t-n+1..t of the row sequence, transposed to (d, n).
+def history_columns(rows: Tensor, steps, n: int) -> Tensor:
+    """Columns t-n+1..t of the row sequence, transposed to (d, n), for each step t.
 
-    Negative history indices repeat row 0, matching the pad-by-repetition
-    rule for the start of a window.
+    An int step gives one (d, n) state; a sequence of S steps gives a stack
+    of (S, d, n) states from one gather. Negative history indices repeat
+    row 0, matching the pad-by-repetition rule for the start of a window.
     """
     x = rows.data
     if x.ndim != 2:
         raise ShapeError(f"history_columns expects rank 2, got shape {x.shape}")
-    if not 0 <= t < x.shape[0]:
-        raise ShapeError(f"step {t} outside sequence of length {x.shape[0]}")
-    idx = np.maximum(np.arange(t - n + 1, t + 1), 0)
-    out = x[idx].T.copy()
+    t = np.asarray(steps, dtype=np.intp)
+    if t.ndim > 1 or t.size == 0 or t.min() < 0 or t.max() >= x.shape[0]:
+        raise ShapeError(f"steps {steps!r} are not steps of a sequence of length {x.shape[0]}")
+    idx = np.maximum(t[..., None] + np.arange(1 - n, 1), 0)
+    out = np.swapaxes(x[idx], -1, -2).copy()
 
     def bw(g):
         full = np.zeros_like(x)
-        np.add.at(full, idx, g.T)
+        kept = idx
+        if t.ndim:
+            _, (g, kept) = _live_steps(g, idx)
+        np.add.at(full, kept, np.swapaxes(g, -1, -2))
         return (full,)
 
     return _result(out, (rows,), bw)

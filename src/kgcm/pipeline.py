@@ -321,7 +321,8 @@ def save_model(model: Model, path) -> None:
         body.append(np.ascontiguousarray(model.a_star, dtype="<f8").tobytes())
     else:
         body.append(struct.pack("<B", 0))
-    config_text = render_model_config(model.config, model.components, model.feature_count)
+    config_text = render_model_config(model.config, model.components, model.feature_count,
+                                      model.encoder_mode, model.embedding_file)
     encoded = config_text.encode("utf-8")
     body.append(struct.pack("<I", len(encoded)))
     body.append(encoded)
@@ -340,7 +341,7 @@ def load_model(path) -> Model:
     stored relation matrix must be d x d and row-stochastic. Any violation,
     and bytes after the embedded config, raise ``FormatError``.
     """
-    from .configio import parse_model_config
+    from .configio import parse_config_text
 
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -365,8 +366,10 @@ def load_model(path) -> Model:
     config_text = reader.text(reader.u32())
     if reader.pos != len(blob):
         raise FormatError(f"{path}: {len(blob) - reader.pos} trailing bytes after the model config")
-    config, components, features = parse_model_config(config_text)
-    model = build_model(config, components, features)
+    parsed = parse_config_text(config_text)
+    config, features = parsed.train, parsed.features
+    model = build_model(config, parsed.components, features)
+    model.encoder_mode, model.embedding_file = parsed.encoder_mode, parsed.embedding_file
     params = model.named_parameters()
     stored = {k: v for k, v in records.items() if not k.startswith("_meta/")}
     if set(stored) != set(params):

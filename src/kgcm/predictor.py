@@ -32,9 +32,8 @@ from .numeric import (
     mean_rows,
     relu,
     scale,
-    slice_cols,
     softmax_rows,
-    take_row,
+    take,
 )
 
 __all__ = [
@@ -181,9 +180,9 @@ def _temporal_attention(x: Tensor, block: SsaBlockParams, heads: int) -> Tensor:
     outs = []
     for h in range(heads):
         lo, hi = h * head_dim, (h + 1) * head_dim
-        qh = slice_cols(q, lo, hi) if heads > 1 else q
-        kh = slice_cols(k, lo, hi) if heads > 1 else k
-        vh = slice_cols(v, lo, hi) if heads > 1 else v
+        qh = take(q, np.s_[:, lo:hi]) if heads > 1 else q
+        kh = take(k, np.s_[:, lo:hi]) if heads > 1 else k
+        vh = take(v, np.s_[:, lo:hi]) if heads > 1 else v
         weights = softmax_rows(scale(matmul_nt(qh, kh), 1.0 / math.sqrt(head_dim)))
         outs.append(matmul(weights, vh))
     merged = outs[0]
@@ -223,5 +222,5 @@ def forecast(e: Tensor, bias: np.ndarray | None, params: SsaParams) -> Tensor:
     x = e
     for block in params.blocks:
         x = ssa_block(x, bias, block, params.heads)
-    pooled = mean_rows(x) if params.pooling == "mean" else take_row(x, x.data.shape[0] - 1)
+    pooled = mean_rows(x) if params.pooling == "mean" else take(x, -1)
     return linear(pooled, params.head_w, params.head_b)

@@ -1,6 +1,17 @@
+import struct
+
+import numpy as np
+
 from kgcm import cli
-from kgcm.data import GeneratorConfig, generate_synthetic, write_dataset
-from kgcm.pipeline import load_model
+from kgcm.configio import render_model_config
+from kgcm.data import GeneratorConfig, generate_synthetic, load_csv, write_dataset
+from kgcm.evaluate import evaluate
+from kgcm.gradcheck import tiny_instance_config
+from kgcm.model import build_model
+from kgcm.pipeline import build_windows, load_model, save_model, split_windows
+from kgcm.text import EncoderConfig, load_embedding_file
+
+CSV_FILES = ("demand.csv", "local_text.csv", "global_text.csv")
 
 TINY = """[model]
 d = {d}
@@ -59,3 +70,44 @@ def test_ablate_encodes_text_as_the_config_says(tmp_path, capsys):
     assert code == cli.EXIT_DATA
     assert "no precomputed embedding" in capsys.readouterr().err
     assert not (tmp_path / "ablation.csv").exists()
+
+
+def test_evaluate_encodes_text_as_the_model_was_trained(tmp_path, capsys):
+    # the model file records [text]; evaluate must score on the training
+    # encoder's vectors, not on hashed ones
+    dataset = generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12, event_rate=0.3))
+    data_dir = tmp_path / "data"
+    write_dataset(dataset, data_dir)
+    ids = [f"{s.region}|{ts.isoformat()}" for s in dataset.regions for ts in s.timestamps]
+    ids += [f"global|{ts.isoformat()}" for ts in dataset.timestamps]
+    rng = np.random.default_rng(0)
+    table = tmp_path / "embeddings.csv"
+    table.write_text("".join(f"{i}," + ",".join(f"{v:.6f}" for v in rng.normal(size=8)) + "\n" for i in ids))
+    config = tmp_path / "file.cfg"
+    config.write_text(TINY.format(d=8) + f"[text]\nencoder = file\nembedding_file = {table}\n")
+    model_path = str(tmp_path / "model.kgcm")
+    assert cli.main(["train", "--config", str(config), "--data", str(data_dir), "--out", model_path]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--model", model_path, "--data", str(data_dir),
+                     "--out", str(tmp_path / "metrics.csv")]) == cli.EXIT_OK, capsys.readouterr().err
+    printed = capsys.readouterr().out.splitlines()[0]
+
+    model = load_model(model_path)
+    encoder = EncoderConfig(mode="file", dim=8, embeddings=load_embedding_file(table))
+    windows = split_windows(build_windows(load_csv(*(data_dir / f for f in CSV_FILES)), model.config, encoder)).test
+    assert printed == f"mae,{format(evaluate(model, windows).metrics.mae, '.17g')}"
+    assert (model.encoder_mode, model.embedding_file) == ("file", str(table))
+
+
+def test_model_file_without_text_section_loads_as_hashed(tmp_path):
+    config = tiny_instance_config()
+    model = build_model(config, frozenset(), feature_count=5)
+    path = tmp_path / "model.kgcm"
+    save_model(model, path)
+    blob = path.read_bytes()
+    text = render_model_config(config, model.components, model.feature_count)
+    legacy = text[: text.index("[text]")].encode("utf-8")
+    body = blob[: len(blob) - len(text.encode("utf-8")) - 4]
+    path.write_bytes(body + struct.pack("<I", len(legacy)) + legacy)
+    loaded = load_model(path)
+    assert (loaded.encoder_mode, loaded.embedding_file) == ("hashed", None)

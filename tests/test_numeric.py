@@ -237,10 +237,8 @@ class TestElementwiseGradients:
         w = tensor(rng.glorot(3, 4))
 
         def f(x):
-            rows = [nm.take_row(x, i) for i in range(x.shape[0])]
-            m = nm.stack_rows(rows)
-            y = nm.linear(m, w)
-            return sum_sq(nm.mean_rows(y))
+            y = nm.linear(nm.take(x, np.s_[1:, :]), w)
+            return sum_sq(nm.add(nm.mean_rows(y), nm.take(nm.linear(x, w), 0)))
 
         assert grad_check(f, tensor(rng.normal((5, 4)))) < 1e-5
 

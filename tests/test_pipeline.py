@@ -4,8 +4,9 @@ import pytest
 from kgcm import pipeline
 from kgcm.data import GeneratorConfig, generate_synthetic
 from kgcm.errors import FormatError, TrainingError
+from kgcm.gradcheck import tiny_instance_window
 from kgcm.model import ALL_COMPONENTS, TrainConfig, build_model
-from kgcm.numeric import clear_tape
+from kgcm.numeric import clear_tape, tape_size
 
 
 @pytest.fixture(autouse=True)
@@ -94,6 +95,17 @@ class TestTrainingLoop:
         model = build_model(config, {"ssa", "rcpg"}, pipeline.FEATURE_COUNT)
         with pytest.raises(TrainingError, match="stage 1 requires"):
             pipeline.train_stage1(model, _split(config).train, config)
+
+    def test_stage2_tape_size_does_not_grow_with_the_window(self):
+        # every component runs on the window's (T, d) rows at once: no op is recorded per step
+        sizes = []
+        for window in (12, 48):
+            config = _config(window=window, n=8)
+            model = build_model(config, ALL_COMPONENTS, pipeline.FEATURE_COUNT)
+            clear_tape()
+            model.stage2_forward(tiny_instance_window(config))
+            sizes.append(tape_size())
+        assert sizes[0] == sizes[1]
 
 
 class TestBuildWindows:
