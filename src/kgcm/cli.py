@@ -65,7 +65,8 @@ def _resolve_seed(flag_seed: int | None, parsed: ParsedConfig | None, section: s
 
 def _encoder_config(mode: str, embedding_file: str | None, dim: int) -> EncoderConfig:
     if mode == "file":
-        return EncoderConfig(mode="file", dim=dim, embeddings=load_embedding_file(embedding_file))
+        return EncoderConfig(mode="file", dim=dim, embeddings=load_embedding_file(embedding_file),
+                             embedding_file=embedding_file)
     return EncoderConfig(mode="hashed", dim=dim)
 
 

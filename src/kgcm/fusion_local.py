@@ -1,19 +1,20 @@
 """Local fusion of structured features with step-aligned text.
 
 A window's (T, F) structured rows are embedded as (T, d) rows in one pass.
-All T embedded rows query the window's packed token vectors in one
-prompt-augmented cross-attention call, masked so that each row sees only its
-own step's tokens, and ``gated_fuse`` blends the (T, d) structured and text
-rows with a learned sigmoid gate. The shared-context gate (rcpg) is the same
-function with the pooled vector tiled over the steps and a bias. A
-squared-distance penalty keeps the two modality prompts aligned. These are
-the functions ``Model`` calls and ``gradcheck`` checks.
+The rows whose step carries text query the window's packed token vectors in
+one prompt-augmented cross-attention call, masked so that each row sees only
+its own step's tokens, and ``gated_fuse`` blends the (T, d) structured and
+text rows with a learned sigmoid gate. The shared-context gate (rcpg) is the
+same function with the pooled vector tiled over the steps and a bias. The
+attention and the gate are each one fused kernel of ``numeric``
+(``step_cross_attention``, ``sigmoid_gate``). A squared-distance penalty
+keeps the two modality prompts aligned. These are the functions ``Model``
+calls and ``gradcheck`` checks.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,28 +24,16 @@ from .errors import ShapeError
 from .numeric import (
     SeededRng,
     Tensor,
-    add,
-    concat_cols,
-    constant,
     linear,
-    matmul,
-    matmul_nt,
-    mix,
-    mul,
     relu,
-    scale,
-    sigmoid,
-    softmax_rows,
+    sigmoid_gate,
+    step_cross_attention,
     sub,
     sum_sq,
     zeros,
 )
 
 log = logging.getLogger(__name__)
-
-# Score added where a row must not see a token: finite because tensors must be,
-# and so large that exp gives exactly 0 there after softmax's max shift.
-_MASKED_SCORE = -1e30
 
 __all__ = ["LpoParams", "init_lpo_params", "embed_structured_rows", "guided_cross_attention", "gated_fuse", "prompt_loss"]
 
@@ -101,11 +90,11 @@ def guided_cross_attention(h_s: Tensor, tokens: Sequence[np.ndarray], params: Lp
 
     ``h_s`` holds the window's (T, d) embedded rows and ``tokens[t]`` is the
     (m_t, d) token matrix of step t. The tokens are packed into one (M, d)
-    block, every row is scored against all M tokens, and a constant mask
-    leaves each row only its own step's tokens. m_t = 0 is legal: that row of
-    the (T, d) result is zero. A window with no tokens at all returns
-    untracked zeros and logs the event, so sparsely annotated data still
-    flows through.
+    block; each row with m_t > 0 is scored against all M tokens under a
+    constant mask that leaves it only its own step's tokens. m_t = 0 is
+    legal: that row of the (T, d) result is zero and is not scored. A window
+    with no tokens at all returns untracked zeros and logs the event, so
+    sparsely annotated data still flows through.
     """
     d = params.dim
     rows = h_s.data
@@ -118,23 +107,13 @@ def guided_cross_attention(h_s: Tensor, tokens: Sequence[np.ndarray], params: Lp
     if not counts.any():
         log.debug("empty local text: cross-attention output is the zero matrix")
         return zeros(rows.shape)
-    steps = np.arange(len(tokens))
-    mask = np.where(np.repeat(steps, counts) == steps[:, None], 0.0, _MASKED_SCORE)
-    tok = constant(np.concatenate(tokens))
-    q = add(linear(h_s, params.w_query), params.prompt_struct)
-    k = add(linear(tok, params.w_key), params.prompt_text)
-    v = linear(tok, params.w_value)
-    scores = add(scale(matmul_nt(q, k), 1.0 / math.sqrt(d)), constant(mask))
-    attended = matmul(softmax_rows(scores), v)
-    return mul(attended, constant((counts > 0).astype(np.float64)[:, None]))
+    return step_cross_attention(h_s, np.concatenate(tokens), counts, params.w_query, params.w_key, params.w_value,
+                                params.prompt_struct, params.prompt_text)
 
 
 def gated_fuse(h: Tensor, z: Tensor, w_gate: Tensor, b_gate: Tensor | None = None) -> Tensor:
     """Row by row over (T, d) inputs: g = sigmoid(W [h; z] + b), then g * h + (1 - g) * z."""
-    if h.data.ndim != 2 or h.data.shape != z.data.shape:
-        raise ShapeError(f"gate inputs must be matching (T, d) rows, got {h.data.shape} and {z.data.shape}")
-    g = sigmoid(linear(concat_cols(h, z), w_gate, b_gate))
-    return mix(g, h, z)
+    return sigmoid_gate(h, z, w_gate, b_gate)
 
 
 def prompt_loss(params: LpoParams) -> Tensor:

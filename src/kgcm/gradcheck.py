@@ -8,7 +8,10 @@ tiled over the steps, (T, d) rows for ``acmfw_weight``, (T, d) query rows
 with a text-free step and unequal token counts for cross-attention, (d, n)
 node states and (S, d, n) stacks of them with one step read out as zero for
 the graph kernels, and (T, d) rows with T > n through two layers for the
-graph pass.
+graph pass. Each fused value-path kernel is also checked on its own, for
+its input rows and one weight: time attention with two heads, feature
+attention under a non-uniform structural bias, the feedforward across its
+ReLU, the gate with a bias, and cross-attention through its mask.
 The end-to-end instance keeps the smoothing coefficient at zero because the
 smoothing history is deliberately carried as a constant; any nonzero
 coefficient would make the comparison measure that design choice instead of
@@ -194,6 +197,67 @@ def _check_predictor(rng: SeededRng) -> float:
     return grad_check(f, tensor(rng.normal((4, d))))
 
 
+def _rows_and_weight(f, rows: np.ndarray, weight: Tensor) -> float:
+    """Worst of the checks of ``f(rows, weight)`` in its rows and in its weight."""
+    fixed = tensor(rows)
+    return max(grad_check(lambda x: f(x, weight), tensor(rows)),
+               grad_check(lambda w: f(fixed, w), Tensor(weight.data.copy())))
+
+
+def _check_time_attention(rng: SeededRng) -> float:
+    b = init_ssa_params(4, 2, 1, 4, rng.child("p"), with_feature_attention=False, heads=2).blocks[0]
+
+    def f(x, wq):
+        out = nm.time_attention_norm(x, wq, b.t_wk, b.t_wv, b.t_wo, b.ln1_gamma, b.ln1_beta, heads=2)
+        return _weighted(out, rng.child("w"))
+
+    return _rows_and_weight(f, rng.normal((5, 4)), b.t_wq)
+
+
+def _check_feature_attention(rng: SeededRng) -> float:
+    b = init_ssa_params(4, 2, 1, 4, rng.child("p"), with_feature_attention=True).blocks[0]
+    raw = rng.uniform((4, 4)) + 0.1
+    bias = structural_bias(raw / raw.sum(axis=1, keepdims=True))
+
+    def f(x, wk):
+        out = nm.feature_attention_norm(x, b.f_wq, wk, b.f_wv, b.f_wo, b.ln2_gamma, b.ln2_beta, bias)
+        return _weighted(out, rng.child("w"))
+
+    return _rows_and_weight(f, rng.normal((5, 4)), b.f_wk)
+
+
+def _check_feedforward(rng: SeededRng) -> float:
+    b = init_ssa_params(4, 2, 1, 4, rng.child("p"), with_feature_attention=False).blocks[0]
+
+    def f(x, w1):
+        out = nm.feedforward_norm(x, w1, b.ff_b1, b.ff_w2, b.ff_b2, b.ln3_gamma, b.ln3_beta)
+        return _weighted(out, rng.child("w"))
+
+    return _rows_and_weight(f, rng.normal((5, 4)), b.ff_w1)
+
+
+def _check_sigmoid_gate(rng: SeededRng) -> float:
+    params = init_global_gate(6, rng.child("p"))
+    bias = tensor(rng.normal((6,)))
+    z = tensor(rng.normal((4, 6)))
+    return _rows_and_weight(lambda h, w: _weighted(nm.sigmoid_gate(h, z, w, bias), rng.child("w")),
+                            rng.normal((4, 6)), params.w_gate)
+
+
+def _check_step_cross_attention(rng: SeededRng) -> float:
+    d = 6
+    params = init_lpo_params(d, 5, rng.child("p"), with_text=True)
+    steps = [encode_hashed(text, d).tokens for text in ("festival crowd near stadium tonight", "", "rain", "late trains")]
+    tokens, counts = np.concatenate(steps), np.array([len(step) for step in steps])
+
+    def f(x, wk):
+        out = nm.step_cross_attention(x, tokens, counts, params.w_query, wk, params.w_value,
+                                      params.prompt_struct, params.prompt_text)
+        return _weighted(out, rng.child("w"))
+
+    return _rows_and_weight(f, rng.normal((len(steps), d)), params.w_key)
+
+
 def tiny_instance_config(seed: int = 0) -> TrainConfig:
     """The end-to-end check instance: d=4, n=2, T=4, T'=2, smoothing off."""
     return TrainConfig(
@@ -278,6 +342,11 @@ def run_all_checks(seed: int = 0, h: float = 1e-5) -> list[CheckResult]:
         ("gated_fuse/rcpg", _check_rcpg_gate),
         ("acmfw_weight", _check_acmfw_weight),
         ("predictor", _check_predictor),
+        ("time_attention_norm", _check_time_attention),
+        ("feature_attention_norm", _check_feature_attention),
+        ("feedforward_norm", _check_feedforward),
+        ("sigmoid_gate", _check_sigmoid_gate),
+        ("step_cross_attention", _check_step_cross_attention),
     ]
     results = []
     for name, fn in checks:

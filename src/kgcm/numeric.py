@@ -56,6 +56,11 @@ __all__ = [
     "relation_softmax",
     "conv_residual_norm",
     "history_columns",
+    "time_attention_norm",
+    "feature_attention_norm",
+    "feedforward_norm",
+    "sigmoid_gate",
+    "step_cross_attention",
     "fnv1a64",
 ]
 
@@ -261,10 +266,14 @@ def relu(a: Tensor) -> Tensor:
     return _result(out, (a,), bw)
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Split by sign to avoid overflow in exp.
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _sigmoid(a.data)
 
     def bw(g):
         return (g * out * (1.0 - out),)
@@ -390,14 +399,23 @@ def softmax_rows(m: Tensor) -> Tensor:
         raise ShapeError(f"softmax_rows expects rank 2, got shape {md.shape}")
     if md.shape[1] == 0:
         raise ShapeError("softmax_rows on empty rows")
-    shifted = md - md.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = _softmax(md)
 
     def bw(g):
-        return (out * (g - (g * out).sum(axis=1, keepdims=True)),)
+        return (_softmax_backward(g, out),)
 
     return _result(out, (m,), bw)
+
+
+def _softmax(s: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with max-subtraction stability."""
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Gradient of the scores of ``p = _softmax(scores)`` for the output gradient ``g``."""
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
 
 def layer_norm(h: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -406,28 +424,41 @@ def layer_norm(h: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     n = hd.shape[-1] if hd.ndim else 0
     if n == 0:
         raise ShapeError("layer_norm on a zero-length axis")
-    if gamma.data.shape != (n,) or beta.data.shape != (n,):
-        raise ShapeError(f"layer_norm affine params must have length {n}, got {gamma.data.shape} and {beta.data.shape}")
-    mu = hd.mean(axis=-1, keepdims=True)
-    centered = hd - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv
-    out = gamma.data * xhat + beta.data
+    _check_affine("layer_norm", n, gamma, beta)
+    out, xhat, inv = _norm_forward(hd, gamma.data, beta.data)
 
     def bw(g):
-        dxhat = g * gamma.data
-        dh = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        axes = tuple(range(hd.ndim - 1))
-        dgamma = (g * xhat).sum(axis=axes) if axes else g * xhat
-        dbeta = g.sum(axis=axes) if axes else g
-        return dh, dgamma, dbeta
+        return _norm_backward(g, gamma.data, xhat, inv)
 
     return _result(out, (h, gamma, beta), bw)
+
+
+def _check_affine(op: str, n: int, gamma: Tensor, beta: Tensor) -> None:
+    if gamma.data.shape != (n,) or beta.data.shape != (n,):
+        raise ShapeError(f"{op} affine params must have length {n}, got {gamma.data.shape} and {beta.data.shape}")
+
+
+def _norm_forward(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """Layer norm over the last axis: the output, and the ``xhat`` and ``inv`` its backward reads."""
+    # sum / n is the arithmetic of mean(), without its per-call Python overhead
+    n = y.shape[-1]
+    centered = y - y.sum(axis=-1, keepdims=True) / n
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = centered * inv
+    return gamma * xhat + beta, xhat, inv
+
+
+def _norm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv: np.ndarray):
+    """Gradients of the layer norm's input, gamma and beta; the affine ones sum over the leading axes."""
+    n = g.shape[-1]
+    dxhat = g * gamma
+    dy = inv * (
+        dxhat
+        - dxhat.sum(axis=-1, keepdims=True) / n
+        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / n
+    )
+    return dy, (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -535,16 +566,31 @@ def sse(pred: Tensor, target: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Fused kernels for the graph hot path
+# Fused kernels for the value path
 # ---------------------------------------------------------------------------
 #
-# Each kernel takes one step, rank-2 (d, n) states, or a stack of S steps
-# with a leading step axis, (S, d, n), and records one tape entry either
-# way; the graph pass runs all T steps of a window as one stack. Parameter
-# gradients sum over the steps. Backward leaves out the steps whose
-# incoming gradient is exactly zero: backward is linear in that gradient,
-# so this is exact, and a readout of the last step alone (stage 1) then
-# costs one step of backward instead of T.
+# Every sublayer on the value path is one kernel with a hand-derived
+# backward and records one tape entry, where the same math built from the
+# generic ops above records five to twenty: on a window's (48, 32) arrays
+# the per-op cost of the tape, not the arithmetic, sets the time. Each
+# kernel checks the shapes its composite checked, ends in ``_result`` so its
+# output is finite-checked, and keeps for its backward only the arrays that
+# backward reads. The tests hold each kernel to its composite of generic
+# ops.
+#
+# The graph kernels take one step, rank-2 (d, n) states, or a stack of S
+# steps with a leading step axis, (S, d, n), and record one tape entry
+# either way; the graph pass runs all T steps of a window as one stack.
+# Parameter gradients sum over the steps. Backward leaves out the steps
+# whose incoming gradient is exactly zero: backward is linear in that
+# gradient, so this is exact, and a readout of the last step alone (stage
+# 1) then costs one step of backward instead of T.
+#
+# The encoder kernels (``time_attention_norm``, ``feature_attention_norm``,
+# ``feedforward_norm``) are the three sublayers of one encoder block, each
+# with its residual and layer norm. ``sigmoid_gate`` is the gated mix of two
+# (T, d) row sets, and ``step_cross_attention`` the masked attention of a
+# window's rows to its step text.
 
 
 def _stacked(x: np.ndarray) -> np.ndarray:
@@ -619,30 +665,15 @@ def conv_residual_norm(states: Tensor, relation: Tensor, w_trans: Tensor, gamma:
     n = h.shape[-1]
     if h.ndim not in (2, 3) or a.shape != h.shape[:-1] + (h.shape[-2],) or w.shape != (n, n):
         raise ShapeError(f"conv_residual_norm shapes disagree: {h.shape}, {a.shape}, {w.shape}")
-    if gamma.data.shape != (n,) or beta.data.shape != (n,):
-        raise ShapeError(f"conv_residual_norm affine params must have length {n}")
+    _check_affine("conv_residual_norm", n, gamma, beta)
     h3, a3 = _stacked(h), _stacked(a)
     mixed = a3 @ h3
     z = mixed @ w
-    u = np.maximum(z, 0.0)
-    y = u + h3
-    mu = y.sum(axis=-1, keepdims=True) / n
-    centered = y - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv
-    out = gamma.data * xhat + beta.data
+    out, xhat, inv = _norm_forward(np.maximum(z, 0.0) + h3, gamma.data, beta.data)
 
     def bw(g):
         live, (g, al, hl, ml, zl, il, xl) = _live_steps(g.reshape(out.shape), a3, h3, mixed, z, inv, xhat)
-        dxhat = g * gamma.data
-        dy = il * (
-            dxhat
-            - dxhat.sum(axis=-1, keepdims=True) / n
-            - xl * (dxhat * xl).sum(axis=-1, keepdims=True) / n
-        )
-        dgamma = (g * xl).reshape(-1, n).sum(axis=0)
-        dbeta = g.reshape(-1, n).sum(axis=0)
+        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xl, il)
         dz = dy * (zl > 0.0)
         dw = ml.reshape(-1, n).T @ dz.reshape(-1, n)
         dmixed = dz @ w.T
@@ -678,6 +709,189 @@ def history_columns(rows: Tensor, steps, n: int) -> Tensor:
         return (full,)
 
     return _result(out, (rows,), bw)
+
+
+def _check_rows(op: str, x: np.ndarray, *weights: Tensor) -> tuple[int, int]:
+    """(T, d) of rank-2 rows ``x``; every weight must be (d, d)."""
+    if x.ndim != 2 or any(w.data.shape != (x.shape[1], x.shape[1]) for w in weights):
+        shapes = ", ".join(str(w.data.shape) for w in weights)
+        raise ShapeError(f"{op} expects (T, d) rows and (d, d) weights, got {x.shape} with {shapes}")
+    return x.shape
+
+
+def _split_heads(m: np.ndarray, heads: int) -> np.ndarray:
+    """(T, d) columns as (heads, T, d / heads) column blocks."""
+    return m.reshape(m.shape[0], heads, -1).transpose(1, 0, 2)
+
+
+def _merge_heads(m: np.ndarray) -> np.ndarray:
+    """Inverse of ``_split_heads``: the heads' column blocks side by side."""
+    return m.transpose(1, 0, 2).reshape(m.shape[1], -1)
+
+
+def time_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tensor, w_out: Tensor,
+                        gamma: Tensor, beta: Tensor, heads: int = 1) -> Tensor:
+    """layer_norm(attention over the T steps of (T, d) rows, times W_o, plus the rows) as one tape entry.
+
+    Q = x W_q, K = x W_k and V = x W_v are split into ``heads`` column
+    blocks of width d / heads. Each head weighs the steps by
+    softmax(Q_h K_h^T / sqrt(d / heads)) row by row, and the heads' outputs,
+    side by side, go through W_o.
+    """
+    xd = x.data
+    t, d = _check_rows("time_attention_norm", xd, w_query, w_key, w_value, w_out)
+    if heads < 1 or d % heads:
+        raise ShapeError(f"head count {heads} must divide model dimension {d}")
+    _check_affine("time_attention_norm", d, gamma, beta)
+    wq, wk, wv, wo = w_query.data, w_key.data, w_value.data, w_out.data
+    c = 1.0 / math.sqrt(d // heads)
+    q, k, v = (_split_heads(xd @ w, heads) for w in (wq, wk, wv))
+    p = _softmax((q @ k.transpose(0, 2, 1)) * c)
+    att = _merge_heads(p @ v)
+    out, xhat, inv = _norm_forward(att @ wo + xd, gamma.data, beta.data)
+
+    def bw(g):
+        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv)
+        datt = _split_heads(dy @ wo.T, heads)
+        ds = _softmax_backward(datt @ v.transpose(0, 2, 1), p) * c
+        dq, dk, dv = (_merge_heads(m) for m in (ds @ k, ds.transpose(0, 2, 1) @ q, p.transpose(0, 2, 1) @ datt))
+        dx = dq @ wq.T + dk @ wk.T + dv @ wv.T + dy
+        return dx, xd.T @ dq, xd.T @ dk, xd.T @ dv, att.T @ dy, dgamma, dbeta
+
+    return _result(out, (x, w_query, w_key, w_value, w_out, gamma, beta), bw)
+
+
+def feature_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tensor, w_out: Tensor,
+                           gamma: Tensor, beta: Tensor, bias: np.ndarray | None = None) -> Tensor:
+    """layer_norm(attention over the d feature axes of (T, d) rows, times W_o, plus the rows) as one tape entry.
+
+    With Q = x W_q, K = x W_k and V = x W_v, the (d, d) weights are
+    softmax(Q^T K / sqrt(T) + bias) row by row, and feature i of each row
+    becomes the weighted sum of that row's V features. ``bias`` is a
+    constant; None adds nothing.
+    """
+    xd = x.data
+    t, d = _check_rows("feature_attention_norm", xd, w_query, w_key, w_value, w_out)
+    if bias is not None and bias.shape != (d, d):
+        raise ShapeError(f"feature_attention_norm bias must have shape ({d}, {d}), got {bias.shape}")
+    _check_affine("feature_attention_norm", d, gamma, beta)
+    wq, wk, wv, wo = w_query.data, w_key.data, w_value.data, w_out.data
+    c = 1.0 / math.sqrt(t)
+    q, k, v = xd @ wq, xd @ wk, xd @ wv
+    scores = (q.T @ k) * c
+    if bias is not None:
+        scores = scores + bias
+    p = _softmax(scores)
+    att = v @ p.T
+    out, xhat, inv = _norm_forward(att @ wo + xd, gamma.data, beta.data)
+
+    def bw(g):
+        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv)
+        datt = dy @ wo.T
+        ds = _softmax_backward(datt.T @ v, p) * c
+        dq, dk, dv = k @ ds.T, q @ ds, datt @ p
+        dx = dq @ wq.T + dk @ wk.T + dv @ wv.T + dy
+        return dx, xd.T @ dq, xd.T @ dk, xd.T @ dv, att.T @ dy, dgamma, dbeta
+
+    return _result(out, (x, w_query, w_key, w_value, w_out, gamma, beta), bw)
+
+
+def feedforward_norm(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """layer_norm(relu(x W1^T + b1) W2^T + b2 + x) for (T, d) rows as one tape entry; weights are (out, in)."""
+    xd = x.data
+    hidden = b1.data.shape[0] if b1.data.ndim == 1 else -1
+    if xd.ndim != 2 or w1.data.shape != (hidden, xd.shape[1]) or w2.data.shape != (xd.shape[1], hidden) \
+            or b2.data.shape != (xd.shape[1],):
+        raise ShapeError(f"feedforward_norm shapes disagree: x {xd.shape}, w1 {w1.data.shape}, b1 {b1.data.shape}, "
+                         f"w2 {w2.data.shape}, b2 {b2.data.shape}")
+    _check_affine("feedforward_norm", xd.shape[1], gamma, beta)
+    w1d, w2d = w1.data, w2.data
+    r = xd @ w1d.T + b1.data
+    np.maximum(r, 0.0, out=r)
+    out, xhat, inv = _norm_forward(r @ w2d.T + b2.data + xd, gamma.data, beta.data)
+
+    def bw(g):
+        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv)
+        dh = dy @ w2d
+        dh *= r > 0.0
+        return dh @ w1d + dy, dh.T @ xd, dh.sum(axis=0), dy.T @ r, dy.sum(axis=0), dgamma, dbeta
+
+    return _result(out, (x, w1, b1, w2, b2, gamma, beta), bw)
+
+
+def sigmoid_gate(h: Tensor, z: Tensor, w_gate: Tensor, b_gate: Tensor | None = None) -> Tensor:
+    """Row by row over (T, d) inputs: g = sigmoid([h, z] W^T + b), then g * h + (1 - g) * z, as one tape entry."""
+    hd, zd, w = h.data, z.data, w_gate.data
+    if hd.ndim != 2 or hd.shape != zd.shape:
+        raise ShapeError(f"gate inputs must be matching (T, d) rows, got {hd.shape} and {zd.shape}")
+    d = hd.shape[1]
+    if w.shape != (d, 2 * d) or (b_gate is not None and b_gate.data.shape != (d,)):
+        bias_shape = None if b_gate is None else b_gate.data.shape
+        raise ShapeError(f"gate over width {d} needs a ({d}, {2 * d}) weight and a ({d},) bias, got {w.shape} and {bias_shape}")
+    both = np.concatenate((hd, zd), axis=1)
+    pre = both @ w.T
+    if b_gate is not None:
+        pre = pre + b_gate.data
+    g = _sigmoid(pre)
+    out = g * hd + (1.0 - g) * zd
+
+    def bw(grad):
+        dpre = grad * (hd - zd) * g * (1.0 - g)
+        dboth = dpre @ w
+        dh = grad * g + dboth[:, :d]
+        dz = grad * (1.0 - g) + dboth[:, d:] if z.requires_grad else None
+        if b_gate is None:
+            return dh, dz, dpre.T @ both
+        return dh, dz, dpre.T @ both, dpre.sum(axis=0)
+
+    inputs = (h, z, w_gate) if b_gate is None else (h, z, w_gate, b_gate)
+    return _result(out, inputs, bw)
+
+
+# Score added where a row must not see a token: finite because tensors must be,
+# and so large that exp gives exactly 0 there after softmax's max shift.
+MASKED_SCORE = -1e30
+
+
+def step_cross_attention(rows: Tensor, tokens: np.ndarray, counts: np.ndarray, w_query: Tensor, w_key: Tensor,
+                         w_value: Tensor, prompt_query: Tensor, prompt_key: Tensor) -> Tensor:
+    """Each of the (T, d) rows attends to its own step's token rows, as one tape entry.
+
+    ``tokens`` is the constant (M, d) block of every step's token rows in
+    step order, ``counts[t]`` the number of step t's. Queries are
+    row W_q^T + p_q, keys token W_k^T + p_k and values token W_v^T. Only
+    the rows whose step has tokens are scored, q k^T / sqrt(d) against all
+    M keys under a constant mask that leaves each row its own step's
+    tokens; the other rows of the (T, d) result are zero.
+    """
+    xd = rows.data
+    t, d = _check_rows("step_cross_attention", xd, w_query, w_key, w_value)
+    counts = np.asarray(counts)
+    if tokens.ndim != 2 or tokens.shape[1] != d or counts.shape != (t,) or counts.min() < 0 \
+            or counts.sum() != tokens.shape[0] or not tokens.shape[0]:
+        raise ShapeError(f"{tokens.shape} token rows do not split into the per-step counts {counts.tolist()}")
+    _check_affine("step_cross_attention", d, prompt_query, prompt_key)
+    wq, wk, wv = w_query.data, w_key.data, w_value.data
+    keep = np.flatnonzero(counts)
+    mask = np.where(np.repeat(np.arange(t), counts) == keep[:, None], 0.0, MASKED_SCORE)
+    kept = xd[keep]
+    c = 1.0 / math.sqrt(d)
+    q = kept @ wq.T + prompt_query.data
+    k = tokens @ wk.T + prompt_key.data
+    v = tokens @ wv.T
+    p = _softmax((q @ k.T) * c + mask)
+    out = np.zeros_like(xd)
+    out[keep] = p @ v
+
+    def bw(g):
+        gk = g[keep]
+        ds = _softmax_backward(gk @ v.T, p) * c
+        dq, dk = ds @ k, ds.T @ q
+        dx = np.zeros_like(xd)
+        dx[keep] = dq @ wq
+        return dx, dq.T @ kept, dk.T @ tokens, (p.T @ gk).T @ tokens, dq.sum(axis=0), dk.sum(axis=0)
+
+    return _result(out, (rows, w_query, w_key, w_value, prompt_query, prompt_key), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -233,12 +233,18 @@ def train_stage2(model: Model, windows: list[SeriesWindow], config: TrainConfig)
 
 def fit(dataset: DemandDataset, config: TrainConfig, components: frozenset[str] = ALL_COMPONENTS,
         encoder: EncoderConfig | None = None) -> Model:
-    """Both stages over the chronological train split; returns the trained model."""
+    """Both stages over the chronological train split; returns the trained model.
+
+    The model records ``encoder``'s mode and embedding file, and a model
+    file saved from it carries them.
+    """
     per_region = build_windows(dataset, config, encoder)
     split = split_windows(per_region)
     if not split.train:
         raise TrainingError("no training windows can be constructed from this dataset")
     model = build_model(config, components, FEATURE_COUNT)
+    if encoder is not None:
+        model.encoder_mode, model.embedding_file = encoder.mode, encoder.embedding_file
     mean, std = compute_scaler(split.train)
     model.set_scaler(mean, std)
     clear_tape()
@@ -307,9 +313,15 @@ def _meta_records(model: Model) -> dict[str, np.ndarray]:
 
 
 def save_model(model: Model, path) -> None:
-    """Write the pinned binary layout: magic, sorted records, matrix, config."""
+    """Write the pinned binary layout: magic, sorted records, matrix, config.
+
+    A model whose text was encoded from an embedding file must name that
+    file; without it the model file could not say how to encode its inputs.
+    """
     from .configio import render_model_config
 
+    if model.encoder_mode == "file" and not model.embedding_file:
+        raise ConfigError("the model's text was encoded from an embedding file, but the model names no file")
     records = {name: t.data for name, t in model.named_parameters().items()}
     records.update(_meta_records(model))
     body = [MODEL_MAGIC, struct.pack("<I", len(records))]

@@ -3,15 +3,17 @@
 The encoder alternates two attention sublayers per block: standard attention
 over the time axis, and attention over the feature axis whose pre-softmax
 scores carry a log-damped structural bias built from the frozen relation
-matrix. A position-wise feedforward with residual + layer norm closes each
-block. The horizon is produced by independent linear heads over the pooled
-encoder output.
+matrix. A position-wise feedforward closes each block. Every sublayer adds
+its input back and layer-normalizes, and each is one fused kernel of
+``numeric`` (``time_attention_norm``, ``feature_attention_norm``,
+``feedforward_norm``), one tape entry per sublayer. The horizon is produced
+by independent linear heads over the pooled encoder output.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -21,19 +23,14 @@ from .numeric import (
     SeededRng,
     Tensor,
     add,
-    concat_cols,
     constant,
+    feature_attention_norm,
+    feedforward_norm,
     gather_rows,
-    layer_norm,
     linear,
-    matmul,
-    matmul_nt,
-    matmul_tn,
     mean_rows,
-    relu,
-    scale,
-    softmax_rows,
     take,
+    time_attention_norm,
 )
 
 __all__ = [
@@ -137,14 +134,19 @@ def init_ssa_params(
     )
 
 
+@lru_cache(maxsize=None)
 def sinusoidal_positions(length: int, d: int) -> np.ndarray:
-    """Fixed sin/cos position table: even columns sine, odd columns cosine."""
+    """Fixed sin/cos position table: even columns sine, odd columns cosine.
+
+    Computed once per (length, d); every caller shares the read-only array.
+    """
     pe = np.zeros((length, d), dtype=np.float64)
     pos = np.arange(length, dtype=np.float64)[:, None]
     idx = np.arange(0, d, 2, dtype=np.float64)
     angles = pos / np.power(10000.0, idx / d)
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles[:, : pe[:, 1::2].shape[1]])
+    pe.setflags(write=False)
     return pe
 
 
@@ -171,38 +173,6 @@ def structural_bias(matrix: np.ndarray) -> np.ndarray:
     return np.log1p(matrix)
 
 
-def _temporal_attention(x: Tensor, block: SsaBlockParams, heads: int) -> Tensor:
-    d = x.data.shape[1]
-    q = matmul(x, block.t_wq)
-    k = matmul(x, block.t_wk)
-    v = matmul(x, block.t_wv)
-    head_dim = d // heads
-    outs = []
-    for h in range(heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        qh = take(q, np.s_[:, lo:hi]) if heads > 1 else q
-        kh = take(k, np.s_[:, lo:hi]) if heads > 1 else k
-        vh = take(v, np.s_[:, lo:hi]) if heads > 1 else v
-        weights = softmax_rows(scale(matmul_nt(qh, kh), 1.0 / math.sqrt(head_dim)))
-        outs.append(matmul(weights, vh))
-    merged = outs[0]
-    for part in outs[1:]:
-        merged = concat_cols(merged, part)
-    return matmul(merged, block.t_wo)
-
-
-def _feature_attention(x: Tensor, bias: np.ndarray | None, block: SsaBlockParams) -> Tensor:
-    t = x.data.shape[0]
-    q = matmul(x, block.f_wq)
-    k = matmul(x, block.f_wk)
-    v = matmul(x, block.f_wv)
-    scores = scale(matmul_tn(q, k), 1.0 / math.sqrt(t))
-    if bias is not None:
-        scores = add(scores, constant(bias))
-    weights = softmax_rows(scores)
-    return matmul(matmul_nt(v, weights), block.f_wo)
-
-
 def ssa_block(x: Tensor, bias: np.ndarray | None, block: SsaBlockParams, heads: int = 1) -> Tensor:
     """One encoder block: time attention, optional feature attention, feedforward.
 
@@ -210,11 +180,11 @@ def ssa_block(x: Tensor, bias: np.ndarray | None, block: SsaBlockParams, heads: 
     to the feature-axis scores before the softmax; passing None skips the
     addition (identical to an all-zero bias).
     """
-    x = layer_norm(add(_temporal_attention(x, block, heads), x), block.ln1_gamma, block.ln1_beta)
+    x = time_attention_norm(x, block.t_wq, block.t_wk, block.t_wv, block.t_wo, block.ln1_gamma, block.ln1_beta, heads)
     if block.has_feature_attention:
-        x = layer_norm(add(_feature_attention(x, bias, block), x), block.ln2_gamma, block.ln2_beta)
-    ff = linear(relu(linear(x, block.ff_w1, block.ff_b1)), block.ff_w2, block.ff_b2)
-    return layer_norm(add(ff, x), block.ln3_gamma, block.ln3_beta)
+        x = feature_attention_norm(x, block.f_wq, block.f_wk, block.f_wv, block.f_wo,
+                                   block.ln2_gamma, block.ln2_beta, bias)
+    return feedforward_norm(x, block.ff_w1, block.ff_b1, block.ff_w2, block.ff_b2, block.ln3_gamma, block.ln3_beta)
 
 
 def forecast(e: Tensor, bias: np.ndarray | None, params: SsaParams) -> Tensor:

@@ -51,11 +51,17 @@ class TokenEmbeddings:
 
 @dataclass
 class EncoderConfig:
-    """Selects the encoding backend: ``hashed`` or ``file``."""
+    """Selects the encoding backend: ``hashed`` or ``file``.
+
+    ``embedding_file`` names the file ``embeddings`` were read from; a model
+    fitted on them records it, so the model file says how to encode its
+    inputs again.
+    """
 
     mode: str = "hashed"
     dim: int = 32
     embeddings: dict[str, TokenEmbeddings] = field(default_factory=dict)
+    embedding_file: str | None = None
 
 
 def tokenize(text: str) -> list[str]:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,196 @@ class TestFusedKernels:
 
         rng = SeededRng(24)
         assert grad_check(f, tensor(rng.normal((4, 3)))) < 1e-5
+
+
+# Composites of the generic ops, the reference for each fused value-path kernel.
+
+
+def _time_attention_composite(x, wq, wk, wv, wo, gamma, beta, heads):
+    head_dim = x.data.shape[1] // heads
+    q, k, v = nm.matmul(x, wq), nm.matmul(x, wk), nm.matmul(x, wv)
+    merged = None
+    for h in range(heads):
+        cols = np.s_[:, h * head_dim:(h + 1) * head_dim]
+        qh, kh, vh = (nm.take(m, cols) if heads > 1 else m for m in (q, k, v))
+        part = nm.matmul(nm.softmax_rows(nm.scale(nm.matmul_nt(qh, kh), 1.0 / math.sqrt(head_dim))), vh)
+        merged = part if merged is None else nm.concat_cols(merged, part)
+    return layer_norm(nm.add(nm.matmul(merged, wo), x), gamma, beta)
+
+
+def _feature_attention_composite(x, wq, wk, wv, wo, gamma, beta, bias):
+    q, k, v = nm.matmul(x, wq), nm.matmul(x, wk), nm.matmul(x, wv)
+    scores = nm.scale(nm.matmul_tn(q, k), 1.0 / math.sqrt(x.data.shape[0]))
+    if bias is not None:
+        scores = nm.add(scores, nm.constant(bias))
+    att = nm.matmul_nt(v, nm.softmax_rows(scores))
+    return layer_norm(nm.add(nm.matmul(att, wo), x), gamma, beta)
+
+
+def _feedforward_composite(x, w1, b1, w2, b2, gamma, beta):
+    ff = nm.linear(nm.relu(nm.linear(x, w1, b1)), w2, b2)
+    return layer_norm(nm.add(ff, x), gamma, beta)
+
+
+def _gate_composite(h, z, w, b=None):
+    return nm.mix(nm.sigmoid(nm.linear(nm.concat_cols(h, z), w, b)), h, z)
+
+
+def _cross_attention_composite(rows, tokens, counts, wq, wk, wv, pq, pk):
+    """All T rows scored under the packed-tokens mask, text-free rows zeroed after."""
+    d = rows.data.shape[1]
+    steps = np.arange(len(counts))
+    mask = np.where(np.repeat(steps, counts) == steps[:, None], 0.0, nm.MASKED_SCORE)
+    tok = nm.constant(tokens)
+    q = nm.add(nm.linear(rows, wq), pq)
+    k = nm.add(nm.linear(tok, wk), pk)
+    scores = nm.add(nm.scale(nm.matmul_nt(q, k), 1.0 / math.sqrt(d)), nm.constant(mask))
+    attended = nm.matmul(nm.softmax_rows(scores), nm.linear(tok, wv))
+    return nm.mul(attended, nm.constant((counts > 0).astype(np.float64)[:, None]))
+
+
+def _run(fn, arrays, readout, **extra):
+    """Output and gradients of ``sum(fn(...) * readout)`` for every array argument."""
+    clear_tape()
+    leaves = {name: Tensor(a.copy(), requires_grad=True) for name, a in arrays.items()}
+    out = fn(*leaves.values(), **extra)
+    grads = backward(sum_all(nm.mul(out, tensor(readout))), params=leaves.values())
+    return out.data, {name: grads[t] for name, t in leaves.items()}
+
+
+def _assert_matches(fused, composite, arrays, rng, vanishing=(), **extra):
+    """Forward within 1e-14 and every gradient within 1e-12, relative to the largest entry of the composite's.
+
+    The gradients named in ``vanishing`` are zero in exact arithmetic (a
+    softmax is blind to a shift of a whole row of scores, and a one-step
+    softmax is constant); both sides must be zero to within 1e-12 of the
+    largest gradient of the call.
+    """
+    readout = rng.normal(composite(*(tensor(a) for a in arrays.values()), **extra).data.shape)
+    f_out, f_grads = _run(fused, arrays, readout, **extra)
+    c_out, c_grads = _run(composite, arrays, readout, **extra)
+    assert np.abs(f_out - c_out).max() <= 1e-14 * np.abs(c_out).max()
+    largest = max(np.abs(g).max() for g in c_grads.values())
+    for name in arrays:
+        if name in vanishing:
+            assert max(np.abs(f_grads[name]).max(), np.abs(c_grads[name]).max()) <= 1e-12 * largest, name
+            continue
+        scale = np.abs(c_grads[name]).max()
+        assert scale > 0.0, name
+        assert np.abs(f_grads[name] - c_grads[name]).max() <= 1e-12 * scale, name
+
+
+def _block_arrays(rng, t, d, hidden=None):
+    arrays = {"x": rng.normal((t, d))}
+    if hidden is None:
+        arrays.update({name: rng.glorot(d, d) for name in ("wq", "wk", "wv", "wo")})
+    else:
+        arrays.update(w1=rng.glorot(hidden, d), b1=rng.normal((hidden,)), w2=rng.glorot(d, hidden), b2=rng.normal((d,)))
+    arrays.update(gamma=rng.normal((d,)) + 1.0, beta=rng.normal((d,)))
+    return arrays
+
+
+class TestValuePathKernels:
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("t", [1, 6])
+    def test_time_attention_matches_composite(self, heads, t):
+        rng = SeededRng(30 + t + heads)
+        vanishing = ("wq", "wk") if t == 1 else ()
+        _assert_matches(nm.time_attention_norm, _time_attention_composite, _block_arrays(rng, t, 4), rng,
+                        vanishing=vanishing, heads=heads)
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("t", [1, 6])
+    def test_feature_attention_matches_composite(self, with_bias, t):
+        rng = SeededRng(40 + t + with_bias)
+        raw = rng.uniform((4, 4)) + 0.1
+        bias = np.log1p(raw / raw.sum(axis=1, keepdims=True)) if with_bias else None
+        _assert_matches(nm.feature_attention_norm, _feature_attention_composite, _block_arrays(rng, t, 4), rng,
+                        bias=bias)
+
+    @pytest.mark.parametrize("t", [1, 6])
+    def test_feedforward_matches_composite(self, t):
+        rng = SeededRng(50 + t)
+        _assert_matches(nm.feedforward_norm, _feedforward_composite, _block_arrays(rng, t, 4, hidden=16), rng)
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("t", [1, 5])
+    def test_gate_matches_composite(self, with_bias, t):
+        rng = SeededRng(60 + t + with_bias)
+        arrays = {"h": rng.normal((t, 4)), "z": rng.normal((t, 4)), "w": rng.glorot(4, 8)}
+        if with_bias:
+            arrays["b"] = rng.normal((4,))
+        _assert_matches(nm.sigmoid_gate, _gate_composite, arrays, rng)
+
+    @pytest.mark.parametrize("counts", [[2, 1, 3, 1], [0, 3, 0, 1], [0, 0, 4, 0], [5]],
+                             ids=["every-row", "some-rows", "one-row", "one-step"])
+    def test_cross_attention_matches_composite(self, counts):
+        d = 4
+        rng = SeededRng(70 + len(counts) + sum(counts))
+        counts = np.array(counts)
+        tokens = rng.normal((int(counts.sum()), d))
+        arrays = {"rows": rng.normal((len(counts), d)), "wq": rng.glorot(d, d), "wk": rng.glorot(d, d),
+                  "wv": rng.glorot(d, d), "pq": rng.normal((d,)), "pk": rng.normal((d,))}
+
+        def fused(rows, wq, wk, wv, pq, pk):
+            return nm.step_cross_attention(rows, tokens, counts, wq, wk, wv, pq, pk)
+
+        def composite(rows, wq, wk, wv, pq, pk):
+            return _cross_attention_composite(rows, tokens, counts, wq, wk, wv, pq, pk)
+
+        _assert_matches(fused, composite, arrays, rng, vanishing=("pk",))
+
+    def test_cross_attention_leaves_text_free_rows_out(self):
+        d = 4
+        rng = SeededRng(80)
+        counts = np.array([0, 2, 0])
+        w = [tensor(rng.glorot(d, d)) for _ in range(3)]
+        rows = tensor(rng.normal((3, d)), requires_grad=True)
+        out = nm.step_cross_attention(rows, rng.normal((2, d)), counts, *w, tensor(np.zeros(d)), tensor(np.zeros(d)))
+        np.testing.assert_array_equal(out.data[[0, 2]], np.zeros((2, d)))
+        grads = backward(sum_sq(out), params=(rows,))
+        np.testing.assert_array_equal(grads[rows][[0, 2]], np.zeros((2, d)))
+
+    def test_one_tape_entry_each(self):
+        rng = SeededRng(81)
+        block = _block_arrays(rng, 3, 4)
+        args = [tensor(a, requires_grad=True) for a in block.values()]
+        nm.time_attention_norm(*args, heads=2)
+        nm.feature_attention_norm(*args)
+        ff = _block_arrays(rng, 3, 4, hidden=8)
+        nm.feedforward_norm(*(tensor(a, requires_grad=True) for a in ff.values()))
+        nm.sigmoid_gate(args[0], args[0], tensor(rng.glorot(4, 8), requires_grad=True))
+        nm.step_cross_attention(args[0], rng.normal((2, 4)), np.array([1, 0, 1]), *args[1:4], args[5], args[6])
+        assert nm.tape_size() == 5
+
+    def test_shape_checks(self):
+        rng = SeededRng(82)
+        block = [tensor(a) for a in _block_arrays(rng, 3, 4).values()]
+        x, wq, wk, wv, wo, gamma, beta = block
+        with pytest.raises(ShapeError):
+            nm.time_attention_norm(x, wq, wk, wv, wo, gamma, beta, heads=3)
+        with pytest.raises(ShapeError):
+            nm.time_attention_norm(tensor(np.ones(4)), wq, wk, wv, wo, gamma, beta)
+        with pytest.raises(ShapeError):
+            nm.feature_attention_norm(x, wq, wk, wv, tensor(np.ones((4, 3))), gamma, beta)
+        with pytest.raises(ShapeError):
+            nm.feature_attention_norm(x, wq, wk, wv, wo, gamma, beta, bias=np.zeros((3, 3)))
+        with pytest.raises(ShapeError):
+            nm.feedforward_norm(x, tensor(np.ones((8, 3))), tensor(np.ones(8)), tensor(np.ones((4, 8))),
+                                tensor(np.ones(4)), gamma, beta)
+        with pytest.raises(ShapeError):
+            nm.sigmoid_gate(x, x, tensor(np.ones((4, 4))))
+        with pytest.raises(ShapeError):
+            nm.sigmoid_gate(x, x, tensor(np.ones((4, 8))), tensor(np.ones(3)))
+        with pytest.raises(ShapeError):
+            nm.step_cross_attention(x, np.ones((2, 4)), np.array([1, 0, 0]), wq, wk, wv, gamma, beta)
+        with pytest.raises(ShapeError):
+            nm.step_cross_attention(x, np.ones((0, 4)), np.array([0, 0, 0]), wq, wk, wv, gamma, beta)
+
+    def test_non_finite_result_rejected(self):
+        x, wq, wk, wv, wo, gamma, beta = (tensor(a) for a in _block_arrays(SeededRng(83), 3, 4).values())
+        with pytest.raises(NumericError), np.errstate(over="ignore"):
+            nm.feature_attention_norm(x, wq, wk, wv, wo, tensor(np.full(4, 1e308)), tensor(np.full(4, 1e308)))
 
 
 class TestTensorInvariantsAndTape:

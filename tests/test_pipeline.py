@@ -3,10 +3,12 @@ import pytest
 
 from kgcm import pipeline
 from kgcm.data import GeneratorConfig, generate_synthetic
-from kgcm.errors import FormatError, TrainingError
+from kgcm.errors import ConfigError, FormatError, TrainingError
 from kgcm.gradcheck import tiny_instance_window
 from kgcm.model import ALL_COMPONENTS, TrainConfig, build_model
+from kgcm.model import joint_loss
 from kgcm.numeric import clear_tape, tape_size
+from kgcm.text import EncoderConfig, load_embedding_file
 
 
 @pytest.fixture(autouse=True)
@@ -108,6 +110,17 @@ class TestTrainingLoop:
         assert sizes[0] == sizes[1]
 
 
+    def test_all_five_stage2_window_stays_under_forty_tape_entries(self):
+        # one entry per value-path sublayer: the encoder, gates and text attention are fused kernels
+        config = _config(window=12, n=8, blocks=2)
+        model = build_model(config, ALL_COMPONENTS, pipeline.FEATURE_COUNT)
+        window = tiny_instance_window(config)
+        clear_tape()
+        result = model.stage2_forward(window)
+        joint_loss(result.predictions, model.scale_targets(window.targets), model.lpo, config.lambda_prompt)
+        assert tape_size() <= 40
+
+
 class TestBuildWindows:
     def test_each_distinct_text_is_encoded_once(self, monkeypatch):
         # local and cross-region texts share one cache: a text that occurs in
@@ -182,3 +195,25 @@ class TestModelFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="UTF-8"):
             pipeline.load_model(path)
+
+    def test_fit_records_the_file_encoder(self, tmp_path):
+        # a programmatic fit on file embeddings must save [text] encoder = file, not hashed
+        dataset = _dataset()
+        ids = [f"{s.region}|{ts.isoformat()}" for s in dataset.regions for ts in s.timestamps]
+        ids += [f"global|{ts.isoformat()}" for ts in dataset.timestamps]
+        rng = np.random.default_rng(0)
+        table = tmp_path / "embeddings.csv"
+        table.write_text("".join(f"{i}," + ",".join(f"{v:.6f}" for v in rng.normal(size=8)) + "\n" for i in ids))
+        encoder = EncoderConfig(mode="file", dim=8, embeddings=load_embedding_file(table), embedding_file=str(table))
+        model = pipeline.fit(dataset, _config(epochs_stage2=1), ALL_COMPONENTS, encoder)
+        path = tmp_path / "model.kgcm"
+        pipeline.save_model(model, path)
+        loaded = pipeline.load_model(path)
+        assert (loaded.encoder_mode, loaded.embedding_file) == ("file", str(table))
+
+    def test_file_encoded_model_must_name_its_file(self, saved):
+        model, path = saved
+        model.encoder_mode = "file"
+        with pytest.raises(ConfigError, match="names no file"):
+            pipeline.save_model(model, path)
+        assert not path.exists()

@@ -66,6 +66,13 @@ class TestEmbedSequence:
         )
         np.testing.assert_allclose(out.data, expected)
 
+    def test_position_table_is_shared_and_read_only(self):
+        table = sinusoidal_positions(5, 6)
+        assert sinusoidal_positions(5, 6) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
     def test_slot_out_of_range(self):
         params = _params(d=4, day_slots=4)
         with pytest.raises(DataError):
