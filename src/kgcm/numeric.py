@@ -867,8 +867,8 @@ def step_cross_attention(rows: Tensor, tokens: np.ndarray, counts: np.ndarray, w
     xd = rows.data
     t, d = _check_rows("step_cross_attention", xd, w_query, w_key, w_value)
     counts = np.asarray(counts)
-    if tokens.ndim != 2 or tokens.shape[1] != d or counts.shape != (t,) or counts.min() < 0 \
-            or counts.sum() != tokens.shape[0] or not tokens.shape[0]:
+    if tokens.ndim != 2 or tokens.shape[1] != d or counts.shape != (t,) or not tokens.shape[0] \
+            or counts.sum() != tokens.shape[0] or counts.min() < 0:
         raise ShapeError(f"{tokens.shape} token rows do not split into the per-step counts {counts.tolist()}")
     _check_affine("step_cross_attention", d, prompt_query, prompt_key)
     wq, wk, wv = w_query.data, w_key.data, w_value.data
