@@ -7,6 +7,7 @@ so an empty file is a complete configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .data import GeneratorConfig
@@ -100,11 +101,13 @@ def _typed(section: str, key: str, raw: str):
     if kind is str:
         return raw
     try:
-        if kind is int:
-            return int(raw)
-        return float(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: expected {kind.__name__}, got {raw!r}") from exc
+    # NaN passes every range check, since each comparison with it is false
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str) -> ParsedConfig:

@@ -103,9 +103,6 @@ class DemandDataset:
     def slots_per_day(self) -> int:
         return 86400 // self.slot_seconds
 
-    def region_names(self) -> list[str]:
-        return [r.region for r in self.regions]
-
 
 def _seasonal_curve(cfg: GeneratorConfig, slot_index: int) -> float:
     slot = slot_index % cfg.slots_per_day

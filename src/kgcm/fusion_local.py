@@ -1,16 +1,17 @@
-"""Local fusion of structured features with step-aligned text.
+"""Fusion of structured features with text, and the frozen-matrix weighting.
 
 A window's (T, F) structured rows are embedded as (T, d) rows in one pass.
 The rows whose step carries text query the window's packed token vectors in
-one prompt-augmented cross-attention call, masked so that each row sees only
-its own step's tokens, and ``gated_fuse`` blends the (T, d) structured and
-text rows with a learned sigmoid gate. The shared-context gate (rcpg) is the
-same function with the pooled vector tiled over the steps and a bias. The
-attention and the gate are each one fused kernel of ``numeric``
-(``step_cross_attention``, ``sigmoid_gate``). A squared-distance penalty
-keeps the two modality prompts aligned. These are the functions ``Model``
-calls and ``gradcheck`` checks.
-"""
+one prompt-augmented cross-attention call (``numeric.step_cross_attention``),
+masked so that each row sees only its own step's tokens. ``Model`` blends
+the structured and text rows with ``numeric.sigmoid_gate`` and the ``lpo``
+gate weight. The shared-context gate (rcpg) runs through the same kernel,
+with the pooled cross-region text vector tiled over the steps and a bias;
+its weights are ``GlobalGateParams``. A squared-distance penalty keeps the
+two modality prompts aligned. ``acmfw_weight`` applies the relation matrix
+frozen after the first training stage to the (T, d) rows as a fixed linear
+operator; ``load_model`` validates a stored matrix. These are the functions
+``Model`` calls and ``gradcheck`` checks."""
 
 from __future__ import annotations
 
@@ -24,9 +25,10 @@ from .errors import ShapeError
 from .numeric import (
     SeededRng,
     Tensor,
+    constant,
     linear,
+    matmul_nt,
     relu,
-    sigmoid_gate,
     step_cross_attention,
     sub,
     sum_sq,
@@ -35,7 +37,16 @@ from .numeric import (
 
 log = logging.getLogger(__name__)
 
-__all__ = ["LpoParams", "init_lpo_params", "embed_structured_rows", "guided_cross_attention", "gated_fuse", "prompt_loss"]
+__all__ = [
+    "LpoParams",
+    "init_lpo_params",
+    "embed_structured_rows",
+    "guided_cross_attention",
+    "prompt_loss",
+    "GlobalGateParams",
+    "init_global_gate",
+    "acmfw_weight",
+]
 
 
 @dataclass
@@ -80,6 +91,21 @@ def init_lpo_params(d: int, feature_count: int, rng: SeededRng, with_text: bool)
     return params
 
 
+@dataclass
+class GlobalGateParams:
+    """The shared-context (rcpg) gate: ``numeric.sigmoid_gate`` with a bias, over the pooled vector tiled on the rows."""
+
+    w_gate: Tensor  # (d, 2d)
+    b_gate: Tensor  # (d,)
+
+
+def init_global_gate(d: int, rng: SeededRng) -> GlobalGateParams:
+    return GlobalGateParams(
+        w_gate=Tensor(rng.glorot(d, 2 * d), requires_grad=True, name="global/w_gate"),
+        b_gate=Tensor(np.zeros(d), requires_grad=True, name="global/b_gate"),
+    )
+
+
 def embed_structured_rows(x: Tensor, params: LpoParams) -> Tensor:
     """ReLU(x W^T + b) for a (T, F) matrix of structured rows."""
     return relu(linear(x, params.w_embed, params.b_embed))
@@ -111,11 +137,14 @@ def guided_cross_attention(h_s: Tensor, tokens: Sequence[np.ndarray], params: Lp
                                 params.prompt_struct, params.prompt_text)
 
 
-def gated_fuse(h: Tensor, z: Tensor, w_gate: Tensor, b_gate: Tensor | None = None) -> Tensor:
-    """Row by row over (T, d) inputs: g = sigmoid(W [h; z] + b), then g * h + (1 - g) * z."""
-    return sigmoid_gate(h, z, w_gate, b_gate)
-
-
 def prompt_loss(params: LpoParams) -> Tensor:
     """Squared L2 distance between the two modality prompts."""
     return sum_sq(sub(params.prompt_struct, params.prompt_text))
+
+
+def acmfw_weight(rows: Tensor, matrix: np.ndarray) -> Tensor:
+    """Reweight the feature dimensions of each (T, d) row by the frozen matrix: row i becomes A h_i."""
+    d = matrix.shape[0]
+    if matrix.shape != (d, d) or rows.data.ndim != 2 or rows.data.shape[1] != d:
+        raise ShapeError(f"rows {rows.data.shape} cannot be weighted by a matrix of shape {matrix.shape}")
+    return matmul_nt(rows, constant(matrix))

@@ -9,12 +9,11 @@ convolution per layer with residual + layer norm. Gradients flow through
 the current step's raw matrix only; the smoothing history is carried as a
 constant. A step's math therefore depends only on its own inputs and the
 parameters, so each layer runs on all T steps at once: one lift of the
-(T, d, n) states, then per layer one stacked relation kernel, one
-smoothing scan over the (T, d, d) raw matrices and one stacked convolution.
-``build_relation_matrix``, ``ema_update`` and ``graph_conv_layer`` take one
-step or a stack of steps through the same kernels. ``run_dgso`` is what
-``Model`` calls; ``gradcheck`` checks it and the per-layer functions it
-runs.
+(T, d, n) states, then per layer one stacked relation kernel
+(``numeric.relation_softmax``), one smoothing scan over the (T, d, d) raw
+matrices (``numeric.lerp_const``) and one stacked convolution
+(``numeric.conv_residual_norm``). ``run_dgso`` is what ``Model`` calls and
+what ``gradcheck`` checks, together with the two layer kernels.
 """
 
 from __future__ import annotations
@@ -41,9 +40,6 @@ __all__ = [
     "DgsoResult",
     "init_dgso_params",
     "uniform_matrix",
-    "build_relation_matrix",
-    "ema_update",
-    "graph_conv_layer",
     "run_dgso",
 ]
 
@@ -91,27 +87,6 @@ def uniform_matrix(d: int) -> np.ndarray:
     return np.full((d, d), 1.0 / d, dtype=np.float64)
 
 
-def build_relation_matrix(states: Tensor, layer: DgsoLayerParams) -> Tensor:
-    """Row-softmax of ReLU(Q K^T) over projected node states, per step of a stack."""
-    return relation_softmax(states, layer.w_query, layer.w_key)
-
-
-def ema_update(prev: np.ndarray, raw: Tensor, ema_lambda: float) -> Tensor:
-    """lambda * prev + (1 - lambda) * raw; ``prev`` is carried as a constant.
-
-    A (T, d, d) stack of raw matrices is smoothed step after step from
-    ``prev``, each step's history again a constant.
-    """
-    if not 0.0 <= ema_lambda <= 1.0:
-        raise ConfigError(f"ema_lambda must lie in [0, 1], got {ema_lambda}")
-    return lerp_const(raw, prev, ema_lambda)
-
-
-def graph_conv_layer(states: Tensor, relation: Tensor, layer: DgsoLayerParams) -> Tensor:
-    """ReLU(A H W) with residual connection and per-node layer norm, per step of a stack."""
-    return conv_residual_norm(states, relation, layer.w_trans, layer.ln_gamma, layer.ln_beta)
-
-
 @dataclass
 class DgsoResult:
     step_rows: Tensor  # (T, d) refined current-state row per step
@@ -142,9 +117,9 @@ def run_dgso(
     states = history_columns(fused_rows, range(t_steps), n)
     final_matrices: list[np.ndarray] = []
     for prev, layer in zip(start, params.layers):
-        smoothed = ema_update(prev, build_relation_matrix(states, layer), params.ema_lambda)
+        smoothed = lerp_const(relation_softmax(states, layer.w_query, layer.w_key), prev, params.ema_lambda)
         final_matrices.append(smoothed.data[-1].copy())
-        states = graph_conv_layer(states, smoothed, layer)
+        states = conv_residual_norm(states, smoothed, layer.w_trans, layer.ln_gamma, layer.ln_beta)
     return DgsoResult(
         step_rows=take(states, np.s_[:, :, n - 1]),
         final_states=take(states, t_steps - 1),

@@ -17,12 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .fusion_global import GlobalGateParams, acmfw_weight, init_global_gate
 from .fusion_local import (
+    GlobalGateParams,
     LpoParams,
+    acmfw_weight,
     embed_structured_rows,
-    gated_fuse,
     guided_cross_attention,
+    init_global_gate,
     init_lpo_params,
     prompt_loss,
 )
@@ -36,6 +37,7 @@ from .numeric import (
     linear,
     mean_rows,
     scale,
+    sigmoid_gate,
     sse,
 )
 from .predictor import SsaParams, embed_sequence, forecast, init_ssa_params, structural_bias
@@ -258,7 +260,7 @@ class Model:
         hs = embed_structured_rows(x, self.lpo)
         if "lpo" not in self.components:
             return hs
-        return gated_fuse(hs, guided_cross_attention(hs, window.local_tokens, self.lpo), self.lpo.w_gate)
+        return sigmoid_gate(hs, guided_cross_attention(hs, window.local_tokens, self.lpo), self.lpo.w_gate)
 
     def stage1_forward(self, window: SeriesWindow) -> tuple[Tensor, ForwardResult]:
         """Auxiliary one-step-ahead objective over the graph's node states."""
@@ -283,7 +285,7 @@ class Model:
             vecs, matrices, pad = result.step_rows, result.final_matrices, result.pad_count
         if self.global_gate is not None:
             pooled = constant(np.tile(window.global_pooled, (vecs.data.shape[0], 1)))
-            vecs = gated_fuse(vecs, pooled, self.global_gate.w_gate, self.global_gate.b_gate)
+            vecs = sigmoid_gate(vecs, pooled, self.global_gate.w_gate, self.global_gate.b_gate)
         if "acmfw" in self.components:
             vecs = acmfw_weight(vecs, self.structure_or_uniform())
         e = embed_sequence(vecs, window.slots, window.dows, self.ssa)

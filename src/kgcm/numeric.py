@@ -6,6 +6,11 @@ entry to a module-level tape; ``backward`` replays the tape in reverse and
 accumulates exactly one gradient per requires-grad leaf, then clears the
 tape. Non-finite values are rejected at every op boundary.
 
+The module holds only what a model path runs: the generic ops that the
+embedding, the heads, the losses and the graph lift use, and one fused
+kernel per value-path sublayer (see the section comment above
+``relation_softmax``).
+
 Randomness is centralized in ``SeededRng``, a thin wrapper over the
 counter-based Philox generator: one root seed, named child streams, and an
 identical draw sequence on every platform.
@@ -34,23 +39,14 @@ __all__ = [
     "no_tape",
     "add",
     "sub",
-    "mul",
     "scale",
-    "matmul",
     "matmul_nt",
-    "matmul_tn",
     "linear",
     "relu",
-    "sigmoid",
-    "softmax_rows",
-    "layer_norm",
-    "mix",
     "lerp_const",
-    "concat_cols",
     "take",
     "gather_rows",
     "mean_rows",
-    "sum_all",
     "sum_sq",
     "sse",
     "relation_softmax",
@@ -105,10 +101,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Copy of the current value with no gradient tracking."""
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = self.name or "tensor"
@@ -236,18 +228,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _result(out, (a, b), bw)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-
-    def bw(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
-
-    return _result(out, (a, b), bw)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     out = a.data * c
 
@@ -266,74 +246,9 @@ def relu(a: Tensor) -> Tensor:
     return _result(out, (a,), bw)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(a.data)
-
-    def bw(g):
-        return (g * out * (1.0 - out),)
-
-    return _result(out, (a,), bw)
-
-
-def mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
-    """Convex gate: g * a + (1 - g) * b, elementwise with broadcasting."""
-    out = g.data * a.data + (1.0 - g.data) * b.data
-
-    def bw(grad):
-        return (
-            _unbroadcast(grad * (a.data - b.data), g.data.shape),
-            _unbroadcast(grad * g.data, a.data.shape),
-            _unbroadcast(grad * (1.0 - g.data), b.data.shape),
-        )
-
-    return _result(out, (g, a, b), bw)
-
-
-def lerp_const(raw: Tensor, prev: np.ndarray, lam: float) -> Tensor:
-    """Smoothing scan ``out[t] = lam * out[t-1] + (1 - lam) * raw[t]`` from ``out[-1] = prev``.
-
-    ``raw`` is one step of shape ``prev.shape`` or a stack of steps with one
-    more leading axis. The history is carried as a constant, so the gradient
-    reaches ``raw[t]`` through ``out[t]`` alone.
-    """
-    r = raw.data
-    if r.shape[-prev.ndim:] != prev.shape or r.ndim - prev.ndim not in (0, 1):
-        raise ShapeError(f"lerp_const shapes disagree: {r.shape} vs {prev.shape}")
-    out = (1.0 - lam) * r.reshape((-1,) + prev.shape)
-    for t in range(len(out)):
-        out[t] += lam * prev
-        prev = out[t]
-
-    def bw(g):
-        return (g * (1.0 - lam),)
-
-    return _result(out.reshape(r.shape), (raw,), bw)
-
-
 # ---------------------------------------------------------------------------
 # Matrix products
 # ---------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for rank-2 operands."""
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2:
-        raise ShapeError(f"matmul expects rank-2 operands, got {ad.shape} @ {bd.shape}")
-    if ad.shape[1] != bd.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} @ {bd.shape}")
-    out = ad @ bd
-
-    def bw(g):
-        return g @ bd.T, ad.T @ g
-
-    return _result(out, (a, b), bw)
 
 
 def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
@@ -345,19 +260,6 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         return g @ bd, g.T @ ad
-
-    return _result(out, (a, b), bw)
-
-
-def matmul_tn(a: Tensor, b: Tensor) -> Tensor:
-    """a.T @ b for rank-2 operands."""
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[0] != bd.shape[0]:
-        raise ShapeError(f"matmul_tn expects (m,k) and (m,n), got {ad.shape} and {bd.shape}")
-    out = ad.T @ bd
-
-    def bw(g):
-        return bd @ g.T, ad @ g
 
     return _result(out, (a, b), bw)
 
@@ -388,23 +290,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Normalizations
+# Softmax, layer norm and sigmoid arithmetic shared by the kernels
 # ---------------------------------------------------------------------------
-
-
-def softmax_rows(m: Tensor) -> Tensor:
-    """Row-wise softmax of a rank-2 tensor with max-subtraction stability."""
-    md = m.data
-    if md.ndim != 2:
-        raise ShapeError(f"softmax_rows expects rank 2, got shape {md.shape}")
-    if md.shape[1] == 0:
-        raise ShapeError("softmax_rows on empty rows")
-    out = _softmax(md)
-
-    def bw(g):
-        return (_softmax_backward(g, out),)
-
-    return _result(out, (m,), bw)
 
 
 def _softmax(s: np.ndarray) -> np.ndarray:
@@ -418,19 +305,10 @@ def _softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
 
-def layer_norm(h: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    hd = h.data
-    n = hd.shape[-1] if hd.ndim else 0
-    if n == 0:
-        raise ShapeError("layer_norm on a zero-length axis")
-    _check_affine("layer_norm", n, gamma, beta)
-    out, xhat, inv = _norm_forward(hd, gamma.data, beta.data)
-
-    def bw(g):
-        return _norm_backward(g, gamma.data, xhat, inv)
-
-    return _result(out, (h, gamma, beta), bw)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # Split by sign to avoid overflow in exp.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _check_affine(op: str, n: int, gamma: Tensor, beta: Tensor) -> None:
@@ -464,19 +342,6 @@ def _norm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv: np.n
 # ---------------------------------------------------------------------------
 # Shape manipulation
 # ---------------------------------------------------------------------------
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two rank-2 tensors along the column axis."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
-        raise ShapeError(f"concat_cols expects matching row counts, got {a.data.shape} and {b.data.shape}")
-    split = a.data.shape[1]
-    out = np.concatenate([a.data, b.data], axis=1)
-
-    def bw(g):
-        return g[:, :split], g[:, split:]
-
-    return _result(out, (a, b), bw)
 
 
 def take(a: Tensor, key) -> Tensor:
@@ -532,15 +397,6 @@ def mean_rows(a: Tensor) -> Tensor:
     return _result(out, (a,), bw)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum())
-
-    def bw(g):
-        return (np.full_like(a.data, float(g)),)
-
-    return _result(out, (a,), bw)
-
-
 def sum_sq(a: Tensor) -> Tensor:
     """Sum of squared entries as a scalar."""
     out = np.asarray((a.data * a.data).sum())
@@ -570,32 +426,28 @@ def sse(pred: Tensor, target: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 #
 # Every sublayer on the value path is one kernel with a hand-derived
-# backward and records one tape entry, where the same math built from the
-# generic ops above records five to twenty: on a window's (48, 32) arrays
-# the per-op cost of the tape, not the arithmetic, sets the time. Each
-# kernel checks the shapes its composite checked, ends in ``_result`` so its
-# output is finite-checked, and keeps for its backward only the arrays that
-# backward reads. The tests hold each kernel to its composite of generic
-# ops.
+# backward and records one tape entry, where the same math built from
+# generic matmul, softmax and layer-norm ops records five to twenty: on a
+# window's (48, 32) arrays the per-op cost of the tape, not the arithmetic,
+# sets the time. Each kernel checks the shapes of its inputs, ends in
+# ``_result`` so its output is finite-checked, and keeps for its backward
+# only the arrays that backward reads. The generic ops live on in the tests,
+# which hold each kernel to its composite of them.
 #
-# The graph kernels take one step, rank-2 (d, n) states, or a stack of S
-# steps with a leading step axis, (S, d, n), and record one tape entry
-# either way; the graph pass runs all T steps of a window as one stack.
-# Parameter gradients sum over the steps. Backward leaves out the steps
-# whose incoming gradient is exactly zero: backward is linear in that
-# gradient, so this is exact, and a readout of the last step alone (stage
-# 1) then costs one step of backward instead of T.
+# The graph kernels (``relation_softmax``, ``lerp_const``,
+# ``conv_residual_norm``) take a stack of S steps with a leading step axis,
+# (S, d, n) states or (S, d, d) matrices, and record one tape entry; the
+# graph pass runs all T steps of a window as one stack. Parameter gradients
+# sum over the steps. Backward leaves out the steps whose incoming gradient
+# is exactly zero: backward is linear in that gradient, so this is exact,
+# and a readout of the last step alone (stage 1) then costs one step of
+# backward instead of T.
 #
 # The encoder kernels (``time_attention_norm``, ``feature_attention_norm``,
 # ``feedforward_norm``) are the three sublayers of one encoder block, each
 # with its residual and layer norm. ``sigmoid_gate`` is the gated mix of two
 # (T, d) row sets, and ``step_cross_attention`` the masked attention of a
 # window's rows to its step text.
-
-
-def _stacked(x: np.ndarray) -> np.ndarray:
-    """A rank-2 step as a stack of one; a rank-3 stack as it is."""
-    return x if x.ndim == 3 else x[None]
 
 
 def _live_steps(g: np.ndarray, *arrays: np.ndarray):
@@ -620,17 +472,16 @@ def _on_steps(part: np.ndarray, live, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def relation_softmax(states: Tensor, w_query: Tensor, w_key: Tensor) -> Tensor:
-    """softmax_rows(relu((H Wq)(H Wk)^T)) as a single tape entry.
+    """softmax_rows(relu((H Wq)(H Wk)^T)) for each step of a (S, d, n) stack, as a single tape entry.
 
-    ``states`` is one (d, n) step or a stack of (S, d, n) steps, one (d, d)
-    matrix each; the weight gradients sum over the steps.
+    The result is one (d, d) matrix per step; the weight gradients sum over
+    the steps.
     """
     h, wq, wk = states.data, w_query.data, w_key.data
-    if h.ndim not in (2, 3) or wq.ndim != 2 or wk.ndim != 2 or h.shape[-1] != wq.shape[0] or h.shape[-1] != wk.shape[0]:
+    if h.ndim != 3 or wq.ndim != 2 or wk.ndim != 2 or h.shape[-1] != wq.shape[0] or h.shape[-1] != wk.shape[0]:
         raise ShapeError(f"relation_softmax shapes disagree: {h.shape}, {wq.shape}, {wk.shape}")
-    h3 = _stacked(h)
-    q = h3 @ wq
-    k = h3 @ wk
+    q = h @ wq
+    k = h @ wk
     # in place from the scores on: the (S, d, d) temporaries dominate the memory traffic
     out = q @ k.transpose(0, 2, 1)
     positive = out > 0.0
@@ -640,48 +491,65 @@ def relation_softmax(states: Tensor, w_query: Tensor, w_key: Tensor) -> Tensor:
     out /= out.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        live, (g, o, pos, hl, ql, kl) = _live_steps(g.reshape(out.shape), out, positive, h3, q, k)
+        live, (g, o, pos, hl, ql, kl) = _live_steps(g, out, positive, h, q, k)
         gs = g * o
         np.subtract(g, gs.sum(axis=-1, keepdims=True), out=gs)
         gs *= o
         gs *= pos
         gq = gs @ kl
         gk = gs.transpose(0, 2, 1) @ ql
-        gh = _on_steps(gq @ wq.T + gk @ wk.T, live, h3.shape)
+        gh = _on_steps(gq @ wq.T + gk @ wk.T, live, h.shape)
         flat = hl.reshape(-1, h.shape[-1]).T
-        return gh.reshape(h.shape), flat @ gq.reshape(-1, wq.shape[1]), flat @ gk.reshape(-1, wk.shape[1])
+        return gh, flat @ gq.reshape(-1, wq.shape[1]), flat @ gk.reshape(-1, wk.shape[1])
 
-    return _result(out.reshape(h.shape[:-1] + (h.shape[-2],)), (states, w_query, w_key), bw)
+    return _result(out, (states, w_query, w_key), bw)
+
+
+def lerp_const(raw: Tensor, prev: np.ndarray, lam: float) -> Tensor:
+    """Smoothing scan ``out[t] = lam * out[t-1] + (1 - lam) * raw[t]`` over a stack of steps from ``out[-1] = prev``.
+
+    The history is carried as a constant, so the gradient reaches ``raw[t]``
+    through ``out[t]`` alone.
+    """
+    r = raw.data
+    if r.ndim != prev.ndim + 1 or r.shape[1:] != prev.shape:
+        raise ShapeError(f"lerp_const needs a stack of {prev.shape} steps, got {r.shape}")
+    out = (1.0 - lam) * r
+    for t in range(len(out)):
+        out[t] += lam * prev
+        prev = out[t]
+
+    def bw(g):
+        return (g * (1.0 - lam),)
+
+    return _result(out, (raw,), bw)
 
 
 def conv_residual_norm(states: Tensor, relation: Tensor, w_trans: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """layer_norm(relu(A H W) + H) as a single tape entry.
+    """layer_norm(relu(A H W) + H) for each step of a (S, d, n) stack with (S, d, d) relations, as a single tape entry.
 
-    ``states`` is one (d, n) step with a (d, d) relation or a stack of
-    (S, d, n) steps with (S, d, d) relations; the parameter gradients sum
-    over the steps.
+    The parameter gradients sum over the steps.
     """
     h, a, w = states.data, relation.data, w_trans.data
-    n = h.shape[-1]
-    if h.ndim not in (2, 3) or a.shape != h.shape[:-1] + (h.shape[-2],) or w.shape != (n, n):
+    if h.ndim != 3 or a.shape != h.shape[:-1] + (h.shape[-2],) or w.shape != (h.shape[-1],) * 2:
         raise ShapeError(f"conv_residual_norm shapes disagree: {h.shape}, {a.shape}, {w.shape}")
+    n = h.shape[-1]
     _check_affine("conv_residual_norm", n, gamma, beta)
-    h3, a3 = _stacked(h), _stacked(a)
-    mixed = a3 @ h3
+    mixed = a @ h
     z = mixed @ w
-    out, xhat, inv = _norm_forward(np.maximum(z, 0.0) + h3, gamma.data, beta.data)
+    out, xhat, inv = _norm_forward(np.maximum(z, 0.0) + h, gamma.data, beta.data)
 
     def bw(g):
-        live, (g, al, hl, ml, zl, il, xl) = _live_steps(g.reshape(out.shape), a3, h3, mixed, z, inv, xhat)
+        live, (g, al, hl, ml, zl, il, xl) = _live_steps(g, a, h, mixed, z, inv, xhat)
         dy, dgamma, dbeta = _norm_backward(g, gamma.data, xl, il)
         dz = dy * (zl > 0.0)
         dw = ml.reshape(-1, n).T @ dz.reshape(-1, n)
         dmixed = dz @ w.T
-        da = _on_steps(dmixed @ hl.transpose(0, 2, 1), live, a3.shape)
-        dh = _on_steps(al.transpose(0, 2, 1) @ dmixed + dy, live, h3.shape)
-        return dh.reshape(h.shape), da.reshape(a.shape), dw, dgamma, dbeta
+        da = _on_steps(dmixed @ hl.transpose(0, 2, 1), live, a.shape)
+        dh = _on_steps(al.transpose(0, 2, 1) @ dmixed + dy, live, h.shape)
+        return dh, da, dw, dgamma, dbeta
 
-    return _result(out.reshape(h.shape), (states, relation, w_trans, gamma, beta), bw)
+    return _result(out, (states, relation, w_trans, gamma, beta), bw)
 
 
 def history_columns(rows: Tensor, steps, n: int) -> Tensor:
@@ -910,22 +778,25 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
     loss = f(probe)
     grads = backward(loss, params=(probe,))
     analytic = grads[probe]
-    numeric = np.zeros_like(probe.data)
     flat = probe.data.reshape(-1)
-    nflat = numeric.reshape(-1)
     with no_tape():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = f(probe).item()
-            flat[i] = orig - h
-            down = f(probe).item()
-            flat[i] = orig
-            if not (math.isfinite(up) and math.isfinite(down)):
-                raise NumericError("function non-finite at finite-difference probe point")
-            nflat[i] = (up - down) / (2.0 * h)
+        numeric = np.array([_central_difference(lambda: f(probe), flat, i, h) for i in range(flat.size)])
+    numeric = numeric.reshape(probe.data.shape)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def _central_difference(loss: Callable[[], Tensor], flat: np.ndarray, i: int, h: float) -> float:
+    """(loss() at x + h e_i - loss() at x - h e_i) / 2h, where ``flat`` is x's storage; ``flat[i]`` is restored."""
+    orig = flat[i]
+    flat[i] = orig + h
+    up = loss().item()
+    flat[i] = orig - h
+    down = loss().item()
+    flat[i] = orig
+    if not (math.isfinite(up) and math.isfinite(down)):
+        raise NumericError("function non-finite at finite-difference probe point")
+    return (up - down) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------

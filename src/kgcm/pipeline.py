@@ -54,7 +54,12 @@ def _slot_of_day(ts: datetime, slot_seconds: int) -> int:
 
 
 def build_windows(dataset: DemandDataset, config: TrainConfig, encoder: EncoderConfig | None = None) -> dict[str, list[SeriesWindow]]:
-    """Stride-1 windows per region with pre-encoded text vectors."""
+    """Stride-1 windows per region with pre-encoded text vectors.
+
+    Each step's text is encoded once, when the first window that reads the
+    step is built, and every window slices its steps' token rows from that
+    list; steps that no window reads are not encoded.
+    """
     if encoder is None:
         encoder = EncoderConfig(mode="hashed", dim=config.d)
     t, horizon = config.window, config.horizon
@@ -81,11 +86,11 @@ def build_windows(dataset: DemandDataset, config: TrainConfig, encoder: EncoderC
                     f"dataset has {dataset.slots_per_day} slots per day but the model tables cover {config.day_slots}"
                 )
         windows = []
+        local: list[np.ndarray] = []  # token rows of each step, encoded when a window first reads it
         for start in range(0, total - t - horizon + 1):
-            local = [
-                encoded(series.local_texts[i], f"{series.region}|{series.timestamps[i].isoformat()}").tokens
-                for i in range(start, start + t)
-            ]
+            while len(local) < start + t:
+                i = len(local)
+                local.append(encoded(series.local_texts[i], f"{series.region}|{series.timestamps[i].isoformat()}").tokens)
             last_input = start + t - 1
             pooled = encoded(
                 dataset.global_texts[last_input], f"global|{dataset.timestamps[last_input].isoformat()}"
@@ -99,7 +104,7 @@ def build_windows(dataset: DemandDataset, config: TrainConfig, encoder: EncoderC
                     targets=series.demand[start + t: start + t + horizon].copy(),
                     slots=slots[start: start + t],
                     dows=dows[start: start + t],
-                    local_tokens=local,
+                    local_tokens=local[start: start + t],
                     global_pooled=pooled,
                     start_index=start,
                     target_times=series.timestamps[start + t: start + t + horizon],

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from kgcm.errors import FormatError, ShapeError
-from kgcm.fusion_global import GlobalGateParams, acmfw_weight, init_global_gate
-from kgcm.fusion_local import gated_fuse
+from kgcm.fusion_local import GlobalGateParams, acmfw_weight, init_global_gate
 from kgcm.model import TrainConfig, build_model
-from kgcm.numeric import SeededRng, clear_tape, tensor
+from kgcm.numeric import SeededRng, clear_tape, sigmoid_gate, tensor
 from kgcm.pipeline import load_model, save_model
 from kgcm.text import EncoderConfig, TextRecord, encode
 
@@ -22,7 +21,7 @@ def fresh_tape():
 def _rcpg_gate(h, pooled, params):
     """The shared-context gate as Model runs it: the pooled vector tiled over the (T, d) rows."""
     tiled = tensor(np.tile(pooled, (h.shape[0], 1)))
-    return gated_fuse(tensor(h), tiled, params.w_gate, params.b_gate).data
+    return sigmoid_gate(tensor(h), tiled, params.w_gate, params.b_gate).data
 
 
 class TestEncodeGlobalPrompt:
@@ -58,7 +57,7 @@ class TestEncodeGlobalPrompt:
 
 
 class TestConditionalGate:
-    """The rcpg gate: ``gated_fuse`` with a bias and the pooled vector on every row."""
+    """The rcpg gate: ``numeric.sigmoid_gate`` with a bias and the pooled vector on every row."""
 
     def test_zero_params_average(self):
         d = 3

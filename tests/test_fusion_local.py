@@ -8,12 +8,11 @@ from kgcm.errors import ShapeError
 from kgcm.fusion_local import (
     LpoParams,
     embed_structured_rows,
-    gated_fuse,
     guided_cross_attention,
     init_lpo_params,
     prompt_loss,
 )
-from kgcm.numeric import SeededRng, Tensor, backward, clear_tape, grad_check, sum_sq, tensor
+from kgcm.numeric import SeededRng, Tensor, backward, clear_tape, grad_check, sigmoid_gate, sum_sq, tensor
 from kgcm.text import encode_hashed
 
 
@@ -174,12 +173,14 @@ class TestGuidedCrossAttention:
 
 
 class TestGatedFuse:
+    """The lpo gate: ``numeric.sigmoid_gate`` over the structured and text rows, with no bias."""
+
     def test_zero_gate_weights_average(self):
         d = 3
         params = _manual_params(d, d)
         h = tensor(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
         z = tensor(np.array([[5.0, 6.0, 7.0], [2.0, -2.0, 4.0]]))
-        fused = gated_fuse(h, z, params.w_gate)
+        fused = sigmoid_gate(h, z, params.w_gate)
         np.testing.assert_allclose(fused.data, [[3.0, 4.0, 5.0], [1.0, -1.0, 2.0]])
 
     def test_gate_saturation(self):
@@ -187,14 +188,14 @@ class TestGatedFuse:
         params = _manual_params(d, d, w_gate=tensor(np.full((d, 2 * d), 50.0)))
         h = tensor(np.array([[1.0, 1.0], [2.0, 0.5]]))
         z = tensor(np.array([[9.0, 9.0], [8.0, 7.0]]))
-        fused = gated_fuse(h, z, params.w_gate)
+        fused = sigmoid_gate(h, z, params.w_gate)
         np.testing.assert_allclose(fused.data, h.data, atol=1e-6)
 
     def test_equal_inputs_fixed_point(self):
         d = 4
         params = init_lpo_params(d, 2, SeededRng(5), with_text=True)
         h = tensor(SeededRng(6).normal((3, d)))
-        fused = gated_fuse(h, h, params.w_gate)
+        fused = sigmoid_gate(h, h, params.w_gate)
         np.testing.assert_allclose(fused.data, h.data, atol=1e-12)
 
     def test_convexity_bounds(self):
@@ -204,7 +205,7 @@ class TestGatedFuse:
         for _ in range(50):
             h = tensor(rng.normal((3, d)))
             z = tensor(rng.normal((3, d)))
-            fused = gated_fuse(h, z, params.w_gate)
+            fused = sigmoid_gate(h, z, params.w_gate)
             lo = np.minimum(h.data, z.data) - 1e-12
             hi = np.maximum(h.data, z.data) + 1e-12
             assert ((fused.data >= lo) & (fused.data <= hi)).all()
@@ -216,17 +217,17 @@ class TestGatedFuse:
         rng = SeededRng(8)
         params = init_lpo_params(d, 2, rng, with_text=True)
         h, z = rng.normal((3, d)), rng.normal((3, d))
-        together = gated_fuse(tensor(h), tensor(z), params.w_gate).data
+        together = sigmoid_gate(tensor(h), tensor(z), params.w_gate).data
         for t in range(3):
-            alone = gated_fuse(tensor(h[t:t + 1]), tensor(z[t:t + 1]), params.w_gate).data
+            alone = sigmoid_gate(tensor(h[t:t + 1]), tensor(z[t:t + 1]), params.w_gate).data
             np.testing.assert_allclose(together[t], alone[0], atol=1e-12)
 
     def test_shape_mismatch(self):
         w = tensor(np.zeros((3, 6)))
         with pytest.raises(ShapeError):
-            gated_fuse(tensor(np.ones((2, 3))), tensor(np.ones((3, 3))), w)
+            sigmoid_gate(tensor(np.ones((2, 3))), tensor(np.ones((3, 3))), w)
         with pytest.raises(ShapeError):
-            gated_fuse(tensor(np.ones(3)), tensor(np.ones(3)), w)
+            sigmoid_gate(tensor(np.ones(3)), tensor(np.ones(3)), w)
 
 
 class TestPromptLoss:
@@ -273,7 +274,7 @@ class TestLpoGradients:
 
         def f(w_gate):
             h_s = embed_structured_rows(x, params)
-            return sum_sq(gated_fuse(h_s, guided_cross_attention(h_s, tokens, params), w_gate))
+            return sum_sq(sigmoid_gate(h_s, guided_cross_attention(h_s, tokens, params), w_gate))
 
         assert grad_check(f, Tensor(params.w_gate.data.copy())) < 1e-4
 

@@ -1,10 +1,15 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import kgcm
+from kgcm import numeric
 from kgcm.gradcheck import DEFAULT_TOLERANCE, run_all_checks
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_check_passes():
@@ -14,8 +19,40 @@ def test_every_check_passes():
     assert len({r.name for r in results}) == len(results)
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_every_check_passes_at_other_seeds(seed):
+    # the joint-loss check scores each coordinate against its own finite-difference noise
+    results = run_all_checks(seed)
+    assert not {r.name: r.max_error for r in results if not r.passed(DEFAULT_TOLERANCE)}
+
+
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(kgcm.__path__)))
 def test_exports_exist(name):
     module = importlib.import_module(f"kgcm.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing
+
+
+def _numeric_names_read(path: Path) -> set[str]:
+    """Names a module imports from ``numeric`` or reads as attributes of the imported module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if node.module in ("numeric", "kgcm.numeric"):
+                    names.add(alias.name)
+                elif alias.name == "numeric" and node.module in (None, "kgcm"):
+                    aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            names.add(node.attr)
+    return names
+
+
+def test_every_numeric_export_is_read_outside_numeric():
+    # a public op with no reader in the package or the benchmark belongs in the tests' oracle
+    sources = [p for p in (ROOT / "src" / "kgcm").glob("*.py") if p.name != "numeric.py"]
+    sources += sorted((ROOT / "perfbench").glob("*.py"))
+    read = set().union(*(_numeric_names_read(p) for p in sources))
+    assert sorted(set(numeric.__all__) - read) == []

@@ -5,9 +5,6 @@ from kgcm.errors import ConfigError, ShapeError
 from kgcm.graph import (
     DgsoLayerParams,
     DgsoParams,
-    build_relation_matrix,
-    ema_update,
-    graph_conv_layer,
     init_dgso_params,
     run_dgso,
     uniform_matrix,
@@ -18,13 +15,17 @@ from kgcm.numeric import (
     add,
     backward,
     clear_tape,
+    conv_residual_norm,
     grad_check,
     history_columns,
-    mul,
+    lerp_const,
+    relation_softmax,
     sum_sq,
     take,
     tensor,
 )
+
+from oracle import mul
 
 
 @pytest.fixture(autouse=True)
@@ -32,6 +33,27 @@ def fresh_tape():
     clear_tape()
     yield
     clear_tape()
+
+
+# One step of the graph kernels is a stack of one, as below.
+
+
+def _relation(states, layer):
+    """The (1, d, d) relation stack of a (1, d, n) state stack."""
+    return relation_softmax(states, layer.w_query, layer.w_key)
+
+
+def _smooth(prev, raw, ema_lambda):
+    return lerp_const(raw, prev, ema_lambda)
+
+
+def _conv(states, relation, layer):
+    return conv_residual_norm(states, relation, layer.w_trans, layer.ln_gamma, layer.ln_beta)
+
+
+def _step(x):
+    """A (d, n) step as a stack of one."""
+    return tensor(np.asarray(x)[None])
 
 
 def _identity_layer(n):
@@ -72,9 +94,9 @@ class TestBuildRelationMatrix:
     def test_identical_states_give_uniform_rows(self):
         n = 3
         row = SeededRng(0).normal((n,))
-        states = tensor(np.tile(row, (4, 1)))
-        a = build_relation_matrix(states, _identity_layer(n))
-        np.testing.assert_allclose(a.data, uniform_matrix(4), atol=1e-12)
+        states = _step(np.tile(row, (4, 1)))
+        a = _relation(states, _identity_layer(n))
+        np.testing.assert_allclose(a.data[0], uniform_matrix(4), atol=1e-12)
 
     def test_negative_scores_collapse_to_uniform(self):
         n = 2
@@ -85,59 +107,62 @@ class TestBuildRelationMatrix:
             ln_gamma=tensor(np.ones(n)),
             ln_beta=tensor(np.zeros(n)),
         )
-        states = tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        a = build_relation_matrix(states, layer)
-        np.testing.assert_allclose(a.data, uniform_matrix(2), atol=1e-12)
+        states = _step(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        a = _relation(states, layer)
+        np.testing.assert_allclose(a.data[0], uniform_matrix(2), atol=1e-12)
 
     def test_softmax_oracle_rows(self):
         # post-ReLU scores [[ln 2, 0], [0, 0]] -> rows [2/3,1/3], [1/2,1/2]
         ln2 = np.log(2.0)
-        states = tensor(np.array([[np.sqrt(ln2), 0.0], [0.0, 0.0]]))
-        a = build_relation_matrix(states, _identity_layer(2))
-        np.testing.assert_allclose(a.data, [[2 / 3, 1 / 3], [0.5, 0.5]], atol=1e-12)
+        states = _step(np.array([[np.sqrt(ln2), 0.0], [0.0, 0.0]]))
+        a = _relation(states, _identity_layer(2))
+        np.testing.assert_allclose(a.data[0], [[2 / 3, 1 / 3], [0.5, 0.5]], atol=1e-12)
 
     def test_rows_stochastic_random(self):
         rng = SeededRng(1)
         params = init_dgso_params(4, 4, 1, 0.9, rng)
         for _ in range(100):
-            states = tensor(rng.normal((5, 4), std=3.0))
-            a = build_relation_matrix(states, params.layers[0])
-            np.testing.assert_allclose(a.data.sum(axis=1), np.ones(5), atol=1e-9)
-            assert (a.data >= 0).all()
+            states = _step(rng.normal((5, 4), std=3.0))
+            a = _relation(states, params.layers[0]).data[0]
+            np.testing.assert_allclose(a.sum(axis=1), np.ones(5), atol=1e-9)
+            assert (a >= 0).all()
 
 
 class TestEmaUpdate:
     def test_lambda_one_keeps_previous(self):
         prev = np.array([[0.7, 0.3], [0.1, 0.9]])
-        raw = tensor(uniform_matrix(2))
-        out = ema_update(prev, raw, 1.0)
-        np.testing.assert_array_equal(out.data, prev)
+        raw = _step(uniform_matrix(2))
+        out = _smooth(prev, raw, 1.0)
+        np.testing.assert_array_equal(out.data[0], prev)
 
     def test_lambda_zero_takes_raw(self):
         prev = uniform_matrix(2)
-        raw = tensor(np.array([[0.2, 0.8], [0.6, 0.4]]))
-        out = ema_update(prev, raw, 0.0)
+        raw = _step(np.array([[0.2, 0.8], [0.6, 0.4]]))
+        out = _smooth(prev, raw, 0.0)
         np.testing.assert_array_equal(out.data, raw.data)
 
     def test_halfway_symmetry(self):
         prev = np.eye(2)
-        raw = tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        out = ema_update(prev, raw, 0.5)
-        np.testing.assert_allclose(out.data, np.full((2, 2), 0.5))
+        raw = _step(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        out = _smooth(prev, raw, 0.5)
+        np.testing.assert_allclose(out.data[0], np.full((2, 2), 0.5))
 
     def test_lambda_out_of_range(self):
+        # the coefficient enters from outside through the graph's parameters
         with pytest.raises(ConfigError):
-            ema_update(uniform_matrix(2), tensor(uniform_matrix(2)), 1.5)
+            init_dgso_params(2, 2, 1, 1.5, SeededRng(0))
+        with pytest.raises(ConfigError):
+            init_dgso_params(2, 2, 1, -0.1, SeededRng(0))
 
     def test_smoothing_preserves_row_sums(self):
         rng = SeededRng(2)
         params = init_dgso_params(3, 3, 1, 0.9, rng)
         prev = uniform_matrix(3)
         for _ in range(100):
-            raw = build_relation_matrix(tensor(rng.normal((3, 3))), params.layers[0])
-            smoothed = ema_update(prev, raw, 0.9)
-            np.testing.assert_allclose(smoothed.data.sum(axis=1), np.ones(3), atol=1e-9)
-            prev = smoothed.data
+            raw = _relation(_step(rng.normal((3, 3))), params.layers[0])
+            smoothed = _smooth(prev, raw, 0.9)
+            np.testing.assert_allclose(smoothed.data[0].sum(axis=1), np.ones(3), atol=1e-9)
+            prev = smoothed.data[0]
 
 
 class TestGraphConvLayer:
@@ -150,20 +175,20 @@ class TestGraphConvLayer:
             ln_gamma=tensor(np.ones(n)),
             ln_beta=tensor(np.zeros(n)),
         )
-        states = tensor(SeededRng(3).normal((2, n)))
-        out = graph_conv_layer(states, tensor(np.eye(2)), layer)
-        mu = states.data.mean(axis=1, keepdims=True)
-        sd = np.sqrt(states.data.var(axis=1, keepdims=True) + 1e-5)
-        np.testing.assert_allclose(out.data, (states.data - mu) / sd, atol=1e-12)
+        states = SeededRng(3).normal((2, n))
+        out = _conv(_step(states), _step(np.eye(2)), layer)
+        mu = states.mean(axis=1, keepdims=True)
+        sd = np.sqrt(states.var(axis=1, keepdims=True) + 1e-5)
+        np.testing.assert_allclose(out.data[0], (states - mu) / sd, atol=1e-12)
 
     def test_row_statistics(self):
         rng = SeededRng(4)
         params = init_dgso_params(6, 6, 1, 0.9, rng)
-        states = tensor(rng.normal((3, 6)))
-        a = build_relation_matrix(states, params.layers[0])
-        out = graph_conv_layer(states, a, params.layers[0])
-        np.testing.assert_allclose(out.data.mean(axis=1), np.zeros(3), atol=1e-9)
-        np.testing.assert_allclose(out.data.var(axis=1), np.ones(3), atol=1e-4)
+        states = _step(rng.normal((3, 6)))
+        a = _relation(states, params.layers[0])
+        out = _conv(states, a, params.layers[0]).data[0]
+        np.testing.assert_allclose(out.mean(axis=1), np.zeros(3), atol=1e-9)
+        np.testing.assert_allclose(out.var(axis=1), np.ones(3), atol=1e-4)
 
     def test_hand_oracle_n1_degeneracy(self):
         # A=[[.5,.5],[.5,.5]], W=[1], H=[[2],[4]] -> H_new=[[3],[3]],
@@ -175,12 +200,12 @@ class TestGraphConvLayer:
             ln_gamma=tensor(np.ones(1)),
             ln_beta=tensor(np.zeros(1)),
         )
-        states = tensor(np.array([[2.0], [4.0]]))
-        relation = tensor(np.full((2, 2), 0.5))
-        propagated = relation.data @ states.data @ layer.w_trans.data
+        states = np.array([[2.0], [4.0]])
+        relation = np.full((2, 2), 0.5)
+        propagated = relation @ states @ layer.w_trans.data
         np.testing.assert_allclose(propagated, [[3.0], [3.0]])
-        out = graph_conv_layer(states, relation, layer)
-        np.testing.assert_allclose(out.data, np.zeros((2, 1)), atol=1e-12)
+        out = _conv(_step(states), _step(relation), layer)
+        np.testing.assert_allclose(out.data[0], np.zeros((2, 1)), atol=1e-12)
 
 
 class TestRunDgso:
@@ -189,9 +214,9 @@ class TestRunDgso:
         params = init_dgso_params(2, 2, 1, 0.0, rng)
         rows = rng.normal((4, 3))
         result = run_dgso(tensor(rows), params, 2)
-        states = history_columns(tensor(rows), 3, 2)
-        raw = build_relation_matrix(states, params.layers[0])
-        np.testing.assert_allclose(result.final_matrices[0], raw.data, atol=1e-12)
+        states = history_columns(tensor(rows), [3], 2)
+        raw = _relation(states, params.layers[0])
+        np.testing.assert_allclose(result.final_matrices[0], raw.data[0], atol=1e-12)
 
     def test_deterministic(self):
         rng = SeededRng(6)
@@ -214,13 +239,13 @@ class TestRunDgso:
         carried = []
         steps = tensor(rng.normal((100, d)))
         for t in range(100):
-            states = history_columns(steps, t, 2)
-            raw = build_relation_matrix(states, params.layers[0])
-            raws.append(raw.data.copy())
-            smoothed = ema_update(prev, raw, 0.9)
-            prev = smoothed.data.copy()
+            states = history_columns(steps, [t], 2)
+            raw = _relation(states, params.layers[0])
+            raws.append(raw.data[0].copy())
+            smoothed = _smooth(prev, raw, 0.9)
+            prev = smoothed.data[0].copy()
             carried.append(prev)
-            states = graph_conv_layer(states, smoothed, params.layers[0])
+            states = _conv(states, smoothed, params.layers[0])
         for t in range(100):
             brute = uniform_matrix(d)
             for k in range(t + 1):
@@ -312,13 +337,13 @@ def _per_step_oracle(rows, params, n, init_matrices=None):
     prev = list(init_matrices) if init_matrices is not None else [uniform_matrix(d) for _ in params.layers]
     step_rows = []
     for t in range(rows.data.shape[0]):
-        states = history_columns(rows, t, n)
+        states = history_columns(rows, [t], n)
         for l, layer in enumerate(params.layers):
-            smoothed = ema_update(prev[l], build_relation_matrix(states, layer), params.ema_lambda)
-            prev[l] = smoothed.data
-            states = graph_conv_layer(states, smoothed, layer)
-        step_rows.append(take(states, np.s_[:, n - 1]))
-    return step_rows, states, prev
+            smoothed = _smooth(prev[l], _relation(states, layer), params.ema_lambda)
+            prev[l] = smoothed.data[0]
+            states = _conv(states, smoothed, layer)
+        step_rows.append(take(states, np.s_[0, :, n - 1]))
+    return step_rows, take(states, 0), prev
 
 
 def _gradients(loss, tensors):

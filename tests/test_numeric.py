@@ -11,13 +11,12 @@ from kgcm.numeric import (
     backward,
     clear_tape,
     grad_check,
-    layer_norm,
-    matmul,
-    softmax_rows,
-    sum_all,
     sum_sq,
     tensor,
 )
+
+import oracle
+from oracle import layer_norm, matmul, softmax_rows, sum_all
 
 
 @pytest.fixture(autouse=True)
@@ -97,6 +96,16 @@ class TestSoftmaxRows:
         grads = backward(loss, params=(x,))
         np.testing.assert_allclose(grads[x], np.zeros((1, 3)), atol=1e-12)
 
+    def test_gradient_under_weighted_readout(self):
+        # a random readout gives every score a gradient, unlike the sum above
+        rng = SeededRng(4)
+        readout = tensor(rng.normal((3, 5)))
+
+        def f(x):
+            return sum_sq(oracle.mul(softmax_rows(x), readout))
+
+        assert grad_check(f, tensor(rng.normal((3, 5)))) < 1e-5
+
 
 class TestLayerNorm:
     def test_constant_row_collapses_to_zero(self):
@@ -154,7 +163,7 @@ class TestBackward:
 
     def test_non_scalar_loss_rejected(self):
         x = tensor([1.0, 2.0], requires_grad=True)
-        v = nm.mul(x, x)
+        v = oracle.mul(x, x)
         with pytest.raises(ContractError):
             backward(v)
 
@@ -211,7 +220,7 @@ class TestGradCheck:
 class TestElementwiseGradients:
     @pytest.mark.parametrize(
         "op",
-        [nm.relu, nm.sigmoid],
+        [nm.relu, oracle.sigmoid],
         ids=["relu", "sigmoid"],
     )
     def test_unary(self, op):
@@ -230,7 +239,7 @@ class TestElementwiseGradients:
         b = tensor(rng.normal((4,)))
 
         def f(g):
-            return sum_sq(nm.mix(nm.sigmoid(g), a, b))
+            return sum_sq(oracle.mix(oracle.sigmoid(g), a, b))
 
         assert grad_check(f, tensor(rng.normal((4,)))) < 1e-5
 
@@ -254,62 +263,77 @@ class TestElementwiseGradients:
 
 
 class TestFusedKernels:
+    # the graph kernels take stacks of steps: one step is a stack of one
+
     def test_relation_softmax_matches_composition(self):
         rng = SeededRng(20)
-        h = tensor(rng.normal((5, 3)))
+        h = tensor(rng.normal((1, 5, 3)))
         wq = tensor(rng.glorot(3, 3))
         wk = tensor(rng.glorot(3, 3))
         fused = nm.relation_softmax(h, wq, wk)
-        composed = nm.softmax_rows(nm.relu(nm.matmul_nt(nm.matmul(h, wq), nm.matmul(h, wk))))
-        np.testing.assert_array_equal(fused.data, composed.data)
+        step = tensor(h.data[0])
+        composed = oracle.softmax_rows(nm.relu(nm.matmul_nt(oracle.matmul(step, wq), oracle.matmul(step, wk))))
+        np.testing.assert_array_equal(fused.data[0], composed.data)
 
     @pytest.mark.parametrize("probe", ["states", "w_query", "w_key"])
     def test_relation_softmax_gradients(self, probe):
         rng = SeededRng(21)
         base = {
-            "states": tensor(rng.normal((4, 3))),
+            "states": tensor(rng.normal((1, 4, 3))),
             "w_query": tensor(rng.glorot(3, 3)),
             "w_key": tensor(rng.glorot(3, 3)),
         }
-        readout = tensor(rng.normal((4, 4)))
+        readout = tensor(rng.normal((1, 4, 4)))
 
         def f(x):
             args = dict(base)
             args[probe] = x
-            return sum_sq(nm.mul(nm.relation_softmax(args["states"], args["w_query"], args["w_key"]), readout))
+            return sum_sq(oracle.mul(nm.relation_softmax(args["states"], args["w_query"], args["w_key"]), readout))
 
         assert grad_check(f, Tensor(base[probe].data.copy())) < 1e-4
 
     def test_conv_residual_norm_matches_composition(self):
         rng = SeededRng(22)
-        h = tensor(rng.normal((3, 5)))
-        a = tensor(np.full((3, 3), 1.0 / 3.0))
+        h = tensor(rng.normal((1, 3, 5)))
+        a = tensor(np.full((1, 3, 3), 1.0 / 3.0))
         w = tensor(rng.glorot(5, 5))
         gamma = tensor(rng.normal((5,)) + 1.0)
         beta = tensor(rng.normal((5,)))
         fused = nm.conv_residual_norm(h, a, w, gamma, beta)
-        composed = layer_norm(nm.add(nm.relu(nm.matmul(nm.matmul(a, h), w)), h), gamma, beta)
-        np.testing.assert_array_equal(fused.data, composed.data)
+        step, relation = tensor(h.data[0]), tensor(a.data[0])
+        composed = layer_norm(nm.add(nm.relu(oracle.matmul(oracle.matmul(relation, step), w)), step), gamma, beta)
+        np.testing.assert_array_equal(fused.data[0], composed.data)
 
     @pytest.mark.parametrize("probe", ["states", "relation", "w_trans", "gamma", "beta"])
     def test_conv_residual_norm_gradients(self, probe):
         rng = SeededRng(23)
         base = {
-            "states": tensor(rng.normal((3, 5))),
-            "relation": tensor(np.abs(rng.normal((3, 3))) + 0.1),
+            "states": tensor(rng.normal((1, 3, 5))),
+            "relation": tensor(np.abs(rng.normal((1, 3, 3))) + 0.1),
             "w_trans": tensor(rng.glorot(5, 5)),
             "gamma": tensor(rng.normal((5,)) + 1.0),
             "beta": tensor(rng.normal((5,))),
         }
-        readout = tensor(rng.normal((3, 5)))
+        readout = tensor(rng.normal((1, 3, 5)))
 
         def f(x):
             args = dict(base)
             args[probe] = x
             out = nm.conv_residual_norm(args["states"], args["relation"], args["w_trans"], args["gamma"], args["beta"])
-            return sum_sq(nm.mul(out, readout))
+            return sum_sq(oracle.mul(out, readout))
 
         assert grad_check(f, Tensor(base[probe].data.copy())) < 1e-4
+
+    def test_graph_kernels_take_stacks_only(self):
+        rng = SeededRng(25)
+        w = tensor(rng.glorot(3, 3))
+        with pytest.raises(ShapeError):
+            nm.relation_softmax(tensor(rng.normal((4, 3))), w, w)
+        with pytest.raises(ShapeError):
+            nm.conv_residual_norm(tensor(rng.normal((4, 3))), tensor(np.eye(4)), w, tensor(np.ones(3)),
+                                  tensor(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            nm.lerp_const(tensor(np.eye(4)), np.eye(4), 0.5)
 
     def test_history_columns_layout_and_padding(self):
         rows = tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
@@ -334,23 +358,23 @@ class TestFusedKernels:
 
 def _time_attention_composite(x, wq, wk, wv, wo, gamma, beta, heads):
     head_dim = x.data.shape[1] // heads
-    q, k, v = nm.matmul(x, wq), nm.matmul(x, wk), nm.matmul(x, wv)
+    q, k, v = oracle.matmul(x, wq), oracle.matmul(x, wk), oracle.matmul(x, wv)
     merged = None
     for h in range(heads):
         cols = np.s_[:, h * head_dim:(h + 1) * head_dim]
         qh, kh, vh = (nm.take(m, cols) if heads > 1 else m for m in (q, k, v))
-        part = nm.matmul(nm.softmax_rows(nm.scale(nm.matmul_nt(qh, kh), 1.0 / math.sqrt(head_dim))), vh)
-        merged = part if merged is None else nm.concat_cols(merged, part)
-    return layer_norm(nm.add(nm.matmul(merged, wo), x), gamma, beta)
+        part = oracle.matmul(oracle.softmax_rows(nm.scale(nm.matmul_nt(qh, kh), 1.0 / math.sqrt(head_dim))), vh)
+        merged = part if merged is None else oracle.concat_cols(merged, part)
+    return layer_norm(nm.add(oracle.matmul(merged, wo), x), gamma, beta)
 
 
 def _feature_attention_composite(x, wq, wk, wv, wo, gamma, beta, bias):
-    q, k, v = nm.matmul(x, wq), nm.matmul(x, wk), nm.matmul(x, wv)
-    scores = nm.scale(nm.matmul_tn(q, k), 1.0 / math.sqrt(x.data.shape[0]))
+    q, k, v = oracle.matmul(x, wq), oracle.matmul(x, wk), oracle.matmul(x, wv)
+    scores = nm.scale(oracle.matmul_tn(q, k), 1.0 / math.sqrt(x.data.shape[0]))
     if bias is not None:
         scores = nm.add(scores, nm.constant(bias))
-    att = nm.matmul_nt(v, nm.softmax_rows(scores))
-    return layer_norm(nm.add(nm.matmul(att, wo), x), gamma, beta)
+    att = nm.matmul_nt(v, oracle.softmax_rows(scores))
+    return layer_norm(nm.add(oracle.matmul(att, wo), x), gamma, beta)
 
 
 def _feedforward_composite(x, w1, b1, w2, b2, gamma, beta):
@@ -359,7 +383,7 @@ def _feedforward_composite(x, w1, b1, w2, b2, gamma, beta):
 
 
 def _gate_composite(h, z, w, b=None):
-    return nm.mix(nm.sigmoid(nm.linear(nm.concat_cols(h, z), w, b)), h, z)
+    return oracle.mix(oracle.sigmoid(nm.linear(oracle.concat_cols(h, z), w, b)), h, z)
 
 
 def _cross_attention_composite(rows, tokens, counts, wq, wk, wv, pq, pk):
@@ -371,8 +395,8 @@ def _cross_attention_composite(rows, tokens, counts, wq, wk, wv, pq, pk):
     q = nm.add(nm.linear(rows, wq), pq)
     k = nm.add(nm.linear(tok, wk), pk)
     scores = nm.add(nm.scale(nm.matmul_nt(q, k), 1.0 / math.sqrt(d)), nm.constant(mask))
-    attended = nm.matmul(nm.softmax_rows(scores), nm.linear(tok, wv))
-    return nm.mul(attended, nm.constant((counts > 0).astype(np.float64)[:, None]))
+    attended = oracle.matmul(oracle.softmax_rows(scores), nm.linear(tok, wv))
+    return oracle.mul(attended, nm.constant((counts > 0).astype(np.float64)[:, None]))
 
 
 def _run(fn, arrays, readout, **extra):
@@ -380,7 +404,7 @@ def _run(fn, arrays, readout, **extra):
     clear_tape()
     leaves = {name: Tensor(a.copy(), requires_grad=True) for name, a in arrays.items()}
     out = fn(*leaves.values(), **extra)
-    grads = backward(sum_all(nm.mul(out, tensor(readout))), params=leaves.values())
+    grads = backward(sum_all(oracle.mul(out, tensor(readout))), params=leaves.values())
     return out.data, {name: grads[t] for name, t in leaves.items()}
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from kgcm.gradcheck import tiny_instance_window
 from kgcm.model import ALL_COMPONENTS, TrainConfig, build_model
 from kgcm.model import joint_loss
 from kgcm.numeric import clear_tape, tape_size
-from kgcm.text import EncoderConfig, load_embedding_file
+from kgcm.text import EncoderConfig, TextRecord, TokenEmbeddings, load_embedding_file
 
 
 @pytest.fixture(autouse=True)
@@ -140,6 +142,94 @@ class TestBuildWindows:
         texts |= {dataset.global_texts[i] for i in range(config.window - 1, last)}
         assert "" in texts
         assert sorted(calls) == sorted(texts)
+
+
+    @staticmethod
+    def _per_window_reference(dataset, config, encoder, encode):
+        """The windows built as each window encoding its own steps: the reference for build_windows."""
+        t, horizon = config.window, config.horizon
+        cache = {}
+
+        def encoded(text, rec_id):
+            key = text if encoder.mode == "hashed" else rec_id
+            if key not in cache:
+                cache[key] = encode(TextRecord(text, id=rec_id), encoder)
+            return cache[key]
+
+        out = {}
+        for series in dataset.regions:
+            features = np.column_stack([series.demand, series.passengers, series.distance,
+                                        series.is_holiday.astype(np.float64), series.is_weekend.astype(np.float64)])
+            slots = [pipeline._slot_of_day(ts, dataset.slot_seconds) for ts in series.timestamps]
+            dows = [ts.weekday() for ts in series.timestamps]
+            windows = []
+            for start in range(0, len(series.timestamps) - t - horizon + 1):
+                local = [encoded(series.local_texts[i], f"{series.region}|{series.timestamps[i].isoformat()}").tokens
+                         for i in range(start, start + t)]
+                last = start + t - 1
+                pooled = encoded(dataset.global_texts[last], f"global|{dataset.timestamps[last].isoformat()}").pooled
+                windows.append(pipeline.SeriesWindow(
+                    region=series.region, inputs=features[start: start + t],
+                    targets=series.demand[start + t: start + t + horizon].copy(), slots=slots[start: start + t],
+                    dows=dows[start: start + t], local_tokens=local, global_pooled=pooled, start_index=start,
+                    target_times=series.timestamps[start + t: start + t + horizon]))
+            out[series.region] = windows
+        return out
+
+    @staticmethod
+    def _file_encoder(dataset, config, read_only):
+        """An embedding table for the dataset's step ids; ``read_only`` leaves out the steps no window reads."""
+        last = len(dataset.timestamps) - config.horizon if read_only else len(dataset.timestamps)
+        first_global = config.window - 1 if read_only else 0
+        ids = [f"{series.region}|{ts.isoformat()}" for series in dataset.regions for ts in series.timestamps[:last]]
+        ids += [f"global|{ts.isoformat()}" for ts in dataset.timestamps[first_global:last]]
+        rng = np.random.default_rng(0)
+        table = {}
+        for rec_id in ids:
+            vec = rng.normal(size=config.d)
+            table[rec_id] = TokenEmbeddings(tokens=vec[None, :].copy(), pooled=vec)
+        return EncoderConfig(mode="file", dim=config.d, embeddings=table)
+
+    @pytest.mark.parametrize("mode", ["hashed", "file"])
+    def test_windows_match_per_window_encoding(self, monkeypatch, mode):
+        config = _config()
+        dataset = generate_synthetic(GeneratorConfig(regions=2, days=2, slots_per_day=12, event_rate=0.3, seed=4))
+        encoder = EncoderConfig(dim=config.d) if mode == "hashed" else self._file_encoder(dataset, config, False)
+        real = pipeline.encode
+        seen = {"built": [], "reference": []}
+
+        def recording(calls):
+            def encode(record, enc):
+                calls.append(record.id)
+                return real(record, enc)
+            return encode
+
+        monkeypatch.setattr(pipeline, "encode", recording(seen["built"]))
+        built = pipeline.build_windows(dataset, config, encoder)
+        reference = self._per_window_reference(dataset, config, encoder, recording(seen["reference"]))
+        assert sorted(built) == sorted(reference)
+        for region in reference:
+            assert len(built[region]) == len(reference[region]) > 0
+            for got, want in zip(built[region], reference[region]):
+                for field in dataclasses.fields(want):
+                    assert _same(getattr(got, field.name), getattr(want, field.name)), field.name
+        assert len(seen["built"]) == len(set(seen["built"]))
+        assert set(seen["built"]) == set(seen["reference"])
+
+    def test_file_mode_needs_no_embedding_for_unread_steps(self):
+        # the last horizon steps are only ever targets, so their text has no embedding to look up
+        config = _config()
+        dataset = _dataset()
+        windows = pipeline.build_windows(dataset, config, self._file_encoder(dataset, config, True))
+        assert sum(len(w) for w in windows.values()) == len(dataset.timestamps) - config.window - config.horizon + 1
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
 
 
 class TestModelFile:
