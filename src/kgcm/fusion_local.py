@@ -11,7 +11,8 @@ its weights are ``GlobalGateParams``. A squared-distance penalty keeps the
 two modality prompts aligned. ``acmfw_weight`` applies the relation matrix
 frozen after the first training stage to the (T, d) rows as a fixed linear
 operator; ``load_model`` validates a stored matrix. These are the functions
-``Model`` calls and ``gradcheck`` checks."""
+``Model`` calls and ``gradcheck`` checks.
+"""
 
 from __future__ import annotations
 

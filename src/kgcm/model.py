@@ -11,6 +11,7 @@ backbone: structured embedding, temporal-only encoder, forecast heads.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -98,6 +99,10 @@ class TrainConfig:
             raise ConfigError(f"n_prime must be >= 0, got {self.n_prime}")
         if self.epochs_stage1 < 1 or self.epochs_stage2 < 1:
             raise ConfigError("at least one epoch per stage is required")
+        # a model file is rendered from these fields and must parse back, and config files refuse non-finite values
+        for name in ("lr", "lambda_prompt", "ema_lambda", "clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.ema_lambda <= 1.0:
             raise ConfigError(f"ema_lambda must lie in [0, 1], got {self.ema_lambda}")
         if self.lambda_prompt < 0.0:

@@ -8,8 +8,8 @@ tape. Non-finite values are rejected at every op boundary.
 
 The module holds only what a model path runs: the generic ops that the
 embedding, the heads, the losses and the graph lift use, and one fused
-kernel per value-path sublayer (see the section comment above
-``relation_softmax``).
+kernel per value-path sublayer (see the comment that opens the fused-kernel
+section).
 
 Randomness is centralized in ``SeededRng``, a thin wrapper over the
 counter-based Philox generator: one root seed, named child streams, and an

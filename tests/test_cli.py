@@ -56,6 +56,17 @@ def test_stage2_encodes_text_at_the_loaded_model_width(tmp_path, capsys):
     assert len(model.stage1_history) == 1 and len(model.stage2_history) == 1
 
 
+def test_train_rejects_a_nan_learning_rate_before_training(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    write_dataset(generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12, event_rate=0.3)), data_dir)
+    config = tmp_path / "nan.cfg"
+    config.write_text(TINY.format(d=8).replace("[train]\n", "[train]\nlr = nan\n"))
+    code = cli.main(["train", "--config", str(config), "--data", str(data_dir), "--out", str(tmp_path / "m.kgcm")])
+    assert code == cli.EXIT_DATA
+    assert "train.lr: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "m.kgcm").exists()
+
+
 def test_ablate_encodes_text_as_the_config_says(tmp_path, capsys):
     # an embedding table without the dataset's ids must stop the run; a run
     # that ignores [text] would train on hashed vectors and exit 0

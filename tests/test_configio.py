@@ -59,6 +59,15 @@ def test_rendered_model_config_parses_back_to_itself(config, components, feature
     assert (parsed.encoder_mode, parsed.embedding_file) == (encoder_mode, embedding_file)
 
 
+@pytest.mark.parametrize("key", ["lr", "lambda_prompt", "ema_lambda", "clip_norm"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_train_config_refuses_what_a_model_file_cannot_hold(key, value):
+    # found by the round trip over the floats TrainConfig accepted: clip_norm = inf
+    # rendered into a model file that the parser refuses
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+        TrainConfig(**{key: value})
+
+
 FLOAT_KEYS = [(section, key) for section, table in _SECTIONS.items() for key, kind in table.items() if kind is float]
 
 

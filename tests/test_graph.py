@@ -43,10 +43,6 @@ def _relation(states, layer):
     return relation_softmax(states, layer.w_query, layer.w_key)
 
 
-def _smooth(prev, raw, ema_lambda):
-    return lerp_const(raw, prev, ema_lambda)
-
-
 def _conv(states, relation, layer):
     return conv_residual_norm(states, relation, layer.w_trans, layer.ln_gamma, layer.ln_beta)
 
@@ -132,19 +128,19 @@ class TestEmaUpdate:
     def test_lambda_one_keeps_previous(self):
         prev = np.array([[0.7, 0.3], [0.1, 0.9]])
         raw = _step(uniform_matrix(2))
-        out = _smooth(prev, raw, 1.0)
+        out = lerp_const(raw, prev, 1.0)
         np.testing.assert_array_equal(out.data[0], prev)
 
     def test_lambda_zero_takes_raw(self):
         prev = uniform_matrix(2)
         raw = _step(np.array([[0.2, 0.8], [0.6, 0.4]]))
-        out = _smooth(prev, raw, 0.0)
+        out = lerp_const(raw, prev, 0.0)
         np.testing.assert_array_equal(out.data, raw.data)
 
     def test_halfway_symmetry(self):
         prev = np.eye(2)
         raw = _step(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        out = _smooth(prev, raw, 0.5)
+        out = lerp_const(raw, prev, 0.5)
         np.testing.assert_allclose(out.data[0], np.full((2, 2), 0.5))
 
     def test_lambda_out_of_range(self):
@@ -160,7 +156,7 @@ class TestEmaUpdate:
         prev = uniform_matrix(3)
         for _ in range(100):
             raw = _relation(_step(rng.normal((3, 3))), params.layers[0])
-            smoothed = _smooth(prev, raw, 0.9)
+            smoothed = lerp_const(raw, prev, 0.9)
             np.testing.assert_allclose(smoothed.data[0].sum(axis=1), np.ones(3), atol=1e-9)
             prev = smoothed.data[0]
 
@@ -242,7 +238,7 @@ class TestRunDgso:
             states = history_columns(steps, [t], 2)
             raw = _relation(states, params.layers[0])
             raws.append(raw.data[0].copy())
-            smoothed = _smooth(prev, raw, 0.9)
+            smoothed = lerp_const(raw, prev, 0.9)
             prev = smoothed.data[0].copy()
             carried.append(prev)
             states = _conv(states, smoothed, params.layers[0])
@@ -339,7 +335,7 @@ def _per_step_oracle(rows, params, n, init_matrices=None):
     for t in range(rows.data.shape[0]):
         states = history_columns(rows, [t], n)
         for l, layer in enumerate(params.layers):
-            smoothed = _smooth(prev[l], _relation(states, layer), params.ema_lambda)
+            smoothed = lerp_const(_relation(states, layer), prev[l], params.ema_lambda)
             prev[l] = smoothed.data[0]
             states = _conv(states, smoothed, layer)
         step_rows.append(take(states, np.s_[0, :, n - 1]))
