@@ -7,6 +7,11 @@ outputs are written to a temp file and renamed into place.
 
 Seed priority per subcommand: --seed flag, then the config file, then the
 KGCM_SEED environment variable, then 0.
+
+`train --stage 2` continues the model given by --init: every model, training
+and text setting comes from that model file, and --config, --seed and
+KGCM_SEED do not change them. `evaluate` and `predict` likewise encode the
+data's text as the model file's [text] section says.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ from .errors import (
 )
 from .evaluate import ablation_csv, evaluate, render_ablation_table, run_ablation
 from .gradcheck import run_all_checks
-from .pipeline import build_windows, fit, load_model, save_model, split_windows, train_stage2
-from .text import EncoderConfig, load_embedding_file
+from .pipeline import fit, load_model, model_split, new_model, save_model, train_stage1, train_stage2
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,13 +65,6 @@ def _resolve_seed(flag_seed: int | None, parsed: ParsedConfig | None, section: s
         except ValueError as exc:
             raise ConfigError(f"KGCM_SEED must be an integer, got {env!r}") from exc
     return 0
-
-
-def _encoder_config(mode: str, embedding_file: str | None, dim: int) -> EncoderConfig:
-    if mode == "file":
-        return EncoderConfig(mode="file", dim=dim, embeddings=load_embedding_file(embedding_file),
-                             embedding_file=embedding_file)
-    return EncoderConfig(mode="hashed", dim=dim)
 
 
 def _load_dataset(data_dir: str):
@@ -101,13 +98,14 @@ def cmd_train(args) -> int:
         if not args.init:
             raise UsageError("--stage 2 requires --init MODEL from a stage-1 run")
         model = load_model(args.init)
-        encoder = _encoder_config(parsed.encoder_mode, parsed.embedding_file, model.config.d)
-        split = split_windows(build_windows(dataset, model.config, encoder))
-        train_stage2(model, split.train, model.config)
+        train_stage2(model, model_split(model, dataset).train, model.config)
+    elif args.stage == "1":
+        model, split = new_model(dataset, config, parsed.components, parsed.encoder)
+        if not model.uses_stage1:
+            raise UsageError("--stage 1 needs the graph or local-text component enabled")
+        train_stage1(model, split.train, config)
     else:
-        encoder = _encoder_config(parsed.encoder_mode, parsed.embedding_file, config.d)
-        model = _fit_stages(dataset, config, parsed.components, encoder, stage=args.stage)
-    model.encoder_mode, model.embedding_file = parsed.encoder_mode, parsed.embedding_file
+        model = fit(dataset, config, parsed.components, parsed.encoder)
     save_model(model, args.out)
     for epoch, loss in enumerate(model.stage1_history):
         print(f"1,{epoch},{format(loss, '.17g')}")
@@ -116,35 +114,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _fit_stages(dataset, config, components, encoder, stage: str):
-    from .model import build_model
-    from .pipeline import FEATURE_COUNT, compute_scaler, train_stage1
-
-    if stage == "both":
-        return fit(dataset, config, components, encoder)
-    # stage == "1": run only the first stage and persist its outcome
-    per_region = build_windows(dataset, config, encoder)
-    split = split_windows(per_region)
-    if not split.train:
-        raise TrainingError("no training windows can be constructed from this dataset")
-    model = build_model(config, components, FEATURE_COUNT)
-    mean, std = compute_scaler(split.train)
-    model.set_scaler(mean, std)
-    if not model.uses_stage1:
-        raise UsageError("--stage 1 needs the graph or local-text component enabled")
-    train_stage1(model, split.train, config)
-    return model
-
-
-def _test_windows(model, data_dir: str):
-    """The test split, encoded the way the model's training windows were."""
-    encoder = _encoder_config(model.encoder_mode, model.embedding_file, model.config.d)
-    return split_windows(build_windows(_load_dataset(data_dir), model.config, encoder)).test
-
-
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    report = evaluate(model, _test_windows(model, args.data), floor=args.mape_floor)
+    report = evaluate(model, model_split(model, _load_dataset(args.data)).test, floor=args.mape_floor)
     m = report.metrics
     lines = ["metric,value"]
     lines.append(f"mae,{format(m.mae, '.17g')}")
@@ -161,7 +133,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    report = evaluate(model, _test_windows(model, args.data))
+    report = evaluate(model, model_split(model, _load_dataset(args.data)).test)
     write_predictions(report.rows, args.out)
     print(f"predictions,{args.out},rows={len(report.rows)},horizon={model.config.horizon}")
     return EXIT_OK
@@ -172,8 +144,7 @@ def cmd_ablate(args) -> int:
     dataset = _load_dataset(args.data)
     base_seed = _resolve_seed(args.seed, parsed, "train", "seed", parsed.train.seed)
     seeds = [base_seed + k for k in range(args.seeds)]
-    encoder = _encoder_config(parsed.encoder_mode, parsed.embedding_file, parsed.train.d)
-    rows = run_ablation(dataset, parsed.train, seeds, floor=parsed.mape_floor, jobs=args.jobs, encoder=encoder)
+    rows = run_ablation(dataset, parsed.train, seeds, floor=parsed.mape_floor, jobs=args.jobs, encoder=parsed.encoder)
     atomic_write_text(args.out, ablation_csv(rows))
     print(render_ablation_table(rows))
     return EXIT_OK
@@ -206,7 +177,9 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stage", choices=("1", "2", "both"), default="both")
-    p.add_argument("--init", default=None, help="stage-1 model file (required for --stage 2)")
+    p.add_argument("--init", default=None,
+                   help="stage-1 model file (required for --stage 2); stage 2 takes every model, training "
+                        "and text setting from it")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 

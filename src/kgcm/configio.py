@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .data import GeneratorConfig
 from .errors import ConfigError
 from .model import ALL_COMPONENTS, COMPONENT_ORDER, TrainConfig
+from .text import EncoderConfig
 
 __all__ = ["ParsedConfig", "parse_config", "parse_config_text", "render_model_config"]
 
@@ -71,8 +72,7 @@ class ParsedConfig:
     data: GeneratorConfig
     components: frozenset[str]
     features: int
-    encoder_mode: str
-    embedding_file: str | None
+    encoder: EncoderConfig
     mape_floor: float
     explicit: frozenset[str] = frozenset()  # "section.key" pairs present in the file
 
@@ -156,8 +156,7 @@ def parse_config_text(text: str) -> ParsedConfig:
         data=data,
         components=components,
         features=features,
-        encoder_mode=encoder_mode,
-        embedding_file=str(embedding_file) if embedding_file else None,
+        encoder=EncoderConfig(str(embedding_file) if encoder_mode == "file" else None),
         mape_floor=mape_floor,
         explicit=explicit,
     )
@@ -169,8 +168,8 @@ def parse_config(path) -> ParsedConfig:
 
 
 def render_model_config(config: TrainConfig, components: frozenset[str], features: int,
-                        encoder_mode: str = "hashed", embedding_file: str | None = None) -> str:
-    """Canonical [model]/[train]/[text] text embedded in saved model files."""
+                        embedding_file: str | None = None) -> str:
+    """Canonical [model]/[train]/[text] text embedded in saved model files; [text] names ``embedding_file``."""
     ordered = [name for name in COMPONENT_ORDER if name in components]
     lines = [
         "[model]",
@@ -196,7 +195,7 @@ def render_model_config(config: TrainConfig, components: frozenset[str], feature
         f"batch_size = {config.batch_size}",
         f"seed = {config.seed}",
         "[text]",
-        f"encoder = {encoder_mode}",
+        f"encoder = {'hashed' if embedding_file is None else 'file'}",
     ]
     if embedding_file is not None:
         if "#" in embedding_file or embedding_file.strip() != embedding_file or len(embedding_file.splitlines()) != 1:

@@ -307,21 +307,21 @@ def load_csv(demand_path, local_text_path=None, global_text_path=None) -> Demand
     reference: list[datetime] | None = None
     for region, bucket in per_region.items():
         ts = bucket["timestamps"]
-        if len(ts) >= 2:
-            widths = {int((b - a).total_seconds()) for a, b in zip(ts, ts[1:])}
-            if len(widths) != 1:
-                raise DataError(f"region {region}: slot width is not constant")
-            width = widths.pop()
-            if slot_seconds is None:
-                slot_seconds = width
-            elif slot_seconds != width:
-                raise DataError(f"region {region}: slot width {width}s differs from {slot_seconds}s")
+        # one slot sets no slot width, and no window fits in it
+        if len(ts) < 2:
+            raise DataError(f"region {region}: {len(ts)} time slot, at least 2 are needed")
+        widths = {int((b - a).total_seconds()) for a, b in zip(ts, ts[1:])}
+        if len(widths) != 1:
+            raise DataError(f"region {region}: slot width is not constant")
+        width = widths.pop()
+        if slot_seconds is None:
+            slot_seconds = width
+        elif slot_seconds != width:
+            raise DataError(f"region {region}: slot width {width}s differs from {slot_seconds}s")
         if reference is None:
             reference = ts
         elif ts != reference:
             raise DataError(f"region {region}: timestamps differ from other regions")
-    if slot_seconds is None:
-        slot_seconds = 1800
     if 86400 % slot_seconds != 0:
         raise DataError(f"slot width {slot_seconds}s does not divide one day")
 

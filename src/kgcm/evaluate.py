@@ -17,8 +17,8 @@ import numpy as np
 
 from .data import DemandDataset, PredictionRow
 from .errors import MetricError
-from .model import COMPONENT_ORDER, TrainConfig
-from .pipeline import build_windows, fit, predict, split_windows
+from .model import COMPONENT_ORDER, Model, TrainConfig
+from .pipeline import fit, model_split, predict
 from .text import EncoderConfig
 
 __all__ = [
@@ -89,20 +89,13 @@ def compute_metrics(pred, truth, floor: float = DEFAULT_MAPE_FLOOR) -> MetricRep
     return MetricReport(mae=mae(p, t), rmse=rmse(p, t), mape_percent=pct, n_points=p.size, n_floored=n_floored)
 
 
-def evaluate(model, windows, floor: float = DEFAULT_MAPE_FLOOR) -> ForecastReport:
-    """Forecast every window with ``model`` and aggregate all horizon points.
-
-    ``model`` needs only a prediction callable: either a pipeline model (used
-    through ``pipeline.predict``) or any object with predict(window).
-    """
+def evaluate(model: Model, windows, floor: float = DEFAULT_MAPE_FLOOR) -> ForecastReport:
+    """Forecast every window with ``pipeline.predict`` and aggregate all horizon points."""
     rows: list[PredictionRow] = []
     preds: list[float] = []
     truths: list[float] = []
     for window in windows:
-        if hasattr(model, "predict"):
-            y_pred = np.asarray(model.predict(window), dtype=np.float64)
-        else:
-            y_pred = predict(model, window)
+        y_pred = predict(model, window)
         y_true = window.targets
         for step in range(len(y_true)):
             ts = window.target_times[step] if window.target_times else None
@@ -147,13 +140,12 @@ def _run_one(args) -> AblationRow:
     dataset, config, variant, components, seed, floor, encoder = args
     run_config = config.scaled(seed=seed)
     model = fit(dataset, run_config, components, encoder)
-    split = split_windows(build_windows(dataset, run_config, encoder))
-    report = evaluate(model, split.test, floor)
+    report = evaluate(model, model_split(model, dataset).test, floor)
     return AblationRow(variant=variant, components=components, seed=seed, report=report.metrics)
 
 
 def run_ablation(dataset: DemandDataset, config: TrainConfig, seeds, floor: float = DEFAULT_MAPE_FLOOR,
-                 jobs: int = 1, encoder: EncoderConfig | None = None) -> list[AblationRow]:
+                 jobs: int = 1, encoder: EncoderConfig = EncoderConfig()) -> list[AblationRow]:
     """Train and evaluate the six cumulative variants for every seed, all on text encoded by ``encoder``."""
     seeds = list(seeds)
     if not seeds:

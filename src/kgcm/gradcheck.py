@@ -239,7 +239,6 @@ def tiny_instance_window(config: TrainConfig, seed: int = 0) -> SeriesWindow:
         dows=[0] * t,
         local_tokens=[tokens.copy() for _ in range(t)],
         global_pooled=encode_hashed("citywide gathering", d).pooled,
-        start_index=0,
     )
 
 

@@ -19,11 +19,10 @@ what ``gradcheck`` checks, together with the two layer kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError
 from .numeric import (
     SeededRng,
     Tensor,
@@ -58,10 +57,6 @@ class DgsoParams:
     layers: list[DgsoLayerParams]
     ema_lambda: float
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
 
 def init_dgso_params(n: int, n_prime: int, depth: int, ema_lambda: float, rng: SeededRng) -> DgsoParams:
     if depth < 1:
@@ -95,29 +90,22 @@ class DgsoResult:
     pad_count: int
 
 
-def run_dgso(
-    fused_rows: Tensor,
-    params: DgsoParams,
-    n: int,
-    init_matrices: Sequence[np.ndarray] | None = None,
-) -> DgsoResult:
+def run_dgso(fused_rows: Tensor, params: DgsoParams, n: int) -> DgsoResult:
     """Run the full graph pass over a (T, d) window of fused step rows.
 
-    Smoothing state starts uniform (or at ``init_matrices``) and is carried
-    across the window's consecutive steps, per layer. Steps earlier than n-1
-    pad their history by repeating the first step; the total pad count is
+    Every layer's smoothing state starts at the uniform matrix at the
+    window's first step and is carried across its consecutive steps, so a
+    window's pass depends on that window alone. Steps earlier than n-1 pad
+    their history by repeating the first step; the total pad count is
     reported so callers can log it.
     """
     if fused_rows.data.ndim != 2 or fused_rows.data.shape[0] < 1:
         raise ContractError(f"run_dgso needs a (T, d) window, got shape {fused_rows.data.shape}")
     t_steps, d = fused_rows.data.shape
-    start = list(init_matrices) if init_matrices is not None else [uniform_matrix(d) for _ in params.layers]
-    if len(start) != params.depth:
-        raise ShapeError(f"expected {params.depth} smoothing matrices, got {len(start)}")
     states = history_columns(fused_rows, range(t_steps), n)
     final_matrices: list[np.ndarray] = []
-    for prev, layer in zip(start, params.layers):
-        smoothed = lerp_const(relation_softmax(states, layer.w_query, layer.w_key), prev, params.ema_lambda)
+    for layer in params.layers:
+        smoothed = lerp_const(relation_softmax(states, layer.w_query, layer.w_key), uniform_matrix(d), params.ema_lambda)
         final_matrices.append(smoothed.data[-1].copy())
         states = conv_residual_norm(states, smoothed, layer.w_trans, layer.ln_gamma, layer.ln_beta)
     return DgsoResult(

@@ -42,6 +42,7 @@ from .numeric import (
     sse,
 )
 from .predictor import SsaParams, embed_sequence, forecast, init_ssa_params, structural_bias
+from .text import EncoderConfig
 
 log = logging.getLogger(__name__)
 
@@ -129,7 +130,6 @@ class SeriesWindow:
     dows: list[int]  # day-of-week per input step
     local_tokens: list[np.ndarray]  # per step token matrix (m_t, d)
     global_pooled: np.ndarray  # (d,) pooled shared-context vector
-    start_index: int = 0
     target_times: list = field(default_factory=list)
 
 
@@ -177,9 +177,7 @@ class Model:
             self.aux_w = Tensor(aux_rng.glorot(1, config.n), requires_grad=True, name="aux/w")
             self.aux_b = Tensor(np.zeros(1), requires_grad=True, name="aux/b")
         self.a_star: np.ndarray | None = None
-        # the [text] settings the training windows were encoded with; saved in the model file
-        self.encoder_mode = "hashed"
-        self.embedding_file: str | None = None
+        self.encoder = EncoderConfig()  # how the training windows' text was encoded; saved in the model file
         self.scaler_mean = np.zeros(feature_count)
         self.scaler_std = np.ones(feature_count)
         self.stage1_history: list[float] = []

@@ -5,11 +5,15 @@ auxiliary head, then freezes the epoch-averaged relation matrix. Stage 2
 trains the whole value path end to end under the joint objective with that
 matrix held fixed. Both stages run the same minibatch loop and are
 deterministic given the config seed.
+
+Every window set a model sees is built here: ``new_model`` with a new model,
+which records its text encoder, and ``model_split`` as a model recorded.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -19,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .data import DemandDataset
-from .errors import ConfigError, FormatError, NumericError, TrainingError
+from .errors import ConfigError, DataError, FormatError, NumericError, TrainingError
 from .model import ALL_COMPONENTS, Model, SeriesWindow, TrainConfig, build_model, joint_loss
 from .numeric import SeededRng, Tensor, backward, clear_tape, no_tape
 from .optim import AdamState, adam_step
@@ -33,6 +37,8 @@ __all__ = [
     "build_windows",
     "split_windows",
     "compute_scaler",
+    "new_model",
+    "model_split",
     "train_stage1",
     "train_stage2",
     "fit",
@@ -53,22 +59,21 @@ def _slot_of_day(ts: datetime, slot_seconds: int) -> int:
     return int((ts - midnight).total_seconds()) // slot_seconds
 
 
-def build_windows(dataset: DemandDataset, config: TrainConfig, encoder: EncoderConfig | None = None) -> dict[str, list[SeriesWindow]]:
-    """Stride-1 windows per region with pre-encoded text vectors.
+def build_windows(dataset: DemandDataset, config: TrainConfig,
+                  encoder: EncoderConfig = EncoderConfig()) -> dict[str, list[SeriesWindow]]:
+    """Stride-1 windows per region with text vectors pre-encoded by ``encoder``.
 
     Each step's text is encoded once, when the first window that reads the
     step is built, and every window slices its steps' token rows from that
     list; steps that no window reads are not encoded.
     """
-    if encoder is None:
-        encoder = EncoderConfig(mode="hashed", dim=config.d)
     t, horizon = config.window, config.horizon
     cache: dict[str, TokenEmbeddings] = {}
 
     def encoded(text: str, rec_id: str) -> TokenEmbeddings:
-        key = text if encoder.mode == "hashed" else rec_id
+        key = text if encoder.embedding_file is None else rec_id
         if key not in cache:
-            cache[key] = encode(TextRecord(text, id=rec_id), encoder)
+            cache[key] = encode(TextRecord(text, id=rec_id), encoder, config.d)
         return cache[key]
 
     out: dict[str, list[SeriesWindow]] = {}
@@ -106,7 +111,6 @@ def build_windows(dataset: DemandDataset, config: TrainConfig, encoder: EncoderC
                     dows=dows[start: start + t],
                     local_tokens=local[start: start + t],
                     global_pooled=pooled,
-                    start_index=start,
                     target_times=series.timestamps[start + t: start + t + horizon],
                 )
             )
@@ -122,7 +126,13 @@ class SplitWindows:
 
 
 def split_windows(per_region: dict[str, list[SeriesWindow]]) -> SplitWindows:
-    """Chronological 70/15/15 split of each region's window list."""
+    """Chronological 70/15/15 split of each region's window list.
+
+    Stride-1 windows with an h-step horizon share target slots with their
+    next h - 1 windows, so a region with test windows needs at least h - 1
+    validation windows between its train and test splits; fewer raise
+    ``DataError``, since test targets would then also be training targets.
+    """
     train: list[SeriesWindow] = []
     val: list[SeriesWindow] = []
     test: list[SeriesWindow] = []
@@ -131,6 +141,10 @@ def split_windows(per_region: dict[str, list[SeriesWindow]]) -> SplitWindows:
         k = len(windows)
         n_train = max(1, int(k * TRAIN_FRACTION))
         n_val = int(k * VAL_FRACTION)
+        horizon = len(windows[0].targets) if windows else 0
+        if k > n_train + n_val and n_val < horizon - 1:
+            raise DataError(f"region {region}: {n_val} validation windows leave test targets among the training "
+                            f"targets; a {horizon}-step horizon needs {horizon - 1}")
         train.extend(windows[:n_train])
         val.extend(windows[n_train: n_train + n_val])
         test.extend(windows[n_train + n_val:])
@@ -236,22 +250,31 @@ def train_stage2(model: Model, windows: list[SeriesWindow], config: TrainConfig)
         raise TrainingError("frozen relation matrix changed during stage 2")
 
 
-def fit(dataset: DemandDataset, config: TrainConfig, components: frozenset[str] = ALL_COMPONENTS,
-        encoder: EncoderConfig | None = None) -> Model:
-    """Both stages over the chronological train split; returns the trained model.
+def new_model(dataset: DemandDataset, config: TrainConfig, components: frozenset[str] = ALL_COMPONENTS,
+              encoder: EncoderConfig = EncoderConfig()) -> tuple[Model, SplitWindows]:
+    """An untrained model for ``dataset``, scaled to its train split, and that split.
 
-    The model records ``encoder``'s mode and embedding file, and a model
-    file saved from it carries them.
+    The model records ``encoder``, so ``model_split`` and its model file
+    encode text as its training windows were encoded.
     """
-    per_region = build_windows(dataset, config, encoder)
-    split = split_windows(per_region)
+    split = split_windows(build_windows(dataset, config, encoder))
     if not split.train:
         raise TrainingError("no training windows can be constructed from this dataset")
     model = build_model(config, components, FEATURE_COUNT)
-    if encoder is not None:
-        model.encoder_mode, model.embedding_file = encoder.mode, encoder.embedding_file
-    mean, std = compute_scaler(split.train)
-    model.set_scaler(mean, std)
+    model.encoder = encoder
+    model.set_scaler(*compute_scaler(split.train))
+    return model, split
+
+
+def model_split(model: Model, dataset: DemandDataset) -> SplitWindows:
+    """The split of ``dataset``'s windows, with text encoded as ``model`` recorded."""
+    return split_windows(build_windows(dataset, model.config, model.encoder))
+
+
+def fit(dataset: DemandDataset, config: TrainConfig, components: frozenset[str] = ALL_COMPONENTS,
+        encoder: EncoderConfig = EncoderConfig()) -> Model:
+    """``new_model``, then both stages over its train split; returns the trained model."""
+    model, split = new_model(dataset, config, components, encoder)
     clear_tape()
     if model.uses_stage1:
         train_stage1(model, split.train, config)
@@ -318,15 +341,9 @@ def _meta_records(model: Model) -> dict[str, np.ndarray]:
 
 
 def save_model(model: Model, path) -> None:
-    """Write the pinned binary layout: magic, sorted records, matrix, config.
-
-    A model whose text was encoded from an embedding file must name that
-    file; without it the model file could not say how to encode its inputs.
-    """
+    """Write the pinned binary layout: magic, sorted records, matrix, config."""
     from .configio import render_model_config
 
-    if model.encoder_mode == "file" and not model.embedding_file:
-        raise ConfigError("the model's text was encoded from an embedding file, but the model names no file")
     records = {name: t.data for name, t in model.named_parameters().items()}
     records.update(_meta_records(model))
     body = [MODEL_MAGIC, struct.pack("<I", len(records))]
@@ -339,7 +356,7 @@ def save_model(model: Model, path) -> None:
     else:
         body.append(struct.pack("<B", 0))
     config_text = render_model_config(model.config, model.components, model.feature_count,
-                                      model.encoder_mode, model.embedding_file)
+                                      model.encoder.embedding_file)
     encoded = config_text.encode("utf-8")
     body.append(struct.pack("<I", len(encoded)))
     body.append(encoded)
@@ -354,9 +371,10 @@ def save_model(model: Model, path) -> None:
 def load_model(path) -> Model:
     """Read a model file, rejecting any record a trained model could not have written.
 
-    Every array must be finite, the scaler records must be present, and a
-    stored relation matrix must be d x d and row-stochastic. Any violation,
-    and bytes after the embedded config, raise ``FormatError``.
+    Every array must be finite and of rank at most 3, the scaler records
+    must be present, loss histories one-dimensional, the embedded config
+    must parse, and a stored relation matrix must be d x d and row-stochastic. Any violation, and bytes after
+    the embedded config, raise ``FormatError``.
     """
     from .configio import parse_config_text
 
@@ -370,9 +388,11 @@ def load_model(path) -> Model:
     for _ in range(count):
         name = reader.text(reader.u32())
         rank = reader.u8()
+        if rank > 3:
+            raise FormatError(f"{path}: record {name} has rank {rank}, at most 3 is supported")
         dims = tuple(reader.u32() for _ in range(rank))
-        size = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(reader.take(8 * size), dtype="<f8").reshape(dims).copy()
+        # a Python int product cannot wrap around, so a huge size fails as a truncation
+        arr = np.frombuffer(reader.take(8 * math.prod(dims)), dtype="<f8").reshape(dims).copy()
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: record {name} holds non-finite values")
         records[name] = arr
@@ -383,10 +403,13 @@ def load_model(path) -> Model:
     config_text = reader.text(reader.u32())
     if reader.pos != len(blob):
         raise FormatError(f"{path}: {len(blob) - reader.pos} trailing bytes after the model config")
-    parsed = parse_config_text(config_text)
+    try:
+        parsed = parse_config_text(config_text)
+        model = build_model(parsed.train, parsed.components, parsed.features)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: invalid model config: {exc}") from exc
     config, features = parsed.train, parsed.features
-    model = build_model(config, parsed.components, features)
-    model.encoder_mode, model.embedding_file = parsed.encoder_mode, parsed.embedding_file
+    model.encoder = parsed.encoder
     params = model.named_parameters()
     stored = {k: v for k, v in records.items() if not k.startswith("_meta/")}
     if set(stored) != set(params):
@@ -407,6 +430,9 @@ def load_model(path) -> Model:
     for key in ("_meta/scaler_mean", "_meta/scaler_std"):
         if key not in records or records[key].shape != (features,):
             raise FormatError(f"{path}: record {key} is missing or does not have shape ({features},)")
+    for key in ("_meta/history_stage1", "_meta/history_stage2"):
+        if key in records and records[key].ndim != 1:
+            raise FormatError(f"{path}: record {key} has shape {records[key].shape}, expected one loss per epoch")
     model.scaler_mean = records["_meta/scaler_mean"]
     model.scaler_std = records["_meta/scaler_std"]
     model.stage1_history = list(records.get("_meta/history_stage1", np.array([])))

@@ -9,7 +9,8 @@ through a CSV file instead; both produce the same ``TokenEmbeddings`` shape.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,19 +50,19 @@ class TokenEmbeddings:
     pooled: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
-    """Selects the encoding backend: ``hashed`` or ``file``.
+    """A model's text encoder: vectors looked up by id in ``embedding_file``, or hashed when it is None.
 
-    ``embedding_file`` names the file ``embeddings`` were read from; a model
-    fitted on them records it, so the model file says how to encode its
-    inputs again.
+    The file is read on the first lookup. A model records the encoder its
+    training windows were built with, and its model file carries it.
     """
 
-    mode: str = "hashed"
-    dim: int = 32
-    embeddings: dict[str, TokenEmbeddings] = field(default_factory=dict)
     embedding_file: str | None = None
+
+    @cached_property
+    def embeddings(self) -> dict[str, TokenEmbeddings]:
+        return load_embedding_file(self.embedding_file)
 
 
 def tokenize(text: str) -> list[str]:
@@ -123,12 +124,10 @@ def load_embedding_file(path) -> dict[str, TokenEmbeddings]:
     return out
 
 
-def encode(record: TextRecord, config: EncoderConfig) -> TokenEmbeddings:
-    """Dispatch a record to the configured encoder backend."""
-    if config.mode == "hashed":
-        return encode_hashed(record.text, config.dim)
-    if config.mode == "file":
-        if record.id is None or record.id not in config.embeddings:
-            raise DataError(f"no precomputed embedding for id {record.id!r}")
-        return config.embeddings[record.id]
-    raise DataError(f"unknown encoder mode {config.mode!r}")
+def encode(record: TextRecord, config: EncoderConfig, d: int) -> TokenEmbeddings:
+    """Encode a record as ``config`` says; hashed text is ``d`` wide."""
+    if config.embedding_file is None:
+        return encode_hashed(record.text, d)
+    if record.id is None or record.id not in config.embeddings:
+        raise DataError(f"no precomputed embedding for id {record.id!r}")
+    return config.embeddings[record.id]

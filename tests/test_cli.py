@@ -1,15 +1,16 @@
 import struct
 
 import numpy as np
+import pytest
 
 from kgcm import cli
 from kgcm.configio import render_model_config
 from kgcm.data import GeneratorConfig, generate_synthetic, load_csv, write_dataset
 from kgcm.evaluate import evaluate
 from kgcm.gradcheck import tiny_instance_config
-from kgcm.model import build_model
-from kgcm.pipeline import build_windows, load_model, save_model, split_windows
-from kgcm.text import EncoderConfig, load_embedding_file
+from kgcm.model import ALL_COMPONENTS, build_model
+from kgcm.pipeline import build_windows, load_model, save_model, split_windows, train_stage2
+from kgcm.text import EncoderConfig
 
 CSV_FILES = ("demand.csv", "local_text.csv", "global_text.csv")
 
@@ -29,6 +30,15 @@ regions = 1
 days = 2
 slots_per_day = 12
 """
+
+
+def _write_embeddings(dataset, path):
+    """Random 8-wide vectors for every step id of ``dataset``."""
+    ids = [f"{s.region}|{ts.isoformat()}" for s in dataset.regions for ts in s.timestamps]
+    ids += [f"global|{ts.isoformat()}" for ts in dataset.timestamps]
+    rng = np.random.default_rng(0)
+    path.write_text("".join(f"{i}," + ",".join(f"{v:.6f}" for v in rng.normal(size=8)) + "\n" for i in ids))
+    return path
 
 
 def test_gradcheck_rejects_bad_seed_env(monkeypatch, capsys):
@@ -89,11 +99,7 @@ def test_evaluate_encodes_text_as_the_model_was_trained(tmp_path, capsys):
     dataset = generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12, event_rate=0.3))
     data_dir = tmp_path / "data"
     write_dataset(dataset, data_dir)
-    ids = [f"{s.region}|{ts.isoformat()}" for s in dataset.regions for ts in s.timestamps]
-    ids += [f"global|{ts.isoformat()}" for ts in dataset.timestamps]
-    rng = np.random.default_rng(0)
-    table = tmp_path / "embeddings.csv"
-    table.write_text("".join(f"{i}," + ",".join(f"{v:.6f}" for v in rng.normal(size=8)) + "\n" for i in ids))
+    table = _write_embeddings(dataset, tmp_path / "embeddings.csv")
     config = tmp_path / "file.cfg"
     config.write_text(TINY.format(d=8) + f"[text]\nencoder = file\nembedding_file = {table}\n")
     model_path = str(tmp_path / "model.kgcm")
@@ -104,10 +110,10 @@ def test_evaluate_encodes_text_as_the_model_was_trained(tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()[0]
 
     model = load_model(model_path)
-    encoder = EncoderConfig(mode="file", dim=8, embeddings=load_embedding_file(table))
+    encoder = EncoderConfig(str(table))
     windows = split_windows(build_windows(load_csv(*(data_dir / f for f in CSV_FILES)), model.config, encoder)).test
     assert printed == f"mae,{format(evaluate(model, windows).metrics.mae, '.17g')}"
-    assert (model.encoder_mode, model.embedding_file) == ("file", str(table))
+    assert model.encoder == encoder
 
 
 def test_model_file_without_text_section_loads_as_hashed(tmp_path):
@@ -121,4 +127,73 @@ def test_model_file_without_text_section_loads_as_hashed(tmp_path):
     body = blob[: len(blob) - len(text.encode("utf-8")) - 4]
     path.write_bytes(body + struct.pack("<I", len(legacy)) + legacy)
     loaded = load_model(path)
-    assert (loaded.encoder_mode, loaded.embedding_file) == ("hashed", None)
+    assert loaded.encoder == EncoderConfig()
+
+
+def test_stage2_encodes_text_as_the_init_model_recorded(tmp_path, capsys):
+    # stage 1 trains on file embeddings; a stage-2 config without [text] must
+    # neither re-encode the text as hashed nor relabel the model as hashed
+    dataset = generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12, event_rate=0.3))
+    data_dir = tmp_path / "data"
+    write_dataset(dataset, data_dir)
+    table = _write_embeddings(dataset, tmp_path / "embeddings.csv")
+    file_config, plain_config = tmp_path / "file.cfg", tmp_path / "plain.cfg"
+    file_config.write_text(TINY.format(d=8) + f"[text]\nencoder = file\nembedding_file = {table}\n")
+    plain_config.write_text(TINY.format(d=8))
+    stage1, stage2 = str(tmp_path / "stage1.kgcm"), str(tmp_path / "stage2.kgcm")
+    assert cli.main(["train", "--config", str(file_config), "--data", str(data_dir),
+                     "--out", stage1, "--stage", "1"]) == cli.EXIT_OK
+    assert cli.main(["train", "--config", str(plain_config), "--data", str(data_dir),
+                     "--out", stage2, "--stage", "2", "--init", stage1]) == cli.EXIT_OK, capsys.readouterr().err
+
+    model = load_model(stage2)
+    assert model.encoder == EncoderConfig(str(table))
+    reference = load_model(stage1)
+    windows = split_windows(build_windows(load_csv(*(data_dir / f for f in CSV_FILES)), reference.config,
+                                          EncoderConfig(str(table)))).train
+    train_stage2(reference, windows, reference.config)
+    assert model.stage2_history == reference.stage2_history
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    """A data directory, a config, and an all-five model file whose first record name length is off by one."""
+    write_dataset(generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12, event_rate=0.3)),
+                  tmp_path / "data")
+    (tmp_path / "tiny.cfg").write_text(TINY.format(d=8))
+    (tmp_path / "graphless.cfg").write_text(TINY.format(d=8).replace("components = all", "components = ssa,rcpg"))
+    (tmp_path / "unknown-key.cfg").write_text(TINY.format(d=8).replace("[train]\n", "[train]\nbogus = 1\n"))
+    model = build_model(tiny_instance_config(), ALL_COMPONENTS, feature_count=5)
+    model.freeze_structure(np.ones((4, 4)))
+    save_model(model, tmp_path / "model.kgcm")
+    blob = bytearray((tmp_path / "model.kgcm").read_bytes())
+    blob[9] ^= 1
+    (tmp_path / "damaged.kgcm").write_bytes(bytes(blob))
+    return tmp_path
+
+
+def _train(config, data="data", *extra):
+    return ["train", "--config", config, "--data", data, "--out", "out.kgcm", *extra]
+
+
+EXIT_CODE_CASES = {
+    "stage-2-without-init": (_train("tiny.cfg", "data", "--stage", "2"), {}, cli.EXIT_USAGE),
+    "stage-1-without-graph-or-text": (_train("graphless.cfg", "data", "--stage", "1"), {}, cli.EXIT_USAGE),
+    "unknown-config-key": (_train("unknown-key.cfg"), {}, cli.EXIT_DATA),
+    "non-integer-seed-env": (_train("tiny.cfg"), {"KGCM_SEED": "x"}, cli.EXIT_DATA),
+    "missing-data-directory": (_train("tiny.cfg", "no-such-dir"), {}, cli.EXIT_IO),
+    "missing-config-file": (_train("no-such.cfg"), {}, cli.EXIT_IO),
+    "damaged-model-file": (["evaluate", "--model", "damaged.kgcm", "--data", "data", "--out", "m.csv"], {},
+                           cli.EXIT_DATA),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CODE_CASES))
+def test_exit_codes(workspace, monkeypatch, capsys, case):
+    argv, env, expected = EXIT_CODE_CASES[case]
+    monkeypatch.chdir(workspace)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert cli.main(argv) == expected
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (workspace / "out.kgcm").exists()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from kgcm.configio import _SECTIONS, parse_config_text, render_model_config
 from kgcm.errors import ConfigError
 from kgcm.model import COMPONENT_ORDER, TrainConfig
+from kgcm.text import EncoderConfig
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
 
@@ -36,27 +37,24 @@ def train_configs(draw) -> TrainConfig:
     )
 
 
-file_names = st.text(min_size=0, max_size=30)
-text_settings = st.one_of(
-    st.tuples(st.just("hashed"), st.none() | file_names),
-    st.tuples(st.just("file"), file_names),
-)
-
-
 @settings(max_examples=300, deadline=None)
 @given(config=train_configs(), components=st.frozensets(st.sampled_from(COMPONENT_ORDER)),
-       features=st.integers(1, 64), text=text_settings)
-def test_rendered_model_config_parses_back_to_itself(config, components, features, text):
-    encoder_mode, embedding_file = text
+       features=st.integers(1, 64), embedding_file=st.none() | st.text(min_size=0, max_size=30))
+def test_rendered_model_config_parses_back_to_itself(config, components, features, embedding_file):
     try:
-        rendered = render_model_config(config, components, features, encoder_mode, embedding_file)
+        rendered = render_model_config(config, components, features, embedding_file)
     except ConfigError:
         return  # a value that cannot be written as a config line is refused when it is rendered
     parsed = parse_config_text(rendered)
     assert parsed.train == config
     assert parsed.components == components
     assert parsed.features == features
-    assert (parsed.encoder_mode, parsed.embedding_file) == (encoder_mode, embedding_file)
+    assert parsed.encoder == EncoderConfig(embedding_file)
+
+
+def test_a_hashed_encoder_ignores_an_embedding_file_line():
+    parsed = parse_config_text("[text]\nencoder = hashed\nembedding_file = vectors.csv\n")
+    assert parsed.encoder == EncoderConfig()
 
 
 @pytest.mark.parametrize("key", ["lr", "lambda_prompt", "ema_lambda", "clip_norm"])

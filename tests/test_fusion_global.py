@@ -28,13 +28,11 @@ class TestEncodeGlobalPrompt:
     """The shared-context vector of a window is the pooled encoding of the cross-region text."""
 
     def test_empty_text_zero_vector(self):
-        cfg = EncoderConfig(mode="hashed", dim=8)
-        np.testing.assert_array_equal(encode(TextRecord(""), cfg).pooled, np.zeros(8))
+        np.testing.assert_array_equal(encode(TextRecord(""), EncoderConfig(), 8).pooled, np.zeros(8))
 
     def test_same_text_same_vector(self):
-        cfg = EncoderConfig(mode="hashed", dim=8)
-        a = encode(TextRecord("citywide holiday surge"), cfg).pooled
-        b = encode(TextRecord("citywide holiday surge"), cfg).pooled
+        a = encode(TextRecord("citywide holiday surge"), EncoderConfig(), 8).pooled
+        b = encode(TextRecord("citywide holiday surge"), EncoderConfig(), 8).pooled
         np.testing.assert_array_equal(a, b)
 
     def test_matches_independent_hash_walkthrough(self):
@@ -51,8 +49,7 @@ class TestEncodeGlobalPrompt:
             h = fnv(word)
             expected[h % d] += -1.0 if h >> 63 else 1.0
         expected = expected / np.linalg.norm(expected)
-        cfg = EncoderConfig(mode="hashed", dim=d)
-        out = encode(TextRecord("holiday surge citywide"), cfg).pooled
+        out = encode(TextRecord("holiday surge citywide"), EncoderConfig(), d).pooled
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
 

@@ -327,10 +327,10 @@ class TestRunDgso:
         assert err < 1e-4
 
 
-def _per_step_oracle(rows, params, n, init_matrices=None):
+def _per_step_oracle(rows, params, n):
     """The graph pass one step at a time: lift, then per layer relation -> smoothing -> convolution."""
     d = rows.data.shape[1]
-    prev = list(init_matrices) if init_matrices is not None else [uniform_matrix(d) for _ in params.layers]
+    prev = [uniform_matrix(d) for _ in params.layers]
     step_rows = []
     for t in range(rows.data.shape[0]):
         states = history_columns(rows, [t], n)
@@ -355,23 +355,18 @@ class TestStackedGraphPass:
     @pytest.mark.parametrize("t_steps", [1, N - 1, 48])
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("ema_lambda", [0.0, 0.9])
-    @pytest.mark.parametrize("given_init", [False, True])
-    def test_matches_per_step_oracle(self, t_steps, depth, ema_lambda, given_init):
+    def test_matches_per_step_oracle(self, t_steps, depth, ema_lambda):
         n, d = self.N, self.D
         rng = SeededRng(40 + 7 * t_steps + depth)
         params = init_dgso_params(n, 3, depth, ema_lambda, rng.child("params"))
         rows = Tensor(rng.normal((t_steps, d)), requires_grad=True)
-        init = None
-        if given_init:
-            raw = rng.uniform((depth, d, d)) + 0.1
-            init = list(raw / raw.sum(axis=2, keepdims=True))
         tensors = [rows] + [t for layer in params.layers
                             for t in (layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma, layer.ln_beta)]
         row_readout = rng.normal((t_steps, d))
         state_readout = tensor(rng.normal((d, n)))
 
-        result = run_dgso(rows, params, n, init)
-        oracle_rows, oracle_states, oracle_matrices = _per_step_oracle(rows, params, n, init)
+        result = run_dgso(rows, params, n)
+        oracle_rows, oracle_states, oracle_matrices = _per_step_oracle(rows, params, n)
         clear_tape()
         assert result.step_rows.data.tobytes() == np.stack([r.data for r in oracle_rows]).tobytes()
         assert result.final_states.data.tobytes() == oracle_states.data.tobytes()
@@ -379,16 +374,16 @@ class TestStackedGraphPass:
             assert got.tobytes() == want.tobytes()
 
         # a readout on every step row, as stage 2 reads the pass
-        got = _gradients(sum_sq(mul(run_dgso(rows, params, n, init).step_rows, tensor(row_readout))), tensors)
-        oracle_rows = _per_step_oracle(rows, params, n, init)[0]
+        got = _gradients(sum_sq(mul(run_dgso(rows, params, n).step_rows, tensor(row_readout))), tensors)
+        oracle_rows = _per_step_oracle(rows, params, n)[0]
         loss = sum_sq(mul(oracle_rows[0], tensor(row_readout[0])))
         for t in range(1, t_steps):
             loss = add(loss, sum_sq(mul(oracle_rows[t], tensor(row_readout[t]))))
         self._assert_close(got, _gradients(loss, tensors))
         # a readout on the final states only, as stage 1 reads it: every
         # step but the last gets a zero gradient, which the backward skips
-        got = _gradients(sum_sq(mul(run_dgso(rows, params, n, init).final_states, state_readout)), tensors)
-        want = _gradients(sum_sq(mul(_per_step_oracle(rows, params, n, init)[1], state_readout)), tensors)
+        got = _gradients(sum_sq(mul(run_dgso(rows, params, n).final_states, state_readout)), tensors)
+        want = _gradients(sum_sq(mul(_per_step_oracle(rows, params, n)[1], state_readout)), tensors)
         self._assert_close(got, want)
 
     @staticmethod

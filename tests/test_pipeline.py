@@ -1,16 +1,22 @@
+import ast
 import dataclasses
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgcm import pipeline
 from kgcm.data import GeneratorConfig, generate_synthetic
-from kgcm.errors import ConfigError, FormatError, TrainingError
-from kgcm.gradcheck import tiny_instance_window
+from kgcm.errors import DataError, FormatError, TrainingError
+from kgcm.gradcheck import tiny_instance_config, tiny_instance_window
 from kgcm.model import ALL_COMPONENTS, TrainConfig, build_model
 from kgcm.model import joint_loss
 from kgcm.numeric import clear_tape, tape_size
-from kgcm.text import EncoderConfig, TextRecord, TokenEmbeddings, load_embedding_file
+from kgcm.text import EncoderConfig, TextRecord
 
 
 @pytest.fixture(autouse=True)
@@ -130,9 +136,9 @@ class TestBuildWindows:
         calls = []
         real = pipeline.encode
 
-        def counted(record, encoder):
+        def counted(record, encoder, d):
             calls.append(record.text)
-            return real(record, encoder)
+            return real(record, encoder, d)
 
         monkeypatch.setattr(pipeline, "encode", counted)
         config, dataset = _config(), _dataset()
@@ -151,9 +157,9 @@ class TestBuildWindows:
         cache = {}
 
         def encoded(text, rec_id):
-            key = text if encoder.mode == "hashed" else rec_id
+            key = text if encoder.embedding_file is None else rec_id
             if key not in cache:
-                cache[key] = encode(TextRecord(text, id=rec_id), encoder)
+                cache[key] = encode(TextRecord(text, id=rec_id), encoder, config.d)
             return cache[key]
 
         out = {}
@@ -171,37 +177,37 @@ class TestBuildWindows:
                 windows.append(pipeline.SeriesWindow(
                     region=series.region, inputs=features[start: start + t],
                     targets=series.demand[start + t: start + t + horizon].copy(), slots=slots[start: start + t],
-                    dows=dows[start: start + t], local_tokens=local, global_pooled=pooled, start_index=start,
+                    dows=dows[start: start + t], local_tokens=local, global_pooled=pooled,
                     target_times=series.timestamps[start + t: start + t + horizon]))
             out[series.region] = windows
         return out
 
     @staticmethod
-    def _file_encoder(dataset, config, read_only):
-        """An embedding table for the dataset's step ids; ``read_only`` leaves out the steps no window reads."""
+    def _file_encoder(dataset, config, read_only, path):
+        """An embedding file for the dataset's step ids; ``read_only`` leaves out the steps no window reads."""
         last = len(dataset.timestamps) - config.horizon if read_only else len(dataset.timestamps)
         first_global = config.window - 1 if read_only else 0
         ids = [f"{series.region}|{ts.isoformat()}" for series in dataset.regions for ts in series.timestamps[:last]]
         ids += [f"global|{ts.isoformat()}" for ts in dataset.timestamps[first_global:last]]
         rng = np.random.default_rng(0)
-        table = {}
-        for rec_id in ids:
-            vec = rng.normal(size=config.d)
-            table[rec_id] = TokenEmbeddings(tokens=vec[None, :].copy(), pooled=vec)
-        return EncoderConfig(mode="file", dim=config.d, embeddings=table)
+        path.write_text("".join(f"{i}," + ",".join(format(v, ".17g") for v in rng.normal(size=config.d)) + "\n" for i in ids))
+        return EncoderConfig(str(path))
 
     @pytest.mark.parametrize("mode", ["hashed", "file"])
-    def test_windows_match_per_window_encoding(self, monkeypatch, mode):
+    def test_windows_match_per_window_encoding(self, monkeypatch, tmp_path, mode):
         config = _config()
         dataset = generate_synthetic(GeneratorConfig(regions=2, days=2, slots_per_day=12, event_rate=0.3, seed=4))
-        encoder = EncoderConfig(dim=config.d) if mode == "hashed" else self._file_encoder(dataset, config, False)
+        if mode == "hashed":
+            encoder = EncoderConfig()
+        else:
+            encoder = self._file_encoder(dataset, config, False, tmp_path / "embeddings.csv")
         real = pipeline.encode
         seen = {"built": [], "reference": []}
 
         def recording(calls):
-            def encode(record, enc):
+            def encode(record, enc, d):
                 calls.append(record.id)
-                return real(record, enc)
+                return real(record, enc, d)
             return encode
 
         monkeypatch.setattr(pipeline, "encode", recording(seen["built"]))
@@ -216,11 +222,12 @@ class TestBuildWindows:
         assert len(seen["built"]) == len(set(seen["built"]))
         assert set(seen["built"]) == set(seen["reference"])
 
-    def test_file_mode_needs_no_embedding_for_unread_steps(self):
+    def test_file_mode_needs_no_embedding_for_unread_steps(self, tmp_path):
         # the last horizon steps are only ever targets, so their text has no embedding to look up
         config = _config()
         dataset = _dataset()
-        windows = pipeline.build_windows(dataset, config, self._file_encoder(dataset, config, True))
+        encoder = self._file_encoder(dataset, config, True, tmp_path / "embeddings.csv")
+        windows = pipeline.build_windows(dataset, config, encoder)
         assert sum(len(w) for w in windows.values()) == len(dataset.timestamps) - config.window - config.horizon + 1
 
 
@@ -268,6 +275,16 @@ class TestModelFile:
         with pytest.raises(FormatError, match="non-finite"):
             pipeline.load_model(path)
 
+    @pytest.mark.parametrize("key", ["_meta/history_stage1", "_meta/history_stage2"])
+    def test_loss_history_must_be_one_dimensional(self, saved, monkeypatch, key):
+        # a (1, 2) history loaded as a list of arrays, and `train --stage 2` then failed to print it
+        model, path = saved
+        meta = pipeline._meta_records
+        monkeypatch.setattr(pipeline, "_meta_records", lambda m: {**meta(m), key: np.ones((1, 2))})
+        pipeline.save_model(model, path)
+        with pytest.raises(FormatError, match=key):
+            pipeline.load_model(path)
+
     def test_trailing_bytes(self, saved):
         model, path = saved
         pipeline.save_model(model, path)
@@ -294,16 +311,100 @@ class TestModelFile:
         rng = np.random.default_rng(0)
         table = tmp_path / "embeddings.csv"
         table.write_text("".join(f"{i}," + ",".join(f"{v:.6f}" for v in rng.normal(size=8)) + "\n" for i in ids))
-        encoder = EncoderConfig(mode="file", dim=8, embeddings=load_embedding_file(table), embedding_file=str(table))
-        model = pipeline.fit(dataset, _config(epochs_stage2=1), ALL_COMPONENTS, encoder)
+        model = pipeline.fit(dataset, _config(epochs_stage2=1), ALL_COMPONENTS, EncoderConfig(str(table)))
         path = tmp_path / "model.kgcm"
         pipeline.save_model(model, path)
         loaded = pipeline.load_model(path)
-        assert (loaded.encoder_mode, loaded.embedding_file) == ("file", str(table))
+        assert loaded.encoder == EncoderConfig(str(table))
 
-    def test_file_encoded_model_must_name_its_file(self, saved):
-        model, path = saved
-        model.encoder_mode = "file"
-        with pytest.raises(ConfigError, match="names no file"):
-            pipeline.save_model(model, path)
-        assert not path.exists()
+
+def _damageable_model_file() -> bytes:
+    """The bytes of an all-five model file with a frozen relation matrix."""
+    model = build_model(tiny_instance_config(), ALL_COMPONENTS, pipeline.FEATURE_COUNT)
+    model.freeze_structure(np.ones((4, 4)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.kgcm"
+        pipeline.save_model(model, path)
+        return path.read_bytes()
+
+
+MODEL_BLOB = _damageable_model_file()
+damage = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, len(MODEL_BLOB) - 1), st.just(0)),
+    st.tuples(st.just("flip"), st.integers(0, len(MODEL_BLOB) - 1), st.integers(0, 7)),
+)
+
+
+def damaged_model_blob(kind: str, index: int, bit: int) -> bytes:
+    if kind == "truncate":
+        return MODEL_BLOB[:index]
+    blob = bytearray(MODEL_BLOB)
+    blob[index] ^= 1 << bit
+    return bytes(blob)
+
+
+@settings(max_examples=400, deadline=None)
+@given(damage=damage)
+@example(damage=("flip", 9, 0))  # the first record's name length: the record then reads a huge rank
+def test_a_damaged_model_file_loads_or_raises_format_error(tmp_path_factory, damage):
+    path = tmp_path_factory.getbasetemp() / "damaged.kgcm"
+    path.write_bytes(damaged_model_blob(*damage))
+    try:
+        pipeline.load_model(path)
+    except FormatError:
+        pass
+
+
+class TestSplitWindows:
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 300), horizon=st.integers(1, 24))
+    def test_rejects_exactly_the_splits_whose_test_targets_are_training_targets(self, k, horizon):
+        windows = [SimpleNamespace(targets=np.zeros(horizon), target_times=list(range(s, s + horizon)))
+                   for s in range(k)]
+        n_train, n_val = max(1, int(k * pipeline.TRAIN_FRACTION)), int(k * pipeline.VAL_FRACTION)
+        train = {t for w in windows[:n_train] for t in w.target_times}
+        test = {t for w in windows[n_train + n_val:] for t in w.target_times}
+        if train & test:
+            with pytest.raises(DataError, match=f"{horizon}-step horizon needs {horizon - 1}"):
+                pipeline.split_windows({"r": windows})
+        else:
+            assert len(pipeline.split_windows({"r": windows}).test) == k - n_train - n_val
+
+    def test_default_data_at_two_days_is_refused(self):
+        # 25 / 5 / 7 windows per region: 9 test target slots per region were also training targets
+        per_region = pipeline.build_windows(generate_synthetic(GeneratorConfig(days=2)), TrainConfig())
+        with pytest.raises(DataError, match="5 validation windows"):
+            pipeline.split_windows(per_region)
+
+    @pytest.mark.parametrize("days", [3, 6])
+    def test_default_data_shares_no_target_slot(self, days):
+        split = pipeline.split_windows(pipeline.build_windows(generate_synthetic(GeneratorConfig(days=days)),
+                                                              TrainConfig()))
+        train = {(w.region, t) for w in split.train for t in w.target_times}
+        test = {(w.region, t) for w in split.test for t in w.target_times}
+        assert split.test and not train & test
+
+
+def test_only_pipeline_builds_windows():
+    # every window set a model sees comes from pipeline.new_model or pipeline.model_split
+    names = {"build_windows", "split_windows"}
+    found = []
+    for path in sorted(Path(pipeline.__file__).parent.glob("*.py")):
+        if path.name == "pipeline.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used = {node.id}
+            elif isinstance(node, ast.Attribute):
+                used = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                used = {alias.name for alias in node.names}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in used & names]
+    assert found == []
+
+
+def test_new_model_needs_a_training_window():
+    with pytest.raises(TrainingError, match="no training windows"):
+        pipeline.new_model(_dataset(), _config(window=30))

@@ -6,7 +6,6 @@ from kgcm.numeric import SeededRng, fnv1a64
 from kgcm.text import (
     EncoderConfig,
     TextRecord,
-    TokenEmbeddings,
     encode,
     encode_hashed,
     load_embedding_file,
@@ -131,18 +130,27 @@ class TestEmbeddingFile:
 
 class TestEncodeDispatch:
     def test_hashed_mode(self):
-        cfg = EncoderConfig(mode="hashed", dim=8)
-        a = encode(TextRecord("festival crowd"), cfg)
-        b = encode(TextRecord("festival crowd"), cfg)
+        a = encode(TextRecord("festival crowd"), EncoderConfig(), 8)
+        b = encode(TextRecord("festival crowd"), EncoderConfig(), 8)
         np.testing.assert_array_equal(a.pooled, b.pooled)
+        np.testing.assert_array_equal(a.pooled, encode_hashed("festival crowd", 8).pooled)
 
-    def test_file_mode_present(self):
-        vec = np.array([1.0, 2.0])
-        cfg = EncoderConfig(mode="file", embeddings={"k": TokenEmbeddings(vec[None, :], vec)})
-        out = encode(TextRecord("ignored", id="k"), cfg)
-        np.testing.assert_array_equal(out.pooled, vec)
+    def test_file_mode_present(self, tmp_path):
+        p = tmp_path / "emb.csv"
+        p.write_text("k,1.0,2.0\n")
+        out = encode(TextRecord("ignored", id="k"), EncoderConfig(str(p)), 8)
+        np.testing.assert_array_equal(out.pooled, [1.0, 2.0])
 
-    def test_file_mode_absent_names_id(self):
-        cfg = EncoderConfig(mode="file", embeddings={})
+    def test_file_mode_absent_names_id(self, tmp_path):
+        p = tmp_path / "emb.csv"
+        p.write_text("k,1.0,2.0\n")
         with pytest.raises(DataError, match="missing-key"):
-            encode(TextRecord("x", id="missing-key"), cfg)
+            encode(TextRecord("x", id="missing-key"), EncoderConfig(str(p)), 8)
+
+    def test_file_is_read_on_the_first_lookup_only(self, tmp_path):
+        p = tmp_path / "emb.csv"
+        encoder = EncoderConfig(str(p))  # no file yet: building the config reads nothing
+        p.write_text("k,1.0,2.0\n")
+        np.testing.assert_array_equal(encode(TextRecord("x", id="k"), encoder, 8).pooled, [1.0, 2.0])
+        p.unlink()
+        np.testing.assert_array_equal(encode(TextRecord("x", id="k"), encoder, 8).pooled, [1.0, 2.0])
