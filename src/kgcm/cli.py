@@ -92,7 +92,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     parsed = parse_config(args.config)
     seed = _resolve_seed(args.seed, parsed, "train", "seed", parsed.train.seed)
-    config = parsed.train.scaled(seed=seed)
+    config = dataclasses.replace(parsed.train, seed=seed)
     dataset = _load_dataset(args.data)
     if args.stage == "2":
         if not args.init:

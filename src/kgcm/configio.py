@@ -3,58 +3,34 @@
 Sections are [model], [train], [data], [text], and [metrics]; unknown
 sections or keys are rejected by name. Every key has a documented default,
 so an empty file is a complete configuration.
+
+The keys of [model], [train] and [data] are the fields of ``TrainConfig``
+and ``GeneratorConfig``, each typed as its default value: the ``TrainConfig``
+fields named in ``_MODEL_FIELDS`` go under [model], every other one under
+[train], and [model] adds ``components`` and ``features``. A field added to
+either dataclass is therefore parsed, and written into model files, with no
+edit here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .data import GeneratorConfig
 from .errors import ConfigError
 from .model import ALL_COMPONENTS, COMPONENT_ORDER, TrainConfig
+from .pipeline import FEATURE_COUNT
 from .text import EncoderConfig
 
 __all__ = ["ParsedConfig", "parse_config", "parse_config_text", "render_model_config"]
 
-_MODEL_KEYS = {
-    "d": int,
-    "n": int,
-    "n_prime": int,
-    "layers": int,
-    "blocks": int,
-    "heads": int,
-    "window": int,
-    "horizon": int,
-    "day_slots": int,
-    "pooling": str,
-    "components": str,
-    "features": int,
-}
-_TRAIN_KEYS = {
-    "lr": float,
-    "lambda_prompt": float,
-    "ema_lambda": float,
-    "clip_norm": float,
-    "epochs_stage1": int,
-    "epochs_stage2": int,
-    "batch_size": int,
-    "seed": int,
-}
-_DATA_KEYS = {
-    "regions": int,
-    "days": int,
-    "slots_per_day": int,
-    "base_demand": float,
-    "daily_amp": float,
-    "weekly_amp": float,
-    "noise_sigma": float,
-    "event_rate": float,
-    "event_amp_lo": float,
-    "event_amp_hi": float,
-    "text_mode": str,
-    "seed": int,
-}
+# the TrainConfig fields written under [model], in the order model files list them
+_MODEL_FIELDS = ("d", "n", "n_prime", "layers", "blocks", "heads", "window", "horizon", "day_slots", "pooling")
+_TRAIN_CONFIG_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)}
+_MODEL_KEYS = {name: _TRAIN_CONFIG_KEYS[name] for name in _MODEL_FIELDS} | {"components": str, "features": int}
+_TRAIN_KEYS = {name: kind for name, kind in _TRAIN_CONFIG_KEYS.items() if name not in _MODEL_FIELDS}
+_DATA_KEYS = {f.name: type(f.default) for f in fields(GeneratorConfig)}
 _TEXT_KEYS = {"encoder": str, "embedding_file": str}
 _METRIC_KEYS = {"mape_floor": float}
 _SECTIONS = {
@@ -71,7 +47,6 @@ class ParsedConfig:
     train: TrainConfig
     data: GeneratorConfig
     components: frozenset[str]
-    features: int
     encoder: EncoderConfig
     mape_floor: float
     explicit: frozenset[str] = frozenset()  # "section.key" pairs present in the file
@@ -134,9 +109,9 @@ def parse_config_text(text: str) -> ParsedConfig:
     train_vals = dict(values["train"])
     data_vals = dict(values["data"])
     components = _parse_components(str(model_vals.pop("components", "all")))
-    features = int(model_vals.pop("features", 5))
-    if features < 1:
-        raise ConfigError(f"model.features must be positive, got {features}")
+    features = model_vals.pop("features", FEATURE_COUNT)
+    if features != FEATURE_COUNT:
+        raise ConfigError(f"model.features must be {FEATURE_COUNT}, the feature columns of a dataset, got {features}")
     data = GeneratorConfig(**data_vals)
     # the time-of-day table follows the data granularity unless pinned
     if "day_slots" not in model_vals:
@@ -155,7 +130,6 @@ def parse_config_text(text: str) -> ParsedConfig:
         train=train,
         data=data,
         components=components,
-        features=features,
         encoder=EncoderConfig(str(embedding_file) if encoder_mode == "file" else None),
         mape_floor=mape_floor,
         explicit=explicit,
@@ -167,36 +141,14 @@ def parse_config(path) -> ParsedConfig:
         return parse_config_text(fh.read())
 
 
-def render_model_config(config: TrainConfig, components: frozenset[str], features: int,
-                        embedding_file: str | None = None) -> str:
+def render_model_config(config: TrainConfig, components: frozenset[str], embedding_file: str | None = None) -> str:
     """Canonical [model]/[train]/[text] text embedded in saved model files; [text] names ``embedding_file``."""
     ordered = [name for name in COMPONENT_ORDER if name in components]
-    lines = [
-        "[model]",
-        f"d = {config.d}",
-        f"n = {config.n}",
-        f"n_prime = {config.n_prime}",
-        f"layers = {config.layers}",
-        f"blocks = {config.blocks}",
-        f"heads = {config.heads}",
-        f"window = {config.window}",
-        f"horizon = {config.horizon}",
-        f"day_slots = {config.day_slots}",
-        f"pooling = {config.pooling}",
-        f"components = {','.join(ordered) if ordered else 'none'}",
-        f"features = {features}",
-        "[train]",
-        f"lr = {config.lr!r}",
-        f"lambda_prompt = {config.lambda_prompt!r}",
-        f"ema_lambda = {config.ema_lambda!r}",
-        f"clip_norm = {config.clip_norm!r}",
-        f"epochs_stage1 = {config.epochs_stage1}",
-        f"epochs_stage2 = {config.epochs_stage2}",
-        f"batch_size = {config.batch_size}",
-        f"seed = {config.seed}",
-        "[text]",
-        f"encoder = {'hashed' if embedding_file is None else 'file'}",
-    ]
+    lines = ["[model]"]
+    lines += [f"{name} = {getattr(config, name)}" for name in _MODEL_FIELDS]
+    lines += [f"components = {','.join(ordered) if ordered else 'none'}", f"features = {FEATURE_COUNT}", "[train]"]
+    lines += [f"{name} = {getattr(config, name)}" for name in _TRAIN_KEYS]
+    lines += ["[text]", f"encoder = {'hashed' if embedding_file is None else 'file'}"]
     if embedding_file is not None:
         if "#" in embedding_file or embedding_file.strip() != embedding_file or len(embedding_file.splitlines()) != 1:
             raise ConfigError(f"text.embedding_file {embedding_file!r} cannot be written as a config value")

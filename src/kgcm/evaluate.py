@@ -9,8 +9,9 @@ the previous row.
 
 from __future__ import annotations
 
+import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
 import numpy as np
@@ -60,8 +61,8 @@ def rmse(pred, truth) -> float:
 
 def mape(pred, truth, floor: float = DEFAULT_MAPE_FLOOR) -> tuple[float, int]:
     """Percentage error with floored denominators; returns (percent, n_floored)."""
-    if floor <= 0:
-        raise MetricError(f"mape floor must be positive, got {floor}")
+    if not (math.isfinite(floor) and floor > 0):
+        raise MetricError(f"mape floor must be finite and positive, got {floor}")
     p, t = _check_lengths(pred, truth)
     denom = np.maximum(np.abs(t), floor)
     n_floored = int((np.abs(t) < floor).sum())
@@ -138,8 +139,7 @@ def ablation_variants() -> list[tuple[str, frozenset[str]]]:
 
 def _run_one(args) -> AblationRow:
     dataset, config, variant, components, seed, floor, encoder = args
-    run_config = config.scaled(seed=seed)
-    model = fit(dataset, run_config, components, encoder)
+    model = fit(dataset, replace(config, seed=seed), components, encoder)
     report = evaluate(model, model_split(model, dataset).test, floor)
     return AblationRow(variant=variant, components=components, seed=seed, report=report.metrics)
 

@@ -164,8 +164,8 @@ def _check_graph_pass(rng: SeededRng) -> float:
     rows = tensor(rng.normal((6, 3)))
 
     def f(wk):
-        result = run_dgso(rows, replace(params, layers=[replace(first, w_key=wk)] + params.layers[1:]), n)
-        return nm.add(_weighted(result.step_rows, rng.child("w")), _weighted(result.final_states, rng.child("wf")))
+        states, _ = run_dgso(rows, replace(params, layers=[replace(first, w_key=wk)] + params.layers[1:]), n)
+        return _weighted(states, rng.child("w"))
 
     return grad_check(f, Tensor(first.w_key.data.copy()))
 
@@ -259,9 +259,8 @@ def _check_joint_loss(seed: int, h: float) -> float:
     params = model.stage2_parameters()
 
     def loss_value() -> Tensor:
-        result = model.stage2_forward(window)
-        return joint_loss(result.predictions, model.scale_targets(window.targets),
-                          model.lpo, config.lambda_prompt)
+        return joint_loss(model.stage2_forward(window), model.scale_targets(window.targets), model.lpo,
+                          config.lambda_prompt)
 
     nm.clear_tape()
     loss = loss_value()

@@ -12,8 +12,11 @@ parameters, so each layer runs on all T steps at once: one lift of the
 (T, d, n) states, then per layer one stacked relation kernel
 (``numeric.relation_softmax``), one smoothing scan over the (T, d, d) raw
 matrices (``numeric.lerp_const``) and one stacked convolution
-(``numeric.conv_residual_norm``). ``run_dgso`` is what ``Model`` calls and
-what ``gradcheck`` checks, together with the two layer kernels.
+(``numeric.conv_residual_norm``). ``run_dgso`` returns the last layer's
+(T, d, n) node states and that layer's smoothed matrix at the last step;
+``Model`` reads the step rows or the final states from the stack itself.
+``run_dgso`` is what ``Model`` calls and what ``gradcheck`` checks, together
+with the two layer kernels.
 """
 
 from __future__ import annotations
@@ -30,13 +33,11 @@ from .numeric import (
     history_columns,
     lerp_const,
     relation_softmax,
-    take,
 )
 
 __all__ = [
     "DgsoLayerParams",
     "DgsoParams",
-    "DgsoResult",
     "init_dgso_params",
     "uniform_matrix",
     "run_dgso",
@@ -82,35 +83,20 @@ def uniform_matrix(d: int) -> np.ndarray:
     return np.full((d, d), 1.0 / d, dtype=np.float64)
 
 
-@dataclass
-class DgsoResult:
-    step_rows: Tensor  # (T, d) refined current-state row per step
-    final_states: Tensor  # (d, n) node states after the last step
-    final_matrices: list[np.ndarray]  # smoothed relation matrix per layer, last step
-    pad_count: int
-
-
-def run_dgso(fused_rows: Tensor, params: DgsoParams, n: int) -> DgsoResult:
+def run_dgso(fused_rows: Tensor, params: DgsoParams, n: int) -> tuple[Tensor, np.ndarray]:
     """Run the full graph pass over a (T, d) window of fused step rows.
 
-    Every layer's smoothing state starts at the uniform matrix at the
-    window's first step and is carried across its consecutive steps, so a
-    window's pass depends on that window alone. Steps earlier than n-1 pad
-    their history by repeating the first step; the total pad count is
-    reported so callers can log it.
+    Returns the last layer's (T, d, n) node states and its smoothed relation
+    matrix at the last step. Every layer's smoothing state starts at the
+    uniform matrix at the window's first step and is carried across its
+    consecutive steps, so a window's pass depends on that window alone.
+    Steps earlier than n-1 pad their history by repeating the first step.
     """
     if fused_rows.data.ndim != 2 or fused_rows.data.shape[0] < 1:
         raise ContractError(f"run_dgso needs a (T, d) window, got shape {fused_rows.data.shape}")
     t_steps, d = fused_rows.data.shape
     states = history_columns(fused_rows, range(t_steps), n)
-    final_matrices: list[np.ndarray] = []
     for layer in params.layers:
         smoothed = lerp_const(relation_softmax(states, layer.w_query, layer.w_key), uniform_matrix(d), params.ema_lambda)
-        final_matrices.append(smoothed.data[-1].copy())
         states = conv_residual_norm(states, smoothed, layer.w_trans, layer.ln_gamma, layer.ln_beta)
-    return DgsoResult(
-        step_rows=take(states, np.s_[:, :, n - 1]),
-        final_states=take(states, t_steps - 1),
-        final_matrices=final_matrices,
-        pad_count=sum(max(0, n - 1 - t) for t in range(t_steps)),
-    )
+    return states, smoothed.data[-1]

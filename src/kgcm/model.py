@@ -6,14 +6,19 @@ attention with structural bias (ssa), the shared-context gate (rcpg), the
 adaptive relation graph (dgso), frozen-matrix feature weighting (acmfw), and
 local text cross-attention (lpo). With everything disabled the model is the
 backbone: structured embedding, temporal-only encoder, forecast heads.
+
+The parameter list is read off the parameter dataclasses: every tensor
+reachable from ``lpo``, ``dgso``, ``global_gate``, ``ssa`` and the auxiliary
+head, in field declaration order. Each forward returns only what its
+callers read.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +45,7 @@ from .numeric import (
     scale,
     sigmoid_gate,
     sse,
+    take,
 )
 from .predictor import SsaParams, embed_sequence, forecast, init_ssa_params, structural_bias
 from .text import EncoderConfig
@@ -91,32 +97,26 @@ class TrainConfig:
         return self.n_prime if self.n_prime > 0 else self.n
 
     def validate(self) -> None:
-        for name in ("d", "layers", "window", "horizon", "blocks", "heads", "day_slots", "batch_size"):
-            if getattr(self, name) < 1:
+        # a model file is rendered from these fields and must parse back, and config files refuse non-finite values
+        for name in ("lr", "lambda_prompt", "ema_lambda", "clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("d", "layers", "window", "horizon", "blocks", "heads", "day_slots", "epochs_stage1",
+                     "epochs_stage2", "batch_size", "lr", "clip_norm"):
+            if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.n < 2:
             raise ConfigError(f"n must be >= 2 (layer norm over one history point is degenerate), got {self.n}")
         if self.n_prime < 0:
             raise ConfigError(f"n_prime must be >= 0, got {self.n_prime}")
-        if self.epochs_stage1 < 1 or self.epochs_stage2 < 1:
-            raise ConfigError("at least one epoch per stage is required")
-        # a model file is rendered from these fields and must parse back, and config files refuse non-finite values
-        for name in ("lr", "lambda_prompt", "ema_lambda", "clip_norm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.ema_lambda <= 1.0:
             raise ConfigError(f"ema_lambda must lie in [0, 1], got {self.ema_lambda}")
         if self.lambda_prompt < 0.0:
             raise ConfigError(f"lambda_prompt must be >= 0, got {self.lambda_prompt}")
-        if self.lr <= 0.0 or self.clip_norm <= 0.0:
-            raise ConfigError("lr and clip_norm must be positive")
         if self.d % self.heads != 0:
             raise ConfigError(f"heads {self.heads} must divide d {self.d}")
         if self.pooling not in ("last", "mean"):
             raise ConfigError(f"pooling must be 'last' or 'mean', got {self.pooling!r}")
-
-    def scaled(self, **overrides) -> "TrainConfig":
-        return replace(self, **overrides)
 
 
 @dataclass
@@ -133,11 +133,16 @@ class SeriesWindow:
     target_times: list = field(default_factory=list)
 
 
-@dataclass
-class ForwardResult:
-    predictions: Tensor | None  # (T',) on the scaled target scale
-    final_matrices: list[np.ndarray] | None
-    pad_count: int = 0
+def _tensors(node) -> Iterator[Tensor]:
+    """Depth first: dataclass fields in declaration order, list items in order; None and non-tensors skipped."""
+    if isinstance(node, Tensor):
+        yield node
+    elif isinstance(node, list):
+        for item in node:
+            yield from _tensors(item)
+    elif is_dataclass(node):
+        for f in fields(node):
+            yield from _tensors(getattr(node, f.name))
 
 
 class Model:
@@ -191,34 +196,9 @@ class Model:
         return "dgso" in self.components or "lpo" in self.components
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-
-        def put(t: Tensor | None):
-            if t is not None:
-                out[t.name] = t
-
-        for t in (self.lpo.w_embed, self.lpo.b_embed, self.lpo.prompt_struct, self.lpo.prompt_text,
-                  self.lpo.w_query, self.lpo.w_key, self.lpo.w_value, self.lpo.w_gate):
-            put(t)
-        if self.dgso is not None:
-            for layer in self.dgso.layers:
-                for t in (layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma, layer.ln_beta):
-                    put(t)
-        if self.global_gate is not None:
-            put(self.global_gate.w_gate)
-            put(self.global_gate.b_gate)
-        put(self.ssa.tod_table)
-        put(self.ssa.dow_table)
-        for block in self.ssa.blocks:
-            for name in ("t_wq", "t_wk", "t_wv", "t_wo", "ln1_gamma", "ln1_beta",
-                         "f_wq", "f_wk", "f_wv", "f_wo", "ln2_gamma", "ln2_beta",
-                         "ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln3_gamma", "ln3_beta"):
-                put(getattr(block, name))
-        put(self.ssa.head_w)
-        put(self.ssa.head_b)
-        put(self.aux_w)
-        put(self.aux_b)
-        return out
+        """Every parameter tensor by name; the order is the one ``clip_global_norm`` sums in."""
+        roots = [self.lpo, self.dgso, self.global_gate, self.ssa, self.aux_w, self.aux_b]
+        return {t.name: t for t in _tensors(roots)}
 
     def stage1_parameters(self) -> dict[str, Tensor]:
         """Embedding, local fusion, graph, and the auxiliary head."""
@@ -265,27 +245,24 @@ class Model:
             return hs
         return sigmoid_gate(hs, guided_cross_attention(hs, window.local_tokens, self.lpo), self.lpo.w_gate)
 
-    def stage1_forward(self, window: SeriesWindow) -> tuple[Tensor, ForwardResult]:
-        """Auxiliary one-step-ahead objective over the graph's node states."""
+    def stage1_forward(self, window: SeriesWindow) -> tuple[Tensor, np.ndarray | None]:
+        """Auxiliary one-step-ahead loss over the final node states, and the graph's last smoothed matrix."""
         fused = self._fused_rows(window)
-        t_steps = fused.data.shape[0]
-        if self.dgso is not None:
-            result = run_dgso(fused, self.dgso, self.config.n)
-            final_states, matrices, pad = result.final_states, result.final_matrices, result.pad_count
+        t_steps, n = fused.data.shape[0], self.config.n
+        if self.dgso is None:
+            final_states, matrix = history_columns(fused, t_steps - 1, n), None
         else:
-            n = self.config.n
-            final_states, matrices, pad = history_columns(fused, t_steps - 1, n), None, max(0, n - t_steps)
+            states, matrix = run_dgso(fused, self.dgso, n)
+            final_states = take(states, t_steps - 1)
         aux_pred = linear(mean_rows(final_states), self.aux_w, self.aux_b)
-        loss = joint_loss(aux_pred, self.scale_targets(window.targets[:1]), self.lpo, self.config.lambda_prompt)
-        return loss, ForwardResult(predictions=None, final_matrices=matrices, pad_count=pad)
+        return joint_loss(aux_pred, self.scale_targets(window.targets[:1]), self.lpo, self.config.lambda_prompt), matrix
 
-    def stage2_forward(self, window: SeriesWindow) -> ForwardResult:
-        """Full value path: fuse, refine, gate, weight, encode, forecast."""
+    def stage2_forward(self, window: SeriesWindow) -> Tensor:
+        """Full value path: fuse, refine, gate, weight, encode, forecast; (T',) on the scaled target scale."""
         vecs = self._fused_rows(window)
-        matrices, pad = None, 0
         if self.dgso is not None:
-            result = run_dgso(vecs, self.dgso, self.config.n)
-            vecs, matrices, pad = result.step_rows, result.final_matrices, result.pad_count
+            n = self.config.n
+            vecs = take(run_dgso(vecs, self.dgso, n)[0], np.s_[:, :, n - 1])
         if self.global_gate is not None:
             pooled = constant(np.tile(window.global_pooled, (vecs.data.shape[0], 1)))
             vecs = sigmoid_gate(vecs, pooled, self.global_gate.w_gate, self.global_gate.b_gate)
@@ -293,7 +270,7 @@ class Model:
             vecs = acmfw_weight(vecs, self.structure_or_uniform())
         e = embed_sequence(vecs, window.slots, window.dows, self.ssa)
         bias = structural_bias(self.structure_or_uniform()) if "ssa" in self.components else None
-        return ForwardResult(predictions=forecast(e, bias, self.ssa), final_matrices=matrices, pad_count=pad)
+        return forecast(e, bias, self.ssa)
 
 
 def joint_loss(predictions: Tensor, targets: np.ndarray, lpo_params: LpoParams | None, lambda_prompt: float) -> Tensor:

@@ -216,7 +216,9 @@ def train_stage1(model: Model, windows: list[SeriesWindow], config: TrainConfig)
     """Fit fusion + graph weights on the auxiliary objective; freeze the matrix.
 
     The frozen matrix is the mean of the last graph layer's final smoothed
-    matrix over the last epoch's windows.
+    matrix over the last epoch's windows. ``model.pad_events`` grows by the
+    padded history slots the stage lifted: those of every step with the
+    graph, of the last step without it, per window and epoch.
     """
     if not model.uses_stage1:
         raise TrainingError("stage 1 requires the graph or local-text component")
@@ -224,13 +226,15 @@ def train_stage1(model: Model, windows: list[SeriesWindow], config: TrainConfig)
 
     def window_loss(window: SeriesWindow, epoch: int) -> Tensor:
         nonlocal matrix_sum
-        loss, result = model.stage1_forward(window)
-        model.pad_events += result.pad_count
-        if epoch == config.epochs_stage1 - 1 and result.final_matrices is not None:
-            matrix_sum += result.final_matrices[-1]
+        loss, matrix = model.stage1_forward(window)
+        if epoch == config.epochs_stage1 - 1 and matrix is not None:
+            matrix_sum += matrix
         return loss
 
     _train_epochs(model, windows, config, 1, window_loss)
+    t_steps = windows[0].inputs.shape[0]
+    lifted = range(t_steps) if model.dgso is not None else [t_steps - 1]
+    model.pad_events += sum(max(0, config.n - 1 - t) for t in lifted) * config.epochs_stage1 * len(windows)
     if model.dgso is not None:
         model.freeze_structure(matrix_sum / len(windows))
     if model.pad_events:
@@ -242,8 +246,8 @@ def train_stage2(model: Model, windows: list[SeriesWindow], config: TrainConfig)
     frozen_bytes = model.a_star.tobytes() if model.a_star is not None else None
 
     def window_loss(window: SeriesWindow, epoch: int) -> Tensor:
-        result = model.stage2_forward(window)
-        return joint_loss(result.predictions, model.scale_targets(window.targets), model.lpo, config.lambda_prompt)
+        return joint_loss(model.stage2_forward(window), model.scale_targets(window.targets), model.lpo,
+                          config.lambda_prompt)
 
     _train_epochs(model, windows, config, 2, window_loss)
     if frozen_bytes is not None and model.a_star.tobytes() != frozen_bytes:
@@ -285,8 +289,7 @@ def fit(dataset: DemandDataset, config: TrainConfig, components: frozenset[str] 
 def predict(model: Model, window: SeriesWindow) -> np.ndarray:
     """Forecast in demand units for one window."""
     with no_tape():
-        result = model.stage2_forward(window)
-    return model.unscale_predictions(result.predictions.data)
+        return model.unscale_predictions(model.stage2_forward(window).data)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +358,7 @@ def save_model(model: Model, path) -> None:
         body.append(np.ascontiguousarray(model.a_star, dtype="<f8").tobytes())
     else:
         body.append(struct.pack("<B", 0))
-    config_text = render_model_config(model.config, model.components, model.feature_count,
-                                      model.encoder.embedding_file)
+    config_text = render_model_config(model.config, model.components, model.encoder.embedding_file)
     encoded = config_text.encode("utf-8")
     body.append(struct.pack("<I", len(encoded)))
     body.append(encoded)
@@ -405,10 +407,10 @@ def load_model(path) -> Model:
         raise FormatError(f"{path}: {len(blob) - reader.pos} trailing bytes after the model config")
     try:
         parsed = parse_config_text(config_text)
-        model = build_model(parsed.train, parsed.components, parsed.features)
+        model = build_model(parsed.train, parsed.components, FEATURE_COUNT)
     except ConfigError as exc:
         raise FormatError(f"{path}: invalid model config: {exc}") from exc
-    config, features = parsed.train, parsed.features
+    config = parsed.train
     model.encoder = parsed.encoder
     params = model.named_parameters()
     stored = {k: v for k, v in records.items() if not k.startswith("_meta/")}
@@ -428,8 +430,8 @@ def load_model(path) -> Model:
         a_star.setflags(write=False)
         model.a_star = a_star
     for key in ("_meta/scaler_mean", "_meta/scaler_std"):
-        if key not in records or records[key].shape != (features,):
-            raise FormatError(f"{path}: record {key} is missing or does not have shape ({features},)")
+        if key not in records or records[key].shape != (FEATURE_COUNT,):
+            raise FormatError(f"{path}: record {key} is missing or does not have shape ({FEATURE_COUNT},)")
     for key in ("_meta/history_stage1", "_meta/history_stage2"):
         if key in records and records[key].ndim != 1:
             raise FormatError(f"{path}: record {key} has shape {records[key].shape}, expected one loss per epoch")

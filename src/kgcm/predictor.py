@@ -45,20 +45,16 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SsaBlockParams:
+    """One block's tensors, in the sublayer order that ``Model.named_parameters`` and the gradient clip follow."""
+
     t_wq: Tensor
     t_wk: Tensor
     t_wv: Tensor
     t_wo: Tensor
     ln1_gamma: Tensor
     ln1_beta: Tensor
-    ff_w1: Tensor  # (4d, d)
-    ff_b1: Tensor
-    ff_w2: Tensor  # (d, 4d)
-    ff_b2: Tensor
-    ln3_gamma: Tensor
-    ln3_beta: Tensor
     # feature-axis attention; None when the structure-aware sublayer is off
     f_wq: Tensor | None = None
     f_wk: Tensor | None = None
@@ -66,6 +62,12 @@ class SsaBlockParams:
     f_wo: Tensor | None = None
     ln2_gamma: Tensor | None = None
     ln2_beta: Tensor | None = None
+    ff_w1: Tensor  # (4d, d)
+    ff_b1: Tensor
+    ff_w2: Tensor  # (d, 4d)
+    ff_b2: Tensor
+    ln3_gamma: Tensor
+    ln3_beta: Tensor
 
     @property
     def has_feature_attention(self) -> bool:

@@ -8,7 +8,7 @@ from kgcm.configio import render_model_config
 from kgcm.data import GeneratorConfig, generate_synthetic, load_csv, write_dataset
 from kgcm.evaluate import evaluate
 from kgcm.gradcheck import tiny_instance_config
-from kgcm.model import ALL_COMPONENTS, build_model
+from kgcm.model import ALL_COMPONENTS, TrainConfig, build_model
 from kgcm.pipeline import build_windows, load_model, save_model, split_windows, train_stage2
 from kgcm.text import EncoderConfig
 
@@ -122,7 +122,7 @@ def test_model_file_without_text_section_loads_as_hashed(tmp_path):
     path = tmp_path / "model.kgcm"
     save_model(model, path)
     blob = path.read_bytes()
-    text = render_model_config(config, model.components, model.feature_count)
+    text = render_model_config(config, model.components)
     legacy = text[: text.index("[text]")].encode("utf-8")
     body = blob[: len(blob) - len(text.encode("utf-8")) - 4]
     path.write_bytes(body + struct.pack("<I", len(legacy)) + legacy)
@@ -163,6 +163,10 @@ def workspace(tmp_path):
     (tmp_path / "tiny.cfg").write_text(TINY.format(d=8))
     (tmp_path / "graphless.cfg").write_text(TINY.format(d=8).replace("components = all", "components = ssa,rcpg"))
     (tmp_path / "unknown-key.cfg").write_text(TINY.format(d=8).replace("[train]\n", "[train]\nbogus = 1\n"))
+    (tmp_path / "three-features.cfg").write_text(TINY.format(d=8).replace("[train]\n", "features = 3\n[train]\n"))
+    # an untrained model that fits the data, so evaluate reaches the metrics
+    save_model(build_model(TrainConfig(d=8, n=2, window=8, horizon=2, blocks=1, day_slots=12), frozenset()),
+               tmp_path / "plain.kgcm")
     model = build_model(tiny_instance_config(), ALL_COMPONENTS, feature_count=5)
     model.freeze_structure(np.ones((4, 4)))
     save_model(model, tmp_path / "model.kgcm")
@@ -180,11 +184,16 @@ EXIT_CODE_CASES = {
     "stage-2-without-init": (_train("tiny.cfg", "data", "--stage", "2"), {}, cli.EXIT_USAGE),
     "stage-1-without-graph-or-text": (_train("graphless.cfg", "data", "--stage", "1"), {}, cli.EXIT_USAGE),
     "unknown-config-key": (_train("unknown-key.cfg"), {}, cli.EXIT_DATA),
+    "features-other-than-five": (_train("three-features.cfg"), {}, cli.EXIT_DATA),
     "non-integer-seed-env": (_train("tiny.cfg"), {"KGCM_SEED": "x"}, cli.EXIT_DATA),
     "missing-data-directory": (_train("tiny.cfg", "no-such-dir"), {}, cli.EXIT_IO),
     "missing-config-file": (_train("no-such.cfg"), {}, cli.EXIT_IO),
     "damaged-model-file": (["evaluate", "--model", "damaged.kgcm", "--data", "data", "--out", "m.csv"], {},
                            cli.EXIT_DATA),
+    "nan-mape-floor": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",
+                        "--mape-floor", "nan"], {}, cli.EXIT_DATA),
+    "infinite-mape-floor": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",
+                             "--mape-floor", "inf"], {}, cli.EXIT_DATA),
 }
 
 
@@ -197,3 +206,4 @@ def test_exit_codes(workspace, monkeypatch, capsys, case):
     assert cli.main(argv) == expected
     assert "Traceback" not in capsys.readouterr().err
     assert not (workspace / "out.kgcm").exists()
+    assert not (workspace / "m.csv").exists()

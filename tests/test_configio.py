@@ -39,17 +39,23 @@ def train_configs(draw) -> TrainConfig:
 
 @settings(max_examples=300, deadline=None)
 @given(config=train_configs(), components=st.frozensets(st.sampled_from(COMPONENT_ORDER)),
-       features=st.integers(1, 64), embedding_file=st.none() | st.text(min_size=0, max_size=30))
-def test_rendered_model_config_parses_back_to_itself(config, components, features, embedding_file):
+       embedding_file=st.none() | st.text(min_size=0, max_size=30))
+def test_rendered_model_config_parses_back_to_itself(config, components, embedding_file):
     try:
-        rendered = render_model_config(config, components, features, embedding_file)
+        rendered = render_model_config(config, components, embedding_file)
     except ConfigError:
         return  # a value that cannot be written as a config line is refused when it is rendered
     parsed = parse_config_text(rendered)
     assert parsed.train == config
     assert parsed.components == components
-    assert parsed.features == features
     assert parsed.encoder == EncoderConfig(embedding_file)
+
+
+@pytest.mark.parametrize("value", ["1", "3", "6"])
+def test_features_other_than_the_dataset_columns_are_refused(value):
+    with pytest.raises(ConfigError, match=f"^model.features must be 5.*got {value}$"):
+        parse_config_text(f"[model]\nfeatures = {value}\n")
+    assert "features = 5\n" in render_model_config(TrainConfig(), frozenset())
 
 
 def test_a_hashed_encoder_ignores_an_embedding_file_line():

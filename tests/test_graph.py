@@ -209,20 +209,19 @@ class TestRunDgso:
         rng = SeededRng(5)
         params = init_dgso_params(2, 2, 1, 0.0, rng)
         rows = rng.normal((4, 3))
-        result = run_dgso(tensor(rows), params, 2)
+        _, matrix = run_dgso(tensor(rows), params, 2)
         states = history_columns(tensor(rows), [3], 2)
         raw = _relation(states, params.layers[0])
-        np.testing.assert_allclose(result.final_matrices[0], raw.data[0], atol=1e-12)
+        np.testing.assert_allclose(matrix, raw.data[0], atol=1e-12)
 
     def test_deterministic(self):
         rng = SeededRng(6)
         params = init_dgso_params(3, 3, 2, 0.9, rng)
         data = SeededRng(7).normal((5, 4))
-        r1 = run_dgso(tensor(data), params, 3)
-        r2 = run_dgso(tensor(data), params, 3)
-        np.testing.assert_array_equal(r1.final_states.data, r2.final_states.data)
-        for a, b in zip(r1.final_matrices, r2.final_matrices):
-            np.testing.assert_array_equal(a, b)
+        states1, matrix1 = run_dgso(tensor(data), params, 3)
+        states2, matrix2 = run_dgso(tensor(data), params, 3)
+        np.testing.assert_array_equal(states1.data, states2.data)
+        np.testing.assert_array_equal(matrix1, matrix2)
 
     def test_incremental_ema_matches_unrolled_recurrence(self):
         # oracle: recompute the recurrence from scratch over the stored raw
@@ -253,16 +252,22 @@ class TestRunDgso:
         rows = tensor(rng.normal((6, 5)))
         for depth in (1, 2, 3):
             params = init_dgso_params(4, 4, depth, 0.9, SeededRng(10))
-            result = run_dgso(rows, params, 4)
-            assert result.final_states.data.shape == (5, 4)
-            assert len(result.final_matrices) == depth
+            states, matrix = run_dgso(rows, params, 4)
+            assert states.data.shape == (6, 5, 4)
+            assert matrix.shape == (5, 5)
+            np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-12)
 
     def test_pad_count_recorded(self):
+        # steps 0 and 1 are short of history by 2 and 1 entries, 3 padded
+        # slots in all, filled by repeating step 0: without smoothing each
+        # step stands alone, so they match steps 2 and 3 of the window with
+        # step 0 written out twice in front
         rng = SeededRng(11)
-        params = init_dgso_params(3, 3, 1, 0.9, rng)
-        result = run_dgso(tensor(rng.normal((5, 2))), params, 3)
-        # steps 0,1 are short by 2 and 1 entries respectively
-        assert result.pad_count == 3
+        params = init_dgso_params(3, 3, 1, 0.0, rng)
+        rows = rng.normal((5, 2))
+        states, _ = run_dgso(tensor(rows), params, 3)
+        written_out, _ = run_dgso(tensor(np.vstack([rows[:1], rows[:1], rows])), params, 3)
+        np.testing.assert_allclose(states.data, written_out.data[2:], atol=1e-12)
 
     def test_permutation_equivariance(self):
         # permuting feature indices permutes relation matrix and states alike
@@ -271,12 +276,10 @@ class TestRunDgso:
         params = init_dgso_params(n, n, 1, 0.7, rng)
         rows = rng.normal((4, d))
         perm = np.array([2, 0, 1])
-        base = run_dgso(tensor(rows), params, n)
-        permuted = run_dgso(tensor(rows[:, perm]), params, n)
-        np.testing.assert_allclose(permuted.final_states.data, base.final_states.data[perm], atol=1e-12)
-        np.testing.assert_allclose(
-            permuted.final_matrices[0], base.final_matrices[0][np.ix_(perm, perm)], atol=1e-12
-        )
+        base_states, base_matrix = run_dgso(tensor(rows), params, n)
+        states, matrix = run_dgso(tensor(rows[:, perm]), params, n)
+        np.testing.assert_allclose(states.data, base_states.data[:, perm], atol=1e-12)
+        np.testing.assert_allclose(matrix, base_matrix[np.ix_(perm, perm)], atol=1e-12)
 
     def test_gradients_flow_into_relation_projections(self):
         # smoothing history is carried as a constant by design, so exact
@@ -297,8 +300,8 @@ class TestRunDgso:
                 ln_beta=base.layers[0].ln_beta,
             )
             params = DgsoParams(layers=[layer], ema_lambda=0.0)
-            result = run_dgso(tensor(np.stack(steps_data)), params, 4)
-            return sum_sq(mul(result.final_states, readout))
+            states, _ = run_dgso(tensor(np.stack(steps_data)), params, 4)
+            return sum_sq(mul(take(states, -1), readout))
 
         err = grad_check(f, Tensor(base.layers[0].w_query.data.copy()))
         assert err < 1e-4
@@ -320,8 +323,8 @@ class TestRunDgso:
                 ln_beta=base.layers[0].ln_beta,
             )
             params = DgsoParams(layers=[layer], ema_lambda=0.9)
-            result = run_dgso(tensor(step[None, :]), params, 2)
-            return sum_sq(mul(result.final_states, readout))
+            states, _ = run_dgso(tensor(step[None, :]), params, 2)
+            return sum_sq(mul(take(states, 0), readout))
 
         err = grad_check(f, Tensor(base.layers[0].w_key.data.copy()))
         assert err < 1e-4
@@ -365,16 +368,21 @@ class TestStackedGraphPass:
         row_readout = rng.normal((t_steps, d))
         state_readout = tensor(rng.normal((d, n)))
 
-        result = run_dgso(rows, params, n)
+        def step_rows():
+            return take(run_dgso(rows, params, n)[0], np.s_[:, :, n - 1])
+
+        def final_states():
+            return take(run_dgso(rows, params, n)[0], t_steps - 1)
+
+        states, matrix = run_dgso(rows, params, n)
         oracle_rows, oracle_states, oracle_matrices = _per_step_oracle(rows, params, n)
         clear_tape()
-        assert result.step_rows.data.tobytes() == np.stack([r.data for r in oracle_rows]).tobytes()
-        assert result.final_states.data.tobytes() == oracle_states.data.tobytes()
-        for got, want in zip(result.final_matrices, oracle_matrices, strict=True):
-            assert got.tobytes() == want.tobytes()
+        assert states.data[:, :, n - 1].tobytes() == np.stack([r.data for r in oracle_rows]).tobytes()
+        assert states.data[-1].tobytes() == oracle_states.data.tobytes()
+        assert matrix.tobytes() == oracle_matrices[-1].tobytes()
 
         # a readout on every step row, as stage 2 reads the pass
-        got = _gradients(sum_sq(mul(run_dgso(rows, params, n).step_rows, tensor(row_readout))), tensors)
+        got = _gradients(sum_sq(mul(step_rows(), tensor(row_readout))), tensors)
         oracle_rows = _per_step_oracle(rows, params, n)[0]
         loss = sum_sq(mul(oracle_rows[0], tensor(row_readout[0])))
         for t in range(1, t_steps):
@@ -382,7 +390,7 @@ class TestStackedGraphPass:
         self._assert_close(got, _gradients(loss, tensors))
         # a readout on the final states only, as stage 1 reads it: every
         # step but the last gets a zero gradient, which the backward skips
-        got = _gradients(sum_sq(mul(run_dgso(rows, params, n).final_states, state_readout)), tensors)
+        got = _gradients(sum_sq(mul(final_states(), state_readout)), tensors)
         want = _gradients(sum_sq(mul(_per_step_oracle(rows, params, n)[1], state_readout)), tensors)
         self._assert_close(got, want)
 

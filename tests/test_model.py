@@ -1,0 +1,116 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from kgcm.errors import ConfigError
+from kgcm.model import ALL_COMPONENTS, COMPONENT_ORDER, TrainConfig, build_model
+from kgcm.numeric import Tensor
+from kgcm.pipeline import load_model, save_model
+
+INVALID_FIELDS = [
+    ("d", 0, "d must be positive"),
+    ("n", 1, "n must be >= 2"),
+    ("n_prime", -1, "n_prime must be >= 0"),
+    ("layers", 0, "layers must be positive"),
+    ("window", 0, "window must be positive"),
+    ("horizon", -2, "horizon must be positive"),
+    ("blocks", 0, "blocks must be positive"),
+    ("heads", 0, "heads must be positive"),
+    ("heads", 3, "heads 3 must divide d 32"),
+    ("day_slots", 0, "day_slots must be positive"),
+    ("pooling", "max", "pooling must be 'last' or 'mean'"),
+    ("lr", 0.0, "lr must be positive"),
+    ("lr", float("nan"), "lr must be finite"),
+    ("lambda_prompt", -0.1, "lambda_prompt must be >= 0"),
+    ("ema_lambda", 1.5, r"ema_lambda must lie in \[0, 1\]"),
+    ("clip_norm", -1.0, "clip_norm must be positive"),
+    ("epochs_stage1", 0, "epochs_stage1 must be positive"),
+    ("epochs_stage2", 0, "epochs_stage2 must be positive"),
+    ("batch_size", 0, "batch_size must be positive"),
+]
+
+
+@pytest.mark.parametrize("name,value,message", INVALID_FIELDS, ids=[f"{n}={v}" for n, v, _ in INVALID_FIELDS])
+def test_train_config_refuses_each_invalid_field_by_name(name, value, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        TrainConfig(**{name: value})
+
+
+def _reachable(node, seen: set[int]) -> list[Tensor]:
+    """Every tensor reachable through attributes and list items, each object visited once."""
+    if id(node) in seen:
+        return []
+    seen.add(id(node))
+    if isinstance(node, Tensor):
+        return [node]
+    if isinstance(node, list):
+        return [t for item in node for t in _reachable(item, seen)]
+    if hasattr(node, "__dict__"):
+        return [t for value in vars(node).values() for t in _reachable(value, seen)]
+    return []
+
+
+COMPONENT_SETS = [ALL_COMPONENTS, frozenset()] + [frozenset({name}) for name in COMPONENT_ORDER]
+
+
+@pytest.mark.parametrize("components", COMPONENT_SETS, ids=lambda c: ",".join(sorted(c)) or "none")
+def test_named_parameters_hold_every_reachable_tensor_once(components):
+    model = build_model(TrainConfig(layers=3, blocks=2), components)
+    named = model.named_parameters()
+    reachable = _reachable(model, set())
+    assert len({id(t) for t in named.values()}) == len(named)
+    assert {id(t) for t in named.values()} == {id(t) for t in reachable}
+    assert all(name == t.name and t.requires_grad for name, t in named.items())
+
+
+def test_parameter_order_is_the_order_the_gradient_clip_sums_in():
+    # clip_global_norm sums the squared gradients in this order, so fixed-seed results depend on it
+    block = ["t_wq", "t_wk", "t_wv", "t_wo", "ln1_gamma", "ln1_beta", "f_wq", "f_wk", "f_wv", "f_wo",
+             "ln2_gamma", "ln2_beta", "ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln3_gamma", "ln3_beta"]
+    model = build_model(TrainConfig(layers=1, blocks=1), ALL_COMPONENTS)
+    assert list(model.named_parameters()) == [
+        *(f"lpo/{name}" for name in ("w_embed", "b_embed", "prompt_struct", "prompt_text",
+                                      "w_query", "w_key", "w_value", "w_gate")),
+        *(f"dgso/l0/{name}" for name in ("w_query", "w_key", "w_trans", "ln_gamma", "ln_beta")),
+        "global/w_gate", "global/b_gate", "ssa/tod_table", "ssa/dow_table",
+        *(f"ssa/b0/{name}" for name in block),
+        "ssa/head_w", "ssa/head_b", "aux/w", "aux/b",
+    ]
+
+
+@pytest.mark.parametrize("components", COMPONENT_SETS, ids=lambda c: ",".join(sorted(c)) or "none")
+def test_the_stages_together_train_every_parameter(components):
+    model = build_model(TrainConfig(layers=2, blocks=2), components)
+    named = model.named_parameters()
+    stage2 = model.stage2_parameters()
+    stage1 = model.stage1_parameters() if model.uses_stage1 else {}
+    assert set(stage1) | set(stage2) == set(named)
+    assert {k for k in named if k.startswith("aux/")} == {k for k in stage1 if k.startswith("aux/")}
+    assert not any(k.startswith("aux/") for k in stage2)
+    assert model.uses_stage1 == any(k.startswith("aux/") for k in named)
+
+
+# a non-default valid value for every field whose default cannot simply be increased
+OTHER_VALUES = {"pooling": "mean"}
+
+
+def _other_value(field: dataclasses.Field):
+    if field.name in OTHER_VALUES:
+        return OTHER_VALUES[field.name]
+    if isinstance(field.default, float):
+        return field.default / 2
+    return field.default + 1
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(TrainConfig), ids=lambda f: f.name)
+def test_every_train_config_field_survives_a_model_file(tmp_path, field):
+    value = _other_value(field)
+    assert value != field.default
+    config = TrainConfig(**{field.name: value})
+    model = build_model(config, ALL_COMPONENTS)
+    model.freeze_structure(np.ones((config.d, config.d)))
+    save_model(model, tmp_path / "model.kgcm")
+    loaded = load_model(tmp_path / "model.kgcm")
+    assert getattr(loaded.config, field.name) == value
+    assert loaded.config == config

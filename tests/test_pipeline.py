@@ -65,21 +65,30 @@ class TestTrainingLoop:
         config = _config(epochs_stage1=2)
         windows = _split(config).train
         model = build_model(config, ALL_COMPONENTS, pipeline.FEATURE_COUNT)
-        results = []
+        matrices = []
         forward = model.stage1_forward
 
         def recording(window):
-            loss, result = forward(window)
-            results.append(result)
-            return loss, result
+            loss, matrix = forward(window)
+            matrices.append(matrix.copy())
+            return loss, matrix
 
         model.stage1_forward = recording
         pipeline.train_stage1(model, windows, config)
-        last = [r.final_matrices[-1] for r in results[-len(windows):]]
-        mean = sum(last, np.zeros((8, 8))) / len(windows)
+        mean = sum(matrices[-len(windows):], np.zeros((8, 8))) / len(windows)
         np.testing.assert_array_equal(model.a_star, mean / mean.sum(axis=1, keepdims=True))
-        assert len(results) == 2 * len(windows)
-        assert model.pad_events == sum(r.pad_count for r in results) > 0
+        assert len(matrices) == 2 * len(windows)
+        # with n = 2 only step 0 of each pass pads its history, by one slot
+        assert model.pad_events == len(matrices)
+
+    def test_stage1_without_the_graph_pads_only_the_last_step(self):
+        # the auxiliary head lifts the last of the 8 steps with a history of 10: 2 padded slots per pass
+        config = _config(n=10, window=8, epochs_stage1=3)
+        windows = _split(config).train
+        model = build_model(config, {"lpo"}, pipeline.FEATURE_COUNT)
+        pipeline.train_stage1(model, windows, config)
+        assert model.a_star is None
+        assert model.pad_events == 2 * 3 * len(windows)
 
     @pytest.mark.parametrize("stage", [1, 2])
     def test_nan_input_names_stage_and_epoch(self, stage):
@@ -124,8 +133,7 @@ class TestTrainingLoop:
         model = build_model(config, ALL_COMPONENTS, pipeline.FEATURE_COUNT)
         window = tiny_instance_window(config)
         clear_tape()
-        result = model.stage2_forward(window)
-        joint_loss(result.predictions, model.scale_targets(window.targets), model.lpo, config.lambda_prompt)
+        joint_loss(model.stage2_forward(window), model.scale_targets(window.targets), model.lpo, config.lambda_prompt)
         assert tape_size() <= 40
 
 
