@@ -7,19 +7,21 @@ structured rows for the embedding and ``linear``; (T, d) query rows with a
 text-free step and unequal token counts for the cross-attention, in the rows
 and ``w_key``; the gate kernel as the ``lpo`` gate (no bias, both row sets
 tracked) and as the ``rcpg`` gate (a bias, the pooled vector tiled over the
-steps); (T, d) rows for ``acmfw_weight``; (S, d, n) stacks of node states
-with one step read out as zero for the two graph layer kernels, in the
-states and one weight; (T, d) rows with T > n through two layers for the
-graph pass; and each encoder kernel in its input rows and one weight: time
-attention with two heads, feature attention under a non-uniform structural
-bias, and the feedforward across its ReLU.
+steps); (T, d) rows for ``acmfw_weight``; an (S, d, n) stack of node states
+with one step read out as zero for the graph layer kernel, in the states,
+``w_query`` and ``w_trans``; (T, d) rows with T > n through two layers for
+the graph pass; and each encoder kernel in its input rows and one weight:
+time attention with two heads, feature attention under a non-uniform
+structural bias, and the feedforward across its ReLU.
 
-The end-to-end instance keeps the smoothing coefficient at zero because the
-smoothing history is deliberately carried as a constant; any nonzero
-coefficient would make the comparison measure that design choice instead of
-the gradients. Its input series is smooth so the two-point node layer norm
-stays in its epsilon-dominated regime, where finite differences can resolve
-the true gradients. Its loss is scored against the noise of its own finite
+The graph layer check and the end-to-end instance keep the smoothing
+coefficient at zero because the smoothing history is deliberately carried as
+a constant; any nonzero coefficient would make the comparison measure that
+design choice instead of the gradients. The tests hold the layer at a
+nonzero coefficient to its three-kernel composite instead. The end-to-end
+instance's input series is smooth so the two-point node layer norm stays in
+its epsilon-dominated regime, where finite differences can resolve the true
+gradients. Its loss is scored against the noise of its own finite
 differences (see ``_check_joint_loss``).
 """
 
@@ -38,7 +40,7 @@ from .fusion_local import (
     init_lpo_params,
     prompt_loss,
 )
-from .graph import init_dgso_params, run_dgso
+from .graph import init_dgso_params, run_dgso, uniform_matrix
 from .model import ALL_COMPONENTS, SeriesWindow, TrainConfig, build_model, joint_loss
 from .numeric import SeededRng, Tensor, grad_check, sum_sq, tensor
 from .predictor import forecast, init_ssa_params, structural_bias
@@ -47,7 +49,7 @@ from .text import encode_hashed
 __all__ = ["CheckResult", "run_all_checks", "tiny_instance_window", "tiny_instance_config"]
 
 DEFAULT_TOLERANCE = 1e-4
-STACK_STEPS = 4  # stacked graph-kernel checks: enough steps for one read out as zero
+STACK_STEPS = 4  # stacked graph-layer check: enough steps for one read out as zero
 # The joint-loss check allows each coordinate this many times its finite
 # difference's estimated noise on top of the relative tolerance. The estimate
 # |CD(h) - CD(2h)| is three times CD(h)'s O(h^2) truncation error, but the
@@ -136,25 +138,14 @@ def _check_prompt_loss(rng: SeededRng) -> float:
     return grad_check(lambda ps: prompt_loss(replace(params, prompt_struct=ps)), Tensor(params.prompt_struct.data.copy()))
 
 
-def _check_relation_matrix(rng: SeededRng) -> float:
+def _check_graph_layer(rng: SeededRng) -> float:
     layer = init_dgso_params(4, 4, 1, 0.0, rng.child("p")).layers[0]
 
-    def f(states, wq):
-        return _weighted_steps(nm.relation_softmax(states, wq, layer.w_key), rng.child("ws"))
+    def f(states, wq, w):
+        out, _ = nm.graph_layer(states, wq, layer.w_key, w, layer.ln_gamma, layer.ln_beta, uniform_matrix(5), 0.0)
+        return _weighted_steps(out, rng.child("ws"))
 
-    return _each_argument(f, rng.normal((STACK_STEPS, 5, 4)), layer.w_query.data)
-
-
-def _check_graph_conv(rng: SeededRng) -> float:
-    layer = init_dgso_params(4, 4, 1, 0.0, rng.child("p")).layers[0]
-    raw = rng.uniform((STACK_STEPS, 5, 5)) + 0.1
-    relations = tensor(raw / raw.sum(axis=2, keepdims=True))
-
-    def f(states, w):
-        return _weighted_steps(nm.conv_residual_norm(states, relations, w, layer.ln_gamma, layer.ln_beta),
-                               rng.child("ws"))
-
-    return _each_argument(f, rng.normal((STACK_STEPS, 5, 4)), layer.w_trans.data)
+    return _each_argument(f, rng.normal((STACK_STEPS, 5, 4)), layer.w_query.data, layer.w_trans.data)
 
 
 def _check_graph_pass(rng: SeededRng) -> float:
@@ -286,8 +277,7 @@ def run_all_checks(seed: int = 0, h: float = 1e-5) -> list[CheckResult]:
         ("guided_cross_attention", _check_cross_attention),
         ("sigmoid_gate", _check_sigmoid_gate),
         ("prompt_loss", _check_prompt_loss),
-        ("relation_matrix", _check_relation_matrix),
-        ("graph_conv", _check_graph_conv),
+        ("graph_layer", _check_graph_layer),
         ("graph_pass", _check_graph_pass),
         ("acmfw_weight", _check_acmfw_weight),
         ("predictor", _check_predictor),

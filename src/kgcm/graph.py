@@ -9,14 +9,13 @@ convolution per layer with residual + layer norm. Gradients flow through
 the current step's raw matrix only; the smoothing history is carried as a
 constant. A step's math therefore depends only on its own inputs and the
 parameters, so each layer runs on all T steps at once: one lift of the
-(T, d, n) states, then per layer one stacked relation kernel
-(``numeric.relation_softmax``), one smoothing scan over the (T, d, d) raw
-matrices (``numeric.lerp_const``) and one stacked convolution
-(``numeric.conv_residual_norm``). ``run_dgso`` returns the last layer's
-(T, d, n) node states and that layer's smoothed matrix at the last step;
-``Model`` reads the step rows or the final states from the stack itself.
+(T, d, n) states, then per layer one fused kernel (``numeric.graph_layer``)
+that builds, smooths and convolves the stack and records one tape entry.
+Stage 1 reads only the last step's final states, so there the last layer
+convolves the last step alone; it still builds and smooths every step's
+relation, because the last smoothed matrix depends on all of them.
 ``run_dgso`` is what ``Model`` calls and what ``gradcheck`` checks, together
-with the two layer kernels.
+with the layer kernel.
 """
 
 from __future__ import annotations
@@ -29,10 +28,8 @@ from .errors import ConfigError, ContractError
 from .numeric import (
     SeededRng,
     Tensor,
-    conv_residual_norm,
+    graph_layer,
     history_columns,
-    lerp_const,
-    relation_softmax,
 )
 
 __all__ = [
@@ -83,20 +80,23 @@ def uniform_matrix(d: int) -> np.ndarray:
     return np.full((d, d), 1.0 / d, dtype=np.float64)
 
 
-def run_dgso(fused_rows: Tensor, params: DgsoParams, n: int) -> tuple[Tensor, np.ndarray]:
+def run_dgso(fused_rows: Tensor, params: DgsoParams, n: int, last_step_only: bool = False) -> tuple[Tensor, np.ndarray]:
     """Run the full graph pass over a (T, d) window of fused step rows.
 
     Returns the last layer's (T, d, n) node states and its smoothed relation
-    matrix at the last step. Every layer's smoothing state starts at the
-    uniform matrix at the window's first step and is carried across its
-    consecutive steps, so a window's pass depends on that window alone.
-    Steps earlier than n-1 pad their history by repeating the first step.
+    matrix at the last step. With ``last_step_only`` (stage 1) the last
+    layer convolves step T-1 alone and the states are (1, d, n); the matrix
+    is the same. Every layer's smoothing state starts at the uniform matrix
+    at the window's first step and is carried across its consecutive steps,
+    so a window's pass depends on that window alone. Steps earlier than n-1
+    pad their history by repeating the first step.
     """
     if fused_rows.data.ndim != 2 or fused_rows.data.shape[0] < 1:
         raise ContractError(f"run_dgso needs a (T, d) window, got shape {fused_rows.data.shape}")
     t_steps, d = fused_rows.data.shape
     states = history_columns(fused_rows, range(t_steps), n)
-    for layer in params.layers:
-        smoothed = lerp_const(relation_softmax(states, layer.w_query, layer.w_key), uniform_matrix(d), params.ema_lambda)
-        states = conv_residual_norm(states, smoothed, layer.w_trans, layer.ln_gamma, layer.ln_beta)
-    return states, smoothed.data[-1]
+    start, last = uniform_matrix(d), len(params.layers) - 1
+    for l, layer in enumerate(params.layers):
+        states, matrix = graph_layer(states, layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma,
+                                     layer.ln_beta, start, params.ema_lambda, last_step_only and l == last)
+    return states, matrix

@@ -252,8 +252,8 @@ class Model:
         if self.dgso is None:
             final_states, matrix = history_columns(fused, t_steps - 1, n), None
         else:
-            states, matrix = run_dgso(fused, self.dgso, n)
-            final_states = take(states, t_steps - 1)
+            states, matrix = run_dgso(fused, self.dgso, n, last_step_only=True)
+            final_states = take(states, 0)
         aux_pred = linear(mean_rows(final_states), self.aux_w, self.aux_b)
         return joint_loss(aux_pred, self.scale_targets(window.targets[:1]), self.lpo, self.config.lambda_prompt), matrix
 

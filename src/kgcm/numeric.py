@@ -43,14 +43,12 @@ __all__ = [
     "matmul_nt",
     "linear",
     "relu",
-    "lerp_const",
     "take",
     "gather_rows",
     "mean_rows",
     "sum_sq",
     "sse",
-    "relation_softmax",
-    "conv_residual_norm",
+    "graph_layer",
     "history_columns",
     "time_attention_norm",
     "feature_attention_norm",
@@ -434,14 +432,19 @@ def sse(pred: Tensor, target: np.ndarray) -> Tensor:
 # only the arrays that backward reads. The generic ops live on in the tests,
 # which hold each kernel to its composite of them.
 #
-# The graph kernels (``relation_softmax``, ``lerp_const``,
-# ``conv_residual_norm``) take a stack of S steps with a leading step axis,
-# (S, d, n) states or (S, d, d) matrices, and record one tape entry; the
-# graph pass runs all T steps of a window as one stack. Parameter gradients
-# sum over the steps. Backward leaves out the steps whose incoming gradient
-# is exactly zero: backward is linear in that gradient, so this is exact,
-# and a readout of the last step alone (stage 1) then costs one step of
-# backward instead of T.
+# ``graph_layer`` is one whole graph layer: relation softmax, smoothing scan
+# and convolution with residual and layer norm, over a stack of S steps of
+# (S, d, n) node states; the graph pass runs all T steps of a window as one
+# stack. Its backward takes the convolution's gradient in the smoothed
+# matrices through the constant smoothing factor straight into the softmax
+# backward, and writes that gradient stack into the smoothed stack's memory,
+# so backward allocates no (S, d, d) stack of its own. Fewer fresh stacks
+# matter beyond their copies: glibc hands a freed heap top back to the OS,
+# and every fresh page then faults in again. Parameter gradients sum over
+# the steps. Backward leaves out the steps
+# whose incoming gradient is exactly zero: backward is linear in that
+# gradient, so this is exact, and a readout of the last step alone (stage 1)
+# then costs one step of backward instead of T.
 #
 # The encoder kernels (``time_attention_norm``, ``feature_attention_norm``,
 # ``feedforward_norm``) are the three sublayers of one encoder block, each
@@ -462,94 +465,80 @@ def _live_steps(g: np.ndarray, *arrays: np.ndarray):
     return live, tuple(x[live] for x in (g,) + arrays)
 
 
-def _on_steps(part: np.ndarray, live, shape: tuple[int, ...]) -> np.ndarray:
-    """The live steps' gradient placed in zeros of the full stacked ``shape``."""
-    if isinstance(live, slice):
+def _on_steps(part: np.ndarray, live, shape: tuple[int, ...], first: int = 0) -> np.ndarray:
+    """The live steps' gradient placed in zeros of the full stacked ``shape``, counting the steps from ``first``."""
+    if isinstance(live, slice) and not first:
         return part
     full = np.zeros(shape)
-    full[live] = part
+    full[first:][live] = part
     return full
 
 
-def relation_softmax(states: Tensor, w_query: Tensor, w_key: Tensor) -> Tensor:
-    """softmax_rows(relu((H Wq)(H Wk)^T)) for each step of a (S, d, n) stack, as a single tape entry.
+def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor, gamma: Tensor, beta: Tensor,
+                start: np.ndarray, lam: float, last_only: bool = False) -> tuple[Tensor, np.ndarray]:
+    """One graph layer over a (S, d, n) stack of node states, as a single tape entry.
 
-    The result is one (d, d) matrix per step; the weight gradients sum over
-    the steps.
+    Each step builds its relation softmax_rows(relu((H Wq)(H Wk)^T)), the
+    smoothing scan ``A[t] = lam * A[t-1] + (1 - lam) * raw[t]`` from
+    ``A[-1] = start`` carries it across the steps, and the convolution gives
+    layer_norm(relu(A H W) + H). With ``last_only`` every step's relation is
+    built and smoothed, but only the last step is convolved. Returns the
+    convolved steps' (S, d, n) or (1, d, n) states and a copy of the last
+    smoothed matrix, a constant. The history is a constant too, so a step's
+    gradient reaches its raw relation through its own smoothed matrix alone;
+    the parameter gradients sum over the steps.
     """
-    h, wq, wk = states.data, w_query.data, w_key.data
-    if h.ndim != 3 or wq.ndim != 2 or wk.ndim != 2 or h.shape[-1] != wq.shape[0] or h.shape[-1] != wk.shape[0]:
-        raise ShapeError(f"relation_softmax shapes disagree: {h.shape}, {wq.shape}, {wk.shape}")
+    h, wq, wk, w = states.data, w_query.data, w_key.data, w_trans.data
+    if h.ndim != 3 or not len(h) or wq.ndim != 2 or wk.ndim != 2 or h.shape[-1] != wq.shape[0] \
+            or h.shape[-1] != wk.shape[0] or w.shape != (h.shape[-1],) * 2 or start.shape != (h.shape[1],) * 2:
+        raise ShapeError(f"graph_layer shapes disagree: {h.shape}, {wq.shape}, {wk.shape}, {w.shape}, {start.shape}")
+    n = h.shape[-1]
+    _check_affine("graph_layer", n, gamma, beta)
+    first = len(h) - 1 if last_only else 0  # the first step convolved, and the first that backward reads
     q = h @ wq
     k = h @ wk
     # in place from the scores on: the (S, d, d) temporaries dominate the memory traffic
-    out = q @ k.transpose(0, 2, 1)
-    positive = out > 0.0
-    np.maximum(out, 0.0, out=out)
-    out -= out.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        live, (g, o, pos, hl, ql, kl) = _live_steps(g, out, positive, h, q, k)
-        gs = g * o
-        np.subtract(g, gs.sum(axis=-1, keepdims=True), out=gs)
-        gs *= o
-        gs *= pos
-        gq = gs @ kl
-        gk = gs.transpose(0, 2, 1) @ ql
-        gh = _on_steps(gq @ wq.T + gk @ wk.T, live, h.shape)
-        flat = hl.reshape(-1, h.shape[-1]).T
-        return gh, flat @ gq.reshape(-1, wq.shape[1]), flat @ gk.reshape(-1, wk.shape[1])
-
-    return _result(out, (states, w_query, w_key), bw)
-
-
-def lerp_const(raw: Tensor, prev: np.ndarray, lam: float) -> Tensor:
-    """Smoothing scan ``out[t] = lam * out[t-1] + (1 - lam) * raw[t]`` over a stack of steps from ``out[-1] = prev``.
-
-    The history is carried as a constant, so the gradient reaches ``raw[t]``
-    through ``out[t]`` alone.
-    """
-    r = raw.data
-    if r.ndim != prev.ndim + 1 or r.shape[1:] != prev.shape:
-        raise ShapeError(f"lerp_const needs a stack of {prev.shape} steps, got {r.shape}")
-    out = (1.0 - lam) * r
-    for t in range(len(out)):
-        out[t] += lam * prev
-        prev = out[t]
-
-    def bw(g):
-        return (g * (1.0 - lam),)
-
-    return _result(out, (raw,), bw)
-
-
-def conv_residual_norm(states: Tensor, relation: Tensor, w_trans: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """layer_norm(relu(A H W) + H) for each step of a (S, d, n) stack with (S, d, d) relations, as a single tape entry.
-
-    The parameter gradients sum over the steps.
-    """
-    h, a, w = states.data, relation.data, w_trans.data
-    if h.ndim != 3 or a.shape != h.shape[:-1] + (h.shape[-2],) or w.shape != (h.shape[-1],) * 2:
-        raise ShapeError(f"conv_residual_norm shapes disagree: {h.shape}, {a.shape}, {w.shape}")
-    n = h.shape[-1]
-    _check_affine("conv_residual_norm", n, gamma, beta)
-    mixed = a @ h
+    raw = q @ k.transpose(0, 2, 1)
+    positive = raw[first:] > 0.0
+    np.maximum(raw, 0.0, out=raw)
+    # non-negative doubles order as their int64 bit patterns: the same exact row max, about twice as fast
+    raw -= raw.view(np.int64).max(axis=-1, keepdims=True).view(np.float64)
+    np.exp(raw, out=raw)
+    raw /= raw.sum(axis=-1, keepdims=True)
+    p = raw[first:].copy() if last_only else raw  # the relations backward reads; the cut smooths in place
+    a = np.multiply(raw, 1.0 - lam, out=raw if last_only else None)
+    prev, carry = start, np.empty_like(start)
+    for step in a:
+        np.multiply(prev, lam, out=carry)
+        step += carry
+        prev = step
+    hc, ac = h[first:], a[first:]
+    mixed = ac @ hc
     z = mixed @ w
-    out, xhat, inv = _norm_forward(np.maximum(z, 0.0) + h, gamma.data, beta.data)
+    out, xhat, inv = _norm_forward(np.maximum(z, 0.0) + hc, gamma.data, beta.data)
 
     def bw(g):
-        live, (g, al, hl, ml, zl, il, xl) = _live_steps(g, a, h, mixed, z, inv, xhat)
+        live, (g, al, hl, ml, zl, il, xl, pl, pos, ql, kl) = _live_steps(
+            g, ac, hc, mixed, z, inv, xhat, p, positive, q[first:], k[first:])
         dy, dgamma, dbeta = _norm_backward(g, gamma.data, xl, il)
         dz = dy * (zl > 0.0)
         dw = ml.reshape(-1, n).T @ dz.reshape(-1, n)
         dmixed = dz @ w.T
-        da = _on_steps(dmixed @ hl.transpose(0, 2, 1), live, a.shape)
-        dh = _on_steps(al.transpose(0, 2, 1) @ dmixed + dy, live, h.shape)
-        return dh, da, dw, dgamma, dbeta
+        dh = al.transpose(0, 2, 1) @ dmixed + dy
+        # the convolution's gradient in A, through the smoothing factor, into the softmax of the raw
+        # relation; backward runs once, so the gradient stack takes the smoothed stack's memory
+        gs = np.matmul(dmixed, hl.transpose(0, 2, 1), out=al)
+        gs *= 1.0 - lam
+        gs -= (gs * pl).sum(axis=-1, keepdims=True)
+        gs *= pl
+        gs *= pos
+        gq = gs @ kl
+        gk = gs.transpose(0, 2, 1) @ ql
+        dh = _on_steps(dh + (gq @ wq.T + gk @ wk.T), live, h.shape, first)
+        flat = hl.reshape(-1, n).T
+        return dh, flat @ gq.reshape(-1, wq.shape[1]), flat @ gk.reshape(-1, wk.shape[1]), dw, dgamma, dbeta
 
-    return _result(out, (states, relation, w_trans, gamma, beta), bw)
+    return _result(out, (states, w_query, w_key, w_trans, gamma, beta), bw), a[-1].copy()
 
 
 def history_columns(rows: Tensor, steps, n: int) -> Tensor:
@@ -567,13 +556,23 @@ def history_columns(rows: Tensor, steps, n: int) -> Tensor:
         raise ShapeError(f"steps {steps!r} are not steps of a sequence of length {x.shape[0]}")
     idx = np.maximum(t[..., None] + np.arange(1 - n, 1), 0)
     out = np.swapaxes(x[idx], -1, -2).copy()
+    whole = t.ndim == 1 and np.array_equal(t, np.arange(x.shape[0]))
 
     def bw(g):
         full = np.zeros_like(x)
-        kept = idx
+        live, kept = None, idx
         if t.ndim:
-            _, (g, kept) = _live_steps(g, idx)
-        np.add.at(full, kept, np.swapaxes(g, -1, -2))
+            live, (g, kept) = _live_steps(g, idx)
+        g = np.swapaxes(g, -1, -2)
+        if not (whole and isinstance(live, slice)):
+            np.add.at(full, kept, g)
+            return (full,)
+        # every step of the whole sequence: row r > 0 is column n-1-k of step r+k, summed in add.at's step
+        # order by one slice-add per k; row 0 takes every padded column too, so those keep add.at
+        pad = idx == 0
+        np.add.at(full, idx[pad], g[pad])
+        for k in range(min(n, len(x) - 1)):
+            full[1:len(x) - k] += g[1 + k:, n - 1 - k]
         return (full,)
 
     return _result(out, (rows,), bw)

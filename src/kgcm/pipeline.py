@@ -344,9 +344,17 @@ def _meta_records(model: Model) -> dict[str, np.ndarray]:
 
 
 def save_model(model: Model, path) -> None:
-    """Write the pinned binary layout: magic, sorted records, matrix, config."""
+    """Write the pinned binary layout: magic, sorted records, matrix, config.
+
+    Raises ``ConfigError``, and writes nothing, for a model over other than
+    ``FEATURE_COUNT`` features: a model file is always read back with that
+    many.
+    """
     from .configio import render_model_config
 
+    if model.feature_count != FEATURE_COUNT:
+        raise ConfigError(f"a model over {model.feature_count} features cannot be saved: model files hold "
+                          f"{FEATURE_COUNT}")
     records = {name: t.data for name, t in model.named_parameters().items()}
     records.update(_meta_records(model))
     body = [MODEL_MAGIC, struct.pack("<I", len(records))]

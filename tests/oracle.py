@@ -1,10 +1,14 @@
-"""Generic tape ops that no model path runs, kept as the tests' reference.
+"""Tape ops that no model path runs, kept as the tests' reference.
 
 The fused kernels of ``kgcm.numeric`` replaced these ops on the value path.
 The tests build each kernel's composite from them, so the kernels are held
 to a second, op-by-op derivation of the same math. They use ``numeric``'s
 private helpers, so they share its softmax, layer norm and sigmoid
 arithmetic, and their gradients are checked in ``test_numeric``.
+
+The three stacked graph kernels at the end (relation, smoothing scan,
+convolution) are the graph layer split into one tape entry each; the tests
+hold ``numeric.graph_layer`` to their composite.
 """
 
 from __future__ import annotations
@@ -15,8 +19,10 @@ from kgcm.errors import ShapeError
 from kgcm.numeric import (
     Tensor,
     _check_affine,
+    _live_steps,
     _norm_backward,
     _norm_forward,
+    _on_steps,
     _result,
     _sigmoid,
     _softmax,
@@ -138,3 +144,84 @@ def sum_all(a: Tensor) -> Tensor:
         return (np.full_like(a.data, float(g)),)
 
     return _result(out, (a,), bw)
+
+
+def relation_softmax(states: Tensor, w_query: Tensor, w_key: Tensor) -> Tensor:
+    """softmax_rows(relu((H Wq)(H Wk)^T)) for each step of a (S, d, n) stack, as a single tape entry.
+
+    The result is one (d, d) matrix per step; the weight gradients sum over
+    the steps.
+    """
+    h, wq, wk = states.data, w_query.data, w_key.data
+    if h.ndim != 3 or wq.ndim != 2 or wk.ndim != 2 or h.shape[-1] != wq.shape[0] or h.shape[-1] != wk.shape[0]:
+        raise ShapeError(f"relation_softmax shapes disagree: {h.shape}, {wq.shape}, {wk.shape}")
+    q = h @ wq
+    k = h @ wk
+    # in place from the scores on: the (S, d, d) temporaries dominate the memory traffic
+    out = q @ k.transpose(0, 2, 1)
+    positive = out > 0.0
+    np.maximum(out, 0.0, out=out)
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        live, (g, o, pos, hl, ql, kl) = _live_steps(g, out, positive, h, q, k)
+        gs = g * o
+        np.subtract(g, gs.sum(axis=-1, keepdims=True), out=gs)
+        gs *= o
+        gs *= pos
+        gq = gs @ kl
+        gk = gs.transpose(0, 2, 1) @ ql
+        gh = _on_steps(gq @ wq.T + gk @ wk.T, live, h.shape)
+        flat = hl.reshape(-1, h.shape[-1]).T
+        return gh, flat @ gq.reshape(-1, wq.shape[1]), flat @ gk.reshape(-1, wk.shape[1])
+
+    return _result(out, (states, w_query, w_key), bw)
+
+
+def lerp_const(raw: Tensor, prev: np.ndarray, lam: float) -> Tensor:
+    """Smoothing scan ``out[t] = lam * out[t-1] + (1 - lam) * raw[t]`` over a stack of steps from ``out[-1] = prev``.
+
+    The history is carried as a constant, so the gradient reaches ``raw[t]``
+    through ``out[t]`` alone.
+    """
+    r = raw.data
+    if r.ndim != prev.ndim + 1 or r.shape[1:] != prev.shape:
+        raise ShapeError(f"lerp_const needs a stack of {prev.shape} steps, got {r.shape}")
+    out = (1.0 - lam) * r
+    for t in range(len(out)):
+        out[t] += lam * prev
+        prev = out[t]
+
+    def bw(g):
+        return (g * (1.0 - lam),)
+
+    return _result(out, (raw,), bw)
+
+
+def conv_residual_norm(states: Tensor, relation: Tensor, w_trans: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """layer_norm(relu(A H W) + H) for each step of a (S, d, n) stack with (S, d, d) relations, as a single tape entry.
+
+    The parameter gradients sum over the steps.
+    """
+    h, a, w = states.data, relation.data, w_trans.data
+    if h.ndim != 3 or a.shape != h.shape[:-1] + (h.shape[-2],) or w.shape != (h.shape[-1],) * 2:
+        raise ShapeError(f"conv_residual_norm shapes disagree: {h.shape}, {a.shape}, {w.shape}")
+    n = h.shape[-1]
+    _check_affine("conv_residual_norm", n, gamma, beta)
+    mixed = a @ h
+    z = mixed @ w
+    out, xhat, inv = _norm_forward(np.maximum(z, 0.0) + h, gamma.data, beta.data)
+
+    def bw(g):
+        live, (g, al, hl, ml, zl, il, xl) = _live_steps(g, a, h, mixed, z, inv, xhat)
+        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xl, il)
+        dz = dy * (zl > 0.0)
+        dw = ml.reshape(-1, n).T @ dz.reshape(-1, n)
+        dmixed = dz @ w.T
+        da = _on_steps(dmixed @ hl.transpose(0, 2, 1), live, a.shape)
+        dh = _on_steps(al.transpose(0, 2, 1) @ dmixed + dy, live, h.shape)
+        return dh, da, dw, dgamma, dbeta
+
+    return _result(out, (states, relation, w_trans, gamma, beta), bw)

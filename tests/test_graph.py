@@ -15,17 +15,16 @@ from kgcm.numeric import (
     add,
     backward,
     clear_tape,
-    conv_residual_norm,
     grad_check,
+    graph_layer,
     history_columns,
-    lerp_const,
-    relation_softmax,
     sum_sq,
     take,
+    tape_size,
     tensor,
 )
 
-from oracle import mul
+from oracle import conv_residual_norm, lerp_const, mul, relation_softmax
 
 
 @pytest.fixture(autouse=True)
@@ -35,7 +34,9 @@ def fresh_tape():
     clear_tape()
 
 
-# One step of the graph kernels is a stack of one, as below.
+# The properties of one graph layer are stated on the oracle's three kernels,
+# relation, smoothing scan and convolution, which ``TestGraphLayer`` holds
+# ``graph_layer`` to. One step of them is a stack of one, as below.
 
 
 def _relation(states, layer):
@@ -398,3 +399,93 @@ class TestStackedGraphPass:
     def _assert_close(got, want):
         for g, w in zip(got, want, strict=True):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def _composite_layers(states, params):
+    """The layer stack from the oracle's kernels: per layer relation, smoothing scan and convolution, an entry each."""
+    d = states.data.shape[1]
+    for layer in params.layers:
+        smoothed = lerp_const(_relation(states, layer), uniform_matrix(d), params.ema_lambda)
+        states = _conv(states, smoothed, layer)
+    return states, smoothed.data[-1]
+
+
+def _fused_layers(states, params, cut):
+    """The same stack from ``graph_layer``, the last layer convolving only the last step when ``cut``."""
+    start = uniform_matrix(states.data.shape[1])
+    for l, layer in enumerate(params.layers):
+        states, matrix = graph_layer(states, layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma,
+                                     layer.ln_beta, start, params.ema_lambda, cut and l == len(params.layers) - 1)
+    return states, matrix
+
+
+class TestGraphLayer:
+    """``graph_layer`` is the oracle's relation -> smoothing -> convolution composite in one tape entry."""
+
+    N, D = 4, 5
+
+    @pytest.mark.parametrize("cut", [False, True])
+    @pytest.mark.parametrize("t_steps", [1, N - 1, 48])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("ema_lambda", [0.0, 0.9])
+    def test_matches_three_kernel_composite(self, ema_lambda, depth, t_steps, cut):
+        n, d = self.N, self.D
+        rng = SeededRng(70 + 7 * t_steps + depth)
+        params = init_dgso_params(n, 3, depth, ema_lambda, rng.child("params"))
+        rows = Tensor(rng.normal((t_steps, d)), requires_grad=True)
+        tensors = [rows] + [t for layer in params.layers
+                            for t in (layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma, layer.ln_beta)]
+
+        def lift():
+            return history_columns(rows, range(t_steps), n)
+
+        states, matrix = _fused_layers(lift(), params, cut)
+        want_states, want_matrix = _composite_layers(lift(), params)
+        clear_tape()
+        first = t_steps - 1 if cut else 0
+        assert states.data.tobytes() == want_states.data[first:].tobytes()
+        assert matrix.tobytes() == want_matrix.tobytes()
+
+        # every convolved step read, then only some of them, the rest exactly zero
+        dense = rng.normal(states.data.shape)
+        sparse = dense * (np.arange(len(dense)) % 3 != 1)[:, None, None]
+        for readout in (dense, sparse):
+            fused, matrix = _fused_layers(lift(), params, cut)
+            got = _gradients(sum_sq(mul(fused, tensor(readout))), tensors)
+            out = take(_composite_layers(lift(), params)[0], np.s_[first:])
+            TestStackedGraphPass._assert_close(got, _gradients(sum_sq(mul(out, tensor(readout))), tensors))
+            # backward reuses the layer's stacks; the matrix it handed out stays as it was
+            assert matrix.tobytes() == want_matrix.tobytes()
+
+
+class TestStage1Cut:
+    """Stage 1 reads step T-1 alone, so its pass convolves only that step in the last layer."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("ema_lambda", [0.0, 0.9])
+    def test_last_step_only_matches_full_pass(self, ema_lambda, depth):
+        n, t_steps = 4, 12
+        rng = SeededRng(90 + depth)
+        params = init_dgso_params(n, n, depth, ema_lambda, rng.child("params"))
+        rows = Tensor(rng.normal((t_steps, 6)), requires_grad=True)
+        tensors = [rows] + [t for layer in params.layers
+                            for t in (layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma, layer.ln_beta)]
+        readout = tensor(rng.normal((6, n)))
+
+        full, full_matrix = run_dgso(rows, params, n)
+        want = _gradients(sum_sq(mul(take(full, t_steps - 1), readout)), tensors)
+        cut, cut_matrix = run_dgso(rows, params, n, last_step_only=True)
+        assert cut.data.shape == (1, 6, n)
+        assert cut.data[0].tobytes() == full.data[-1].tobytes()
+        assert cut_matrix.tobytes() == full_matrix.tobytes()
+        got = _gradients(sum_sq(mul(take(cut, 0), readout)), tensors)
+        for g, w in zip(got, want, strict=True):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("last_step_only", [False, True])
+    def test_one_tape_entry_per_layer(self, depth, last_step_only):
+        # the lift, then one graph_layer entry per layer (the three kernels made 1 + 3 * depth)
+        params = init_dgso_params(4, 4, depth, 0.9, SeededRng(95))
+        run_dgso(Tensor(SeededRng(96).normal((10, 6)), requires_grad=True), params, 4, last_step_only)
+        assert tape_size() == 1 + depth

@@ -263,14 +263,15 @@ class TestElementwiseGradients:
 
 
 class TestFusedKernels:
-    # the graph kernels take stacks of steps: one step is a stack of one
+    # the oracle's three graph kernels, which graph_layer is held to in
+    # test_graph, and graph_layer take stacks of steps: one step is a stack of one
 
     def test_relation_softmax_matches_composition(self):
         rng = SeededRng(20)
         h = tensor(rng.normal((1, 5, 3)))
         wq = tensor(rng.glorot(3, 3))
         wk = tensor(rng.glorot(3, 3))
-        fused = nm.relation_softmax(h, wq, wk)
+        fused = oracle.relation_softmax(h, wq, wk)
         step = tensor(h.data[0])
         composed = oracle.softmax_rows(nm.relu(nm.matmul_nt(oracle.matmul(step, wq), oracle.matmul(step, wk))))
         np.testing.assert_array_equal(fused.data[0], composed.data)
@@ -288,7 +289,7 @@ class TestFusedKernels:
         def f(x):
             args = dict(base)
             args[probe] = x
-            return sum_sq(oracle.mul(nm.relation_softmax(args["states"], args["w_query"], args["w_key"]), readout))
+            return sum_sq(oracle.mul(oracle.relation_softmax(args["states"], args["w_query"], args["w_key"]), readout))
 
         assert grad_check(f, Tensor(base[probe].data.copy())) < 1e-4
 
@@ -299,7 +300,7 @@ class TestFusedKernels:
         w = tensor(rng.glorot(5, 5))
         gamma = tensor(rng.normal((5,)) + 1.0)
         beta = tensor(rng.normal((5,)))
-        fused = nm.conv_residual_norm(h, a, w, gamma, beta)
+        fused = oracle.conv_residual_norm(h, a, w, gamma, beta)
         step, relation = tensor(h.data[0]), tensor(a.data[0])
         composed = layer_norm(nm.add(nm.relu(oracle.matmul(oracle.matmul(relation, step), w)), step), gamma, beta)
         np.testing.assert_array_equal(fused.data[0], composed.data)
@@ -319,7 +320,7 @@ class TestFusedKernels:
         def f(x):
             args = dict(base)
             args[probe] = x
-            out = nm.conv_residual_norm(args["states"], args["relation"], args["w_trans"], args["gamma"], args["beta"])
+            out = oracle.conv_residual_norm(args["states"], args["relation"], args["w_trans"], args["gamma"], args["beta"])
             return sum_sq(oracle.mul(out, readout))
 
         assert grad_check(f, Tensor(base[probe].data.copy())) < 1e-4
@@ -327,13 +328,19 @@ class TestFusedKernels:
     def test_graph_kernels_take_stacks_only(self):
         rng = SeededRng(25)
         w = tensor(rng.glorot(3, 3))
+        gamma, beta = tensor(np.ones(3)), tensor(np.zeros(3))
+        stack = tensor(rng.normal((2, 4, 3)))
+        start = np.full((4, 4), 0.25)
+        for states, w_trans, matrix in [
+            (tensor(rng.normal((4, 3))), w, start),  # one step not as a stack
+            (tensor(np.zeros((0, 4, 3))), w, start),  # no steps
+            (stack, tensor(rng.glorot(3, 4)), start),  # a non-square transform
+            (stack, w, np.full((3, 3), 1.0 / 3.0)),  # a start matrix over other nodes
+        ]:
+            with pytest.raises(ShapeError):
+                nm.graph_layer(states, w, w, w_trans, gamma, beta, matrix, 0.5)
         with pytest.raises(ShapeError):
-            nm.relation_softmax(tensor(rng.normal((4, 3))), w, w)
-        with pytest.raises(ShapeError):
-            nm.conv_residual_norm(tensor(rng.normal((4, 3))), tensor(np.eye(4)), w, tensor(np.ones(3)),
-                                  tensor(np.zeros(3)))
-        with pytest.raises(ShapeError):
-            nm.lerp_const(tensor(np.eye(4)), np.eye(4), 0.5)
+            nm.graph_layer(stack, w, w, w, tensor(np.ones(4)), beta, start, 0.5)
 
     def test_history_columns_layout_and_padding(self):
         rows = tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
@@ -343,6 +350,18 @@ class TestFusedKernels:
         # padded at t=0, n=3: row 0 repeated
         padded = nm.history_columns(rows, 0, 3)
         np.testing.assert_array_equal(padded.data, [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+
+    @pytest.mark.parametrize("t_steps", [1, 3, 8, 20])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_history_columns_of_every_step_scatter_as_add_at(self, t_steps, n):
+        # the backward over all steps of a sequence sums each row in np.add.at's order, bit for bit
+        rng = SeededRng(26)
+        rows = Tensor(rng.normal((t_steps, 4)), requires_grad=True)
+        g = rng.normal((t_steps, 4, n)) * np.exp(3.0 * rng.normal((t_steps, 4, n)))
+        grad = backward(sum_all(oracle.mul(nm.history_columns(rows, range(t_steps), n), tensor(g))), [rows])[rows]
+        want = np.zeros((t_steps, 4))
+        np.add.at(want, np.maximum(np.arange(t_steps)[:, None] + np.arange(1 - n, 1), 0), np.swapaxes(g, 1, 2))
+        assert grad.tobytes() == want.tobytes()
 
     def test_history_columns_gradient(self):
         def f(rows):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kgcm import pipeline
 from kgcm.data import GeneratorConfig, generate_synthetic
-from kgcm.errors import DataError, FormatError, TrainingError
+from kgcm.errors import ConfigError, DataError, FormatError, TrainingError
 from kgcm.gradcheck import tiny_instance_config, tiny_instance_window
 from kgcm.model import ALL_COMPONENTS, TrainConfig, build_model
 from kgcm.model import joint_loss
@@ -256,6 +256,14 @@ class TestModelFile:
         assert _forecasts(loaded, test) == _forecasts(model, test)
         assert loaded.stage1_history == model.stage1_history
         assert loaded.stage2_history == model.stage2_history
+
+    def test_a_model_that_cannot_be_reloaded_is_not_saved(self, tmp_path):
+        # load_model sizes every model with FEATURE_COUNT features
+        model = build_model(_config(), frozenset(), pipeline.FEATURE_COUNT - 2)
+        path = tmp_path / "model.kgcm"
+        with pytest.raises(ConfigError, match="features"):
+            pipeline.save_model(model, path)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.fixture
     def saved(self, tmp_path):
