@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .data import GeneratorConfig
+from .data import GeneratorConfig, open_utf8
 from .errors import ConfigError
 from .model import ALL_COMPONENTS, COMPONENT_ORDER, TrainConfig
 from .pipeline import FEATURE_COUNT
@@ -137,7 +137,7 @@ def parse_config_text(text: str) -> ParsedConfig:
 
 
 def parse_config(path) -> ParsedConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path, ConfigError) as fh:
         return parse_config_text(fh.read())
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "write_dataset",
     "write_predictions",
     "atomic_write_text",
+    "open_utf8",
 ]
 
 START_TIME = datetime(2024, 1, 1, tzinfo=timezone.utc)  # a Monday
@@ -259,10 +260,19 @@ def write_dataset(dataset: DemandDataset, out_dir) -> None:
     atomic_write_text(os.path.join(out_dir, "global_text.csv"), buf.getvalue())
 
 
+def open_utf8(path, error: type[Exception]) -> io.StringIO:
+    """The UTF-8 file ``path``, read whole, as a stream for ``csv``; ``error`` names the file if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return io.StringIO(fh.read(), newline="")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def load_csv(demand_path, local_text_path=None, global_text_path=None) -> DemandDataset:
     """Read the dataset schema back; missing text rows become empty texts."""
     per_region: dict[str, dict] = {}
-    with open(demand_path, "r", encoding="utf-8", newline="") as fh:
+    with open_utf8(demand_path, DataError) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -329,7 +339,7 @@ def load_csv(demand_path, local_text_path=None, global_text_path=None) -> Demand
     total = len(reference)
     local_texts = {region: ["" for _ in range(total)] for region in per_region}
     if local_text_path is not None and os.path.exists(local_text_path):
-        with open(local_text_path, "r", encoding="utf-8", newline="") as fh:
+        with open_utf8(local_text_path, DataError) as fh:
             reader = csv.reader(fh)
             next(reader, None)
             for rowno, row in enumerate(reader, start=2):
@@ -346,7 +356,7 @@ def load_csv(demand_path, local_text_path=None, global_text_path=None) -> Demand
                 local_texts[region][index[ts]] = text
     global_texts = ["" for _ in range(total)]
     if global_text_path is not None and os.path.exists(global_text_path):
-        with open(global_text_path, "r", encoding="utf-8", newline="") as fh:
+        with open_utf8(global_text_path, DataError) as fh:
             reader = csv.reader(fh)
             next(reader, None)
             for rowno, row in enumerate(reader, start=2):

@@ -12,25 +12,16 @@ from .numeric import Tensor
 __all__ = ["AdamState", "clip_global_norm", "adam_step"]
 
 DEFAULT_CLIP_NORM = 5.0
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class AdamState:
-    """Optimizer state: hyperparameters plus per-parameter moment arrays."""
+    """Optimizer state: learning rate, clip norm and per-parameter moment arrays."""
 
-    def __init__(
-        self,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        clip_norm: float = DEFAULT_CLIP_NORM,
-    ):
-        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-            raise TrainingError(f"Adam betas must lie in (0,1), got {beta1}, {beta2}")
+    def __init__(self, lr: float = 1e-3, clip_norm: float = DEFAULT_CLIP_NORM):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.clip_norm = clip_norm
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
@@ -64,8 +55,8 @@ def adam_step(state: AdamState, params: dict[str, Tensor], grads: dict[str, np.n
     grads = clip_global_norm(grads, state.clip_norm)
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, g in grads.items():
         p = params[name]
         m = state.m.get(name)
@@ -74,9 +65,9 @@ def adam_step(state: AdamState, params: dict[str, Tensor], grads: dict[str, np.n
             state.m[name] = m
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return params

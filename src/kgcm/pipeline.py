@@ -12,10 +12,11 @@ which records its text encoder, and ``model_split`` as a model recorded.
 
 from __future__ import annotations
 
+import io
 import logging
-import math
 import os
-import struct
+import tokenize
+import zipfile
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Callable
@@ -32,7 +33,6 @@ from .text import EncoderConfig, TextRecord, TokenEmbeddings, encode
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "MODEL_MAGIC",
     "SplitWindows",
     "build_windows",
     "split_windows",
@@ -47,7 +47,6 @@ __all__ = [
     "load_model",
 ]
 
-MODEL_MAGIC = b"KGCM1"
 FEATURE_COUNT = 5  # demand, avg_passengers, avg_distance, is_holiday, is_weekend
 
 TRAIN_FRACTION = 0.70
@@ -296,155 +295,121 @@ def predict(model: Model, window: SeriesWindow) -> np.ndarray:
 # Model file format
 # ---------------------------------------------------------------------------
 
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.blob):
-            raise FormatError(f"truncated model file at offset {self.pos}")
-        out = self.blob[self.pos: self.pos + count]
-        self.pos += count
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def text(self, count: int) -> str:
-        try:
-            return self.take(count).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"invalid UTF-8 text at offset {self.pos - count}") from exc
-
-
-def _pack_record(name: str, arr: np.ndarray) -> bytes:
-    encoded = name.encode("utf-8")
-    parts = [struct.pack("<I", len(encoded)), encoded, struct.pack("<B", arr.ndim)]
-    for dim in arr.shape:
-        parts.append(struct.pack("<I", dim))
-    parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(parts)
+CONFIG_RECORD = "_meta/config"
 
 
 def _meta_records(model: Model) -> dict[str, np.ndarray]:
-    out = {
+    from .configio import render_model_config
+
+    config_text = render_model_config(model.config, model.components, model.encoder.embedding_file)
+    return {
+        CONFIG_RECORD: np.frombuffer(config_text.encode("utf-8"), dtype=np.uint8),
         "_meta/scaler_mean": model.scaler_mean,
         "_meta/scaler_std": model.scaler_std,
+        "_meta/a_star": np.zeros((0, 0)) if model.a_star is None else model.a_star,
+        "_meta/history_stage1": np.array(model.stage1_history, dtype=np.float64),
+        "_meta/history_stage2": np.array(model.stage2_history, dtype=np.float64),
     }
-    if model.stage1_history:
-        out["_meta/history_stage1"] = np.array(model.stage1_history, dtype=np.float64)
-    if model.stage2_history:
-        out["_meta/history_stage2"] = np.array(model.stage2_history, dtype=np.float64)
-    return out
 
 
 def save_model(model: Model, path) -> None:
-    """Write the pinned binary layout: magic, sorted records, matrix, config.
+    """Write ``model`` as one uncompressed numpy archive (``np.savez``).
+
+    The archive holds one float64 member per parameter, named as
+    ``Model.named_parameters`` names it, and the ``_meta/`` members:
+    ``scaler_mean`` and ``scaler_std``; ``a_star``, 0 x 0 until stage 1
+    freezes the relation matrix; ``history_stage1`` and ``history_stage2``,
+    one loss per epoch; and ``config``, the rendered model config as UTF-8
+    ``uint8`` bytes. Every member is always written, and zip keeps a CRC-32
+    of each. The archive is written under a temporary name and renamed into
+    place.
 
     Raises ``ConfigError``, and writes nothing, for a model over other than
     ``FEATURE_COUNT`` features: a model file is always read back with that
     many.
     """
-    from .configio import render_model_config
-
     if model.feature_count != FEATURE_COUNT:
         raise ConfigError(f"a model over {model.feature_count} features cannot be saved: model files hold "
                           f"{FEATURE_COUNT}")
     records = {name: t.data for name, t in model.named_parameters().items()}
     records.update(_meta_records(model))
-    body = [MODEL_MAGIC, struct.pack("<I", len(records))]
-    for name in sorted(records):
-        body.append(_pack_record(name, records[name]))
-    if model.a_star is not None:
-        body.append(struct.pack("<B", 1))
-        body.append(struct.pack("<I", model.a_star.shape[0]))
-        body.append(np.ascontiguousarray(model.a_star, dtype="<f8").tobytes())
-    else:
-        body.append(struct.pack("<B", 0))
-    config_text = render_model_config(model.config, model.components, model.encoder.embedding_file)
-    encoded = config_text.encode("utf-8")
-    body.append(struct.pack("<I", len(encoded)))
-    body.append(encoded)
-    blob = b"".join(body)
-    path = str(path)
-    tmp = path + ".tmp"
+    tmp = f"{path}.tmp"
+    # through the handle, since np.savez appends ".npz" to a path without it
     with open(tmp, "wb") as fh:
-        fh.write(blob)
+        np.savez(fh, **records)
     os.replace(tmp, path)
 
 
 def load_model(path) -> Model:
-    """Read a model file, rejecting any record a trained model could not have written.
+    """Read a model file, rejecting any archive ``save_model`` could not have written.
 
-    Every array must be finite and of rank at most 3, the scaler records
-    must be present, loss histories one-dimensional, the embedded config
-    must parse, and a stored relation matrix must be d x d and row-stochastic. Any violation, and bytes after
-    the embedded config, raise ``FormatError``.
+    An unreadable path raises ``OSError``. ``FormatError`` is raised for
+    bytes that are not an intact numpy archive, a member among them that
+    fails its CRC-32 check; for a record other than the config that is not
+    finite float64; for a config that is not UTF-8 or does not parse; for
+    record names other than those ``save_model`` writes for the config's
+    model, or parameter shapes other than its own; and for a mis-shaped
+    scaler, a loss history that is not one-dimensional, or a relation matrix
+    that is neither 0 x 0 nor d x d and row-stochastic.
     """
     from .configio import parse_config_text
 
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh:  # outside the try, so an unreadable path stays an OSError
         blob = fh.read()
-    reader = _Reader(blob)
-    if reader.take(len(MODEL_MAGIC)) != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a model file")
-    count = reader.u32()
-    records: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name = reader.text(reader.u32())
-        rank = reader.u8()
-        if rank > 3:
-            raise FormatError(f"{path}: record {name} has rank {rank}, at most 3 is supported")
-        dims = tuple(reader.u32() for _ in range(rank))
-        # a Python int product cannot wrap around, so a huge size fails as a truncation
-        arr = np.frombuffer(reader.take(8 * math.prod(dims)), dtype="<f8").reshape(dims).copy()
+    try:
+        with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+            # each member is read whole, since zipfile checks its CRC-32 only where a read reaches its end
+            records = {name.removesuffix(".npy"): np.lib.format.read_array(io.BytesIO(archive.read(name)))
+                       for name in archive.namelist()}
+    except (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError, ValueError, OSError,
+            tokenize.TokenError, MemoryError) as exc:
+        # a bad directory or CRC, a cut-off member, a compression or encryption flag, a bad offset, or an
+        # npy header that does not parse or gives a shape too large to allocate
+        raise FormatError(f"{path}: not an intact model archive: {exc}") from exc
+    for name, arr in records.items():
+        kind = np.dtype(np.uint8 if name == CONFIG_RECORD else np.float64)
+        if arr.dtype != kind:
+            raise FormatError(f"{path}: record {name} is not a {kind} array")
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: record {name} holds non-finite values")
-        records[name] = arr
-    a_star = None
-    if reader.u8():
-        d = reader.u32()
-        a_star = np.frombuffer(reader.take(8 * d * d), dtype="<f8").reshape(d, d).copy()
-    config_text = reader.text(reader.u32())
-    if reader.pos != len(blob):
-        raise FormatError(f"{path}: {len(blob) - reader.pos} trailing bytes after the model config")
+    if CONFIG_RECORD not in records:
+        raise FormatError(f"{path}: record {CONFIG_RECORD} is missing")
     try:
-        parsed = parse_config_text(config_text)
+        parsed = parse_config_text(records[CONFIG_RECORD].tobytes().decode("utf-8"))
         model = build_model(parsed.train, parsed.components, FEATURE_COUNT)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: model config is not UTF-8 text") from exc
     except ConfigError as exc:
         raise FormatError(f"{path}: invalid model config: {exc}") from exc
     config = parsed.train
     model.encoder = parsed.encoder
     params = model.named_parameters()
-    stored = {k: v for k, v in records.items() if not k.startswith("_meta/")}
-    if set(stored) != set(params):
-        missing = sorted(set(params) - set(stored))
-        extra = sorted(set(stored) - set(params))
-        raise FormatError(f"{path}: parameter names disagree (missing {missing}, extra {extra})")
-    for name, arr in stored.items():
-        if params[name].data.shape != arr.shape:
-            raise FormatError(f"{path}: record {name} has shape {arr.shape}, expected {params[name].data.shape}")
-        params[name].data = arr
-    if a_star is not None:
+    # a damaged central directory can drop members without a zip error
+    expected = set(params) | set(_meta_records(model))
+    if set(records) != expected:
+        missing = sorted(expected - set(records))
+        extra = sorted(set(records) - expected)
+        raise FormatError(f"{path}: record names disagree (missing {missing}, extra {extra})")
+    for name, param in params.items():
+        if param.data.shape != records[name].shape:
+            raise FormatError(f"{path}: record {name} has shape {records[name].shape}, expected {param.data.shape}")
+        param.data = records[name]
+    a_star = records["_meta/a_star"]
+    if a_star.shape != (0, 0):  # 0 x 0 until stage 1 freezes the matrix
         if a_star.shape != (config.d, config.d):
             raise FormatError(f"{path}: relation matrix has shape {a_star.shape}, expected ({config.d}, {config.d})")
-        if not np.isfinite(a_star).all() or (a_star < 0).any() or np.abs(a_star.sum(axis=1) - 1.0).max() > 1e-9:
+        if (a_star < 0).any() or np.abs(a_star.sum(axis=1) - 1.0).max() > 1e-9:
             raise FormatError(f"{path}: relation matrix is not row-stochastic")
         a_star.setflags(write=False)
         model.a_star = a_star
     for key in ("_meta/scaler_mean", "_meta/scaler_std"):
-        if key not in records or records[key].shape != (FEATURE_COUNT,):
-            raise FormatError(f"{path}: record {key} is missing or does not have shape ({FEATURE_COUNT},)")
+        if records[key].shape != (FEATURE_COUNT,):
+            raise FormatError(f"{path}: record {key} has shape {records[key].shape}, expected ({FEATURE_COUNT},)")
     for key in ("_meta/history_stage1", "_meta/history_stage2"):
-        if key in records and records[key].ndim != 1:
+        if records[key].ndim != 1:
             raise FormatError(f"{path}: record {key} has shape {records[key].shape}, expected one loss per epoch")
     model.scaler_mean = records["_meta/scaler_mean"]
     model.scaler_std = records["_meta/scaler_std"]
-    model.stage1_history = list(records.get("_meta/history_stage1", np.array([])))
-    model.stage2_history = list(records.get("_meta/history_stage2", np.array([])))
+    model.stage1_history = list(records["_meta/history_stage1"])
+    model.stage2_history = list(records["_meta/history_stage2"])
     return model

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .data import open_utf8
 from .errors import DataError, FormatError
 from .numeric import fnv1a64
 
@@ -102,7 +103,7 @@ def load_embedding_file(path) -> dict[str, TokenEmbeddings]:
     """Read `id,v1,...,vd` lines into a lookup of precomputed vectors."""
     out: dict[str, TokenEmbeddings] = {}
     dim: int | None = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_utf8(path, FormatError) as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue

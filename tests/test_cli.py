@@ -1,4 +1,5 @@
-import struct
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from kgcm.data import GeneratorConfig, generate_synthetic, load_csv, write_datas
 from kgcm.evaluate import evaluate
 from kgcm.gradcheck import tiny_instance_config
 from kgcm.model import ALL_COMPONENTS, TrainConfig, build_model
-from kgcm.pipeline import build_windows, load_model, save_model, split_windows, train_stage2
+from kgcm.pipeline import CONFIG_RECORD, build_windows, load_model, save_model, split_windows, train_stage2
 from kgcm.text import EncoderConfig
 
 CSV_FILES = ("demand.csv", "local_text.csv", "global_text.csv")
@@ -121,11 +122,12 @@ def test_model_file_without_text_section_loads_as_hashed(tmp_path):
     model = build_model(config, frozenset(), feature_count=5)
     path = tmp_path / "model.kgcm"
     save_model(model, path)
-    blob = path.read_bytes()
+    with np.load(path) as archive:
+        members = dict(archive)
     text = render_model_config(config, model.components)
-    legacy = text[: text.index("[text]")].encode("utf-8")
-    body = blob[: len(blob) - len(text.encode("utf-8")) - 4]
-    path.write_bytes(body + struct.pack("<I", len(legacy)) + legacy)
+    members[CONFIG_RECORD] = np.frombuffer(text[: text.index("[text]")].encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
     loaded = load_model(path)
     assert loaded.encoder == EncoderConfig()
 
@@ -155,24 +157,37 @@ def test_stage2_encodes_text_as_the_init_model_recorded(tmp_path, capsys):
     assert model.stage2_history == reference.stage2_history
 
 
+def _with_byte(path, byte: bytes):
+    """Write ``path`` again with ``byte`` added at the end of its first line."""
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"\n", byte + b"\n", 1))
+
+
 @pytest.fixture
 def workspace(tmp_path):
-    """A data directory, a config, and an all-five model file whose first record name length is off by one."""
+    """A data directory, configs, model files, and files that are damaged or not UTF-8."""
     write_dataset(generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12, event_rate=0.3)),
                   tmp_path / "data")
     (tmp_path / "tiny.cfg").write_text(TINY.format(d=8))
     (tmp_path / "graphless.cfg").write_text(TINY.format(d=8).replace("components = all", "components = ssa,rcpg"))
     (tmp_path / "unknown-key.cfg").write_text(TINY.format(d=8).replace("[train]\n", "[train]\nbogus = 1\n"))
     (tmp_path / "three-features.cfg").write_text(TINY.format(d=8).replace("[train]\n", "features = 3\n[train]\n"))
+    (tmp_path / "latin1.cfg").write_text(TINY.format(d=8))
+    _with_byte(tmp_path / "latin1.cfg", b"\xff")
+    for name in CSV_FILES:
+        shutil.copytree(tmp_path / "data", tmp_path / f"latin1-{name}")
+        _with_byte(tmp_path / f"latin1-{name}" / name, b"\xe9")
+    table = _write_embeddings(load_csv(*(tmp_path / "data" / f for f in CSV_FILES)), tmp_path / "latin1.csv")
+    _with_byte(table, b"\xe9")
+    (tmp_path / "latin1-table.cfg").write_text(TINY.format(d=8) + f"[text]\nencoder = file\nembedding_file = {table}\n")
     # an untrained model that fits the data, so evaluate reaches the metrics
     save_model(build_model(TrainConfig(d=8, n=2, window=8, horizon=2, blocks=1, day_slots=12), frozenset()),
                tmp_path / "plain.kgcm")
-    model = build_model(tiny_instance_config(), ALL_COMPONENTS, feature_count=5)
-    model.freeze_structure(np.ones((4, 4)))
-    save_model(model, tmp_path / "model.kgcm")
-    blob = bytearray((tmp_path / "model.kgcm").read_bytes())
-    blob[9] ^= 1
+    blob = bytearray((tmp_path / "plain.kgcm").read_bytes())
+    blob[blob.index(b"\x93NUMPY")] ^= 1  # the first member's npy magic, under that member's CRC-32
     (tmp_path / "damaged.kgcm").write_bytes(bytes(blob))
+    (tmp_path / "kgcm1.kgcm").write_bytes(b"KGCM1" + bytes(64))
+    np.save(tmp_path / "array.npy", np.zeros(3))
     return tmp_path
 
 
@@ -190,6 +205,15 @@ EXIT_CODE_CASES = {
     "missing-config-file": (_train("no-such.cfg"), {}, cli.EXIT_IO),
     "damaged-model-file": (["evaluate", "--model", "damaged.kgcm", "--data", "data", "--out", "m.csv"], {},
                            cli.EXIT_DATA),
+    "kgcm1-model-file": (["evaluate", "--model", "kgcm1.kgcm", "--data", "data", "--out", "m.csv"], {},
+                         cli.EXIT_DATA),
+    "bare-npy-array-model-file": (["evaluate", "--model", "array.npy", "--data", "data", "--out", "m.csv"], {},
+                                  cli.EXIT_DATA),
+    "missing-model-file": (["evaluate", "--model", "no-such.kgcm", "--data", "data", "--out", "m.csv"], {},
+                           cli.EXIT_IO),
+    "non-utf8-config-file": (_train("latin1.cfg"), {}, cli.EXIT_DATA),
+    **{f"non-utf8-{name}": (_train("tiny.cfg", f"latin1-{name}"), {}, cli.EXIT_DATA) for name in CSV_FILES},
+    "non-utf8-embedding-file": (_train("latin1-table.cfg"), {}, cli.EXIT_DATA),
     "nan-mape-floor": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",
                         "--mape-floor", "nan"], {}, cli.EXIT_DATA),
     "infinite-mape-floor": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",
@@ -207,3 +231,10 @@ def test_exit_codes(workspace, monkeypatch, capsys, case):
     assert "Traceback" not in capsys.readouterr().err
     assert not (workspace / "out.kgcm").exists()
     assert not (workspace / "m.csv").exists()
+
+
+@pytest.mark.parametrize("case", sorted(case for case in EXIT_CODE_CASES if case.startswith("non-utf8-")))
+def test_non_utf8_input_error_names_the_file(workspace, monkeypatch, capsys, case):
+    monkeypatch.chdir(workspace)
+    cli.main(EXIT_CODE_CASES[case][0])
+    assert re.search(r"latin1\S*: not UTF-8 text", capsys.readouterr().err)

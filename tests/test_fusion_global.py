@@ -109,8 +109,7 @@ class TestFrozenStructure:
             load_model(_model_file(tmp_path, [[0.5, 0.6], [0.5, 0.5]]))
 
     def test_rejects_non_square(self, tmp_path):
-        # the file stores a square matrix with its side length; one of the
-        # wrong side is what a matrix that is not d x d looks like on disk
+        # a d = 2 model whose file holds a 3 x 3 matrix
         with pytest.raises(FormatError, match="shape"):
             load_model(_model_file(tmp_path, np.full((3, 3), 1.0 / 3.0)))
 
@@ -119,7 +118,7 @@ class TestFrozenStructure:
             load_model(_model_file(tmp_path, [[1.5, -0.5], [0.5, 0.5]]))
 
     def test_rejects_non_finite(self, tmp_path):
-        with pytest.raises(FormatError, match="row-stochastic"):
+        with pytest.raises(FormatError, match="record _meta/a_star holds non-finite values"):
             load_model(_model_file(tmp_path, [[np.nan, 0.5], [0.5, 0.5]]))
 
     def test_rejects_row_sum_off_by_more_than_1e_9(self, tmp_path):

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import tempfile
+import zipfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgcm import pipeline
+from kgcm.configio import render_model_config
 from kgcm.data import GeneratorConfig, generate_synthetic
 from kgcm.errors import ConfigError, DataError, FormatError, TrainingError
 from kgcm.gradcheck import tiny_instance_config, tiny_instance_window
@@ -247,6 +249,15 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _rewrite_archive(path, edit) -> None:
+    """Apply ``edit`` to the model file's records, then write them back as a valid archive."""
+    with np.load(path) as archive:
+        members = {name: archive[name].copy() for name in archive.files}
+    edit(members)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
 class TestModelFile:
     def test_save_load_predict_bitwise(self, tmp_path):
         model, test = _fit()
@@ -272,11 +283,10 @@ class TestModelFile:
         return model, tmp_path / "model.kgcm"
 
     @pytest.mark.parametrize("key", ["_meta/scaler_mean", "_meta/scaler_std"])
-    def test_missing_scaler_record(self, saved, monkeypatch, key):
+    def test_missing_scaler_record(self, saved, key):
         model, path = saved
-        meta = pipeline._meta_records
-        monkeypatch.setattr(pipeline, "_meta_records", lambda m: {k: v for k, v in meta(m).items() if k != key})
         pipeline.save_model(model, path)
+        _rewrite_archive(path, lambda members: members.pop(key))
         with pytest.raises(FormatError, match=key):
             pipeline.load_model(path)
 
@@ -301,22 +311,30 @@ class TestModelFile:
         with pytest.raises(FormatError, match=key):
             pipeline.load_model(path)
 
-    def test_trailing_bytes(self, saved):
-        model, path = saved
-        pipeline.save_model(model, path)
-        pipeline.load_model(path)
-        with open(path, "ab") as fh:
-            fh.write(b"\x00")
-        with pytest.raises(FormatError, match="trailing"):
-            pipeline.load_model(path)
-
     def test_invalid_utf8_config(self, saved):
         model, path = saved
         pipeline.save_model(model, path)
-        blob = bytearray(path.read_bytes())
-        blob[-2] = 0xFF  # inside the embedded config text
-        path.write_bytes(bytes(blob))
+
+        def spoil(members):
+            members[pipeline.CONFIG_RECORD][-2] = 0xFF
+
+        _rewrite_archive(path, spoil)
         with pytest.raises(FormatError, match="UTF-8"):
+            pipeline.load_model(path)
+
+    @pytest.mark.parametrize("edit", [(b"'shape': (", b"'shape': ,"), (b"(5,)", b"(10000000000000,)")],
+                             ids=["unparsable-header", "huge-shape"])
+    def test_npy_header_under_a_valid_crc(self, saved, edit):
+        # a rewritten member keeps a valid CRC-32, so numpy parses its header
+        model, path = saved
+        pipeline.save_model(model, path)
+        with zipfile.ZipFile(path) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        members["_meta/scaler_mean.npy"] = members["_meta/scaler_mean.npy"].replace(*edit, 1)
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, data in members.items():
+                archive.writestr(name, data)
+        with pytest.raises(FormatError, match="intact"):
             pipeline.load_model(path)
 
     def test_fit_records_the_file_encoder(self, tmp_path):
@@ -334,17 +352,33 @@ class TestModelFile:
         assert loaded.encoder == EncoderConfig(str(table))
 
 
-def _damageable_model_file() -> bytes:
-    """The bytes of an all-five model file with a frozen relation matrix."""
+def _damageable_model() -> tuple:
+    """An all-five model with a frozen relation matrix and loss histories, and its model file's bytes.
+
+    The 600-epoch stage-2 history is a member longer than zipfile's 4,096-byte
+    read, so a reader that stops where its npy header's shape ends skips the
+    member's CRC-32 check.
+    """
     model = build_model(tiny_instance_config(), ALL_COMPONENTS, pipeline.FEATURE_COUNT)
     model.freeze_structure(np.ones((4, 4)))
+    rng = np.random.default_rng(0)
+    model.stage1_history = list(rng.normal(size=3))
+    model.stage2_history = list(rng.normal(size=600))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.kgcm"
         pipeline.save_model(model, path)
-        return path.read_bytes()
+        return model, path.read_bytes()
 
 
-MODEL_BLOB = _damageable_model_file()
+def _carried(model) -> list:
+    """All a model file carries: parameters, scaler, loss histories, relation matrix and config."""
+    params = model.named_parameters()
+    return [list(params), [t.data for t in params.values()], model.scaler_mean, model.scaler_std,
+            np.array(model.stage1_history), np.array(model.stage2_history), model.a_star,
+            render_model_config(model.config, model.components, model.encoder.embedding_file)]
+
+
+MODEL, MODEL_BLOB = _damageable_model()
 damage = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, len(MODEL_BLOB) - 1), st.just(0)),
     st.tuples(st.just("flip"), st.integers(0, len(MODEL_BLOB) - 1), st.integers(0, 7)),
@@ -361,14 +395,18 @@ def damaged_model_blob(kind: str, index: int, bit: int) -> bytes:
 
 @settings(max_examples=400, deadline=None)
 @given(damage=damage)
-@example(damage=("flip", 9, 0))  # the first record's name length: the record then reads a huge rank
+@example(damage=("flip", 9, 0))  # the first local header's compression method, which zipfile does not read
+@example(damage=("flip", MODEL_BLOB.index(b"(600,)") + 1, 2))  # the history's npy header now says (200,)
+# the high byte of the central directory's comment length for scaler_std: the entries after it read as its comment
+@example(damage=("flip", MODEL_BLOB.rindex(b"_meta/scaler_std.npy") - 13, 0))
 def test_a_damaged_model_file_loads_or_raises_format_error(tmp_path_factory, damage):
     path = tmp_path_factory.getbasetemp() / "damaged.kgcm"
     path.write_bytes(damaged_model_blob(*damage))
     try:
-        pipeline.load_model(path)
+        loaded = pipeline.load_model(path)
     except FormatError:
-        pass
+        return
+    assert _same(_carried(loaded), _carried(MODEL))
 
 
 class TestSplitWindows:
