@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -51,6 +52,20 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise UsageError(message)
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and greater than 0, got {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
 
 
 def _resolve_seed(flag_seed: int | None, parsed: ParsedConfig | None, section: str, key: str, config_value: int) -> int:
@@ -201,12 +216,12 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--seeds", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser(name="gradcheck", help="verify gradients against central differences")
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=positive_float, default=1e-4)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -143,6 +143,11 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float64))
 
 
+def _records(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``inputs`` goes on the tape, so that its backward will run."""
+    return _TRACING and any(t.requires_grad for t in inputs)
+
+
 def _result(arr: np.ndarray, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
     """Wrap an op result, recording it on the tape when gradients are needed."""
     # One reduction instead of isfinite().all(): NaN/inf propagate through the
@@ -153,7 +158,7 @@ def _result(arr: np.ndarray, inputs: tuple[Tensor, ...], backward_fn: Callable) 
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.name = None
-    if _TRACING and any(t.requires_grad for t in inputs):
+    if _records(inputs):
         out.requires_grad = True
         _TAPE.append((out, inputs, backward_fn))
     else:
@@ -314,12 +319,37 @@ def _check_affine(op: str, n: int, gamma: Tensor, beta: Tensor) -> None:
         raise ShapeError(f"{op} affine params must have length {n}, got {gamma.data.shape} and {beta.data.shape}")
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1, keepdims=True)``, bitwise, in fewer passes for rows of 1 to 8 elements.
+
+    numpy adds a C-contiguous row to a start value of +0.0: fewer than 8
+    elements one after another, exactly 8 as ((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7)).
+    Strided slice-adds in that order take about half the time of the
+    reduction on the graph layer's 8-column rows. Longer rows and other
+    layouts, which numpy may sum in another order, keep ``sum``; the tests
+    hold the short path to numpy's own sum, signed zeros included.
+    """
+    n = x.shape[-1]
+    if not (0 < n <= 8 and x.flags.c_contiguous):
+        return x.sum(axis=-1, keepdims=True)
+    if n == 8:
+        u = x[..., 0::2] + x[..., 1::2]
+        u = u[..., 0::2] + u[..., 1::2]
+        s = u[..., :1] + u[..., 1:]
+        s += 0.0
+        return s
+    s = x[..., :1] + 0.0
+    for i in range(1, n):
+        s += x[..., i:i + 1]
+    return s
+
+
 def _norm_forward(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Layer norm over the last axis: the output, and the ``xhat`` and ``inv`` its backward reads."""
     # sum / n is the arithmetic of mean(), without its per-call Python overhead
     n = y.shape[-1]
-    centered = y - y.sum(axis=-1, keepdims=True) / n
-    var = (centered * centered).sum(axis=-1, keepdims=True) / n
+    centered = y - _row_sum(y) / n
+    var = _row_sum(centered * centered) / n
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     return gamma * xhat + beta, xhat, inv
@@ -331,8 +361,8 @@ def _norm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv: np.n
     dxhat = g * gamma
     dy = inv * (
         dxhat
-        - dxhat.sum(axis=-1, keepdims=True) / n
-        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / n
+        - _row_sum(dxhat) / n
+        - xhat * _row_sum(dxhat * xhat) / n
     )
     return dy, (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0)
 
@@ -444,7 +474,12 @@ def sse(pred: Tensor, target: np.ndarray) -> Tensor:
 # the steps. Backward leaves out the steps
 # whose incoming gradient is exactly zero: backward is linear in that
 # gradient, so this is exact, and a readout of the last step alone (stage 1)
-# then costs one step of backward instead of T.
+# then costs one step of backward instead of T. When no tape records the
+# call (``predict``, ``evaluate``), the layer keeps nothing for a backward:
+# no ReLU mask, and the smoothing runs in place over the relation stack.
+# Its layer norms reduce rows of only n history columns, which ``_row_sum``
+# adds by strided slice-adds in numpy's own summation order, so every
+# output stays bitwise what ``sum`` gives.
 #
 # The encoder kernels (``time_attention_norm``, ``feature_attention_norm``,
 # ``feedforward_norm``) are the three sublayers of one encoder block, each
@@ -486,7 +521,10 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
     convolved steps' (S, d, n) or (1, d, n) states and a copy of the last
     smoothed matrix, a constant. The history is a constant too, so a step's
     gradient reaches its raw relation through its own smoothed matrix alone;
-    the parameter gradients sum over the steps.
+    the parameter gradients sum over the steps. Only a call that a tape
+    records keeps the ReLU mask and the relations for its backward; without
+    one the smoothing runs in place. The layer norm's row sums over the n
+    history columns take ``_row_sum``'s short path for n <= 8.
     """
     h, wq, wk, w = states.data, w_query.data, w_key.data, w_trans.data
     if h.ndim != 3 or not len(h) or wq.ndim != 2 or wk.ndim != 2 or h.shape[-1] != wq.shape[0] \
@@ -494,19 +532,23 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
         raise ShapeError(f"graph_layer shapes disagree: {h.shape}, {wq.shape}, {wk.shape}, {w.shape}, {start.shape}")
     n = h.shape[-1]
     _check_affine("graph_layer", n, gamma, beta)
+    inputs = (states, w_query, w_key, w_trans, gamma, beta)
+    taped = _records(inputs)  # without a tape no backward runs, so the layer keeps nothing for one
     first = len(h) - 1 if last_only else 0  # the first step convolved, and the first that backward reads
     q = h @ wq
     k = h @ wk
-    # in place from the scores on: the (S, d, d) temporaries dominate the memory traffic
-    raw = q @ k.transpose(0, 2, 1)
-    positive = raw[first:] > 0.0
+    # in place from the scores on: the (S, d, d) temporaries dominate the memory traffic; a
+    # contiguous k^T gives the same product faster than the transposed view
+    raw = q @ np.ascontiguousarray(k.transpose(0, 2, 1))
+    positive = raw[first:] > 0.0 if taped else None
     np.maximum(raw, 0.0, out=raw)
     # non-negative doubles order as their int64 bit patterns: the same exact row max, about twice as fast
     raw -= raw.view(np.int64).max(axis=-1, keepdims=True).view(np.float64)
     np.exp(raw, out=raw)
     raw /= raw.sum(axis=-1, keepdims=True)
-    p = raw[first:].copy() if last_only else raw  # the relations backward reads; the cut smooths in place
-    a = np.multiply(raw, 1.0 - lam, out=raw if last_only else None)
+    # the relations backward reads; the cut (after copying the step it reads) and an untaped call smooth in place
+    p = raw[first:].copy() if taped and last_only else raw
+    a = np.multiply(raw, 1.0 - lam, out=None if taped and not last_only else raw)
     prev, carry = start, np.empty_like(start)
     for step in a:
         np.multiply(prev, lam, out=carry)
@@ -538,7 +580,7 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
         flat = hl.reshape(-1, n).T
         return dh, flat @ gq.reshape(-1, wq.shape[1]), flat @ gk.reshape(-1, wk.shape[1]), dw, dgamma, dbeta
 
-    return _result(out, (states, w_query, w_key, w_trans, gamma, beta), bw), a[-1].copy()
+    return _result(out, inputs, bw), a[-1].copy()
 
 
 def history_columns(rows: Tensor, steps, n: int) -> Tensor:

@@ -349,8 +349,9 @@ def load_model(path) -> Model:
     finite float64; for a config that is not UTF-8 or does not parse; for
     record names other than those ``save_model`` writes for the config's
     model, or parameter shapes other than its own; and for a mis-shaped
-    scaler, a loss history that is not one-dimensional, or a relation matrix
-    that is neither 0 x 0 nor d x d and row-stochastic.
+    scaler, a scaler std not above zero, a loss history that is not
+    one-dimensional, or a relation matrix that is neither 0 x 0 nor d x d
+    and row-stochastic.
     """
     from .configio import parse_config_text
 
@@ -405,6 +406,8 @@ def load_model(path) -> Model:
     for key in ("_meta/scaler_mean", "_meta/scaler_std"):
         if records[key].shape != (FEATURE_COUNT,):
             raise FormatError(f"{path}: record {key} has shape {records[key].shape}, expected ({FEATURE_COUNT},)")
+    if (records["_meta/scaler_std"] <= 0.0).any():  # set_scaler writes 1 for a constant feature
+        raise FormatError(f"{path}: record _meta/scaler_std holds values <= 0")
     for key in ("_meta/history_stage1", "_meta/history_stage2"):
         if records[key].ndim != 1:
             raise FormatError(f"{path}: record {key} has shape {records[key].shape}, expected one loss per epoch")

@@ -186,6 +186,12 @@ def workspace(tmp_path):
     blob = bytearray((tmp_path / "plain.kgcm").read_bytes())
     blob[blob.index(b"\x93NUMPY")] ^= 1  # the first member's npy magic, under that member's CRC-32
     (tmp_path / "damaged.kgcm").write_bytes(bytes(blob))
+    for name, std in (("zero-std", 0.0), ("negative-std", -1.0)):
+        with np.load(tmp_path / "plain.kgcm") as archive:
+            members = dict(archive)
+        members["_meta/scaler_std"] = np.r_[std, np.ones(4)]
+        with open(tmp_path / f"{name}.kgcm", "wb") as fh:
+            np.savez(fh, **members)
     (tmp_path / "kgcm1.kgcm").write_bytes(b"KGCM1" + bytes(64))
     np.save(tmp_path / "array.npy", np.zeros(3))
     return tmp_path
@@ -214,6 +220,15 @@ EXIT_CODE_CASES = {
     "non-utf8-config-file": (_train("latin1.cfg"), {}, cli.EXIT_DATA),
     **{f"non-utf8-{name}": (_train("tiny.cfg", f"latin1-{name}"), {}, cli.EXIT_DATA) for name in CSV_FILES},
     "non-utf8-embedding-file": (_train("latin1-table.cfg"), {}, cli.EXIT_DATA),
+    "zero-scaler-std": (["evaluate", "--model", "zero-std.kgcm", "--data", "data", "--out", "m.csv"], {},
+                        cli.EXIT_DATA),
+    "negative-scaler-std": (["evaluate", "--model", "negative-std.kgcm", "--data", "data", "--out", "m.csv"], {},
+                            cli.EXIT_DATA),
+    **{f"gradcheck-tolerance-{value}": (["gradcheck", "--tolerance", value], {}, cli.EXIT_USAGE)
+       for value in ("nan", "inf", "-1", "0", "abc")},
+    **{f"ablate-jobs-{value}": (["ablate", "--config", "tiny.cfg", "--data", "data", "--seeds", "1", "--out", "m.csv",
+                                 "--jobs", value], {}, cli.EXIT_USAGE)
+       for value in ("-2", "0", "1.5")},
     "nan-mape-floor": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",
                         "--mape-floor", "nan"], {}, cli.EXIT_DATA),
     "infinite-mape-floor": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",

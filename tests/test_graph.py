@@ -18,6 +18,7 @@ from kgcm.numeric import (
     grad_check,
     graph_layer,
     history_columns,
+    no_tape,
     sum_sq,
     take,
     tape_size,
@@ -440,6 +441,12 @@ class TestGraphLayer:
             return history_columns(rows, range(t_steps), n)
 
         states, matrix = _fused_layers(lift(), params, cut)
+        entries = tape_size()
+        with no_tape():  # no backward state, the smoothing in place, and the taped call's bytes
+            untaped, untaped_matrix = _fused_layers(lift(), params, cut)
+        assert tape_size() == entries and not untaped.requires_grad
+        assert untaped.data.tobytes() == states.data.tobytes()
+        assert untaped_matrix.tobytes() == matrix.tobytes()
         want_states, want_matrix = _composite_layers(lift(), params)
         clear_tape()
         first = t_steps - 1 if cut else 0

@@ -562,6 +562,36 @@ class TestValuePathKernels:
             nm.feature_attention_norm(x, wq, wk, wv, wo, tensor(np.full(4, 1e308)), tensor(np.full(4, 1e308)))
 
 
+class TestRowSum:
+    """``_row_sum`` gives the bytes of numpy's own row sum; a numpy that moves its order or start value fails here."""
+
+    @staticmethod
+    def _assert_numpy_bytes(x):
+        got, want = nm._row_sum(x), x.sum(axis=-1, keepdims=True)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_numpy_sum(self, n):
+        rng = np.random.default_rng(n)
+        for shape in ((n,), (5, n), (1000, n), (48, 32, n), (2, 3, 4, n)):
+            # magnitudes over 16 decades, so that any other order of the additions rounds differently
+            self._assert_numpy_bytes(rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
+        # a layout numpy may sum in another order, which takes numpy's own sum
+        stack = rng.standard_normal((6, n, 7)) * 10.0 ** rng.integers(-8, 9, (6, n, 7))
+        self._assert_numpy_bytes(stack.swapaxes(1, 2))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_signed_zeros(self, n):
+        # +0.0 + -0.0 is +0.0, so a row of all -0.0 shows numpy's start value
+        rows = np.random.default_rng(100 + n).choice(np.array([0.0, -0.0, 1.0, -1.0]), (256, n))
+        rows[0], rows[1] = -0.0, 0.0
+        rows[2] = np.where(np.arange(n) % 2, 0.0, -0.0)
+        assert np.signbit(rows[0]).all()
+        self._assert_numpy_bytes(rows)
+        self._assert_numpy_bytes(rows[:1])
+
+
 class TestTensorInvariantsAndTape:
     def test_rank_above_three_rejected(self):
         with pytest.raises(ShapeError):

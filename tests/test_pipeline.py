@@ -14,6 +14,7 @@ from kgcm import pipeline
 from kgcm.configio import render_model_config
 from kgcm.data import GeneratorConfig, generate_synthetic
 from kgcm.errors import ConfigError, DataError, FormatError, TrainingError
+from kgcm.evaluate import ablation_variants
 from kgcm.gradcheck import tiny_instance_config, tiny_instance_window
 from kgcm.model import ALL_COMPONENTS, TrainConfig, build_model
 from kgcm.model import joint_loss
@@ -137,6 +138,19 @@ class TestTrainingLoop:
         clear_tape()
         joint_loss(model.stage2_forward(window), model.scale_targets(window.targets), model.lpo, config.lambda_prompt)
         assert tape_size() <= 40
+
+
+@pytest.mark.parametrize("variant, components", ablation_variants(), ids=[v for v, _ in ablation_variants()])
+def test_predict_matches_the_taped_forward(variant, components):
+    # predict runs under no_tape, where the graph layer keeps no backward state; n = 8 takes the short-row sums
+    config = _config(n=8)
+    model = pipeline.fit(_dataset(), config, components)
+    for window in _split(config).test:
+        taped = model.unscale_predictions(model.stage2_forward(window).data)
+        assert tape_size() > 0
+        clear_tape()
+        assert pipeline.predict(model, window).tobytes() == taped.tobytes()
+        assert tape_size() == 0
 
 
 class TestBuildWindows:
@@ -288,6 +302,16 @@ class TestModelFile:
         pipeline.save_model(model, path)
         _rewrite_archive(path, lambda members: members.pop(key))
         with pytest.raises(FormatError, match=key):
+            pipeline.load_model(path)
+
+    @pytest.mark.parametrize("std", [0.0, -1.0])
+    def test_scaler_std_must_be_positive(self, saved, std):
+        # set_scaler never writes such a std; a 0 made evaluate divide by zero, a -1 served every forecast scaled by -1
+        model, path = saved
+        pipeline.save_model(model, path)
+        spoiled = np.r_[std, np.ones(pipeline.FEATURE_COUNT - 1)]
+        _rewrite_archive(path, lambda members: members.update({"_meta/scaler_std": spoiled}))
+        with pytest.raises(FormatError, match="_meta/scaler_std"):
             pipeline.load_model(path)
 
     @pytest.mark.parametrize("key", ["lpo/w_embed", "_meta/scaler_std"])
