@@ -320,27 +320,21 @@ def _check_affine(op: str, n: int, gamma: Tensor, beta: Tensor) -> None:
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1, keepdims=True)``, bitwise, in fewer passes for rows of 1 to 8 elements.
+    """``x.sum(axis=-1, keepdims=True)``, bitwise, in fewer passes for rows of 8 elements.
 
-    numpy adds a C-contiguous row to a start value of +0.0: fewer than 8
-    elements one after another, exactly 8 as ((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7)).
-    Strided slice-adds in that order take about half the time of the
-    reduction on the graph layer's 8-column rows. Longer rows and other
-    layouts, which numpy may sum in another order, keep ``sum``; the tests
-    hold the short path to numpy's own sum, signed zeros included.
+    numpy adds a C-contiguous row of exactly 8 elements to a start value of
+    +0.0 as ((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7)). Three strided slice-adds in
+    that order take about half the time of the reduction on the graph
+    layer's rows of n = 8 history columns, the default. Every other row
+    length and layout keeps ``sum``; the tests hold the short path to
+    numpy's own sum, signed zeros included.
     """
-    n = x.shape[-1]
-    if not (0 < n <= 8 and x.flags.c_contiguous):
+    if x.shape[-1] != 8 or not x.flags.c_contiguous:
         return x.sum(axis=-1, keepdims=True)
-    if n == 8:
-        u = x[..., 0::2] + x[..., 1::2]
-        u = u[..., 0::2] + u[..., 1::2]
-        s = u[..., :1] + u[..., 1:]
-        s += 0.0
-        return s
-    s = x[..., :1] + 0.0
-    for i in range(1, n):
-        s += x[..., i:i + 1]
+    u = x[..., 0::2] + x[..., 1::2]
+    u = u[..., 0::2] + u[..., 1::2]
+    s = u[..., :1] + u[..., 1:]
+    s += 0.0
     return s
 
 
@@ -476,10 +470,11 @@ def sse(pred: Tensor, target: np.ndarray) -> Tensor:
 # gradient, so this is exact, and a readout of the last step alone (stage 1)
 # then costs one step of backward instead of T. When no tape records the
 # call (``predict``, ``evaluate``), the layer keeps nothing for a backward:
-# no ReLU mask, and the smoothing runs in place over the relation stack.
-# Its layer norms reduce rows of only n history columns, which ``_row_sum``
-# adds by strided slice-adds in numpy's own summation order, so every
-# output stays bitwise what ``sum`` gives.
+# no ReLU mask, and the smoothing runs in place over the relation stack;
+# its scores take a contiguous copy of k^T. Its layer norms reduce rows of
+# only n history columns, which ``_row_sum`` adds for n = 8 by strided
+# slice-adds in numpy's own summation order, so every output stays bitwise
+# what ``sum`` gives.
 #
 # The encoder kernels (``time_attention_norm``, ``feature_attention_norm``,
 # ``feedforward_norm``) are the three sublayers of one encoder block, each
@@ -523,8 +518,9 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
     gradient reaches its raw relation through its own smoothed matrix alone;
     the parameter gradients sum over the steps. Only a call that a tape
     records keeps the ReLU mask and the relations for its backward; without
-    one the smoothing runs in place. The layer norm's row sums over the n
-    history columns take ``_row_sum``'s short path for n <= 8.
+    one the smoothing runs in place and the scores take a contiguous k^T.
+    The layer norm's row sums over the n history columns take
+    ``_row_sum``'s short path for n = 8.
     """
     h, wq, wk, w = states.data, w_query.data, w_key.data, w_trans.data
     if h.ndim != 3 or not len(h) or wq.ndim != 2 or wk.ndim != 2 or h.shape[-1] != wq.shape[0] \
@@ -537,9 +533,11 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
     first = len(h) - 1 if last_only else 0  # the first step convolved, and the first that backward reads
     q = h @ wq
     k = h @ wk
-    # in place from the scores on: the (S, d, d) temporaries dominate the memory traffic; a
-    # contiguous k^T gives the same product faster than the transposed view
-    raw = q @ np.ascontiguousarray(k.transpose(0, 2, 1))
+    # in place from the scores on: the (S, d, d) temporaries dominate the memory traffic. A contiguous
+    # k^T gives the same product faster than the transposed view; a taped call keeps the view, since
+    # with that extra temporary training fell into glibc's heap trimming, faulting pages in every window
+    kt = k.transpose(0, 2, 1)
+    raw = q @ (kt if taped else np.ascontiguousarray(kt))
     positive = raw[first:] > 0.0 if taped else None
     np.maximum(raw, 0.0, out=raw)
     # non-negative doubles order as their int64 bit patterns: the same exact row max, about twice as fast
