@@ -8,10 +8,12 @@ outputs are written to a temp file and renamed into place.
 Seed priority per subcommand: --seed flag, then the config file, then the
 KGCM_SEED environment variable, then 0.
 
-`train --stage 2` continues the model given by --init: every model, training
-and text setting comes from that model file, and --config, --seed and
-KGCM_SEED do not change them. `evaluate` and `predict` likewise encode the
-data's text as the model file's [text] section says.
+Text is hashed unless a config's [text] section sets `embedding_file = PATH`,
+a table of precomputed vectors. `train --stage 2` continues the model given
+by --init: every model, training and text setting comes from that model
+file, and --config, --seed and KGCM_SEED do not change them. `evaluate` and
+`predict` likewise encode the data's text as the model file's [text] section
+says.
 """
 
 from __future__ import annotations
@@ -214,7 +216,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser(name="ablate", help="train and compare the cumulative component variants")
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--seeds", type=int, required=True)
+    p.add_argument("--seeds", type=positive_int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=None)

@@ -7,9 +7,9 @@ so an empty file is a complete configuration.
 The keys of [model], [train] and [data] are the fields of ``TrainConfig``
 and ``GeneratorConfig``, each typed as its default value: the ``TrainConfig``
 fields named in ``_MODEL_FIELDS`` go under [model], every other one under
-[train], and [model] adds ``components`` and ``features``. A field added to
-either dataclass is therefore parsed, and written into model files, with no
-edit here.
+[train], and [model] adds ``components``. A field added to either dataclass
+is therefore parsed, and written into model files, with no edit here.
+[text] has one key, ``embedding_file``; text is hashed when it is left out.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields
 from .data import GeneratorConfig, open_utf8
 from .errors import ConfigError
 from .model import ALL_COMPONENTS, COMPONENT_ORDER, TrainConfig
-from .pipeline import FEATURE_COUNT
 from .text import EncoderConfig
 
 __all__ = ["ParsedConfig", "parse_config", "parse_config_text", "render_model_config"]
@@ -28,10 +27,10 @@ __all__ = ["ParsedConfig", "parse_config", "parse_config_text", "render_model_co
 # the TrainConfig fields written under [model], in the order model files list them
 _MODEL_FIELDS = ("d", "n", "n_prime", "layers", "blocks", "heads", "window", "horizon", "day_slots", "pooling")
 _TRAIN_CONFIG_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)}
-_MODEL_KEYS = {name: _TRAIN_CONFIG_KEYS[name] for name in _MODEL_FIELDS} | {"components": str, "features": int}
+_MODEL_KEYS = {name: _TRAIN_CONFIG_KEYS[name] for name in _MODEL_FIELDS} | {"components": str}
 _TRAIN_KEYS = {name: kind for name, kind in _TRAIN_CONFIG_KEYS.items() if name not in _MODEL_FIELDS}
 _DATA_KEYS = {f.name: type(f.default) for f in fields(GeneratorConfig)}
-_TEXT_KEYS = {"encoder": str, "embedding_file": str}
+_TEXT_KEYS = {"embedding_file": str}
 _METRIC_KEYS = {"mape_floor": float}
 _SECTIONS = {
     "model": _MODEL_KEYS,
@@ -109,20 +108,14 @@ def parse_config_text(text: str) -> ParsedConfig:
     train_vals = dict(values["train"])
     data_vals = dict(values["data"])
     components = _parse_components(str(model_vals.pop("components", "all")))
-    features = model_vals.pop("features", FEATURE_COUNT)
-    if features != FEATURE_COUNT:
-        raise ConfigError(f"model.features must be {FEATURE_COUNT}, the feature columns of a dataset, got {features}")
     data = GeneratorConfig(**data_vals)
     # the time-of-day table follows the data granularity unless pinned
     if "day_slots" not in model_vals:
         model_vals["day_slots"] = data.slots_per_day
     train = TrainConfig(**model_vals, **train_vals)
-    encoder_mode = str(values["text"].get("encoder", "hashed"))
-    if encoder_mode not in ("hashed", "file"):
-        raise ConfigError(f"text.encoder must be 'hashed' or 'file', got {encoder_mode!r}")
     embedding_file = values["text"].get("embedding_file")
-    if encoder_mode == "file" and not embedding_file:
-        raise ConfigError("text.encoder = file requires text.embedding_file")
+    if embedding_file == "":
+        raise ConfigError("text.embedding_file is empty; leave the key out to hash text")
     mape_floor = float(values["metrics"].get("mape_floor", 1.0))
     if mape_floor <= 0:
         raise ConfigError(f"metrics.mape_floor must be positive, got {mape_floor}")
@@ -130,7 +123,7 @@ def parse_config_text(text: str) -> ParsedConfig:
         train=train,
         data=data,
         components=components,
-        encoder=EncoderConfig(str(embedding_file) if encoder_mode == "file" else None),
+        encoder=EncoderConfig(embedding_file),
         mape_floor=mape_floor,
         explicit=explicit,
     )
@@ -142,15 +135,14 @@ def parse_config(path) -> ParsedConfig:
 
 
 def render_model_config(config: TrainConfig, components: frozenset[str], embedding_file: str | None = None) -> str:
-    """Canonical [model]/[train]/[text] text embedded in saved model files; [text] names ``embedding_file``."""
+    """Canonical [model]/[train] text embedded in saved model files, and [text] when ``embedding_file`` is set."""
     ordered = [name for name in COMPONENT_ORDER if name in components]
     lines = ["[model]"]
     lines += [f"{name} = {getattr(config, name)}" for name in _MODEL_FIELDS]
-    lines += [f"components = {','.join(ordered) if ordered else 'none'}", f"features = {FEATURE_COUNT}", "[train]"]
+    lines += [f"components = {','.join(ordered) if ordered else 'none'}", "[train]"]
     lines += [f"{name} = {getattr(config, name)}" for name in _TRAIN_KEYS]
-    lines += ["[text]", f"encoder = {'hashed' if embedding_file is None else 'file'}"]
     if embedding_file is not None:
         if "#" in embedding_file or embedding_file.strip() != embedding_file or len(embedding_file.splitlines()) != 1:
             raise ConfigError(f"text.embedding_file {embedding_file!r} cannot be written as a config value")
-        lines.append(f"embedding_file = {embedding_file}")
+        lines += ["[text]", f"embedding_file = {embedding_file}"]
     return "\n".join(lines) + "\n"

@@ -269,6 +269,28 @@ def open_utf8(path, error: type[Exception]) -> io.StringIO:
         raise error(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def _text_rows(path, header: str, index: dict[datetime, int]):
+    """(row number, leading fields, slot in ``index``, text) per row of ``path``, if it exists, under ``header``."""
+    if path is None or not os.path.exists(path):
+        return
+    expected = header.split(",")
+    with open_utf8(path, DataError) as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found is None or [h.strip() for h in found] != expected:
+            raise DataError(f"{path}: unexpected header {found}, expected {header}")
+        for rowno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(expected):
+                raise DataError(f"{path} row {rowno}: expected {len(expected)} fields, got {len(row)}")
+            *leading, raw_ts, text = row
+            ts = _parse_ts(raw_ts, f"{path} row {rowno}")
+            if ts not in index:
+                raise DataError(f"{path} row {rowno}: timestamp {raw_ts} matches no demand slot")
+            yield rowno, leading, index[ts], text
+
+
 def load_csv(demand_path, local_text_path=None, global_text_path=None) -> DemandDataset:
     """Read the dataset schema back; missing text rows become empty texts."""
     per_region: dict[str, dict] = {}
@@ -338,37 +360,13 @@ def load_csv(demand_path, local_text_path=None, global_text_path=None) -> Demand
     index = {ts: i for i, ts in enumerate(reference)}
     total = len(reference)
     local_texts = {region: ["" for _ in range(total)] for region in per_region}
-    if local_text_path is not None and os.path.exists(local_text_path):
-        with open_utf8(local_text_path, DataError) as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            for rowno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise DataError(f"{local_text_path} row {rowno}: expected 3 fields, got {len(row)}")
-                region, raw_ts, text = row
-                if region not in per_region:
-                    raise DataError(f"{local_text_path} row {rowno}: unknown region {region!r}")
-                ts = _parse_ts(raw_ts, f"{local_text_path} row {rowno}")
-                if ts not in index:
-                    raise DataError(f"{local_text_path} row {rowno}: timestamp {raw_ts} matches no demand slot")
-                local_texts[region][index[ts]] = text
+    for rowno, (region,), slot, text in _text_rows(local_text_path, LOCAL_TEXT_HEADER, index):
+        if region not in per_region:
+            raise DataError(f"{local_text_path} row {rowno}: unknown region {region!r}")
+        local_texts[region][slot] = text
     global_texts = ["" for _ in range(total)]
-    if global_text_path is not None and os.path.exists(global_text_path):
-        with open_utf8(global_text_path, DataError) as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            for rowno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise DataError(f"{global_text_path} row {rowno}: expected 2 fields, got {len(row)}")
-                raw_ts, text = row
-                ts = _parse_ts(raw_ts, f"{global_text_path} row {rowno}")
-                if ts not in index:
-                    raise DataError(f"{global_text_path} row {rowno}: timestamp {raw_ts} matches no demand slot")
-                global_texts[index[ts]] = text
+    for _, _, slot, text in _text_rows(global_text_path, GLOBAL_TEXT_HEADER, index):
+        global_texts[slot] = text
 
     regions = [
         RegionSeries(

@@ -28,7 +28,7 @@ from .errors import ConfigError, DataError, FormatError, NumericError, TrainingE
 from .model import ALL_COMPONENTS, Model, SeriesWindow, TrainConfig, build_model, joint_loss
 from .numeric import SeededRng, Tensor, backward, clear_tape, no_tape
 from .optim import AdamState, adam_step
-from .text import EncoderConfig, TextRecord, TokenEmbeddings, encode
+from .text import EncoderConfig, TokenEmbeddings, embedding_id, encode
 
 log = logging.getLogger(__name__)
 
@@ -64,15 +64,18 @@ def build_windows(dataset: DemandDataset, config: TrainConfig,
 
     Each step's text is encoded once, when the first window that reads the
     step is built, and every window slices its steps' token rows from that
-    list; steps that no window reads are not encoded.
+    list; steps that no window reads are not encoded. Hashed text is cached
+    by the text itself, so a step is given its ``embedding_id`` only when a
+    file encoder looks it up.
     """
     t, horizon = config.window, config.horizon
+    hashed = encoder.embedding_file is None
     cache: dict[str, TokenEmbeddings] = {}
 
-    def encoded(text: str, rec_id: str) -> TokenEmbeddings:
-        key = text if encoder.embedding_file is None else rec_id
+    def encoded(text: str, source: str, ts: datetime) -> TokenEmbeddings:
+        key = text if hashed else embedding_id(source, ts)
         if key not in cache:
-            cache[key] = encode(TextRecord(text, id=rec_id), encoder, config.d)
+            cache[key] = encode(text, key, encoder, config.d)
         return cache[key]
 
     out: dict[str, list[SeriesWindow]] = {}
@@ -94,11 +97,9 @@ def build_windows(dataset: DemandDataset, config: TrainConfig,
         for start in range(0, total - t - horizon + 1):
             while len(local) < start + t:
                 i = len(local)
-                local.append(encoded(series.local_texts[i], f"{series.region}|{series.timestamps[i].isoformat()}").tokens)
+                local.append(encoded(series.local_texts[i], series.region, series.timestamps[i]).tokens)
             last_input = start + t - 1
-            pooled = encoded(
-                dataset.global_texts[last_input], f"global|{dataset.timestamps[last_input].isoformat()}"
-            ).pooled
+            pooled = encoded(dataset.global_texts[last_input], "global", dataset.timestamps[last_input]).pooled
             if pooled.shape != (config.d,):
                 raise ConfigError(f"text vectors have dimension {pooled.shape[0]}, model expects {config.d}")
             windows.append(

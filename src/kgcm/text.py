@@ -4,12 +4,15 @@ The default encoder hashes tokens with 64-bit FNV-1a into signed one-hot
 vectors, giving a deterministic, dependency-free stand-in for a pretrained
 sentence encoder. Precomputed embeddings from a real encoder can be supplied
 through a CSV file instead; both produce the same ``TokenEmbeddings`` shape.
+The file keys each step's text by ``embedding_id``; ``pipeline.build_windows``
+builds these ids only for a file encoder.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from datetime import datetime
 from functools import cached_property
 
 import numpy as np
@@ -19,24 +22,16 @@ from .errors import DataError, FormatError
 from .numeric import fnv1a64
 
 __all__ = [
-    "TextRecord",
     "TokenEmbeddings",
     "EncoderConfig",
     "tokenize",
     "encode_hashed",
+    "embedding_id",
     "load_embedding_file",
     "encode",
 ]
 
 _SIGN_BIT = 1 << 63
-
-
-@dataclass(frozen=True)
-class TextRecord:
-    """One piece of descriptive text, optionally carrying a stable id."""
-
-    text: str
-    id: str | None = None
 
 
 @dataclass
@@ -99,6 +94,11 @@ def encode_hashed(text: str, d: int) -> TokenEmbeddings:
     return TokenEmbeddings(tokens=tokens, pooled=pooled)
 
 
+def embedding_id(source: str, ts: datetime) -> str:
+    """The id an embedding file gives the text of ``source``, a region or ``global``, at ``ts``."""
+    return f"{source}|{ts.isoformat()}"
+
+
 def load_embedding_file(path) -> dict[str, TokenEmbeddings]:
     """Read `id,v1,...,vd` lines into a lookup of precomputed vectors."""
     out: dict[str, TokenEmbeddings] = {}
@@ -125,10 +125,10 @@ def load_embedding_file(path) -> dict[str, TokenEmbeddings]:
     return out
 
 
-def encode(record: TextRecord, config: EncoderConfig, d: int) -> TokenEmbeddings:
-    """Encode a record as ``config`` says; hashed text is ``d`` wide."""
+def encode(text: str, key: str, config: EncoderConfig, d: int) -> TokenEmbeddings:
+    """Encode as ``config`` says: ``text`` hashed ``d`` wide, or the file's vectors for the id ``key``."""
     if config.embedding_file is None:
-        return encode_hashed(record.text, d)
-    if record.id is None or record.id not in config.embeddings:
-        raise DataError(f"no precomputed embedding for id {record.id!r}")
-    return config.embeddings[record.id]
+        return encode_hashed(text, d)
+    if key not in config.embeddings:
+        raise DataError(f"no precomputed embedding for id {key!r}")
+    return config.embeddings[key]

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from kgcm import cli
-from kgcm.configio import render_model_config
 from kgcm.data import GeneratorConfig, generate_synthetic, load_csv, write_dataset
 from kgcm.evaluate import evaluate
 from kgcm.gradcheck import tiny_instance_config
@@ -86,7 +85,7 @@ def test_ablate_encodes_text_as_the_config_says(tmp_path, capsys):
     table = tmp_path / "embeddings.csv"
     table.write_text("unrelated-id," + ",".join(["0.5"] * 8) + "\n")
     config = tmp_path / "file.cfg"
-    config.write_text(TINY.format(d=8) + f"[text]\nencoder = file\nembedding_file = {table}\n")
+    config.write_text(TINY.format(d=8) + f"[text]\nembedding_file = {table}\n")
     code = cli.main(["ablate", "--config", str(config), "--data", str(data_dir), "--seeds", "1",
                      "--out", str(tmp_path / "ablation.csv")])
     assert code == cli.EXIT_DATA
@@ -102,7 +101,7 @@ def test_evaluate_encodes_text_as_the_model_was_trained(tmp_path, capsys):
     write_dataset(dataset, data_dir)
     table = _write_embeddings(dataset, tmp_path / "embeddings.csv")
     config = tmp_path / "file.cfg"
-    config.write_text(TINY.format(d=8) + f"[text]\nencoder = file\nembedding_file = {table}\n")
+    config.write_text(TINY.format(d=8) + f"[text]\nembedding_file = {table}\n")
     model_path = str(tmp_path / "model.kgcm")
     assert cli.main(["train", "--config", str(config), "--data", str(data_dir), "--out", model_path]) == cli.EXIT_OK
     capsys.readouterr()
@@ -121,13 +120,9 @@ def test_model_file_without_text_section_loads_as_hashed(tmp_path):
     config = tiny_instance_config()
     model = build_model(config, frozenset(), feature_count=5)
     path = tmp_path / "model.kgcm"
-    save_model(model, path)
+    save_model(model, path)  # a hashed model's file has no [text] section
     with np.load(path) as archive:
-        members = dict(archive)
-    text = render_model_config(config, model.components)
-    members[CONFIG_RECORD] = np.frombuffer(text[: text.index("[text]")].encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **members)
+        assert b"[text]" not in archive[CONFIG_RECORD].tobytes()
     loaded = load_model(path)
     assert loaded.encoder == EncoderConfig()
 
@@ -140,7 +135,7 @@ def test_stage2_encodes_text_as_the_init_model_recorded(tmp_path, capsys):
     write_dataset(dataset, data_dir)
     table = _write_embeddings(dataset, tmp_path / "embeddings.csv")
     file_config, plain_config = tmp_path / "file.cfg", tmp_path / "plain.cfg"
-    file_config.write_text(TINY.format(d=8) + f"[text]\nencoder = file\nembedding_file = {table}\n")
+    file_config.write_text(TINY.format(d=8) + f"[text]\nembedding_file = {table}\n")
     plain_config.write_text(TINY.format(d=8))
     stage1, stage2 = str(tmp_path / "stage1.kgcm"), str(tmp_path / "stage2.kgcm")
     assert cli.main(["train", "--config", str(file_config), "--data", str(data_dir),
@@ -179,7 +174,7 @@ def workspace(tmp_path):
         _with_byte(tmp_path / f"latin1-{name}" / name, b"\xe9")
     table = _write_embeddings(load_csv(*(tmp_path / "data" / f for f in CSV_FILES)), tmp_path / "latin1.csv")
     _with_byte(table, b"\xe9")
-    (tmp_path / "latin1-table.cfg").write_text(TINY.format(d=8) + f"[text]\nencoder = file\nembedding_file = {table}\n")
+    (tmp_path / "latin1-table.cfg").write_text(TINY.format(d=8) + f"[text]\nembedding_file = {table}\n")
     # an untrained model that fits the data, so evaluate reaches the metrics
     save_model(build_model(TrainConfig(d=8, n=2, window=8, horizon=2, blocks=1, day_slots=12), frozenset()),
                tmp_path / "plain.kgcm")
@@ -192,6 +187,12 @@ def workspace(tmp_path):
         members["_meta/scaler_std"] = np.r_[std, np.ones(4)]
         with open(tmp_path / f"{name}.kgcm", "wb") as fh:
             np.savez(fh, **members)
+    # the [text] section of a model file written before embedding_file alone chose the encoder
+    with np.load(tmp_path / "plain.kgcm") as archive:
+        members = dict(archive)
+    members[CONFIG_RECORD] = np.r_[members[CONFIG_RECORD], np.frombuffer(b"[text]\nencoder = hashed\n", np.uint8)]
+    with open(tmp_path / "encoder-key.kgcm", "wb") as fh:
+        np.savez(fh, **members)
     (tmp_path / "kgcm1.kgcm").write_bytes(b"KGCM1" + bytes(64))
     np.save(tmp_path / "array.npy", np.zeros(3))
     return tmp_path
@@ -229,6 +230,11 @@ EXIT_CODE_CASES = {
     **{f"ablate-jobs-{value}": (["ablate", "--config", "tiny.cfg", "--data", "data", "--seeds", "1", "--out", "m.csv",
                                  "--jobs", value], {}, cli.EXIT_USAGE)
        for value in ("-2", "0", "1.5")},
+    **{f"ablate-seeds-{value}": (["ablate", "--config", "tiny.cfg", "--data", "data", "--seeds", value,
+                                  "--out", "m.csv"], {}, cli.EXIT_USAGE)
+       for value in ("0", "-3", "1.5")},
+    "text-encoder-key-model-file": (["evaluate", "--model", "encoder-key.kgcm", "--data", "data", "--out", "m.csv"],
+                                    {}, cli.EXIT_DATA),
     "nan-mape-floor": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",
                         "--mape-floor", "nan"], {}, cli.EXIT_DATA),
     "infinite-mape-floor": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",

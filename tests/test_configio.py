@@ -53,14 +53,20 @@ def test_rendered_model_config_parses_back_to_itself(config, components, embeddi
 
 @pytest.mark.parametrize("value", ["1", "3", "6"])
 def test_features_other_than_the_dataset_columns_are_refused(value):
-    with pytest.raises(ConfigError, match=f"^model.features must be 5.*got {value}$"):
+    # a model always reads the dataset's feature columns, so no file names their count
+    with pytest.raises(ConfigError, match="^unknown key model.features$"):
         parse_config_text(f"[model]\nfeatures = {value}\n")
-    assert "features = 5\n" in render_model_config(TrainConfig(), frozenset())
+    assert "features" not in render_model_config(TrainConfig(), frozenset())
 
 
-def test_a_hashed_encoder_ignores_an_embedding_file_line():
-    parsed = parse_config_text("[text]\nencoder = hashed\nembedding_file = vectors.csv\n")
-    assert parsed.encoder == EncoderConfig()
+def test_embedding_file_alone_selects_the_file_encoder():
+    assert parse_config_text("[text]\nembedding_file = vectors.csv\n").encoder == EncoderConfig("vectors.csv")
+    assert parse_config_text("").encoder == EncoderConfig()
+    assert "[text]" not in render_model_config(TrainConfig(), frozenset())
+    with pytest.raises(ConfigError, match="^unknown key text.encoder$"):
+        parse_config_text("[text]\nencoder = hashed\nembedding_file = vectors.csv\n")
+    with pytest.raises(ConfigError, match="^text.embedding_file is empty"):
+        parse_config_text("[text]\nembedding_file =\n")
 
 
 @pytest.mark.parametrize("key", ["lr", "lambda_prompt", "ema_lambda", "clip_norm"])

@@ -50,3 +50,16 @@ def test_one_slot_dataset_is_refused(tmp_path):
     write_dataset(generate_synthetic(GeneratorConfig(regions=1, days=1, slots_per_day=1)), tmp_path)
     with pytest.raises(DataError, match="region r0: 1 time slot"):
         load_csv(*(tmp_path / name for name in CSV_FILES))
+
+
+@pytest.mark.parametrize("name", ["local_text.csv", "global_text.csv"])
+@pytest.mark.parametrize("header", [None, "foo,bar", ""], ids=["no-header", "foo-bar", "empty-file"])
+def test_a_text_file_without_its_header_is_refused(tmp_path, name, header):
+    # a headerless file used to load with its first text silently dropped
+    write_dataset(generate_synthetic(GeneratorConfig(regions=2, days=2, slots_per_day=12, event_rate=0.3)), tmp_path)
+    path = tmp_path / name
+    rows = path.read_text().splitlines(keepends=True)[1:]
+    assert rows
+    path.write_text("" if header == "" else "".join(([f"{header}\n"] if header else []) + rows))
+    with pytest.raises(DataError, match=f"{name}: unexpected header"):
+        load_csv(*(tmp_path / f for f in CSV_FILES))

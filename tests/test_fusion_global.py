@@ -8,7 +8,7 @@ from kgcm.fusion_local import GlobalGateParams, acmfw_weight, init_global_gate
 from kgcm.model import TrainConfig, build_model
 from kgcm.numeric import SeededRng, clear_tape, sigmoid_gate, tensor
 from kgcm.pipeline import load_model, save_model
-from kgcm.text import EncoderConfig, TextRecord, encode
+from kgcm.text import EncoderConfig, encode
 
 
 @pytest.fixture(autouse=True)
@@ -28,11 +28,11 @@ class TestEncodeGlobalPrompt:
     """The shared-context vector of a window is the pooled encoding of the cross-region text."""
 
     def test_empty_text_zero_vector(self):
-        np.testing.assert_array_equal(encode(TextRecord(""), EncoderConfig(), 8).pooled, np.zeros(8))
+        np.testing.assert_array_equal(encode("", "", EncoderConfig(), 8).pooled, np.zeros(8))
 
     def test_same_text_same_vector(self):
-        a = encode(TextRecord("citywide holiday surge"), EncoderConfig(), 8).pooled
-        b = encode(TextRecord("citywide holiday surge"), EncoderConfig(), 8).pooled
+        a = encode("citywide holiday surge", "citywide holiday surge", EncoderConfig(), 8).pooled
+        b = encode("citywide holiday surge", "citywide holiday surge", EncoderConfig(), 8).pooled
         np.testing.assert_array_equal(a, b)
 
     def test_matches_independent_hash_walkthrough(self):
@@ -49,7 +49,7 @@ class TestEncodeGlobalPrompt:
             h = fnv(word)
             expected[h % d] += -1.0 if h >> 63 else 1.0
         expected = expected / np.linalg.norm(expected)
-        out = encode(TextRecord("holiday surge citywide"), EncoderConfig(), d).pooled
+        out = encode("holiday surge citywide", "holiday surge citywide", EncoderConfig(), d).pooled
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
 

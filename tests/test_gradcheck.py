@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -56,3 +57,43 @@ def test_every_numeric_export_is_read_outside_numeric():
     sources += sorted((ROOT / "perfbench").glob("*.py"))
     read = set().union(*(_numeric_names_read(p) for p in sources))
     assert sorted(set(numeric.__all__) - read) == []
+
+
+
+def _names_the_benchmark_reads() -> list[tuple[str, str | None, str, bool]]:
+    """(module, class, attribute, must be a function) of each ``kgcm`` name the benchmark's workloads read.
+
+    These are the ``Target(module, attr, cls=...)`` calls, whose names the
+    tracer patches, the names imported from ``kgcm`` modules, and the
+    attributes read off the ``kgcm`` modules it imports.
+    """
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    names, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "kgcm":
+            modules.update({alias.asname or alias.name: f"kgcm.{alias.name}" for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kgcm."):
+            names += [(node.module, None, alias.name, False) for alias in node.names]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Target":
+            module, attr = (ast.literal_eval(arg) for arg in node.args[:2])
+            cls = next((ast.literal_eval(k.value) for k in node.keywords if k.arg == "cls"), None)
+            names.append((module, cls, attr, True))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            names.append((modules[node.value.id], None, node.attr, False))
+    return names
+
+
+def test_every_kgcm_name_the_benchmark_reads_exists():
+    # the benchmark calls and patches these names from outside the package, so a rename would
+    # otherwise show only when the benchmark runs
+    names = _names_the_benchmark_reads()
+    assert {attr for _, _, attr, function in names if function} >= {"encode", "stage2_forward", "predict"}
+    missing = []
+    for module, cls, attr, function in names:
+        scope = vars(importlib.import_module(module))
+        if cls is not None:
+            scope = vars(scope[cls]) if cls in scope else {}
+        if attr not in scope or (function and not inspect.isfunction(scope[attr])):
+            missing.append(".".join(p for p in (module, cls, attr) if p))
+    assert missing == []

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import tempfile
 import zipfile
+from datetime import datetime
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +20,7 @@ from kgcm.gradcheck import tiny_instance_config, tiny_instance_window
 from kgcm.model import ALL_COMPONENTS, TrainConfig, build_model
 from kgcm.model import joint_loss
 from kgcm.numeric import clear_tape, tape_size
-from kgcm.text import EncoderConfig, TextRecord
+from kgcm.text import EncoderConfig
 
 
 @pytest.fixture(autouse=True)
@@ -160,9 +161,9 @@ class TestBuildWindows:
         calls = []
         real = pipeline.encode
 
-        def counted(record, encoder, d):
-            calls.append(record.text)
-            return real(record, encoder, d)
+        def counted(text, key, encoder, d):
+            calls.append(text)
+            return real(text, key, encoder, d)
 
         monkeypatch.setattr(pipeline, "encode", counted)
         config, dataset = _config(), _dataset()
@@ -183,7 +184,7 @@ class TestBuildWindows:
         def encoded(text, rec_id):
             key = text if encoder.embedding_file is None else rec_id
             if key not in cache:
-                cache[key] = encode(TextRecord(text, id=rec_id), encoder, config.d)
+                cache[key] = encode(text, key, encoder, config.d)
             return cache[key]
 
         out = {}
@@ -229,22 +230,41 @@ class TestBuildWindows:
         seen = {"built": [], "reference": []}
 
         def recording(calls):
-            def encode(record, enc, d):
-                calls.append(record.id)
-                return real(record, enc, d)
+            def encode(text, key, enc, d):
+                calls.append(key)
+                return real(text, key, enc, d)
             return encode
 
         monkeypatch.setattr(pipeline, "encode", recording(seen["built"]))
         built = pipeline.build_windows(dataset, config, encoder)
-        reference = self._per_window_reference(dataset, config, encoder, recording(seen["reference"]))
-        assert sorted(built) == sorted(reference)
-        for region in reference:
-            assert len(built[region]) == len(reference[region]) > 0
-            for got, want in zip(built[region], reference[region]):
-                for field in dataclasses.fields(want):
-                    assert _same(getattr(got, field.name), getattr(want, field.name)), field.name
+        _assert_same_windows(built, self._per_window_reference(dataset, config, encoder, recording(seen["reference"])))
         assert len(seen["built"]) == len(set(seen["built"]))
         assert set(seen["built"]) == set(seen["reference"])
+
+    def test_a_file_encoder_looks_up_each_read_step_once_by_its_id(self, monkeypatch, tmp_path):
+        config, dataset = _config(), _dataset()
+        encoder = self._file_encoder(dataset, config, False, tmp_path / "embeddings.csv")
+        keys, real = [], pipeline.encode
+        monkeypatch.setattr(pipeline, "encode", lambda text, key, enc, d: keys.append(key) or real(text, key, enc, d))
+        pipeline.build_windows(dataset, config, encoder)
+        last = len(dataset.timestamps) - config.horizon
+        ids = [f"{series.region}|{ts.isoformat()}" for series in dataset.regions for ts in series.timestamps[:last]]
+        ids += [f"global|{ts.isoformat()}" for ts in dataset.timestamps[config.window - 1: last]]
+        assert sorted(keys) == sorted(ids)
+
+    def test_hashed_text_is_given_no_id(self):
+        # every timestamp refuses isoformat, which an embedding id is built from
+        class NoIsoformat(datetime):
+            def isoformat(self, *args, **kwargs):
+                raise AssertionError("hashed text was given an id")
+
+        def bare(stamps):
+            return [NoIsoformat.combine(ts.date(), ts.timetz()) for ts in stamps]
+
+        config, dataset = _config(), _dataset()
+        regions = [dataclasses.replace(series, timestamps=bare(series.timestamps)) for series in dataset.regions]
+        stripped = dataclasses.replace(dataset, regions=regions, timestamps=bare(dataset.timestamps))
+        _assert_same_windows(pipeline.build_windows(stripped, config), pipeline.build_windows(dataset, config))
 
     def test_file_mode_needs_no_embedding_for_unread_steps(self, tmp_path):
         # the last horizon steps are only ever targets, so their text has no embedding to look up
@@ -253,6 +273,15 @@ class TestBuildWindows:
         encoder = self._file_encoder(dataset, config, True, tmp_path / "embeddings.csv")
         windows = pipeline.build_windows(dataset, config, encoder)
         assert sum(len(w) for w in windows.values()) == len(dataset.timestamps) - config.window - config.horizon + 1
+
+
+def _assert_same_windows(built, reference) -> None:
+    assert sorted(built) == sorted(reference)
+    for region in reference:
+        assert len(built[region]) == len(reference[region]) > 0
+        for got, want in zip(built[region], reference[region]):
+            for field in dataclasses.fields(want):
+                assert _same(getattr(got, field.name), getattr(want, field.name)), field.name
 
 
 def _same(a, b) -> bool:
@@ -362,7 +391,7 @@ class TestModelFile:
             pipeline.load_model(path)
 
     def test_fit_records_the_file_encoder(self, tmp_path):
-        # a programmatic fit on file embeddings must save [text] encoder = file, not hashed
+        # a programmatic fit on file embeddings must save its [text] embedding_file, not load back as hashed
         dataset = _dataset()
         ids = [f"{s.region}|{ts.isoformat()}" for s in dataset.regions for ts in s.timestamps]
         ids += [f"global|{ts.isoformat()}" for ts in dataset.timestamps]

@@ -1,3 +1,5 @@
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from kgcm.errors import DataError, FormatError
 from kgcm.numeric import SeededRng, fnv1a64
 from kgcm.text import (
     EncoderConfig,
-    TextRecord,
+    embedding_id,
     encode,
     encode_hashed,
     load_embedding_file,
@@ -130,27 +132,33 @@ class TestEmbeddingFile:
 
 class TestEncodeDispatch:
     def test_hashed_mode(self):
-        a = encode(TextRecord("festival crowd"), EncoderConfig(), 8)
-        b = encode(TextRecord("festival crowd"), EncoderConfig(), 8)
+        a = encode("festival crowd", "festival crowd", EncoderConfig(), 8)
+        b = encode("festival crowd", "any key", EncoderConfig(), 8)
         np.testing.assert_array_equal(a.pooled, b.pooled)
         np.testing.assert_array_equal(a.pooled, encode_hashed("festival crowd", 8).pooled)
 
     def test_file_mode_present(self, tmp_path):
         p = tmp_path / "emb.csv"
         p.write_text("k,1.0,2.0\n")
-        out = encode(TextRecord("ignored", id="k"), EncoderConfig(str(p)), 8)
+        out = encode("ignored", "k", EncoderConfig(str(p)), 8)
         np.testing.assert_array_equal(out.pooled, [1.0, 2.0])
 
     def test_file_mode_absent_names_id(self, tmp_path):
         p = tmp_path / "emb.csv"
         p.write_text("k,1.0,2.0\n")
         with pytest.raises(DataError, match="missing-key"):
-            encode(TextRecord("x", id="missing-key"), EncoderConfig(str(p)), 8)
+            encode("x", "missing-key", EncoderConfig(str(p)), 8)
 
     def test_file_is_read_on_the_first_lookup_only(self, tmp_path):
         p = tmp_path / "emb.csv"
         encoder = EncoderConfig(str(p))  # no file yet: building the config reads nothing
         p.write_text("k,1.0,2.0\n")
-        np.testing.assert_array_equal(encode(TextRecord("x", id="k"), encoder, 8).pooled, [1.0, 2.0])
+        np.testing.assert_array_equal(encode("x", "k", encoder, 8).pooled, [1.0, 2.0])
         p.unlink()
-        np.testing.assert_array_equal(encode(TextRecord("x", id="k"), encoder, 8).pooled, [1.0, 2.0])
+        np.testing.assert_array_equal(encode("x", "k", encoder, 8).pooled, [1.0, 2.0])
+
+
+def test_embedding_id_names_the_source_and_the_timestamp():
+    ts = datetime(2024, 1, 1, 7, 30, tzinfo=timezone.utc)
+    assert embedding_id("r1", ts) == "r1|2024-01-01T07:30:00+00:00"
+    assert embedding_id("global", ts) == "global|2024-01-01T07:30:00+00:00"
