@@ -204,7 +204,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mape-floor", type=float, default=1.0)
+    p.add_argument("--mape-floor", type=positive_float, default=1.0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser(name="predict", help="write test-split predictions")

@@ -318,6 +318,13 @@ def load_csv(demand_path, local_text_path=None, global_text_path=None) -> Demand
                 weekend = int(row[6]) if has_flags else 0
             except ValueError as exc:
                 raise DataError(f"{demand_path} row {rowno}: unparsable number: {exc}") from exc
+            # float() reads nan and inf, which would only fail later, in training, as a numeric error
+            for name, value in (("demand", demand), ("avg_passengers", passengers), ("avg_distance", distance)):
+                if not math.isfinite(value):
+                    raise DataError(f"{demand_path} row {rowno}: {name} must be finite, got {value}")
+            for name, flag in (("is_holiday", holiday), ("is_weekend", weekend)):
+                if flag not in (0, 1):
+                    raise DataError(f"{demand_path} row {rowno}: {name} must be 0 or 1, got {flag}")
             if demand < 0:
                 raise DataError(f"{demand_path} row {rowno}: negative demand {demand}")
             bucket = per_region.setdefault(

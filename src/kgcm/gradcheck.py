@@ -14,15 +14,18 @@ the graph pass; and each encoder kernel in its input rows and one weight:
 time attention with two heads, feature attention under a non-uniform
 structural bias, and the feedforward across its ReLU.
 
-The graph layer check and the end-to-end instance keep the smoothing
-coefficient at zero because the smoothing history is deliberately carried as
-a constant; any nonzero coefficient would make the comparison measure that
-design choice instead of the gradients. The tests hold the layer at a
-nonzero coefficient to its three-kernel composite instead. The end-to-end
-instance's input series is smooth so the two-point node layer norm stays in
-its epsilon-dominated regime, where finite differences can resolve the true
-gradients. Its loss is scored against the noise of its own finite
-differences (see ``_check_joint_loss``).
+The end-to-end instance runs its graph pass in float64, where ``Model``
+runs it in float32: a float32 loss rounds far above what central
+differences can resolve. The graph layer and graph pass checks get float64
+states and rows. The graph layer check and the end-to-end instance keep the
+smoothing coefficient at zero because the smoothing history is deliberately
+carried as a constant; any nonzero coefficient would make the comparison
+measure that design choice instead of the gradients. The tests hold the
+layer at a nonzero coefficient to its three-kernel composite instead. The
+end-to-end instance's input series is smooth so the two-point node layer
+norm stays in its epsilon-dominated regime, where finite differences can
+resolve the true gradients. Its loss is scored against the noise of its own
+finite differences (see ``_check_joint_loss``).
 """
 
 from __future__ import annotations
@@ -246,6 +249,8 @@ def _check_joint_loss(seed: int, h: float) -> float:
     """
     config = tiny_instance_config(seed)
     model = build_model(config, ALL_COMPONENTS, feature_count=5)
+    # central differences of a float32 graph pass cannot resolve its gradients; the check runs it in float64
+    model.graph_dtype = np.float64
     window = tiny_instance_window(config, seed)
     params = model.stage2_parameters()
 

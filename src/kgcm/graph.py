@@ -16,6 +16,12 @@ convolves the last step alone; it still builds and smooths every step's
 relation, because the last smoothed matrix depends on all of them.
 ``run_dgso`` is what ``Model`` calls and what ``gradcheck`` checks, together
 with the layer kernel.
+
+The pass computes in the dtype of the rows it is given. ``Model`` casts its
+fused rows to ``GRAPH_DTYPE`` (float32) before ``run_dgso`` and casts the
+rows it reads back to float64 after it, with two ``numeric.cast`` entries on
+the tape; the parameters stay float64, and so do their gradients. The
+gradient checks run the pass on float64 rows.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "DgsoParams",
     "init_dgso_params",
     "uniform_matrix",
+    "GRAPH_DTYPE",
     "run_dgso",
 ]
 
@@ -80,6 +87,11 @@ def uniform_matrix(d: int) -> np.ndarray:
     return np.full((d, d), 1.0 / d, dtype=np.float64)
 
 
+# The dtype Model runs the graph pass in: the (T, d, d) relation stacks set its time by the bytes they move,
+# and float32 halves them (mixed precision over float64 master weights, as in Micikevicius et al., 2018).
+GRAPH_DTYPE = np.float32
+
+
 def run_dgso(fused_rows: Tensor, params: DgsoParams, n: int, last_step_only: bool = False) -> tuple[Tensor, np.ndarray]:
     """Run the full graph pass over a (T, d) window of fused step rows.
 
@@ -89,7 +101,8 @@ def run_dgso(fused_rows: Tensor, params: DgsoParams, n: int, last_step_only: boo
     is the same. Every layer's smoothing state starts at the uniform matrix
     at the window's first step and is carried across its consecutive steps,
     so a window's pass depends on that window alone. Steps earlier than n-1
-    pad their history by repeating the first step.
+    pad their history by repeating the first step. States and matrix have
+    the dtype of ``fused_rows``.
     """
     if fused_rows.data.ndim != 2 or fused_rows.data.shape[0] < 1:
         raise ContractError(f"run_dgso needs a (T, d) window, got shape {fused_rows.data.shape}")

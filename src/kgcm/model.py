@@ -11,6 +11,13 @@ The parameter list is read off the parameter dataclasses: every tensor
 reachable from ``lpo``, ``dgso``, ``global_gate``, ``ssa`` and the auxiliary
 head, in field declaration order. Each forward returns only what its
 callers read.
+
+The ``dgso`` graph pass is the model's one float32 region: both forwards
+cast the fused (T, d) rows to ``graph_dtype`` (``graph.GRAPH_DTYPE``) before
+``run_dgso`` and cast the rows they read out back to float64, each through
+one ``numeric.cast`` tape entry. Parameters and their gradients, the
+scaler, ``a_star`` (the float64 mean of float32 matrices) and model files
+stay float64.
 """
 
 from __future__ import annotations
@@ -33,11 +40,12 @@ from .fusion_local import (
     init_lpo_params,
     prompt_loss,
 )
-from .graph import DgsoParams, init_dgso_params, run_dgso, uniform_matrix
+from .graph import GRAPH_DTYPE, DgsoParams, init_dgso_params, run_dgso, uniform_matrix
 from .numeric import (
     SeededRng,
     Tensor,
     add,
+    cast,
     constant,
     history_columns,
     linear,
@@ -158,6 +166,7 @@ class Model:
         root = SeededRng(config.seed)
         self.lpo = init_lpo_params(config.d, feature_count, root.child("init/lpo"), with_text="lpo" in components)
         self.dgso: DgsoParams | None = None
+        self.graph_dtype = GRAPH_DTYPE  # the gradient check's instance runs its graph in float64
         if "dgso" in components:
             self.dgso = init_dgso_params(
                 config.n, config.projection_width, config.layers, config.ema_lambda, root.child("init/dgso")
@@ -216,6 +225,7 @@ class Model:
         self.scaler_std = np.where(std == 0.0, 1.0, std).astype(np.float64)
 
     def freeze_structure(self, matrix: np.ndarray) -> None:
+        """Hold the row-normalised float64 ``matrix`` as ``a_star``."""
         rows = matrix.sum(axis=1, keepdims=True)
         normalized = matrix / rows
         normalized.setflags(write=False)
@@ -252,8 +262,8 @@ class Model:
         if self.dgso is None:
             final_states, matrix = history_columns(fused, t_steps - 1, n), None
         else:
-            states, matrix = run_dgso(fused, self.dgso, n, last_step_only=True)
-            final_states = take(states, 0)
+            states, matrix = run_dgso(cast(fused, self.graph_dtype), self.dgso, n, last_step_only=True)
+            final_states = cast(take(states, 0), np.float64)
         aux_pred = linear(mean_rows(final_states), self.aux_w, self.aux_b)
         return joint_loss(aux_pred, self.scale_targets(window.targets[:1]), self.lpo, self.config.lambda_prompt), matrix
 
@@ -262,7 +272,8 @@ class Model:
         vecs = self._fused_rows(window)
         if self.dgso is not None:
             n = self.config.n
-            vecs = take(run_dgso(vecs, self.dgso, n)[0], np.s_[:, :, n - 1])
+            states = run_dgso(cast(vecs, self.graph_dtype), self.dgso, n)[0]
+            vecs = cast(take(states, np.s_[:, :, n - 1]), np.float64)
         if self.global_gate is not None:
             pooled = constant(np.tile(window.global_pooled, (vecs.data.shape[0], 1)))
             vecs = sigmoid_gate(vecs, pooled, self.global_gate.w_gate, self.global_gate.b_gate)

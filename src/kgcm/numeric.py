@@ -1,10 +1,19 @@
-"""Dense float64 arrays with reverse-mode gradients on a global tape.
+"""Dense arrays with reverse-mode gradients on a global tape.
 
-Every tensor the model touches is a ``Tensor``: a rank <= 3 float64 numpy
-array plus a ``requires_grad`` flag. Differentiable operations append an
-entry to a module-level tape; ``backward`` replays the tape in reverse and
+Every tensor the model touches is a ``Tensor``: a rank <= 3 numpy array
+plus a ``requires_grad`` flag. Differentiable operations append an entry to
+a module-level tape; ``backward`` replays the tape in reverse and
 accumulates exactly one gradient per requires-grad leaf, then clears the
 tape. Non-finite values are rejected at every op boundary.
+
+Tensors are float64, with one exception: the ``dgso`` graph pass runs in
+float32, between two ``cast`` entries that ``Model`` records around it.
+``history_columns`` and ``graph_layer`` compute in the dtype of their
+states and cast their float64 parameters to it on entry; the parameter
+gradients they return are float64 again, and ``cast`` returns its gradient
+in the dtype of its source. Parameters, optimizer state and everything
+outside the graph pass stay float64, and so do the graph kernels when they
+are given float64 states, as the gradient checks give them.
 
 The module holds only what a model path runs: the generic ops that the
 embedding, the heads, the losses and the graph lift use, and one fused
@@ -43,6 +52,7 @@ __all__ = [
     "matmul_nt",
     "linear",
     "relu",
+    "cast",
     "take",
     "gather_rows",
     "mean_rows",
@@ -79,12 +89,20 @@ def fnv1a64(data: bytes) -> int:
 
 
 class Tensor:
-    """Rank <= 3 float64 array that can participate in differentiation."""
+    """Rank <= 3 array that can participate in differentiation.
+
+    Data is float64, except that a float32 numpy array is kept as float32:
+    the graph pass's node states and relations are float32 (see the module
+    docstring). Every other input is converted to float64.
+    """
 
     __slots__ = ("data", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        arr = np.asarray(data, dtype=np.float64)
+        if isinstance(data, np.ndarray) and data.dtype == np.float32:
+            arr = data
+        else:
+            arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 3:
             raise ShapeError(f"rank {arr.ndim} exceeds the supported maximum of 3")
         if not np.isfinite(arr).all():
@@ -247,6 +265,16 @@ def relu(a: Tensor) -> Tensor:
         return (g * (a.data > 0.0),)
 
     return _result(out, (a,), bw)
+
+
+def cast(a: Tensor, dtype) -> Tensor:
+    """``a`` converted to ``dtype``; the gradient comes back in ``a``'s own dtype."""
+    source = a.data.dtype
+
+    def bw(g):
+        return (g.astype(source),)
+
+    return _result(a.data.astype(dtype), (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +502,9 @@ def sse(pred: Tensor, target: np.ndarray) -> Tensor:
 # its scores take a contiguous copy of k^T. Its layer norms reduce rows of
 # only n history columns, which ``_row_sum`` adds for n = 8 by strided
 # slice-adds in numpy's own summation order, so every output stays bitwise
-# what ``sum`` gives.
+# what ``sum`` gives. The model runs the layer on float32 states, which
+# halves the bytes its (S, d, d) stacks move; given float64 states it is
+# the float64 layer it was, bit for bit.
 #
 # The encoder kernels (``time_attention_norm``, ``feature_attention_norm``,
 # ``feedforward_norm``) are the three sublayers of one encoder block, each
@@ -499,7 +529,7 @@ def _on_steps(part: np.ndarray, live, shape: tuple[int, ...], first: int = 0) ->
     """The live steps' gradient placed in zeros of the full stacked ``shape``, counting the steps from ``first``."""
     if isinstance(live, slice) and not first:
         return part
-    full = np.zeros(shape)
+    full = np.zeros(shape, dtype=part.dtype)
     full[first:][live] = part
     return full
 
@@ -520,7 +550,10 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
     records keeps the ReLU mask and the relations for its backward; without
     one the smoothing runs in place and the scores take a contiguous k^T.
     The layer norm's row sums over the n history columns take
-    ``_row_sum``'s short path for n = 8.
+    ``_row_sum``'s short path for n = 8. The layer computes in the dtype of
+    ``states``, float32 in the model's graph pass and float64 in the
+    gradient checks: the states, their gradient and the returned matrix
+    have that dtype, and the parameter gradients are float64.
     """
     h, wq, wk, w = states.data, w_query.data, w_key.data, w_trans.data
     if h.ndim != 3 or not len(h) or wq.ndim != 2 or wk.ndim != 2 or h.shape[-1] != wq.shape[0] \
@@ -529,6 +562,11 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
     n = h.shape[-1]
     _check_affine("graph_layer", n, gamma, beta)
     inputs = (states, w_query, w_key, w_trans, gamma, beta)
+    # the layer computes in its states' dtype: the parameters and the start matrix are cast to it (no copy
+    # when they share it), and lam becomes a Python float, which numpy applies in the array's dtype where a
+    # numpy float64 scalar would widen a float32 array
+    wq, wk, w, gam, bet, start = (np.asarray(x, dtype=h.dtype) for x in (wq, wk, w, gamma.data, beta.data, start))
+    lam = float(lam)
     taped = _records(inputs)  # without a tape no backward runs, so the layer keeps nothing for one
     first = len(h) - 1 if last_only else 0  # the first step convolved, and the first that backward reads
     q = h @ wq
@@ -540,8 +578,10 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
     raw = q @ (kt if taped else np.ascontiguousarray(kt))
     positive = raw[first:] > 0.0 if taped else None
     np.maximum(raw, 0.0, out=raw)
-    # non-negative doubles order as their int64 bit patterns: the same exact row max, about twice as fast
-    raw -= raw.view(np.int64).max(axis=-1, keepdims=True).view(np.float64)
+    # non-negative floats order as their bit patterns read as signed integers of the same width: the same
+    # exact row max, about twice as fast
+    bits = np.dtype(f"i{raw.itemsize}")
+    raw -= raw.view(bits).max(axis=-1, keepdims=True).view(raw.dtype)
     np.exp(raw, out=raw)
     raw /= raw.sum(axis=-1, keepdims=True)
     # the relations backward reads; the cut (after copying the step it reads) and an untaped call smooth in place
@@ -555,12 +595,12 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
     hc, ac = h[first:], a[first:]
     mixed = ac @ hc
     z = mixed @ w
-    out, xhat, inv = _norm_forward(np.maximum(z, 0.0) + hc, gamma.data, beta.data)
+    out, xhat, inv = _norm_forward(np.maximum(z, 0.0) + hc, gam, bet)
 
     def bw(g):
         live, (g, al, hl, ml, zl, il, xl, pl, pos, ql, kl) = _live_steps(
             g, ac, hc, mixed, z, inv, xhat, p, positive, q[first:], k[first:])
-        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xl, il)
+        dy, dgamma, dbeta = _norm_backward(g, gam, xl, il)
         dz = dy * (zl > 0.0)
         dw = ml.reshape(-1, n).T @ dz.reshape(-1, n)
         dmixed = dz @ w.T
@@ -576,7 +616,8 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
         gk = gs.transpose(0, 2, 1) @ ql
         dh = _on_steps(dh + (gq @ wq.T + gk @ wk.T), live, h.shape, first)
         flat = hl.reshape(-1, n).T
-        return dh, flat @ gq.reshape(-1, wq.shape[1]), flat @ gk.reshape(-1, wk.shape[1]), dw, dgamma, dbeta
+        dparams = (flat @ gq.reshape(-1, wq.shape[1]), flat @ gk.reshape(-1, wk.shape[1]), dw, dgamma, dbeta)
+        return (dh,) + tuple(d.astype(np.float64, copy=False) for d in dparams)
 
     return _result(out, inputs, bw), a[-1].copy()
 
@@ -587,6 +628,7 @@ def history_columns(rows: Tensor, steps, n: int) -> Tensor:
     An int step gives one (d, n) state; a sequence of S steps gives a stack
     of (S, d, n) states from one gather. Negative history indices repeat
     row 0, matching the pad-by-repetition rule for the start of a window.
+    The states and the gradient of the rows keep the rows' dtype.
     """
     x = rows.data
     if x.ndim != 2:

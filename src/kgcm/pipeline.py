@@ -222,7 +222,7 @@ def train_stage1(model: Model, windows: list[SeriesWindow], config: TrainConfig)
     """
     if not model.uses_stage1:
         raise TrainingError("stage 1 requires the graph or local-text component")
-    matrix_sum = np.zeros((config.d, config.d))
+    matrix_sum = np.zeros((config.d, config.d))  # float64: the graph pass's float32 matrices sum in double
 
     def window_loss(window: SeriesWindow, epoch: int) -> Tensor:
         nonlocal matrix_sum

@@ -100,7 +100,7 @@ def embedding_id(source: str, ts: datetime) -> str:
 
 
 def load_embedding_file(path) -> dict[str, TokenEmbeddings]:
-    """Read `id,v1,...,vd` lines into a lookup of precomputed vectors."""
+    """Read `id,v1,...,vd` lines into a lookup of precomputed vectors; every value must be finite."""
     out: dict[str, TokenEmbeddings] = {}
     dim: int | None = None
     with open_utf8(path, FormatError) as fh:
@@ -109,18 +109,20 @@ def load_embedding_file(path) -> dict[str, TokenEmbeddings]:
                 continue
             rec_id = row[0]
             if rec_id in out:
-                raise FormatError(f"duplicate embedding id {rec_id!r} at line {lineno}")
+                raise FormatError(f"{path} line {lineno}: duplicate embedding id {rec_id!r}")
             values = row[1:]
             if dim is None:
                 dim = len(values)
                 if dim == 0:
-                    raise FormatError(f"embedding line {lineno} carries no values")
+                    raise FormatError(f"{path} line {lineno}: embedding carries no values")
             elif len(values) != dim:
-                raise FormatError(f"ragged embedding width at line {lineno}: expected {dim}, got {len(values)}")
+                raise FormatError(f"{path} line {lineno}: ragged embedding width, expected {dim}, got {len(values)}")
             try:
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
-                raise FormatError(f"non-numeric embedding field at line {lineno}: {exc}") from exc
+                raise FormatError(f"{path} line {lineno}: non-numeric embedding field: {exc}") from exc
+            if not np.isfinite(vec).all():
+                raise FormatError(f"{path} line {lineno}: non-finite embedding value")
             out[rec_id] = TokenEmbeddings(tokens=vec[None, :].copy(), pooled=vec)
     return out
 

@@ -158,6 +158,27 @@ def _with_byte(path, byte: bytes):
     path.write_bytes(blob.replace(b"\n", byte + b"\n", 1))
 
 
+def _with_field(data_dir, out_dir, column: int, value: str):
+    """Copy ``data_dir`` to ``out_dir`` with field ``column`` of the first demand row (row 2) set to ``value``."""
+    shutil.copytree(data_dir, out_dir)
+    lines = (out_dir / "demand.csv").read_text().splitlines(keepends=True)
+    fields = lines[1].rstrip("\n").split(",")
+    fields[column] = value
+    lines[1] = ",".join(fields) + "\n"
+    (out_dir / "demand.csv").write_text("".join(lines))
+
+
+# a demand field set to a bad value, the field's column, and the name the error must give
+BAD_DEMAND_FIELDS = {
+    "nan-demand": (2, "nan", "demand"),
+    "infinite-passengers": (3, "inf", "avg_passengers"),
+    "negative-infinite-distance": (4, "-inf", "avg_distance"),
+    "holiday-flag-2": (5, "2", "is_holiday"),
+    "weekend-flag-minus-1": (6, "-1", "is_weekend"),
+}
+BAD_EMBEDDING_VALUES = {"nan-embedding": "nan", "infinite-embedding": "inf"}
+
+
 @pytest.fixture
 def workspace(tmp_path):
     """A data directory, configs, model files, and files that are damaged or not UTF-8."""
@@ -175,6 +196,14 @@ def workspace(tmp_path):
     table = _write_embeddings(load_csv(*(tmp_path / "data" / f for f in CSV_FILES)), tmp_path / "latin1.csv")
     _with_byte(table, b"\xe9")
     (tmp_path / "latin1-table.cfg").write_text(TINY.format(d=8) + f"[text]\nembedding_file = {table}\n")
+    for case, (column, value, _) in BAD_DEMAND_FIELDS.items():
+        _with_field(tmp_path / "data", tmp_path / case, column, value)
+    for case, value in BAD_EMBEDDING_VALUES.items():
+        bad = _write_embeddings(load_csv(*(tmp_path / "data" / f for f in CSV_FILES)), tmp_path / f"{case}.csv")
+        lines = bad.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].split(",")[0] + f",{value}" * 8 + "\n"  # line 2 keeps its id, so only the value is bad
+        bad.write_text("".join(lines))
+        (tmp_path / f"{case}.cfg").write_text(TINY.format(d=8) + f"[text]\nembedding_file = {bad}\n")
     # an untrained model that fits the data, so evaluate reaches the metrics
     save_model(build_model(TrainConfig(d=8, n=2, window=8, horizon=2, blocks=1, day_slots=12), frozenset()),
                tmp_path / "plain.kgcm")
@@ -236,9 +265,14 @@ EXIT_CODE_CASES = {
     "text-encoder-key-model-file": (["evaluate", "--model", "encoder-key.kgcm", "--data", "data", "--out", "m.csv"],
                                     {}, cli.EXIT_DATA),
     "nan-mape-floor": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",
-                        "--mape-floor", "nan"], {}, cli.EXIT_DATA),
+                        "--mape-floor", "nan"], {}, cli.EXIT_USAGE),
     "infinite-mape-floor": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",
-                             "--mape-floor", "inf"], {}, cli.EXIT_DATA),
+                             "--mape-floor", "inf"], {}, cli.EXIT_USAGE),
+    **{f"mape-floor-{value}": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",
+                                "--mape-floor", value], {}, cli.EXIT_USAGE)
+       for value in ("0", "-1", "abc")},
+    **{f"bad-{case}": (_train("tiny.cfg", case), {}, cli.EXIT_DATA) for case in BAD_DEMAND_FIELDS},
+    **{f"bad-{case}": (_train(f"{case}.cfg"), {}, cli.EXIT_DATA) for case in BAD_EMBEDDING_VALUES},
 }
 
 
@@ -259,3 +293,17 @@ def test_non_utf8_input_error_names_the_file(workspace, monkeypatch, capsys, cas
     monkeypatch.chdir(workspace)
     cli.main(EXIT_CODE_CASES[case][0])
     assert re.search(r"latin1\S*: not UTF-8 text", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DEMAND_FIELDS))
+def test_bad_demand_field_error_names_the_file_row_and_field(workspace, monkeypatch, capsys, case):
+    monkeypatch.chdir(workspace)
+    cli.main(_train("tiny.cfg", case))
+    assert re.search(rf"{case}\S*demand\.csv row 2: {BAD_DEMAND_FIELDS[case][2]} must be", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EMBEDDING_VALUES))
+def test_non_finite_embedding_error_names_the_file_and_line(workspace, monkeypatch, capsys, case):
+    monkeypatch.chdir(workspace)
+    cli.main(_train(f"{case}.cfg"))
+    assert re.search(rf"{case}\.csv line 2: non-finite embedding value", capsys.readouterr().err)

@@ -496,3 +496,47 @@ class TestStage1Cut:
         params = init_dgso_params(4, 4, depth, 0.9, SeededRng(95))
         run_dgso(Tensor(SeededRng(96).normal((10, 6)), requires_grad=True), params, 4, last_step_only)
         assert tape_size() == 1 + depth
+
+
+class TestFloat32Pass:
+    """``Model`` runs the pass on float32 rows; it stays close to the float64 pass that the checks run."""
+
+    N, T, D = 8, 48, 32
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_matches_the_float64_pass(self, taped, seed):
+        n, rng = self.N, SeededRng(500 + seed)
+        params = init_dgso_params(n, n, 2, 0.9, rng.child("params"))
+        rows = rng.normal((self.T, self.D))
+        wide, wide_matrix = run_dgso(Tensor(rows, requires_grad=taped), params, n)
+        narrow, narrow_matrix = run_dgso(Tensor(rows.astype(np.float32), requires_grad=taped), params, n)
+        assert narrow.data.dtype == narrow_matrix.dtype == np.float32
+        assert np.abs(narrow.data - wide.data).max() <= 1e-4
+        assert np.abs(narrow_matrix - wide_matrix).max() <= 1e-4
+
+    def test_gradients_are_float64_for_parameters_and_float32_for_rows(self):
+        n, rng = self.N, SeededRng(520)
+        params = init_dgso_params(n, n, 2, 0.9, rng.child("params"))
+        rows = rng.normal((self.T, self.D))
+        readout = rng.normal((self.T, self.D))
+        weights = [t for layer in params.layers
+                   for t in (layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma, layer.ln_beta)]
+        grads = {}
+        for dtype in (np.float64, np.float32):
+            x = Tensor(rows.astype(dtype), requires_grad=True)
+            out = take(run_dgso(x, params, n)[0], np.s_[:, :, n - 1])
+            grads[dtype] = _gradients(sum_sq(mul(out, Tensor(readout.astype(dtype)))), [x] + weights)
+        assert grads[np.float32][0].dtype == np.float32
+        assert {g.dtype for g in grads[np.float32][1:]} == {np.dtype(np.float64)}
+        for narrow, wide in zip(grads[np.float32], grads[np.float64], strict=True):
+            assert np.abs(narrow - wide).max() <= 1e-4 * np.abs(wide).max()
+
+    @pytest.mark.parametrize("last_only", [False, True])
+    def test_the_layer_returns_the_states_gradient_in_their_dtype(self, last_only):
+        rng = SeededRng(530)
+        layer = init_dgso_params(4, 4, 1, 0.9, rng.child("params")).layers[0]
+        states = Tensor(rng.normal((6, 5, 4)).astype(np.float32), requires_grad=True)
+        out, _ = graph_layer(states, layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma, layer.ln_beta,
+                             uniform_matrix(5), 0.9, last_only)
+        assert backward(sum_sq(out), params=(states,))[states].dtype == np.float32

@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from kgcm import numeric as nm
+from kgcm.data import GeneratorConfig, generate_synthetic
 from kgcm.errors import ConfigError
-from kgcm.model import ALL_COMPONENTS, COMPONENT_ORDER, TrainConfig, build_model
+from kgcm.model import ALL_COMPONENTS, COMPONENT_ORDER, TrainConfig, build_model, joint_loss
 from kgcm.numeric import Tensor
-from kgcm.pipeline import load_model, save_model
+from kgcm.pipeline import load_model, new_model, save_model, train_stage1
 
 INVALID_FIELDS = [
     ("d", 0, "d must be positive"),
@@ -114,3 +116,41 @@ def test_every_train_config_field_survives_a_model_file(tmp_path, field):
     loaded = load_model(tmp_path / "model.kgcm")
     assert getattr(loaded.config, field.name) == value
     assert loaded.config == config
+
+
+def _train_full_shaped(windows: int):
+    """An all-five model at the default dimensions and ``windows`` of its train split (default data, seed 0)."""
+    model, split = new_model(generate_synthetic(GeneratorConfig()), TrainConfig(epochs_stage1=1, epochs_stage2=1))
+    return model, split.train[:windows]
+
+
+def test_the_graph_pass_alone_runs_in_float32():
+    model, (window,) = _train_full_shaped(1)
+    # a numpy float64 scalar widens a float32 array where a Python float does not
+    model.dgso.ema_lambda = np.float64(model.dgso.ema_lambda)
+    nm.clear_tape()
+    loss = joint_loss(model.stage2_forward(window), model.scale_targets(window.targets), model.lpo,
+                      model.config.lambda_prompt)
+    dtypes = [out.data.dtype for out, _, _ in nm._TAPE]
+    narrow = [i for i, dtype in enumerate(dtypes) if dtype == np.float32]
+    # the cast in, the lift, one entry per layer and the readout, in one run; the cast out and all else is float64
+    assert len(narrow) == 3 + model.config.layers and narrow == list(range(narrow[0], narrow[-1] + 1))
+    assert set(dtypes) == {np.dtype(np.float32), np.dtype(np.float64)}
+    cast_in, cast_out = nm._TAPE[narrow[0]], nm._TAPE[narrow[-1] + 1]
+    assert cast_in[1][0].data.dtype == np.float64 and cast_out[0].data.dtype == np.float64
+    params = model.stage2_parameters()
+    grads = nm.backward(loss, params.values())
+    assert all(p.data.dtype == np.float64 for p in params.values())
+    assert {grads[p].dtype for p in params.values()} == {np.dtype(np.float64)}
+    assert any(grads[p].any() for name, p in params.items() if name.startswith("dgso/"))
+
+
+def test_a_star_is_row_stochastic_from_float32_matrices():
+    model, windows = _train_full_shaped(8)
+    _, matrix = model.stage1_forward(windows[0])
+    assert matrix.dtype == np.float32
+    nm.clear_tape()
+    train_stage1(model, windows, model.config)
+    assert model.a_star.dtype == np.float64
+    assert (model.a_star >= 0).all()
+    assert np.abs(model.a_star.sum(axis=1) - 1.0).max() <= 1e-12  # the benchmark's row-sum tolerance

@@ -614,6 +614,24 @@ class TestTensorInvariantsAndTape:
             nm.relu(x)
         assert nm.tape_size() == 0
 
+    def test_float32_arrays_stay_float32_and_all_else_becomes_float64(self):
+        narrow = np.ones(3, dtype=np.float32)
+        assert tensor(narrow).data is narrow
+        for data in ([1, 2], np.ones(2, dtype=np.float16), np.arange(2), 1.5):
+            assert tensor(data).data.dtype == np.float64
+
+
+class TestCast:
+    @pytest.mark.parametrize("source, target", [(np.float64, np.float32), (np.float32, np.float64)])
+    def test_backward_returns_the_source_dtype(self, source, target):
+        x = Tensor(np.array([[1.5, -2.0], [0.25, 3.0]], dtype=source), requires_grad=True)
+        y = nm.cast(x, target)
+        assert y.data.dtype == target
+        np.testing.assert_array_equal(y.data, x.data.astype(target))
+        grads = backward(sum_sq(nm.cast(y, np.float64)), params=(x,))
+        assert grads[x].dtype == source
+        np.testing.assert_array_equal(grads[x], 2.0 * x.data)
+
 
 class TestSeededRng:
     def test_same_seed_same_sequence(self):

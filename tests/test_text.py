@@ -129,6 +129,13 @@ class TestEmbeddingFile:
         with pytest.raises(FormatError, match="line 2"):
             load_embedding_file(p)
 
+    @pytest.mark.parametrize("lines, line", [("a,nan,1\nb,inf,2\n", 1), ("a,0,1\nb,-inf,2\n", 2)])
+    def test_non_finite_value_rejected_with_file_and_line(self, tmp_path, lines, line):
+        p = tmp_path / "emb.csv"
+        p.write_text(lines)
+        with pytest.raises(FormatError, match=rf"emb\.csv line {line}: non-finite"):
+            load_embedding_file(p)
+
 
 class TestEncodeDispatch:
     def test_hashed_mode(self):
