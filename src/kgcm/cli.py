@@ -11,9 +11,9 @@ KGCM_SEED environment variable, then 0.
 Text is hashed unless a config's [text] section sets `embedding_file = PATH`,
 a table of precomputed vectors. `train --stage 2` continues the model given
 by --init: every model, training and text setting comes from that model
-file, and --config, --seed and KGCM_SEED do not change them. `evaluate` and
-`predict` likewise encode the data's text as the model file's [text] section
-says.
+file, and --config, --seed and KGCM_SEED do not change them; any other
+--stage refuses --init. `evaluate` and `predict` likewise encode the data's
+text as the model file's [text] section says.
 """
 
 from __future__ import annotations
@@ -107,6 +107,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.init and args.stage != "2":
+        raise UsageError(f"--init MODEL continues a stage-1 run and needs --stage 2, got --stage {args.stage}")
     parsed = parse_config(args.config)
     seed = _resolve_seed(args.seed, parsed, "train", "seed", parsed.train.seed)
     config = dataclasses.replace(parsed.train, seed=seed)
@@ -195,8 +197,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--stage", choices=("1", "2", "both"), default="both")
     p.add_argument("--init", default=None,
-                   help="stage-1 model file (required for --stage 2); stage 2 takes every model, training "
-                        "and text setting from it")
+                   help="stage-1 model file (required for --stage 2, refused otherwise); stage 2 takes every "
+                        "model, training and text setting from it")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 

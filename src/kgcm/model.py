@@ -247,21 +247,31 @@ class Model:
 
     # -- forwards ------------------------------------------------------
 
-    def _fused_rows(self, window: SeriesWindow) -> Tensor:
-        """Embedded (T, d) rows, gated with the step text by one cross-attention call when lpo is on."""
-        x = constant(self.scale_inputs(window.inputs))
+    def _fused_rows(self, window: SeriesWindow, first: int = 0) -> Tensor:
+        """Embedded rows of steps ``first``..T-1, gated with the step text by one cross-attention call when lpo is on.
+
+        Each fused row depends on its own step alone, so the rows of a cut
+        window are the same rows as those of the whole one.
+        """
+        x = constant(self.scale_inputs(window.inputs[first:]))
         hs = embed_structured_rows(x, self.lpo)
         if "lpo" not in self.components:
             return hs
-        return sigmoid_gate(hs, guided_cross_attention(hs, window.local_tokens, self.lpo), self.lpo.w_gate)
+        return sigmoid_gate(hs, guided_cross_attention(hs, window.local_tokens[first:], self.lpo), self.lpo.w_gate)
 
     def stage1_forward(self, window: SeriesWindow) -> tuple[Tensor, np.ndarray | None]:
-        """Auxiliary one-step-ahead loss over the final node states, and the graph's last smoothed matrix."""
-        fused = self._fused_rows(window)
-        t_steps, n = fused.data.shape[0], self.config.n
+        """Auxiliary one-step-ahead loss over the final node states, and the graph's last smoothed matrix.
+
+        Without the graph the loss reads only the last n fused rows (the last
+        step's history columns), so only the last min(n, T) steps are fused;
+        a window shorter than n still pads by repeating its first row.
+        """
+        n = self.config.n
         if self.dgso is None:
-            final_states, matrix = history_columns(fused, t_steps - 1, n), None
+            fused = self._fused_rows(window, max(len(window.inputs) - n, 0))
+            final_states, matrix = history_columns(fused, fused.data.shape[0] - 1, n), None
         else:
+            fused = self._fused_rows(window)
             states, matrix = run_dgso(cast(fused, self.graph_dtype), self.dgso, n, last_step_only=True)
             final_states = cast(take(states, 0), np.float64)
         aux_pred = linear(mean_rows(final_states), self.aux_w, self.aux_b)

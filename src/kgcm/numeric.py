@@ -508,9 +508,16 @@ def sse(pred: Tensor, target: np.ndarray) -> Tensor:
 #
 # The encoder kernels (``time_attention_norm``, ``feature_attention_norm``,
 # ``feedforward_norm``) are the three sublayers of one encoder block, each
-# with its residual and layer norm. ``sigmoid_gate`` is the gated mix of two
-# (T, d) row sets, and ``step_cross_attention`` the masked attention of a
-# window's rows to its step text.
+# with its residual and layer norm. The two attention kernels take
+# ``last_only`` for the last block under last-row pooling: time attention
+# then scores only the last query row, and feature attention scores Q^T K
+# over every row but weighs, projects and normalizes the last row alone. Cut
+# or not, one code path runs; its backward adds the input gradient's terms
+# in place, in the uncut kernel's order, so an uncut call is bitwise what it
+# was. ``sigmoid_gate`` is the gated mix of two (T, d) row sets, and
+# ``step_cross_attention`` the masked attention of a window's rows to its
+# step text. Graph-free stage 1 (``Model.stage1_forward``) fuses only the
+# last n steps it reads, so its cross-attention sees only their text.
 
 
 def _live_steps(g: np.ndarray, *arrays: np.ndarray):
@@ -679,13 +686,15 @@ def _merge_heads(m: np.ndarray) -> np.ndarray:
 
 
 def time_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tensor, w_out: Tensor,
-                        gamma: Tensor, beta: Tensor, heads: int = 1) -> Tensor:
+                        gamma: Tensor, beta: Tensor, heads: int = 1, last_only: bool = False) -> Tensor:
     """layer_norm(attention over the T steps of (T, d) rows, times W_o, plus the rows) as one tape entry.
 
     Q = x W_q, K = x W_k and V = x W_v are split into ``heads`` column
     blocks of width d / heads. Each head weighs the steps by
     softmax(Q_h K_h^T / sqrt(d / heads)) row by row, and the heads' outputs,
-    side by side, go through W_o.
+    side by side, go through W_o. With ``last_only`` only the last row
+    queries, against every row's keys and values, and the result is that
+    row's (1, d) output.
     """
     xd = x.data
     t, d = _check_rows("time_attention_norm", xd, w_query, w_key, w_value, w_out)
@@ -694,30 +703,40 @@ def time_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tens
     _check_affine("time_attention_norm", d, gamma, beta)
     wq, wk, wv, wo = w_query.data, w_key.data, w_value.data, w_out.data
     c = 1.0 / math.sqrt(d // heads)
-    q, k, v = (_split_heads(xd @ w, heads) for w in (wq, wk, wv))
+    rows = np.s_[-1:] if last_only else np.s_[:]
+    xr = xd[rows]
+    q = _split_heads(xr @ wq, heads)
+    k, v = (_split_heads(xd @ w, heads) for w in (wk, wv))
     p = _softmax((q @ k.transpose(0, 2, 1)) * c)
     att = _merge_heads(p @ v)
-    out, xhat, inv = _norm_forward(att @ wo + xd, gamma.data, beta.data)
+    out, xhat, inv = _norm_forward(att @ wo + xr, gamma.data, beta.data)
 
     def bw(g):
         dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv)
         datt = _split_heads(dy @ wo.T, heads)
         ds = _softmax_backward(datt @ v.transpose(0, 2, 1), p) * c
         dq, dk, dv = (_merge_heads(m) for m in (ds @ k, ds.transpose(0, 2, 1) @ q, p.transpose(0, 2, 1) @ datt))
-        dx = dq @ wq.T + dk @ wk.T + dv @ wv.T + dy
-        return dx, xd.T @ dq, xd.T @ dk, xd.T @ dv, att.T @ dy, dgamma, dbeta
+        # ((dq + dk) + dv) + dy with dq and dy on the query rows alone; addition commutes, so uncut it is bitwise
+        dx = dk @ wk.T
+        dx[rows] += dq @ wq.T
+        dx += dv @ wv.T
+        dx[rows] += dy
+        return dx, xr.T @ dq, xd.T @ dk, xd.T @ dv, att.T @ dy, dgamma, dbeta
 
     return _result(out, (x, w_query, w_key, w_value, w_out, gamma, beta), bw)
 
 
 def feature_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tensor, w_out: Tensor,
-                           gamma: Tensor, beta: Tensor, bias: np.ndarray | None = None) -> Tensor:
+                           gamma: Tensor, beta: Tensor, bias: np.ndarray | None = None,
+                           last_only: bool = False) -> Tensor:
     """layer_norm(attention over the d feature axes of (T, d) rows, times W_o, plus the rows) as one tape entry.
 
     With Q = x W_q, K = x W_k and V = x W_v, the (d, d) weights are
     softmax(Q^T K / sqrt(T) + bias) row by row, and feature i of each row
     becomes the weighted sum of that row's V features. ``bias`` is a
-    constant; None adds nothing.
+    constant; None adds nothing. With ``last_only`` the weights are still
+    scored over every row, but only the last row is weighted, projected,
+    added back and normalized: the result is that row's (1, d) output.
     """
     xd = x.data
     t, d = _check_rows("feature_attention_norm", xd, w_query, w_key, w_value, w_out)
@@ -726,21 +745,26 @@ def feature_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: T
     _check_affine("feature_attention_norm", d, gamma, beta)
     wq, wk, wv, wo = w_query.data, w_key.data, w_value.data, w_out.data
     c = 1.0 / math.sqrt(t)
-    q, k, v = xd @ wq, xd @ wk, xd @ wv
+    rows = np.s_[-1:] if last_only else np.s_[:]
+    xr = xd[rows]
+    q, k, v = xd @ wq, xd @ wk, xr @ wv
     scores = (q.T @ k) * c
     if bias is not None:
         scores = scores + bias
     p = _softmax(scores)
     att = v @ p.T
-    out, xhat, inv = _norm_forward(att @ wo + xd, gamma.data, beta.data)
+    out, xhat, inv = _norm_forward(att @ wo + xr, gamma.data, beta.data)
 
     def bw(g):
         dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv)
         datt = dy @ wo.T
         ds = _softmax_backward(datt.T @ v, p) * c
         dq, dk, dv = k @ ds.T, q @ ds, datt @ p
-        dx = dq @ wq.T + dk @ wk.T + dv @ wv.T + dy
-        return dx, xd.T @ dq, xd.T @ dk, xd.T @ dv, att.T @ dy, dgamma, dbeta
+        # ((dq + dk) + dv) + dy with dv and dy on the value rows alone, in that order, so uncut it is bitwise
+        dx = dq @ wq.T + dk @ wk.T
+        dx[rows] += dv @ wv.T
+        dx[rows] += dy
+        return dx, xd.T @ dq, xd.T @ dk, xr.T @ dv, att.T @ dy, dgamma, dbeta
 
     return _result(out, (x, w_query, w_key, w_value, w_out, gamma, beta), bw)
 

@@ -7,7 +7,11 @@ matrix. A position-wise feedforward closes each block. Every sublayer adds
 its input back and layer-normalizes, and each is one fused kernel of
 ``numeric`` (``time_attention_norm``, ``feature_attention_norm``,
 ``feedforward_norm``), one tape entry per sublayer. The horizon is produced
-by independent linear heads over the pooled encoder output.
+by independent linear heads over the pooled encoder output. With
+``pooling = "last"`` the heads read the last row alone, so the last block
+computes only that row: its feature attention (or, without one, its time
+attention) still scores every row but outputs the last, and its feedforward
+runs on that one row. ``pooling = "mean"`` reads every row.
 """
 
 from __future__ import annotations
@@ -175,24 +179,34 @@ def structural_bias(matrix: np.ndarray) -> np.ndarray:
     return np.log1p(matrix)
 
 
-def ssa_block(x: Tensor, bias: np.ndarray | None, block: SsaBlockParams, heads: int = 1) -> Tensor:
+def ssa_block(x: Tensor, bias: np.ndarray | None, block: SsaBlockParams, heads: int = 1,
+              last_only: bool = False) -> Tensor:
     """One encoder block: time attention, optional feature attention, feedforward.
 
     Each sublayer adds its input back and layer-normalizes. ``bias`` is added
     to the feature-axis scores before the softmax; passing None skips the
-    addition (identical to an all-zero bias).
+    addition (identical to an all-zero bias). With ``last_only`` the block
+    returns the last row's (1, d) output alone: the block's last attention
+    sublayer outputs only that row, and the feedforward runs on it.
     """
-    x = time_attention_norm(x, block.t_wq, block.t_wk, block.t_wv, block.t_wo, block.ln1_gamma, block.ln1_beta, heads)
+    x = time_attention_norm(x, block.t_wq, block.t_wk, block.t_wv, block.t_wo, block.ln1_gamma, block.ln1_beta, heads,
+                            last_only=last_only and not block.has_feature_attention)
     if block.has_feature_attention:
         x = feature_attention_norm(x, block.f_wq, block.f_wk, block.f_wv, block.f_wo,
-                                   block.ln2_gamma, block.ln2_beta, bias)
+                                   block.ln2_gamma, block.ln2_beta, bias, last_only=last_only)
     return feedforward_norm(x, block.ff_w1, block.ff_b1, block.ff_w2, block.ff_b2, block.ln3_gamma, block.ln3_beta)
 
 
 def forecast(e: Tensor, bias: np.ndarray | None, params: SsaParams) -> Tensor:
-    """Stack the encoder blocks, pool, and apply the per-horizon linear heads."""
+    """Stack the encoder blocks, pool, and apply the per-horizon linear heads.
+
+    ``pooling = "last"`` reads the last row alone, so the last block computes
+    only that row (``ssa_block``'s ``last_only``); ``"mean"`` runs every block
+    on every row.
+    """
     x = e
-    for block in params.blocks:
-        x = ssa_block(x, bias, block, params.heads)
+    last = len(params.blocks) - 1
+    for i, block in enumerate(params.blocks):
+        x = ssa_block(x, bias, block, params.heads, last_only=params.pooling == "last" and i == last)
     pooled = mean_rows(x) if params.pooling == "mean" else take(x, -1)
     return linear(pooled, params.head_w, params.head_b)

@@ -233,6 +233,11 @@ def _train(config, data="data", *extra):
 
 EXIT_CODE_CASES = {
     "stage-2-without-init": (_train("tiny.cfg", "data", "--stage", "2"), {}, cli.EXIT_USAGE),
+    # --init continues a stage-1 model only under --stage 2; elsewhere it would be ignored and train from scratch
+    "init-missing-file-default-stage": (_train("tiny.cfg", "data", "--init", "no-such.kgcm"), {}, cli.EXIT_USAGE),
+    "init-with-stage-both": (_train("tiny.cfg", "data", "--stage", "both", "--init", "plain.kgcm"), {},
+                             cli.EXIT_USAGE),
+    "init-with-stage-1": (_train("tiny.cfg", "data", "--stage", "1", "--init", "plain.kgcm"), {}, cli.EXIT_USAGE),
     "stage-1-without-graph-or-text": (_train("graphless.cfg", "data", "--stage", "1"), {}, cli.EXIT_USAGE),
     "unknown-config-key": (_train("unknown-key.cfg"), {}, cli.EXIT_DATA),
     "features-other-than-five": (_train("three-features.cfg"), {}, cli.EXIT_DATA),

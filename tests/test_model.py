@@ -6,9 +6,10 @@ import pytest
 from kgcm import numeric as nm
 from kgcm.data import GeneratorConfig, generate_synthetic
 from kgcm.errors import ConfigError
-from kgcm.model import ALL_COMPONENTS, COMPONENT_ORDER, TrainConfig, build_model, joint_loss
+from kgcm.model import ALL_COMPONENTS, COMPONENT_ORDER, SeriesWindow, TrainConfig, build_model, joint_loss
 from kgcm.numeric import Tensor
 from kgcm.pipeline import load_model, new_model, save_model, train_stage1
+from kgcm.text import encode_hashed
 
 INVALID_FIELDS = [
     ("d", 0, "d must be positive"),
@@ -154,3 +155,76 @@ def test_a_star_is_row_stochastic_from_float32_matrices():
     assert model.a_star.dtype == np.float64
     assert (model.a_star >= 0).all()
     assert np.abs(model.a_star.sum(axis=1) - 1.0).max() <= 1e-12  # the benchmark's row-sum tolerance
+
+
+GRAPH_FREE = frozenset({"ssa", "rcpg", "lpo"})  # the train-text components: stage 1 without the graph
+
+
+def _text_window(config: TrainConfig, texts: list[str]) -> SeriesWindow:
+    """A window of ``len(texts)`` steps whose step t carries ``texts[t]`` ('' for none)."""
+    rng = nm.SeededRng(7).child("text-window")
+    t = len(texts)
+    return SeriesWindow(region="r0", inputs=rng.normal((t, 5)), targets=rng.normal((config.horizon,)),
+                        slots=[k % config.day_slots for k in range(t)], dows=[0] * t,
+                        local_tokens=[encode_hashed(text, config.d).tokens for text in texts],
+                        global_pooled=np.zeros(config.d))
+
+
+def _uncut_stage1_loss(model, window):
+    """Graph-free stage 1 over every fused row of the window, then the last step's history columns."""
+    fused = model._fused_rows(window)
+    states = nm.history_columns(fused, len(window.inputs) - 1, model.config.n)
+    aux_pred = nm.linear(nm.mean_rows(states), model.aux_w, model.aux_b)
+    return joint_loss(aux_pred, model.scale_targets(window.targets[:1]), model.lpo, model.config.lambda_prompt)
+
+
+def _loss_and_gradients(model, loss_fn, window):
+    nm.clear_tape()
+    loss = loss_fn(model, window)
+    params = model.stage1_parameters()
+    grads = nm.backward(loss, params.values())
+    return loss.item(), {name: grads[p] for name, p in params.items()}
+
+
+SMALL = TrainConfig(d=8, n=3, window=8, horizon=2, blocks=1, day_slots=4)
+TEXTS = ["", "festival crowd", "", "rain all day", "", "late trains tonight", "", "stadium match"]
+
+
+@pytest.mark.parametrize("texts", [TEXTS, TEXTS[:5] + [""] * 3, [""] * 8],
+                         ids=["text-in-lift", "text-before-lift", "no-text"])
+def test_graph_free_stage1_equals_the_uncut_composition(texts):
+    model = build_model(SMALL, GRAPH_FREE)
+    window = _text_window(SMALL, texts)
+    loss, grads = _loss_and_gradients(model, lambda m, w: m.stage1_forward(w)[0], window)
+    want_loss, want_grads = _loss_and_gradients(model, _uncut_stage1_loss, window)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    for name, want in want_grads.items():
+        assert np.abs(grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_text_before_the_lift_leaves_stage1_bitwise_unchanged():
+    model = build_model(SMALL, GRAPH_FREE)
+    early_text = TEXTS[:SMALL.window - SMALL.n] + [""] * SMALL.n
+    assert "".join(early_text)
+    with_text, without = (_text_window(SMALL, texts) for texts in (early_text, [""] * SMALL.window))
+    nm.clear_tape()
+    loss = model.stage1_forward(with_text)[0].item()
+    nm.clear_tape()
+    assert loss == model.stage1_forward(without)[0].item()
+    nm.clear_tape()
+
+
+def test_a_window_shorter_than_n_pads_by_repeating_its_first_row():
+    config = dataclasses.replace(SMALL, n=8, window=5)
+    model = build_model(config, GRAPH_FREE)
+    window = _text_window(config, TEXTS[:5])
+    nm.clear_tape()
+    fused = model._fused_rows(window).data
+    padded = np.vstack([fused[:1]] * 3 + [fused])  # (n, d): three copies of row 0, then the five rows
+    aux_pred = model.aux_w.data @ padded.T.mean(axis=0) + model.aux_b.data
+    prompt = ((model.lpo.prompt_struct.data - model.lpo.prompt_text.data) ** 2).sum()
+    want = ((aux_pred - model.scale_targets(window.targets[:1])) ** 2).sum() + config.lambda_prompt * prompt
+    nm.clear_tape()
+    loss = model.stage1_forward(window)[0].item()
+    nm.clear_tape()
+    assert abs(loss - want) <= 1e-12 * abs(want)

@@ -459,7 +459,43 @@ def _block_arrays(rng, t, d, hidden=None):
     return arrays
 
 
+def _assert_cut_is_last_row(kernel, arrays, rng, **extra):
+    """``kernel(..., last_only=True)`` against the uncut kernel followed by ``take`` of its last row.
+
+    The (1, d) outputs agree within 1e-12 relative to the largest entry, and
+    so does every gradient, relative to the largest entry of the uncut one's;
+    a gradient that is zero there must be zero in the cut kernel too.
+    """
+    def cut(*args):
+        return kernel(*args, last_only=True, **extra)
+
+    def uncut(*args):
+        return nm.take(kernel(*args, **extra), np.s_[-1:])
+
+    readout = rng.normal((1, arrays["x"].shape[1]))
+    c_out, c_grads = _run(cut, arrays, readout)
+    u_out, u_grads = _run(uncut, arrays, readout)
+    assert c_out.shape == u_out.shape == readout.shape
+    assert np.abs(c_out - u_out).max() <= 1e-12 * np.abs(u_out).max()
+    for name in arrays:
+        assert np.abs(c_grads[name] - u_grads[name]).max() <= 1e-12 * np.abs(u_grads[name]).max(), name
+
+
 class TestValuePathKernels:
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("t", [1, 6])
+    def test_time_attention_last_only_is_the_last_row(self, heads, t):
+        rng = SeededRng(90 + t + heads)
+        _assert_cut_is_last_row(nm.time_attention_norm, _block_arrays(rng, t, 4), rng, heads=heads)
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("t", [1, 6])
+    def test_feature_attention_last_only_is_the_last_row(self, with_bias, t):
+        rng = SeededRng(95 + t + with_bias)
+        raw = rng.uniform((4, 4)) + 0.1
+        bias = np.log1p(raw / raw.sum(axis=1, keepdims=True)) if with_bias else None
+        _assert_cut_is_last_row(nm.feature_attention_norm, _block_arrays(rng, t, 4), rng, bias=bias)
+
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("t", [1, 6])
     def test_time_attention_matches_composite(self, heads, t):

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from kgcm.errors import ContractError, DataError, ShapeError
-from kgcm.numeric import SeededRng, Tensor, clear_tape, grad_check, sse, tensor
+from kgcm.numeric import SeededRng, Tensor, backward, clear_tape, grad_check, linear, mean_rows, sse, take, tensor
 from kgcm.predictor import (
     embed_sequence,
     forecast,
@@ -174,7 +175,59 @@ class TestSsaBlock:
             _params(d=6, heads=4)
 
 
+def _uncut_forecast(e, bias, params):
+    """``forecast`` with every block on every row: the composition that the last-row cut must reproduce."""
+    x = e
+    for block in params.blocks:
+        x = ssa_block(x, bias, block, params.heads)
+    pooled = mean_rows(x) if params.pooling == "mean" else take(x, -1)
+    return linear(pooled, params.head_w, params.head_b)
+
+
+def _forecast_and_gradients(fn, x, bias, params, target):
+    """The forecast of ``fn`` and the gradients of its squared error in the rows and every encoder and head weight."""
+    clear_tape()
+    weights = [params.head_w, params.head_b] + [
+        getattr(b, f.name) for b in params.blocks for f in dataclasses.fields(b) if getattr(b, f.name) is not None]
+    e = Tensor(x.copy(), requires_grad=True)
+    out = fn(e, bias, params)
+    grads = backward(sse(out, target), params=[e, *weights])
+    return out.data, [grads[e]] + [grads[w] for w in weights]
+
+
 class TestForecast:
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("feature_attention", [False, True])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_last_pooling_equals_the_uncut_encoder(self, blocks, feature_attention, heads):
+        d = 4
+        params = _params(d=d, horizon=3, blocks=blocks, feature_attention=feature_attention, heads=heads,
+                         seed=20 + blocks)
+        rng = SeededRng(21 + blocks + 2 * feature_attention)
+        bias = structural_bias(rng.uniform((d, d))) if feature_attention else None
+        x, target = rng.normal((6, d)), rng.normal((3,))
+        cut, cut_grads = _forecast_and_gradients(forecast, x, bias, params, target)
+        uncut, uncut_grads = _forecast_and_gradients(_uncut_forecast, x, bias, params, target)
+        assert np.abs(cut - uncut).max() <= 1e-12 * np.abs(uncut).max()
+        for got, want in zip(cut_grads, uncut_grads):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # every row reaches the forecast through the keys and values of the cut block
+        assert (np.abs(cut_grads[0]).max(axis=1) > 0.0).all()
+
+    @pytest.mark.parametrize("feature_attention", [False, True])
+    def test_mean_pooling_runs_every_row(self, feature_attention):
+        d = 4
+        params = _params(d=d, horizon=2, blocks=2, feature_attention=feature_attention, pooling="mean", seed=24)
+        rng = SeededRng(25)
+        x, target = rng.normal((5, d)), rng.normal((2,))
+        out, grads = _forecast_and_gradients(forecast, x, None, params, target)
+        uncut, uncut_grads = _forecast_and_gradients(_uncut_forecast, x, None, params, target)
+        assert out.tobytes() == uncut.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, uncut_grads))
+        moved = x.copy()
+        moved[0] += 0.5
+        assert np.abs(forecast(tensor(moved), None, params).data - out).max() > 1e-6
+
     def test_zero_weights_give_head_biases(self):
         params = _params(d=4, horizon=3, blocks=2)
         for block in params.blocks:
