@@ -12,10 +12,10 @@ with one step read out as zero for the graph layer kernel, in the states,
 ``w_query`` and ``w_trans``; (T, d) rows with T > n through two layers for
 the graph pass; each encoder kernel in its input rows and one weight:
 time attention with two heads, feature attention under a non-uniform
-structural bias, and the feedforward across its ReLU; both attention
-kernels again cut to their last row (``last_only``), as the last block runs
-them; and the whole encoder through two blocks with last-row pooling, an
-uncut block feeding a cut one.
+structural bias, and the feedforward across its ReLU; feature attention
+again cut to its last row (``last_only``), as the last block runs it; and
+the whole encoder through two blocks with last-row pooling, an uncut block
+feeding a cut one.
 
 The end-to-end instance runs its graph pass in float64, where ``Model``
 runs it in float32: a float32 loss rounds far above what central
@@ -180,12 +180,11 @@ def _check_predictor(rng: SeededRng) -> float:
     return grad_check(f, tensor(rng.normal((4, d))))
 
 
-def _check_time_attention(rng: SeededRng, last_only: bool = False) -> float:
+def _check_time_attention(rng: SeededRng) -> float:
     b = init_ssa_params(4, 2, 1, 4, rng.child("p"), with_feature_attention=False, heads=2).blocks[0]
 
     def f(x, wq):
-        out = nm.time_attention_norm(x, wq, b.t_wk, b.t_wv, b.t_wo, b.ln1_gamma, b.ln1_beta, heads=2,
-                                     last_only=last_only)
+        out = nm.time_attention_norm(x, wq, b.t_wk, b.t_wv, b.t_wo, b.ln1_gamma, b.ln1_beta, heads=2)
         return _weighted(out, rng.child("w"))
 
     return _each_argument(f, rng.normal((5, 4)), b.t_wq.data)
@@ -293,7 +292,6 @@ def run_all_checks(seed: int = 0, h: float = 1e-5) -> list[CheckResult]:
         ("acmfw_weight", _check_acmfw_weight),
         ("predictor", _check_predictor),
         ("time_attention_norm", _check_time_attention),
-        ("time_attention_norm/last_only", lambda rng: _check_time_attention(rng, last_only=True)),
         ("feature_attention_norm", _check_feature_attention),
         ("feature_attention_norm/last_only", lambda rng: _check_feature_attention(rng, last_only=True)),
         ("feedforward_norm", _check_feedforward),

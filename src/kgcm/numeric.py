@@ -508,16 +508,14 @@ def sse(pred: Tensor, target: np.ndarray) -> Tensor:
 #
 # The encoder kernels (``time_attention_norm``, ``feature_attention_norm``,
 # ``feedforward_norm``) are the three sublayers of one encoder block, each
-# with its residual and layer norm. The two attention kernels take
-# ``last_only`` for the last block under last-row pooling: time attention
-# then scores only the last query row, and feature attention scores Q^T K
-# over every row but weighs, projects and normalizes the last row alone. Cut
-# or not, one code path runs; its backward adds the input gradient's terms
-# in place, in the uncut kernel's order, so an uncut call is bitwise what it
-# was. ``sigmoid_gate`` is the gated mix of two (T, d) row sets, and
+# with its residual and layer norm. Feature attention takes ``last_only``
+# for the last block under last-row pooling: it scores Q^T K over every row
+# but weighs, projects and normalizes the last row alone. Cut or not, one
+# code path runs; its backward adds the input gradient's terms in place, in
+# the uncut kernel's order, so an uncut call is bitwise what it was.
+# ``sigmoid_gate`` is the gated mix of two (T, d) row sets, and
 # ``step_cross_attention`` the masked attention of a window's rows to its
-# step text. Graph-free stage 1 (``Model.stage1_forward``) fuses only the
-# last n steps it reads, so its cross-attention sees only their text.
+# step text.
 
 
 def _live_steps(g: np.ndarray, *arrays: np.ndarray):
@@ -686,15 +684,13 @@ def _merge_heads(m: np.ndarray) -> np.ndarray:
 
 
 def time_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tensor, w_out: Tensor,
-                        gamma: Tensor, beta: Tensor, heads: int = 1, last_only: bool = False) -> Tensor:
+                        gamma: Tensor, beta: Tensor, heads: int = 1) -> Tensor:
     """layer_norm(attention over the T steps of (T, d) rows, times W_o, plus the rows) as one tape entry.
 
     Q = x W_q, K = x W_k and V = x W_v are split into ``heads`` column
     blocks of width d / heads. Each head weighs the steps by
     softmax(Q_h K_h^T / sqrt(d / heads)) row by row, and the heads' outputs,
-    side by side, go through W_o. With ``last_only`` only the last row
-    queries, against every row's keys and values, and the result is that
-    row's (1, d) output.
+    side by side, go through W_o.
     """
     xd = x.data
     t, d = _check_rows("time_attention_norm", xd, w_query, w_key, w_value, w_out)
@@ -703,25 +699,18 @@ def time_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tens
     _check_affine("time_attention_norm", d, gamma, beta)
     wq, wk, wv, wo = w_query.data, w_key.data, w_value.data, w_out.data
     c = 1.0 / math.sqrt(d // heads)
-    rows = np.s_[-1:] if last_only else np.s_[:]
-    xr = xd[rows]
-    q = _split_heads(xr @ wq, heads)
-    k, v = (_split_heads(xd @ w, heads) for w in (wk, wv))
+    q, k, v = (_split_heads(xd @ w, heads) for w in (wq, wk, wv))
     p = _softmax((q @ k.transpose(0, 2, 1)) * c)
     att = _merge_heads(p @ v)
-    out, xhat, inv = _norm_forward(att @ wo + xr, gamma.data, beta.data)
+    out, xhat, inv = _norm_forward(att @ wo + xd, gamma.data, beta.data)
 
     def bw(g):
         dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv)
         datt = _split_heads(dy @ wo.T, heads)
         ds = _softmax_backward(datt @ v.transpose(0, 2, 1), p) * c
         dq, dk, dv = (_merge_heads(m) for m in (ds @ k, ds.transpose(0, 2, 1) @ q, p.transpose(0, 2, 1) @ datt))
-        # ((dq + dk) + dv) + dy with dq and dy on the query rows alone; addition commutes, so uncut it is bitwise
-        dx = dk @ wk.T
-        dx[rows] += dq @ wq.T
-        dx += dv @ wv.T
-        dx[rows] += dy
-        return dx, xr.T @ dq, xd.T @ dk, xd.T @ dv, att.T @ dy, dgamma, dbeta
+        dx = dq @ wq.T + dk @ wk.T + dv @ wv.T + dy
+        return dx, xd.T @ dq, xd.T @ dk, xd.T @ dv, att.T @ dy, dgamma, dbeta
 
     return _result(out, (x, w_query, w_key, w_value, w_out, gamma, beta), bw)
 

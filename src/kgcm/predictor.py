@@ -8,10 +8,11 @@ its input back and layer-normalizes, and each is one fused kernel of
 ``numeric`` (``time_attention_norm``, ``feature_attention_norm``,
 ``feedforward_norm``), one tape entry per sublayer. The horizon is produced
 by independent linear heads over the pooled encoder output. With
-``pooling = "last"`` the heads read the last row alone, so the last block
-computes only that row: its feature attention (or, without one, its time
-attention) still scores every row but outputs the last, and its feedforward
-runs on that one row. ``pooling = "mean"`` reads every row.
+``pooling = "last"`` the heads read the last row alone, so a last block
+with feature attention computes only that row: its feature attention still
+scores every row but outputs the last, and its feedforward runs on that one
+row. A last block without feature attention, and ``pooling = "mean"``, run
+every row.
 """
 
 from __future__ import annotations
@@ -185,12 +186,12 @@ def ssa_block(x: Tensor, bias: np.ndarray | None, block: SsaBlockParams, heads: 
 
     Each sublayer adds its input back and layer-normalizes. ``bias`` is added
     to the feature-axis scores before the softmax; passing None skips the
-    addition (identical to an all-zero bias). With ``last_only`` the block
-    returns the last row's (1, d) output alone: the block's last attention
-    sublayer outputs only that row, and the feedforward runs on it.
+    addition (identical to an all-zero bias). With ``last_only`` a block with
+    feature attention returns the last row's (1, d) output alone: feature
+    attention outputs only that row, and the feedforward runs on it. A block
+    without feature attention runs every row either way.
     """
-    x = time_attention_norm(x, block.t_wq, block.t_wk, block.t_wv, block.t_wo, block.ln1_gamma, block.ln1_beta, heads,
-                            last_only=last_only and not block.has_feature_attention)
+    x = time_attention_norm(x, block.t_wq, block.t_wk, block.t_wv, block.t_wo, block.ln1_gamma, block.ln1_beta, heads)
     if block.has_feature_attention:
         x = feature_attention_norm(x, block.f_wq, block.f_wk, block.f_wv, block.f_wo,
                                    block.ln2_gamma, block.ln2_beta, bias, last_only=last_only)
@@ -200,9 +201,9 @@ def ssa_block(x: Tensor, bias: np.ndarray | None, block: SsaBlockParams, heads: 
 def forecast(e: Tensor, bias: np.ndarray | None, params: SsaParams) -> Tensor:
     """Stack the encoder blocks, pool, and apply the per-horizon linear heads.
 
-    ``pooling = "last"`` reads the last row alone, so the last block computes
-    only that row (``ssa_block``'s ``last_only``); ``"mean"`` runs every block
-    on every row.
+    ``pooling = "last"`` reads the last row alone, so a last block with
+    feature attention computes only that row (``ssa_block``'s ``last_only``);
+    ``"mean"`` runs every block on every row.
     """
     x = e
     last = len(params.blocks) - 1

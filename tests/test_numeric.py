@@ -482,12 +482,6 @@ def _assert_cut_is_last_row(kernel, arrays, rng, **extra):
 
 
 class TestValuePathKernels:
-    @pytest.mark.parametrize("heads", [1, 2])
-    @pytest.mark.parametrize("t", [1, 6])
-    def test_time_attention_last_only_is_the_last_row(self, heads, t):
-        rng = SeededRng(90 + t + heads)
-        _assert_cut_is_last_row(nm.time_attention_norm, _block_arrays(rng, t, 4), rng, heads=heads)
-
     @pytest.mark.parametrize("with_bias", [False, True])
     @pytest.mark.parametrize("t", [1, 6])
     def test_feature_attention_last_only_is_the_last_row(self, with_bias, t):
