@@ -1,8 +1,9 @@
 """Flat `key = value` configuration files with fixed sections.
 
 Sections are [model], [train], [data], [text], and [metrics]; unknown
-sections or keys are rejected by name. Every key has a documented default,
-so an empty file is a complete configuration.
+sections or keys are rejected by name, and so is a key set twice, even
+under two headers of its section. Every key has a documented default, so an
+empty file is a complete configuration.
 
 The keys of [model], [train] and [data] are the fields of ``TrainConfig``
 and ``GeneratorConfig``, each typed as its default value: the ``TrainConfig``
@@ -25,7 +26,7 @@ from .text import EncoderConfig
 __all__ = ["ParsedConfig", "parse_config", "parse_config_text", "render_model_config"]
 
 # the TrainConfig fields written under [model], in the order model files list them
-_MODEL_FIELDS = ("d", "n", "n_prime", "layers", "blocks", "heads", "window", "horizon", "day_slots", "pooling")
+_MODEL_FIELDS = ("d", "n", "n_prime", "layers", "blocks", "window", "horizon", "day_slots")
 _TRAIN_CONFIG_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)}
 _MODEL_KEYS = {name: _TRAIN_CONFIG_KEYS[name] for name in _MODEL_FIELDS} | {"components": str}
 _TRAIN_KEYS = {name: kind for name, kind in _TRAIN_CONFIG_KEYS.items() if name not in _MODEL_FIELDS}
@@ -86,6 +87,7 @@ def _typed(section: str, key: str, raw: str):
 
 def parse_config_text(text: str) -> ParsedConfig:
     values: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
+    set_on: dict[str, int] = {}  # "section.key" -> the line that set it
     section: str | None = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -102,8 +104,11 @@ def parse_config_text(text: str) -> ParsedConfig:
             raise ConfigError(f"line {lineno}: key outside any section")
         key, raw_value = (part.strip() for part in line.split("=", 1))
         values[section][key] = _typed(section, key, raw_value)
+        first = set_on.setdefault(f"{section}.{key}", lineno)
+        if first != lineno:
+            raise ConfigError(f"line {lineno}: {section}.{key} is already set on line {first}")
 
-    explicit = frozenset(f"{section}.{key}" for section, table in values.items() for key in table)
+    explicit = frozenset(set_on)
     model_vals = dict(values["model"])
     train_vals = dict(values["train"])
     data_vals = dict(values["data"])

@@ -11,11 +11,11 @@ steps); (T, d) rows for ``acmfw_weight``; an (S, d, n) stack of node states
 with one step read out as zero for the graph layer kernel, in the states,
 ``w_query`` and ``w_trans``; (T, d) rows with T > n through two layers for
 the graph pass; each encoder kernel in its input rows and one weight:
-time attention with two heads, feature attention under a non-uniform
-structural bias, and the feedforward across its ReLU; feature attention
-again cut to its last row (``last_only``), as the last block runs it; and
-the whole encoder through two blocks with last-row pooling, an uncut block
-feeding a cut one.
+time attention, feature attention under a non-uniform structural bias,
+and the feedforward across its ReLU; feature attention again cut to its
+last row (``last_only``), as the last block runs it; and the whole encoder
+through two blocks and the heads on the last row, an uncut block feeding a
+cut one.
 
 The end-to-end instance runs its graph pass in float64, where ``Model``
 runs it in float32: a float32 loss rounds far above what central
@@ -169,7 +169,7 @@ def _check_graph_pass(rng: SeededRng) -> float:
 
 def _check_predictor(rng: SeededRng) -> float:
     d = 4
-    # two blocks under last-row pooling: the uncut first block feeds the last block, cut to its last row
+    # two blocks: the uncut first block feeds the last block, cut to the last row the heads read
     params = init_ssa_params(d, 2, 2, 4, rng.child("p"), with_feature_attention=True)
     bias = structural_bias(np.full((d, d), 1.0 / d))
     target = rng.normal((2,))
@@ -181,10 +181,10 @@ def _check_predictor(rng: SeededRng) -> float:
 
 
 def _check_time_attention(rng: SeededRng) -> float:
-    b = init_ssa_params(4, 2, 1, 4, rng.child("p"), with_feature_attention=False, heads=2).blocks[0]
+    b = init_ssa_params(4, 2, 1, 4, rng.child("p"), with_feature_attention=False).blocks[0]
 
     def f(x, wq):
-        out = nm.time_attention_norm(x, wq, b.t_wk, b.t_wv, b.t_wo, b.ln1_gamma, b.ln1_beta, heads=2)
+        out = nm.time_attention_norm(x, wq, b.t_wk, b.t_wv, b.t_wo, b.ln1_gamma, b.ln1_beta)
         return _weighted(out, rng.child("w"))
 
     return _each_argument(f, rng.normal((5, 4)), b.t_wq.data)
@@ -216,7 +216,7 @@ def _check_feedforward(rng: SeededRng) -> float:
 def tiny_instance_config(seed: int = 0) -> TrainConfig:
     """The end-to-end check instance: d=4, n=2, T=4, T'=2, smoothing off."""
     return TrainConfig(
-        d=4, n=2, n_prime=2, layers=1, window=4, horizon=2, blocks=1, heads=1,
+        d=4, n=2, n_prime=2, layers=1, window=4, horizon=2, blocks=1,
         day_slots=4, lambda_prompt=0.1, ema_lambda=0.0,
         epochs_stage1=1, epochs_stage2=1, batch_size=1, seed=seed,
     )

@@ -85,9 +85,7 @@ class TrainConfig:
     window: int = 48
     horizon: int = 12
     blocks: int = 2
-    heads: int = 1
     day_slots: int = 48
-    pooling: str = "last"
     lr: float = 1e-3
     lambda_prompt: float = 0.1
     ema_lambda: float = 0.9
@@ -109,7 +107,7 @@ class TrainConfig:
         for name in ("lr", "lambda_prompt", "ema_lambda", "clip_norm"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("d", "layers", "window", "horizon", "blocks", "heads", "day_slots", "epochs_stage1",
+        for name in ("d", "layers", "window", "horizon", "blocks", "day_slots", "epochs_stage1",
                      "epochs_stage2", "batch_size", "lr", "clip_norm"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -121,10 +119,6 @@ class TrainConfig:
             raise ConfigError(f"ema_lambda must lie in [0, 1], got {self.ema_lambda}")
         if self.lambda_prompt < 0.0:
             raise ConfigError(f"lambda_prompt must be >= 0, got {self.lambda_prompt}")
-        if self.d % self.heads != 0:
-            raise ConfigError(f"heads {self.heads} must divide d {self.d}")
-        if self.pooling not in ("last", "mean"):
-            raise ConfigError(f"pooling must be 'last' or 'mean', got {self.pooling!r}")
 
 
 @dataclass
@@ -181,8 +175,6 @@ class Model:
             config.day_slots,
             root.child("init/ssa"),
             with_feature_attention="ssa" in components,
-            heads=config.heads,
-            pooling=config.pooling,
         )
         self.aux_w: Tensor | None = None
         self.aux_b: Tensor | None = None

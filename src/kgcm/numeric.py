@@ -508,9 +508,10 @@ def sse(pred: Tensor, target: np.ndarray) -> Tensor:
 #
 # The encoder kernels (``time_attention_norm``, ``feature_attention_norm``,
 # ``feedforward_norm``) are the three sublayers of one encoder block, each
-# with its residual and layer norm. Feature attention takes ``last_only``
-# for the last block under last-row pooling: it scores Q^T K over every row
-# but weighs, projects and normalizes the last row alone. Cut or not, one
+# with its residual and layer norm. Time attention has one head over all d
+# columns. Feature attention takes ``last_only`` for the last block, whose
+# last row alone the forecast reads: it scores Q^T K over every row but
+# weighs, projects and normalizes the last row alone. Cut or not, one
 # code path runs; its backward adds the input gradient's terms in place, in
 # the uncut kernel's order, so an uncut call is bitwise what it was.
 # ``sigmoid_gate`` is the gated mix of two (T, d) row sets, and
@@ -673,42 +674,29 @@ def _check_rows(op: str, x: np.ndarray, *weights: Tensor) -> tuple[int, int]:
     return x.shape
 
 
-def _split_heads(m: np.ndarray, heads: int) -> np.ndarray:
-    """(T, d) columns as (heads, T, d / heads) column blocks."""
-    return m.reshape(m.shape[0], heads, -1).transpose(1, 0, 2)
-
-
-def _merge_heads(m: np.ndarray) -> np.ndarray:
-    """Inverse of ``_split_heads``: the heads' column blocks side by side."""
-    return m.transpose(1, 0, 2).reshape(m.shape[1], -1)
-
-
 def time_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tensor, w_out: Tensor,
-                        gamma: Tensor, beta: Tensor, heads: int = 1) -> Tensor:
+                        gamma: Tensor, beta: Tensor) -> Tensor:
     """layer_norm(attention over the T steps of (T, d) rows, times W_o, plus the rows) as one tape entry.
 
-    Q = x W_q, K = x W_k and V = x W_v are split into ``heads`` column
-    blocks of width d / heads. Each head weighs the steps by
-    softmax(Q_h K_h^T / sqrt(d / heads)) row by row, and the heads' outputs,
-    side by side, go through W_o.
+    With Q = x W_q, K = x W_k and V = x W_v, the steps are weighed by
+    softmax(Q K^T / sqrt(d)) row by row, and the weighted V rows go through
+    W_o. One head spans all d columns.
     """
     xd = x.data
     t, d = _check_rows("time_attention_norm", xd, w_query, w_key, w_value, w_out)
-    if heads < 1 or d % heads:
-        raise ShapeError(f"head count {heads} must divide model dimension {d}")
     _check_affine("time_attention_norm", d, gamma, beta)
     wq, wk, wv, wo = w_query.data, w_key.data, w_value.data, w_out.data
-    c = 1.0 / math.sqrt(d // heads)
-    q, k, v = (_split_heads(xd @ w, heads) for w in (wq, wk, wv))
-    p = _softmax((q @ k.transpose(0, 2, 1)) * c)
-    att = _merge_heads(p @ v)
+    c = 1.0 / math.sqrt(d)
+    q, k, v = xd @ wq, xd @ wk, xd @ wv
+    p = _softmax((q @ k.T) * c)
+    att = p @ v
     out, xhat, inv = _norm_forward(att @ wo + xd, gamma.data, beta.data)
 
     def bw(g):
         dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv)
-        datt = _split_heads(dy @ wo.T, heads)
-        ds = _softmax_backward(datt @ v.transpose(0, 2, 1), p) * c
-        dq, dk, dv = (_merge_heads(m) for m in (ds @ k, ds.transpose(0, 2, 1) @ q, p.transpose(0, 2, 1) @ datt))
+        datt = dy @ wo.T
+        ds = _softmax_backward(datt @ v.T, p) * c
+        dq, dk, dv = ds @ k, ds.T @ q, p.T @ datt
         dx = dq @ wq.T + dk @ wk.T + dv @ wv.T + dy
         return dx, xd.T @ dq, xd.T @ dk, xd.T @ dv, att.T @ dy, dgamma, dbeta
 

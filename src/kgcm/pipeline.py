@@ -161,32 +161,16 @@ def _chunks(order: np.ndarray, size: int):
         yield order[i: i + size]
 
 
-def _accumulate(model_params: dict, grads_by_tensor: dict, sums: dict[str, np.ndarray]) -> None:
-    for name, tensor in model_params.items():
-        g = grads_by_tensor.get(tensor)
-        if g is None:
-            continue
-        if name in sums:
-            sums[name] = sums[name] + g
-        else:
-            sums[name] = g
-
-
-def _batch_grads(params: dict, sums: dict[str, np.ndarray], batch_size: int) -> dict[str, np.ndarray]:
-    return {
-        k: (sums[k] / batch_size if k in sums else np.zeros_like(params[k].data))
-        for k in params
-    }
-
-
 def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig, stage: int,
                   window_loss: Callable[[SeriesWindow, int], Tensor]) -> None:
     """The minibatch loop both stages share.
 
     Every epoch shuffles the windows with the stage's own random stream. Each
     batch backpropagates ``window_loss(window, epoch)`` window by window and
-    takes one Adam step on the stage's parameters with the mean gradient. The
-    epoch's mean loss is appended to the stage's history.
+    takes one Adam step on the stage's parameters with the mean gradient:
+    each window's gradients are added in place, in window order, into one
+    zeroed buffer per parameter. The epoch's mean loss is appended to the
+    stage's history.
     """
     if not windows:
         raise TrainingError(f"stage {stage} needs a nonempty training set")
@@ -200,13 +184,17 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
         order = shuffle.permutation(len(windows))
         loss_total = 0.0
         for batch_no, batch in enumerate(_chunks(order, config.batch_size)):
-            sums: dict[str, np.ndarray] = {}
+            sums = {name: np.zeros_like(p.data) for name, p in params.items()}
             try:
                 for idx in batch:
                     loss = window_loss(windows[idx], epoch)
                     loss_total += loss.item()
-                    _accumulate(params, backward(loss), sums)
-                adam_step(adam, params, _batch_grads(params, sums, len(batch)))
+                    grads = backward(loss)
+                    for name, p in params.items():
+                        g = grads.get(p)
+                        if g is not None:
+                            sums[name] += g
+                adam_step(adam, params, {name: s / len(batch) for name, s in sums.items()})
             except NumericError as exc:
                 raise TrainingError(f"stage {stage}, epoch {epoch}, batch {batch_no}: {exc}") from exc
         history.append(loss_total / len(windows))

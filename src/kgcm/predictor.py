@@ -7,12 +7,10 @@ matrix. A position-wise feedforward closes each block. Every sublayer adds
 its input back and layer-normalizes, and each is one fused kernel of
 ``numeric`` (``time_attention_norm``, ``feature_attention_norm``,
 ``feedforward_norm``), one tape entry per sublayer. The horizon is produced
-by independent linear heads over the pooled encoder output. With
-``pooling = "last"`` the heads read the last row alone, so a last block
-with feature attention computes only that row: its feature attention still
-scores every row but outputs the last, and its feedforward runs on that one
-row. A last block without feature attention, and ``pooling = "mean"``, run
-every row.
+by independent linear heads over the encoder's last row. A last block with
+feature attention therefore computes only that row: its feature attention
+still scores every row but outputs the last, and its feedforward runs on
+that one row. A last block without feature attention runs every row.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from .numeric import (
     feedforward_norm,
     gather_rows,
     linear,
-    mean_rows,
     take,
     time_attention_norm,
 )
@@ -86,8 +83,6 @@ class SsaParams:
     blocks: list[SsaBlockParams]
     head_w: Tensor  # (T', d)
     head_b: Tensor  # (T',)
-    heads: int = 1
-    pooling: str = "last"
 
 
 def init_ssa_params(
@@ -97,15 +92,9 @@ def init_ssa_params(
     day_slots: int,
     rng: SeededRng,
     with_feature_attention: bool,
-    heads: int = 1,
-    pooling: str = "last",
 ) -> SsaParams:
     if blocks < 1:
         raise ContractError(f"encoder needs at least one block, got {blocks}")
-    if heads < 1 or d % heads != 0:
-        raise ContractError(f"head count {heads} must divide model dimension {d}")
-    if pooling not in ("last", "mean"):
-        raise ContractError(f"pooling must be 'last' or 'mean', got {pooling!r}")
     block_list = []
     for i in range(blocks):
         p = SsaBlockParams(
@@ -136,8 +125,6 @@ def init_ssa_params(
         blocks=block_list,
         head_w=Tensor(rng.glorot(horizon, d), requires_grad=True, name="ssa/head_w"),
         head_b=Tensor(np.zeros(horizon), requires_grad=True, name="ssa/head_b"),
-        heads=heads,
-        pooling=pooling,
     )
 
 
@@ -180,9 +167,8 @@ def structural_bias(matrix: np.ndarray) -> np.ndarray:
     return np.log1p(matrix)
 
 
-def ssa_block(x: Tensor, bias: np.ndarray | None, block: SsaBlockParams, heads: int = 1,
-              last_only: bool = False) -> Tensor:
-    """One encoder block: time attention, optional feature attention, feedforward.
+def ssa_block(x: Tensor, bias: np.ndarray | None, block: SsaBlockParams, last_only: bool = False) -> Tensor:
+    """One encoder block: single-head time attention, optional feature attention, feedforward.
 
     Each sublayer adds its input back and layer-normalizes. ``bias`` is added
     to the feature-axis scores before the softmax; passing None skips the
@@ -191,7 +177,7 @@ def ssa_block(x: Tensor, bias: np.ndarray | None, block: SsaBlockParams, heads: 
     attention outputs only that row, and the feedforward runs on it. A block
     without feature attention runs every row either way.
     """
-    x = time_attention_norm(x, block.t_wq, block.t_wk, block.t_wv, block.t_wo, block.ln1_gamma, block.ln1_beta, heads)
+    x = time_attention_norm(x, block.t_wq, block.t_wk, block.t_wv, block.t_wo, block.ln1_gamma, block.ln1_beta)
     if block.has_feature_attention:
         x = feature_attention_norm(x, block.f_wq, block.f_wk, block.f_wv, block.f_wo,
                                    block.ln2_gamma, block.ln2_beta, bias, last_only=last_only)
@@ -199,15 +185,13 @@ def ssa_block(x: Tensor, bias: np.ndarray | None, block: SsaBlockParams, heads: 
 
 
 def forecast(e: Tensor, bias: np.ndarray | None, params: SsaParams) -> Tensor:
-    """Stack the encoder blocks, pool, and apply the per-horizon linear heads.
+    """Stack the encoder blocks and apply the per-horizon linear heads to the last row.
 
-    ``pooling = "last"`` reads the last row alone, so a last block with
-    feature attention computes only that row (``ssa_block``'s ``last_only``);
-    ``"mean"`` runs every block on every row.
+    The heads read the last row alone, so the last block runs cut to it
+    (``ssa_block``'s ``last_only``).
     """
     x = e
     last = len(params.blocks) - 1
     for i, block in enumerate(params.blocks):
-        x = ssa_block(x, bias, block, params.heads, last_only=params.pooling == "last" and i == last)
-    pooled = mean_rows(x) if params.pooling == "mean" else take(x, -1)
-    return linear(pooled, params.head_w, params.head_b)
+        x = ssa_block(x, bias, block, last_only=i == last)
+    return linear(take(x, -1), params.head_w, params.head_b)

@@ -1,5 +1,9 @@
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +181,8 @@ BAD_DEMAND_FIELDS = {
     "weekend-flag-minus-1": (6, "-1", "is_weekend"),
 }
 BAD_EMBEDDING_VALUES = {"nan-embedding": "nan", "infinite-embedding": "inf"}
+# [model] keys of earlier versions, each set to the one value those versions' model files carry
+REMOVED_MODEL_KEYS = {"heads": "1", "pooling": "last"}
 
 
 @pytest.fixture
@@ -188,6 +194,9 @@ def workspace(tmp_path):
     (tmp_path / "graphless.cfg").write_text(TINY.format(d=8).replace("components = all", "components = ssa,rcpg"))
     (tmp_path / "unknown-key.cfg").write_text(TINY.format(d=8).replace("[train]\n", "[train]\nbogus = 1\n"))
     (tmp_path / "three-features.cfg").write_text(TINY.format(d=8).replace("[train]\n", "features = 3\n[train]\n"))
+    for key, value in REMOVED_MODEL_KEYS.items():
+        (tmp_path / f"{key}-key.cfg").write_text(TINY.format(d=8).replace("[train]\n", f"{key} = {value}\n[train]\n"))
+    (tmp_path / "seed-twice.cfg").write_text(TINY.format(d=8).replace("[train]\n", "[train]\nseed = 1\nseed = 2\n"))
     (tmp_path / "latin1.cfg").write_text(TINY.format(d=8))
     _with_byte(tmp_path / "latin1.cfg", b"\xff")
     for name in CSV_FILES:
@@ -222,6 +231,15 @@ def workspace(tmp_path):
     members[CONFIG_RECORD] = np.r_[members[CONFIG_RECORD], np.frombuffer(b"[text]\nencoder = hashed\n", np.uint8)]
     with open(tmp_path / "encoder-key.kgcm", "wb") as fh:
         np.savez(fh, **members)
+    # the config record as earlier versions wrote it, with heads and pooling under [model]
+    with np.load(tmp_path / "plain.kgcm") as archive:
+        members = dict(archive)
+    record = members[CONFIG_RECORD].tobytes()
+    record = record.replace(b"\nwindow = ", b"\nheads = 1\nwindow = ").replace(b"\ncomponents = ",
+                                                                              b"\npooling = last\ncomponents = ")
+    members[CONFIG_RECORD] = np.frombuffer(record, np.uint8)
+    with open(tmp_path / "heads-pooling.kgcm", "wb") as fh:
+        np.savez(fh, **members)
     (tmp_path / "kgcm1.kgcm").write_bytes(b"KGCM1" + bytes(64))
     np.save(tmp_path / "array.npy", np.zeros(3))
     return tmp_path
@@ -241,6 +259,10 @@ EXIT_CODE_CASES = {
     "stage-1-without-graph-or-text": (_train("graphless.cfg", "data", "--stage", "1"), {}, cli.EXIT_USAGE),
     "unknown-config-key": (_train("unknown-key.cfg"), {}, cli.EXIT_DATA),
     "features-other-than-five": (_train("three-features.cfg"), {}, cli.EXIT_DATA),
+    **{f"removed-{key}-key": (_train(f"{key}-key.cfg"), {}, cli.EXIT_DATA) for key in REMOVED_MODEL_KEYS},
+    "config-key-set-twice": (_train("seed-twice.cfg"), {}, cli.EXIT_DATA),
+    "heads-pooling-model-file": (["evaluate", "--model", "heads-pooling.kgcm", "--data", "data", "--out", "m.csv"],
+                                 {}, cli.EXIT_DATA),
     "non-integer-seed-env": (_train("tiny.cfg"), {"KGCM_SEED": "x"}, cli.EXIT_DATA),
     "missing-data-directory": (_train("tiny.cfg", "no-such-dir"), {}, cli.EXIT_IO),
     "missing-config-file": (_train("no-such.cfg"), {}, cli.EXIT_IO),
@@ -312,3 +334,27 @@ def test_non_finite_embedding_error_names_the_file_and_line(workspace, monkeypat
     monkeypatch.chdir(workspace)
     cli.main(_train(f"{case}.cfg"))
     assert re.search(rf"{case}\.csv line 2: non-finite embedding value", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_MODEL_KEYS))
+def test_removed_model_key_error_names_the_key(workspace, monkeypatch, capsys, key):
+    monkeypatch.chdir(workspace)
+    cli.main(_train(f"{key}-key.cfg"))
+    assert f"unknown key model.{key}" in capsys.readouterr().err
+
+
+def test_python_m_kgcm_runs_the_command_line(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY.format(d=8))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "kgcm", *argv], env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    generated = run("generate", "--config", str(config), "--out", str(tmp_path / "data"))
+    assert generated.returncode == cli.EXIT_OK, generated.stderr
+    assert (tmp_path / "data" / "demand.csv").exists()
+    usage = run("no-such-command")
+    assert usage.returncode == cli.EXIT_USAGE
+    assert usage.stderr.startswith("usage error: ")

@@ -14,18 +14,15 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_inf
 
 @st.composite
 def train_configs(draw) -> TrainConfig:
-    heads = draw(st.integers(1, 4))
     return TrainConfig(
-        d=heads * draw(st.integers(1, 16)),
+        d=draw(st.integers(1, 64)),
         n=draw(st.integers(2, 16)),
         n_prime=draw(st.integers(0, 16)),
         layers=draw(st.integers(1, 4)),
         window=draw(st.integers(1, 96)),
         horizon=draw(st.integers(1, 24)),
         blocks=draw(st.integers(1, 4)),
-        heads=heads,
         day_slots=draw(st.integers(1, 288)),
-        pooling=draw(st.sampled_from(["last", "mean"])),
         lr=draw(positive),
         lambda_prompt=draw(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)),
         ema_lambda=draw(st.floats(min_value=0.0, max_value=1.0)),
@@ -96,3 +93,13 @@ def test_finite_floats_still_parse():
     parsed = parse_config_text("[train]\nlr = 1e-300\nclip_norm = 1.5e308\n[data]\nnoise_sigma = 0\n")
     assert (parsed.train.lr, parsed.train.clip_norm, parsed.data.noise_sigma) == (1e-300, 1.5e308, 0.0)
     assert math.isfinite(parsed.mape_floor)
+
+
+@pytest.mark.parametrize("text,key,first,second", [
+    ("[train]\nseed = 1\nseed = 2\n", "train.seed", 2, 3),
+    ("[model]\nd = 8\n[train]\nseed = 1\n[model]\nd = 16\n", "model.d", 2, 6),
+    ("[data]\ndays = 2\n\n# again\ndays = 2\n", "data.days", 2, 5),
+], ids=["same-section", "two-headers", "same-value"])
+def test_a_key_set_twice_is_refused_with_both_lines(text, key, first, second):
+    with pytest.raises(ConfigError, match=rf"^line {second}: {key} is already set on line {first}$"):
+        parse_config_text(text)

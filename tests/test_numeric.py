@@ -375,16 +375,10 @@ class TestFusedKernels:
 # Composites of the generic ops, the reference for each fused value-path kernel.
 
 
-def _time_attention_composite(x, wq, wk, wv, wo, gamma, beta, heads):
-    head_dim = x.data.shape[1] // heads
+def _time_attention_composite(x, wq, wk, wv, wo, gamma, beta):
     q, k, v = oracle.matmul(x, wq), oracle.matmul(x, wk), oracle.matmul(x, wv)
-    merged = None
-    for h in range(heads):
-        cols = np.s_[:, h * head_dim:(h + 1) * head_dim]
-        qh, kh, vh = (nm.take(m, cols) if heads > 1 else m for m in (q, k, v))
-        part = oracle.matmul(oracle.softmax_rows(nm.scale(nm.matmul_nt(qh, kh), 1.0 / math.sqrt(head_dim))), vh)
-        merged = part if merged is None else oracle.concat_cols(merged, part)
-    return layer_norm(nm.add(oracle.matmul(merged, wo), x), gamma, beta)
+    att = oracle.matmul(oracle.softmax_rows(nm.scale(nm.matmul_nt(q, k), 1.0 / math.sqrt(x.data.shape[1]))), v)
+    return layer_norm(nm.add(oracle.matmul(att, wo), x), gamma, beta)
 
 
 def _feature_attention_composite(x, wq, wk, wv, wo, gamma, beta, bias):
@@ -490,13 +484,12 @@ class TestValuePathKernels:
         bias = np.log1p(raw / raw.sum(axis=1, keepdims=True)) if with_bias else None
         _assert_cut_is_last_row(nm.feature_attention_norm, _block_arrays(rng, t, 4), rng, bias=bias)
 
-    @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("t", [1, 6])
-    def test_time_attention_matches_composite(self, heads, t):
-        rng = SeededRng(30 + t + heads)
+    def test_time_attention_matches_composite(self, t):
+        rng = SeededRng(31 + t)
         vanishing = ("wq", "wk") if t == 1 else ()
         _assert_matches(nm.time_attention_norm, _time_attention_composite, _block_arrays(rng, t, 4), rng,
-                        vanishing=vanishing, heads=heads)
+                        vanishing=vanishing)
 
     @pytest.mark.parametrize("with_bias", [False, True])
     @pytest.mark.parametrize("t", [1, 6])
@@ -554,7 +547,7 @@ class TestValuePathKernels:
         rng = SeededRng(81)
         block = _block_arrays(rng, 3, 4)
         args = [tensor(a, requires_grad=True) for a in block.values()]
-        nm.time_attention_norm(*args, heads=2)
+        nm.time_attention_norm(*args)
         nm.feature_attention_norm(*args)
         ff = _block_arrays(rng, 3, 4, hidden=8)
         nm.feedforward_norm(*(tensor(a, requires_grad=True) for a in ff.values()))
@@ -566,8 +559,6 @@ class TestValuePathKernels:
         rng = SeededRng(82)
         block = [tensor(a) for a in _block_arrays(rng, 3, 4).values()]
         x, wq, wk, wv, wo, gamma, beta = block
-        with pytest.raises(ShapeError):
-            nm.time_attention_norm(x, wq, wk, wv, wo, gamma, beta, heads=3)
         with pytest.raises(ShapeError):
             nm.time_attention_norm(tensor(np.ones(4)), wq, wk, wv, wo, gamma, beta)
         with pytest.raises(ShapeError):

@@ -364,6 +364,21 @@ class TestModelFile:
         with pytest.raises(FormatError, match=key):
             pipeline.load_model(path)
 
+    def test_config_record_with_heads_and_pooling_is_refused(self, saved):
+        # earlier versions wrote both keys under [model]; they are no longer settings
+        model, path = saved
+        pipeline.save_model(model, path)
+
+        def add_removed_keys(members):
+            text = members[pipeline.CONFIG_RECORD].tobytes().decode("utf-8")
+            text = text.replace("\nwindow = ", "\nheads = 1\nwindow = ").replace("\ncomponents = ",
+                                                                                 "\npooling = last\ncomponents = ")
+            members[pipeline.CONFIG_RECORD] = np.frombuffer(text.encode("utf-8"), np.uint8)
+
+        _rewrite_archive(path, add_removed_keys)
+        with pytest.raises(FormatError, match="unknown key model.heads$"):
+            pipeline.load_model(path)
+
     def test_invalid_utf8_config(self, saved):
         model, path = saved
         pipeline.save_model(model, path)

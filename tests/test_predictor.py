@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kgcm.errors import ContractError, DataError, ShapeError
-from kgcm.numeric import SeededRng, Tensor, backward, clear_tape, grad_check, linear, mean_rows, sse, take, tensor
+from kgcm.numeric import SeededRng, Tensor, backward, clear_tape, grad_check, linear, sse, take, tensor
 from kgcm.predictor import (
     embed_sequence,
     forecast,
@@ -160,28 +160,14 @@ class TestSsaBlock:
         w2 = e2 / e2.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(w1, w2, atol=1e-12)
 
-    def test_multihead_shape_and_determinism(self):
-        d = 8
-        params = _params(d=d, day_slots=4, heads=2)
-        rng = SeededRng(5)
-        x = rng.normal((6, d))
-        a = ssa_block(tensor(x), None, params.blocks[0], heads=2)
-        b = ssa_block(tensor(x), None, params.blocks[0], heads=2)
-        assert a.data.shape == (6, d)
-        np.testing.assert_array_equal(a.data, b.data)
-
-    def test_head_count_must_divide_dim(self):
-        with pytest.raises(ContractError):
-            _params(d=6, heads=4)
 
 
 def _uncut_forecast(e, bias, params):
     """``forecast`` with every block on every row: the composition that the last-row cut must reproduce."""
     x = e
     for block in params.blocks:
-        x = ssa_block(x, bias, block, params.heads)
-    pooled = mean_rows(x) if params.pooling == "mean" else take(x, -1)
-    return linear(pooled, params.head_w, params.head_b)
+        x = ssa_block(x, bias, block)
+    return linear(take(x, -1), params.head_w, params.head_b)
 
 
 def _forecast_and_gradients(fn, x, bias, params, target):
@@ -196,11 +182,10 @@ def _forecast_and_gradients(fn, x, bias, params, target):
 
 
 class TestForecast:
-    @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("blocks", [1, 2])
-    def test_last_pooling_equals_the_uncut_encoder(self, blocks, heads):
+    def test_last_pooling_equals_the_uncut_encoder(self, blocks):
         d = 4
-        params = _params(d=d, horizon=3, blocks=blocks, feature_attention=True, heads=heads, seed=20 + blocks)
+        params = _params(d=d, horizon=3, blocks=blocks, feature_attention=True, seed=20 + blocks)
         rng = SeededRng(23 + blocks)
         bias = structural_bias(rng.uniform((d, d)))
         x, target = rng.normal((6, d)), rng.normal((3,))
@@ -211,20 +196,6 @@ class TestForecast:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         # every row reaches the forecast through the keys and values of the cut block
         assert (np.abs(cut_grads[0]).max(axis=1) > 0.0).all()
-
-    @pytest.mark.parametrize("feature_attention", [False, True])
-    def test_mean_pooling_runs_every_row(self, feature_attention):
-        d = 4
-        params = _params(d=d, horizon=2, blocks=2, feature_attention=feature_attention, pooling="mean", seed=24)
-        rng = SeededRng(25)
-        x, target = rng.normal((5, d)), rng.normal((2,))
-        out, grads = _forecast_and_gradients(forecast, x, None, params, target)
-        uncut, uncut_grads = _forecast_and_gradients(_uncut_forecast, x, None, params, target)
-        assert out.tobytes() == uncut.tobytes()
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, uncut_grads))
-        moved = x.copy()
-        moved[0] += 0.5
-        assert np.abs(forecast(tensor(moved), None, params).data - out).max() > 1e-6
 
     def test_zero_weights_give_head_biases(self):
         params = _params(d=4, horizon=3, blocks=2)
@@ -255,11 +226,6 @@ class TestForecast:
     def test_single_step_sequence_supported(self):
         params = _params(d=4, horizon=2)
         out = forecast(tensor(SeededRng(9).normal((1, 4))), None, params)
-        assert out.data.shape == (2,)
-
-    def test_mean_pooling_option(self):
-        params = _params(d=4, horizon=2, pooling="mean")
-        out = forecast(tensor(SeededRng(10).normal((4, 4))), None, params)
         assert out.data.shape == (2,)
 
     def test_gradcheck_mse_through_predictor(self):
