@@ -133,11 +133,8 @@ def generate_synthetic(cfg: GeneratorConfig) -> DemandDataset:
     shuffle_rng = root.child("shuffle")
 
     names = [f"r{i}" for i in range(cfg.regions)]
-    demand = np.zeros((cfg.regions, total))
-    for i in range(total):
-        base = _seasonal_curve(cfg, i)
-        for r in range(cfg.regions):
-            demand[r, i] = base
+    demand = np.empty((cfg.regions, total))
+    demand[:] = [_seasonal_curve(cfg, i) for i in range(total)]
     local_texts = [["" for _ in range(total)] for _ in range(cfg.regions)]
     global_texts = ["" for _ in range(total)]
 
@@ -216,10 +213,14 @@ def _iso(ts: datetime) -> str:
 
 
 def _parse_ts(raw: str, where: str) -> datetime:
+    """The instant ``raw`` names, in UTC; a timestamp without an offset is read as UTC, not in the host's zone."""
     try:
-        return datetime.fromisoformat(raw.replace("Z", "+00:00")).astimezone(timezone.utc)
+        ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     except ValueError as exc:
         raise DataError(f"unparsable timestamp {raw!r} in {where}") from exc
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return ts.astimezone(timezone.utc)
 
 
 def atomic_write_text(path, content: str) -> None:
@@ -292,7 +293,11 @@ def _text_rows(path, header: str, index: dict[datetime, int]):
 
 
 def load_csv(demand_path, local_text_path=None, global_text_path=None) -> DemandDataset:
-    """Read the dataset schema back; missing text rows become empty texts."""
+    """Read the dataset schema back; missing text rows become empty texts.
+
+    A timestamp without a UTC offset is read as UTC, the zone ``write_dataset``
+    writes, so slots and weekdays do not depend on the host's time zone.
+    """
     per_region: dict[str, dict] = {}
     with open_utf8(demand_path, DataError) as fh:
         reader = csv.reader(fh)

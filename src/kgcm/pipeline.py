@@ -54,19 +54,21 @@ VAL_FRACTION = 0.15
 
 
 def _slot_of_day(ts: datetime, slot_seconds: int) -> int:
-    midnight = ts.replace(hour=0, minute=0, second=0, microsecond=0)
-    return int((ts - midnight).total_seconds()) // slot_seconds
+    return (ts.hour * 3600 + ts.minute * 60 + ts.second) // slot_seconds
 
 
 def build_windows(dataset: DemandDataset, config: TrainConfig,
                   encoder: EncoderConfig = EncoderConfig()) -> dict[str, list[SeriesWindow]]:
     """Stride-1 windows per region with text vectors pre-encoded by ``encoder``.
 
-    Each step's text is encoded once, when the first window that reads the
-    step is built, and every window slices its steps' token rows from that
-    list; steps that no window reads are not encoded. Hashed text is cached
-    by the text itself, so a step is given its ``embedding_id`` only when a
-    file encoder looks it up.
+    Each step that some window reads is encoded once, and every window
+    slices its steps' token rows from that list; steps that no window reads
+    are not encoded. The pooled vector of each global slot that ends a
+    window is looked up once per data set, and the windows of every region
+    that end there share it. Hashed text is cached by the text itself, so
+    a step is given its ``embedding_id`` only when a file encoder looks it
+    up. A vector's width is checked once, when its text is first encoded.
+    The windows of a region slice their targets from one copy of its demand.
     """
     t, horizon = config.window, config.horizon
     hashed = encoder.embedding_file is None
@@ -75,46 +77,45 @@ def build_windows(dataset: DemandDataset, config: TrainConfig,
     def encoded(text: str, source: str, ts: datetime) -> TokenEmbeddings:
         key = text if hashed else embedding_id(source, ts)
         if key not in cache:
-            cache[key] = encode(text, key, encoder, config.d)
+            vectors = encode(text, key, encoder, config.d)
+            if vectors.pooled.shape != (config.d,):
+                raise ConfigError(f"text vectors have dimension {vectors.pooled.shape[0]}, model expects {config.d}")
+            cache[key] = vectors
         return cache[key]
 
+    pooled: list[np.ndarray] = []  # pooled vector of global slot t - 1 + i, the last input of window i
     out: dict[str, list[SeriesWindow]] = {}
     for series in dataset.regions:
-        total = len(series.timestamps)
+        stamps = series.timestamps
+        count = len(stamps) - t - horizon + 1  # windows
+        read = count + t - 1 if count > 0 else 0  # steps the windows read as inputs
         features = np.column_stack(
             [series.demand, series.passengers, series.distance,
              series.is_holiday.astype(np.float64), series.is_weekend.astype(np.float64)]
         )
-        slots = [_slot_of_day(ts, dataset.slot_seconds) for ts in series.timestamps]
-        dows = [ts.weekday() for ts in series.timestamps]
-        for s in slots:
-            if s >= config.day_slots:
-                raise ConfigError(
-                    f"dataset has {dataset.slots_per_day} slots per day but the model tables cover {config.day_slots}"
-                )
-        windows = []
-        local: list[np.ndarray] = []  # token rows of each step, encoded when a window first reads it
-        for start in range(0, total - t - horizon + 1):
-            while len(local) < start + t:
-                i = len(local)
-                local.append(encoded(series.local_texts[i], series.region, series.timestamps[i]).tokens)
-            last_input = start + t - 1
-            pooled = encoded(dataset.global_texts[last_input], "global", dataset.timestamps[last_input]).pooled
-            if pooled.shape != (config.d,):
-                raise ConfigError(f"text vectors have dimension {pooled.shape[0]}, model expects {config.d}")
-            windows.append(
-                SeriesWindow(
-                    region=series.region,
-                    inputs=features[start: start + t],
-                    targets=series.demand[start + t: start + t + horizon].copy(),
-                    slots=slots[start: start + t],
-                    dows=dows[start: start + t],
-                    local_tokens=local[start: start + t],
-                    global_pooled=pooled,
-                    target_times=series.timestamps[start + t: start + t + horizon],
-                )
+        slots = [_slot_of_day(ts, dataset.slot_seconds) for ts in stamps]
+        dows = [ts.weekday() for ts in stamps]
+        if max(slots, default=0) >= config.day_slots:
+            raise ConfigError(
+                f"dataset has {dataset.slots_per_day} slots per day but the model tables cover {config.day_slots}"
             )
-        out[series.region] = windows
+        local = [encoded(series.local_texts[i], series.region, stamps[i]).tokens for i in range(read)]
+        pooled += [encoded(dataset.global_texts[i], "global", dataset.timestamps[i]).pooled
+                   for i in range(t - 1 + len(pooled), read)]
+        demand = series.demand.copy()
+        out[series.region] = [
+            SeriesWindow(
+                region=series.region,
+                inputs=features[start: start + t],
+                targets=demand[start + t: start + t + horizon],
+                slots=slots[start: start + t],
+                dows=dows[start: start + t],
+                local_tokens=local[start: start + t],
+                global_pooled=pooled[start],
+                target_times=stamps[start + t: start + t + horizon],
+            )
+            for start in range(count)
+        ]
     return out
 
 
@@ -152,8 +153,18 @@ def split_windows(per_region: dict[str, list[SeriesWindow]]) -> SplitWindows:
 
 
 def compute_scaler(windows: list[SeriesWindow]) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.concatenate([w.inputs for w in windows], axis=0)
-    return rows.mean(axis=0), rows.std(axis=0)
+    """Per-feature mean and std over every input row of ``windows``.
+
+    The rows are reduced as their (F, N) transpose, so each feature's sums
+    run along one contiguous row, which numpy adds pairwise; along axis 0
+    of the (N, F) rows it adds row by row. A feature whose maximum equals
+    its minimum gets std 0, not the rounding noise of its mean, so
+    ``Model.set_scaler`` divides it by 1.
+    """
+    columns = np.concatenate([w.inputs for w in windows], axis=0).T.copy()
+    std = columns.std(axis=1)
+    std[columns.max(axis=1) == columns.min(axis=1)] = 0.0
+    return columns.mean(axis=1), std
 
 
 def _chunks(order: np.ndarray, size: int):

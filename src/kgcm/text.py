@@ -11,6 +11,7 @@ builds these ids only for a file encoder.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 _SIGN_BIT = 1 << 63
+_TOKEN = re.compile(r"[^\W_]+")
 
 
 @dataclass
@@ -62,19 +64,13 @@ class EncoderConfig:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on every non-alphanumeric codepoint."""
-    lowered = text.lower()
-    tokens = []
-    current = []
-    for ch in lowered:
-        if ch.isalnum():
-            current.append(ch)
-        elif current:
-            tokens.append("".join(current))
-            current = []
-    if current:
-        tokens.append("".join(current))
-    return tokens
+    r"""Lowercase and split on every non-alphanumeric codepoint.
+
+    A token is a maximal run of codepoints for which ``str.isalnum()`` holds.
+    For str patterns ``\w`` matches exactly those codepoints and ``_``, so
+    ``[^\W_]`` is that set and one ``findall`` splits the text.
+    """
+    return _TOKEN.findall(text.lower())
 
 
 def encode_hashed(text: str, d: int) -> TokenEmbeddings:

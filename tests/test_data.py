@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import json
+import time
 
 import numpy as np
 import pytest
@@ -63,3 +66,54 @@ def test_a_text_file_without_its_header_is_refused(tmp_path, name, header):
     path.write_text("" if header == "" else "".join(([f"{header}\n"] if header else []) + rows))
     with pytest.raises(DataError, match=f"{name}: unexpected header"):
         load_csv(*(tmp_path / f for f in CSV_FILES))
+
+
+# sha256 (first 16 hex digits) of the generator's demand, feature and text outputs, recorded before its
+# seasonal loop became one row assignment (numpy 2.4, x86-64); the generator must keep them bitwise
+GENERATOR_DIGESTS = {
+    "default": ({}, ("324cbd8437d3fbf7", "1bd4050d60033bb2", "a85eb0ab8dddc07a")),
+    "shuffled": (dict(regions=4, days=3, slots_per_day=24, event_rate=0.5, text_mode="shuffled", seed=7),
+                 ("224098db6c49693b", "8ccb26e419ac72c1", "c8db2856dbebf158")),
+}
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray) else json.dumps(part).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_DIGESTS))
+def test_generator_outputs_are_pinned(name):
+    overrides, want = GENERATOR_DIGESTS[name]
+    dataset = generate_synthetic(GeneratorConfig(**overrides))
+    demand = _digest(*(series.demand for series in dataset.regions))
+    features = _digest(*(array for series in dataset.regions
+                         for array in (series.passengers, series.distance, series.is_holiday, series.is_weekend)))
+    texts = _digest([series.local_texts for series in dataset.regions], dataset.global_texts)
+    assert (demand, features, texts) == want
+
+
+@pytest.fixture
+def host_zone(monkeypatch):
+    """Sets the process's local time zone to a POSIX TZ string; restores the variable and the zone after."""
+    def set_zone(zone: str) -> None:
+        monkeypatch.setenv("TZ", zone)
+        time.tzset()
+
+    yield set_zone
+    monkeypatch.undo()
+    time.tzset()
+
+
+def test_offsetless_timestamps_are_read_as_utc(tmp_path, host_zone):
+    # a naive timestamp used to be read in the host's zone: 2024-01-01T00:00:00 became 2023-12-31 18:30 UTC here
+    host_zone("IST-5:30")
+    dataset = generate_synthetic(GeneratorConfig(regions=2, days=2, slots_per_day=12, event_rate=0.3))
+    write_dataset(dataset, tmp_path)
+    for name in CSV_FILES:
+        path = tmp_path / name
+        path.write_text(path.read_text().replace("Z,", ","))
+    assert "Z" not in (tmp_path / "demand.csv").read_text()
+    assert _same(load_csv(*(tmp_path / name for name in CSV_FILES)), dataset)

@@ -1,8 +1,9 @@
 import ast
 import dataclasses
+import math
 import tempfile
 import zipfile
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -154,6 +155,22 @@ def test_predict_matches_the_taped_forward(variant, components):
         assert tape_size() == 0
 
 
+def _slot_of_day_reference(ts: datetime, slot_seconds: int) -> int:
+    """The slot as datetime subtraction gives it: the reference for ``pipeline._slot_of_day``."""
+    midnight = ts.replace(hour=0, minute=0, second=0, microsecond=0)
+    return int((ts - midnight).total_seconds()) // slot_seconds
+
+
+@settings(max_examples=500, deadline=None)
+@given(ts=st.datetimes(timezones=st.one_of(
+           st.just(timezone.utc),
+           st.builds(timezone, st.timedeltas(min_value=timedelta(hours=-23, minutes=-59, seconds=-59),
+                                             max_value=timedelta(hours=23, minutes=59, seconds=59))))),
+       slot_seconds=st.sampled_from([s for s in range(1, 86401) if 86400 % s == 0]))
+def test_slot_of_day_matches_datetime_subtraction(ts, slot_seconds):
+    assert pipeline._slot_of_day(ts, slot_seconds) == _slot_of_day_reference(ts, slot_seconds)
+
+
 class TestBuildWindows:
     def test_each_distinct_text_is_encoded_once(self, monkeypatch):
         # local and cross-region texts share one cache: a text that occurs in
@@ -191,7 +208,7 @@ class TestBuildWindows:
         for series in dataset.regions:
             features = np.column_stack([series.demand, series.passengers, series.distance,
                                         series.is_holiday.astype(np.float64), series.is_weekend.astype(np.float64)])
-            slots = [pipeline._slot_of_day(ts, dataset.slot_seconds) for ts in series.timestamps]
+            slots = [_slot_of_day_reference(ts, dataset.slot_seconds) for ts in series.timestamps]
             dows = [ts.weekday() for ts in series.timestamps]
             windows = []
             for start in range(0, len(series.timestamps) - t - horizon + 1):
@@ -266,6 +283,11 @@ class TestBuildWindows:
         stripped = dataclasses.replace(dataset, regions=regions, timestamps=bare(dataset.timestamps))
         _assert_same_windows(pipeline.build_windows(stripped, config), pipeline.build_windows(dataset, config))
 
+    def test_a_data_set_too_short_for_a_window_encodes_nothing(self, tmp_path):
+        # the embedding file is read on the first lookup, so a lookup would fail on the absent file
+        encoder = EncoderConfig(str(tmp_path / "absent.csv"))
+        assert pipeline.build_windows(_dataset(), _config(window=30), encoder) == {"r0": []}
+
     def test_file_mode_needs_no_embedding_for_unread_steps(self, tmp_path):
         # the last horizon steps are only ever targets, so their text has no embedding to look up
         config = _config()
@@ -273,6 +295,46 @@ class TestBuildWindows:
         encoder = self._file_encoder(dataset, config, True, tmp_path / "embeddings.csv")
         windows = pipeline.build_windows(dataset, config, encoder)
         assert sum(len(w) for w in windows.values()) == len(dataset.timestamps) - config.window - config.horizon + 1
+
+
+class TestComputeScaler:
+    @staticmethod
+    def _windows(rows: np.ndarray) -> list[SimpleNamespace]:
+        return [SimpleNamespace(inputs=rows[i: i + 8]) for i in range(0, len(rows), 8)]
+
+    @pytest.mark.parametrize("case", ["default-data", "large-offset"])
+    def test_matches_an_fsum_reference(self, case):
+        if case == "default-data":
+            dataset = generate_synthetic(GeneratorConfig(event_rate=0.5, seed=5))
+            windows = pipeline.split_windows(pipeline.build_windows(dataset, TrainConfig())).train
+        else:
+            windows = self._windows(np.random.default_rng(0).normal(1e3, 1.0, size=(4000, 5)))
+        rows = np.concatenate([w.inputs for w in windows])
+        n = len(rows)
+        # A pairwise sum of n terms errs by at most ceil(log2 n) * u * sum|x| (u = eps / 2); numpy's
+        # blocked pairwise sum adds up to 16 sequential additions per block and the std a subtraction,
+        # a square and a square root, so 20 more steps bound both.
+        rel = (math.ceil(math.log2(n)) + 20) * np.finfo(np.float64).eps / 2
+        mean, std = pipeline.compute_scaler(windows)
+        for j, column in enumerate(rows.T.tolist()):
+            want_mean = math.fsum(column) / n
+            want_std = math.sqrt(math.fsum((x - want_mean) ** 2 for x in column) / n)
+            assert abs(mean[j] - want_mean) <= rel * math.fsum(map(abs, column)) / n
+            assert abs(std[j] - want_std) <= rel * want_std
+
+    def test_a_constant_feature_is_scaled_by_one(self):
+        # 3.1 does not add exactly, and the rounding noise of its mean used to be its std (4.6e-13),
+        # which scaled a later 3.2 to about 2e11
+        dataset = generate_synthetic(GeneratorConfig())
+        for series in dataset.regions:
+            series.distance[:] = 3.1
+        windows = pipeline.split_windows(pipeline.build_windows(dataset, TrainConfig())).train
+        mean, std = pipeline.compute_scaler(windows)
+        assert std[2] == 0.0
+        model = build_model(TrainConfig(), ALL_COMPONENTS, pipeline.FEATURE_COUNT)
+        model.set_scaler(mean, std)
+        assert model.scaler_std[2] == 1.0
+        assert abs((3.2 - model.scaler_mean[2]) / model.scaler_std[2]) < 0.2
 
 
 def _assert_same_windows(built, reference) -> None:

@@ -2,6 +2,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgcm.errors import DataError, FormatError
 from kgcm.numeric import SeededRng, fnv1a64
@@ -38,6 +40,26 @@ class TestTokenize:
 
     def test_digits_kept(self):
         assert tokenize("region 3 spike") == ["region", "3", "spike"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text(alphabet=st.one_of(st.sampled_from("_ -aZ09éÉßİ٣Ⅻ²½"), st.characters())))
+    def test_matches_the_character_loop(self, text):
+        assert tokenize(text) == _tokenize_reference(text)
+
+
+def _tokenize_reference(text: str) -> list[str]:
+    """The character loop ``tokenize`` replaces: runs of ``str.isalnum()`` codepoints of the lowered text."""
+    tokens = []
+    current = []
+    for ch in text.lower():
+        if ch.isalnum():
+            current.append(ch)
+        elif current:
+            tokens.append("".join(current))
+            current = []
+    if current:
+        tokens.append("".join(current))
+    return tokens
 
 
 class TestFnv1a:
