@@ -95,25 +95,18 @@ def test_generator_outputs_are_pinned(name):
     assert (demand, features, texts) == want
 
 
-@pytest.fixture
-def host_zone(monkeypatch):
-    """Sets the process's local time zone to a POSIX TZ string; restores the variable and the zone after."""
-    def set_zone(zone: str) -> None:
-        monkeypatch.setenv("TZ", zone)
-        time.tzset()
-
-    yield set_zone
-    monkeypatch.undo()
-    time.tzset()
-
-
-def test_offsetless_timestamps_are_read_as_utc(tmp_path, host_zone):
+def test_offsetless_timestamps_are_read_as_utc(tmp_path, monkeypatch):
     # a naive timestamp used to be read in the host's zone: 2024-01-01T00:00:00 became 2023-12-31 18:30 UTC here
-    host_zone("IST-5:30")
-    dataset = generate_synthetic(GeneratorConfig(regions=2, days=2, slots_per_day=12, event_rate=0.3))
-    write_dataset(dataset, tmp_path)
-    for name in CSV_FILES:
-        path = tmp_path / name
-        path.write_text(path.read_text().replace("Z,", ","))
-    assert "Z" not in (tmp_path / "demand.csv").read_text()
-    assert _same(load_csv(*(tmp_path / name for name in CSV_FILES)), dataset)
+    monkeypatch.setenv("TZ", "IST-5:30")  # a POSIX zone string, so no zone database is needed
+    time.tzset()
+    try:
+        dataset = generate_synthetic(GeneratorConfig(regions=2, days=2, slots_per_day=12, event_rate=0.3))
+        write_dataset(dataset, tmp_path)
+        for name in CSV_FILES:
+            path = tmp_path / name
+            path.write_text(path.read_text().replace("Z,", ","))
+        assert "Z" not in (tmp_path / "demand.csv").read_text()
+        assert _same(load_csv(*(tmp_path / name for name in CSV_FILES)), dataset)
+    finally:
+        monkeypatch.undo()
+        time.tzset()

@@ -298,17 +298,14 @@ class TestBuildWindows:
 
 
 class TestComputeScaler:
-    @staticmethod
-    def _windows(rows: np.ndarray) -> list[SimpleNamespace]:
-        return [SimpleNamespace(inputs=rows[i: i + 8]) for i in range(0, len(rows), 8)]
-
     @pytest.mark.parametrize("case", ["default-data", "large-offset"])
     def test_matches_an_fsum_reference(self, case):
         if case == "default-data":
             dataset = generate_synthetic(GeneratorConfig(event_rate=0.5, seed=5))
             windows = pipeline.split_windows(pipeline.build_windows(dataset, TrainConfig())).train
         else:
-            windows = self._windows(np.random.default_rng(0).normal(1e3, 1.0, size=(4000, 5)))
+            rows = np.random.default_rng(0).normal(1e3, 1.0, size=(4000, 5))
+            windows = [SimpleNamespace(inputs=rows[i: i + 8]) for i in range(0, len(rows), 8)]
         rows = np.concatenate([w.inputs for w in windows])
         n = len(rows)
         # A pairwise sum of n terms errs by at most ceil(log2 n) * u * sum|x| (u = eps / 2); numpy's
