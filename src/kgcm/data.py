@@ -212,6 +212,9 @@ def _iso(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+SECOND = timedelta(seconds=1)
+
+
 def _parse_ts(raw: str, where: str) -> datetime:
     """The instant ``raw`` names, in UTC; a timestamp without an offset is read as UTC, not in the host's zone."""
     try:
@@ -354,10 +357,13 @@ def load_csv(demand_path, local_text_path=None, global_text_path=None) -> Demand
         # one slot sets no slot width, and no window fits in it
         if len(ts) < 2:
             raise DataError(f"region {region}: {len(ts)} time slot, at least 2 are needed")
-        widths = {int((b - a).total_seconds()) for a, b in zip(ts, ts[1:])}
+        widths = {b - a for a, b in zip(ts, ts[1:])}
         if len(widths) != 1:
             raise DataError(f"region {region}: slot width is not constant")
         width = widths.pop()
+        if width % SECOND:  # slots are counted in whole seconds
+            raise DataError(f"region {region}: slot width {width.total_seconds()}s is not a whole number of seconds")
+        width //= SECOND
         if slot_seconds is None:
             slot_seconds = width
         elif slot_seconds != width:

@@ -4,7 +4,10 @@ Stage 1 fits the local fusion and graph parameters against a one-step-ahead
 auxiliary head, then freezes the epoch-averaged relation matrix. Stage 2
 trains the whole value path end to end under the joint objective with that
 matrix held fixed. Both stages run the same minibatch loop and are
-deterministic given the config seed.
+deterministic given the config seed. Where a second CPU and ``fork`` are
+there, the loop computes half of each batch's windows in one forked helper
+process per stage, and this process adds every window's loss and gradients
+in window order, so the trained model is bitwise the same either way.
 
 Every window set a model sees is built here: ``new_model`` with a new model,
 which records its text encoder, and ``model_split`` as a model recorded.
@@ -14,11 +17,16 @@ from __future__ import annotations
 
 import io
 import logging
+import mmap
+import multiprocessing
 import os
+import signal
 import tokenize
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
+from multiprocessing.connection import Connection
 from typing import Callable
 
 import numpy as np
@@ -172,16 +180,167 @@ def _chunks(order: np.ndarray, size: int):
         yield order[i: i + size]
 
 
+# A window loss returns the window's loss and an array the stage sums over
+# its windows, or None.
+WindowLoss = Callable[[SeriesWindow, int], tuple[Tensor, np.ndarray | None]]
+
+HELPER_EXIT_S = 5.0  # a helper that has not ended this long after its pipe closed is killed
+
+
+def _helper_can_start() -> bool:
+    """Whether this process can fork a training helper and has a second CPU to run it on.
+
+    Pool workers are daemonic, and a daemonic process may not have children.
+    """
+    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and not multiprocessing.current_process().daemon
+            and "fork" in multiprocessing.get_all_start_methods())
+
+
+class _HelperEnded(Exception):
+    """The training helper process ended while a batch was waiting for it."""
+
+
+class _Helper:
+    """A forked process that computes the windows at a batch's odd positions.
+
+    It shares one anonymous ``mmap`` with the main process, in two regions
+    sized to the stage's parameters. Once per batch the main process writes
+    the parameters into the first and sends the epoch and the helper's
+    window indices. For each window the helper writes the gradients into
+    the second region and sends the loss, the names of the parameters with
+    a gradient and the window's array; it writes the next window's
+    gradients only after the main process acks, having added these. An
+    exception from a window is sent in place of its result. Closing the
+    main end of the pipe ends the helper.
+    """
+
+    def __init__(self, params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss):
+        self._params = params
+        offsets = np.cumsum([0] + [p.data.size for p in params.values()])
+        self._buffer = mmap.mmap(-1, 2 * 8 * int(offsets[-1]))  # anonymous and shared, so the fork sees it
+        flat = np.frombuffer(self._buffer, dtype=np.float64).reshape(2, -1)
+        self._shared = [{name: row[a:b].reshape(p.data.shape)
+                         for (name, p), a, b in zip(params.items(), offsets, offsets[1:])} for row in flat]
+        context = multiprocessing.get_context("fork")
+        self._conn, child = context.Pipe()
+        self._process = context.Process(target=self._serve, args=(child, windows, window_loss), daemon=True)
+        try:
+            self._process.start()
+        finally:
+            child.close()
+
+    def _serve(self, conn: Connection, windows: list[SeriesWindow], window_loss: WindowLoss) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process takes Ctrl-C and ends this one
+        self._conn.close()
+        shared_params, grad_slot = self._shared
+        try:
+            while True:
+                epoch, indices = conn.recv()
+                for name, p in self._params.items():
+                    p.data = shared_params[name].copy()
+                acked = True
+                for idx in indices:
+                    try:
+                        loss, array = window_loss(windows[idx], epoch)
+                        value = loss.item()
+                        grads = backward(loss)
+                    except Exception as exc:  # raised in the main process at this window's position
+                        conn.send(exc)
+                        break
+                    if not acked:
+                        conn.recv()
+                    present = []
+                    for name, p in self._params.items():
+                        g = grads.get(p)
+                        if g is not None:
+                            grad_slot[name][...] = g
+                            present.append(name)
+                    conn.send((value, present, array))
+                    acked = False
+                if not acked:
+                    conn.recv()
+        except (EOFError, OSError):  # the main process closed its end
+            pass
+
+    def start_batch(self, epoch: int, indices: np.ndarray) -> None:
+        """Hand the helper the current parameters and the windows it computes this batch."""
+        for name, p in self._params.items():
+            self._shared[0][name][...] = p.data
+        try:
+            self._conn.send((epoch, indices.tolist()))
+        except OSError as exc:
+            raise self._ended() from exc
+
+    def add_next(self, sums: dict[str, np.ndarray]) -> tuple[float, np.ndarray | None]:
+        """Add the helper's next window's gradients into ``sums``; its loss and array.
+
+        Raises the window's own exception if it raised one.
+        """
+        try:
+            message = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._ended() from exc
+        if isinstance(message, BaseException):
+            raise message
+        value, present, array = message
+        for name in present:
+            sums[name] += self._shared[1][name]
+        try:
+            self._conn.send(True)
+        except OSError as exc:
+            raise self._ended() from exc
+        return value, array
+
+    def _ended(self) -> _HelperEnded:
+        self._process.join(HELPER_EXIT_S)
+        return _HelperEnded(f"training helper process ended with exit code {self._process.exitcode}")
+
+    def close(self) -> None:
+        """End and join the helper, and unmap the shared memory."""
+        self._conn.close()
+        self._process.join(HELPER_EXIT_S)
+        if self._process.is_alive():
+            self._process.kill()
+            self._process.join()
+        self._process.close()
+        self._shared = []
+        self._buffer.close()
+
+
+@contextmanager
+def _helper_for(params: dict[str, Tensor], windows: list[SeriesWindow], batch_size: int, window_loss: WindowLoss):
+    """A ``_Helper`` for the stage, or None when every window runs in this process."""
+    if batch_size < 2 or len(windows) < 2 or not _helper_can_start():
+        yield None
+        return
+    helper = _Helper(params, windows, window_loss)
+    try:
+        yield helper
+    finally:
+        helper.close()
+
+
 def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig, stage: int,
-                  window_loss: Callable[[SeriesWindow, int], Tensor]) -> None:
-    """The minibatch loop both stages share.
+                  window_loss: WindowLoss) -> np.ndarray | None:
+    """The minibatch loop both stages share; returns the float64 sum of the arrays ``window_loss`` gave.
 
     Every epoch shuffles the windows with the stage's own random stream. Each
     batch backpropagates ``window_loss(window, epoch)`` window by window and
     takes one Adam step on the stage's parameters with the mean gradient:
     each window's gradients are added in place, in window order, into one
     zeroed buffer per parameter. The epoch's mean loss is appended to the
-    stage's history.
+    stage's history. The arrays ``window_loss`` returns, if any, are summed
+    in window order.
+
+    When ``_helper_can_start``, a forked ``_Helper`` computes the windows at
+    odd batch positions while this process computes the even ones. This
+    process still adds every window's loss, gradients and array in batch
+    order, so the result is bitwise the same as with every window computed
+    here, which is what a batch of one window, a daemonic process, a host
+    with one usable CPU or one without ``fork`` does. An exception from a
+    helper window is raised at that window's position; a helper that ends
+    mid-batch raises ``TrainingError``.
     """
     if not windows:
         raise TrainingError(f"stage {stage} needs a nonempty training set")
@@ -191,24 +350,38 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
         params, history, epochs = model.stage2_parameters(), model.stage2_history, config.epochs_stage2
     adam = AdamState(lr=config.lr, clip_norm=config.clip_norm)
     shuffle = SeededRng(config.seed).child(f"stage{stage}/shuffle")
-    for epoch in range(epochs):
-        order = shuffle.permutation(len(windows))
-        loss_total = 0.0
-        for batch_no, batch in enumerate(_chunks(order, config.batch_size)):
-            sums = {name: np.zeros_like(p.data) for name, p in params.items()}
-            try:
-                for idx in batch:
-                    loss = window_loss(windows[idx], epoch)
-                    loss_total += loss.item()
-                    grads = backward(loss)
-                    for name, p in params.items():
-                        g = grads.get(p)
-                        if g is not None:
-                            sums[name] += g
-                adam_step(adam, params, {name: s / len(batch) for name, s in sums.items()})
-            except NumericError as exc:
-                raise TrainingError(f"stage {stage}, epoch {epoch}, batch {batch_no}: {exc}") from exc
-        history.append(loss_total / len(windows))
+    array_sum = None
+    with _helper_for(params, windows, config.batch_size, window_loss) as helper:
+        for epoch in range(epochs):
+            order = shuffle.permutation(len(windows))
+            loss_total = 0.0
+            for batch_no, batch in enumerate(_chunks(order, config.batch_size)):
+                sums = {name: np.zeros_like(p.data) for name, p in params.items()}
+                shared = helper is not None and len(batch) > 1
+                try:
+                    if shared:
+                        helper.start_batch(epoch, batch[1::2])
+                    for pos, idx in enumerate(batch):
+                        if shared and pos % 2:
+                            value, array = helper.add_next(sums)
+                        else:
+                            loss, array = window_loss(windows[idx], epoch)
+                            value = loss.item()
+                            grads = backward(loss)
+                            for name, p in params.items():
+                                g = grads.get(p)
+                                if g is not None:
+                                    sums[name] += g
+                        loss_total += value
+                        if array is not None:
+                            if array_sum is None:  # float64: the graph pass's float32 matrices sum in double
+                                array_sum = np.zeros(array.shape)
+                            array_sum += array
+                    adam_step(adam, params, {name: s / len(batch) for name, s in sums.items()})
+                except (NumericError, _HelperEnded) as exc:
+                    raise TrainingError(f"stage {stage}, epoch {epoch}, batch {batch_no}: {exc}") from exc
+            history.append(loss_total / len(windows))
+    return array_sum
 
 
 def train_stage1(model: Model, windows: list[SeriesWindow], config: TrainConfig) -> None:
@@ -221,16 +394,12 @@ def train_stage1(model: Model, windows: list[SeriesWindow], config: TrainConfig)
     """
     if not model.uses_stage1:
         raise TrainingError("stage 1 requires the graph or local-text component")
-    matrix_sum = np.zeros((config.d, config.d))  # float64: the graph pass's float32 matrices sum in double
 
-    def window_loss(window: SeriesWindow, epoch: int) -> Tensor:
-        nonlocal matrix_sum
+    def window_loss(window: SeriesWindow, epoch: int) -> tuple[Tensor, np.ndarray | None]:
         loss, matrix = model.stage1_forward(window)
-        if epoch == config.epochs_stage1 - 1 and matrix is not None:
-            matrix_sum += matrix
-        return loss
+        return loss, matrix if epoch == config.epochs_stage1 - 1 else None
 
-    _train_epochs(model, windows, config, 1, window_loss)
+    matrix_sum = _train_epochs(model, windows, config, 1, window_loss)
     t_steps = windows[0].inputs.shape[0]
     lifted = range(t_steps) if model.dgso is not None else [t_steps - 1]
     model.pad_events += sum(max(0, config.n - 1 - t) for t in lifted) * config.epochs_stage1 * len(windows)
@@ -244,9 +413,9 @@ def train_stage2(model: Model, windows: list[SeriesWindow], config: TrainConfig)
     """End-to-end training of the full value path under the joint objective."""
     frozen_bytes = model.a_star.tobytes() if model.a_star is not None else None
 
-    def window_loss(window: SeriesWindow, epoch: int) -> Tensor:
+    def window_loss(window: SeriesWindow, epoch: int) -> tuple[Tensor, None]:
         return joint_loss(model.stage2_forward(window), model.scale_targets(window.targets), model.lpo,
-                          config.lambda_prompt)
+                          config.lambda_prompt), None
 
     _train_epochs(model, windows, config, 2, window_loss)
     if frozen_bytes is not None and model.a_star.tobytes() != frozen_bytes:

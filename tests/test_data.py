@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import time
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -53,6 +54,17 @@ def test_one_slot_dataset_is_refused(tmp_path):
     write_dataset(generate_synthetic(GeneratorConfig(regions=1, days=1, slots_per_day=1)), tmp_path)
     with pytest.raises(DataError, match="region r0: 1 time slot"):
         load_csv(*(tmp_path / name for name in CSV_FILES))
+
+
+@pytest.mark.parametrize("width", [1800.5, 0.25])
+def test_a_slot_width_of_a_fraction_of_a_second_is_refused(tmp_path, width):
+    # 1800.5 s slots used to load as 1800 s ones
+    start = datetime(2024, 1, 1, tzinfo=timezone.utc)
+    rows = [f"r0,{(start + timedelta(seconds=width * i)).isoformat()},1.0,1.0,1.0,0,0\n" for i in range(4)]
+    (tmp_path / "demand.csv").write_text("region_id,timestamp,demand,avg_passengers,avg_distance,is_holiday,"
+                                         "is_weekend\n" + "".join(rows))
+    with pytest.raises(DataError, match=f"region r0: slot width {width}s is not a whole number of seconds"):
+        load_csv(tmp_path / "demand.csv")
 
 
 @pytest.mark.parametrize("name", ["local_text.csv", "global_text.csv"])

@@ -17,6 +17,7 @@ from kgcm.evaluate import (
     mape,
     render_ablation_table,
     rmse,
+    run_ablation,
 )
 from kgcm.model import ALL_COMPONENTS, TrainConfig
 from kgcm.numeric import SeededRng
@@ -64,6 +65,14 @@ def test_evaluate_mae_is_the_mae_of_its_predict_calls():
     errors = np.concatenate([np.abs(pipeline.predict(model, w) - w.targets) for w in split.test])
     assert report.metrics.mae == pytest.approx(float(errors.mean()), rel=1e-12)
     assert report.metrics.n_points == len(report.rows) == len(split.test) * config.horizon
+
+
+def test_an_ablation_over_two_workers_gives_the_rows_of_one():
+    # pool workers are daemonic, so each trains in its one process, which may not fork a training helper
+    dataset = generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12, event_rate=0.3))
+    config = TrainConfig(d=8, n=2, window=8, horizon=2, blocks=1, day_slots=12, epochs_stage1=1, epochs_stage2=1,
+                         batch_size=3)
+    assert run_ablation(dataset, config, [1, 2], jobs=2) == run_ablation(dataset, config, [1, 2], jobs=1)
 
 
 def _rows(values: dict[str, list[float]]) -> list[AblationRow]:

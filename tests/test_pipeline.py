@@ -1,6 +1,9 @@
 import ast
 import dataclasses
 import math
+import multiprocessing
+import os
+import signal
 import tempfile
 import zipfile
 from datetime import datetime, timedelta, timezone
@@ -18,7 +21,7 @@ from kgcm.data import GeneratorConfig, generate_synthetic
 from kgcm.errors import ConfigError, DataError, FormatError, TrainingError
 from kgcm.evaluate import ablation_variants
 from kgcm.gradcheck import tiny_instance_config, tiny_instance_window
-from kgcm.model import ALL_COMPONENTS, TrainConfig, build_model
+from kgcm.model import ALL_COMPONENTS, Model, TrainConfig, build_model
 from kgcm.model import joint_loss
 from kgcm.numeric import clear_tape, tape_size
 from kgcm.text import EncoderConfig
@@ -66,7 +69,9 @@ class TestTrainingLoop:
         assert first.a_star.tobytes() == second.a_star.tobytes()
         assert _forecasts(first, test) == _forecasts(second, test)
 
-    def test_frozen_matrix_is_last_epoch_mean(self):
+    def test_frozen_matrix_is_last_epoch_mean(self, monkeypatch):
+        # the recording forward below sees only this process's windows, so no helper may compute any
+        monkeypatch.setattr(pipeline, "_helper_can_start", lambda: False)
         config = _config(epochs_stage1=2)
         windows = _split(config).train
         model = build_model(config, ALL_COMPONENTS, pipeline.FEATURE_COUNT)
@@ -140,6 +145,64 @@ class TestTrainingLoop:
         clear_tape()
         joint_loss(model.stage2_forward(window), model.scale_targets(window.targets), model.lpo, config.lambda_prompt)
         assert tape_size() <= 40
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the training helper is forked")
+class TestTrainingHelper:
+    """A forked helper computes the windows at odd batch positions; ``_helper_can_start`` picks the path."""
+
+    @staticmethod
+    def _helper(monkeypatch, on: bool):
+        monkeypatch.setattr(pipeline, "_helper_can_start", lambda: on)
+
+    @pytest.mark.parametrize("variant,components", ablation_variants(), ids=[v for v, _ in ablation_variants()])
+    def test_two_process_fits_equal_in_process_fits(self, monkeypatch, variant, components):
+        # 10 training windows in batches of 3: the helper computes the middle window of each full batch,
+        # and this process the lone window of the last one
+        config = _config(batch_size=3, epochs_stage1=2)
+        started = []
+        init = pipeline._Helper.__init__
+        monkeypatch.setattr(pipeline._Helper, "__init__", lambda self, *args: started.append(1) or init(self, *args))
+        fits = {}
+        for on in (True, False):
+            self._helper(monkeypatch, on)
+            model = pipeline.fit(_dataset(), config, components)
+            fits[on] = (np.array(model.stage1_history).tobytes(), np.array(model.stage2_history).tobytes(),
+                        None if model.a_star is None else model.a_star.tobytes(),
+                        {name: p.data.tobytes() for name, p in model.named_parameters().items()},
+                        _forecasts(model, _split(config).test))
+        assert len(started) == (2 if model.uses_stage1 else 1)
+        assert fits[True] == fits[False]
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_a_nan_helper_window_raises_the_in_process_error(self, monkeypatch, stage):
+        config = _config()
+        windows = _split(config).train
+        second = int(pipeline.SeededRng(config.seed).child(f"stage{stage}/shuffle").permutation(len(windows))[1])
+        windows[second].inputs = windows[second].inputs.copy()
+        windows[second].inputs[3, 0] = np.nan
+        train = pipeline.train_stage1 if stage == 1 else pipeline.train_stage2
+        messages = []
+        for on in (True, False):
+            self._helper(monkeypatch, on)
+            with pytest.raises(TrainingError, match=f"stage {stage}, epoch 0, batch 0: ") as raised:
+                train(build_model(config, ALL_COMPONENTS, pipeline.FEATURE_COUNT), windows, config)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+    def test_a_helper_that_dies_ends_the_fit_with_a_training_error(self, monkeypatch):
+        self._helper(monkeypatch, True)
+        forward, parent = Model.stage2_forward, os.getpid()
+
+        def dying(model, window):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return forward(model, window)
+
+        monkeypatch.setattr(Model, "stage2_forward", dying)
+        with pytest.raises(TrainingError, match="stage 2, epoch 0, batch 0: training helper process ended with "
+                                                "exit code -9"):
+            pipeline.fit(_dataset(), _config(), ALL_COMPONENTS)
 
 
 @pytest.mark.parametrize("variant, components", ablation_variants(), ids=[v for v, _ in ablation_variants()])
