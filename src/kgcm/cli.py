@@ -1,19 +1,18 @@
 """Command-line entry point.
 
-Subcommands: generate, train, evaluate, predict, ablate, gradcheck. Exit
-codes: 0 success, 1 usage, 2 data/config error, 3 training/numeric error,
-4 I/O error. Standard output is machine-parseable CSV-style lines. All file
-outputs are written to a temp file and renamed into place.
+Subcommands: generate, train, evaluate, ablate, gradcheck. Exit codes: 0
+success, 1 usage, 2 data/config error, 3 training/numeric error, 4 I/O
+error. Standard output is machine-parseable CSV-style lines. All file
+outputs are written to a temp file and renamed into place; `train` and
+`ablate` check that the directory of --out exists before they read any data.
 
 Seed priority per subcommand: --seed flag, then the config file, then the
 KGCM_SEED environment variable, then 0.
 
 Text is hashed unless a config's [text] section sets `embedding_file = PATH`,
-a table of precomputed vectors. `train --stage 2` continues the model given
-by --init: every model, training and text setting comes from that model
-file, and --config, --seed and KGCM_SEED do not change them; any other
---stage refuses --init. `evaluate` and `predict` likewise encode the data's
-text as the model file's [text] section says.
+a table of precomputed vectors. `train` runs both training stages.
+`evaluate` encodes the data's text as the model file's [text] section says,
+writes one row per test point to --out and prints the test metrics.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .errors import (
 )
 from .evaluate import ablation_csv, evaluate, render_ablation_table, run_ablation
 from .gradcheck import run_all_checks
-from .pipeline import fit, load_model, model_split, new_model, save_model, train_stage1, train_stage2
+from .pipeline import fit, load_model, model_split, save_model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,25 +105,19 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse ``path`` before a long run if its directory does not exist, rather than at the final write."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"--out {path}: directory {directory} does not exist")
+
+
 def cmd_train(args) -> int:
-    if args.init and args.stage != "2":
-        raise UsageError(f"--init MODEL continues a stage-1 run and needs --stage 2, got --stage {args.stage}")
+    _check_out_dir(args.out)
     parsed = parse_config(args.config)
     seed = _resolve_seed(args.seed, parsed, "train", "seed", parsed.train.seed)
     config = dataclasses.replace(parsed.train, seed=seed)
-    dataset = _load_dataset(args.data)
-    if args.stage == "2":
-        if not args.init:
-            raise UsageError("--stage 2 requires --init MODEL from a stage-1 run")
-        model = load_model(args.init)
-        train_stage2(model, model_split(model, dataset).train, model.config)
-    elif args.stage == "1":
-        model, split = new_model(dataset, config, parsed.components, parsed.encoder)
-        if not model.uses_stage1:
-            raise UsageError("--stage 1 needs the graph or local-text component enabled")
-        train_stage1(model, split.train, config)
-    else:
-        model = fit(dataset, config, parsed.components, parsed.encoder)
+    model = fit(_load_dataset(args.data), config, parsed.components, parsed.encoder)
     save_model(model, args.out)
     for epoch, loss in enumerate(model.stage1_history):
         print(f"1,{epoch},{format(loss, '.17g')}")
@@ -135,35 +128,24 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    report = evaluate(model, model_split(model, _load_dataset(args.data)).test, floor=args.mape_floor)
+    report = evaluate(model, model_split(model, _load_dataset(args.data)).test)
+    write_predictions(report.rows, args.out)
     m = report.metrics
-    lines = ["metric,value"]
-    lines.append(f"mae,{format(m.mae, '.17g')}")
-    lines.append(f"rmse,{format(m.rmse, '.17g')}")
-    lines.append(f"mape_percent,{format(m.mape_percent, '.17g')}")
-    lines.append(f"n_points,{m.n_points}")
-    lines.append(f"n_floored,{m.n_floored}")
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"mae,{format(m.mae, '.17g')}")
     print(f"rmse,{format(m.rmse, '.17g')}")
     print(f"mape_percent,{format(m.mape_percent, '.17g')}")
-    return EXIT_OK
-
-
-def cmd_predict(args) -> int:
-    model = load_model(args.model)
-    report = evaluate(model, model_split(model, _load_dataset(args.data)).test)
-    write_predictions(report.rows, args.out)
-    print(f"predictions,{args.out},rows={len(report.rows)},horizon={model.config.horizon}")
+    print(f"n_points,{m.n_points}")
+    print(f"n_floored,{m.n_floored}")
     return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
+    _check_out_dir(args.out)
     parsed = parse_config(args.config)
     dataset = _load_dataset(args.data)
     base_seed = _resolve_seed(args.seed, parsed, "train", "seed", parsed.train.seed)
     seeds = [base_seed + k for k in range(args.seeds)]
-    rows = run_ablation(dataset, parsed.train, seeds, floor=parsed.mape_floor, jobs=args.jobs, encoder=parsed.encoder)
+    rows = run_ablation(dataset, parsed.train, seeds, jobs=args.jobs, encoder=parsed.encoder)
     atomic_write_text(args.out, ablation_csv(rows))
     print(render_ablation_table(rows))
     return EXIT_OK
@@ -195,25 +177,14 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--stage", choices=("1", "2", "both"), default="both")
-    p.add_argument("--init", default=None,
-                   help="stage-1 model file (required for --stage 2, refused otherwise); stage 2 takes every "
-                        "model, training and text setting from it")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser(name="evaluate", help="compute test metrics for a trained model")
+    p = sub.add_parser(name="evaluate", help="write test-split predictions and print the test metrics")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mape-floor", type=positive_float, default=1.0)
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser(name="predict", help="write test-split predictions")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser(name="ablate", help="train and compare the cumulative component variants")
     p.add_argument("--config", required=True)

@@ -1,9 +1,9 @@
 """Flat `key = value` configuration files with fixed sections.
 
-Sections are [model], [train], [data], [text], and [metrics]; unknown
-sections or keys are rejected by name, and so is a key set twice, even
-under two headers of its section. Every key has a documented default, so an
-empty file is a complete configuration.
+Sections are [model], [train], [data] and [text]; unknown sections or
+keys are rejected by name, and so is a key set twice, even under two
+headers of its section. Every key has a documented default, so an empty
+file is a complete configuration.
 
 The keys of [model], [train] and [data] are the fields of ``TrainConfig``
 and ``GeneratorConfig``, each typed as its default value: the ``TrainConfig``
@@ -32,13 +32,11 @@ _MODEL_KEYS = {name: _TRAIN_CONFIG_KEYS[name] for name in _MODEL_FIELDS} | {"com
 _TRAIN_KEYS = {name: kind for name, kind in _TRAIN_CONFIG_KEYS.items() if name not in _MODEL_FIELDS}
 _DATA_KEYS = {f.name: type(f.default) for f in fields(GeneratorConfig)}
 _TEXT_KEYS = {"embedding_file": str}
-_METRIC_KEYS = {"mape_floor": float}
 _SECTIONS = {
     "model": _MODEL_KEYS,
     "train": _TRAIN_KEYS,
     "data": _DATA_KEYS,
     "text": _TEXT_KEYS,
-    "metrics": _METRIC_KEYS,
 }
 
 
@@ -48,7 +46,6 @@ class ParsedConfig:
     data: GeneratorConfig
     components: frozenset[str]
     encoder: EncoderConfig
-    mape_floor: float
     explicit: frozenset[str] = frozenset()  # "section.key" pairs present in the file
 
     def was_set(self, section: str, key: str) -> bool:
@@ -121,15 +118,11 @@ def parse_config_text(text: str) -> ParsedConfig:
     embedding_file = values["text"].get("embedding_file")
     if embedding_file == "":
         raise ConfigError("text.embedding_file is empty; leave the key out to hash text")
-    mape_floor = float(values["metrics"].get("mape_floor", 1.0))
-    if mape_floor <= 0:
-        raise ConfigError(f"metrics.mape_floor must be positive, got {mape_floor}")
     return ParsedConfig(
         train=train,
         data=data,
         components=components,
         encoder=EncoderConfig(embedding_file),
-        mape_floor=mape_floor,
         explicit=explicit,
     )
 

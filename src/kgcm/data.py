@@ -274,10 +274,14 @@ def open_utf8(path, error: type[Exception]) -> io.StringIO:
 
 
 def _text_rows(path, header: str, index: dict[datetime, int]):
-    """(row number, leading fields, slot in ``index``, text) per row of ``path``, if it exists, under ``header``."""
+    """(row number, leading fields, slot in ``index``, text) per row of ``path``, if it exists, under ``header``.
+
+    A row that repeats an earlier row's leading fields and slot is refused.
+    """
     if path is None or not os.path.exists(path):
         return
     expected = header.split(",")
+    seen: dict[tuple, int] = {}  # (leading fields, slot) -> the row that gave its text
     with open_utf8(path, DataError) as fh:
         reader = csv.reader(fh)
         found = next(reader, None)
@@ -292,6 +296,10 @@ def _text_rows(path, header: str, index: dict[datetime, int]):
             ts = _parse_ts(raw_ts, f"{path} row {rowno}")
             if ts not in index:
                 raise DataError(f"{path} row {rowno}: timestamp {raw_ts} matches no demand slot")
+            first = seen.setdefault((*leading, index[ts]), rowno)
+            if first != rowno:
+                raise DataError(f"{path} row {rowno}: {' '.join([*leading, raw_ts])} already has a text, "
+                                f"on row {first}")
             yield rowno, leading, index[ts], text
 
 
@@ -412,7 +420,9 @@ class PredictionRow:
 
 
 def write_predictions(rows: list[PredictionRow], path) -> None:
-    lines = [PREDICTION_HEADER]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(PREDICTION_HEADER.split(","))
     for row in rows:
-        lines.append(f"{row.region},{_iso(row.timestamp)},{row.horizon_step},{_fmt(row.y_true)},{_fmt(row.y_pred)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        writer.writerow([row.region, _iso(row.timestamp), row.horizon_step, _fmt(row.y_true), _fmt(row.y_pred)])
+    atomic_write_text(path, buf.getvalue())

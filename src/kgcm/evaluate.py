@@ -9,7 +9,6 @@ the previous row.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
@@ -23,6 +22,7 @@ from .pipeline import fit, model_split, predict
 from .text import EncoderConfig
 
 __all__ = [
+    "MAPE_FLOOR",
     "MetricReport",
     "ForecastReport",
     "AblationRow",
@@ -36,7 +36,7 @@ __all__ = [
     "render_ablation_table",
 ]
 
-DEFAULT_MAPE_FLOOR = 1.0
+MAPE_FLOOR = 1.0
 
 
 def _check_lengths(pred, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -59,13 +59,11 @@ def rmse(pred, truth) -> float:
     return float(np.sqrt(np.mean((p - t) ** 2)))
 
 
-def mape(pred, truth, floor: float = DEFAULT_MAPE_FLOOR) -> tuple[float, int]:
-    """Percentage error with floored denominators; returns (percent, n_floored)."""
-    if not (math.isfinite(floor) and floor > 0):
-        raise MetricError(f"mape floor must be finite and positive, got {floor}")
+def mape(pred, truth) -> tuple[float, int]:
+    """Percentage error with denominators floored at ``MAPE_FLOOR``; returns (percent, n_floored)."""
     p, t = _check_lengths(pred, truth)
-    denom = np.maximum(np.abs(t), floor)
-    n_floored = int((np.abs(t) < floor).sum())
+    denom = np.maximum(np.abs(t), MAPE_FLOOR)
+    n_floored = int((np.abs(t) < MAPE_FLOOR).sum())
     return float(100.0 * np.mean(np.abs(p - t) / denom)), n_floored
 
 
@@ -84,13 +82,13 @@ class ForecastReport:
     metrics: MetricReport
 
 
-def compute_metrics(pred, truth, floor: float = DEFAULT_MAPE_FLOOR) -> MetricReport:
+def compute_metrics(pred, truth) -> MetricReport:
     p, t = _check_lengths(pred, truth)
-    pct, n_floored = mape(p, t, floor)
+    pct, n_floored = mape(p, t)
     return MetricReport(mae=mae(p, t), rmse=rmse(p, t), mape_percent=pct, n_points=p.size, n_floored=n_floored)
 
 
-def evaluate(model: Model, windows, floor: float = DEFAULT_MAPE_FLOOR) -> ForecastReport:
+def evaluate(model: Model, windows) -> ForecastReport:
     """Forecast every window with ``pipeline.predict`` and aggregate all horizon points."""
     rows: list[PredictionRow] = []
     preds: list[float] = []
@@ -111,7 +109,7 @@ def evaluate(model: Model, windows, floor: float = DEFAULT_MAPE_FLOOR) -> Foreca
             )
             preds.append(float(y_pred[step]))
             truths.append(float(y_true[step]))
-    return ForecastReport(rows=rows, metrics=compute_metrics(preds, truths, floor))
+    return ForecastReport(rows=rows, metrics=compute_metrics(preds, truths))
 
 
 # ---------------------------------------------------------------------------
@@ -138,20 +136,20 @@ def ablation_variants() -> list[tuple[str, frozenset[str]]]:
 
 
 def _run_one(args) -> AblationRow:
-    dataset, config, variant, components, seed, floor, encoder = args
+    dataset, config, variant, components, seed, encoder = args
     model = fit(dataset, replace(config, seed=seed), components, encoder)
-    report = evaluate(model, model_split(model, dataset).test, floor)
+    report = evaluate(model, model_split(model, dataset).test)
     return AblationRow(variant=variant, components=components, seed=seed, report=report.metrics)
 
 
-def run_ablation(dataset: DemandDataset, config: TrainConfig, seeds, floor: float = DEFAULT_MAPE_FLOOR,
-                 jobs: int = 1, encoder: EncoderConfig = EncoderConfig()) -> list[AblationRow]:
+def run_ablation(dataset: DemandDataset, config: TrainConfig, seeds, jobs: int = 1,
+                 encoder: EncoderConfig = EncoderConfig()) -> list[AblationRow]:
     """Train and evaluate the six cumulative variants for every seed, all on text encoded by ``encoder``."""
     seeds = list(seeds)
     if not seeds:
         raise MetricError("ablation needs at least one seed")
     tasks = [
-        (dataset, config, variant, components, seed, floor, encoder)
+        (dataset, config, variant, components, seed, encoder)
         for seed in seeds
         for variant, components in ablation_variants()
     ]

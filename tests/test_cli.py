@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import shutil
@@ -8,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgcm import cli
-from kgcm.data import GeneratorConfig, generate_synthetic, load_csv, write_dataset
+from kgcm import cli, pipeline
+from kgcm import evaluate as kgcm_evaluate
+from kgcm.data import GeneratorConfig, generate_synthetic, load_csv, write_dataset, write_predictions
 from kgcm.evaluate import evaluate
 from kgcm.gradcheck import tiny_instance_config
 from kgcm.model import ALL_COMPONENTS, TrainConfig, build_model
-from kgcm.pipeline import CONFIG_RECORD, build_windows, load_model, save_model, split_windows, train_stage2
+from kgcm.pipeline import CONFIG_RECORD, build_windows, load_model, model_split, save_model, split_windows
 from kgcm.text import EncoderConfig
 
 CSV_FILES = ("demand.csv", "local_text.csv", "global_text.csv")
@@ -51,23 +53,6 @@ def test_gradcheck_rejects_bad_seed_env(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "KGCM_SEED must be an integer" in err
     assert "Traceback" not in err
-
-
-def test_stage2_encodes_text_at_the_loaded_model_width(tmp_path, capsys):
-    data_dir = tmp_path / "data"
-    write_dataset(generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12, event_rate=0.3)), data_dir)
-    configs = {}
-    for d in (8, 16):
-        configs[d] = tmp_path / f"d{d}.cfg"
-        configs[d].write_text(TINY.format(d=d))
-    stage1, stage2 = str(tmp_path / "stage1.kgcm"), str(tmp_path / "stage2.kgcm")
-    assert cli.main(["train", "--config", str(configs[8]), "--data", str(data_dir),
-                     "--out", stage1, "--stage", "1"]) == cli.EXIT_OK
-    assert cli.main(["train", "--config", str(configs[16]), "--data", str(data_dir),
-                     "--out", stage2, "--stage", "2", "--init", stage1]) == cli.EXIT_OK, capsys.readouterr().err
-    model = load_model(stage2)
-    assert model.config.d == 8
-    assert len(model.stage1_history) == 1 and len(model.stage2_history) == 1
 
 
 def test_train_rejects_a_nan_learning_rate_before_training(tmp_path, capsys):
@@ -120,6 +105,53 @@ def test_evaluate_encodes_text_as_the_model_was_trained(tmp_path, capsys):
     assert model.encoder == encoder
 
 
+def test_evaluate_writes_the_rows_and_prints_the_metrics_of_one_report(tmp_path, capsys):
+    dataset = generate_synthetic(GeneratorConfig(regions=2, days=2, slots_per_day=12, event_rate=0.3))
+    data_dir = tmp_path / "data"
+    write_dataset(dataset, data_dir)
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY.format(d=8))
+    model_path = str(tmp_path / "model.kgcm")
+    assert cli.main(["train", "--config", str(config), "--data", str(data_dir), "--out", model_path]) == cli.EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "predictions.csv"
+    assert cli.main(["evaluate", "--model", model_path, "--data", str(data_dir), "--out", str(out)]) == cli.EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+
+    model = load_model(model_path)
+    report = evaluate(model, model_split(model, load_csv(*(data_dir / f for f in CSV_FILES))).test)
+    write_predictions(report.rows, tmp_path / "expected.csv")
+    assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    m = report.metrics
+    assert printed == [f"mae,{format(m.mae, '.17g')}", f"rmse,{format(m.rmse, '.17g')}",
+                       f"mape_percent,{format(m.mape_percent, '.17g')}", f"n_points,{m.n_points}",
+                       f"n_floored,{m.n_floored}"]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_missing_out_directory_is_refused_before_any_data_is_read(tmp_path, monkeypatch, capsys, command):
+    # a typo in --out used to surface only at the final write, after the whole run
+    write_dataset(generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12)), tmp_path / "data")
+    (tmp_path / "tiny.cfg").write_text(TINY.format(d=8))
+    calls = []
+    for module in (cli, kgcm_evaluate, pipeline):
+        monkeypatch.setattr(module, "fit", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(cli, "load_csv", lambda *args: calls.append(args))
+    argv = [command, "--config", str(tmp_path / "tiny.cfg"), "--data", str(tmp_path / "data"),
+            "--out", str(tmp_path / "no-such-dir" / "out")]
+    if command == "ablate":
+        argv += ["--seeds", "1"]
+    assert cli.main(argv) == cli.EXIT_IO
+    assert "no-such-dir" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_the_docstring_lists_the_registered_subcommands():
+    listed = re.search(r"Subcommands: ([^.]*)\.", cli.__doc__).group(1)
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert [name.strip() for name in listed.split(",")] == list(subparsers.choices)
+
+
 def test_model_file_without_text_section_loads_as_hashed(tmp_path):
     config = tiny_instance_config()
     model = build_model(config, frozenset(), feature_count=5)
@@ -129,31 +161,6 @@ def test_model_file_without_text_section_loads_as_hashed(tmp_path):
         assert b"[text]" not in archive[CONFIG_RECORD].tobytes()
     loaded = load_model(path)
     assert loaded.encoder == EncoderConfig()
-
-
-def test_stage2_encodes_text_as_the_init_model_recorded(tmp_path, capsys):
-    # stage 1 trains on file embeddings; a stage-2 config without [text] must
-    # neither re-encode the text as hashed nor relabel the model as hashed
-    dataset = generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12, event_rate=0.3))
-    data_dir = tmp_path / "data"
-    write_dataset(dataset, data_dir)
-    table = _write_embeddings(dataset, tmp_path / "embeddings.csv")
-    file_config, plain_config = tmp_path / "file.cfg", tmp_path / "plain.cfg"
-    file_config.write_text(TINY.format(d=8) + f"[text]\nembedding_file = {table}\n")
-    plain_config.write_text(TINY.format(d=8))
-    stage1, stage2 = str(tmp_path / "stage1.kgcm"), str(tmp_path / "stage2.kgcm")
-    assert cli.main(["train", "--config", str(file_config), "--data", str(data_dir),
-                     "--out", stage1, "--stage", "1"]) == cli.EXIT_OK
-    assert cli.main(["train", "--config", str(plain_config), "--data", str(data_dir),
-                     "--out", stage2, "--stage", "2", "--init", stage1]) == cli.EXIT_OK, capsys.readouterr().err
-
-    model = load_model(stage2)
-    assert model.encoder == EncoderConfig(str(table))
-    reference = load_model(stage1)
-    windows = split_windows(build_windows(load_csv(*(data_dir / f for f in CSV_FILES)), reference.config,
-                                          EncoderConfig(str(table)))).train
-    train_stage2(reference, windows, reference.config)
-    assert model.stage2_history == reference.stage2_history
 
 
 def _with_byte(path, byte: bytes):
@@ -191,7 +198,7 @@ def workspace(tmp_path):
     write_dataset(generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12, event_rate=0.3)),
                   tmp_path / "data")
     (tmp_path / "tiny.cfg").write_text(TINY.format(d=8))
-    (tmp_path / "graphless.cfg").write_text(TINY.format(d=8).replace("components = all", "components = ssa,rcpg"))
+    (tmp_path / "metrics-section.cfg").write_text(TINY.format(d=8) + "[metrics]\nmape_floor = 1.0\n")
     (tmp_path / "unknown-key.cfg").write_text(TINY.format(d=8).replace("[train]\n", "[train]\nbogus = 1\n"))
     (tmp_path / "three-features.cfg").write_text(TINY.format(d=8).replace("[train]\n", "features = 3\n[train]\n"))
     for key, value in REMOVED_MODEL_KEYS.items():
@@ -250,13 +257,15 @@ def _train(config, data="data", *extra):
 
 
 EXIT_CODE_CASES = {
-    "stage-2-without-init": (_train("tiny.cfg", "data", "--stage", "2"), {}, cli.EXIT_USAGE),
-    # --init continues a stage-1 model only under --stage 2; elsewhere it would be ignored and train from scratch
-    "init-missing-file-default-stage": (_train("tiny.cfg", "data", "--init", "no-such.kgcm"), {}, cli.EXIT_USAGE),
-    "init-with-stage-both": (_train("tiny.cfg", "data", "--stage", "both", "--init", "plain.kgcm"), {},
-                             cli.EXIT_USAGE),
-    "init-with-stage-1": (_train("tiny.cfg", "data", "--stage", "1", "--init", "plain.kgcm"), {}, cli.EXIT_USAGE),
-    "stage-1-without-graph-or-text": (_train("graphless.cfg", "data", "--stage", "1"), {}, cli.EXIT_USAGE),
+    # a subcommand, three flags and a config section that no longer exist
+    "removed-predict-command": (["predict", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv"], {},
+                                cli.EXIT_USAGE),
+    "removed-stage-flag": (_train("tiny.cfg", "data", "--stage", "1"), {}, cli.EXIT_USAGE),
+    # --init was only ever accepted beside --stage 2
+    "removed-init-flag": (_train("tiny.cfg", "data", "--stage", "2", "--init", "plain.kgcm"), {}, cli.EXIT_USAGE),
+    "removed-mape-floor-flag": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",
+                                 "--mape-floor", "1.0"], {}, cli.EXIT_USAGE),
+    "removed-metrics-section": (_train("metrics-section.cfg"), {}, cli.EXIT_DATA),
     "unknown-config-key": (_train("unknown-key.cfg"), {}, cli.EXIT_DATA),
     "features-other-than-five": (_train("three-features.cfg"), {}, cli.EXIT_DATA),
     **{f"removed-{key}-key": (_train(f"{key}-key.cfg"), {}, cli.EXIT_DATA) for key in REMOVED_MODEL_KEYS},
@@ -291,13 +300,6 @@ EXIT_CODE_CASES = {
        for value in ("0", "-3", "1.5")},
     "text-encoder-key-model-file": (["evaluate", "--model", "encoder-key.kgcm", "--data", "data", "--out", "m.csv"],
                                     {}, cli.EXIT_DATA),
-    "nan-mape-floor": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",
-                        "--mape-floor", "nan"], {}, cli.EXIT_USAGE),
-    "infinite-mape-floor": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",
-                             "--mape-floor", "inf"], {}, cli.EXIT_USAGE),
-    **{f"mape-floor-{value}": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",
-                                "--mape-floor", value], {}, cli.EXIT_USAGE)
-       for value in ("0", "-1", "abc")},
     **{f"bad-{case}": (_train("tiny.cfg", case), {}, cli.EXIT_DATA) for case in BAD_DEMAND_FIELDS},
     **{f"bad-{case}": (_train(f"{case}.cfg"), {}, cli.EXIT_DATA) for case in BAD_EMBEDDING_VALUES},
 }

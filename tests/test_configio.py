@@ -86,13 +86,18 @@ def test_non_finite_float_is_rejected_by_name(section, key, raw):
 
 
 def test_every_section_with_float_keys_is_covered():
-    assert {section for section, _ in FLOAT_KEYS} == {"train", "data", "metrics"}
+    assert {section for section, _ in FLOAT_KEYS} == {"train", "data"}
 
 
 def test_finite_floats_still_parse():
     parsed = parse_config_text("[train]\nlr = 1e-300\nclip_norm = 1.5e308\n[data]\nnoise_sigma = 0\n")
     assert (parsed.train.lr, parsed.train.clip_norm, parsed.data.noise_sigma) == (1e-300, 1.5e308, 0.0)
-    assert math.isfinite(parsed.mape_floor)
+
+
+def test_a_metrics_section_is_refused_as_unknown():
+    # the MAPE floor is one constant, evaluate.MAPE_FLOOR, so no config sets it
+    with pytest.raises(ConfigError, match=r"^line 1: unknown section \[metrics\]$"):
+        parse_config_text("[metrics]\nmape_floor = 1.0\n")
 
 
 @pytest.mark.parametrize("text,key,first,second", [

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgcm.data import GeneratorConfig, generate_synthetic, load_csv, write_dataset
+from kgcm.data import (
+    PREDICTION_HEADER,
+    GeneratorConfig,
+    PredictionRow,
+    generate_synthetic,
+    load_csv,
+    write_dataset,
+    write_predictions,
+)
 from kgcm.errors import DataError
 
 CSV_FILES = ("demand.csv", "local_text.csv", "global_text.csv")
@@ -78,6 +87,34 @@ def test_a_text_file_without_its_header_is_refused(tmp_path, name, header):
     path.write_text("" if header == "" else "".join(([f"{header}\n"] if header else []) + rows))
     with pytest.raises(DataError, match=f"{name}: unexpected header"):
         load_csv(*(tmp_path / f for f in CSV_FILES))
+
+
+@pytest.mark.parametrize("name", ["local_text.csv", "global_text.csv"])
+def test_a_second_text_for_one_slot_is_refused(tmp_path, name):
+    # the later row used to replace the earlier one's text with no error
+    write_dataset(generate_synthetic(GeneratorConfig(regions=2, days=2, slots_per_day=12, event_rate=0.3)), tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines(keepends=True)
+    *leading, raw_ts, _ = next(csv.reader([lines[1]]))
+    # the same instant written with another offset is the same slot
+    lines.append(",".join([*leading, raw_ts.replace("Z", "+00:00"), "a later text"]) + "\n")
+    path.write_text("".join(lines))
+    with pytest.raises(DataError, match=rf"{name} row {len(lines)}: .* already has a text, on row 2$"):
+        load_csv(*(tmp_path / f for f in CSV_FILES))
+
+
+def test_predictions_read_back_through_csv_reader(tmp_path):
+    # a region id with a comma used to give a 6-field row under the 5-field header
+    at = datetime(2024, 1, 1, tzinfo=timezone.utc)
+    rows = [PredictionRow("r0", at, 1, 1.5, 0.1), PredictionRow("a,b", at, 2, 2.0, 3.0),
+            PredictionRow('say "hi"', at, 1, 0.0, -1.0)]
+    write_predictions(rows, tmp_path / "p.csv")
+    with open(tmp_path / "p.csv", newline="") as fh:
+        read = list(csv.reader(fh))
+    assert read[0] == PREDICTION_HEADER.split(",")
+    assert [PredictionRow(region, datetime.fromisoformat(ts), int(step), float(y_true), float(y_pred))
+            for region, ts, step, y_true, y_pred in read[1:]] == rows
+    assert (tmp_path / "p.csv").read_text().splitlines()[1] == "r0,2024-01-01T00:00:00Z,1,1.5,0.10000000000000001"
 
 
 # sha256 (first 16 hex digits) of the generator's demand, feature and text outputs, recorded before its
