@@ -3,8 +3,9 @@
 Subcommands: generate, train, evaluate, ablate, gradcheck. Exit codes: 0
 success, 1 usage, 2 data/config error, 3 training/numeric error, 4 I/O
 error. Standard output is machine-parseable CSV-style lines. All file
-outputs are written to a temp file and renamed into place; `train` and
-`ablate` check that the directory of --out exists before they read any data.
+outputs are written to a temp file and renamed into place; `train`,
+`evaluate` and `ablate` check that the directory of --out exists before they
+read any model or data.
 
 Seed priority per subcommand: --seed flag, then the config file, then the
 KGCM_SEED environment variable, then 0.
@@ -127,6 +128,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_out_dir(args.out)
     model = load_model(args.model)
     report = evaluate(model, model_split(model, _load_dataset(args.data)).test)
     write_predictions(report.rows, args.out)

@@ -39,3 +39,7 @@ class DataError(KgcmError):
 
 class MetricError(KgcmError):
     """A metric was requested on an empty or invalid input."""
+
+
+class HelperError(KgcmError):
+    """A forked helper process ended before it sent its results."""

@@ -1,10 +1,13 @@
 """Regression metrics and the cumulative component-ablation harness.
 
 Metrics are computed over every (region, window, horizon-step) point of a
-split. The ablation harness trains six variants per seed, enabling the
-components one at a time in the fixed order backbone, +ssa, +rcpg, +dgso,
-+acmfw, +lpo, and reports the median metrics per variant with deltas against
-the previous row.
+split. ``evaluate`` forecasts through ``pipeline.predict_windows``: where a
+second CPU and ``fork`` are there, a forked helper forecasts the windows at
+odd positions, and the report is bitwise the one a single process gives.
+The ablation harness trains six variants per seed, enabling the components
+one at a time in the fixed order backbone, +ssa, +rcpg, +dgso, +acmfw,
++lpo, and reports the median metrics per variant with deltas against the
+previous row.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .data import DemandDataset, PredictionRow
 from .errors import MetricError
 from .model import COMPONENT_ORDER, Model, TrainConfig
-from .pipeline import fit, model_split, predict
+from .pipeline import fit, model_split, predict_windows
 from .text import EncoderConfig
 
 __all__ = [
@@ -89,12 +92,11 @@ def compute_metrics(pred, truth) -> MetricReport:
 
 
 def evaluate(model: Model, windows) -> ForecastReport:
-    """Forecast every window with ``pipeline.predict`` and aggregate all horizon points."""
+    """Forecast every window with ``pipeline.predict_windows`` and aggregate all horizon points."""
     rows: list[PredictionRow] = []
     preds: list[float] = []
     truths: list[float] = []
-    for window in windows:
-        y_pred = predict(model, window)
+    for window, y_pred in zip(windows, predict_windows(model, windows)):
         y_true = window.targets
         for step in range(len(y_true)):
             ts = window.target_times[step] if window.target_times else None
@@ -144,7 +146,11 @@ def _run_one(args) -> AblationRow:
 
 def run_ablation(dataset: DemandDataset, config: TrainConfig, seeds, jobs: int = 1,
                  encoder: EncoderConfig = EncoderConfig()) -> list[AblationRow]:
-    """Train and evaluate the six cumulative variants for every seed, all on text encoded by ``encoder``."""
+    """Train and evaluate the six cumulative variants for every seed, all on text encoded by ``encoder``.
+
+    With ``jobs`` above 1 the tasks run in a pool of at most ``jobs`` spawned
+    workers, and never more workers than tasks.
+    """
     seeds = list(seeds)
     if not seeds:
         raise MetricError("ablation needs at least one seed")
@@ -156,7 +162,7 @@ def run_ablation(dataset: DemandDataset, config: TrainConfig, seeds, jobs: int =
     if jobs <= 1:
         rows = [_run_one(task) for task in tasks]
     else:
-        with get_context("spawn").Pool(processes=jobs) as pool:
+        with get_context("spawn").Pool(processes=min(jobs, len(tasks))) as pool:
             rows = pool.map(_run_one, tasks)
     order = {name: i for i, (name, _) in enumerate(ablation_variants())}
     rows.sort(key=lambda r: (order[r.variant], r.seed))

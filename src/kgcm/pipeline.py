@@ -8,6 +8,9 @@ deterministic given the config seed. Where a second CPU and ``fork`` are
 there, the loop computes half of each batch's windows in one forked helper
 process per stage, and this process adds every window's loss and gradients
 in window order, so the trained model is bitwise the same either way.
+``predict_windows`` splits a window set the same way: a forked helper
+forecasts the windows at odd positions, and each forecast is bitwise the one
+this process would give. Both helpers share one lifecycle, ``_Forked``.
 
 Every window set a model sees is built here: ``new_model`` with a new model,
 which records its text encoder, and ``model_split`` as a model recorded.
@@ -32,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .data import DemandDataset
-from .errors import ConfigError, DataError, FormatError, NumericError, TrainingError
+from .errors import ConfigError, DataError, FormatError, HelperError, NumericError, TrainingError
 from .model import ALL_COMPONENTS, Model, SeriesWindow, TrainConfig, build_model, joint_loss
 from .numeric import SeededRng, Tensor, backward, clear_tape, no_tape
 from .optim import AdamState, adam_step
@@ -51,6 +54,7 @@ __all__ = [
     "train_stage2",
     "fit",
     "predict",
+    "predict_windows",
     "save_model",
     "load_model",
 ]
@@ -188,7 +192,7 @@ HELPER_EXIT_S = 5.0  # a helper that has not ended this long after its pipe clos
 
 
 def _helper_can_start() -> bool:
-    """Whether this process can fork a training helper and has a second CPU to run it on.
+    """Whether this process can fork a helper process and has a second CPU to run it on.
 
     Pool workers are daemonic, and a daemonic process may not have children.
     """
@@ -197,11 +201,68 @@ def _helper_can_start() -> bool:
             and "fork" in multiprocessing.get_all_start_methods())
 
 
-class _HelperEnded(Exception):
-    """The training helper process ended while a batch was waiting for it."""
+class _Forked:
+    """A daemonic forked process running ``serve(conn, *args)``, and the main end of its pipe.
+
+    The child ignores SIGINT: the main process takes Ctrl-C and ends it. It
+    ends when ``serve`` returns or the main process closes its end. Leaving
+    the ``with`` block closes the pipe, waits ``HELPER_EXIT_S`` for the child
+    and kills it if it is still alive. A child that ends while the main
+    process sends to it or waits for it raises ``HelperError`` naming its
+    exit code.
+    """
+
+    def __init__(self, role: str, serve: Callable[..., None], *args):
+        self._role = role
+        context = multiprocessing.get_context("fork")
+        self._conn, child = context.Pipe()
+        self._process = context.Process(target=self._run, args=(serve, child, *args), daemon=True)
+        try:
+            self._process.start()
+        finally:
+            child.close()
+
+    def _run(self, serve: Callable[..., None], conn: Connection, *args) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        self._conn.close()
+        try:
+            serve(conn, *args)
+        except (EOFError, OSError):  # the main process closed its end
+            pass
+
+    def send(self, message) -> None:
+        try:
+            self._conn.send(message)
+        except OSError as exc:
+            raise self._ended() from exc
+
+    def recv(self):
+        try:
+            return self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._ended() from exc
+
+    def _ended(self) -> HelperError:
+        self._process.join(HELPER_EXIT_S)
+        return HelperError(f"{self._role} helper process ended with exit code {self._process.exitcode}")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """End and join the child."""
+        self._conn.close()
+        self._process.join(HELPER_EXIT_S)
+        if self._process.is_alive():
+            self._process.kill()
+            self._process.join()
+        self._process.close()
 
 
-class _Helper:
+class _Helper(_Forked):
     """A forked process that computes the windows at a batch's odd positions.
 
     It shares one anonymous ``mmap`` with the main process, in two regions
@@ -222,88 +283,59 @@ class _Helper:
         flat = np.frombuffer(self._buffer, dtype=np.float64).reshape(2, -1)
         self._shared = [{name: row[a:b].reshape(p.data.shape)
                          for (name, p), a, b in zip(params.items(), offsets, offsets[1:])} for row in flat]
-        context = multiprocessing.get_context("fork")
-        self._conn, child = context.Pipe()
-        self._process = context.Process(target=self._serve, args=(child, windows, window_loss), daemon=True)
-        try:
-            self._process.start()
-        finally:
-            child.close()
+        super().__init__("training", self._serve, windows, window_loss)
 
     def _serve(self, conn: Connection, windows: list[SeriesWindow], window_loss: WindowLoss) -> None:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process takes Ctrl-C and ends this one
-        self._conn.close()
         shared_params, grad_slot = self._shared
-        try:
-            while True:
-                epoch, indices = conn.recv()
-                for name, p in self._params.items():
-                    p.data = shared_params[name].copy()
-                acked = True
-                for idx in indices:
-                    try:
-                        loss, array = window_loss(windows[idx], epoch)
-                        value = loss.item()
-                        grads = backward(loss)
-                    except Exception as exc:  # raised in the main process at this window's position
-                        conn.send(exc)
-                        break
-                    if not acked:
-                        conn.recv()
-                    present = []
-                    for name, p in self._params.items():
-                        g = grads.get(p)
-                        if g is not None:
-                            grad_slot[name][...] = g
-                            present.append(name)
-                    conn.send((value, present, array))
-                    acked = False
+        while True:
+            epoch, indices = conn.recv()
+            for name, p in self._params.items():
+                p.data = shared_params[name].copy()
+            acked = True
+            for idx in indices:
+                try:
+                    loss, array = window_loss(windows[idx], epoch)
+                    value = loss.item()
+                    grads = backward(loss)
+                except Exception as exc:  # raised in the main process at this window's position
+                    conn.send(exc)
+                    break
                 if not acked:
                     conn.recv()
-        except (EOFError, OSError):  # the main process closed its end
-            pass
+                present = []
+                for name, p in self._params.items():
+                    g = grads.get(p)
+                    if g is not None:
+                        grad_slot[name][...] = g
+                        present.append(name)
+                conn.send((value, present, array))
+                acked = False
+            if not acked:
+                conn.recv()
 
     def start_batch(self, epoch: int, indices: np.ndarray) -> None:
         """Hand the helper the current parameters and the windows it computes this batch."""
         for name, p in self._params.items():
             self._shared[0][name][...] = p.data
-        try:
-            self._conn.send((epoch, indices.tolist()))
-        except OSError as exc:
-            raise self._ended() from exc
+        self.send((epoch, indices.tolist()))
 
     def add_next(self, sums: dict[str, np.ndarray]) -> tuple[float, np.ndarray | None]:
         """Add the helper's next window's gradients into ``sums``; its loss and array.
 
         Raises the window's own exception if it raised one.
         """
-        try:
-            message = self._conn.recv()
-        except (EOFError, OSError) as exc:
-            raise self._ended() from exc
+        message = self.recv()
         if isinstance(message, BaseException):
             raise message
         value, present, array = message
         for name in present:
             sums[name] += self._shared[1][name]
-        try:
-            self._conn.send(True)
-        except OSError as exc:
-            raise self._ended() from exc
+        self.send(True)
         return value, array
-
-    def _ended(self) -> _HelperEnded:
-        self._process.join(HELPER_EXIT_S)
-        return _HelperEnded(f"training helper process ended with exit code {self._process.exitcode}")
 
     def close(self) -> None:
         """End and join the helper, and unmap the shared memory."""
-        self._conn.close()
-        self._process.join(HELPER_EXIT_S)
-        if self._process.is_alive():
-            self._process.kill()
-            self._process.join()
-        self._process.close()
+        super().close()
         self._shared = []
         self._buffer.close()
 
@@ -314,11 +346,8 @@ def _helper_for(params: dict[str, Tensor], windows: list[SeriesWindow], batch_si
     if batch_size < 2 or len(windows) < 2 or not _helper_can_start():
         yield None
         return
-    helper = _Helper(params, windows, window_loss)
-    try:
+    with _Helper(params, windows, window_loss) as helper:
         yield helper
-    finally:
-        helper.close()
 
 
 def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig, stage: int,
@@ -378,7 +407,7 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
                                 array_sum = np.zeros(array.shape)
                             array_sum += array
                     adam_step(adam, params, {name: s / len(batch) for name, s in sums.items()})
-                except (NumericError, _HelperEnded) as exc:
+                except (NumericError, HelperError) as exc:
                     raise TrainingError(f"stage {stage}, epoch {epoch}, batch {batch_no}: {exc}") from exc
             history.append(loss_total / len(windows))
     return array_sum
@@ -458,6 +487,45 @@ def predict(model: Model, window: SeriesWindow) -> np.ndarray:
     """Forecast in demand units for one window."""
     with no_tape():
         return model.unscale_predictions(model.stage2_forward(window).data)
+
+
+# A window's position and the exception its forecast raised.
+Failure = tuple[int, Exception]
+
+
+def _predict_every_other(model: Model, windows: list[SeriesWindow],
+                         first: int) -> tuple[list[np.ndarray], Failure | None]:
+    """``predict`` of the windows at positions ``first``, ``first + 2``, ...; stops at the first that raises."""
+    forecasts = []
+    for pos in range(first, len(windows), 2):
+        try:
+            forecasts.append(predict(model, windows[pos]))
+        except Exception as exc:
+            return forecasts, (pos, exc)
+    return forecasts, None
+
+
+def predict_windows(model: Model, windows: list[SeriesWindow]) -> list[np.ndarray]:
+    """``predict`` of each window, in window order.
+
+    When ``_helper_can_start`` and there are at least two windows, a forked
+    helper forecasts the windows at odd positions and sends them back in
+    one message while this process forecasts the even ones; each forecast
+    is bitwise the one this process would give. If windows raise, the
+    exception of the first in window order is raised, wherever it ran. A
+    helper that ends before it sends raises ``HelperError``.
+    """
+    if len(windows) < 2 or not _helper_can_start():
+        return [predict(model, window) for window in windows]
+    with _Forked("prediction", lambda conn: conn.send(_predict_every_other(model, windows, 1))) as helper:
+        even, failure = _predict_every_other(model, windows, 0)
+        odd, helper_failure = helper.recv()
+    failures = [f for f in (failure, helper_failure) if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    out = [None] * len(windows)
+    out[::2], out[1::2] = even, odd
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def test_evaluate_writes_the_rows_and_prints_the_metrics_of_one_report(tmp_path,
                        f"n_floored,{m.n_floored}"]
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
 def test_a_missing_out_directory_is_refused_before_any_data_is_read(tmp_path, monkeypatch, capsys, command):
     # a typo in --out used to surface only at the final write, after the whole run
     write_dataset(generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12)), tmp_path / "data")
@@ -137,8 +137,12 @@ def test_a_missing_out_directory_is_refused_before_any_data_is_read(tmp_path, mo
     for module in (cli, kgcm_evaluate, pipeline):
         monkeypatch.setattr(module, "fit", lambda *args, **kwargs: calls.append(args))
     monkeypatch.setattr(cli, "load_csv", lambda *args: calls.append(args))
-    argv = [command, "--config", str(tmp_path / "tiny.cfg"), "--data", str(tmp_path / "data"),
-            "--out", str(tmp_path / "no-such-dir" / "out")]
+    monkeypatch.setattr(cli, "load_model", lambda *args: calls.append(args))
+    argv = [command, "--data", str(tmp_path / "data"), "--out", str(tmp_path / "no-such-dir" / "out")]
+    if command == "evaluate":
+        argv += ["--model", str(tmp_path / "model.kgcm")]
+    else:
+        argv += ["--config", str(tmp_path / "tiny.cfg")]
     if command == "ablate":
         argv += ["--seeds", "1"]
     assert cli.main(argv) == cli.EXIT_IO

@@ -1,11 +1,16 @@
+import multiprocessing
+import os
 import re
+import signal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from kgcm import evaluate as kgcm_evaluate
 from kgcm import pipeline
 from kgcm.data import GeneratorConfig, generate_synthetic
-from kgcm.errors import MetricError
+from kgcm.errors import HelperError, MetricError, NumericError, ShapeError
 from kgcm.evaluate import (
     AblationRow,
     MetricReport,
@@ -18,7 +23,7 @@ from kgcm.evaluate import (
     rmse,
     run_ablation,
 )
-from kgcm.model import ALL_COMPONENTS, TrainConfig
+from kgcm.model import ALL_COMPONENTS, Model, TrainConfig
 from kgcm.numeric import SeededRng
 
 
@@ -66,6 +71,110 @@ def test_an_ablation_over_two_workers_gives_the_rows_of_one():
     config = TrainConfig(d=8, n=2, window=8, horizon=2, blocks=1, day_slots=12, epochs_stage1=1, epochs_stage2=1,
                          batch_size=3)
     assert run_ablation(dataset, config, [1, 2], jobs=2) == run_ablation(dataset, config, [1, 2], jobs=1)
+
+
+@pytest.mark.parametrize("jobs, workers", [(2, 2), (6, 6), (7, 6), (10**6, 6)])
+def test_an_ablation_pool_starts_no_more_workers_than_tasks(monkeypatch, jobs, workers):
+    # one seed gives six tasks; the pool is a stand-in, so no process starts
+    asked = []
+
+    class Pool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(kgcm_evaluate, "get_context", lambda method: method == "spawn" and SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(kgcm_evaluate, "_run_one", lambda task: AblationRow(task[2], task[3], task[4],
+                                                                          MetricReport(1.0, 1.0, 1.0, 1, 0)))
+    assert len(run_ablation(None, TrainConfig(), [0], jobs=jobs)) == 6
+    assert asked == [workers]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the prediction helper is forked")
+class TestPredictionHelper:
+    """A forked helper forecasts the windows at odd positions; ``_helper_can_start`` picks the path."""
+
+    DATA = GeneratorConfig(regions=2, days=2, slots_per_day=12, event_rate=0.3)
+    CONFIG = TrainConfig(d=8, n=2, window=8, horizon=2, blocks=1, day_slots=12, epochs_stage1=1, epochs_stage2=1,
+                         batch_size=4)
+
+    def _windows(self) -> list:
+        split = pipeline.split_windows(pipeline.build_windows(generate_synthetic(self.DATA), self.CONFIG))
+        return (split.val + split.test)[:9]  # the helper forecasts 4 of them, this process 5
+
+    def _untrained(self):
+        return pipeline.new_model(generate_synthetic(self.DATA), self.CONFIG, ALL_COMPONENTS)[0]
+
+    @staticmethod
+    def _started(monkeypatch, on: bool) -> list:
+        """Switch the helper on or off; the returned list grows by one per helper started."""
+        monkeypatch.setattr(pipeline, "_helper_can_start", lambda: on)
+        started = []
+        init = pipeline._Forked.__init__
+        monkeypatch.setattr(pipeline._Forked, "__init__", lambda self, *args: started.append(1) or init(self, *args))
+        return started
+
+    @pytest.mark.parametrize("variant,components", ablation_variants(), ids=[v for v, _ in ablation_variants()])
+    def test_two_process_reports_equal_one_process_reports(self, monkeypatch, variant, components):
+        self._started(monkeypatch, False)
+        model = pipeline.fit(generate_synthetic(self.DATA), self.CONFIG, components)
+        windows = self._windows()
+        assert len(windows) == 9
+        reports = {}
+        for on in (True, False):
+            started = self._started(monkeypatch, on)
+            reports[on] = evaluate(model, windows)
+            assert len(started) == on
+        assert reports[True] == reports[False]
+        assert ([np.float64(r.y_pred).tobytes() for r in reports[True].rows]
+                == [np.float64(r.y_pred).tobytes() for r in reports[False].rows])
+
+    @pytest.mark.parametrize("odd_first", [True, False], ids=["odd-then-even", "even-then-odd"])
+    def test_the_first_bad_window_in_order_raises_wherever_it_ran(self, monkeypatch, odd_first):
+        # a NaN input raises NumericError and a cut window ShapeError; the earlier, the NaN, must win
+        model, windows = self._untrained(), self._windows()
+        nan_at, cut_at = (1, 4) if odd_first else (2, 5)
+        windows[nan_at].inputs = windows[nan_at].inputs.copy()
+        windows[nan_at].inputs[3, 0] = np.nan
+        windows[cut_at].inputs = windows[cut_at].inputs[:5]
+        raised = {}
+        for on in (True, False):
+            started = self._started(monkeypatch, on)
+            with pytest.raises((NumericError, ShapeError)) as info:
+                evaluate(model, windows)
+            assert len(started) == on
+            raised[on] = (type(info.value), str(info.value))
+        assert raised[True] == raised[False] == (NumericError, raised[False][1])
+
+    def test_a_helper_that_dies_ends_the_pass_with_a_helper_error(self, monkeypatch):
+        model = self._untrained()
+        self._started(monkeypatch, True)
+        forward, parent = Model.stage2_forward, os.getpid()
+
+        def dying(model, window):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return forward(model, window)
+
+        monkeypatch.setattr(Model, "stage2_forward", dying)
+        with pytest.raises(HelperError, match="prediction helper process ended with exit code -9"):
+            evaluate(model, self._windows())
+
+    def test_a_one_window_pass_forks_nothing(self, monkeypatch):
+        model, windows = self._untrained(), self._windows()
+        started = self._started(monkeypatch, True)
+        assert pipeline.predict_windows(model, windows[:1])[0].tobytes() == pipeline.predict(model, windows[0]).tobytes()
+        assert started == []
+        pipeline.predict_windows(model, windows[:2])
+        assert started == [1]
 
 
 def _rows(values: dict[str, list[float]]) -> list[AblationRow]:
