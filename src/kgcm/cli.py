@@ -7,8 +7,11 @@ outputs are written to a temp file and renamed into place; `train`,
 `evaluate` and `ablate` check that the directory of --out exists before they
 read any model or data.
 
-Seed priority per subcommand: --seed flag, then the config file, then the
-KGCM_SEED environment variable, then 0.
+The seed of `generate`, `train` and `ablate` is the --seed flag if given,
+else the config's value; `gradcheck --seed` defaults to 0. A set KGCM_SEED
+environment variable is refused with exit 1, since it is no longer read.
+`ablate` fits in min(usable CPUs, fits) spawned worker processes, and in
+its own process on one usable CPU.
 
 Text is hashed unless a config's [text] section sets `embedding_file = PATH`,
 a table of precomputed vectors. `train` runs both training stages.
@@ -20,11 +23,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
-from .configio import ParsedConfig, parse_config
+from .configio import parse_config
 from .data import atomic_write_text, generate_synthetic, load_csv, write_dataset, write_predictions
 from .errors import (
     ConfigError,
@@ -56,13 +58,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and greater than 0, got {text!r}")
-    return value
-
-
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -70,18 +65,9 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _resolve_seed(flag_seed: int | None, parsed: ParsedConfig | None, section: str, key: str, config_value: int) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    if parsed is not None and parsed.was_set(section, key):
-        return config_value
-    env = os.environ.get("KGCM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"KGCM_SEED must be an integer, got {env!r}") from exc
-    return 0
+def _seeded(config, flag_seed: int | None):
+    """``config`` with the --seed flag's seed, or as it is when the flag was not given."""
+    return config if flag_seed is None else dataclasses.replace(config, seed=flag_seed)
 
 
 def _load_dataset(data_dir: str):
@@ -96,13 +82,10 @@ def _load_dataset(data_dir: str):
 
 
 def cmd_generate(args) -> int:
-    parsed = parse_config(args.config)
-    gen = parsed.data
-    seed = _resolve_seed(args.seed, parsed, "data", "seed", gen.seed)
-    gen = dataclasses.replace(gen, seed=seed)
+    gen = _seeded(parse_config(args.config).data, args.seed)
     dataset = generate_synthetic(gen)
     write_dataset(dataset, args.out)
-    print(f"generated,{args.out},regions={gen.regions},slots={len(dataset.timestamps)},seed={seed}")
+    print(f"generated,{args.out},regions={gen.regions},slots={len(dataset.timestamps)},seed={gen.seed}")
     return EXIT_OK
 
 
@@ -116,8 +99,7 @@ def _check_out_dir(path: str) -> None:
 def cmd_train(args) -> int:
     _check_out_dir(args.out)
     parsed = parse_config(args.config)
-    seed = _resolve_seed(args.seed, parsed, "train", "seed", parsed.train.seed)
-    config = dataclasses.replace(parsed.train, seed=seed)
+    config = _seeded(parsed.train, args.seed)
     model = fit(_load_dataset(args.data), config, parsed.components, parsed.encoder)
     save_model(model, args.out)
     for epoch, loss in enumerate(model.stage1_history):
@@ -145,19 +127,19 @@ def cmd_ablate(args) -> int:
     _check_out_dir(args.out)
     parsed = parse_config(args.config)
     dataset = _load_dataset(args.data)
-    base_seed = _resolve_seed(args.seed, parsed, "train", "seed", parsed.train.seed)
-    seeds = [base_seed + k for k in range(args.seeds)]
-    rows = run_ablation(dataset, parsed.train, seeds, jobs=args.jobs, encoder=parsed.encoder)
+    config = _seeded(parsed.train, args.seed)
+    seeds = [config.seed + k for k in range(args.seeds)]
+    rows = run_ablation(dataset, config, seeds, encoder=parsed.encoder)
     atomic_write_text(args.out, ablation_csv(rows))
     print(render_ablation_table(rows))
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_all_checks(seed=_resolve_seed(args.seed, None, "train", "seed", 0))
-    failed = [r for r in results if not r.passed(args.tolerance)]
+    results = run_all_checks(seed=args.seed)
+    failed = [r for r in results if not r.passed()]
     for r in results:
-        status = "pass" if r.passed(args.tolerance) else "FAIL"
+        status = "pass" if r.passed() else "FAIL"
         print(f"{r.name},{format(r.max_error, '.6e')},{status}")
     if failed:
         names = ",".join(r.name for r in failed)
@@ -193,13 +175,11 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--seeds", type=positive_int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser(name="gradcheck", help="verify gradients against central differences")
-    p.add_argument("--tolerance", type=positive_float, default=1e-4)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -209,6 +189,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "KGCM_SEED" in os.environ:
+            raise UsageError("KGCM_SEED is no longer read; unset it and pass the seed as --seed")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -219,7 +201,7 @@ def main(argv=None) -> int:
     except (TrainingError, NumericError) as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except (OSError, IOError) as exc:
+    except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except KgcmError as exc:  # catch-all for package errors

@@ -46,10 +46,6 @@ class ParsedConfig:
     data: GeneratorConfig
     components: frozenset[str]
     encoder: EncoderConfig
-    explicit: frozenset[str] = frozenset()  # "section.key" pairs present in the file
-
-    def was_set(self, section: str, key: str) -> bool:
-        return f"{section}.{key}" in self.explicit
 
 
 def _parse_components(raw: str) -> frozenset[str]:
@@ -105,7 +101,6 @@ def parse_config_text(text: str) -> ParsedConfig:
         if first != lineno:
             raise ConfigError(f"line {lineno}: {section}.{key} is already set on line {first}")
 
-    explicit = frozenset(set_on)
     model_vals = dict(values["model"])
     train_vals = dict(values["train"])
     data_vals = dict(values["data"])
@@ -123,7 +118,6 @@ def parse_config_text(text: str) -> ParsedConfig:
         data=data,
         components=components,
         encoder=EncoderConfig(embedding_file),
-        explicit=explicit,
     )
 
 

@@ -7,7 +7,8 @@ odd positions, and the report is bitwise the one a single process gives.
 The ablation harness trains six variants per seed, enabling the components
 one at a time in the fixed order backbone, +ssa, +rcpg, +dgso, +acmfw,
 +lpo, and reports the median metrics per variant with deltas against the
-previous row.
+previous row. It runs its fits in a spawned pool with one worker per usable
+CPU, never more than there are fits, and in this process on one CPU.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .data import DemandDataset, PredictionRow
 from .errors import MetricError
 from .model import COMPONENT_ORDER, Model, TrainConfig
-from .pipeline import fit, model_split, predict_windows
+from .pipeline import fit, model_split, predict_windows, usable_cpus
 from .text import EncoderConfig
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "ablation_variants",
     "run_ablation",
     "render_ablation_table",
+    "ablation_csv",
 ]
 
 MAPE_FLOOR = 1.0
@@ -93,10 +95,9 @@ def compute_metrics(pred, truth) -> MetricReport:
 
 def evaluate(model: Model, windows) -> ForecastReport:
     """Forecast every window with ``pipeline.predict_windows`` and aggregate all horizon points."""
+    forecasts = predict_windows(model, windows)
     rows: list[PredictionRow] = []
-    preds: list[float] = []
-    truths: list[float] = []
-    for window, y_pred in zip(windows, predict_windows(model, windows)):
+    for window, y_pred in zip(windows, forecasts):
         y_true = window.targets
         for step in range(len(y_true)):
             ts = window.target_times[step] if window.target_times else None
@@ -109,9 +110,8 @@ def evaluate(model: Model, windows) -> ForecastReport:
                     y_pred=float(y_pred[step]),
                 )
             )
-            preds.append(float(y_pred[step]))
-            truths.append(float(y_true[step]))
-    return ForecastReport(rows=rows, metrics=compute_metrics(preds, truths))
+    # one horizon per window set, so the stacked arrays ravel to every point in row order
+    return ForecastReport(rows=rows, metrics=compute_metrics(forecasts, [window.targets for window in windows]))
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +144,15 @@ def _run_one(args) -> AblationRow:
     return AblationRow(variant=variant, components=components, seed=seed, report=report.metrics)
 
 
-def run_ablation(dataset: DemandDataset, config: TrainConfig, seeds, jobs: int = 1,
+def run_ablation(dataset: DemandDataset, config: TrainConfig, seeds,
                  encoder: EncoderConfig = EncoderConfig()) -> list[AblationRow]:
     """Train and evaluate the six cumulative variants for every seed, all on text encoded by ``encoder``.
 
-    With ``jobs`` above 1 the tasks run in a pool of at most ``jobs`` spawned
-    workers, and never more workers than tasks.
+    The fits run in a pool of ``min(usable_cpus(), fits)`` spawned workers
+    when that is at least 2, and in this process otherwise. Each worker is
+    daemonic, so it fits in its one process. The rows are the same either
+    way, in variant order and then seed order; if fits raise, the exception
+    of the first in that task order is raised.
     """
     seeds = list(seeds)
     if not seeds:
@@ -159,11 +162,12 @@ def run_ablation(dataset: DemandDataset, config: TrainConfig, seeds, jobs: int =
         for seed in seeds
         for variant, components in ablation_variants()
     ]
-    if jobs <= 1:
+    workers = min(usable_cpus(), len(tasks))
+    if workers < 2:
         rows = [_run_one(task) for task in tasks]
     else:
-        with get_context("spawn").Pool(processes=min(jobs, len(tasks))) as pool:
-            rows = pool.map(_run_one, tasks)
+        with get_context("spawn").Pool(processes=workers) as pool:
+            rows = list(pool.imap(_run_one, tasks))
     order = {name: i for i, (name, _) in enumerate(ablation_variants())}
     rows.sort(key=lambda r: (order[r.variant], r.seed))
     return rows

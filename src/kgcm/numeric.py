@@ -39,7 +39,6 @@ __all__ = [
     "Tensor",
     "SeededRng",
     "backward",
-    "grad_check",
     "tensor",
     "constant",
     "zeros",
@@ -842,43 +841,6 @@ def step_cross_attention(rows: Tensor, tokens: np.ndarray, counts: np.ndarray, w
         return dx, dq.T @ kept, dk.T @ tokens, (p.T @ gk).T @ tokens, dq.sum(axis=0), dk.sum(axis=0)
 
     return _result(out, (rows, w_query, w_key, w_value, prompt_query, prompt_key), bw)
-
-
-# ---------------------------------------------------------------------------
-# Gradient verification
-# ---------------------------------------------------------------------------
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    ``f`` maps one tensor to a scalar tensor. The relative error at each
-    coordinate is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
-    """
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    clear_tape()
-    loss = f(probe)
-    grads = backward(loss, params=(probe,))
-    analytic = grads[probe]
-    flat = probe.data.reshape(-1)
-    with no_tape():
-        numeric = np.array([_central_difference(lambda: f(probe), flat, i, h) for i in range(flat.size)])
-    numeric = numeric.reshape(probe.data.shape)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-def _central_difference(loss: Callable[[], Tensor], flat: np.ndarray, i: int, h: float) -> float:
-    """(loss() at x + h e_i - loss() at x - h e_i) / 2h, where ``flat`` is x's storage; ``flat[i]`` is restored."""
-    orig = flat[i]
-    flat[i] = orig + h
-    up = loss().item()
-    flat[i] = orig - h
-    down = loss().item()
-    flat[i] = orig
-    if not (math.isfinite(up) and math.isfinite(down)):
-        raise NumericError("function non-finite at finite-difference probe point")
-    return (up - down) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------

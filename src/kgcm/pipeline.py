@@ -191,14 +191,19 @@ WindowLoss = Callable[[SeriesWindow, int], tuple[Tensor, np.ndarray | None]]
 HELPER_EXIT_S = 5.0  # a helper that has not ended this long after its pipe closed is killed
 
 
-def _helper_can_start() -> bool:
-    """Whether this process can fork a helper process and has a second CPU to run it on.
+def usable_cpus() -> int:
+    """How many CPUs this process may run on and start children on: 1 where it cannot tell or may not.
 
     Pool workers are daemonic, and a daemonic process may not have children.
     """
-    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-            and not multiprocessing.current_process().daemon
-            and "fork" in multiprocessing.get_all_start_methods())
+    if not hasattr(os, "sched_getaffinity") or multiprocessing.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _helper_can_start() -> bool:
+    """Whether this process can fork a helper process and has a second CPU to run it on."""
+    return usable_cpus() >= 2 and "fork" in multiprocessing.get_all_start_methods()
 
 
 class _Forked:

@@ -48,11 +48,13 @@ def _write_embeddings(dataset, path):
 
 
 def test_gradcheck_rejects_bad_seed_env(monkeypatch, capsys):
-    monkeypatch.setenv("KGCM_SEED", "abc")
-    assert cli.main(["gradcheck"]) == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert "KGCM_SEED must be an integer" in err
-    assert "Traceback" not in err
+    # the variable is no longer read, so any value is refused rather than silently ignored
+    for value in ("abc", "0", ""):
+        monkeypatch.setenv("KGCM_SEED", value)
+        assert cli.main(["gradcheck"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "KGCM_SEED" in err and "--seed" in err
+        assert "Traceback" not in err
 
 
 def test_train_rejects_a_nan_learning_rate_before_training(tmp_path, capsys):
@@ -269,6 +271,9 @@ EXIT_CODE_CASES = {
     "removed-init-flag": (_train("tiny.cfg", "data", "--stage", "2", "--init", "plain.kgcm"), {}, cli.EXIT_USAGE),
     "removed-mape-floor-flag": (["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv",
                                  "--mape-floor", "1.0"], {}, cli.EXIT_USAGE),
+    "removed-jobs-flag": (["ablate", "--config", "tiny.cfg", "--data", "data", "--seeds", "1", "--out", "m.csv",
+                           "--jobs", "2"], {}, cli.EXIT_USAGE),
+    "removed-tolerance-flag": (["gradcheck", "--tolerance", "1e-3"], {}, cli.EXIT_USAGE),
     "removed-metrics-section": (_train("metrics-section.cfg"), {}, cli.EXIT_DATA),
     "unknown-config-key": (_train("unknown-key.cfg"), {}, cli.EXIT_DATA),
     "features-other-than-five": (_train("three-features.cfg"), {}, cli.EXIT_DATA),
@@ -276,7 +281,7 @@ EXIT_CODE_CASES = {
     "config-key-set-twice": (_train("seed-twice.cfg"), {}, cli.EXIT_DATA),
     "heads-pooling-model-file": (["evaluate", "--model", "heads-pooling.kgcm", "--data", "data", "--out", "m.csv"],
                                  {}, cli.EXIT_DATA),
-    "non-integer-seed-env": (_train("tiny.cfg"), {"KGCM_SEED": "x"}, cli.EXIT_DATA),
+    "non-integer-seed-env": (_train("tiny.cfg"), {"KGCM_SEED": "x"}, cli.EXIT_USAGE),
     "missing-data-directory": (_train("tiny.cfg", "no-such-dir"), {}, cli.EXIT_IO),
     "missing-config-file": (_train("no-such.cfg"), {}, cli.EXIT_IO),
     "damaged-model-file": (["evaluate", "--model", "damaged.kgcm", "--data", "data", "--out", "m.csv"], {},

@@ -65,17 +65,23 @@ def test_evaluate_mae_is_the_mae_of_its_predict_calls():
     assert report.metrics.n_points == len(report.rows) == len(split.test) * config.horizon
 
 
-def test_an_ablation_over_two_workers_gives_the_rows_of_one():
+def _rows_on(monkeypatch, cpus: int, *args) -> list[AblationRow]:
+    monkeypatch.setattr(kgcm_evaluate, "usable_cpus", lambda: cpus)
+    return run_ablation(*args)
+
+
+def test_an_ablation_over_two_workers_gives_the_rows_of_one(monkeypatch):
     # pool workers are daemonic, so each trains in its one process, which may not fork a training helper
     dataset = generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12, event_rate=0.3))
     config = TrainConfig(d=8, n=2, window=8, horizon=2, blocks=1, day_slots=12, epochs_stage1=1, epochs_stage2=1,
                          batch_size=3)
-    assert run_ablation(dataset, config, [1, 2], jobs=2) == run_ablation(dataset, config, [1, 2], jobs=1)
+    pooled = _rows_on(monkeypatch, 2, dataset, config, [1, 2])
+    assert pooled == _rows_on(monkeypatch, 1, dataset, config, [1, 2])
 
 
-@pytest.mark.parametrize("jobs, workers", [(2, 2), (6, 6), (7, 6), (10**6, 6)])
-def test_an_ablation_pool_starts_no_more_workers_than_tasks(monkeypatch, jobs, workers):
-    # one seed gives six tasks; the pool is a stand-in, so no process starts
+@pytest.mark.parametrize("cpus, workers", [(1, None), (2, 2), (6, 6), (7, 6), (64, 6), (10**6, 6)])
+def test_an_ablation_pool_starts_no_more_workers_than_tasks(monkeypatch, cpus, workers):
+    # one seed gives six tasks; one usable CPU runs them here, and the pool is a stand-in, so no process starts
     asked = []
 
     class Pool:
@@ -88,14 +94,14 @@ def test_an_ablation_pool_starts_no_more_workers_than_tasks(monkeypatch, jobs, w
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, tasks):
-            return [fn(task) for task in tasks]
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
 
     monkeypatch.setattr(kgcm_evaluate, "get_context", lambda method: method == "spawn" and SimpleNamespace(Pool=Pool))
     monkeypatch.setattr(kgcm_evaluate, "_run_one", lambda task: AblationRow(task[2], task[3], task[4],
                                                                           MetricReport(1.0, 1.0, 1.0, 1, 0)))
-    assert len(run_ablation(None, TrainConfig(), [0], jobs=jobs)) == 6
-    assert asked == [workers]
+    assert len(_rows_on(monkeypatch, cpus, None, TrainConfig(), [0])) == 6
+    assert asked == ([] if workers is None else [workers])
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the prediction helper is forked")

@@ -12,7 +12,8 @@ from kgcm.fusion_local import (
     init_lpo_params,
     prompt_loss,
 )
-from kgcm.numeric import SeededRng, Tensor, backward, clear_tape, grad_check, sigmoid_gate, sum_sq, tensor
+from kgcm.gradcheck import grad_check
+from kgcm.numeric import SeededRng, Tensor, backward, clear_tape, sigmoid_gate, sum_sq, tensor
 from kgcm.text import encode_hashed
 
 

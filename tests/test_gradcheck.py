@@ -8,14 +8,14 @@ import pytest
 
 import kgcm
 from kgcm import numeric
-from kgcm.gradcheck import DEFAULT_TOLERANCE, run_all_checks
+from kgcm.gradcheck import run_all_checks
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_check_passes():
     results = run_all_checks()
-    failed = {r.name: r.max_error for r in results if not r.passed(DEFAULT_TOLERANCE)}
+    failed = {r.name: r.max_error for r in results if not r.passed()}
     assert not failed
     assert len({r.name for r in results}) == len(results)
 
@@ -24,7 +24,7 @@ def test_every_check_passes():
 def test_every_check_passes_at_other_seeds(seed):
     # the joint-loss check scores each coordinate against its own finite-difference noise
     results = run_all_checks(seed)
-    assert not {r.name: r.max_error for r in results if not r.passed(DEFAULT_TOLERANCE)}
+    assert not {r.name: r.max_error for r in results if not r.passed()}
 
 
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(kgcm.__path__)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kgcm.errors import ConfigError, ShapeError
+from kgcm.gradcheck import grad_check
 from kgcm.graph import (
     DgsoLayerParams,
     DgsoParams,
@@ -15,7 +16,6 @@ from kgcm.numeric import (
     add,
     backward,
     clear_tape,
-    grad_check,
     graph_layer,
     history_columns,
     no_tape,

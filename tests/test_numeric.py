@@ -5,12 +5,12 @@ import pytest
 
 from kgcm import numeric as nm
 from kgcm.errors import ContractError, NumericError, ShapeError
+from kgcm.gradcheck import grad_check
 from kgcm.numeric import (
     SeededRng,
     Tensor,
     backward,
     clear_tape,
-    grad_check,
     sum_sq,
     tensor,
 )

@@ -147,6 +147,16 @@ class TestTrainingLoop:
         assert tape_size() <= 40
 
 
+def test_usable_cpus_is_one_where_no_child_may_start_on_another(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert pipeline.usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(pipeline.multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
+    assert pipeline.usable_cpus() == 1
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert pipeline.usable_cpus() == 1
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the training helper is forked")
 class TestTrainingHelper:
     """A forked helper computes the windows at odd batch positions; ``_helper_can_start`` picks the path."""

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from kgcm.errors import ContractError, DataError, ShapeError
-from kgcm.numeric import SeededRng, Tensor, backward, clear_tape, grad_check, linear, sse, take, tensor
+from kgcm.gradcheck import grad_check
+from kgcm.numeric import SeededRng, Tensor, backward, clear_tape, linear, sse, take, tensor
 from kgcm.predictor import (
     embed_sequence,
     forecast,
