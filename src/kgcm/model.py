@@ -18,6 +18,13 @@ cast the fused (T, d) rows to ``graph_dtype`` (``graph.GRAPH_DTYPE``) before
 one ``numeric.cast`` tape entry. Parameters and their gradients, the
 scaler, ``a_star`` (the float64 mean of float32 matrices) and model files
 stay float64.
+
+The value path of ``stage2_forward`` also runs, off the tape, on a stack of
+windows (``stage2_values``): the embedding, the gates, the ``acmfw``
+weighting, the sequence embedding, the encoder and the heads run on
+(C, T, d) rows; the text cross-attention, whose token counts differ per
+window, and the graph pass run window by window inside it. Each window's
+values are bitwise those of its own ``stage2_forward``.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from .numeric import (
     history_columns,
     linear,
     mean_rows,
+    no_tape,
     scale,
     sigmoid_gate,
     sse,
@@ -133,6 +141,23 @@ class SeriesWindow:
     local_tokens: list[np.ndarray]  # per step token matrix (m_t, d)
     global_pooled: np.ndarray  # (d,) pooled shared-context vector
     target_times: list = field(default_factory=list)
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """The one window's array, or the (C, ...) stack of several windows' arrays, which must share a shape."""
+    if len(arrays) == 1:
+        return np.asarray(arrays[0])
+    try:
+        return np.stack(arrays)
+    except ValueError as exc:
+        raise ShapeError(f"the windows of a stack differ in shape: {exc}") from exc
+
+
+def _per_window(rows: Tensor, windows: Sequence[SeriesWindow], step) -> Tensor:
+    """``step(rows, window)`` for one window's rows; for a (C, T, d) stack, the stack of each window's own result."""
+    if rows.data.ndim == 2:
+        return step(rows, windows[0])
+    return constant(np.stack([step(constant(r), w).data for r, w in zip(rows.data, windows)]))
 
 
 def _tensors(node) -> Iterator[Tensor]:
@@ -239,17 +264,19 @@ class Model:
 
     # -- forwards ------------------------------------------------------
 
-    def _fused_rows(self, window: SeriesWindow, first: int = 0) -> Tensor:
-        """Embedded rows of steps ``first``..T-1, gated with the step text by one cross-attention call when lpo is on.
+    def _fused_rows(self, windows: Sequence[SeriesWindow], first: int = 0) -> Tensor:
+        """Embedded rows of steps ``first``..T-1, gated with the step text by one cross-attention call per window when lpo is on.
 
-        Each fused row depends on its own step alone, so the rows of a cut
-        window are the same rows as those of the whole one.
+        One window gives (T - first, d) rows, several a (C, T - first, d)
+        stack. Each fused row depends on its own step alone, so the rows of
+        a cut window are the same rows as those of the whole one.
         """
-        x = constant(self.scale_inputs(window.inputs[first:]))
+        x = constant(self.scale_inputs(_stacked([w.inputs[first:] for w in windows])))
         hs = embed_structured_rows(x, self.lpo)
         if "lpo" not in self.components:
             return hs
-        return sigmoid_gate(hs, guided_cross_attention(hs, window.local_tokens[first:], self.lpo), self.lpo.w_gate)
+        text = _per_window(hs, windows, lambda rows, w: guided_cross_attention(rows, w.local_tokens[first:], self.lpo))
+        return sigmoid_gate(hs, text, self.lpo.w_gate)
 
     def stage1_forward(self, window: SeriesWindow) -> tuple[Tensor, np.ndarray | None]:
         """Auxiliary one-step-ahead loss over the final node states, and the graph's last smoothed matrix.
@@ -260,10 +287,10 @@ class Model:
         """
         n = self.config.n
         if self.dgso is None:
-            fused = self._fused_rows(window, max(len(window.inputs) - n, 0))
+            fused = self._fused_rows([window], max(len(window.inputs) - n, 0))
             final_states, matrix = history_columns(fused, fused.data.shape[0] - 1, n), None
         else:
-            fused = self._fused_rows(window)
+            fused = self._fused_rows([window])
             states, matrix = run_dgso(cast(fused, self.graph_dtype), self.dgso, n, last_step_only=True)
             final_states = cast(take(states, 0), np.float64)
         aux_pred = linear(mean_rows(final_states), self.aux_w, self.aux_b)
@@ -271,17 +298,40 @@ class Model:
 
     def stage2_forward(self, window: SeriesWindow) -> Tensor:
         """Full value path: fuse, refine, gate, weight, encode, forecast; (T',) on the scaled target scale."""
-        vecs = self._fused_rows(window)
+        return self._values([window])
+
+    def stage2_values(self, windows: Sequence[SeriesWindow]) -> np.ndarray:
+        """``stage2_forward``'s values for each of ``windows``, as (C, T') rows, computed off the tape.
+
+        The windows run as one (C, T, d) stack where the value path allows
+        it, and must share their shapes; each row is bitwise its window's
+        ``stage2_forward`` value.
+        """
+        with no_tape():
+            return self._values(windows).data.reshape(len(windows), -1)
+
+    def _values(self, windows: Sequence[SeriesWindow]) -> Tensor:
+        """The value path for one window's (T, d) rows, or for several windows' (C, T, d) stack.
+
+        The graph pass runs on each window's rows alone: stacked windows in a
+        graph layer cost more per window than one window does.
+        """
+        vecs = self._fused_rows(windows)
         if self.dgso is not None:
             n = self.config.n
-            states = run_dgso(cast(vecs, self.graph_dtype), self.dgso, n)[0]
-            vecs = cast(take(states, np.s_[:, :, n - 1]), np.float64)
+
+            def graph(rows: Tensor, _window) -> Tensor:
+                states = run_dgso(cast(rows, self.graph_dtype), self.dgso, n)[0]
+                return cast(take(states, np.s_[:, :, n - 1]), np.float64)
+
+            vecs = _per_window(vecs, windows, graph)
         if self.global_gate is not None:
-            pooled = constant(np.tile(window.global_pooled, (vecs.data.shape[0], 1)))
-            vecs = sigmoid_gate(vecs, pooled, self.global_gate.w_gate, self.global_gate.b_gate)
+            pooled = _stacked([w.global_pooled[None] for w in windows])  # (1, d) per window, repeated over its rows
+            vecs = sigmoid_gate(vecs, constant(np.repeat(pooled, vecs.data.shape[-2], axis=-2)),
+                                self.global_gate.w_gate, self.global_gate.b_gate)
         if "acmfw" in self.components:
             vecs = acmfw_weight(vecs, self.structure_or_uniform())
-        e = embed_sequence(vecs, window.slots, window.dows, self.ssa)
+        e = embed_sequence(vecs, _stacked([w.slots for w in windows]), _stacked([w.dows for w in windows]), self.ssa)
         bias = structural_bias(self.structure_or_uniform()) if "ssa" in self.components else None
         return forecast(e, bias, self.ssa)
 

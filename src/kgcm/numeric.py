@@ -20,6 +20,13 @@ embedding, the heads, the losses and the graph lift use, and one fused
 kernel per value-path sublayer (see the comment that opens the fused-kernel
 section).
 
+The ops that scoring runs on a stack of windows (``add``, ``relu``,
+``linear``, ``matmul_nt``, ``gather_rows``, the encoder kernels and
+``sigmoid_gate``) also take a leading window axis: (C, T, d) rows, where
+each window's slice of the result is bitwise that window's own call.
+Backward takes rank-2 rows only, so a stacked call that a tape would
+record raises ``ContractError``. ``take`` takes any rank, taped or not.
+
 Randomness is centralized in ``SeededRng``, a thin wrapper over the
 counter-based Philox generator: one root seed, named child streams, and an
 identical draw sequence on every platform.
@@ -165,6 +172,12 @@ def _records(inputs: tuple[Tensor, ...]) -> bool:
     return _TRACING and any(t.requires_grad for t in inputs)
 
 
+def _untaped_stack(op: str, ndim: int, inputs: tuple[Tensor, ...]) -> None:
+    """Refuse a leading window axis (rank ``ndim`` = 3) on a call that a tape would record."""
+    if ndim == 3 and _records(inputs):
+        raise ContractError(f"{op} takes a stack of windows only where no tape records it")
+
+
 def _result(arr: np.ndarray, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
     """Wrap an op result, recording it on the tape when gradients are needed."""
     # One reduction instead of isfinite().all(): NaN/inf propagate through the
@@ -232,6 +245,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    _untaped_stack("add", out.ndim, (a, b))
 
     def bw(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
@@ -258,6 +272,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    _untaped_stack("relu", a.data.ndim, (a,))
     out = np.maximum(a.data, 0.0)
 
     def bw(g):
@@ -282,10 +297,11 @@ def cast(a: Tensor, dtype) -> Tensor:
 
 
 def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.T for rank-2 operands."""
+    """a @ b.T for a rank-2 ``b`` and a rank-2 ``a``, or an untaped stack of them."""
     ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[1]:
+    if ad.ndim not in (2, 3) or bd.ndim != 2 or ad.shape[-1] != bd.shape[1]:
         raise ShapeError(f"matmul_nt expects (m,k) and (n,k), got {ad.shape} and {bd.shape}")
+    _untaped_stack("matmul_nt", ad.ndim, (a, b))
     out = ad @ bd.T
 
     def bw(g):
@@ -295,10 +311,12 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ weight.T + bias with weight stored as (out_dim, in_dim)."""
+    """x @ weight.T + bias with weight stored as (out_dim, in_dim); x is rank 1 or 2, or an untaped stack of rank 3."""
     xd, wd = x.data, weight.data
-    if wd.ndim != 2 or xd.ndim not in (1, 2) or xd.shape[-1] != wd.shape[1]:
+    if wd.ndim != 2 or xd.ndim not in (1, 2, 3) or xd.shape[-1] != wd.shape[1]:
         raise ShapeError(f"linear expects x (..,{wd.shape[1] if wd.ndim == 2 else '?'}), got {xd.shape} with weight {wd.shape}")
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    _untaped_stack("linear", xd.ndim, inputs)
     out = xd @ wd.T
     if bias is not None:
         out = out + bias.data
@@ -315,7 +333,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             return gx, gw
         return gx, gw, gb
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
     return _result(out, inputs, bw)
 
 
@@ -411,11 +428,12 @@ def take(a: Tensor, key) -> Tensor:
     return _result(out, (a,), bw)
 
 
-def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
-    """Select rows of a rank-2 table; gradients scatter-add back."""
+def gather_rows(table: Tensor, indices: Sequence[int] | np.ndarray) -> Tensor:
+    """Select rows of a rank-2 table; gradients scatter-add back. (C, T) indices give an untaped (C, T, d) stack."""
     if table.data.ndim != 2:
         raise ShapeError(f"gather_rows expects rank 2, got shape {table.data.shape}")
     idx = np.asarray(indices, dtype=np.intp)
+    _untaped_stack("gather_rows", idx.ndim + 1, (table,))
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ShapeError(f"gather_rows index out of range for table with {table.data.shape[0]} rows")
     out = table.data[idx]
@@ -516,6 +534,18 @@ def sse(pred: Tensor, target: np.ndarray) -> Tensor:
 # ``sigmoid_gate`` is the gated mix of two (T, d) row sets, and
 # ``step_cross_attention`` the masked attention of a window's rows to its
 # step text.
+#
+# The encoder kernels and ``sigmoid_gate`` also take a leading window axis,
+# a (C, T, d) stack of C windows' rows, when no tape records the call (see
+# the module docstring). numpy runs a stacked matmul slice by slice, each
+# slice through the BLAS call that one window's rank-2 product makes, and
+# every other step is elementwise or reduces the last axis, so each
+# window's slice of the result is bitwise its own call's. Scoring runs the
+# value path so, a chunk of windows per call, and the fixed cost of each
+# numpy call and each ``_result`` check is paid once per chunk. The
+# transposes are ``swapaxes`` of the last two axes, which for rank 2 is
+# ``.T``. ``step_cross_attention`` and the graph kernels stay one window
+# per call.
 
 
 def _live_steps(g: np.ndarray, *arrays: np.ndarray):
@@ -666,11 +696,11 @@ def history_columns(rows: Tensor, steps, n: int) -> Tensor:
 
 
 def _check_rows(op: str, x: np.ndarray, *weights: Tensor) -> tuple[int, int]:
-    """(T, d) of rank-2 rows ``x``; every weight must be (d, d)."""
-    if x.ndim != 2 or any(w.data.shape != (x.shape[1], x.shape[1]) for w in weights):
+    """(T, d) of (T, d) rows ``x`` or of a (C, T, d) stack of them; every weight must be (d, d)."""
+    if x.ndim not in (2, 3) or any(w.data.shape != (x.shape[-1], x.shape[-1]) for w in weights):
         shapes = ", ".join(str(w.data.shape) for w in weights)
         raise ShapeError(f"{op} expects (T, d) rows and (d, d) weights, got {x.shape} with {shapes}")
-    return x.shape
+    return x.shape[-2:]
 
 
 def time_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tensor, w_out: Tensor,
@@ -684,10 +714,12 @@ def time_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tens
     xd = x.data
     t, d = _check_rows("time_attention_norm", xd, w_query, w_key, w_value, w_out)
     _check_affine("time_attention_norm", d, gamma, beta)
+    inputs = (x, w_query, w_key, w_value, w_out, gamma, beta)
+    _untaped_stack("time_attention_norm", xd.ndim, inputs)
     wq, wk, wv, wo = w_query.data, w_key.data, w_value.data, w_out.data
     c = 1.0 / math.sqrt(d)
     q, k, v = xd @ wq, xd @ wk, xd @ wv
-    p = _softmax((q @ k.T) * c)
+    p = _softmax((q @ k.swapaxes(-1, -2)) * c)
     att = p @ v
     out, xhat, inv = _norm_forward(att @ wo + xd, gamma.data, beta.data)
 
@@ -699,7 +731,7 @@ def time_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tens
         dx = dq @ wq.T + dk @ wk.T + dv @ wv.T + dy
         return dx, xd.T @ dq, xd.T @ dk, xd.T @ dv, att.T @ dy, dgamma, dbeta
 
-    return _result(out, (x, w_query, w_key, w_value, w_out, gamma, beta), bw)
+    return _result(out, inputs, bw)
 
 
 def feature_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tensor, w_out: Tensor,
@@ -719,16 +751,18 @@ def feature_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: T
     if bias is not None and bias.shape != (d, d):
         raise ShapeError(f"feature_attention_norm bias must have shape ({d}, {d}), got {bias.shape}")
     _check_affine("feature_attention_norm", d, gamma, beta)
+    inputs = (x, w_query, w_key, w_value, w_out, gamma, beta)
+    _untaped_stack("feature_attention_norm", xd.ndim, inputs)
     wq, wk, wv, wo = w_query.data, w_key.data, w_value.data, w_out.data
     c = 1.0 / math.sqrt(t)
-    rows = np.s_[-1:] if last_only else np.s_[:]
+    rows = np.s_[..., -1:, :] if last_only else np.s_[:]
     xr = xd[rows]
     q, k, v = xd @ wq, xd @ wk, xr @ wv
-    scores = (q.T @ k) * c
+    scores = (q.swapaxes(-1, -2) @ k) * c
     if bias is not None:
         scores = scores + bias
     p = _softmax(scores)
-    att = v @ p.T
+    att = v @ p.swapaxes(-1, -2)
     out, xhat, inv = _norm_forward(att @ wo + xr, gamma.data, beta.data)
 
     def bw(g):
@@ -742,18 +776,20 @@ def feature_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: T
         dx[rows] += dy
         return dx, xd.T @ dq, xd.T @ dk, xr.T @ dv, att.T @ dy, dgamma, dbeta
 
-    return _result(out, (x, w_query, w_key, w_value, w_out, gamma, beta), bw)
+    return _result(out, inputs, bw)
 
 
 def feedforward_norm(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """layer_norm(relu(x W1^T + b1) W2^T + b2 + x) for (T, d) rows as one tape entry; weights are (out, in)."""
     xd = x.data
     hidden = b1.data.shape[0] if b1.data.ndim == 1 else -1
-    if xd.ndim != 2 or w1.data.shape != (hidden, xd.shape[1]) or w2.data.shape != (xd.shape[1], hidden) \
-            or b2.data.shape != (xd.shape[1],):
+    if xd.ndim not in (2, 3) or w1.data.shape != (hidden, xd.shape[-1]) or w2.data.shape != (xd.shape[-1], hidden) \
+            or b2.data.shape != (xd.shape[-1],):
         raise ShapeError(f"feedforward_norm shapes disagree: x {xd.shape}, w1 {w1.data.shape}, b1 {b1.data.shape}, "
                          f"w2 {w2.data.shape}, b2 {b2.data.shape}")
-    _check_affine("feedforward_norm", xd.shape[1], gamma, beta)
+    _check_affine("feedforward_norm", xd.shape[-1], gamma, beta)
+    inputs = (x, w1, b1, w2, b2, gamma, beta)
+    _untaped_stack("feedforward_norm", xd.ndim, inputs)
     w1d, w2d = w1.data, w2.data
     r = xd @ w1d.T + b1.data
     np.maximum(r, 0.0, out=r)
@@ -765,19 +801,21 @@ def feedforward_norm(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, 
         dh *= r > 0.0
         return dh @ w1d + dy, dh.T @ xd, dh.sum(axis=0), dy.T @ r, dy.sum(axis=0), dgamma, dbeta
 
-    return _result(out, (x, w1, b1, w2, b2, gamma, beta), bw)
+    return _result(out, inputs, bw)
 
 
 def sigmoid_gate(h: Tensor, z: Tensor, w_gate: Tensor, b_gate: Tensor | None = None) -> Tensor:
     """Row by row over (T, d) inputs: g = sigmoid([h, z] W^T + b), then g * h + (1 - g) * z, as one tape entry."""
     hd, zd, w = h.data, z.data, w_gate.data
-    if hd.ndim != 2 or hd.shape != zd.shape:
+    if hd.ndim not in (2, 3) or hd.shape != zd.shape:
         raise ShapeError(f"gate inputs must be matching (T, d) rows, got {hd.shape} and {zd.shape}")
-    d = hd.shape[1]
+    d = hd.shape[-1]
     if w.shape != (d, 2 * d) or (b_gate is not None and b_gate.data.shape != (d,)):
         bias_shape = None if b_gate is None else b_gate.data.shape
         raise ShapeError(f"gate over width {d} needs a ({d}, {2 * d}) weight and a ({d},) bias, got {w.shape} and {bias_shape}")
-    both = np.concatenate((hd, zd), axis=1)
+    inputs = (h, z, w_gate) if b_gate is None else (h, z, w_gate, b_gate)
+    _untaped_stack("sigmoid_gate", hd.ndim, inputs)
+    both = np.concatenate((hd, zd), axis=-1)
     pre = both @ w.T
     if b_gate is not None:
         pre = pre + b_gate.data
@@ -793,7 +831,6 @@ def sigmoid_gate(h: Tensor, z: Tensor, w_gate: Tensor, b_gate: Tensor | None = N
             return dh, dz, dpre.T @ both
         return dh, dz, dpre.T @ both, dpre.sum(axis=0)
 
-    inputs = (h, z, w_gate) if b_gate is None else (h, z, w_gate, b_gate)
     return _result(out, inputs, bw)
 
 
@@ -815,6 +852,8 @@ def step_cross_attention(rows: Tensor, tokens: np.ndarray, counts: np.ndarray, w
     """
     xd = rows.data
     t, d = _check_rows("step_cross_attention", xd, w_query, w_key, w_value)
+    if xd.ndim != 2:
+        raise ShapeError(f"step_cross_attention expects one window's (T, d) rows, got {xd.shape}")
     counts = np.asarray(counts)
     if tokens.ndim != 2 or tokens.shape[1] != d or counts.shape != (t,) or not tokens.shape[0] \
             or counts.sum() != tokens.shape[0] or counts.min() < 0:

@@ -9,8 +9,10 @@ there, the loop computes half of each batch's windows in one forked helper
 process per stage, and this process adds every window's loss and gradients
 in window order, so the trained model is bitwise the same either way.
 ``predict_windows`` splits a window set the same way: a forked helper
-forecasts the windows at odd positions, and each forecast is bitwise the one
-this process would give. Both helpers share one lifecycle, ``_Forked``.
+forecasts the windows at odd positions. Each process runs its share in
+chunks of ``SCORE_CHUNK`` windows, one untaped stacked value-path pass per
+chunk (``Model.stage2_values``), and each forecast is bitwise the one
+``predict`` gives. Both helpers share one lifecycle, ``_Forked``.
 
 Every window set a model sees is built here: ``new_model`` with a new model,
 which records its text encoder, and ``model_split`` as a model recorded.
@@ -497,33 +499,53 @@ def predict(model: Model, window: SeriesWindow) -> np.ndarray:
 # A window's position and the exception its forecast raised.
 Failure = tuple[int, Exception]
 
+SCORE_CHUNK = 8  # windows per stacked value-path pass when a window set is scored
 
-def _predict_every_other(model: Model, windows: list[SeriesWindow],
-                         first: int) -> tuple[list[np.ndarray], Failure | None]:
-    """``predict`` of the windows at positions ``first``, ``first + 2``, ...; stops at the first that raises."""
+
+def _predict_positions(model: Model, windows: list[SeriesWindow],
+                       positions: range) -> tuple[list[np.ndarray], Failure | None]:
+    """``predict`` of the windows at ``positions``, ``SCORE_CHUNK`` at a time; stops at the first that raises.
+
+    Each chunk runs as one ``Model.stage2_values`` stack. A chunk that
+    raises, its windows' differing shapes included, runs again through
+    ``predict`` one window at a time, so the first failing window raises
+    its own exception and windows of any shape are forecast.
+    """
     forecasts = []
-    for pos in range(first, len(windows), 2):
+    for start in range(0, len(positions), SCORE_CHUNK):
+        chunk = positions[start: start + SCORE_CHUNK]
         try:
-            forecasts.append(predict(model, windows[pos]))
-        except Exception as exc:
-            return forecasts, (pos, exc)
+            values = model.stage2_values([windows[pos] for pos in chunk])
+        except Exception:
+            for pos in chunk:
+                try:
+                    forecasts.append(predict(model, windows[pos]))
+                except Exception as exc:
+                    return forecasts, (pos, exc)
+        else:
+            forecasts += list(model.unscale_predictions(values))
     return forecasts, None
 
 
 def predict_windows(model: Model, windows: list[SeriesWindow]) -> list[np.ndarray]:
-    """``predict`` of each window, in window order.
+    """``predict`` of each window, in window order, bitwise.
 
-    When ``_helper_can_start`` and there are at least two windows, a forked
-    helper forecasts the windows at odd positions and sends them back in
-    one message while this process forecasts the even ones; each forecast
-    is bitwise the one this process would give. If windows raise, the
-    exception of the first in window order is raised, wherever it ran. A
-    helper that ends before it sends raises ``HelperError``.
+    Windows are forecast in chunks of ``SCORE_CHUNK`` through one stacked
+    pass each (``_predict_positions``). When ``_helper_can_start`` and there
+    are at least two windows, a forked helper forecasts the windows at odd
+    positions and sends them back in one message while this process
+    forecasts the even ones. If windows raise, the exception of the first
+    in window order is raised, wherever it ran. A helper that ends before
+    it sends raises ``HelperError``.
     """
+    positions = range(len(windows))
     if len(windows) < 2 or not _helper_can_start():
-        return [predict(model, window) for window in windows]
-    with _Forked("prediction", lambda conn: conn.send(_predict_every_other(model, windows, 1))) as helper:
-        even, failure = _predict_every_other(model, windows, 0)
+        out, failure = _predict_positions(model, windows, positions)
+        if failure is not None:
+            raise failure[1]
+        return out
+    with _Forked("prediction", lambda conn: conn.send(_predict_positions(model, windows, positions[1::2]))) as helper:
+        even, failure = _predict_positions(model, windows, positions[0::2])
         odd, helper_failure = helper.recv()
     failures = [f for f in (failure, helper_failure) if f is not None]
     if failures:

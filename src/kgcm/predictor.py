@@ -11,6 +11,10 @@ by independent linear heads over the encoder's last row. A last block with
 feature attention therefore computes only that row: its feature attention
 still scores every row but outputs the last, and its feedforward runs on
 that one row. A last block without feature attention runs every row.
+
+Off the tape, ``embed_sequence`` and ``forecast`` also take a (C, T, d)
+stack of C windows' rows (scoring runs them so, see ``numeric``); each
+window's result is bitwise that of its own (T, d) call.
 """
 
 from __future__ import annotations
@@ -144,18 +148,24 @@ def sinusoidal_positions(length: int, d: int) -> np.ndarray:
     return pe
 
 
-def embed_sequence(h_seq: Tensor, slots: Sequence[int], dows: Sequence[int], params: SsaParams) -> Tensor:
-    """Add time-of-day, day-of-week and positional encodings to the sequence."""
-    t, d = h_seq.data.shape
-    if len(slots) != t or len(dows) != t:
-        raise ShapeError(f"timestamps cover {len(slots)} steps but the sequence has {t}")
+def embed_sequence(h_seq: Tensor, slots: Sequence[int] | np.ndarray, dows: Sequence[int] | np.ndarray,
+                   params: SsaParams) -> Tensor:
+    """Add time-of-day, day-of-week and positional encodings to the sequence.
+
+    (T, d) rows take (T,) slots and days; a (C, T, d) stack takes (C, T).
+    """
+    t, d = h_seq.data.shape[-2:]
+    slots, dows = np.asarray(slots), np.asarray(dows)
+    if slots.shape != h_seq.data.shape[:-1] or dows.shape != slots.shape:
+        raise ShapeError(f"timestamps of shapes {slots.shape} and {dows.shape} do not cover the sequence's "
+                         f"{h_seq.data.shape[:-1]} steps")
     day_slots = params.tod_table.data.shape[0]
-    for s in slots:
-        if not 0 <= s < day_slots:
-            raise DataError(f"time-of-day slot {s} outside table of size {day_slots}")
-    for w in dows:
-        if not 0 <= w < 7:
-            raise DataError(f"day-of-week {w} outside 0..6")
+    bad = slots[(slots < 0) | (slots >= day_slots)]
+    if bad.size:
+        raise DataError(f"time-of-day slot {bad[0]} outside table of size {day_slots}")
+    bad = dows[(dows < 0) | (dows >= 7)]
+    if bad.size:
+        raise DataError(f"day-of-week {bad[0]} outside 0..6")
     te = add(gather_rows(params.tod_table, slots), gather_rows(params.dow_table, dows))
     return add(add(h_seq, te), constant(sinusoidal_positions(t, d)))
 
@@ -188,10 +198,13 @@ def forecast(e: Tensor, bias: np.ndarray | None, params: SsaParams) -> Tensor:
     """Stack the encoder blocks and apply the per-horizon linear heads to the last row.
 
     The heads read the last row alone, so the last block runs cut to it
-    (``ssa_block``'s ``last_only``).
+    (``ssa_block``'s ``last_only``). One window's rows give (T',) values. A
+    (C, T, d) stack gives (C, 1, T'): each window's last row goes through
+    the heads as a (1, d) row, the vector-matrix product one window makes,
+    where a (C, d) matrix product would round differently.
     """
     x = e
     last = len(params.blocks) - 1
     for i, block in enumerate(params.blocks):
         x = ssa_block(x, bias, block, last_only=i == last)
-    return linear(take(x, -1), params.head_w, params.head_b)
+    return linear(take(x, -1 if x.data.ndim == 2 else np.s_[:, -1:]), params.head_w, params.head_b)

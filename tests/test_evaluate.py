@@ -112,9 +112,10 @@ class TestPredictionHelper:
     CONFIG = TrainConfig(d=8, n=2, window=8, horizon=2, blocks=1, day_slots=12, epochs_stage1=1, epochs_stage2=1,
                          batch_size=4)
 
-    def _windows(self) -> list:
+    def _windows(self, count: int = 9) -> list:
+        """``count`` windows; 9 split as 4 for the helper and 5 for this process, each in one chunk."""
         split = pipeline.split_windows(pipeline.build_windows(generate_synthetic(self.DATA), self.CONFIG))
-        return (split.val + split.test)[:9]  # the helper forecasts 4 of them, this process 5
+        return (split.val + split.test + split.train)[:count]
 
     def _untrained(self):
         return pipeline.new_model(generate_synthetic(self.DATA), self.CONFIG, ALL_COMPONENTS)[0]
@@ -127,6 +128,29 @@ class TestPredictionHelper:
         init = pipeline._Forked.__init__
         monkeypatch.setattr(pipeline._Forked, "__init__", lambda self, *args: started.append(1) or init(self, *args))
         return started
+
+    @pytest.mark.parametrize("event_rate", [0.04, 0.5])
+    @pytest.mark.parametrize("variant,components", ablation_variants(), ids=[v for v, _ in ablation_variants()])
+    def test_chunked_forecasts_equal_per_window_predict(self, monkeypatch, variant, components, event_rate):
+        # the default data and model shapes; a frozen matrix stands in for stage 1's where the graph makes one
+        config = TrainConfig()
+        data = generate_synthetic(GeneratorConfig(event_rate=event_rate))
+        model, split = pipeline.new_model(data, config, components)
+        if "dgso" in components:
+            model.freeze_structure(np.abs(SeededRng(1).normal((config.d, config.d))) + 0.01)
+        windows = split.test[:19]
+        want = [pipeline.predict(model, window).tobytes() for window in windows]
+
+        def refused(*args):
+            raise AssertionError("a chunk fell back to predict")
+
+        monkeypatch.setattr(pipeline, "predict", refused)  # every chunk must run stacked
+        for on in (True, False):
+            self._started(monkeypatch, on)
+            for size in (1, 7, 8, 9, 19):
+                got = pipeline.predict_windows(model, windows[:size])
+                assert [forecast.tobytes() for forecast in got] == want[:size]
+        assert np.array([row.y_pred for row in evaluate(model, windows).rows]).tobytes() == b"".join(want)
 
     @pytest.mark.parametrize("variant,components", ablation_variants(), ids=[v for v, _ in ablation_variants()])
     def test_two_process_reports_equal_one_process_reports(self, monkeypatch, variant, components):
@@ -143,34 +167,42 @@ class TestPredictionHelper:
         assert ([np.float64(r.y_pred).tobytes() for r in reports[True].rows]
                 == [np.float64(r.y_pred).tobytes() for r in reports[False].rows])
 
-    @pytest.mark.parametrize("odd_first", [True, False], ids=["odd-then-even", "even-then-odd"])
-    def test_the_first_bad_window_in_order_raises_wherever_it_ran(self, monkeypatch, odd_first):
-        # a NaN input raises NumericError and a cut window ShapeError; the earlier, the NaN, must win
-        model, windows = self._untrained(), self._windows()
-        nan_at, cut_at = (1, 4) if odd_first else (2, 5)
+    # 19 windows: with the helper, this process scores positions 0, 2, ..., 18 in the chunks 0-14 and 16-18, the
+    # helper 1, 3, ..., 17 in the chunks 1-15 and 17; alone, this process scores the chunks 0-7, 8-15 and 16-18
+    @pytest.mark.parametrize("nan_at, cut_at", [(1, 4), (2, 5), (2, 6), (3, 16), (12, 5)],
+                             ids=["odd-then-even", "even-then-odd", "one-chunk", "other-chunk-and-process",
+                                  "cut-first"])
+    def test_the_first_bad_window_in_order_raises_wherever_it_ran(self, monkeypatch, nan_at, cut_at):
+        # a NaN input raises NumericError and a cut window ShapeError; the earlier in window order must win,
+        # with the type and message one process scoring window by window gives
+        model = self._untrained()
+        windows = self._windows(19)
         windows[nan_at].inputs = windows[nan_at].inputs.copy()
         windows[nan_at].inputs[3, 0] = np.nan
         windows[cut_at].inputs = windows[cut_at].inputs[:5]
-        raised = {}
+        with pytest.raises((NumericError, ShapeError)) as info:
+            for window in windows:
+                pipeline.predict(model, window)
+        want = (type(info.value), str(info.value))
+        assert want[0] is (NumericError if nan_at < cut_at else ShapeError)
         for on in (True, False):
             started = self._started(monkeypatch, on)
             with pytest.raises((NumericError, ShapeError)) as info:
                 evaluate(model, windows)
             assert len(started) == on
-            raised[on] = (type(info.value), str(info.value))
-        assert raised[True] == raised[False] == (NumericError, raised[False][1])
+            assert (type(info.value), str(info.value)) == want
 
     def test_a_helper_that_dies_ends_the_pass_with_a_helper_error(self, monkeypatch):
         model = self._untrained()
         self._started(monkeypatch, True)
-        forward, parent = Model.stage2_forward, os.getpid()
+        values, parent = Model.stage2_values, os.getpid()
 
-        def dying(model, window):
+        def dying(model, windows):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return forward(model, window)
+            return values(model, windows)
 
-        monkeypatch.setattr(Model, "stage2_forward", dying)
+        monkeypatch.setattr(Model, "stage2_values", dying)
         with pytest.raises(HelperError, match="prediction helper process ended with exit code -9"):
             evaluate(model, self._windows())
 

@@ -163,7 +163,7 @@ def _text_window(config: TrainConfig, texts: list[str]) -> SeriesWindow:
 
 def _uncut_stage1_loss(model, window):
     """Graph-free stage 1 over every fused row of the window, then the last step's history columns."""
-    fused = model._fused_rows(window)
+    fused = model._fused_rows([window])
     states = nm.history_columns(fused, len(window.inputs) - 1, model.config.n)
     aux_pred = nm.linear(nm.mean_rows(states), model.aux_w, model.aux_b)
     return joint_loss(aux_pred, model.scale_targets(window.targets[:1]), model.lpo, model.config.lambda_prompt)
@@ -210,7 +210,7 @@ def test_a_window_shorter_than_n_pads_by_repeating_its_first_row():
     model = build_model(config, GRAPH_FREE)
     window = _text_window(config, TEXTS[:5])
     nm.clear_tape()
-    fused = model._fused_rows(window).data
+    fused = model._fused_rows([window]).data
     padded = np.vstack([fused[:1]] * 3 + [fused])  # (n, d): three copies of row 0, then the five rows
     aux_pred = model.aux_w.data @ padded.T.mean(axis=0) + model.aux_b.data
     prompt = ((model.lpo.prompt_struct.data - model.lpo.prompt_text.data) ** 2).sum()

@@ -583,6 +583,65 @@ class TestValuePathKernels:
             nm.feature_attention_norm(x, wq, wk, wv, wo, tensor(np.full(4, 1e308)), tensor(np.full(4, 1e308)))
 
 
+def _stack_cases():
+    """``name: (call, params)``: ``call(x, *params)`` runs the op on (T, D) rows or a (C, T, D) stack ``x``."""
+    rng = SeededRng(90)
+    block = list(_block_arrays(rng, 5, 4).values())[1:]
+    ff = list(_block_arrays(rng, 5, 4, hidden=8).values())[1:]
+    raw = rng.uniform((4, 4)) + 0.1
+    bias = np.log1p(raw / raw.sum(axis=1, keepdims=True))
+    table = rng.normal((6, 4))
+    return {
+        "add": (nm.add, [rng.normal((4,))]),
+        "relu": (nm.relu, []),
+        "linear": (nm.linear, [rng.glorot(3, 4), rng.normal((3,))]),
+        "matmul_nt": (nm.matmul_nt, [rng.normal((3, 4))]),
+        "gather_rows": (lambda x, t: nm.gather_rows(t, (np.abs(x.data) * 10).astype(int)[..., 0] % 6), [table]),
+        "sigmoid_gate": (lambda x, w, b: nm.sigmoid_gate(x, tensor(np.cos(x.data)), w, b),
+                         [rng.glorot(4, 8), rng.normal((4,))]),
+        "time_attention_norm": (nm.time_attention_norm, block),
+        "feature_attention_norm": (lambda x, *p: nm.feature_attention_norm(x, *p, bias=bias), block),
+        "feature_attention_norm-last-only": (
+            lambda x, *p: nm.feature_attention_norm(x, *p, bias=bias, last_only=True), block),
+        "feedforward_norm": (nm.feedforward_norm, ff),
+    }
+
+
+class TestWindowStacks:
+    """The ops scoring runs on a (C, T, D) stack of windows: bitwise per window off the tape, refused on it."""
+
+    STACK = SeededRng(91).normal((3, 5, 4))
+
+    @pytest.mark.parametrize("name", list(_stack_cases()))
+    def test_each_window_of_an_untaped_stack_is_its_own_call(self, name):
+        call, params = _stack_cases()[name]
+        params = [tensor(p, requires_grad=True) for p in params]
+        with nm.no_tape():
+            stacked = call(tensor(self.STACK), *params).data
+            alone = [call(tensor(x), *params).data for x in self.STACK]
+        assert stacked.shape == (len(alone),) + alone[0].shape
+        assert [s.tobytes() for s in stacked] == [a.tobytes() for a in alone]
+
+    @pytest.mark.parametrize("name", list(_stack_cases()))
+    def test_a_stack_on_a_recording_tape_raises_a_contract_error(self, name):
+        call, params = _stack_cases()[name]
+        params = [tensor(p, requires_grad=True) for p in params]
+        if not params:  # an op without parameters records when its input needs a gradient
+            with pytest.raises(ContractError, match="stack of windows"):
+                call(tensor(self.STACK, requires_grad=True))
+        else:
+            with pytest.raises(ContractError, match="stack of windows"):
+                call(tensor(self.STACK), *params)
+        assert nm.tape_size() == 0
+        call(tensor(self.STACK[0], requires_grad=True), *params)  # one window's rows stay on the tape
+        assert nm.tape_size() == 1
+
+    def test_cross_attention_takes_one_window(self):
+        w = [tensor(np.eye(4)) for _ in range(5)]
+        with nm.no_tape(), pytest.raises(ShapeError):
+            nm.step_cross_attention(tensor(self.STACK), np.ones((2, 4)), np.array([1, 0, 1, 0, 0]), *w)
+
+
 class TestRowSum:
     """``_row_sum`` gives the bytes of numpy's own row sum; a numpy that moves its order or start value fails here."""
 
