@@ -17,6 +17,7 @@ import csv
 import io
 import math
 import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -34,6 +35,7 @@ __all__ = [
     "load_csv",
     "write_dataset",
     "write_predictions",
+    "atomic_open",
     "atomic_write_text",
     "open_utf8",
 ]
@@ -226,13 +228,31 @@ def _parse_ts(raw: str, where: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
+@contextmanager
+def atomic_open(path, binary: bool = False):
+    """A handle on ``<path>.tmp``, renamed over ``path`` when the block ends, so readers never see a partial file.
+
+    The handle takes bytes with ``binary``, else UTF-8 text with "\n" line
+    ends. If the block, the close or the rename raises, the temp file is
+    removed and the exception propagates as it was: an ``OSError`` stays an
+    ``OSError``.
+    """
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def atomic_write_text(path, content: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
-    path = str(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    """Write ``content`` through ``atomic_open``."""
+    with atomic_open(path) as fh:
         fh.write(content)
-    os.replace(tmp, path)
 
 
 def write_dataset(dataset: DemandDataset, out_dir) -> None:

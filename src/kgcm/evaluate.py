@@ -3,8 +3,9 @@
 Metrics are computed over every (region, window, horizon-step) point of a
 split. ``evaluate`` forecasts through ``pipeline.predict_windows``: each
 process scores its windows in chunks of ``pipeline.SCORE_CHUNK``, one
-untaped stacked value-path pass per chunk, and where a second CPU and
-``fork`` are there, a forked helper forecasts the windows at odd positions.
+untaped stacked value-path pass per chunk with the graph pass on stacks of
+``model.GRAPH_STACK`` windows, and where a second CPU and ``fork`` are
+there, a forked helper forecasts the windows at odd positions.
 Either way every forecast is bitwise the one ``pipeline.predict`` gives.
 The ablation harness trains six variants per seed, enabling the components
 one at a time in the fixed order backbone, +ssa, +rcpg, +dgso, +acmfw,

@@ -17,6 +17,13 @@ relation, because the last smoothed matrix depends on all of them.
 ``run_dgso`` is what ``Model`` calls and what ``gradcheck`` checks, together
 with the layer kernel.
 
+Off the tape, ``run_dgso`` also takes a (C, T, d) stack of C windows' rows.
+The lift then gives (T, C, d, n) states, the step axis outermost, and each
+layer builds, smooths and convolves all C windows' steps at once, carrying
+C smoothing states from the shared start; each window's states and matrix
+are bitwise those of its own call. Scoring runs the pass so, on
+``model.GRAPH_STACK`` windows at a time.
+
 The pass computes in the dtype of the rows it is given. ``Model`` casts its
 fused rows to ``GRAPH_DTYPE`` (float32) before ``run_dgso`` and casts the
 rows it reads back to float64 after it, with two ``numeric.cast`` entries on
@@ -103,10 +110,16 @@ def run_dgso(fused_rows: Tensor, params: DgsoParams, n: int, last_step_only: boo
     so a window's pass depends on that window alone. Steps earlier than n-1
     pad their history by repeating the first step. States and matrix have
     the dtype of ``fused_rows``.
+
+    Where no tape records the call, ``fused_rows`` may be a (C, T, d) stack
+    of C windows. The pass then runs them together, the step axis outermost,
+    and returns (T, C, d, n) states and (C, d, d) matrices, each window's
+    slice bitwise its own call's; a recording tape raises ``ContractError``.
     """
-    if fused_rows.data.ndim != 2 or fused_rows.data.shape[0] < 1:
-        raise ContractError(f"run_dgso needs a (T, d) window, got shape {fused_rows.data.shape}")
-    t_steps, d = fused_rows.data.shape
+    shape = fused_rows.data.shape
+    if len(shape) not in (2, 3) or 0 in shape[:-1]:
+        raise ContractError(f"run_dgso needs a (T, d) window or a (C, T, d) stack, got shape {shape}")
+    t_steps, d = shape[-2:]
     states = history_columns(fused_rows, range(t_steps), n)
     start, last = uniform_matrix(d), len(params.layers) - 1
     for l, layer in enumerate(params.layers):

@@ -22,9 +22,10 @@ stay float64.
 The value path of ``stage2_forward`` also runs, off the tape, on a stack of
 windows (``stage2_values``): the embedding, the gates, the ``acmfw``
 weighting, the sequence embedding, the encoder and the heads run on
-(C, T, d) rows; the text cross-attention, whose token counts differ per
-window, and the graph pass run window by window inside it. Each window's
-values are bitwise those of its own ``stage2_forward``.
+(C, T, d) rows; the graph pass runs on stacks of ``GRAPH_STACK`` windows,
+and the text cross-attention, whose token counts differ per window, runs
+window by window inside it. Each window's values are bitwise those of its
+own ``stage2_forward``.
 """
 
 from __future__ import annotations
@@ -80,6 +81,13 @@ __all__ = [
 
 COMPONENT_ORDER = ("ssa", "rcpg", "dgso", "acmfw", "lpo")
 ALL_COMPONENTS = frozenset(COMPONENT_ORDER)
+
+# Windows per untaped graph pass when a stack is scored (see ``pipeline.SCORE_CHUNK``). At the default shapes the
+# (T, C, d, d) = (48, 4, 32, 32) float32 relation stack of four windows is 768 KiB, and eight windows' 1.5 MiB
+# falls out of cache. A train-full evaluate pass over 105 windows took a median 92 ms on two processes with stacks
+# of four, against 104 with two, 106 with eight and 120 with one window per call (118, 161, 138 and 156 ms on one
+# process; 2-vCPU x86-64 guest, fresh processes).
+GRAPH_STACK = 4
 
 
 @dataclass
@@ -310,21 +318,27 @@ class Model:
         with no_tape():
             return self._values(windows).data.reshape(len(windows), -1)
 
-    def _values(self, windows: Sequence[SeriesWindow]) -> Tensor:
-        """The value path for one window's (T, d) rows, or for several windows' (C, T, d) stack.
+    def _graph_rows(self, rows: Tensor) -> Tensor:
+        """Each step's column n-1 of the graph pass's final node states, in float64, for (T, d) or (C, T, d) rows.
 
-        The graph pass runs on each window's rows alone: stacked windows in a
-        graph layer cost more per window than one window does.
+        One window's rows run on the tape, between two ``cast`` entries. A
+        stack runs off it, ``GRAPH_STACK`` windows per ``run_dgso`` call.
         """
+        n = self.config.n
+        if rows.data.ndim == 2:
+            states = run_dgso(cast(rows, self.graph_dtype), self.dgso, n)[0]
+            return cast(take(states, np.s_[:, :, n - 1]), np.float64)
+        out = np.empty(rows.data.shape)
+        for first in range(0, len(out), GRAPH_STACK):
+            part = constant(rows.data[first: first + GRAPH_STACK].astype(self.graph_dtype))
+            out[first: first + GRAPH_STACK] = run_dgso(part, self.dgso, n)[0].data[..., n - 1].swapaxes(0, 1)
+        return constant(out)
+
+    def _values(self, windows: Sequence[SeriesWindow]) -> Tensor:
+        """The value path for one window's (T, d) rows, or for several windows' (C, T, d) stack."""
         vecs = self._fused_rows(windows)
         if self.dgso is not None:
-            n = self.config.n
-
-            def graph(rows: Tensor, _window) -> Tensor:
-                states = run_dgso(cast(rows, self.graph_dtype), self.dgso, n)[0]
-                return cast(take(states, np.s_[:, :, n - 1]), np.float64)
-
-            vecs = _per_window(vecs, windows, graph)
+            vecs = self._graph_rows(vecs)
         if self.global_gate is not None:
             pooled = _stacked([w.global_pooled[None] for w in windows])  # (1, d) per window, repeated over its rows
             vecs = sigmoid_gate(vecs, constant(np.repeat(pooled, vecs.data.shape[-2], axis=-2)),

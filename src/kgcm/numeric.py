@@ -23,8 +23,10 @@ section).
 The ops that scoring runs on a stack of windows (``add``, ``relu``,
 ``linear``, ``matmul_nt``, ``gather_rows``, the encoder kernels and
 ``sigmoid_gate``) also take a leading window axis: (C, T, d) rows, where
-each window's slice of the result is bitwise that window's own call.
-Backward takes rank-2 rows only, so a stacked call that a tape would
+each window's slice of the result is bitwise that window's own call. The
+graph kernels take one too, after their step axis: ``history_columns``
+lifts (C, T, d) rows to (T, C, d, n) states, and ``graph_layer`` runs
+them. Backward takes one window only, so a stacked call that a tape would
 record raises ``ContractError``. ``take`` takes any rank, taped or not.
 
 Randomness is centralized in ``SeededRng``, a thin wrapper over the
@@ -96,6 +98,9 @@ def fnv1a64(data: bytes) -> int:
 
 class Tensor:
     """Rank <= 3 array that can participate in differentiation.
+
+    The graph kernels return rank-4 tensors for an untaped stack of windows
+    (see ``graph_layer``); no tensor of rank 4 is built from data.
 
     Data is float64, except that a float32 numpy array is kept as float32:
     the graph pass's node states and relations are float32 (see the module
@@ -172,9 +177,9 @@ def _records(inputs: tuple[Tensor, ...]) -> bool:
     return _TRACING and any(t.requires_grad for t in inputs)
 
 
-def _untaped_stack(op: str, ndim: int, inputs: tuple[Tensor, ...]) -> None:
-    """Refuse a leading window axis (rank ``ndim`` = 3) on a call that a tape would record."""
-    if ndim == 3 and _records(inputs):
+def _untaped_stack(op: str, ndim: int, inputs: tuple[Tensor, ...], rank: int = 2) -> None:
+    """Refuse a leading window axis (rank ``ndim`` above one window's ``rank``) on a call that a tape would record."""
+    if ndim > rank and _records(inputs):
         raise ContractError(f"{op} takes a stack of windows only where no tape records it")
 
 
@@ -516,10 +521,11 @@ def sse(pred: Tensor, target: np.ndarray) -> Tensor:
 # then costs one step of backward instead of T. When no tape records the
 # call (``predict``, ``evaluate``), the layer keeps nothing for a backward:
 # no ReLU mask, and the smoothing runs in place over the relation stack;
-# its scores take a contiguous copy of k^T. Its layer norms reduce rows of
-# only n history columns, which ``_row_sum`` adds for n = 8 by strided
-# slice-adds in numpy's own summation order, so every output stays bitwise
-# what ``sum`` gives. The model runs the layer on float32 states, which
+# its scores take a contiguous copy of k^T, and it frees the relation stack
+# before its layer norm, whose residual sum runs in place. Its layer norms
+# reduce rows of only n history columns, which ``_row_sum`` adds for n = 8
+# by strided slice-adds in numpy's own summation order, so every output
+# stays bitwise what ``sum`` gives. The model runs the layer on float32 states, which
 # halves the bytes its (S, d, d) stacks move; given float64 states it is
 # the float64 layer it was, bit for bit.
 #
@@ -544,8 +550,12 @@ def sse(pred: Tensor, target: np.ndarray) -> Tensor:
 # value path so, a chunk of windows per call, and the fixed cost of each
 # numpy call and each ``_result`` check is paid once per chunk. The
 # transposes are ``swapaxes`` of the last two axes, which for rank 2 is
-# ``.T``. ``step_cross_attention`` and the graph kernels stay one window
-# per call.
+# ``.T``. The graph kernels stack windows the same way, but with the step
+# axis outermost: (S, C, d, n) states and (S, C, d, d) relations, so that
+# each step of the smoothing scan is one contiguous (C, d, d) block and the
+# scan makes one numpy call per step for all C windows; every 2-D slice of
+# their products is still one window's step. ``step_cross_attention``
+# stays one window per call.
 
 
 def _live_steps(g: np.ndarray, *arrays: np.ndarray):
@@ -573,17 +583,23 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
                 start: np.ndarray, lam: float, last_only: bool = False) -> tuple[Tensor, np.ndarray]:
     """One graph layer over a (S, d, n) stack of node states, as a single tape entry.
 
+    Where no tape records the call, the states may also be a (S, C, d, n)
+    stack of C windows' states, the step axis outermost: the scan then
+    carries each window's (C, d, d) matrices from the shared ``start``, and
+    each window's slice of the states and matrix is bitwise its own call's.
     Each step builds its relation softmax_rows(relu((H Wq)(H Wk)^T)), the
     smoothing scan ``A[t] = lam * A[t-1] + (1 - lam) * raw[t]`` from
     ``A[-1] = start`` carries it across the steps, and the convolution gives
     layer_norm(relu(A H W) + H). With ``last_only`` every step's relation is
     built and smoothed, but only the last step is convolved. Returns the
-    convolved steps' (S, d, n) or (1, d, n) states and a copy of the last
-    smoothed matrix, a constant. The history is a constant too, so a step's
+    convolved steps' (S, d, n) or (1, d, n) states, (S, C, d, n) or
+    (1, C, d, n) for a stack, and a copy of the last smoothed matrix, (d, d)
+    or (C, d, d), a constant. The history is a constant too, so a step's
     gradient reaches its raw relation through its own smoothed matrix alone;
     the parameter gradients sum over the steps. Only a call that a tape
     records keeps the ReLU mask and the relations for its backward; without
-    one the smoothing runs in place and the scores take a contiguous k^T.
+    one the smoothing runs in place, the scores take a contiguous k^T, and
+    the relations are freed before the layer norm.
     The layer norm's row sums over the n history columns take
     ``_row_sum``'s short path for n = 8. The layer computes in the dtype of
     ``states``, float32 in the model's graph pass and float64 in the
@@ -591,12 +607,13 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
     have that dtype, and the parameter gradients are float64.
     """
     h, wq, wk, w = states.data, w_query.data, w_key.data, w_trans.data
-    if h.ndim != 3 or not len(h) or wq.ndim != 2 or wk.ndim != 2 or h.shape[-1] != wq.shape[0] \
-            or h.shape[-1] != wk.shape[0] or w.shape != (h.shape[-1],) * 2 or start.shape != (h.shape[1],) * 2:
+    if h.ndim not in (3, 4) or not len(h) or wq.ndim != 2 or wk.ndim != 2 or h.shape[-1] != wq.shape[0] \
+            or h.shape[-1] != wk.shape[0] or w.shape != (h.shape[-1],) * 2 or start.shape != (h.shape[-2],) * 2:
         raise ShapeError(f"graph_layer shapes disagree: {h.shape}, {wq.shape}, {wk.shape}, {w.shape}, {start.shape}")
     n = h.shape[-1]
     _check_affine("graph_layer", n, gamma, beta)
     inputs = (states, w_query, w_key, w_trans, gamma, beta)
+    _untaped_stack("graph_layer", h.ndim, inputs, rank=3)
     # the layer computes in its states' dtype: the parameters and the start matrix are cast to it (no copy
     # when they share it), and lam becomes a Python float, which numpy applies in the array's dtype where a
     # numpy float64 scalar would widen a float32 array
@@ -609,7 +626,7 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
     # in place from the scores on: the (S, d, d) temporaries dominate the memory traffic. A contiguous
     # k^T gives the same product faster than the transposed view; a taped call keeps the view, since
     # with that extra temporary training fell into glibc's heap trimming, faulting pages in every window
-    kt = k.transpose(0, 2, 1)
+    kt = k.swapaxes(-1, -2)
     raw = q @ (kt if taped else np.ascontiguousarray(kt))
     positive = raw[first:] > 0.0 if taped else None
     np.maximum(raw, 0.0, out=raw)
@@ -622,7 +639,7 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
     # the relations backward reads; the cut (after copying the step it reads) and an untaped call smooth in place
     p = raw[first:].copy() if taped and last_only else raw
     a = np.multiply(raw, 1.0 - lam, out=None if taped and not last_only else raw)
-    prev, carry = start, np.empty_like(start)
+    prev, carry = start, np.empty(a.shape[1:], dtype=a.dtype)  # the first step broadcasts start over a stack
     for step in a:
         np.multiply(prev, lam, out=carry)
         step += carry
@@ -630,6 +647,15 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
     hc, ac = h[first:], a[first:]
     mixed = ac @ hc
     z = mixed @ w
+    if not taped:
+        # nothing reads the projections, the relations or the products again: they go before the layer norm,
+        # whose residual sum takes z's memory. A stack of four windows that held them to the end freed more
+        # than glibc's trim threshold on return, and every call faulted its pages in again
+        matrix = a[-1].copy()
+        del q, k, kt, raw, p, a, ac, mixed
+        y = np.maximum(z, 0.0, out=z)
+        y += hc
+        return _result(_norm_forward(y, gam, bet)[0], inputs, None), matrix
     out, xhat, inv = _norm_forward(np.maximum(z, 0.0) + hc, gam, bet)
 
     def bw(g):
@@ -663,16 +689,23 @@ def history_columns(rows: Tensor, steps, n: int) -> Tensor:
     An int step gives one (d, n) state; a sequence of S steps gives a stack
     of (S, d, n) states from one gather. Negative history indices repeat
     row 0, matching the pad-by-repetition rule for the start of a window.
+    Where no tape records the call, the rows may be a (C, T, d) stack of
+    windows, and the states then take a window axis after the step axis:
+    (C, d, n) or (S, C, d, n), each window's slice its own call's.
     The states and the gradient of the rows keep the rows' dtype.
     """
     x = rows.data
-    if x.ndim != 2:
-        raise ShapeError(f"history_columns expects rank 2, got shape {x.shape}")
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"history_columns expects rank 2, or 3 for a stack, got shape {x.shape}")
+    _untaped_stack("history_columns", x.ndim, (rows,))
     t = np.asarray(steps, dtype=np.intp)
-    if t.ndim > 1 or t.size == 0 or t.min() < 0 or t.max() >= x.shape[0]:
-        raise ShapeError(f"steps {steps!r} are not steps of a sequence of length {x.shape[0]}")
+    if t.ndim > 1 or t.size == 0 or t.min() < 0 or t.max() >= x.shape[-2]:
+        raise ShapeError(f"steps {steps!r} are not steps of a sequence of length {x.shape[-2]}")
     idx = np.maximum(t[..., None] + np.arange(1 - n, 1), 0)
-    out = np.swapaxes(x[idx], -1, -2).copy()
+    cols = x[..., idx, :]
+    if x.ndim == 3:  # the window axis goes after the step axis
+        cols = np.moveaxis(cols, 0, t.ndim)
+    out = np.swapaxes(cols, -1, -2).copy()
     whole = t.ndim == 1 and np.array_equal(t, np.arange(x.shape[0]))
 
     def bw(g):

@@ -11,7 +11,8 @@ in window order, so the trained model is bitwise the same either way.
 ``predict_windows`` splits a window set the same way: a forked helper
 forecasts the windows at odd positions. Each process runs its share in
 chunks of ``SCORE_CHUNK`` windows, one untaped stacked value-path pass per
-chunk (``Model.stage2_values``), and each forecast is bitwise the one
+chunk (``Model.stage2_values``) whose graph pass runs on stacks of
+``model.GRAPH_STACK`` windows, and each forecast is bitwise the one
 ``predict`` gives. Both helpers share one lifecycle, ``_Forked``.
 
 Every window set a model sees is built here: ``new_model`` with a new model,
@@ -36,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import DemandDataset
+from .data import DemandDataset, atomic_open
 from .errors import ConfigError, DataError, FormatError, HelperError, NumericError, TrainingError
 from .model import ALL_COMPONENTS, Model, SeriesWindow, TrainConfig, build_model, joint_loss
 from .numeric import SeededRng, Tensor, backward, clear_tape, no_tape
@@ -499,7 +500,9 @@ def predict(model: Model, window: SeriesWindow) -> np.ndarray:
 # A window's position and the exception its forecast raised.
 Failure = tuple[int, Exception]
 
-SCORE_CHUNK = 8  # windows per stacked value-path pass when a window set is scored
+# Windows per stacked value-path pass when a window set is scored; the chunk's graph pass runs on stacks of
+# model.GRAPH_STACK windows.
+SCORE_CHUNK = 8
 
 
 def _predict_positions(model: Model, windows: list[SeriesWindow],
@@ -585,8 +588,8 @@ def save_model(model: Model, path) -> None:
     freezes the relation matrix; ``history_stage1`` and ``history_stage2``,
     one loss per epoch; and ``config``, the rendered model config as UTF-8
     ``uint8`` bytes. Every member is always written, and zip keeps a CRC-32
-    of each. The archive is written under a temporary name and renamed into
-    place.
+    of each. The archive is written through ``data.atomic_open``: under a
+    temporary name, renamed into place, and removed if the write raises.
 
     Raises ``ConfigError``, and writes nothing, for a model over other than
     ``FEATURE_COUNT`` features: a model file is always read back with that
@@ -597,11 +600,9 @@ def save_model(model: Model, path) -> None:
                           f"{FEATURE_COUNT}")
     records = {name: t.data for name, t in model.named_parameters().items()}
     records.update(_meta_records(model))
-    tmp = f"{path}.tmp"
     # through the handle, since np.savez appends ".npz" to a path without it
-    with open(tmp, "wb") as fh:
+    with atomic_open(path, binary=True) as fh:
         np.savez(fh, **records)
-    os.replace(tmp, path)
 
 
 def load_model(path) -> Model:

@@ -326,6 +326,21 @@ def test_exit_codes(workspace, monkeypatch, capsys, case):
     assert not (workspace / "m.csv").exists()
 
 
+def test_a_model_write_that_fails_part_way_exits_with_the_io_code(workspace, monkeypatch, capsys):
+    savez = np.savez
+
+    def cut_short(fh, **records):
+        savez(fh, **dict(list(records.items())[:3]))
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.chdir(workspace)
+    monkeypatch.setattr(np, "savez", cut_short)
+    assert cli.main(_train("tiny.cfg")) == cli.EXIT_IO
+    assert "No space left" in capsys.readouterr().err
+    assert not (workspace / "out.kgcm").exists()
+    assert not (workspace / "out.kgcm.tmp").exists()
+
+
 @pytest.mark.parametrize("case", sorted(case for case in EXIT_CODE_CASES if case.startswith("non-utf8-")))
 def test_non_utf8_input_error_names_the_file(workspace, monkeypatch, capsys, case):
     monkeypatch.chdir(workspace)

@@ -14,6 +14,8 @@ from kgcm.data import (
     PREDICTION_HEADER,
     GeneratorConfig,
     PredictionRow,
+    atomic_open,
+    atomic_write_text,
     generate_synthetic,
     load_csv,
     write_dataset,
@@ -159,3 +161,36 @@ def test_offsetless_timestamps_are_read_as_utc(tmp_path, monkeypatch):
     finally:
         monkeypatch.undo()
         time.tzset()
+
+
+class TestAtomicWrite:
+    """A write that raises part way leaves neither the target nor its ``.tmp`` file, and raises as it was."""
+
+    def test_a_text_write_that_raises_leaves_no_file(self, tmp_path):
+        # the text is encoded as it is written, so a lone surrogate after it raises inside the write
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(tmp_path / "out.csv", "a" * 100_000 + "\ud800")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_os_error_part_way_stays_an_os_error(self, tmp_path):
+        with pytest.raises(OSError, match="No space left") as caught:
+            with atomic_open(tmp_path / "out.csv") as fh:
+                fh.write("region,timestamp\n")
+                fh.flush()
+                raise OSError(28, "No space left on device")
+        assert caught.type is OSError
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_rename_removes_the_temp_file(self, tmp_path):
+        (tmp_path / "out.csv").mkdir()  # a directory that a file cannot be renamed over
+        with pytest.raises(IsADirectoryError):
+            atomic_write_text(tmp_path / "out.csv", "x\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_a_finished_write_replaces_the_target(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with atomic_open(path, binary=True) as fh:
+            fh.write(b"new")
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]

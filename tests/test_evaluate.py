@@ -145,9 +145,11 @@ class TestPredictionHelper:
             raise AssertionError("a chunk fell back to predict")
 
         monkeypatch.setattr(pipeline, "predict", refused)  # every chunk must run stacked
+        # with all five components, sets whose chunks end a stack of GRAPH_STACK graph windows part way
+        sizes = (1, 7, 8, 9, 19) + ((3, 5, 12, 13) if components == ALL_COMPONENTS else ())
         for on in (True, False):
             self._started(monkeypatch, on)
-            for size in (1, 7, 8, 9, 19):
+            for size in sizes:
                 got = pipeline.predict_windows(model, windows[:size])
                 assert [forecast.tobytes() for forecast in got] == want[:size]
         assert np.array([row.y_pred for row in evaluate(model, windows).rows]).tobytes() == b"".join(want)

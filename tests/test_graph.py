@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kgcm.errors import ConfigError, ShapeError
+from kgcm.errors import ConfigError, ContractError, ShapeError
 from kgcm.gradcheck import grad_check
 from kgcm.graph import (
     DgsoLayerParams,
@@ -496,6 +496,74 @@ class TestStage1Cut:
         params = init_dgso_params(4, 4, depth, 0.9, SeededRng(95))
         run_dgso(Tensor(SeededRng(96).normal((10, 6)), requires_grad=True), params, 4, last_step_only)
         assert tape_size() == 1 + depth
+
+
+class TestWindowStacks:
+    """Off the tape the pass runs a (C, T, d) stack of windows, steps outermost: bitwise each window's own call."""
+
+    N, D = 4, 5
+
+    @staticmethod
+    def _assert_windows(stacked, alone):
+        """Window c's slice of the stacked states and matrices holds window c's own states and matrix."""
+        states, matrices = stacked
+        assert states.data.shape == (alone[0][0].data.shape[0], len(alone)) + alone[0][0].data.shape[1:]
+        assert matrices.shape == (len(alone),) + alone[0][1].shape
+        for c, (own_states, own_matrix) in enumerate(alone):
+            assert states.data[:, c].tobytes() == own_states.data.tobytes()
+            assert matrices[c].tobytes() == own_matrix.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("windows", [1, 2, 4, 5])
+    @pytest.mark.parametrize("t_steps", [1, N - 1, 48])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("ema_lambda", [0.0, 0.9])
+    def test_each_window_of_an_untaped_stack_is_its_own_call(self, ema_lambda, depth, t_steps, windows, dtype):
+        n, rng = self.N, SeededRng(600 + 7 * t_steps + depth + 50 * windows)
+        params = init_dgso_params(n, 3, depth, ema_lambda, rng.child("params"))
+        rows = rng.normal((windows, t_steps, self.D)).astype(dtype)
+        for cut in (False, True):
+            with no_tape():
+                stacked = run_dgso(Tensor(rows), params, n, cut)
+                alone = [run_dgso(Tensor(x), params, n, cut) for x in rows]
+            self._assert_windows(stacked, alone)
+            # the rows the model reads, column n-1 of every step's states, are among them
+            read = stacked[0].data[..., n - 1].swapaxes(0, 1)
+            assert [r.tobytes() for r in read] == [a[0].data[..., n - 1].tobytes() for a in alone]
+        assert tape_size() == 0
+
+    def test_history_columns_puts_the_window_axis_after_the_steps(self):
+        rows = SeededRng(610).normal((3, 7, self.D))
+        with no_tape():
+            stacked = history_columns(Tensor(rows), range(7), self.N).data
+            alone = [history_columns(Tensor(x), range(7), self.N).data for x in rows]
+            one_step = history_columns(Tensor(rows), 5, self.N).data
+        assert stacked.shape == (7, 3, self.D, self.N)
+        assert [stacked[:, c].tobytes() for c in range(3)] == [a.tobytes() for a in alone]
+        assert one_step.tobytes() == stacked[5].tobytes()
+
+    def _calls(self):
+        """A stack through each graph op: the lift, one layer and the whole pass."""
+        params = init_dgso_params(self.N, 3, 2, 0.9, SeededRng(620))
+        layer = params.layers[0]
+        rows = SeededRng(621).normal((2, 6, self.D))
+        states = history_columns(Tensor(rows), range(6), self.N)  # no gradient to the rows, so not recorded
+        return {
+            "history_columns": lambda: history_columns(Tensor(rows, requires_grad=True), range(6), self.N),
+            "graph_layer": lambda: graph_layer(states, layer.w_query, layer.w_key, layer.w_trans,
+                                               layer.ln_gamma, layer.ln_beta, uniform_matrix(self.D), 0.9),
+            "run_dgso": lambda: run_dgso(Tensor(rows), params, self.N),
+        }
+
+    @pytest.mark.parametrize("op", ["history_columns", "graph_layer", "run_dgso"])
+    def test_a_stack_on_a_recording_tape_raises_a_contract_error(self, op):
+        call = self._calls()[op]
+        with pytest.raises(ContractError, match="stack of windows"):
+            call()
+        assert tape_size() == 0
+        with no_tape():
+            call()
+        assert tape_size() == 0
 
 
 class TestFloat32Pass:

@@ -451,6 +451,19 @@ class TestModelFile:
             pipeline.save_model(model, path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_save_that_raises_part_way_leaves_no_file(self, tmp_path, monkeypatch):
+        model = build_model(_config(), ALL_COMPONENTS, pipeline.FEATURE_COUNT)
+        savez = np.savez
+
+        def cut_short(fh, **records):
+            savez(fh, **dict(list(records.items())[:3]))
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", cut_short)
+        with pytest.raises(OSError, match="No space left"):
+            pipeline.save_model(model, tmp_path / "model.kgcm")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.fixture
     def saved(self, tmp_path):
         model = build_model(_config(), ALL_COMPONENTS, pipeline.FEATURE_COUNT)
