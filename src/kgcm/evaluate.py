@@ -1,9 +1,11 @@
 """Regression metrics and the cumulative component-ablation harness.
 
 Metrics are computed over every (region, window, horizon-step) point of a
-split. ``evaluate`` forecasts through ``pipeline.predict_windows``: each
-process scores its windows in chunks of ``pipeline.SCORE_CHUNK``, one
-untaped stacked value-path pass per chunk with the graph pass on stacks of
+split. ``evaluate`` returns the scored windows with their forecasts and
+targets as (W, H) arrays; per-point rows are derived from these. It
+forecasts through ``pipeline.predict_windows``: each process scores its
+windows in chunks of ``pipeline.SCORE_CHUNK``, one untaped stacked
+value-path pass per chunk with the graph pass on stacks of
 ``model.GRAPH_STACK`` windows, and where a second CPU and ``fork`` are
 there, a forked helper forecasts the windows at odd positions.
 Either way every forecast is bitwise the one ``pipeline.predict`` gives.
@@ -24,7 +26,7 @@ import numpy as np
 
 from .data import DemandDataset, PredictionRow
 from .errors import MetricError
-from .model import COMPONENT_ORDER, Model, TrainConfig
+from .model import COMPONENT_ORDER, Model, SeriesWindow, TrainConfig
 from .pipeline import fit, model_split, predict_windows, usable_cpus
 from .text import EncoderConfig
 
@@ -86,8 +88,22 @@ class MetricReport:
 
 @dataclass
 class ForecastReport:
-    rows: list[PredictionRow]
+    """A scored window set: row w of ``forecasts`` and ``targets`` is ``windows[w]``'s horizon, in demand units.
+
+    ``metrics`` is computed from the two arrays; ``rows`` is derived from them and the windows.
+    """
+
+    windows: list[SeriesWindow]  # each carries its region and target times
+    forecasts: np.ndarray  # (W, H) float64
+    targets: np.ndarray  # (W, H) float64
     metrics: MetricReport
+
+    @property
+    def rows(self) -> list[PredictionRow]:
+        """One row per point, window by window and then by horizon step, built from the arrays on each read."""
+        return [PredictionRow(window.region, ts, step, float(y_true), float(y_pred))
+                for window, truth, forecast in zip(self.windows, self.targets, self.forecasts, strict=True)
+                for step, (ts, y_true, y_pred) in enumerate(zip(window.target_times, truth, forecast, strict=True), 1)]
 
 
 def compute_metrics(pred, truth) -> MetricReport:
@@ -96,25 +112,11 @@ def compute_metrics(pred, truth) -> MetricReport:
     return MetricReport(mae=mae(p, t), rmse=rmse(p, t), mape_percent=pct, n_points=p.size, n_floored=n_floored)
 
 
-def evaluate(model: Model, windows) -> ForecastReport:
-    """Forecast every window with ``pipeline.predict_windows`` and aggregate all horizon points."""
-    forecasts = predict_windows(model, windows)
-    rows: list[PredictionRow] = []
-    for window, y_pred in zip(windows, forecasts):
-        y_true = window.targets
-        for step in range(len(y_true)):
-            ts = window.target_times[step] if window.target_times else None
-            rows.append(
-                PredictionRow(
-                    region=window.region,
-                    timestamp=ts,
-                    horizon_step=step + 1,
-                    y_true=float(y_true[step]),
-                    y_pred=float(y_pred[step]),
-                )
-            )
-    # one horizon per window set, so the stacked arrays ravel to every point in row order
-    return ForecastReport(rows=rows, metrics=compute_metrics(forecasts, [window.targets for window in windows]))
+def evaluate(model: Model, windows: list[SeriesWindow]) -> ForecastReport:
+    """Forecast every window with ``pipeline.predict_windows`` and score every horizon point, as arrays only."""
+    forecasts = np.array(predict_windows(model, windows))
+    targets = np.array([window.targets for window in windows])
+    return ForecastReport(windows, forecasts, targets, compute_metrics(forecasts, targets))
 
 
 # ---------------------------------------------------------------------------
@@ -154,26 +156,19 @@ def run_ablation(dataset: DemandDataset, config: TrainConfig, seeds,
     The fits run in a pool of ``min(usable_cpus(), fits)`` spawned workers
     when that is at least 2, and in this process otherwise. Each worker is
     daemonic, so it fits in its one process. The rows are the same either
-    way, in variant order and then seed order; if fits raise, the exception
-    of the first in that task order is raised.
+    way, in task order: variant order and then seed order. If fits raise,
+    the exception of the first in that order is raised.
     """
     seeds = list(seeds)
     if not seeds:
         raise MetricError("ablation needs at least one seed")
-    tasks = [
-        (dataset, config, variant, components, seed, encoder)
-        for seed in seeds
-        for variant, components in ablation_variants()
-    ]
+    tasks = [(dataset, config, variant, components, seed, encoder)
+             for variant, components in ablation_variants() for seed in seeds]
     workers = min(usable_cpus(), len(tasks))
     if workers < 2:
-        rows = [_run_one(task) for task in tasks]
-    else:
-        with get_context("spawn").Pool(processes=workers) as pool:
-            rows = list(pool.imap(_run_one, tasks))
-    order = {name: i for i, (name, _) in enumerate(ablation_variants())}
-    rows.sort(key=lambda r: (order[r.variant], r.seed))
-    return rows
+        return [_run_one(task) for task in tasks]
+    with get_context("spawn").Pool(processes=workers) as pool:
+        return list(pool.imap(_run_one, tasks))
 
 
 def median_by_variant(rows: list[AblationRow]) -> dict[str, MetricReport]:

@@ -38,11 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from datetime import timedelta
 from typing import Callable
 
 import numpy as np
 
 from . import numeric as nm
+from .data import START_TIME
 from .errors import NumericError
 from .fusion_local import (
     acmfw_weight,
@@ -261,7 +263,7 @@ def tiny_instance_config(seed: int = 0) -> TrainConfig:
 
 
 def tiny_instance_window(config: TrainConfig, seed: int = 0) -> SeriesWindow:
-    """A smooth 4-step window whose per-step text has three tokens."""
+    """A smooth 4-step window whose per-step text has three tokens; its targets follow its inputs slot by slot."""
     rng = SeededRng(seed).child("tiny-window")
     t, d = config.window, config.d
     base = rng.normal((5,), std=0.5)
@@ -276,6 +278,7 @@ def tiny_instance_window(config: TrainConfig, seed: int = 0) -> SeriesWindow:
         dows=[0] * t,
         local_tokens=[tokens.copy() for _ in range(t)],
         global_pooled=encode_hashed("citywide gathering", d).pooled,
+        target_times=[START_TIME + timedelta(days=(t + k) / config.day_slots) for k in range(config.horizon)],
     )
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -148,7 +148,7 @@ class SeriesWindow:
     dows: list[int]  # day-of-week per input step
     local_tokens: list[np.ndarray]  # per step token matrix (m_t, d)
     global_pooled: np.ndarray  # (d,) pooled shared-context vector
-    target_times: list = field(default_factory=list)
+    target_times: list  # (T',) timestamps of the targets
 
 
 def _stacked(arrays: list) -> np.ndarray:

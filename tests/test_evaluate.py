@@ -9,7 +9,7 @@ import pytest
 
 from kgcm import evaluate as kgcm_evaluate
 from kgcm import pipeline
-from kgcm.data import GeneratorConfig, generate_synthetic
+from kgcm.data import GeneratorConfig, PredictionRow, generate_synthetic
 from kgcm.errors import HelperError, MetricError, NumericError, ShapeError
 from kgcm.evaluate import (
     AblationRow,
@@ -76,7 +76,11 @@ def test_an_ablation_over_two_workers_gives_the_rows_of_one(monkeypatch):
     config = TrainConfig(d=8, n=2, window=8, horizon=2, blocks=1, day_slots=12, epochs_stage1=1, epochs_stage2=1,
                          batch_size=3)
     pooled = _rows_on(monkeypatch, 2, dataset, config, [1, 2])
-    assert pooled == _rows_on(monkeypatch, 1, dataset, config, [1, 2])
+    alone = _rows_on(monkeypatch, 1, dataset, config, [1, 2])
+    assert pooled == alone
+    # the rows come in task order, which is the CSV's: variant first, then seed
+    want = [(variant, seed) for variant, _ in ablation_variants() for seed in (1, 2)]
+    assert [(r.variant, r.seed) for r in pooled] == [(r.variant, r.seed) for r in alone] == want
 
 
 @pytest.mark.parametrize("cpus, workers", [(1, None), (2, 2), (6, 6), (7, 6), (64, 6), (10**6, 6)])
@@ -165,9 +169,53 @@ class TestPredictionHelper:
             started = self._started(monkeypatch, on)
             reports[on] = evaluate(model, windows)
             assert len(started) == on
-        assert reports[True] == reports[False]
+        assert reports[True].metrics == reports[False].metrics
+        assert reports[True].forecasts.tobytes() == reports[False].forecasts.tobytes()
         assert ([np.float64(r.y_pred).tobytes() for r in reports[True].rows]
                 == [np.float64(r.y_pred).tobytes() for r in reports[False].rows])
+
+    @staticmethod
+    def _point_fields(rows) -> list[tuple]:
+        """Each row's fields, its floats by type and exact value."""
+        return [(r.region, r.timestamp, r.horizon_step, type(r.y_true), r.y_true.hex(), type(r.y_pred), r.y_pred.hex())
+                for r in rows]
+
+    @pytest.mark.parametrize("count", [1, 9, 19])
+    @pytest.mark.parametrize("on", [True, False], ids=["helper", "alone"])
+    def test_a_report_holds_the_forecasts_and_targets_as_arrays(self, monkeypatch, count, on):
+        model, windows = self._untrained(), self._windows(count)
+        self._started(monkeypatch, on)
+        report = evaluate(model, windows)
+        forecasts = np.array(pipeline.predict_windows(model, windows))
+        assert report.forecasts.shape == report.targets.shape == (count, self.CONFIG.horizon)
+        assert report.forecasts.dtype == report.targets.dtype == np.float64
+        assert report.forecasts.tobytes() == forecasts.tobytes()
+        assert report.targets.tobytes() == np.stack([window.targets for window in windows]).tobytes()
+        assert report.metrics == compute_metrics(report.forecasts, report.targets)
+        # the reference: one row per point, built from each window and its forecast
+        want = [PredictionRow(region=window.region, timestamp=window.target_times[step], horizon_step=step + 1,
+                              y_true=float(window.targets[step]), y_pred=float(y_pred[step]))
+                for window, y_pred in zip(windows, forecasts) for step in range(len(window.targets))]
+        assert self._point_fields(report.rows) == self._point_fields(want)
+
+    def test_evaluate_builds_no_per_point_row(self, monkeypatch):
+        model, windows = self._untrained(), self._windows()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("evaluate built a PredictionRow")
+
+        for on in (True, False):
+            self._started(monkeypatch, on)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kgcm_evaluate, "PredictionRow", refused)
+                report = evaluate(model, windows)
+            assert len(report.rows) == report.metrics.n_points == len(windows) * self.CONFIG.horizon
+
+    def test_rows_refuse_a_window_whose_target_times_miss_a_target(self):
+        model, windows = self._untrained(), self._windows(3)
+        windows[1].target_times = windows[1].target_times[:-1]
+        with pytest.raises(ValueError, match="zip"):
+            evaluate(model, windows).rows
 
     # 19 windows: with the helper, this process scores positions 0, 2, ..., 18 in the chunks 0-14 and 16-18, the
     # helper 1, 3, ..., 17 in the chunks 1-15 and 17; alone, this process scores the chunks 0-7, 8-15 and 16-18

@@ -1,10 +1,11 @@
 import dataclasses
+from datetime import timedelta
 
 import numpy as np
 import pytest
 
 from kgcm import numeric as nm
-from kgcm.data import GeneratorConfig, generate_synthetic
+from kgcm.data import START_TIME, GeneratorConfig, generate_synthetic
 from kgcm.errors import ConfigError
 from kgcm.model import ALL_COMPONENTS, COMPONENT_ORDER, SeriesWindow, TrainConfig, build_model, joint_loss
 from kgcm.numeric import Tensor
@@ -158,7 +159,9 @@ def _text_window(config: TrainConfig, texts: list[str]) -> SeriesWindow:
     return SeriesWindow(region="r0", inputs=rng.normal((t, 5)), targets=rng.normal((config.horizon,)),
                         slots=[k % config.day_slots for k in range(t)], dows=[0] * t,
                         local_tokens=[encode_hashed(text, config.d).tokens for text in texts],
-                        global_pooled=np.zeros(config.d))
+                        global_pooled=np.zeros(config.d),
+                        target_times=[START_TIME + timedelta(days=(t + k) / config.day_slots)
+                                      for k in range(config.horizon)])
 
 
 def _uncut_stage1_loss(model, window):
