@@ -8,12 +8,15 @@ deterministic given the config seed. Where a second CPU and ``fork`` are
 there, the loop computes half of each batch's windows in one forked helper
 process per stage, and this process adds every window's loss and gradients
 in window order, so the trained model is bitwise the same either way.
-``predict_windows`` splits a window set the same way: a forked helper
-forecasts the windows at odd positions. Each process runs its share in
-chunks of ``SCORE_CHUNK`` windows, one untaped stacked value-path pass per
-chunk (``Model.stage2_values``) whose graph pass runs on stacks of
+``predict_windows`` splits a window set the same way: one long-lived
+helper per process, forked by the first two-process pass, forecasts the
+windows at odd positions of every pass, and is sent the model and its
+windows pickled. Each process runs its share in chunks of ``SCORE_CHUNK``
+windows, one untaped stacked value-path pass per chunk
+(``Model.stage2_values``) whose graph pass runs on stacks of
 ``model.GRAPH_STACK`` windows, and each forecast is bitwise the one
-``predict`` gives. Both helpers share one lifecycle, ``_Forked``.
+``predict`` gives. Both helpers are ``_Forked`` processes; a helper that
+cannot be forked leaves the work to this process.
 
 Every window set a model sees is built here: ``new_model`` with a new model,
 which records its text encoder, and ``model_split`` as a model recorded.
@@ -21,6 +24,7 @@ which records its text encoder, and ``model_split`` as a model recorded.
 
 from __future__ import annotations
 
+import atexit
 import io
 import logging
 import mmap
@@ -213,12 +217,17 @@ class _Forked:
     """A daemonic forked process running ``serve(conn, *args)``, and the main end of its pipe.
 
     The child ignores SIGINT: the main process takes Ctrl-C and ends it. It
-    ends when ``serve`` returns or the main process closes its end. Leaving
-    the ``with`` block closes the pipe, waits ``HELPER_EXIT_S`` for the child
-    and kills it if it is still alive. A child that ends while the main
-    process sends to it or waits for it raises ``HelperError`` naming its
-    exit code.
+    ends when ``serve`` returns or the main process closes its end: every
+    forked child closes its copies of the main ends of the live helpers
+    (``_forget_inherited_helpers``), so no other process holds them open.
+    ``close``, which leaving the ``with`` block calls, closes the pipe,
+    waits ``HELPER_EXIT_S`` for the child and kills it if it is still
+    alive. A child that ends while the main process sends to it or waits
+    for it raises ``HelperError`` naming its exit code. A fork that fails
+    raises its ``OSError`` and leaves no pipe open.
     """
+
+    live: set[_Forked] = set()  # started by this process and not yet closed
 
     def __init__(self, role: str, serve: Callable[..., None], *args):
         self._role = role
@@ -227,8 +236,12 @@ class _Forked:
         self._process = context.Process(target=self._run, args=(serve, child, *args), daemon=True)
         try:
             self._process.start()
+        except BaseException:
+            self._conn.close()
+            raise
         finally:
             child.close()
+        _Forked.live.add(self)
 
     def _run(self, serve: Callable[..., None], conn: Connection, *args) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -260,14 +273,35 @@ class _Forked:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def close(self) -> None:
-        """End and join the child."""
+    def close(self) -> int:
+        """End and join the child; returns its exit code."""
+        _Forked.live.discard(self)
         self._conn.close()
         self._process.join(HELPER_EXIT_S)
         if self._process.is_alive():
             self._process.kill()
             self._process.join()
+        code = self._process.exitcode
         self._process.close()
+        return code
+
+
+def _forget_inherited_helpers() -> None:
+    """In a forked child: close its copies of the parent's helper pipes, and drop the parent's scorer.
+
+    A helper sees its pipe close only when every copy of the main end is
+    closed, so a child that kept one would hold that helper open until
+    ``close`` gives up on it and kills it.
+    """
+    global _scorer
+    for helper in _Forked.live:
+        helper._conn.close()
+    _Forked.live.clear()
+    _scorer = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_inherited_helpers)
 
 
 class _Helper(_Forked):
@@ -341,20 +375,31 @@ class _Helper(_Forked):
         self.send(True)
         return value, array
 
-    def close(self) -> None:
-        """End and join the helper, and unmap the shared memory."""
-        super().close()
+    def close(self) -> int:
+        """End and join the helper, and unmap the shared memory; returns its exit code."""
+        code = super().close()
         self._shared = []
         self._buffer.close()
+        return code
 
 
 @contextmanager
 def _helper_for(params: dict[str, Tensor], windows: list[SeriesWindow], batch_size: int, window_loss: WindowLoss):
-    """A ``_Helper`` for the stage, or None when every window runs in this process."""
+    """A ``_Helper`` for the stage, or None when every window runs in this process.
+
+    A helper that cannot be forked, at a process limit or out of memory,
+    leaves every window to this process.
+    """
     if batch_size < 2 or len(windows) < 2 or not _helper_can_start():
         yield None
         return
-    with _Helper(params, windows, window_loss) as helper:
+    try:
+        helper = _Helper(params, windows, window_loss)
+    except OSError as exc:
+        log.debug("training helper could not start (%s); training in this process", exc)
+        yield None
+        return
+    with helper:
         yield helper
 
 
@@ -375,9 +420,9 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
     process still adds every window's loss, gradients and array in batch
     order, so the result is bitwise the same as with every window computed
     here, which is what a batch of one window, a daemonic process, a host
-    with one usable CPU or one without ``fork`` does. An exception from a
-    helper window is raised at that window's position; a helper that ends
-    mid-batch raises ``TrainingError``.
+    with one usable CPU or one without ``fork``, or a failed fork does. An
+    exception from a helper window is raised at that window's position; a
+    helper that ends mid-batch raises ``TrainingError``.
     """
     if not windows:
         raise TrainingError(f"stage {stage} needs a nonempty training set")
@@ -530,26 +575,70 @@ def _predict_positions(model: Model, windows: list[SeriesWindow],
     return forecasts, None
 
 
+def _serve_forecasts(conn: Connection) -> None:
+    """The prediction helper's loop: ``_predict_positions`` of each (model, windows, positions) it receives."""
+    while True:
+        conn.send(_predict_positions(*conn.recv()))
+
+
+_scorer: _Forked | None = None  # this process's prediction helper, started by its first two-process pass
+
+
+def _live_scorer() -> _Forked | None:
+    """This process's prediction helper, forked if it has none; None if the fork fails."""
+    global _scorer
+    if _scorer is None:
+        try:
+            _scorer = _Forked("prediction", _serve_forecasts)
+        except OSError as exc:
+            log.debug("prediction helper could not start (%s); scoring in this process", exc)
+    return _scorer
+
+
+def _end_scorer() -> None:
+    """End this process's prediction helper, if it has one; interpreter exit calls this."""
+    global _scorer
+    scorer, _scorer = _scorer, None
+    if scorer is not None:
+        scorer.close()
+
+
+atexit.register(_end_scorer)
+
+
 def predict_windows(model: Model, windows: list[SeriesWindow]) -> list[np.ndarray]:
     """``predict`` of each window, in window order, bitwise.
 
     Windows are forecast in chunks of ``SCORE_CHUNK`` through one stacked
     pass each (``_predict_positions``). When ``_helper_can_start`` and there
-    are at least two windows, a forked helper forecasts the windows at odd
-    positions and sends them back in one message while this process
-    forecasts the even ones. If windows raise, the exception of the first
-    in window order is raised, wherever it ran. A helper that ends before
-    it sends raises ``HelperError``.
+    are at least two windows, this process's prediction helper forecasts
+    the windows at odd positions while this process forecasts the even
+    ones: it is sent the model and its windows, pickled, and sends the
+    forecasts back in one message. The first such pass forks the helper,
+    and later passes reuse it; it ends at interpreter exit, or when this
+    process dies and its pipe closes. It serves one pass at a time, so
+    threads must not run passes at once. A helper that cannot be forked
+    leaves every window to this process. If windows raise, the exception
+    of the first in window order is raised, wherever it ran. A helper that
+    ends before it sends raises ``HelperError``, and the next pass forks a
+    new one.
     """
     positions = range(len(windows))
-    if len(windows) < 2 or not _helper_can_start():
+    scorer = _live_scorer() if len(windows) >= 2 and _helper_can_start() else None
+    if scorer is None:
         out, failure = _predict_positions(model, windows, positions)
         if failure is not None:
             raise failure[1]
         return out
-    with _Forked("prediction", lambda conn: conn.send(_predict_positions(model, windows, positions[1::2]))) as helper:
+    try:
+        scorer.send((model, windows[1::2], range(len(windows) // 2)))
         even, failure = _predict_positions(model, windows, positions[0::2])
-        odd, helper_failure = helper.recv()
+        odd, helper_failure = scorer.recv()
+    except BaseException:  # a helper that died, or a pass cut short with the helper's reply still to come
+        _end_scorer()
+        raise
+    if helper_failure is not None:
+        helper_failure = (2 * helper_failure[0] + 1, helper_failure[1])  # its position among all the windows
     failures = [f for f in (failure, helper_failure) if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]

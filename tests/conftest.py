@@ -2,11 +2,18 @@ import multiprocessing
 
 import pytest
 
+from kgcm import pipeline
+
 
 @pytest.fixture(autouse=True)
 def no_process_left_running():
-    """Fail a test that leaves a child process alive, as the benchmark refuses a run that does; end it first."""
+    """Fail a test that leaves a child process alive, as the benchmark refuses a run that does; end it first.
+
+    This process's prediction helper lives from one scoring pass to the next and ends at interpreter
+    exit, so it is ended first, through the close that exit uses; any other live child fails the test.
+    """
     yield
+    pipeline._end_scorer()
     left = multiprocessing.active_children()
     for process in left:
         process.kill()

@@ -2,6 +2,11 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -126,7 +131,11 @@ class TestPredictionHelper:
 
     @staticmethod
     def _started(monkeypatch, on: bool) -> list:
-        """Switch the helper on or off; the returned list grows by one per helper started."""
+        """Switch the helper on or off; the returned list grows by one per helper started.
+
+        A live helper is ended first, so the next one forks with the patches made before this call.
+        """
+        pipeline._end_scorer()
         monkeypatch.setattr(pipeline, "_helper_can_start", lambda: on)
         started = []
         init = pipeline._Forked.__init__
@@ -253,8 +262,55 @@ class TestPredictionHelper:
             return values(model, windows)
 
         monkeypatch.setattr(Model, "stage2_values", dying)
+        windows = self._windows()
         with pytest.raises(HelperError, match="prediction helper process ended with exit code -9"):
-            evaluate(model, self._windows())
+            evaluate(model, windows)
+        # the next pass forks a new helper, which scores with the restored method
+        monkeypatch.setattr(Model, "stage2_values", values)
+        started = self._started(monkeypatch, True)
+        got = pipeline.predict_windows(model, windows)
+        assert started == [1]
+        assert [f.tobytes() for f in got] == [pipeline.predict(model, w).tobytes() for w in windows]
+
+    def test_one_helper_serves_many_passes(self, monkeypatch):
+        data = generate_synthetic(self.DATA)
+        models = [self._untrained(),
+                  pipeline.new_model(data, replace(self.CONFIG, seed=7), frozenset({"ssa", "rcpg", "lpo"}))[0]]
+        windows = self._windows(19)
+        want = [[pipeline.predict(model, w).tobytes() for w in windows] for model in models]
+        started = self._started(monkeypatch, True)
+        for size in (2, 9, 19):
+            for model, forecasts in zip(models, want):
+                got = pipeline.predict_windows(model, windows[:size])
+                assert [f.tobytes() for f in got] == forecasts[:size]
+        assert started == [1]
+        assert want[0] != want[1]
+
+    def test_a_helper_that_cannot_fork_leaves_the_pass_to_this_process(self, monkeypatch, caplog):
+        model, windows = self._untrained(), self._windows()
+        self._started(monkeypatch, True)
+        monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", _refused_fork)
+        with caplog.at_level("DEBUG", logger="kgcm.pipeline"):
+            got = pipeline.predict_windows(model, windows)
+        assert [f.tobytes() for f in got] == [pipeline.predict(model, w).tobytes() for w in windows]
+        assert "prediction helper could not start" in caplog.text
+        assert pipeline._scorer is None
+
+    @pytest.mark.parametrize("ending", ["exit", "sigkill"])
+    def test_no_helper_outlives_its_process(self, ending):
+        # a process that exits ends its helper on the way out; one that is killed closes the helper's pipe,
+        # and the helper ends on its own
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", _ONE_PASS, ending], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == (0 if ending == "exit" else -signal.SIGKILL), done.stderr
+        pid = int(done.stdout)
+        if ending == "exit":
+            assert not _alive(pid)
+        deadline = time.monotonic() + pipeline.HELPER_EXIT_S
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(pid)
 
     def test_a_one_window_pass_forks_nothing(self, monkeypatch):
         model, windows = self._untrained(), self._windows()
@@ -263,6 +319,44 @@ class TestPredictionHelper:
         assert started == []
         pipeline.predict_windows(model, windows[:2])
         assert started == [1]
+
+
+def _refused_fork(process):
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+# One two-process evaluate pass in a fresh interpreter, which prints its helper's pid and then exits, or kills
+# itself when its argument is "sigkill".
+_ONE_PASS = """
+import os, signal, sys
+from kgcm import pipeline
+from kgcm.data import GeneratorConfig, generate_synthetic
+from kgcm.evaluate import evaluate
+from kgcm.model import ALL_COMPONENTS, TrainConfig
+pipeline._helper_can_start = lambda: True
+data = generate_synthetic(GeneratorConfig(regions=2, days=2, slots_per_day=12, event_rate=0.3))
+model, split = pipeline.new_model(data, TrainConfig(d=8, n=2, window=8, horizon=2, blocks=1, day_slots=12),
+                                  ALL_COMPONENTS)
+evaluate(model, split.test)
+print(pipeline._scorer._process.pid, flush=True)
+if sys.argv[1] == "sigkill":
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a running process: where /proc shows it, not gone and not a zombie left unreaped."""
+    if not os.path.isdir("/proc/self"):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def _rows(values: dict[str, list[float]]) -> list[AblationRow]:

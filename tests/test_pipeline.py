@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import signal
 import tempfile
+import time
 import zipfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -213,6 +214,44 @@ class TestTrainingHelper:
         with pytest.raises(TrainingError, match="stage 2, epoch 0, batch 0: training helper process ended with "
                                                 "exit code -9"):
             pipeline.fit(_dataset(), _config(), ALL_COMPONENTS)
+
+    def test_a_helper_that_cannot_fork_leaves_the_fit_to_this_process(self, monkeypatch, caplog):
+        fits = {}
+        for refused in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                self._helper(patch, refused)
+                if refused:
+                    patch.setattr(multiprocessing.get_context("fork").Process, "start", _refused_fork)
+                with caplog.at_level("DEBUG", logger="kgcm.pipeline"):
+                    model = pipeline.fit(_dataset(), _config(), ALL_COMPONENTS)
+            fits[refused] = (np.array(model.stage1_history).tobytes(), np.array(model.stage2_history).tobytes(),
+                             model.a_star.tobytes(),
+                             {name: p.data.tobytes() for name, p in model.named_parameters().items()})
+        assert fits[True] == fits[False]
+        assert "training helper could not start" in caplog.text
+
+
+def _refused_fork(process):
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+def _until_closed(conn):
+    conn.recv()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="helpers are forked")
+def test_a_helper_started_before_another_ends_as_soon_as_it_is_closed():
+    # the second child must not keep the main end of the first's pipe open, or closing the first waits
+    # HELPER_EXIT_S and kills it
+    first = pipeline._Forked("first", _until_closed)
+    second = pipeline._Forked("second", _until_closed)
+    try:
+        start = time.perf_counter()
+        assert first.close() == 0
+        assert time.perf_counter() - start < pipeline.HELPER_EXIT_S / 5
+    finally:
+        assert second.close() == 0
+    assert pipeline._Forked.live == set()
 
 
 @pytest.mark.parametrize("variant, components", ablation_variants(), ids=[v for v, _ in ablation_variants()])
