@@ -7,10 +7,10 @@ forecasts through ``pipeline.predict_windows``: each process scores its
 windows in chunks of ``pipeline.SCORE_CHUNK``, one untaped stacked
 value-path pass per chunk with the graph pass on stacks of
 ``model.GRAPH_STACK`` windows, and where a second CPU and ``fork`` are
-there, a helper process forecasts the windows at odd positions. The
-helper is forked by the process's first such pass and serves every later
-one. Either way every forecast is bitwise the one ``pipeline.predict``
-gives.
+there, the process's one helper process forecasts the windows at odd
+positions: inside a training stage the stage's helper, elsewhere one
+forked by the first such pass that serves every later one. Either way
+every forecast is bitwise the one ``pipeline.predict`` gives.
 The ablation harness trains six variants per seed, enabling the components
 one at a time in the fixed order backbone, +ssa, +rcpg, +dgso, +acmfw,
 +lpo, and reports the median metrics per variant with deltas against the

@@ -5,18 +5,19 @@ auxiliary head, then freezes the epoch-averaged relation matrix. Stage 2
 trains the whole value path end to end under the joint objective with that
 matrix held fixed. Both stages run the same minibatch loop and are
 deterministic given the config seed. Where a second CPU and ``fork`` are
-there, the loop computes half of each batch's windows in one forked helper
-process per stage, and this process adds every window's loss and gradients
-in window order, so the trained model is bitwise the same either way.
-``predict_windows`` splits a window set the same way: one long-lived
-helper per process, forked by the first two-process pass, forecasts the
-windows at odd positions of every pass, and is sent the model and its
-windows pickled. Each process runs its share in chunks of ``SCORE_CHUNK``
-windows, one untaped stacked value-path pass per chunk
+there, this process has at most one forked helper process. Each stage
+forks its own, which computes half of each batch's windows, and this
+process adds every window's loss and gradients in window order, so the
+trained model is bitwise the same either way; the stage ends it when it
+returns. ``predict_windows`` splits a window set the same way: the helper,
+the stage's or, outside a stage, one forked by the first two-process pass
+and kept for later ones, forecasts the windows at odd positions and is sent
+the model and its windows pickled. Each process runs its share in chunks
+of ``SCORE_CHUNK`` windows, one untaped stacked value-path pass per chunk
 (``Model.stage2_values``) whose graph pass runs on stacks of
 ``model.GRAPH_STACK`` windows, and each forecast is bitwise the one
-``predict`` gives. Both helpers are ``_Forked`` processes; a helper that
-cannot be forked leaves the work to this process.
+``predict`` gives. A helper that cannot be forked leaves the work to this
+process.
 
 Every window set a model sees is built here: ``new_model`` with a new model,
 which records its text encoder, and ``model_split`` as a model recorded.
@@ -33,7 +34,6 @@ import os
 import signal
 import tokenize
 import zipfile
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from multiprocessing.connection import Connection
@@ -213,43 +213,93 @@ def _helper_can_start() -> bool:
     return usable_cpus() >= 2 and "fork" in multiprocessing.get_all_start_methods()
 
 
-class _Forked:
-    """A daemonic forked process running ``serve(conn, *args)``, and the main end of its pipe.
+class _Helper:
+    """A daemonic forked process that computes part of this process's work, and the main end of its pipe.
 
-    The child ignores SIGINT: the main process takes Ctrl-C and ends it. It
-    ends when ``serve`` returns or the main process closes its end: every
-    forked child closes its copies of the main ends of the live helpers
-    (``_forget_inherited_helpers``), so no other process holds them open.
-    ``close``, which leaving the ``with`` block calls, closes the pipe,
-    waits ``HELPER_EXIT_S`` for the child and kills it if it is still
-    alive. A child that ends while the main process sends to it or waits
-    for it raises ``HelperError`` naming its exit code. A fork that fails
-    raises its ``OSError`` and leaves no pipe open.
+    It serves two kinds of message. A "train" message is a batch of the
+    stage that forked it: the helper shares one anonymous ``mmap`` with the
+    main process, in two regions sized to the stage's parameters. Once per
+    batch the main process writes the parameters into the first and sends
+    the epoch and the helper's window indices. For each window the helper
+    writes the gradients into the second region and sends the loss, the
+    names of the parameters with a gradient and the window's array; it
+    writes the next window's gradients only after the main process acks,
+    having added these. An exception from a window is sent in place of its
+    result. A "score" message is a model and windows, pickled, and the
+    helper replies with their ``_forecasts``. A helper forked only to score
+    maps no memory.
+
+    The helper ignores SIGINT: the main process takes Ctrl-C and ends it.
+    It ends when the main process closes its end of the pipe: every forked
+    child closes its copy of that end (``_forget_inherited_helper``), so no
+    other process holds it open. ``close`` closes the pipe, waits
+    ``HELPER_EXIT_S`` for the helper and kills it if it is still alive. A
+    helper that ends while the main process sends to it or waits for it
+    raises ``HelperError`` naming its exit code. A fork that fails raises
+    its ``OSError`` and leaves no pipe open and no memory mapped.
     """
 
-    live: set[_Forked] = set()  # started by this process and not yet closed
-
-    def __init__(self, role: str, serve: Callable[..., None], *args):
-        self._role = role
+    def __init__(self, params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss | None):
+        self._params = params
+        self._buffer = None
+        self._shared = []
+        if params:
+            offsets = np.cumsum([0] + [p.data.size for p in params.values()])
+            self._buffer = mmap.mmap(-1, 2 * 8 * int(offsets[-1]))  # anonymous and shared, so the fork sees it
+            self._shared = [{name: row[a:b].reshape(p.data.shape)
+                             for (name, p), a, b in zip(params.items(), offsets, offsets[1:])}
+                            for row in np.frombuffer(self._buffer, dtype=np.float64).reshape(2, -1)]
         context = multiprocessing.get_context("fork")
         self._conn, child = context.Pipe()
-        self._process = context.Process(target=self._run, args=(serve, child, *args), daemon=True)
+        self._process = context.Process(target=self._serve, args=(child, windows, window_loss), daemon=True)
         try:
             self._process.start()
         except BaseException:
             self._conn.close()
+            self._unmap()
             raise
         finally:
             child.close()
-        _Forked.live.add(self)
 
-    def _run(self, serve: Callable[..., None], conn: Connection, *args) -> None:
+    def _serve(self, conn: Connection, windows: list[SeriesWindow], window_loss: WindowLoss | None) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         self._conn.close()
         try:
-            serve(conn, *args)
+            while True:
+                kind, *message = conn.recv()
+                if kind == "score":
+                    conn.send(_forecasts(*message))
+                else:
+                    self._train(conn, windows, window_loss, *message)
         except (EOFError, OSError):  # the main process closed its end
             pass
+
+    def _train(self, conn: Connection, windows: list[SeriesWindow], window_loss: WindowLoss, epoch: int,
+               indices: list[int]) -> None:
+        shared_params, grad_slot = self._shared
+        for name, p in self._params.items():
+            p.data = shared_params[name].copy()
+        acked = True
+        for idx in indices:
+            try:
+                loss, array = window_loss(windows[idx], epoch)
+                value = loss.item()
+                grads = backward(loss)
+            except Exception as exc:  # raised in the main process at this window's position
+                conn.send(exc)
+                break
+            if not acked:
+                conn.recv()
+            present = []
+            for name, p in self._params.items():
+                g = grads.get(p)
+                if g is not None:
+                    grad_slot[name][...] = g
+                    present.append(name)
+            conn.send((value, present, array))
+            acked = False
+        if not acked:
+            conn.recv()
 
     def send(self, message) -> None:
         try:
@@ -265,101 +315,13 @@ class _Forked:
 
     def _ended(self) -> HelperError:
         self._process.join(HELPER_EXIT_S)
-        return HelperError(f"{self._role} helper process ended with exit code {self._process.exitcode}")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> int:
-        """End and join the child; returns its exit code."""
-        _Forked.live.discard(self)
-        self._conn.close()
-        self._process.join(HELPER_EXIT_S)
-        if self._process.is_alive():
-            self._process.kill()
-            self._process.join()
-        code = self._process.exitcode
-        self._process.close()
-        return code
-
-
-def _forget_inherited_helpers() -> None:
-    """In a forked child: close its copies of the parent's helper pipes, and drop the parent's scorer.
-
-    A helper sees its pipe close only when every copy of the main end is
-    closed, so a child that kept one would hold that helper open until
-    ``close`` gives up on it and kills it.
-    """
-    global _scorer
-    for helper in _Forked.live:
-        helper._conn.close()
-    _Forked.live.clear()
-    _scorer = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_inherited_helpers)
-
-
-class _Helper(_Forked):
-    """A forked process that computes the windows at a batch's odd positions.
-
-    It shares one anonymous ``mmap`` with the main process, in two regions
-    sized to the stage's parameters. Once per batch the main process writes
-    the parameters into the first and sends the epoch and the helper's
-    window indices. For each window the helper writes the gradients into
-    the second region and sends the loss, the names of the parameters with
-    a gradient and the window's array; it writes the next window's
-    gradients only after the main process acks, having added these. An
-    exception from a window is sent in place of its result. Closing the
-    main end of the pipe ends the helper.
-    """
-
-    def __init__(self, params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss):
-        self._params = params
-        offsets = np.cumsum([0] + [p.data.size for p in params.values()])
-        self._buffer = mmap.mmap(-1, 2 * 8 * int(offsets[-1]))  # anonymous and shared, so the fork sees it
-        flat = np.frombuffer(self._buffer, dtype=np.float64).reshape(2, -1)
-        self._shared = [{name: row[a:b].reshape(p.data.shape)
-                         for (name, p), a, b in zip(params.items(), offsets, offsets[1:])} for row in flat]
-        super().__init__("training", self._serve, windows, window_loss)
-
-    def _serve(self, conn: Connection, windows: list[SeriesWindow], window_loss: WindowLoss) -> None:
-        shared_params, grad_slot = self._shared
-        while True:
-            epoch, indices = conn.recv()
-            for name, p in self._params.items():
-                p.data = shared_params[name].copy()
-            acked = True
-            for idx in indices:
-                try:
-                    loss, array = window_loss(windows[idx], epoch)
-                    value = loss.item()
-                    grads = backward(loss)
-                except Exception as exc:  # raised in the main process at this window's position
-                    conn.send(exc)
-                    break
-                if not acked:
-                    conn.recv()
-                present = []
-                for name, p in self._params.items():
-                    g = grads.get(p)
-                    if g is not None:
-                        grad_slot[name][...] = g
-                        present.append(name)
-                conn.send((value, present, array))
-                acked = False
-            if not acked:
-                conn.recv()
+        return HelperError(f"helper process ended with exit code {self._process.exitcode}")
 
     def start_batch(self, epoch: int, indices: np.ndarray) -> None:
         """Hand the helper the current parameters and the windows it computes this batch."""
         for name, p in self._params.items():
             self._shared[0][name][...] = p.data
-        self.send((epoch, indices.tolist()))
+        self.send(("train", epoch, indices.tolist()))
 
     def add_next(self, sums: dict[str, np.ndarray]) -> tuple[float, np.ndarray | None]:
         """Add the helper's next window's gradients into ``sums``; its loss and array.
@@ -375,32 +337,68 @@ class _Helper(_Forked):
         self.send(True)
         return value, array
 
+    def _unmap(self) -> None:
+        self._shared = []
+        if self._buffer is not None:
+            self._buffer.close()
+
     def close(self) -> int:
         """End and join the helper, and unmap the shared memory; returns its exit code."""
-        code = super().close()
-        self._shared = []
-        self._buffer.close()
+        self._conn.close()
+        self._process.join(HELPER_EXIT_S)
+        if self._process.is_alive():
+            self._process.kill()
+            self._process.join()
+        code = self._process.exitcode
+        self._process.close()
+        self._unmap()
         return code
 
 
-@contextmanager
-def _helper_for(params: dict[str, Tensor], windows: list[SeriesWindow], batch_size: int, window_loss: WindowLoss):
-    """A ``_Helper`` for the stage, or None when every window runs in this process.
+_helper: _Helper | None = None  # this process's helper: at most one lives at a time
+
+
+def _start_helper(params: dict[str, Tensor], windows: list[SeriesWindow],
+                  window_loss: WindowLoss | None) -> _Helper | None:
+    """End this process's helper, if it has one, and fork a new one; None if the fork fails.
 
     A helper that cannot be forked, at a process limit or out of memory,
-    leaves every window to this process.
+    leaves its work to this process.
     """
-    if batch_size < 2 or len(windows) < 2 or not _helper_can_start():
-        yield None
-        return
+    global _helper
+    _end_helper()
     try:
-        helper = _Helper(params, windows, window_loss)
+        _helper = _Helper(params, windows, window_loss)
     except OSError as exc:
-        log.debug("training helper could not start (%s); training in this process", exc)
-        yield None
-        return
-    with helper:
-        yield helper
+        log.debug("helper process could not start (%s); computing in this process", exc)
+    return _helper
+
+
+def _end_helper() -> int | None:
+    """End this process's helper, if it has one; returns its exit code. Interpreter exit calls this."""
+    global _helper
+    helper, _helper = _helper, None
+    return None if helper is None else helper.close()
+
+
+atexit.register(_end_helper)
+
+
+def _forget_inherited_helper() -> None:
+    """In a forked child: close its copy of the main end of the parent's helper pipe, and drop the helper.
+
+    A helper sees its pipe close only when every copy of the main end is
+    closed, so a child that kept one would hold the helper open until
+    ``close`` gives up on it and kills it.
+    """
+    global _helper
+    if _helper is not None:
+        _helper._conn.close()
+        _helper = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_inherited_helper)
 
 
 def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig, stage: int,
@@ -415,14 +413,18 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
     stage's history. The arrays ``window_loss`` returns, if any, are summed
     in window order.
 
-    When ``_helper_can_start``, a forked ``_Helper`` computes the windows at
-    odd batch positions while this process computes the even ones. This
-    process still adds every window's loss, gradients and array in batch
-    order, so the result is bitwise the same as with every window computed
-    here, which is what a batch of one window, a daemonic process, a host
-    with one usable CPU or one without ``fork``, or a failed fork does. An
-    exception from a helper window is raised at that window's position; a
-    helper that ends mid-batch raises ``TrainingError``.
+    When ``_helper_can_start``, the stage ends this process's helper, if it
+    has one, and forks its own (``_start_helper``), which computes the
+    windows at odd batch positions while this process computes the even
+    ones. This process still adds every window's loss, gradients and array
+    in batch order, so the result is bitwise the same as with every window
+    computed here, which is what a batch of one window, a daemonic process,
+    a host with one usable CPU or one without ``fork``, or a failed fork
+    does. An exception from a helper window is raised at that window's
+    position; a helper that ends mid-batch raises ``TrainingError``. A
+    ``predict_windows`` pass made between batches is scored by the stage's
+    helper; if the pass ends that helper, the stage's later batches run in
+    this process. The stage ends its helper when it returns or raises.
     """
     if not windows:
         raise TrainingError(f"stage {stage} needs a nonempty training set")
@@ -433,13 +435,15 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
     adam = AdamState(lr=config.lr, clip_norm=config.clip_norm)
     shuffle = SeededRng(config.seed).child(f"stage{stage}/shuffle")
     array_sum = None
-    with _helper_for(params, windows, config.batch_size, window_loss) as helper:
+    two = config.batch_size >= 2 and len(windows) >= 2 and _helper_can_start()
+    helper = _start_helper(params, windows, window_loss) if two else None
+    try:
         for epoch in range(epochs):
             order = shuffle.permutation(len(windows))
             loss_total = 0.0
             for batch_no, batch in enumerate(_chunks(order, config.batch_size)):
                 sums = {name: np.zeros_like(p.data) for name, p in params.items()}
-                shared = helper is not None and len(batch) > 1
+                shared = helper is not None and helper is _helper and len(batch) > 1  # not ended by a pass
                 try:
                     if shared:
                         helper.start_batch(epoch, batch[1::2])
@@ -463,6 +467,9 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
                 except (NumericError, HelperError) as exc:
                     raise TrainingError(f"stage {stage}, epoch {epoch}, batch {batch_no}: {exc}") from exc
             history.append(loss_total / len(windows))
+    finally:
+        if helper is not None:
+            _end_helper()
     return array_sum
 
 
@@ -542,108 +549,61 @@ def predict(model: Model, window: SeriesWindow) -> np.ndarray:
         return model.unscale_predictions(model.stage2_forward(window).data)
 
 
-# A window's position and the exception its forecast raised.
-Failure = tuple[int, Exception]
-
 # Windows per stacked value-path pass when a window set is scored; the chunk's graph pass runs on stacks of
 # model.GRAPH_STACK windows.
 SCORE_CHUNK = 8
 
 
-def _predict_positions(model: Model, windows: list[SeriesWindow],
-                       positions: range) -> tuple[list[np.ndarray], Failure | None]:
-    """``predict`` of the windows at ``positions``, ``SCORE_CHUNK`` at a time; stops at the first that raises.
+def _forecasts(model: Model, windows: list[SeriesWindow]) -> list[np.ndarray] | None:
+    """``predict`` of each window, ``SCORE_CHUNK`` at a time through one ``Model.stage2_values`` stack each.
 
-    Each chunk runs as one ``Model.stage2_values`` stack. A chunk that
-    raises, its windows' differing shapes included, runs again through
-    ``predict`` one window at a time, so the first failing window raises
-    its own exception and windows of any shape are forecast.
+    None if a chunk raises, its windows' differing shapes included.
     """
     forecasts = []
-    for start in range(0, len(positions), SCORE_CHUNK):
-        chunk = positions[start: start + SCORE_CHUNK]
-        try:
-            values = model.stage2_values([windows[pos] for pos in chunk])
-        except Exception:
-            for pos in chunk:
-                try:
-                    forecasts.append(predict(model, windows[pos]))
-                except Exception as exc:
-                    return forecasts, (pos, exc)
-        else:
-            forecasts += list(model.unscale_predictions(values))
-    return forecasts, None
-
-
-def _serve_forecasts(conn: Connection) -> None:
-    """The prediction helper's loop: ``_predict_positions`` of each (model, windows, positions) it receives."""
-    while True:
-        conn.send(_predict_positions(*conn.recv()))
-
-
-_scorer: _Forked | None = None  # this process's prediction helper, started by its first two-process pass
-
-
-def _live_scorer() -> _Forked | None:
-    """This process's prediction helper, forked if it has none; None if the fork fails."""
-    global _scorer
-    if _scorer is None:
-        try:
-            _scorer = _Forked("prediction", _serve_forecasts)
-        except OSError as exc:
-            log.debug("prediction helper could not start (%s); scoring in this process", exc)
-    return _scorer
-
-
-def _end_scorer() -> None:
-    """End this process's prediction helper, if it has one; interpreter exit calls this."""
-    global _scorer
-    scorer, _scorer = _scorer, None
-    if scorer is not None:
-        scorer.close()
-
-
-atexit.register(_end_scorer)
+    try:
+        for start in range(0, len(windows), SCORE_CHUNK):
+            forecasts += list(model.unscale_predictions(model.stage2_values(windows[start: start + SCORE_CHUNK])))
+    except Exception:
+        return None
+    return forecasts
 
 
 def predict_windows(model: Model, windows: list[SeriesWindow]) -> list[np.ndarray]:
     """``predict`` of each window, in window order, bitwise.
 
     Windows are forecast in chunks of ``SCORE_CHUNK`` through one stacked
-    pass each (``_predict_positions``). When ``_helper_can_start`` and there
-    are at least two windows, this process's prediction helper forecasts
-    the windows at odd positions while this process forecasts the even
-    ones: it is sent the model and its windows, pickled, and sends the
-    forecasts back in one message. The first such pass forks the helper,
-    and later passes reuse it; it ends at interpreter exit, or when this
+    pass each (``_forecasts``). When ``_helper_can_start`` and there are at
+    least two windows, this process's helper forecasts the windows at odd
+    positions while this process forecasts the even ones: it is sent the
+    model and its windows, pickled, and sends the forecasts back in one
+    message. Inside a training stage that helper is the stage's. With no
+    live helper, the pass forks one that only scores, and later passes reuse
+    it; it ends when a stage starts, at interpreter exit, or when this
     process dies and its pipe closes. It serves one pass at a time, so
     threads must not run passes at once. A helper that cannot be forked
-    leaves every window to this process. If windows raise, the exception
-    of the first in window order is raised, wherever it ran. A helper that
-    ends before it sends raises ``HelperError``, and the next pass forks a
-    new one.
+    leaves every window to this process. If a chunk raises in either
+    process, the whole set runs again through ``predict`` one window at a
+    time here, so the first failing window raises its own exception and
+    windows of any shape are forecast. A helper that ends before it sends
+    raises ``HelperError``, and the next pass forks a new one.
     """
-    positions = range(len(windows))
-    scorer = _live_scorer() if len(windows) >= 2 and _helper_can_start() else None
-    if scorer is None:
-        out, failure = _predict_positions(model, windows, positions)
-        if failure is not None:
-            raise failure[1]
-        return out
-    try:
-        scorer.send((model, windows[1::2], range(len(windows) // 2)))
-        even, failure = _predict_positions(model, windows, positions[0::2])
-        odd, helper_failure = scorer.recv()
-    except BaseException:  # a helper that died, or a pass cut short with the helper's reply still to come
-        _end_scorer()
-        raise
-    if helper_failure is not None:
-        helper_failure = (2 * helper_failure[0] + 1, helper_failure[1])  # its position among all the windows
-    failures = [f for f in (failure, helper_failure) if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    out = [None] * len(windows)
-    out[::2], out[1::2] = even, odd
+    helper = (_helper or _start_helper({}, [], None)) if len(windows) >= 2 and _helper_can_start() else None
+    if helper is None:
+        out = _forecasts(model, windows)
+    else:
+        try:
+            helper.send(("score", model, windows[1::2]))
+            even = _forecasts(model, windows[0::2])
+            odd = helper.recv()
+        except BaseException:  # a helper that died, or a pass cut short with the helper's reply still to come
+            _end_helper()
+            raise
+        out = None
+        if even is not None and odd is not None:
+            out = [None] * len(windows)
+            out[::2], out[1::2] = even, odd
+    if out is None:
+        return [predict(model, window) for window in windows]
     return out
 
 

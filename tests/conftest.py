@@ -9,11 +9,12 @@ from kgcm import pipeline
 def no_process_left_running():
     """Fail a test that leaves a child process alive, as the benchmark refuses a run that does; end it first.
 
-    This process's prediction helper lives from one scoring pass to the next and ends at interpreter
-    exit, so it is ended first, through the close that exit uses; any other live child fails the test.
+    This process's helper, once a scoring pass has forked it, lives from one pass to the next and ends
+    at interpreter exit, so it is ended first, through the close that exit uses; any other live child
+    fails the test.
     """
     yield
-    pipeline._end_scorer()
+    pipeline._end_helper()
     left = multiprocessing.active_children()
     for process in left:
         process.kill()

@@ -135,11 +135,11 @@ class TestPredictionHelper:
 
         A live helper is ended first, so the next one forks with the patches made before this call.
         """
-        pipeline._end_scorer()
+        pipeline._end_helper()
         monkeypatch.setattr(pipeline, "_helper_can_start", lambda: on)
         started = []
-        init = pipeline._Forked.__init__
-        monkeypatch.setattr(pipeline._Forked, "__init__", lambda self, *args: started.append(1) or init(self, *args))
+        init = pipeline._Helper.__init__
+        monkeypatch.setattr(pipeline._Helper, "__init__", lambda self, *args: started.append(1) or init(self, *args))
         return started
 
     @pytest.mark.parametrize("event_rate", [0.04, 0.5])
@@ -263,7 +263,7 @@ class TestPredictionHelper:
 
         monkeypatch.setattr(Model, "stage2_values", dying)
         windows = self._windows()
-        with pytest.raises(HelperError, match="prediction helper process ended with exit code -9"):
+        with pytest.raises(HelperError, match="^helper process ended with exit code -9$"):
             evaluate(model, windows)
         # the next pass forks a new helper, which scores with the restored method
         monkeypatch.setattr(Model, "stage2_values", values)
@@ -293,8 +293,8 @@ class TestPredictionHelper:
         with caplog.at_level("DEBUG", logger="kgcm.pipeline"):
             got = pipeline.predict_windows(model, windows)
         assert [f.tobytes() for f in got] == [pipeline.predict(model, w).tobytes() for w in windows]
-        assert "prediction helper could not start" in caplog.text
-        assert pipeline._scorer is None
+        assert "helper process could not start" in caplog.text
+        assert pipeline._helper is None
 
     @pytest.mark.parametrize("ending", ["exit", "sigkill"])
     def test_no_helper_outlives_its_process(self, ending):
@@ -338,7 +338,7 @@ data = generate_synthetic(GeneratorConfig(regions=2, days=2, slots_per_day=12, e
 model, split = pipeline.new_model(data, TrainConfig(d=8, n=2, window=8, horizon=2, blocks=1, day_slots=12),
                                   ALL_COMPONENTS)
 evaluate(model, split.test)
-print(pipeline._scorer._process.pid, flush=True)
+print(pipeline._helper._process.pid, flush=True)
 if sys.argv[1] == "sigkill":
     os.kill(os.getpid(), signal.SIGKILL)
 """

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from kgcm import pipeline
 from kgcm.configio import render_model_config
 from kgcm.data import GeneratorConfig, generate_synthetic
-from kgcm.errors import ConfigError, DataError, FormatError, TrainingError
+from kgcm.errors import ConfigError, DataError, FormatError, HelperError, TrainingError
 from kgcm.evaluate import ablation_variants
 from kgcm.gradcheck import tiny_instance_config, tiny_instance_window
 from kgcm.model import ALL_COMPONENTS, Model, TrainConfig, build_model
@@ -211,47 +211,111 @@ class TestTrainingHelper:
             return forward(model, window)
 
         monkeypatch.setattr(Model, "stage2_forward", dying)
-        with pytest.raises(TrainingError, match="stage 2, epoch 0, batch 0: training helper process ended with "
-                                                "exit code -9"):
+        with pytest.raises(TrainingError, match="^stage 2, epoch 0, batch 0: helper process ended with exit code -9$"):
             pipeline.fit(_dataset(), _config(), ALL_COMPONENTS)
 
     def test_a_helper_that_cannot_fork_leaves_the_fit_to_this_process(self, monkeypatch, caplog):
-        fits = {}
+        fits, maps = {}, []
+        real_mmap = pipeline.mmap.mmap
         for refused in (True, False):
             with pytest.MonkeyPatch.context() as patch:
                 self._helper(patch, refused)
                 if refused:
                     patch.setattr(multiprocessing.get_context("fork").Process, "start", _refused_fork)
+                    patch.setattr(pipeline.mmap, "mmap", lambda *args: maps.append(real_mmap(*args)) or maps[-1])
                 with caplog.at_level("DEBUG", logger="kgcm.pipeline"):
                     model = pipeline.fit(_dataset(), _config(), ALL_COMPONENTS)
             fits[refused] = (np.array(model.stage1_history).tobytes(), np.array(model.stage2_history).tobytes(),
                              model.a_star.tobytes(),
                              {name: p.data.tobytes() for name, p in model.named_parameters().items()})
         assert fits[True] == fits[False]
-        assert "training helper could not start" in caplog.text
+        assert "helper process could not start" in caplog.text
+        # one shared mapping per stage, each unmapped when its fork was refused
+        assert len(maps) == 2 and all(m.closed for m in maps)
+
+    def test_a_stage_whose_helper_a_pass_ended_finishes_in_this_process(self, monkeypatch):
+        # a caller that catches the pass's HelperError and goes on training gets the one-process fit
+        config = _config()
+        step, killed = pipeline.adam_step, []
+
+        def step_then_kill_and_score(*args):
+            step(*args)
+            if not killed:
+                killed.append(pipeline._helper._process.pid)
+                os.kill(killed[0], signal.SIGKILL)
+                with pytest.raises(HelperError, match="^helper process ended with exit code -9$"):
+                    pipeline.predict_windows(model, split.val + split.test)
+
+        fits = {}
+        for on in (True, False):
+            self._helper(monkeypatch, on)
+            with pytest.MonkeyPatch.context() as patch:
+                if on:
+                    patch.setattr(pipeline, "adam_step", step_then_kill_and_score)
+                model, split = pipeline.new_model(_dataset(), config, ALL_COMPONENTS)
+                pipeline.train_stage1(model, split.train, config)
+            fits[on] = (np.array(model.stage1_history).tobytes(), model.a_star.tobytes(),
+                        {name: p.data.tobytes() for name, p in model.named_parameters().items()})
+        assert len(killed) == 1
+        assert fits[True] == fits[False]
+
+    def test_a_pass_inside_a_stage_is_scored_by_the_stages_helper(self, monkeypatch):
+        # item 1's validation path: after each batch's Adam step, score windows with the model being trained
+        config = _config()
+        stages, passes = [], []
+        init = pipeline._Helper.__init__
+        monkeypatch.setattr(pipeline._Helper, "__init__", lambda self, *args: stages.append(self) or init(self, *args))
+        step = pipeline.adam_step
+
+        def step_then_score(*args):
+            step(*args)
+            scored = pipeline.predict_windows(model, split.val + split.test)
+            passes.append(([f.tobytes() for f in scored], len(multiprocessing.active_children()),
+                           pipeline._helper, stages[-1] if stages else None))
+
+        fits = {}
+        for on, score in ((True, True), (False, True), (True, False)):
+            self._helper(monkeypatch, on)
+            with pytest.MonkeyPatch.context() as patch:
+                if score:
+                    patch.setattr(pipeline, "adam_step", step_then_score)
+                model, split = pipeline.new_model(_dataset(), config, ALL_COMPONENTS)
+                pipeline.train_stage1(model, split.train, config)
+                pipeline.train_stage2(model, split.train, config)
+            fits[on, score] = (np.array(model.stage1_history).tobytes(), np.array(model.stage2_history).tobytes(),
+                               model.a_star.tobytes(),
+                               {name: p.data.tobytes() for name, p in model.named_parameters().items()})
+        assert len(split.val + split.test) >= 2
+        assert fits[True, True] == fits[False, True] == fits[True, False]
+        with_helper, alone = passes[:len(passes) // 2], passes[len(passes) // 2:]
+        assert len(with_helper) == len(alone) == 9  # 10 windows in batches of 4: 3 steps an epoch, 3 epochs
+        assert len(stages) == 4  # one helper per stage, on each of the two fits with the helper on
+        assert [forecasts for forecasts, *_ in with_helper] == [forecasts for forecasts, *_ in alone]
+        assert all(children == 1 and live is stage for _, children, live, stage in with_helper)
+        assert all(children == 0 for _, children, *_ in alone)
 
 
 def _refused_fork(process):
     raise BlockingIOError(11, "Resource temporarily unavailable")
 
 
-def _until_closed(conn):
-    conn.recv()
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="helpers are forked")
-def test_a_helper_started_before_another_ends_as_soon_as_it_is_closed():
-    # the second child must not keep the main end of the first's pipe open, or closing the first waits
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the helper is forked")
+def test_a_child_forked_while_the_helper_lives_does_not_hold_it_open():
+    # the child must not keep the main end of the helper's pipe open, or closing the helper waits
     # HELPER_EXIT_S and kills it
-    first = pipeline._Forked("first", _until_closed)
-    second = pipeline._Forked("second", _until_closed)
+    assert pipeline._start_helper({}, [], None) is not None
+    context = multiprocessing.get_context("fork")
+    ours, theirs = context.Pipe()
+    child = context.Process(target=theirs.recv)
+    child.start()
     try:
         start = time.perf_counter()
-        assert first.close() == 0
+        assert pipeline._end_helper() == 0
         assert time.perf_counter() - start < pipeline.HELPER_EXIT_S / 5
     finally:
-        assert second.close() == 0
-    assert pipeline._Forked.live == set()
+        ours.send(None)
+        child.join(pipeline.HELPER_EXIT_S)
+    assert child.exitcode == 0 and pipeline._helper is None
 
 
 @pytest.mark.parametrize("variant, components", ablation_variants(), ids=[v for v, _ in ablation_variants()])
