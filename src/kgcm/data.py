@@ -9,6 +9,11 @@ across slots (destroying the alignment, not the marginals) or blank them.
 
 All numeric draws come from streams that do not depend on ``text_mode``, so
 the three variants of a seed share identical demand series.
+
+A ``DemandDataset`` holds every region on one time axis: one list of
+timestamps, one (regions, slots, features) float64 array whose last axis
+runs in ``FEATURES`` order, and one local text per region and slot beside
+one global text per slot.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import io
 import math
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -28,7 +33,7 @@ from .numeric import SeededRng
 
 __all__ = [
     "GeneratorConfig",
-    "RegionSeries",
+    "FEATURES",
     "DemandDataset",
     "PredictionRow",
     "generate_synthetic",
@@ -42,7 +47,12 @@ __all__ = [
 
 START_TIME = datetime(2024, 1, 1, tzinfo=timezone.utc)  # a Monday
 
-DEMAND_HEADER = "region_id,timestamp,demand,avg_passengers,avg_distance,is_holiday,is_weekend"
+# The column order of every feature array and demand file. Demand comes first: a window's targets are its
+# demand, which the model scales by the scaler of input column 0.
+FEATURES = ("demand", "avg_passengers", "avg_distance", "is_holiday", "is_weekend")
+FLAGS = FEATURES[3:]  # 0/1 features, which a demand file may leave out; the ones before are measured numbers
+
+DEMAND_HEADER = ",".join(("region_id", "timestamp") + FEATURES)
 LOCAL_TEXT_HEADER = "region_id,timestamp,description"
 GLOBAL_TEXT_HEADER = "timestamp,description"
 PREDICTION_HEADER = "region_id,timestamp,horizon_step,y_true,y_pred"
@@ -69,6 +79,10 @@ class GeneratorConfig:
         self.validate()
 
     def validate(self) -> None:
+        # NaN passes every range check, and inf demand is written to a file that load_csv refuses
+        for f in fields(self):
+            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.regions < 1 or self.days < 1 or self.slots_per_day < 1:
             raise ConfigError("regions, days and slots_per_day must be positive")
         if 86400 % self.slots_per_day != 0:
@@ -84,22 +98,12 @@ class GeneratorConfig:
 
 
 @dataclass
-class RegionSeries:
-    region: str
-    timestamps: list[datetime]
-    demand: np.ndarray
-    passengers: np.ndarray
-    distance: np.ndarray
-    is_holiday: np.ndarray
-    is_weekend: np.ndarray
-    local_texts: list[str]
-
-
-@dataclass
 class DemandDataset:
-    regions: list[RegionSeries]
-    global_texts: list[str]
-    timestamps: list[datetime]
+    regions: list[str]
+    timestamps: list[datetime]  # one axis that every region shares
+    features: np.ndarray  # (regions, slots, FEATURES) float64
+    local_texts: list[list[str]]  # [region][slot]
+    global_texts: list[str]  # [slot]
     slot_seconds: int
 
     @property
@@ -163,17 +167,18 @@ def generate_synthetic(cfg: GeneratorConfig) -> DemandDataset:
         demand += noise_rng.normal((cfg.regions, total), std=cfg.noise_sigma)
     else:
         noise_rng.normal((cfg.regions, total), std=1.0)  # keep stream usage fixed
-    demand = np.maximum(demand, 0.0)
 
+    features = np.zeros((cfg.regions, total, len(FEATURES)))
+    column = dict(zip(FEATURES, np.moveaxis(features, 2, 0)))  # a writable (regions, slots) view per feature
+    column["demand"][:] = np.maximum(demand, 0.0)
     slots = np.arange(total) % cfg.slots_per_day
-    days = np.arange(total) // cfg.slots_per_day
-    weekend = ((days % 7) >= 5).astype(np.int64)
-    passengers_rows = []
-    distance_rows = []
+    phase = 2.0 * math.pi * slots / cfg.slots_per_day
     for r in range(cfg.regions):
-        phase = 2.0 * math.pi * slots / cfg.slots_per_day
-        passengers_rows.append(1.4 + 0.4 * np.sin(phase + 1.3) + feature_rng.normal((total,), std=0.05))
-        distance_rows.append(3.0 + 1.0 * np.sin(phase + 2.1) + feature_rng.normal((total,), std=0.1))
+        passengers = 1.4 + 0.4 * np.sin(phase + 1.3) + feature_rng.normal((total,), std=0.05)
+        distance = 3.0 + 1.0 * np.sin(phase + 2.1) + feature_rng.normal((total,), std=0.1)
+        column["avg_passengers"][r] = np.maximum(passengers, 0.0)
+        column["avg_distance"][r] = np.maximum(distance, 0.0)
+    column["is_weekend"][:] = (np.arange(total) // cfg.slots_per_day) % 7 >= 5
 
     if cfg.text_mode == "shuffled":
         for r in range(cfg.regions):
@@ -185,20 +190,8 @@ def generate_synthetic(cfg: GeneratorConfig) -> DemandDataset:
         local_texts = [["" for _ in range(total)] for _ in range(cfg.regions)]
         global_texts = ["" for _ in range(total)]
 
-    regions = [
-        RegionSeries(
-            region=names[r],
-            timestamps=list(timestamps),
-            demand=demand[r].copy(),
-            passengers=np.maximum(passengers_rows[r], 0.0),
-            distance=np.maximum(distance_rows[r], 0.0),
-            is_holiday=np.zeros(total, dtype=np.int64),
-            is_weekend=weekend.copy(),
-            local_texts=local_texts[r],
-        )
-        for r in range(cfg.regions)
-    ]
-    return DemandDataset(regions=regions, global_texts=global_texts, timestamps=list(timestamps), slot_seconds=slot_seconds)
+    return DemandDataset(regions=names, timestamps=timestamps, features=features, local_texts=local_texts,
+                         global_texts=global_texts, slot_seconds=slot_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -257,30 +250,25 @@ def atomic_write_text(path, content: str) -> None:
 
 def write_dataset(dataset: DemandDataset, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
+    stamps = [_iso(ts) for ts in dataset.timestamps]
     lines = [DEMAND_HEADER]
-    for series in dataset.regions:
-        for i, ts in enumerate(series.timestamps):
-            lines.append(
-                f"{series.region},{_iso(ts)},{_fmt(series.demand[i])},{_fmt(series.passengers[i])},"
-                f"{_fmt(series.distance[i])},{int(series.is_holiday[i])},{int(series.is_weekend[i])}"
-            )
+    for region, rows in zip(dataset.regions, dataset.features):
+        for ts, row in zip(stamps, rows):
+            # a flag writes as 0 or 1, and any other value as it is, which load_csv refuses rather than truncates
+            lines.append(",".join([region, ts, *map(_fmt, row)]))
     atomic_write_text(os.path.join(out_dir, "demand.csv"), "\n".join(lines) + "\n")
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(LOCAL_TEXT_HEADER.split(","))
-    for series in dataset.regions:
-        for i, ts in enumerate(series.timestamps):
-            if series.local_texts[i]:
-                writer.writerow([series.region, _iso(ts), series.local_texts[i]])
+    for region, texts in zip(dataset.regions, dataset.local_texts):
+        writer.writerows([region, ts, text] for ts, text in zip(stamps, texts) if text)
     atomic_write_text(os.path.join(out_dir, "local_text.csv"), buf.getvalue())
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(GLOBAL_TEXT_HEADER.split(","))
-    for i, ts in enumerate(dataset.timestamps):
-        if dataset.global_texts[i]:
-            writer.writerow([_iso(ts), dataset.global_texts[i]])
+    writer.writerows([ts, text] for ts, text in zip(stamps, dataset.global_texts) if text)
     atomic_write_text(os.path.join(out_dir, "global_text.csv"), buf.getvalue())
 
 
@@ -328,17 +316,20 @@ def load_csv(demand_path, local_text_path=None, global_text_path=None) -> Demand
 
     A timestamp without a UTC offset is read as UTC, the zone ``write_dataset``
     writes, so slots and weekdays do not depend on the host's time zone.
+    Every region must list the same timestamps, which become the data set's
+    one time axis; a demand file without the ``FLAGS`` columns reads them as 0.
     """
-    per_region: dict[str, dict] = {}
+    stamps: dict[str, list[datetime]] = {}  # region -> its timestamps, in file order
+    rows: dict[str, list[list[float]]] = {}  # region -> one FEATURES row per timestamp
     with open_utf8(demand_path, DataError) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{demand_path}: empty demand file")
         expected = DEMAND_HEADER.split(",")
-        if [h.strip() for h in header] not in (expected, expected[:5]):
+        if [h.strip() for h in header] not in (expected, expected[:-len(FLAGS)]):
             raise DataError(f"{demand_path}: unexpected header {header}")
-        has_flags = len(header) == 7
+        measured = len(FEATURES) - len(FLAGS)
         for rowno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -347,87 +338,57 @@ def load_csv(demand_path, local_text_path=None, global_text_path=None) -> Demand
             region = row[0]
             ts = _parse_ts(row[1], f"{demand_path} row {rowno}")
             try:
-                demand = float(row[2])
-                passengers = float(row[3])
-                distance = float(row[4])
-                holiday = int(row[5]) if has_flags else 0
-                weekend = int(row[6]) if has_flags else 0
+                values = [float(v) for v in row[2: 2 + measured]] + [int(v) for v in row[2 + measured:]]
             except ValueError as exc:
                 raise DataError(f"{demand_path} row {rowno}: unparsable number: {exc}") from exc
-            # float() reads nan and inf, which would only fail later, in training, as a numeric error
-            for name, value in (("demand", demand), ("avg_passengers", passengers), ("avg_distance", distance)):
+            values += [0] * (len(FEATURES) - len(values))
+            for name, value in zip(FEATURES, values):
+                # float() reads nan and inf, which would only fail later, in training, as a numeric error
                 if not math.isfinite(value):
                     raise DataError(f"{demand_path} row {rowno}: {name} must be finite, got {value}")
-            for name, flag in (("is_holiday", holiday), ("is_weekend", weekend)):
-                if flag not in (0, 1):
-                    raise DataError(f"{demand_path} row {rowno}: {name} must be 0 or 1, got {flag}")
-            if demand < 0:
-                raise DataError(f"{demand_path} row {rowno}: negative demand {demand}")
-            bucket = per_region.setdefault(
-                region,
-                {"timestamps": [], "demand": [], "passengers": [], "distance": [], "holiday": [], "weekend": []},
-            )
-            if bucket["timestamps"] and ts <= bucket["timestamps"][-1]:
+                if name in FLAGS and value not in (0, 1):
+                    raise DataError(f"{demand_path} row {rowno}: {name} must be 0 or 1, got {value}")
+                if name == "demand" and value < 0:
+                    raise DataError(f"{demand_path} row {rowno}: negative demand {value}")
+            series = stamps.setdefault(region, [])
+            if series and ts <= series[-1]:
                 raise DataError(f"{demand_path} row {rowno}: timestamps not strictly increasing for region {region}")
-            bucket["timestamps"].append(ts)
-            bucket["demand"].append(demand)
-            bucket["passengers"].append(passengers)
-            bucket["distance"].append(distance)
-            bucket["holiday"].append(holiday)
-            bucket["weekend"].append(weekend)
-    if not per_region:
+            series.append(ts)
+            rows.setdefault(region, []).append(values)
+    if not stamps:
         raise DataError(f"{demand_path}: no data rows")
 
-    slot_seconds = None
-    reference: list[datetime] | None = None
-    for region, bucket in per_region.items():
-        ts = bucket["timestamps"]
-        # one slot sets no slot width, and no window fits in it
-        if len(ts) < 2:
-            raise DataError(f"region {region}: {len(ts)} time slot, at least 2 are needed")
-        widths = {b - a for a, b in zip(ts, ts[1:])}
-        if len(widths) != 1:
-            raise DataError(f"region {region}: slot width is not constant")
-        width = widths.pop()
-        if width % SECOND:  # slots are counted in whole seconds
-            raise DataError(f"region {region}: slot width {width.total_seconds()}s is not a whole number of seconds")
-        width //= SECOND
-        if slot_seconds is None:
-            slot_seconds = width
-        elif slot_seconds != width:
-            raise DataError(f"region {region}: slot width {width}s differs from {slot_seconds}s")
-        if reference is None:
-            reference = ts
-        elif ts != reference:
-            raise DataError(f"region {region}: timestamps differ from other regions")
+    regions = list(stamps)
+    first, timestamps = regions[0], stamps[regions[0]]
+    for region in regions[1:]:
+        if stamps[region] != timestamps:
+            raise DataError(f"region {region}: timestamps differ from region {first}")
+    # one slot sets no slot width, and no window fits in it
+    if len(timestamps) < 2:
+        raise DataError(f"region {first}: {len(timestamps)} time slot, at least 2 are needed")
+    widths = {b - a for a, b in zip(timestamps, timestamps[1:])}
+    if len(widths) != 1:
+        raise DataError(f"region {first}: slot width is not constant")
+    width = widths.pop()
+    if width % SECOND:  # slots are counted in whole seconds
+        raise DataError(f"region {first}: slot width {width.total_seconds()}s is not a whole number of seconds")
+    slot_seconds = width // SECOND
     if 86400 % slot_seconds != 0:
         raise DataError(f"slot width {slot_seconds}s does not divide one day")
 
-    index = {ts: i for i, ts in enumerate(reference)}
-    total = len(reference)
-    local_texts = {region: ["" for _ in range(total)] for region in per_region}
+    index = {ts: i for i, ts in enumerate(timestamps)}
+    local_texts = {region: ["" for _ in timestamps] for region in regions}
     for rowno, (region,), slot, text in _text_rows(local_text_path, LOCAL_TEXT_HEADER, index):
-        if region not in per_region:
+        if region not in local_texts:
             raise DataError(f"{local_text_path} row {rowno}: unknown region {region!r}")
         local_texts[region][slot] = text
-    global_texts = ["" for _ in range(total)]
+    global_texts = ["" for _ in timestamps]
     for _, _, slot, text in _text_rows(global_text_path, GLOBAL_TEXT_HEADER, index):
         global_texts[slot] = text
 
-    regions = [
-        RegionSeries(
-            region=region,
-            timestamps=bucket["timestamps"],
-            demand=np.array(bucket["demand"], dtype=np.float64),
-            passengers=np.array(bucket["passengers"], dtype=np.float64),
-            distance=np.array(bucket["distance"], dtype=np.float64),
-            is_holiday=np.array(bucket["holiday"], dtype=np.int64),
-            is_weekend=np.array(bucket["weekend"], dtype=np.int64),
-            local_texts=local_texts[region],
-        )
-        for region, bucket in per_region.items()
-    ]
-    return DemandDataset(regions=regions, global_texts=global_texts, timestamps=list(reference), slot_seconds=slot_seconds)
+    features = np.array([rows[region] for region in regions], dtype=np.float64)
+    return DemandDataset(regions=regions, timestamps=timestamps, features=features,
+                         local_texts=list(local_texts.values()), global_texts=global_texts, slot_seconds=slot_seconds)
 
 
 @dataclass

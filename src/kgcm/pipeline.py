@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import DemandDataset, atomic_open
+from .data import FEATURES, DemandDataset, atomic_open
 from .errors import ConfigError, DataError, FormatError, HelperError, NumericError, TrainingError
 from .model import ALL_COMPONENTS, Model, SeriesWindow, TrainConfig, build_model, joint_loss
 from .numeric import SeededRng, Tensor, backward, clear_tape, no_tape
@@ -66,7 +66,7 @@ __all__ = [
     "load_model",
 ]
 
-FEATURE_COUNT = 5  # demand, avg_passengers, avg_distance, is_holiday, is_weekend
+FEATURE_COUNT = len(FEATURES)
 
 TRAIN_FRACTION = 0.70
 VAL_FRACTION = 0.15
@@ -80,14 +80,17 @@ def build_windows(dataset: DemandDataset, config: TrainConfig,
                   encoder: EncoderConfig = EncoderConfig()) -> dict[str, list[SeriesWindow]]:
     """Stride-1 windows per region with text vectors pre-encoded by ``encoder``.
 
-    Each step that some window reads is encoded once, and every window
-    slices its steps' token rows from that list; steps that no window reads
-    are not encoded. The pooled vector of each global slot that ends a
-    window is looked up once per data set, and the windows of every region
-    that end there share it. Hashed text is cached by the text itself, so
-    a step is given its ``embedding_id`` only when a file encoder looks it
-    up. A vector's width is checked once, when its text is first encoded.
-    The windows of a region slice their targets from one copy of its demand.
+    Slots of the day, weekdays and the pooled vector of each global slot
+    that ends a window are computed once, on the data set's one time axis,
+    and the windows of every region that end at a slot share them. Each
+    step that some window reads is encoded once, and every window slices
+    its steps' token rows from that list; steps that no window reads are
+    not encoded. Hashed text is cached by the text itself, so a step is
+    given its ``embedding_id`` only when a file encoder looks it up. A
+    vector's width is checked once, when its text is first encoded. The
+    windows of a region slice their inputs from one copy of its features
+    and their targets from one copy of its demand, so no window aliases
+    the data set.
     """
     t, horizon = config.window, config.horizon
     hashed = encoder.embedding_file is None
@@ -102,29 +105,23 @@ def build_windows(dataset: DemandDataset, config: TrainConfig,
             cache[key] = vectors
         return cache[key]
 
-    pooled: list[np.ndarray] = []  # pooled vector of global slot t - 1 + i, the last input of window i
+    stamps = dataset.timestamps
+    count = len(stamps) - t - horizon + 1  # windows per region
+    read = count + t - 1 if count > 0 else 0  # steps the windows read as inputs
+    slots = [_slot_of_day(ts, dataset.slot_seconds) for ts in stamps]
+    dows = [ts.weekday() for ts in stamps]
+    if max(slots, default=0) >= config.day_slots:
+        raise ConfigError(f"dataset has {dataset.slots_per_day} slots per day but the model tables cover {config.day_slots}")
+    # pooled vector of global slot t - 1 + i, the last input of window i
+    pooled = [encoded(dataset.global_texts[i], "global", stamps[i]).pooled for i in range(t - 1, read)]
     out: dict[str, list[SeriesWindow]] = {}
-    for series in dataset.regions:
-        stamps = series.timestamps
-        count = len(stamps) - t - horizon + 1  # windows
-        read = count + t - 1 if count > 0 else 0  # steps the windows read as inputs
-        features = np.column_stack(
-            [series.demand, series.passengers, series.distance,
-             series.is_holiday.astype(np.float64), series.is_weekend.astype(np.float64)]
-        )
-        slots = [_slot_of_day(ts, dataset.slot_seconds) for ts in stamps]
-        dows = [ts.weekday() for ts in stamps]
-        if max(slots, default=0) >= config.day_slots:
-            raise ConfigError(
-                f"dataset has {dataset.slots_per_day} slots per day but the model tables cover {config.day_slots}"
-            )
-        local = [encoded(series.local_texts[i], series.region, stamps[i]).tokens for i in range(read)]
-        pooled += [encoded(dataset.global_texts[i], "global", dataset.timestamps[i]).pooled
-                   for i in range(t - 1 + len(pooled), read)]
-        demand = series.demand.copy()
-        out[series.region] = [
+    for region, region_texts, region_features in zip(dataset.regions, dataset.local_texts, dataset.features):
+        local = [encoded(region_texts[i], region, stamps[i]).tokens for i in range(read)]
+        features = region_features.copy()  # windows must not alias the data set
+        demand = features[:, 0].copy()
+        out[region] = [
             SeriesWindow(
-                region=series.region,
+                region=region,
                 inputs=features[start: start + t],
                 targets=demand[start + t: start + t + horizon],
                 slots=slots[start: start + t],
@@ -227,7 +224,10 @@ class _Helper:
     having added these. An exception from a window is sent in place of its
     result. A "score" message is a model and windows, pickled, and the
     helper replies with their ``_forecasts``. A helper forked only to score
-    maps no memory.
+    maps no memory. Sending each window's gradients pickled through the
+    pipe instead, with no shared ``mmap`` and no acks, trains bitwise the
+    same model but made fits slower: train-full by 6-22% (6 of 6 pairs)
+    and train-text by 18-25% (4 of 4), on a 2-vCPU x86-64 guest.
 
     The helper ignores SIGINT: the main process takes Ctrl-C and ends it.
     It ends when the main process closes its end of the pipe: every forked
@@ -550,7 +550,8 @@ def predict(model: Model, window: SeriesWindow) -> np.ndarray:
 
 
 # Windows per stacked value-path pass when a window set is scored; the chunk's graph pass runs on stacks of
-# model.GRAPH_STACK windows.
+# model.GRAPH_STACK windows. One constant for both, chunks of four, gives bitwise the same forecasts but made a
+# 105-window evaluate pass slower: train-full by 4-17% and train-text by 6-31% (6 rounds each, 2-vCPU x86-64 guest).
 SCORE_CHUNK = 8
 
 

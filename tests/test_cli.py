@@ -40,7 +40,7 @@ slots_per_day = 12
 
 def _write_embeddings(dataset, path):
     """Random 8-wide vectors for every step id of ``dataset``."""
-    ids = [f"{s.region}|{ts.isoformat()}" for s in dataset.regions for ts in s.timestamps]
+    ids = [f"{region}|{ts.isoformat()}" for region in dataset.regions for ts in dataset.timestamps]
     ids += [f"global|{ts.isoformat()}" for ts in dataset.timestamps]
     rng = np.random.default_rng(0)
     path.write_text("".join(f"{i}," + ",".join(f"{v:.6f}" for v in rng.normal(size=8)) + "\n" for i in ids))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgcm.data import (
+    FEATURES,
     PREDICTION_HEADER,
     GeneratorConfig,
     PredictionRow,
@@ -21,7 +22,7 @@ from kgcm.data import (
     write_dataset,
     write_predictions,
 )
-from kgcm.errors import DataError
+from kgcm.errors import ConfigError, DataError
 
 CSV_FILES = ("demand.csv", "local_text.csv", "global_text.csv")
 
@@ -59,6 +60,23 @@ def test_written_dataset_loads_back_bitwise(tmp_path_factory, cfg):
             load_csv(*(out / name for name in CSV_FILES))
         return
     assert _same(load_csv(*(out / name for name in CSV_FILES)), dataset)
+
+
+@pytest.mark.parametrize("field,value", [("daily_amp", float("nan")), ("base_demand", float("inf")),
+                                         ("noise_sigma", float("nan")), ("event_amp_hi", float("inf"))])
+def test_a_non_finite_generator_field_is_refused(field, value):
+    # each used to be accepted: NaN demand, inf demand that load_csv refuses, no noise, or a bare ValueError
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        GeneratorConfig(**{field: value})
+
+
+@pytest.mark.parametrize("flag", [0.5, 0.9999999])
+def test_a_flag_that_is_not_0_or_1_is_not_read_back_truncated(tmp_path, flag):
+    dataset = generate_synthetic(GeneratorConfig(regions=1, days=1, slots_per_day=4))
+    dataset.features[0, 1, FEATURES.index("is_holiday")] = flag
+    write_dataset(dataset, tmp_path)
+    with pytest.raises(DataError, match="demand.csv row 3: unparsable number"):
+        load_csv(tmp_path / "demand.csv")
 
 
 def test_one_slot_dataset_is_refused(tmp_path):
@@ -139,10 +157,11 @@ def _digest(*parts) -> str:
 def test_generator_outputs_are_pinned(name):
     overrides, want = GENERATOR_DIGESTS[name]
     dataset = generate_synthetic(GeneratorConfig(**overrides))
-    demand = _digest(*(series.demand for series in dataset.regions))
-    features = _digest(*(array for series in dataset.regions
-                         for array in (series.passengers, series.distance, series.is_holiday, series.is_weekend)))
-    texts = _digest([series.local_texts for series in dataset.regions], dataset.global_texts)
+    columns = [dataset.features[r].T for r in range(len(dataset.regions))]
+    demand = _digest(*(column[0] for column in columns))
+    features = _digest(*(array for column in columns
+                         for array in (column[1], column[2], column[3].astype(np.int64), column[4].astype(np.int64))))
+    texts = _digest(dataset.local_texts, dataset.global_texts)
     assert (demand, features, texts) == want
 
 

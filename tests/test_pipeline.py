@@ -362,7 +362,7 @@ class TestBuildWindows:
         config, dataset = _config(), _dataset()
         pipeline.build_windows(dataset, config)
         last = len(dataset.timestamps) - config.horizon
-        texts = {series.local_texts[i] for series in dataset.regions for i in range(last)}
+        texts = {region_texts[i] for region_texts in dataset.local_texts for i in range(last)}
         texts |= {dataset.global_texts[i] for i in range(config.window - 1, last)}
         assert "" in texts
         assert sorted(calls) == sorted(texts)
@@ -381,23 +381,23 @@ class TestBuildWindows:
             return cache[key]
 
         out = {}
-        for series in dataset.regions:
-            features = np.column_stack([series.demand, series.passengers, series.distance,
-                                        series.is_holiday.astype(np.float64), series.is_weekend.astype(np.float64)])
-            slots = [_slot_of_day_reference(ts, dataset.slot_seconds) for ts in series.timestamps]
-            dows = [ts.weekday() for ts in series.timestamps]
+        stamps = dataset.timestamps
+        for r, region in enumerate(dataset.regions):
+            features = dataset.features[r]
+            slots = [_slot_of_day_reference(ts, dataset.slot_seconds) for ts in stamps]
+            dows = [ts.weekday() for ts in stamps]
             windows = []
-            for start in range(0, len(series.timestamps) - t - horizon + 1):
-                local = [encoded(series.local_texts[i], f"{series.region}|{series.timestamps[i].isoformat()}").tokens
+            for start in range(0, len(stamps) - t - horizon + 1):
+                local = [encoded(dataset.local_texts[r][i], f"{region}|{stamps[i].isoformat()}").tokens
                          for i in range(start, start + t)]
                 last = start + t - 1
-                pooled = encoded(dataset.global_texts[last], f"global|{dataset.timestamps[last].isoformat()}").pooled
+                pooled = encoded(dataset.global_texts[last], f"global|{stamps[last].isoformat()}").pooled
                 windows.append(pipeline.SeriesWindow(
-                    region=series.region, inputs=features[start: start + t],
-                    targets=series.demand[start + t: start + t + horizon].copy(), slots=slots[start: start + t],
+                    region=region, inputs=features[start: start + t],
+                    targets=features[start + t: start + t + horizon, 0].copy(), slots=slots[start: start + t],
                     dows=dows[start: start + t], local_tokens=local, global_pooled=pooled,
-                    target_times=series.timestamps[start + t: start + t + horizon]))
-            out[series.region] = windows
+                    target_times=stamps[start + t: start + t + horizon]))
+            out[region] = windows
         return out
 
     @staticmethod
@@ -405,7 +405,7 @@ class TestBuildWindows:
         """An embedding file for the dataset's step ids; ``read_only`` leaves out the steps no window reads."""
         last = len(dataset.timestamps) - config.horizon if read_only else len(dataset.timestamps)
         first_global = config.window - 1 if read_only else 0
-        ids = [f"{series.region}|{ts.isoformat()}" for series in dataset.regions for ts in series.timestamps[:last]]
+        ids = [f"{region}|{ts.isoformat()}" for region in dataset.regions for ts in dataset.timestamps[:last]]
         ids += [f"global|{ts.isoformat()}" for ts in dataset.timestamps[first_global:last]]
         rng = np.random.default_rng(0)
         path.write_text("".join(f"{i}," + ",".join(format(v, ".17g") for v in rng.normal(size=config.d)) + "\n" for i in ids))
@@ -441,7 +441,7 @@ class TestBuildWindows:
         monkeypatch.setattr(pipeline, "encode", lambda text, key, enc, d: keys.append(key) or real(text, key, enc, d))
         pipeline.build_windows(dataset, config, encoder)
         last = len(dataset.timestamps) - config.horizon
-        ids = [f"{series.region}|{ts.isoformat()}" for series in dataset.regions for ts in series.timestamps[:last]]
+        ids = [f"{region}|{ts.isoformat()}" for region in dataset.regions for ts in dataset.timestamps[:last]]
         ids += [f"global|{ts.isoformat()}" for ts in dataset.timestamps[config.window - 1: last]]
         assert sorted(keys) == sorted(ids)
 
@@ -455,14 +455,24 @@ class TestBuildWindows:
             return [NoIsoformat.combine(ts.date(), ts.timetz()) for ts in stamps]
 
         config, dataset = _config(), _dataset()
-        regions = [dataclasses.replace(series, timestamps=bare(series.timestamps)) for series in dataset.regions]
-        stripped = dataclasses.replace(dataset, regions=regions, timestamps=bare(dataset.timestamps))
+        stripped = dataclasses.replace(dataset, timestamps=bare(dataset.timestamps))
         _assert_same_windows(pipeline.build_windows(stripped, config), pipeline.build_windows(dataset, config))
 
     def test_a_data_set_too_short_for_a_window_encodes_nothing(self, tmp_path):
         # the embedding file is read on the first lookup, so a lookup would fail on the absent file
         encoder = EncoderConfig(str(tmp_path / "absent.csv"))
         assert pipeline.build_windows(_dataset(), _config(window=30), encoder) == {"r0": []}
+
+    def test_windows_do_not_alias_the_data_set(self):
+        config = _config()
+        dataset = generate_synthetic(GeneratorConfig(regions=2, days=2, slots_per_day=12, event_rate=0.3))
+        built = pipeline.build_windows(dataset, config)
+        before = {region: [(w.inputs.copy(), w.targets.copy()) for w in windows] for region, windows in built.items()}
+        dataset.features[:] = -1.0
+        for region, windows in built.items():
+            for window, (inputs, targets) in zip(windows, before[region], strict=True):
+                assert window.inputs.tobytes() == inputs.tobytes()
+                assert window.targets.tobytes() == targets.tobytes()
 
     def test_file_mode_needs_no_embedding_for_unread_steps(self, tmp_path):
         # the last horizon steps are only ever targets, so their text has no embedding to look up
@@ -499,8 +509,7 @@ class TestComputeScaler:
         # 3.1 does not add exactly, and the rounding noise of its mean used to be its std (4.6e-13),
         # which scaled a later 3.2 to about 2e11
         dataset = generate_synthetic(GeneratorConfig())
-        for series in dataset.regions:
-            series.distance[:] = 3.1
+        dataset.features[:, :, 2] = 3.1
         windows = pipeline.split_windows(pipeline.build_windows(dataset, TrainConfig())).train
         mean, std = pipeline.compute_scaler(windows)
         assert std[2] == 0.0
@@ -656,7 +665,7 @@ class TestModelFile:
     def test_fit_records_the_file_encoder(self, tmp_path):
         # a programmatic fit on file embeddings must save its [text] embedding_file, not load back as hashed
         dataset = _dataset()
-        ids = [f"{s.region}|{ts.isoformat()}" for s in dataset.regions for ts in s.timestamps]
+        ids = [f"{region}|{ts.isoformat()}" for region in dataset.regions for ts in dataset.timestamps]
         ids += [f"global|{ts.isoformat()}" for ts in dataset.timestamps]
         rng = np.random.default_rng(0)
         table = tmp_path / "embeddings.csv"
