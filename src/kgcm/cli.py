@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands: generate, train, evaluate, ablate, gradcheck. Exit codes: 0
-success, 1 usage, 2 data/config error, 3 training/numeric error, 4 I/O
-error. Standard output is machine-parseable CSV-style lines. All file
-outputs are written to a temp file and renamed into place; `train`,
-`evaluate` and `ablate` check that the directory of --out exists before they
-read any model or data.
+success, 1 usage, 2 data/config error, 3 training/numeric error or a helper
+process that ended before it sent its results, 4 I/O error. Standard output
+is machine-parseable CSV-style lines. All file outputs are written to a temp
+file and renamed into place; `train`, `evaluate` and `ablate` check that the
+directory of --out exists before they read any model or data.
 
 The seed of `generate`, `train` and `ablate` is the --seed flag if given,
 else the config's value; `gradcheck --seed` defaults to 0. A set KGCM_SEED
@@ -32,6 +32,7 @@ from .errors import (
     ConfigError,
     DataError,
     FormatError,
+    HelperError,
     KgcmError,
     MetricError,
     NumericError,
@@ -198,7 +199,7 @@ def main(argv=None) -> int:
     except (DataError, ConfigError, FormatError, MetricError, ShapeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingError, NumericError) as exc:
+    except (TrainingError, NumericError, HelperError) as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
     except OSError as exc:

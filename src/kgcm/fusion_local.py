@@ -146,7 +146,7 @@ def prompt_loss(params: LpoParams) -> Tensor:
 def acmfw_weight(rows: Tensor, matrix: np.ndarray) -> Tensor:
     """Reweight the feature dimensions of each (T, d) row by the frozen matrix: row i becomes A h_i.
 
-    Off the tape the rows may be a (C, T, d) stack of windows' rows.
+    The rows may also be a (C, T, d) stack of windows' rows.
     """
     d = matrix.shape[0]
     if matrix.shape != (d, d) or rows.data.ndim not in (2, 3) or rows.data.shape[-1] != d:

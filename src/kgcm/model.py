@@ -19,13 +19,15 @@ one ``numeric.cast`` tape entry. Parameters and their gradients, the
 scaler, ``a_star`` (the float64 mean of float32 matrices) and model files
 stay float64.
 
-The value path of ``stage2_forward`` also runs, off the tape, on a stack of
-windows (``stage2_values``): the embedding, the gates, the ``acmfw``
-weighting, the sequence embedding, the encoder and the heads run on
-(C, T, d) rows; the graph pass runs on stacks of ``GRAPH_STACK`` windows,
-and the text cross-attention, whose token counts differ per window, runs
-window by window inside it. Each window's values are bitwise those of its
-own ``stage2_forward``.
+Both forwards take one window, or a list of windows as one stack. On a
+stack the embedding, the gates, the ``acmfw`` weighting, the sequence
+embedding, the encoder, the heads and the loss run on (C, T, d) rows, one
+tape entry each; the text cross-attention, whose token counts differ per
+window, runs window by window inside ``numeric.each_window``, and so do
+stage 1's readout and, on a tape, the graph pass. Off the tape
+(``stage2_values``) the graph pass runs on stacks of ``GRAPH_STACK``
+windows. Each window's values, loss and gradients are bitwise those of its
+own one-window forward, which ``predict`` and the gradient checks run.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .numeric import (
     add,
     cast,
     constant,
+    each_window,
     history_columns,
     linear,
     mean_rows,
@@ -63,6 +66,7 @@ from .numeric import (
     sigmoid_gate,
     sse,
     take,
+    unstack,
 )
 from .predictor import SsaParams, embed_sequence, forecast, init_ssa_params, structural_bias
 from .text import EncoderConfig
@@ -151,21 +155,29 @@ class SeriesWindow:
     target_times: list  # (T',) timestamps of the targets
 
 
-def _stacked(arrays: list) -> np.ndarray:
-    """The one window's array, or the (C, ...) stack of several windows' arrays, which must share a shape."""
-    if len(arrays) == 1:
-        return np.asarray(arrays[0])
+Windows = SeriesWindow | Sequence[SeriesWindow]  # one window, or a stack of them
+
+
+def _stacked(windows: Windows, read) -> np.ndarray:
+    """``read(window)`` for one window; for a stack, the (C, ...) stack of each window's, which must share a shape."""
+    if isinstance(windows, SeriesWindow):
+        return np.asarray(read(windows))
     try:
-        return np.stack(arrays)
+        return np.stack([read(w) for w in windows])
     except ValueError as exc:
         raise ShapeError(f"the windows of a stack differ in shape: {exc}") from exc
 
 
-def _per_window(rows: Tensor, windows: Sequence[SeriesWindow], step) -> Tensor:
-    """``step(rows, window)`` for one window's rows; for a (C, T, d) stack, the stack of each window's own result."""
-    if rows.data.ndim == 2:
-        return step(rows, windows[0])
-    return constant(np.stack([step(constant(r), w).data for r, w in zip(rows.data, windows)]))
+def _per_window(rows: Tensor, windows: Windows, step) -> Tensor:
+    """``step(rows, window)`` for one window's rows; for a (C, T, d) stack, the stack of each window's own result.
+
+    A stack runs ``step`` on each window's slice inside ``each_window``, so
+    a tape keeps each window's gradients apart.
+    """
+    if isinstance(windows, SeriesWindow):
+        return step(rows, windows)
+    views = unstack(rows)
+    return each_window(len(views), lambda c: step(views[c], windows[c]))
 
 
 def _tensors(node) -> Iterator[Tensor]:
@@ -272,80 +284,98 @@ class Model:
 
     # -- forwards ------------------------------------------------------
 
-    def _fused_rows(self, windows: Sequence[SeriesWindow], first: int = 0) -> Tensor:
+    def _fused_rows(self, windows: Windows, first: int = 0) -> Tensor:
         """Embedded rows of steps ``first``..T-1, gated with the step text by one cross-attention call per window when lpo is on.
 
-        One window gives (T - first, d) rows, several a (C, T - first, d)
+        One window gives (T - first, d) rows, a stack a (C, T - first, d)
         stack. Each fused row depends on its own step alone, so the rows of
         a cut window are the same rows as those of the whole one.
         """
-        x = constant(self.scale_inputs(_stacked([w.inputs[first:] for w in windows])))
+        x = constant(self.scale_inputs(_stacked(windows, lambda w: w.inputs[first:])))
         hs = embed_structured_rows(x, self.lpo)
         if "lpo" not in self.components:
             return hs
         text = _per_window(hs, windows, lambda rows, w: guided_cross_attention(rows, w.local_tokens[first:], self.lpo))
         return sigmoid_gate(hs, text, self.lpo.w_gate)
 
-    def stage1_forward(self, window: SeriesWindow) -> tuple[Tensor, np.ndarray | None]:
+    def stage1_forward(self, windows: Windows) -> tuple[Tensor, np.ndarray | None]:
         """Auxiliary one-step-ahead loss over the final node states, and the graph's last smoothed matrix.
 
         Without the graph the loss reads only the last n fused rows (the last
         step's history columns), so only the last min(n, T) steps are fused;
-        a window shorter than n still pads by repeating its first row.
+        a window shorter than n still pads by repeating its first row. One
+        window gives a scalar loss and a (d, d) matrix, a stack (C,) losses
+        and (C, d, d) matrices; the readout runs window by window.
         """
-        n = self.config.n
-        if self.dgso is None:
-            fused = self._fused_rows([window], max(len(window.inputs) - n, 0))
-            final_states, matrix = history_columns(fused, fused.data.shape[0] - 1, n), None
-        else:
-            fused = self._fused_rows([window])
-            states, matrix = run_dgso(cast(fused, self.graph_dtype), self.dgso, n, last_step_only=True)
-            final_states = cast(take(states, 0), np.float64)
-        aux_pred = linear(mean_rows(final_states), self.aux_w, self.aux_b)
-        return joint_loss(aux_pred, self.scale_targets(window.targets[:1]), self.lpo, self.config.lambda_prompt), matrix
+        n, matrices = self.config.n, []
 
-    def stage2_forward(self, window: SeriesWindow) -> Tensor:
-        """Full value path: fuse, refine, gate, weight, encode, forecast; (T',) on the scaled target scale."""
-        return self._values([window])
+        def aux_pred(rows: Tensor, window: SeriesWindow) -> Tensor:
+            if self.dgso is None:
+                final_states = history_columns(rows, rows.data.shape[0] - 1, n)
+            else:
+                states, matrix = run_dgso(cast(rows, self.graph_dtype), self.dgso, n, last_step_only=True)
+                final_states = cast(take(states, 0), np.float64)
+                matrices.append(matrix)
+            return linear(mean_rows(final_states), self.aux_w, self.aux_b)
+
+        steps = len((windows if isinstance(windows, SeriesWindow) else windows[0]).inputs)
+        first = max(steps - n, 0) if self.dgso is None else 0
+        pred = _per_window(self._fused_rows(windows, first), windows, aux_pred)
+        loss = joint_loss(pred, self.scale_targets(_stacked(windows, lambda w: w.targets[:1])), self.lpo,
+                          self.config.lambda_prompt)
+        if not matrices:
+            return loss, None
+        return loss, matrices[0] if isinstance(windows, SeriesWindow) else np.stack(matrices)
+
+    def stage2_forward(self, windows: Windows) -> Tensor:
+        """Full value path: fuse, refine, gate, weight, encode, forecast; on the scaled target scale.
+
+        One window gives (T',) values, a stack (C, T'), one row per window.
+        """
+        values = self._values(windows)
+        return values if isinstance(windows, SeriesWindow) else take(values, np.s_[:, 0])
 
     def stage2_values(self, windows: Sequence[SeriesWindow]) -> np.ndarray:
         """``stage2_forward``'s values for each of ``windows``, as (C, T') rows, computed off the tape.
 
-        The windows run as one (C, T, d) stack where the value path allows
-        it, and must share their shapes; each row is bitwise its window's
-        ``stage2_forward`` value.
+        Two or more windows run as one (C, T, d) stack, and must share their
+        shapes; each row is bitwise its window's ``stage2_forward`` value.
         """
         with no_tape():
-            return self._values(windows).data.reshape(len(windows), -1)
+            return self._values(windows[0] if len(windows) == 1 else windows).data.reshape(len(windows), -1)
 
     def _graph_rows(self, rows: Tensor) -> Tensor:
         """Each step's column n-1 of the graph pass's final node states, in float64, for (T, d) or (C, T, d) rows.
 
-        One window's rows run on the tape, between two ``cast`` entries. A
-        stack runs off it, ``GRAPH_STACK`` windows per ``run_dgso`` call.
+        One window's rows run between two ``cast`` entries. A stack on a
+        tape runs window by window; off it, ``GRAPH_STACK`` windows per
+        ``run_dgso`` call.
         """
         n = self.config.n
         if rows.data.ndim == 2:
             states = run_dgso(cast(rows, self.graph_dtype), self.dgso, n)[0]
             return cast(take(states, np.s_[:, :, n - 1]), np.float64)
+        if rows.requires_grad:
+            views = unstack(rows)
+            return each_window(len(views), lambda c: self._graph_rows(views[c]))
         out = np.empty(rows.data.shape)
         for first in range(0, len(out), GRAPH_STACK):
             part = constant(rows.data[first: first + GRAPH_STACK].astype(self.graph_dtype))
             out[first: first + GRAPH_STACK] = run_dgso(part, self.dgso, n)[0].data[..., n - 1].swapaxes(0, 1)
         return constant(out)
 
-    def _values(self, windows: Sequence[SeriesWindow]) -> Tensor:
-        """The value path for one window's (T, d) rows, or for several windows' (C, T, d) stack."""
+    def _values(self, windows: Windows) -> Tensor:
+        """The value path for one window's (T, d) rows, or for a stack's (C, T, d) rows: (T',) or (C, 1, T')."""
         vecs = self._fused_rows(windows)
         if self.dgso is not None:
             vecs = self._graph_rows(vecs)
         if self.global_gate is not None:
-            pooled = _stacked([w.global_pooled[None] for w in windows])  # (1, d) per window, repeated over its rows
+            pooled = _stacked(windows, lambda w: w.global_pooled[None])  # (1, d) per window, repeated over its rows
             vecs = sigmoid_gate(vecs, constant(np.repeat(pooled, vecs.data.shape[-2], axis=-2)),
                                 self.global_gate.w_gate, self.global_gate.b_gate)
         if "acmfw" in self.components:
             vecs = acmfw_weight(vecs, self.structure_or_uniform())
-        e = embed_sequence(vecs, _stacked([w.slots for w in windows]), _stacked([w.dows for w in windows]), self.ssa)
+        e = embed_sequence(vecs, _stacked(windows, lambda w: w.slots), _stacked(windows, lambda w: w.dows), self.ssa)
         bias = structural_bias(self.structure_or_uniform()) if "ssa" in self.components else None
         return forecast(e, bias, self.ssa)
 
@@ -354,14 +384,21 @@ def joint_loss(predictions: Tensor, targets: np.ndarray, lpo_params: LpoParams |
     """Sum of squared errors plus the weighted prompt-alignment term.
 
     Stage 2 scores the horizon forecast with it, stage 1 the auxiliary
-    one-step prediction.
+    one-step prediction. One window's (k,) predictions give a scalar loss; a
+    (C, k) stack gives (C,) losses, one per window, and each window's loss
+    adds its own prompt term, computed window by window inside
+    ``each_window``.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if predictions.data.shape != targets.shape:
         raise ShapeError(f"predictions {predictions.data.shape} do not match targets {targets.shape}")
-    loss = sse(predictions, targets)
+    windows = predictions.data.ndim > 1
+    loss = sse(predictions, targets, windows=windows)
     if lpo_params is not None and lpo_params.has_text_fusion and lambda_prompt > 0.0:
-        loss = add(loss, scale(prompt_loss(lpo_params), lambda_prompt))
+        def term(_=None) -> Tensor:
+            return scale(prompt_loss(lpo_params), lambda_prompt)
+
+        loss = add(loss, each_window(len(targets), term) if windows else term())
     return loss
 
 

@@ -20,14 +20,22 @@ embedding, the heads, the losses and the graph lift use, and one fused
 kernel per value-path sublayer (see the comment that opens the fused-kernel
 section).
 
-The ops that scoring runs on a stack of windows (``add``, ``relu``,
-``linear``, ``matmul_nt``, ``gather_rows``, the encoder kernels and
-``sigmoid_gate``) also take a leading window axis: (C, T, d) rows, where
-each window's slice of the result is bitwise that window's own call. The
-graph kernels take one too, after their step axis: ``history_columns``
-lifts (C, T, d) rows to (T, C, d, n) states, and ``graph_layer`` runs
-them. Backward takes one window only, so a stacked call that a tape would
-record raises ``ContractError``. ``take`` takes any rank, taped or not.
+The value-path ops (``add``, ``relu``, ``linear``, ``matmul_nt``,
+``gather_rows``, ``sse``, the encoder kernels and ``sigmoid_gate``) also
+take a leading window axis: (C, T, d) rows, where each window's slice of
+the result is bitwise that window's own call, on the tape or off it.
+``take`` takes any rank. A tape records a stacked call as one entry, and
+``backward`` of a (C,) loss of C independent window losses keeps every
+window's gradients apart: a stacked tensor's gradient has its own shape,
+and a parameter's is a (C, ...) array whose slice c is bitwise window c's
+own gradient. The ops a stack cannot run (``step_cross_attention`` and the
+graph kernels on a tape) run once per window, on the ``unstack``-ed slices
+of a stack, inside ``each_window``, which stacks their results; their
+gradients land in slice c of the stack's and of each parameter's.
+The graph kernels take an untaped stack too, after their step axis:
+``history_columns`` lifts (C, T, d) rows to (T, C, d, n) states, and
+``graph_layer`` runs them; a stacked call that a tape would record raises
+``ContractError``.
 
 Randomness is centralized in ``SeededRng``, a thin wrapper over the
 counter-based Philox generator: one root seed, named child streams, and an
@@ -54,6 +62,8 @@ __all__ = [
     "tape_size",
     "clear_tape",
     "no_tape",
+    "unstack",
+    "each_window",
     "add",
     "sub",
     "scale",
@@ -134,10 +144,19 @@ class Tensor:
         return f"<{tag} shape={self.data.shape} grad={self.requires_grad}>"
 
 
-# Tape entries are (output, inputs, backward_fn) triples. backward_fn maps the
-# output gradient to a tuple of input gradients (None for non-grad inputs).
-_TAPE: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+class _Slice(Tensor):
+    """Window ``index``'s slice of a stacked tensor, as a view; ``backward`` adds its gradient into the stack's."""
+
+    __slots__ = ("stack", "index")
+
+
+# Tape entries are (output, inputs, backward_fn, window) quadruples. backward_fn
+# maps the output gradient to a tuple of input gradients (None for non-grad
+# inputs). window is None, or (c, C) for an entry recorded as window c of a
+# stack of C inside ``each_window``.
+_TAPE: list[tuple[Tensor, tuple[Tensor, ...], Callable, tuple[int, int] | None]] = []
 _TRACING = True
+_WINDOW: tuple[int, int] | None = None
 
 
 def tape_size() -> int:
@@ -172,6 +191,53 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float64))
 
 
+def unstack(stacked: Tensor) -> list[Tensor]:
+    """Each window's slice of a (C, ...) stack, as a view that records nothing; its gradient lands in the stack's."""
+    views = []
+    for c, rows in enumerate(stacked.data):
+        view = _Slice.__new__(_Slice)
+        view.data, view.requires_grad, view.name = rows, stacked.requires_grad, None
+        view.stack, view.index = stacked, c
+        views.append(view)
+    return views
+
+
+def _stack(parts: Sequence[Tensor]) -> Tensor:
+    """The (C, ...) stack of C one-window tensors of one shape, as one tape entry; slice c's gradient goes to part c."""
+    try:
+        out = np.stack([p.data for p in parts])
+    except ValueError as exc:
+        raise ShapeError(f"the parts of a stack differ in shape: {exc}") from exc
+
+    def bw(g):
+        return tuple(g)
+
+    return _result(out, tuple(parts), bw)
+
+
+def each_window(count: int, step: Callable[[int], Tensor]) -> Tensor:
+    """The (C, ...) stack of ``step(c)`` for each window c of ``count``, every entry it records taped as window c's.
+
+    The stack is one more tape entry, which hands slice c's gradient to
+    ``step(c)``.
+
+    ``backward`` adds the gradient that such an entry gives a tensor no
+    per-window entry made, a parameter, into slice c of that tensor's
+    (C, ...) gradient. Windows are not nested.
+    """
+    global _WINDOW
+    if _WINDOW is not None:
+        raise ContractError("each_window does not nest")
+    parts = []
+    try:
+        for c in range(count):
+            _WINDOW = (c, count)
+            parts.append(step(c))
+    finally:
+        _WINDOW = None
+    return _stack(parts)
+
+
 def _records(inputs: tuple[Tensor, ...]) -> bool:
     """Whether an op on ``inputs`` goes on the tape, so that its backward will run."""
     return _TRACING and any(t.requires_grad for t in inputs)
@@ -195,39 +261,96 @@ def _result(arr: np.ndarray, inputs: tuple[Tensor, ...], backward_fn: Callable) 
     out.name = None
     if _records(inputs):
         out.requires_grad = True
-        _TAPE.append((out, inputs, backward_fn))
+        _TAPE.append((out, inputs, backward_fn, _WINDOW))
     else:
         out.requires_grad = False
     return out
 
 
-def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> dict[Tensor, np.ndarray]:
+def backward(loss: Tensor, params: Iterable[Tensor] = (), windows: bool = False) -> dict[Tensor, np.ndarray]:
     """Accumulate d(loss)/d(leaf) for every requires-grad leaf on the tape.
 
-    ``loss`` must be scalar. Returns a map from tensor to gradient; tensors in
-    ``params`` that the loss does not depend on get explicit zeros. The tape
-    is cleared before returning.
+    ``loss`` must be scalar, or with ``windows`` a (C,) stack of C windows'
+    independent losses. For a stack, the gradient of a tensor the windows
+    share, a parameter, is a (C, ...) array whose slice c is
+    d(loss[c])/d(tensor), bitwise what window c's own tape gives; a stacked
+    tensor's gradient has its own shape. Returns a map from tensor to
+    gradient; tensors in ``params`` that the loss does not depend on get
+    explicit zeros, (C, ...) for a stack. The tape is cleared before
+    returning.
+
+    Gradients are added in reverse tape order, each sum a new array, except
+    where a window's gradient goes into its slice of a stacked one (see
+    ``_add_window``).
     """
-    if loss.data.shape != ():
-        raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if loss.data.ndim != windows:
+        want = "a (C,) stack of window losses" if windows else "a scalar loss"
+        raise ContractError(f"backward requires {want}, got shape {loss.data.shape}")
     if not _TAPE:
         raise ContractError("backward called with an empty tape")
-    grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
-    for out, inputs, backward_fn in reversed(_TAPE):
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones(loss.data.shape, dtype=np.float64)}
+    owned: dict[Tensor, set[int] | None] = {}  # see _add_window
+    local = None  # the outputs of per-window entries
+    for out, inputs, backward_fn, window in reversed(_TAPE):
         g = grads.pop(out, None)
         if g is None:
             continue
+        if window is not None and local is None:
+            local = {entry[0] for entry in _TAPE if entry[3] is not None}
         for t, gi in zip(inputs, backward_fn(g)):
             if gi is None or not t.requires_grad:
                 continue
-            prev = grads.get(t)
-            grads[t] = gi if prev is None else prev + gi
+            if type(t) is _Slice:
+                _add_window(grads, owned, t.stack, t.index, len(t.stack.data), gi)
+            elif window is not None and t not in local:  # a tensor the windows share
+                _add_window(grads, owned, t, *window, gi)
+            else:
+                prev = grads.get(t)
+                if prev is None:
+                    grads[t] = gi
+                    continue
+                written = owned.get(t)
+                if written is None:
+                    grads[t] = prev + gi
+                else:  # the windows not yet written take gi's slice as it is, as a first gradient does
+                    both = sorted(written)
+                    grads[t] = gi.copy()
+                    grads[t][both] += prev[both]
+                owned[t] = None
     clear_tape()
     grads.pop(loss, None)
+    stacked = loss.data.shape
     for p in params:
         if p not in grads:
-            grads[p] = np.zeros_like(p.data)
+            grads[p] = np.zeros(stacked + p.data.shape, dtype=p.data.dtype)
     return grads
+
+
+def _add_window(grads: dict[Tensor, np.ndarray], owned: dict[Tensor, set[int] | None], t: Tensor, c: int,
+                count: int, gi: np.ndarray) -> None:
+    """Add window ``c``'s gradient ``gi`` into slice ``c`` of ``t``'s (``count``, ...) gradient, in place.
+
+    ``owned`` holds the gradients ``backward`` may write in place: for each,
+    the set of windows written so far, or None for all of them. A window's
+    first gradient is stored as it is and later ones are added, as on its
+    own tape, so every slice is bitwise that window's own sum, signed zeros
+    included.
+    """
+    arr = grads.get(t)
+    if arr is None:
+        arr = grads[t] = np.zeros((count,) + gi.shape, dtype=gi.dtype)
+        owned[t] = {c}
+        arr[c] = gi
+        return
+    if t not in owned:  # another entry's array, which may be in use elsewhere
+        arr = grads[t] = arr.copy()
+        owned[t] = None
+    written = owned[t]
+    if written is None or c in written:
+        arr[c] += gi
+    else:
+        arr[c] = gi
+        written.add(c)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -249,8 +372,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b. On a tape, a stack of windows may be added to a stack or to a constant, not to a shared tensor."""
     out = a.data + b.data
-    _untaped_stack("add", out.ndim, (a, b))
 
     def bw(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
@@ -277,7 +400,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    _untaped_stack("relu", a.data.ndim, (a,))
     out = np.maximum(a.data, 0.0)
 
     def bw(g):
@@ -302,26 +424,30 @@ def cast(a: Tensor, dtype) -> Tensor:
 
 
 def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.T for a rank-2 ``b`` and a rank-2 ``a``, or an untaped stack of them."""
+    """a @ b.T for a rank-2 ``b`` and a rank-2 ``a``, or a (C, m, k) stack of them."""
     ad, bd = a.data, b.data
     if ad.ndim not in (2, 3) or bd.ndim != 2 or ad.shape[-1] != bd.shape[1]:
         raise ShapeError(f"matmul_nt expects (m,k) and (n,k), got {ad.shape} and {bd.shape}")
-    _untaped_stack("matmul_nt", ad.ndim, (a, b))
     out = ad @ bd.T
 
     def bw(g):
-        return g @ bd, g.T @ ad
+        return g @ bd, g.swapaxes(-1, -2) @ ad
 
     return _result(out, (a, b), bw)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ weight.T + bias with weight stored as (out_dim, in_dim); x is rank 1 or 2, or an untaped stack of rank 3."""
+    """x @ weight.T + bias with weight stored as (out_dim, in_dim).
+
+    x is rank 1 or 2, or a (C, T, in) stack of rank 3. A stack of single
+    rows, (C, 1, in), is C rank-1 calls: its backward takes the rank-1
+    outer products, which a (1, in) matrix product matches only up to the
+    sign of a zero.
+    """
     xd, wd = x.data, weight.data
     if wd.ndim != 2 or xd.ndim not in (1, 2, 3) or xd.shape[-1] != wd.shape[1]:
         raise ShapeError(f"linear expects x (..,{wd.shape[1] if wd.ndim == 2 else '?'}), got {xd.shape} with weight {wd.shape}")
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    _untaped_stack("linear", xd.ndim, inputs)
     out = xd @ wd.T
     if bias is not None:
         out = out + bias.data
@@ -331,9 +457,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if xd.ndim == 1:
             gw = np.outer(g, xd)
             gb = g
+        elif xd.ndim == 3 and xd.shape[1] == 1:
+            gw = g.swapaxes(-1, -2) * xd
+            gb = g[:, 0]
         else:
-            gw = g.T @ xd
-            gb = g.sum(axis=0)
+            gw = g.swapaxes(-1, -2) @ xd
+            gb = g.sum(axis=-2)
         if bias is None:
             return gx, gw
         return gx, gw, gb
@@ -398,8 +527,12 @@ def _norm_forward(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     return gamma * xhat + beta, xhat, inv
 
 
-def _norm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv: np.ndarray):
-    """Gradients of the layer norm's input, gamma and beta; the affine ones sum over the leading axes."""
+def _norm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv: np.ndarray, windows: bool = False):
+    """Gradients of the layer norm's input, gamma and beta; the affine ones sum over the leading axes.
+
+    With ``windows`` the first axis is a stack of windows, and the affine
+    gradients are (C, n), each window's own sum.
+    """
     n = g.shape[-1]
     dxhat = g * gamma
     dy = inv * (
@@ -407,7 +540,8 @@ def _norm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv: np.n
         - _row_sum(dxhat) / n
         - xhat * _row_sum(dxhat * xhat) / n
     )
-    return dy, (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0)
+    rows = (len(g), -1, n) if windows else (-1, n)
+    return dy, (g * xhat).reshape(rows).sum(axis=-2), g.reshape(rows).sum(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +568,25 @@ def take(a: Tensor, key) -> Tensor:
 
 
 def gather_rows(table: Tensor, indices: Sequence[int] | np.ndarray) -> Tensor:
-    """Select rows of a rank-2 table; gradients scatter-add back. (C, T) indices give an untaped (C, T, d) stack."""
+    """Select rows of a rank-2 table; gradients scatter-add back.
+
+    (C, T) indices give a (C, T, d) stack, and a (C, rows, d) gradient of
+    the table, each window's scatter-add in its own slice.
+    """
     if table.data.ndim != 2:
         raise ShapeError(f"gather_rows expects rank 2, got shape {table.data.shape}")
     idx = np.asarray(indices, dtype=np.intp)
-    _untaped_stack("gather_rows", idx.ndim + 1, (table,))
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ShapeError(f"gather_rows index out of range for table with {table.data.shape[0]} rows")
     out = table.data[idx]
 
     def bw(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
+        if idx.ndim < 2:
+            full = np.zeros_like(table.data)
+            np.add.at(full, idx, g)
+        else:
+            full = np.zeros((len(idx),) + table.data.shape)
+            np.add.at(full, (np.arange(len(idx))[:, None], idx), g)
         return (full,)
 
     return _result(out, (table,), bw)
@@ -479,15 +620,24 @@ def sum_sq(a: Tensor) -> Tensor:
     return _result(out, (a,), bw)
 
 
-def sse(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Sum of squared errors against a constant target."""
+def sse(pred: Tensor, target: np.ndarray, windows: bool = False) -> Tensor:
+    """Sum of squared errors against a constant target.
+
+    With ``windows`` the first axis of ``pred`` is a stack of windows, and
+    the result is (C,): each window's own sum.
+    """
     t = np.asarray(target, dtype=np.float64)
     if pred.data.shape != t.shape:
         raise ShapeError(f"prediction shape {pred.data.shape} does not match target shape {t.shape}")
     diff = pred.data - t
-    out = np.asarray((diff * diff).sum())
+    if windows:
+        out = (diff * diff).reshape(len(diff), -1).sum(axis=1)
+    else:
+        out = np.asarray((diff * diff).sum())
 
     def bw(g):
+        if windows:
+            return ((2.0 * g).reshape((-1,) + (1,) * (diff.ndim - 1)) * diff,)
         return (2.0 * float(g) * diff,)
 
     return _result(out, (pred,), bw)
@@ -542,20 +692,24 @@ def sse(pred: Tensor, target: np.ndarray) -> Tensor:
 # step text.
 #
 # The encoder kernels and ``sigmoid_gate`` also take a leading window axis,
-# a (C, T, d) stack of C windows' rows, when no tape records the call (see
-# the module docstring). numpy runs a stacked matmul slice by slice, each
-# slice through the BLAS call that one window's rank-2 product makes, and
-# every other step is elementwise or reduces the last axis, so each
-# window's slice of the result is bitwise its own call's. Scoring runs the
-# value path so, a chunk of windows per call, and the fixed cost of each
-# numpy call and each ``_result`` check is paid once per chunk. The
+# a (C, T, d) stack of C windows' rows (see the module docstring). numpy
+# runs a stacked matmul slice by slice, each slice through the BLAS call
+# that one window's rank-2 product makes, and every other step is
+# elementwise or reduces the last axis, so each window's slice of the
+# result is bitwise its own call's. Scoring runs the value path so, a chunk
+# of windows per call, and training a stack of windows per tape, and the
+# fixed cost of each numpy call, each ``_result`` check and each tape entry
+# is paid once per stack. The backwards follow the same rule: the
 # transposes are ``swapaxes`` of the last two axes, which for rank 2 is
-# ``.T``. The graph kernels stack windows the same way, but with the step
-# axis outermost: (S, C, d, n) states and (S, C, d, d) relations, so that
-# each step of the smoothing scan is one contiguous (C, d, d) block and the
-# scan makes one numpy call per step for all C windows; every 2-D slice of
-# their products is still one window's step. ``step_cross_attention``
-# stays one window per call.
+# ``.T``, a parameter's gradient is each window's product or its sum over
+# its own rows (axis -2, and per window in ``_norm_backward``), so it comes
+# back as a (C, ...) stack of the windows' own gradients. The graph kernels
+# stack windows the same way off the tape, but with the step axis
+# outermost: (S, C, d, n) states and (S, C, d, d) relations, so that each
+# step of the smoothing scan is one contiguous (C, d, d) block and the scan
+# makes one numpy call per step for all C windows; every 2-D slice of their
+# products is still one window's step. On a tape they and
+# ``step_cross_attention`` stay one window per call.
 
 
 def _live_steps(g: np.ndarray, *arrays: np.ndarray):
@@ -748,7 +902,6 @@ def time_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tens
     t, d = _check_rows("time_attention_norm", xd, w_query, w_key, w_value, w_out)
     _check_affine("time_attention_norm", d, gamma, beta)
     inputs = (x, w_query, w_key, w_value, w_out, gamma, beta)
-    _untaped_stack("time_attention_norm", xd.ndim, inputs)
     wq, wk, wv, wo = w_query.data, w_key.data, w_value.data, w_out.data
     c = 1.0 / math.sqrt(d)
     q, k, v = xd @ wq, xd @ wk, xd @ wv
@@ -757,12 +910,13 @@ def time_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tens
     out, xhat, inv = _norm_forward(att @ wo + xd, gamma.data, beta.data)
 
     def bw(g):
-        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv)
+        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv, xd.ndim == 3)
         datt = dy @ wo.T
-        ds = _softmax_backward(datt @ v.T, p) * c
-        dq, dk, dv = ds @ k, ds.T @ q, p.T @ datt
+        ds = _softmax_backward(datt @ v.swapaxes(-1, -2), p) * c
+        dq, dk, dv = ds @ k, ds.swapaxes(-1, -2) @ q, p.swapaxes(-1, -2) @ datt
         dx = dq @ wq.T + dk @ wk.T + dv @ wv.T + dy
-        return dx, xd.T @ dq, xd.T @ dk, xd.T @ dv, att.T @ dy, dgamma, dbeta
+        xt = xd.swapaxes(-1, -2)
+        return dx, xt @ dq, xt @ dk, xt @ dv, att.swapaxes(-1, -2) @ dy, dgamma, dbeta
 
     return _result(out, inputs, bw)
 
@@ -785,7 +939,6 @@ def feature_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: T
         raise ShapeError(f"feature_attention_norm bias must have shape ({d}, {d}), got {bias.shape}")
     _check_affine("feature_attention_norm", d, gamma, beta)
     inputs = (x, w_query, w_key, w_value, w_out, gamma, beta)
-    _untaped_stack("feature_attention_norm", xd.ndim, inputs)
     wq, wk, wv, wo = w_query.data, w_key.data, w_value.data, w_out.data
     c = 1.0 / math.sqrt(t)
     rows = np.s_[..., -1:, :] if last_only else np.s_[:]
@@ -799,15 +952,16 @@ def feature_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: T
     out, xhat, inv = _norm_forward(att @ wo + xr, gamma.data, beta.data)
 
     def bw(g):
-        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv)
+        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv, xd.ndim == 3)
         datt = dy @ wo.T
-        ds = _softmax_backward(datt.T @ v, p) * c
-        dq, dk, dv = k @ ds.T, q @ ds, datt @ p
+        ds = _softmax_backward(datt.swapaxes(-1, -2) @ v, p) * c
+        dq, dk, dv = k @ ds.swapaxes(-1, -2), q @ ds, datt @ p
         # ((dq + dk) + dv) + dy with dv and dy on the value rows alone, in that order, so uncut it is bitwise
         dx = dq @ wq.T + dk @ wk.T
         dx[rows] += dv @ wv.T
         dx[rows] += dy
-        return dx, xd.T @ dq, xd.T @ dk, xr.T @ dv, att.T @ dy, dgamma, dbeta
+        xt = xd.swapaxes(-1, -2)
+        return dx, xt @ dq, xt @ dk, xr.swapaxes(-1, -2) @ dv, att.swapaxes(-1, -2) @ dy, dgamma, dbeta
 
     return _result(out, inputs, bw)
 
@@ -822,17 +976,17 @@ def feedforward_norm(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, 
                          f"w2 {w2.data.shape}, b2 {b2.data.shape}")
     _check_affine("feedforward_norm", xd.shape[-1], gamma, beta)
     inputs = (x, w1, b1, w2, b2, gamma, beta)
-    _untaped_stack("feedforward_norm", xd.ndim, inputs)
     w1d, w2d = w1.data, w2.data
     r = xd @ w1d.T + b1.data
     np.maximum(r, 0.0, out=r)
     out, xhat, inv = _norm_forward(r @ w2d.T + b2.data + xd, gamma.data, beta.data)
 
     def bw(g):
-        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv)
+        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv, xd.ndim == 3)
         dh = dy @ w2d
         dh *= r > 0.0
-        return dh @ w1d + dy, dh.T @ xd, dh.sum(axis=0), dy.T @ r, dy.sum(axis=0), dgamma, dbeta
+        return (dh @ w1d + dy, dh.swapaxes(-1, -2) @ xd, dh.sum(axis=-2), dy.swapaxes(-1, -2) @ r, dy.sum(axis=-2),
+                dgamma, dbeta)
 
     return _result(out, inputs, bw)
 
@@ -847,7 +1001,6 @@ def sigmoid_gate(h: Tensor, z: Tensor, w_gate: Tensor, b_gate: Tensor | None = N
         bias_shape = None if b_gate is None else b_gate.data.shape
         raise ShapeError(f"gate over width {d} needs a ({d}, {2 * d}) weight and a ({d},) bias, got {w.shape} and {bias_shape}")
     inputs = (h, z, w_gate) if b_gate is None else (h, z, w_gate, b_gate)
-    _untaped_stack("sigmoid_gate", hd.ndim, inputs)
     both = np.concatenate((hd, zd), axis=-1)
     pre = both @ w.T
     if b_gate is not None:
@@ -858,11 +1011,12 @@ def sigmoid_gate(h: Tensor, z: Tensor, w_gate: Tensor, b_gate: Tensor | None = N
     def bw(grad):
         dpre = grad * (hd - zd) * g * (1.0 - g)
         dboth = dpre @ w
-        dh = grad * g + dboth[:, :d]
-        dz = grad * (1.0 - g) + dboth[:, d:] if z.requires_grad else None
+        dh = grad * g + dboth[..., :d]
+        dz = grad * (1.0 - g) + dboth[..., d:] if z.requires_grad else None
+        dw = dpre.swapaxes(-1, -2) @ both
         if b_gate is None:
-            return dh, dz, dpre.T @ both
-        return dh, dz, dpre.T @ both, dpre.sum(axis=0)
+            return dh, dz, dw
+        return dh, dz, dw, dpre.sum(axis=-2)
 
     return _result(out, inputs, bw)
 

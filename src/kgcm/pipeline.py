@@ -4,15 +4,18 @@ Stage 1 fits the local fusion and graph parameters against a one-step-ahead
 auxiliary head, then freezes the epoch-averaged relation matrix. Stage 2
 trains the whole value path end to end under the joint objective with that
 matrix held fixed. Both stages run the same minibatch loop and are
-deterministic given the config seed. Where a second CPU and ``fork`` are
-there, this process has at most one forked helper process. Each stage
-forks its own, which computes half of each batch's windows, and this
-process adds every window's loss and gradients in window order, so the
-trained model is bitwise the same either way; the stage ends it when it
-returns. ``predict_windows`` splits a window set the same way: the helper,
-the stage's or, outside a stage, one forked by the first two-process pass
-and kept for later ones, forecasts the windows at odd positions and is sent
-the model and its windows pickled. Each process runs its share in chunks
+deterministic given the config seed. Each process computes its windows of
+a batch in stacks of up to ``TRAIN_STACK`` windows, one taped pass each
+(one window per pass for a model with the graph), and keeps each window's
+loss and gradients apart. Where a second CPU and ``fork`` are there, this
+process has at most one forked helper process. Each stage forks its own,
+which computes half of each batch's windows, and this process adds every
+window's loss and gradients in window order, so the trained model is
+bitwise the same either way; the stage ends it when it returns.
+``predict_windows`` splits a window set the same way: the helper, the
+stage's or, outside a stage, one forked by the first two-process pass and
+kept for later ones, forecasts the windows at odd positions and is sent the
+model and its windows pickled. Each process runs its share in chunks
 of ``SCORE_CHUNK`` windows, one untaped stacked value-path pass per chunk
 (``Model.stage2_values``) whose graph pass runs on stacks of
 ``model.GRAPH_STACK`` windows, and each forecast is bitwise the one
@@ -188,9 +191,20 @@ def _chunks(order: np.ndarray, size: int):
         yield order[i: i + size]
 
 
-# A window loss returns the window's loss and an array the stage sums over
-# its windows, or None.
-WindowLoss = Callable[[SeriesWindow, int], tuple[Tensor, np.ndarray | None]]
+# A window loss takes a stack of windows and the epoch. For one window it
+# returns the window's scalar loss, for several their (C,) losses; and a
+# list of one array per window that the stage sums over its windows, or None.
+WindowLoss = Callable[[list[SeriesWindow], int], tuple[Tensor, list | None]]
+
+# Windows per tape when a stage trains a model without the graph: each process computes its share of a batch in
+# stacks of up to this many consecutive windows, one taped pass and one backward per stack. A steady two-process
+# train-text stage-2 epoch took 0.89-1.12 ms per window one window per tape, 0.74-0.94 in stacks of two, 0.65-0.69
+# in stacks of four and 0.60-0.72 in stacks of eight, with peaks of 43.5, 44.5, 46.9 and 51.8 MiB; at eight some
+# epochs faulted 200-400 pages in where the others faulted under 35 (2-vCPU x86-64 guest). A model with the graph
+# trains one window per tape, since its windows' taped graph state costs the most memory: on train-full, stacks of
+# two took 1.92-1.98 ms per window against 1.96-2.16 alone and raised the peak 45.6 -> 48.2 MiB, and stacks of four
+# took 1.74-1.97 ms against 2.06-2.50 and raised it 45.5 -> 53.3 MiB, beyond the benchmark's 10% memory bound.
+TRAIN_STACK = 4
 
 HELPER_EXIT_S = 5.0  # a helper that has not ended this long after its pipe closed is killed
 
@@ -217,17 +231,19 @@ class _Helper:
     stage that forked it: the helper shares one anonymous ``mmap`` with the
     main process, in two regions sized to the stage's parameters. Once per
     batch the main process writes the parameters into the first and sends
-    the epoch and the helper's window indices. For each window the helper
-    writes the gradients into the second region and sends the loss, the
-    names of the parameters with a gradient and the window's array; it
-    writes the next window's gradients only after the main process acks,
-    having added these. An exception from a window is sent in place of its
-    result. A "score" message is a model and windows, pickled, and the
-    helper replies with their ``_forecasts``. A helper forked only to score
-    maps no memory. Sending each window's gradients pickled through the
-    pipe instead, with no shared ``mmap`` and no acks, trains bitwise the
-    same model but made fits slower: train-full by 6-22% (6 of 6 pairs)
-    and train-text by 18-25% (4 of 4), on a 2-vCPU x86-64 guest.
+    the epoch and the helper's window indices. The helper computes them in
+    stacks of the stage's stack size (``_window_results``), and hands them
+    back one window at a time: it writes the window's gradients into the
+    second region and sends the loss, the names of the parameters with a
+    gradient and the window's array, and writes the next window's gradients
+    only after the main process acks, having added these. An exception from
+    a window is sent in place of its result. A "score" message is a model
+    and windows, pickled, and the helper replies with their ``_forecasts``.
+    A helper forked only to score maps no memory. Sending each window's
+    gradients pickled through the pipe instead, with no shared ``mmap`` and
+    no acks, trains bitwise the same model but made fits slower: train-full
+    by 6-22% (6 of 6 pairs) and train-text by 18-25% (4 of 4), on a 2-vCPU
+    x86-64 guest.
 
     The helper ignores SIGINT: the main process takes Ctrl-C and ends it.
     It ends when the main process closes its end of the pipe: every forked
@@ -239,8 +255,11 @@ class _Helper:
     its ``OSError`` and leaves no pipe open and no memory mapped.
     """
 
-    def __init__(self, params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss | None):
+    def __init__(self, params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss | None,
+                 stack: int = 1):
         self._params = params
+        self._stack = stack
+        self._last = []  # the helper's latest stack results (see _window_results)
         self._buffer = None
         self._shared = []
         if params:
@@ -280,23 +299,21 @@ class _Helper:
         for name, p in self._params.items():
             p.data = shared_params[name].copy()
         acked = True
-        for idx in indices:
+        results = _window_results(self._params, windows, window_loss, indices, epoch, self._stack, self._last)
+        while True:
             try:
-                loss, array = window_loss(windows[idx], epoch)
-                value = loss.item()
-                grads = backward(loss)
+                value, grads, array = next(results)
+            except StopIteration:
+                break
             except Exception as exc:  # raised in the main process at this window's position
                 conn.send(exc)
                 break
             if not acked:
                 conn.recv()
-            present = []
-            for name, p in self._params.items():
-                g = grads.get(p)
-                if g is not None:
-                    grad_slot[name][...] = g
-                    present.append(name)
-            conn.send((value, present, array))
+            for name in grads:
+                grad_slot[name][...] = grads[name]
+            conn.send((value, list(grads), array))
+            grads = None  # see _window_results
             acked = False
         if not acked:
             conn.recv()
@@ -358,8 +375,8 @@ class _Helper:
 _helper: _Helper | None = None  # this process's helper: at most one lives at a time
 
 
-def _start_helper(params: dict[str, Tensor], windows: list[SeriesWindow],
-                  window_loss: WindowLoss | None) -> _Helper | None:
+def _start_helper(params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss | None,
+                  stack: int = 1) -> _Helper | None:
     """End this process's helper, if it has one, and fork a new one; None if the fork fails.
 
     A helper that cannot be forked, at a process limit or out of memory,
@@ -368,7 +385,7 @@ def _start_helper(params: dict[str, Tensor], windows: list[SeriesWindow],
     global _helper
     _end_helper()
     try:
-        _helper = _Helper(params, windows, window_loss)
+        _helper = _Helper(params, windows, window_loss, stack)
     except OSError as exc:
         log.debug("helper process could not start (%s); computing in this process", exc)
     return _helper
@@ -401,17 +418,71 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_inherited_helper)
 
 
+def _stack_results(params: dict[str, Tensor], loss: Tensor, arrays: list | None,
+                   count: int) -> list[tuple[float, dict[str, np.ndarray], np.ndarray | None]]:
+    """(loss, gradients, array) of each of the ``count`` windows of a taped ``loss``, from one backward.
+
+    ``gradients`` maps the name of each parameter with a gradient to the
+    window's own, bitwise what the window gives alone.
+    """
+    one = count == 1
+    grads = backward(loss, windows=not one)
+    found = [(name, grads[p]) for name, p in params.items() if p in grads]
+    values = [loss.item()] if one else loss.data.tolist()
+    return [(value, {name: g if one else g[c] for name, g in found}, None if arrays is None else arrays[c])
+            for c, value in enumerate(values)]
+
+
+def _window_results(params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss, indices,
+                    epoch: int, stack: int, last: list):
+    """Yield (loss, gradients, array) of each window of ``indices`` in turn, ``stack`` consecutive windows per tape.
+
+    A stack is computed when its first window's turn comes. A stack that
+    raises is computed again one window at a time, each when its turn
+    comes, so the first failing window raises its own exception.
+
+    A window's gradients are views of its stack's, which the caller drops
+    once it has added them. ``last`` holds the latest stack's results from
+    call to call, until the next stack's forward has run: freed then, under
+    the forward's arrays, their memory takes the next backward's gradients.
+    Freed as soon as they were added, they freed the heap top, glibc gave it
+    back to the OS, and train-text epochs faulted hundreds to thousands of
+    pages in again where they faulted a few; held through the next
+    backward, they added 1.2 MiB to the training peak (2-vCPU x86-64 guest).
+    """
+    for start in range(0, len(indices), stack):
+        part = [windows[i] for i in indices[start: start + stack]]
+        try:
+            loss, arrays = window_loss(part, epoch)
+            last.clear()
+            last.append(_stack_results(params, loss, arrays, len(part)))
+        except Exception:
+            if len(part) == 1:
+                raise
+            clear_tape()
+            for window in part:
+                last[:] = [_stack_results(params, *window_loss([window], epoch), 1)]
+                yield from last[0]
+            continue
+        yield from last[0]
+
+
 def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig, stage: int,
                   window_loss: WindowLoss) -> np.ndarray | None:
     """The minibatch loop both stages share; returns the float64 sum of the arrays ``window_loss`` gave.
 
     Every epoch shuffles the windows with the stage's own random stream. Each
-    batch backpropagates ``window_loss(window, epoch)`` window by window and
-    takes one Adam step on the stage's parameters with the mean gradient:
-    each window's gradients are added in place, in window order, into one
-    zeroed buffer per parameter. The epoch's mean loss is appended to the
-    stage's history. The arrays ``window_loss`` returns, if any, are summed
-    in window order.
+    batch takes one Adam step on the stage's parameters with the mean
+    gradient: each window's gradients are added in place, in window order,
+    into one zeroed buffer per parameter. The epoch's mean loss is appended
+    to the stage's history. The arrays ``window_loss`` returns, if any, are
+    summed in window order. The windows must share one shape.
+
+    A process computes its windows of a batch in stacks of up to
+    ``TRAIN_STACK`` consecutive windows, one window for a model with the
+    graph: one ``window_loss`` and one ``backward`` per stack, which keeps
+    every window's loss, gradients and array apart, each bitwise what the
+    window gives alone (``_window_results``).
 
     When ``_helper_can_start``, the stage ends this process's helper, if it
     has one, and forks its own (``_start_helper``), which computes the
@@ -428,6 +499,12 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
     """
     if not windows:
         raise TrainingError(f"stage {stage} needs a nonempty training set")
+    shape = (windows[0].inputs.shape, windows[0].targets.shape)
+    odd = next((i for i, w in enumerate(windows) if (w.inputs.shape, w.targets.shape) != shape), None)
+    if odd is not None:
+        raise TrainingError(f"stage {stage} needs windows of one shape: window {odd} has inputs "
+                            f"{windows[odd].inputs.shape} and targets {windows[odd].targets.shape}, window 0 has "
+                            f"{shape[0]} and {shape[1]}")
     if stage == 1:
         params, history, epochs = model.stage1_parameters(), model.stage1_history, config.epochs_stage1
     else:
@@ -435,8 +512,10 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
     adam = AdamState(lr=config.lr, clip_norm=config.clip_norm)
     shuffle = SeededRng(config.seed).child(f"stage{stage}/shuffle")
     array_sum = None
+    stack = 1 if model.dgso is not None else TRAIN_STACK
     two = config.batch_size >= 2 and len(windows) >= 2 and _helper_can_start()
-    helper = _start_helper(params, windows, window_loss) if two else None
+    helper = _start_helper(params, windows, window_loss, stack) if two else None
+    last = []  # this process's latest stack results (see _window_results)
     try:
         for epoch in range(epochs):
             order = shuffle.permutation(len(windows))
@@ -447,17 +526,16 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
                 try:
                     if shared:
                         helper.start_batch(epoch, batch[1::2])
-                    for pos, idx in enumerate(batch):
+                    mine = _window_results(params, windows, window_loss, batch[0::2] if shared else batch, epoch,
+                                           stack, last)
+                    for pos in range(len(batch)):
                         if shared and pos % 2:
                             value, array = helper.add_next(sums)
                         else:
-                            loss, array = window_loss(windows[idx], epoch)
-                            value = loss.item()
-                            grads = backward(loss)
-                            for name, p in params.items():
-                                g = grads.get(p)
-                                if g is not None:
-                                    sums[name] += g
+                            value, grads, array = next(mine)
+                            for name in grads:
+                                sums[name] += grads[name]
+                            grads = None  # see _window_results
                         loss_total += value
                         if array is not None:
                             if array_sum is None:  # float64: the graph pass's float32 matrices sum in double
@@ -484,9 +562,12 @@ def train_stage1(model: Model, windows: list[SeriesWindow], config: TrainConfig)
     if not model.uses_stage1:
         raise TrainingError("stage 1 requires the graph or local-text component")
 
-    def window_loss(window: SeriesWindow, epoch: int) -> tuple[Tensor, np.ndarray | None]:
-        loss, matrix = model.stage1_forward(window)
-        return loss, matrix if epoch == config.epochs_stage1 - 1 else None
+    def window_loss(stack: list[SeriesWindow], epoch: int) -> tuple[Tensor, list | None]:
+        one = len(stack) == 1
+        loss, matrix = model.stage1_forward(stack[0] if one else stack)
+        if matrix is None or epoch != config.epochs_stage1 - 1:
+            return loss, None
+        return loss, [matrix] if one else list(matrix)
 
     matrix_sum = _train_epochs(model, windows, config, 1, window_loss)
     t_steps = windows[0].inputs.shape[0]
@@ -502,9 +583,12 @@ def train_stage2(model: Model, windows: list[SeriesWindow], config: TrainConfig)
     """End-to-end training of the full value path under the joint objective."""
     frozen_bytes = model.a_star.tobytes() if model.a_star is not None else None
 
-    def window_loss(window: SeriesWindow, epoch: int) -> tuple[Tensor, None]:
-        return joint_loss(model.stage2_forward(window), model.scale_targets(window.targets), model.lpo,
-                          config.lambda_prompt), None
+    def window_loss(stack: list[SeriesWindow], epoch: int) -> tuple[Tensor, None]:
+        if len(stack) == 1:
+            values, targets = model.stage2_forward(stack[0]), stack[0].targets
+        else:
+            values, targets = model.stage2_forward(stack), np.stack([w.targets for w in stack])
+        return joint_loss(values, model.scale_targets(targets), model.lpo, config.lambda_prompt), None
 
     _train_epochs(model, windows, config, 2, window_loss)
     if frozen_bytes is not None and model.a_star.tobytes() != frozen_bytes:
@@ -661,9 +745,10 @@ def load_model(path) -> Model:
     An unreadable path raises ``OSError``. ``FormatError`` is raised for
     bytes that are not an intact numpy archive, a member among them that
     fails its CRC-32 check; for a record other than the config that is not
-    finite float64; for a config that is not UTF-8 or does not parse; for
-    record names other than those ``save_model`` writes for the config's
-    model, or parameter shapes other than its own; and for a mis-shaped
+    finite float64; for a member name that appears twice; for a config that
+    is not UTF-8 or does not parse; for record names other than those
+    ``save_model`` writes for the config's model, or parameter shapes other
+    than its own; and for a mis-shaped
     scaler, a scaler std not above zero, a loss history that is not
     one-dimensional, or a relation matrix that is neither 0 x 0 nor d x d
     and row-stochastic.
@@ -674,14 +759,18 @@ def load_model(path) -> Model:
         blob = fh.read()
     try:
         with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+            names = archive.namelist()
             # each member is read whole, since zipfile checks its CRC-32 only where a read reaches its end
             records = {name.removesuffix(".npy"): np.lib.format.read_array(io.BytesIO(archive.read(name)))
-                       for name in archive.namelist()}
+                       for name in names}
     except (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError, ValueError, OSError,
             tokenize.TokenError, MemoryError) as exc:
         # a bad directory or CRC, a cut-off member, a compression or encryption flag, a bad offset, or an
         # npy header that does not parse or gives a shape too large to allocate
         raise FormatError(f"{path}: not an intact model archive: {exc}") from exc
+    if len(records) != len(names):  # zipfile reads a repeated name as its last copy
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        raise FormatError(f"{path}: repeated member names {repeated}")
     for name, arr in records.items():
         kind = np.dtype(np.uint8 if name == CONFIG_RECORD else np.float64)
         if arr.dtype != kind:

@@ -12,9 +12,10 @@ feature attention therefore computes only that row: its feature attention
 still scores every row but outputs the last, and its feedforward runs on
 that one row. A last block without feature attention runs every row.
 
-Off the tape, ``embed_sequence`` and ``forecast`` also take a (C, T, d)
-stack of C windows' rows (scoring runs them so, see ``numeric``); each
-window's result is bitwise that of its own (T, d) call.
+``embed_sequence`` and ``forecast`` also take a (C, T, d) stack of C
+windows' rows, on the tape or off it (scoring and training run them so, see
+``numeric``); each window's result and gradients are bitwise those of its
+own (T, d) call.
 """
 
 from __future__ import annotations

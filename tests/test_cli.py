@@ -1,7 +1,9 @@
 import argparse
+import multiprocessing
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ from kgcm import evaluate as kgcm_evaluate
 from kgcm.data import GeneratorConfig, generate_synthetic, load_csv, write_dataset, write_predictions
 from kgcm.evaluate import evaluate
 from kgcm.gradcheck import tiny_instance_config
-from kgcm.model import ALL_COMPONENTS, TrainConfig, build_model
+from kgcm.model import ALL_COMPONENTS, Model, TrainConfig, build_model
 from kgcm.pipeline import CONFIG_RECORD, build_windows, load_model, model_split, save_model, split_windows
 from kgcm.text import EncoderConfig
 
@@ -339,6 +341,27 @@ def test_a_model_write_that_fails_part_way_exits_with_the_io_code(workspace, mon
     assert "No space left" in capsys.readouterr().err
     assert not (workspace / "out.kgcm").exists()
     assert not (workspace / "out.kgcm.tmp").exists()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the scoring helper is forked")
+def test_evaluate_whose_helper_dies_exits_with_the_training_code(workspace, monkeypatch, capsys):
+    # the untrained model scores the data's test windows through a helper that kills itself in its first chunk
+    pipeline._end_helper()
+    monkeypatch.chdir(workspace)
+    monkeypatch.setattr(pipeline, "_helper_can_start", lambda: True)
+    values, parent = Model.stage2_values, os.getpid()
+
+    def dying(model, windows):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return values(model, windows)
+
+    monkeypatch.setattr(Model, "stage2_values", dying)
+    assert cli.main(["evaluate", "--model", "plain.kgcm", "--data", "data", "--out", "m.csv"]) == cli.EXIT_TRAINING
+    err = capsys.readouterr().err
+    assert "helper process ended with exit code -9" in err
+    assert "Traceback" not in err
+    assert not (workspace / "m.csv").exists()
 
 
 @pytest.mark.parametrize("case", sorted(case for case in EXIT_CODE_CASES if case.startswith("non-utf8-")))

@@ -376,3 +376,25 @@ def test_ablation_table_deltas_are_differences_of_medians():
     for line, prev, cur in zip(lines[2:], medians, medians[1:]):
         deltas = [float(d) for d in re.findall(r"\(([-+][0-9.]+)%?\)", line)]
         assert deltas == pytest.approx([3 * (cur - prev), cur - prev, 2 * (cur - prev)], abs=0.005)
+
+
+def test_ablation_csv_keeps_task_order_and_every_float_bit_for_bit():
+    # seeds and variants out of the table's order: the file keeps the order of the rows it is given
+    awkward = [1 / 3, 5e-324, 123456.789, 0.1 + 0.2, 1e300 / 3, 2.0 ** -1074 * 3, 7.0]
+    components = dict(ablation_variants())
+    tasks = [("+rcpg", 2), ("backbone", 0), ("+lpo", 1), ("+ssa", 0), ("backbone", 1)]
+    rows = [AblationRow(variant, components[variant], seed,
+                        MetricReport(awkward[i % 7], awkward[(i + 1) % 7], awkward[(i + 2) % 7], 10 * i + 1, i))
+            for i, (variant, seed) in enumerate(tasks)]
+    text = kgcm_evaluate.ablation_csv(rows)
+    assert text.endswith("\n")
+    header, *lines = text.splitlines()
+    assert header == "variant,seed,mape_percent,mae,rmse,n_points,n_floored"
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        variant, seed, mape_percent, mae_, rmse_, n_points, n_floored = line.split(",")
+        assert (variant, int(seed)) == (row.variant, row.seed)
+        for cell, value in ((mape_percent, row.report.mape_percent), (mae_, row.report.mae),
+                            (rmse_, row.report.rmse)):
+            assert np.float64(float(cell)).tobytes() == np.float64(value).tobytes()
+        assert (int(n_points), int(n_floored)) == (row.report.n_points, row.report.n_floored)

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from datetime import timedelta
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from kgcm import numeric as nm
 from kgcm.data import START_TIME, GeneratorConfig, generate_synthetic
 from kgcm.errors import ConfigError
+from kgcm.evaluate import ablation_variants
 from kgcm.model import ALL_COMPONENTS, COMPONENT_ORDER, SeriesWindow, TrainConfig, build_model, joint_loss
 from kgcm.numeric import Tensor
 from kgcm.pipeline import load_model, new_model, save_model, train_stage1
@@ -124,7 +126,7 @@ def test_the_graph_pass_alone_runs_in_float32():
     nm.clear_tape()
     loss = joint_loss(model.stage2_forward(window), model.scale_targets(window.targets), model.lpo,
                       model.config.lambda_prompt)
-    dtypes = [out.data.dtype for out, _, _ in nm._TAPE]
+    dtypes = [out.data.dtype for out, *_ in nm._TAPE]
     narrow = [i for i, dtype in enumerate(dtypes) if dtype == np.float32]
     # the cast in, the lift, one entry per layer and the readout, in one run; the cast out and all else is float64
     assert len(narrow) == 3 + model.config.layers and narrow == list(range(narrow[0], narrow[-1] + 1))
@@ -166,7 +168,7 @@ def _text_window(config: TrainConfig, texts: list[str]) -> SeriesWindow:
 
 def _uncut_stage1_loss(model, window):
     """Graph-free stage 1 over every fused row of the window, then the last step's history columns."""
-    fused = model._fused_rows([window])
+    fused = model._fused_rows(window)
     states = nm.history_columns(fused, len(window.inputs) - 1, model.config.n)
     aux_pred = nm.linear(nm.mean_rows(states), model.aux_w, model.aux_b)
     return joint_loss(aux_pred, model.scale_targets(window.targets[:1]), model.lpo, model.config.lambda_prompt)
@@ -213,7 +215,7 @@ def test_a_window_shorter_than_n_pads_by_repeating_its_first_row():
     model = build_model(config, GRAPH_FREE)
     window = _text_window(config, TEXTS[:5])
     nm.clear_tape()
-    fused = model._fused_rows([window]).data
+    fused = model._fused_rows(window).data
     padded = np.vstack([fused[:1]] * 3 + [fused])  # (n, d): three copies of row 0, then the five rows
     aux_pred = model.aux_w.data @ padded.T.mean(axis=0) + model.aux_b.data
     prompt = ((model.lpo.prompt_struct.data - model.lpo.prompt_text.data) ** 2).sum()
@@ -222,3 +224,87 @@ def test_a_window_shorter_than_n_pads_by_repeating_its_first_row():
     loss = model.stage1_forward(window)[0].item()
     nm.clear_tape()
     assert abs(loss - want) <= 1e-12 * abs(want)
+
+
+STACK_SETS = {**{name: components for name, components in ablation_variants()}, "train-text": GRAPH_FREE,
+              "acmfw-alone": frozenset({"acmfw"}), "lpo-alone": frozenset({"lpo"})}
+_STACK_MODELS = {}
+
+
+def _stack_model(name: str):
+    """A model of ``STACK_SETS[name]`` at the default dimensions, a frozen matrix, and four train windows with text."""
+    if name not in _STACK_MODELS:
+        data = generate_synthetic(GeneratorConfig(event_rate=0.5))
+        model, split = new_model(data, TrainConfig(epochs_stage1=1, epochs_stage2=1), STACK_SETS[name])
+        model.freeze_structure(np.abs(nm.SeededRng(1).normal((model.config.d, model.config.d))) + 0.01)
+        _STACK_MODELS[name] = model, split.train[40:44]
+    return _STACK_MODELS[name]
+
+
+def _stage_loss(model, stage, windows):
+    """The stage's loss of one window or a stack, and the stage-1 matrices."""
+    if stage == 1:
+        return model.stage1_forward(windows)
+    one = isinstance(windows, SeriesWindow)
+    targets = windows.targets if one else np.stack([w.targets for w in windows])
+    return joint_loss(model.stage2_forward(windows), model.scale_targets(targets), model.lpo,
+                      model.config.lambda_prompt), None
+
+
+def _stage_gradients(model, stage, windows):
+    nm.clear_tape()
+    loss, matrices = _stage_loss(model, stage, windows)
+    params = model.stage1_parameters() if stage == 1 else model.stage2_parameters()
+    grads = nm.backward(loss, params.values(), windows=not isinstance(windows, SeriesWindow))
+    return loss.data, matrices, {name: grads[p] for name, p in params.items()}
+
+
+STAGE_CASES = [(name, stage) for name in STACK_SETS for stage in (1, 2)
+               if stage == 2 or build_model(TrainConfig(), STACK_SETS[name]).uses_stage1]
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+@pytest.mark.parametrize("name,stage", STAGE_CASES, ids=[f"{name}-stage{stage}" for name, stage in STAGE_CASES])
+def test_a_stack_of_windows_is_each_windows_own_forward_and_backward(name, stage, count):
+    model, windows = _stack_model(name)
+    losses, matrices, grads = _stage_gradients(model, stage, windows[:count])
+    assert losses.shape == (count,)
+    for c, window in enumerate(windows[:count]):
+        loss, matrix, want = _stage_gradients(model, stage, window)
+        assert losses[c].tobytes() == loss.tobytes()
+        assert (matrices is None) == (matrix is None)
+        if matrix is not None:
+            assert matrices[c].tobytes() == matrix.tobytes()
+        for key, g in want.items():
+            assert grads[key].shape == (count,) + g.shape
+            assert grads[key][c].tobytes() == g.tobytes(), key
+    nm.clear_tape()
+    values = model.stage2_forward(windows[:count]).data
+    nm.clear_tape()
+    assert [v.tobytes() for v in values] == [model.stage2_forward(w).data.tobytes() for w in windows[:count]]
+    nm.clear_tape()
+
+
+def _kernels(tape) -> tuple[Counter, Counter]:
+    """The kernels a tape recorded, by the name of their backward's function: shared entries, per-window ones."""
+    names = [(entry[2].__qualname__.split(".")[0], entry[3] is None) for entry in tape]
+    return Counter(n for n, shared in names if shared), Counter(n for n, shared in names if not shared)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_a_stack_records_each_stacked_kernel_once_and_cross_attention_once_per_window(count):
+    model, windows = _stack_model("train-text")
+    assert all(any(len(t) for t in w.local_tokens) for w in windows)  # every window's cross-attention records
+    nm.clear_tape()
+    _stage_loss(model, 2, windows[0])
+    one, none = _kernels(nm._TAPE)
+    nm.clear_tape()
+    _stage_loss(model, 2, windows[:count])
+    shared, per_window = _kernels(nm._TAPE)
+    nm.clear_tape()
+    assert not none
+    # one window: one cross-attention entry and the prompt term's three, each of which a stack records per window
+    windowed = Counter({"step_cross_attention": 1, "sub": 1, "sum_sq": 1, "scale": 1})
+    assert per_window == Counter({name: count * k for name, k in windowed.items()})
+    # everything else once, plus the two joins of the per-window results and the (C, 1, T') -> (C, T') take
+    assert shared == one - windowed + Counter({"_stack": 2, "take": 1})

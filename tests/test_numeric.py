@@ -623,23 +623,214 @@ class TestWindowStacks:
         assert [s.tobytes() for s in stacked] == [a.tobytes() for a in alone]
 
     @pytest.mark.parametrize("name", list(_stack_cases()))
-    def test_a_stack_on_a_recording_tape_raises_a_contract_error(self, name):
+    def test_a_stack_on_a_recording_tape_records_one_entry(self, name):
         call, params = _stack_cases()[name]
         params = [tensor(p, requires_grad=True) for p in params]
-        if not params:  # an op without parameters records when its input needs a gradient
-            with pytest.raises(ContractError, match="stack of windows"):
-                call(tensor(self.STACK, requires_grad=True))
-        else:
-            with pytest.raises(ContractError, match="stack of windows"):
-                call(tensor(self.STACK), *params)
-        assert nm.tape_size() == 0
-        call(tensor(self.STACK[0], requires_grad=True), *params)  # one window's rows stay on the tape
+        stacked = call(tensor(self.STACK, requires_grad=True), *params)
+        assert stacked.requires_grad and nm.tape_size() == 1
+        clear_tape()
+        call(tensor(self.STACK[0], requires_grad=True), *params)  # as one window's rows do
         assert nm.tape_size() == 1
 
     def test_cross_attention_takes_one_window(self):
         w = [tensor(np.eye(4)) for _ in range(5)]
         with nm.no_tape(), pytest.raises(ShapeError):
             nm.step_cross_attention(tensor(self.STACK), np.ones((2, 4)), np.array([1, 0, 1, 0, 0]), *w)
+
+
+def _taped_cases():
+    """``name: (call, params, shape)``: ``call(x, *params)`` on one window's ``shape`` rows or a (C, *shape) stack.
+
+    Every case's output and gradients depend on its input rows, and the
+    ReLU masks give gradients signed zeros.
+    """
+    rng = SeededRng(92)
+    block = list(_block_arrays(rng, 6, 4).values())[1:]
+    ff = list(_block_arrays(rng, 6, 4, hidden=8).values())[1:]
+    raw = rng.uniform((4, 4)) + 0.1
+    bias = np.log1p(raw / raw.sum(axis=1, keepdims=True))
+    stacked = lambda x: x.data.ndim == 3  # noqa: E731
+    return {
+        "add": (lambda x: nm.add(x, nm.relu(x)), [], (6, 4)),
+        "relu": (nm.relu, [], (6, 4)),
+        "linear": (nm.linear, [rng.glorot(3, 4), rng.normal((3,))], (6, 4)),
+        "linear-no-bias": (nm.linear, [rng.glorot(3, 4)], (6, 4)),
+        # one window's rank-1 row, (1, 4) in a stack, as the forecast heads and the auxiliary head take it
+        "linear-one-row": (lambda x, w, b: nm.linear(nm.relu(x), w, b), [rng.glorot(3, 4), rng.normal((3,))], (4,)),
+        "matmul_nt": (nm.matmul_nt, [rng.normal((3, 4))], (6, 4)),
+        "gather_rows": (lambda x, t: nm.add(nm.gather_rows(t, (np.abs(x.data) * 10).astype(int)[..., 0] % 7), x),
+                        [rng.normal((7, 4))], (6, 4)),
+        "take": (lambda x: nm.take(x, np.s_[:, 2:5] if stacked(x) else np.s_[2:5]), [], (6, 4)),
+        "take-last-row": (lambda x: nm.take(x, np.s_[:, -1:] if stacked(x) else -1), [], (6, 4)),
+        "sigmoid_gate": (lambda x, w, b: nm.sigmoid_gate(x, nm.relu(x), w, b), [rng.glorot(4, 8), rng.normal((4,))],
+                         (6, 4)),
+        "sigmoid_gate-constant-z": (lambda x, w: nm.sigmoid_gate(x, tensor(np.cos(x.data)), w), [rng.glorot(4, 8)],
+                                    (6, 4)),
+        "time_attention_norm": (nm.time_attention_norm, block, (6, 4)),
+        "feature_attention_norm": (lambda x, *p: nm.feature_attention_norm(x, *p, bias=bias), block, (6, 4)),
+        "feature_attention_norm-last-only": (
+            lambda x, *p: nm.feature_attention_norm(x, *p, bias=bias, last_only=True), block, (6, 4)),
+        "feedforward_norm": (nm.feedforward_norm, ff, (6, 4)),
+        "feedforward_norm-one-row": (nm.feedforward_norm, ff, (1, 4)),
+    }
+
+
+def _window_grads(call, params, x, target, windows):
+    """The output, the input gradient and the parameter gradients of ``sse(call(x, *params), target)``."""
+    clear_tape()
+    params = [tensor(p, requires_grad=True) for p in params]
+    x = tensor(x, requires_grad=True)
+    out = call(x, *params)
+    grads = backward(nm.sse(out, target.reshape(out.data.shape), windows=windows), params=[x] + params,
+                     windows=windows)
+    return out.data, grads[x], [grads[p] for p in params]
+
+
+class TestTapedWindowStacks:
+    """A stack of C windows on a tape: outputs and every window's gradients bitwise those of C one-window tapes."""
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    @pytest.mark.parametrize("name", list(_taped_cases()))
+    def test_each_window_of_a_taped_stack_is_its_own_tape(self, name, count):
+        call, params, shape = _taped_cases()[name]
+        rng = SeededRng(93)
+        rows = rng.normal((count,) + shape)
+        targets = rng.normal((count, call(tensor(rows[0]), *map(tensor, params)).data.size))
+        stacked = rows.reshape((count, -1, shape[-1]))  # a rank-1 row stacks as (C, 1, d)
+        out, dx, dparams = _window_grads(call, params, stacked, targets, True)
+        for c in range(count):
+            one_out, one_dx, one_dparams = _window_grads(call, params, rows[c], targets[c], False)
+            assert out[c].tobytes() == one_out.tobytes()
+            assert dx[c].tobytes() == one_dx.tobytes()
+            assert len(dparams) == len(one_dparams)
+            for got, want in zip(dparams, one_dparams):
+                assert got.shape == (count,) + want.shape
+                assert got[c].tobytes() == want.tobytes()
+
+    def test_relu_gradients_carry_signed_zeros(self):
+        # the comparison above reads bytes, so it holds the signs of zeros too; the cases make some
+        _, dx, _ = _window_grads(nm.relu, [], -np.ones((2, 3, 4)), np.ones((2, 12)), True)
+        assert (dx == 0.0).all() and np.signbit(dx).all()
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_per_window_entries_route_their_gradients_to_each_windows_slice(self, count):
+        # lpo's fused rows: a stacked embedding, cross-attention once per window on its slice, a stacked gate
+        rng = SeededRng(94)
+        d = 4
+        arrays = [rng.glorot(d, 3), rng.normal((d,)), rng.glorot(d, d), rng.glorot(d, d), rng.glorot(d, d),
+                  rng.normal((d,)), rng.normal((d,)), rng.glorot(d, 2 * d)]
+        counts = [np.array(k) for k in ([1, 0, 2, 0, 1], [0, 0, 3, 1, 0], [2, 2, 0, 0, 1], [0, 1, 0, 0, 0])]
+        tokens = [rng.normal((int(k.sum()), d)) for k in counts]
+        inputs, targets = rng.normal((count, 5, 3)), rng.normal((count, 5, d))
+
+        def run(first, windows):
+            params = [tensor(a, requires_grad=True) for a in arrays]
+            w_embed, b_embed, wq, wk, wv, pq, pk, w_gate = params
+
+            def text(rows, c):
+                return nm.step_cross_attention(rows, tokens[c], counts[c], wq, wk, wv, pq, pk)
+
+            x = tensor(inputs[first:first + windows] if windows else inputs[first])
+            hs = nm.relu(nm.linear(x, w_embed, b_embed))
+            if windows:
+                views = nm.unstack(hs)
+                joined = nm.each_window(windows, lambda c: text(views[c], c))
+            else:
+                joined = text(hs, first)
+            out = nm.sigmoid_gate(hs, joined, w_gate)
+            target = targets[first:first + windows] if windows else targets[first]
+            grads = backward(nm.sse(out, target, windows=bool(windows)), params=params, windows=bool(windows))
+            return out.data, [grads[p] for p in params]
+
+        out, grads = run(0, count)
+        for c in range(count):
+            one_out, one_grads = run(c, 0)
+            assert out[c].tobytes() == one_out.tobytes()
+            for got, want in zip(grads, one_grads):
+                assert got[c].tobytes() == want.tobytes()
+
+    def test_a_windows_first_gradient_keeps_its_signed_zeros(self):
+        # relu's backward gives the masked entry -0.0, the first gradient each window's slice of p gets
+        p = tensor(np.array([-1.0, 2.0]), requires_grad=True)
+        joined = nm.each_window(2, lambda c: nm.relu(p))
+        grads = backward(nm.sse(joined, np.ones((2, 2)), windows=True), windows=True)
+        want = backward(nm.sse(nm.relu(p), np.ones(2)))[p]
+        assert np.signbit(want[0]) and want[0] == 0.0
+        assert [g.tobytes() for g in grads[p]] == [want.tobytes()] * 2
+
+    @staticmethod
+    def _two_paths(x, count):
+        """relu(x) - x on a stack, plus relu of relu(x) window by window: x's gradient reaches both adds."""
+        a = nm.relu(x)
+        b = nm.scale(x, -1.0)
+        if count:
+            views = nm.unstack(a)
+            z = nm.each_window(count, lambda c: nm.relu(views[c]))
+        else:
+            z = nm.relu(a)
+        return nm.add(nm.add(a, b), z)
+
+    def test_a_windows_gradient_does_not_write_into_an_array_another_tensor_holds(self):
+        # add hands one gradient array to both of its inputs; window c's slice of a's must not land in b's
+        rows = SeededRng(96).normal((3, 4, 2))
+        targets = SeededRng(97).normal((3, 8))
+        x = tensor(rows, requires_grad=True)
+        got = backward(nm.sse(self._two_paths(x, 3), targets.reshape(3, 4, 2), windows=True), params=[x],
+                       windows=True)[x]
+        for c in range(3):
+            one = tensor(rows[c], requires_grad=True)
+            want = backward(nm.sse(self._two_paths(one, 0), targets[c].reshape(4, 2)), params=[one])[one]
+            assert got[c].tobytes() == want.tobytes()
+
+    def test_a_stacked_gradient_after_per_window_ones_keeps_the_other_windows_signed_zeros(self):
+        # b is a stacked linear's bias and, in window 0 alone, a per-window relu's input. Backward adds the
+        # per-window gradient first; the stacked one then fills window 1, -0.0 where b's large negative entry masks
+        rng = SeededRng(98)
+        x, w, b = rng.normal((2, 1, 3)), rng.glorot(2, 3), np.array([-50.0, 0.5])
+
+        def losses(rows, window):
+            params = [tensor(w, requires_grad=True), tensor(b, requires_grad=True)]
+            y = nm.relu(nm.linear(tensor(rows), *params))
+            if window is None:
+                z = nm.each_window(2, lambda c: nm.relu(params[1]) if c == 0 else tensor(np.zeros(2)))
+                loss = nm.add(nm.sse(y, np.ones((2, 1, 2)), windows=True), nm.sse(z, np.ones((2, 2)), windows=True))
+            else:
+                loss = nm.sse(y, np.ones(2))
+                if window == 0:
+                    loss = nm.add(loss, nm.sse(nm.relu(params[1]), np.ones(2)))
+            return backward(loss, params=params, windows=window is None)[params[1]]
+
+        got = losses(x, None)
+        for c in range(2):
+            want = losses(x[c, 0], c)
+            assert np.signbit(want[0]) and want[0] == 0.0
+            assert got[c].tobytes() == want.tobytes()
+
+    def test_a_stack_records_one_entry_per_stacked_op_and_one_per_window_inside_each_window(self):
+        x = tensor(SeededRng(95).normal((3, 5, 4)), requires_grad=True)
+        views = nm.unstack(x)
+        assert nm.tape_size() == 0  # a slice is a view, not an entry
+        joined = nm.each_window(3, lambda c: nm.relu(views[c]))
+        assert nm.tape_size() == 3 + 1
+        assert [entry[3] for entry in nm._TAPE] == [(0, 3), (1, 3), (2, 3), None]
+        assert joined.data.tobytes() == np.maximum(x.data, 0.0).tobytes()
+
+    def test_each_window_does_not_nest(self):
+        with pytest.raises(ContractError, match="does not nest"):
+            nm.each_window(2, lambda c: nm.each_window(2, lambda k: tensor(np.ones(2), requires_grad=True)))
+        # the window state is reset, so later entries are shared ones again
+        x = tensor(np.ones(3), requires_grad=True)
+        nm.relu(x)
+        assert nm._TAPE[-1][3] is None
+
+    def test_backward_of_window_losses_needs_a_stack_of_them(self):
+        x = tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(ContractError, match="stack of window losses"):
+            backward(nm.sse(x, np.zeros((2, 3))), windows=True)
+        loss = nm.sse(x, np.zeros((2, 3)), windows=True)
+        assert loss.data.shape == (2,)
+        with pytest.raises(ContractError, match="scalar loss"):
+            backward(loss)
 
 
 class TestRowSum:

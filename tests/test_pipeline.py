@@ -1,11 +1,14 @@
 import ast
 import dataclasses
+import io
 import math
 import multiprocessing
 import os
+import re
 import signal
 import tempfile
 import time
+import warnings
 import zipfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -295,6 +298,73 @@ class TestTrainingHelper:
         assert all(children == 0 for _, children, *_ in alone)
 
 
+STACKED_SETS = {**{name: components for name, components in ablation_variants()[:3]},
+                "train-text": frozenset({"ssa", "rcpg", "lpo"})}
+
+
+class TestTrainingStacks:
+    """Each process computes its share of a batch in stacks of up to ``TRAIN_STACK`` windows, one tape each."""
+
+    @staticmethod
+    def _fit_bytes(monkeypatch, components, stack: int, helper: bool):
+        monkeypatch.setattr(pipeline, "TRAIN_STACK", stack)
+        monkeypatch.setattr(pipeline, "_helper_can_start", lambda: helper)
+        # 10 windows in batches of 7: stacks of 4 and 3, or of 2 and 2 with a helper, then 3 windows (2 and 1)
+        config = _config(batch_size=7, epochs_stage1=2, epochs_stage2=2)
+        model = pipeline.fit(_dataset(), config, components)
+        return (np.array(model.stage1_history).tobytes(), np.array(model.stage2_history).tobytes(),
+                {name: p.data.tobytes() for name, p in model.named_parameters().items()},
+                _forecasts(model, _split(config).test))
+
+    @pytest.mark.parametrize("helper", [False, True], ids=["one-process", "two-process"])
+    @pytest.mark.parametrize("name", list(STACKED_SETS))
+    def test_a_fit_in_stacks_of_four_is_the_fit_in_stacks_of_one(self, monkeypatch, name, helper):
+        if helper and "fork" not in multiprocessing.get_all_start_methods():
+            helper = False  # the helper is forked; the one-process fits still compare
+        fits = [self._fit_bytes(monkeypatch, STACKED_SETS[name], stack, helper) for stack in (1, 4)]
+        assert fits[0] == fits[1]
+
+    def test_a_model_with_the_graph_trains_one_window_per_tape(self, monkeypatch):
+        sizes = []
+        forward = Model.stage2_forward
+        monkeypatch.setattr(Model, "stage2_forward",
+                            lambda model, windows: sizes.append(isinstance(windows, list)) or forward(model, windows))
+        monkeypatch.setattr(pipeline, "_helper_can_start", lambda: False)
+        config = _config(batch_size=8)
+        for components in (ALL_COMPONENTS, STACKED_SETS["train-text"]):
+            pipeline.train_stage2(build_model(config, components, pipeline.FEATURE_COUNT), _split(config).train, config)
+            assert sizes and all(stacked == ("dgso" not in components) for stacked in sizes)
+            sizes.clear()
+
+    @pytest.mark.parametrize("helper", [False, True], ids=["one-process", "two-process"])
+    def test_a_stack_that_raises_raises_its_first_failing_windows_error(self, monkeypatch, helper):
+        # batch 0's window at position 2 has a slot outside the table, and the one at position 4 a NaN input. A
+        # stack holding both raises the NaN first; computed again window by window, position 2 raises first
+        monkeypatch.setattr(pipeline, "_helper_can_start", lambda: helper)
+        config = _config(batch_size=8)
+        windows = _split(config).train
+        order = pipeline.SeededRng(config.seed).child("stage2/shuffle").permutation(len(windows))
+        bad_slot, bad_input = windows[int(order[2])], windows[int(order[4])]
+        bad_slot.slots = bad_slot.slots[:3] + [config.day_slots] + bad_slot.slots[4:]
+        bad_input.inputs = bad_input.inputs.copy()
+        bad_input.inputs[3, 0] = np.nan
+        model = build_model(config, STACKED_SETS["train-text"], pipeline.FEATURE_COUNT)
+        with pytest.raises(DataError, match=f"^time-of-day slot {config.day_slots} outside table of size "):
+            pipeline.train_stage2(model, windows, config)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_windows_of_two_shapes_are_refused(self, stage):
+        config = _config()
+        windows = _split(config).train
+        windows[3] = dataclasses.replace(windows[3], inputs=windows[3].inputs[1:])
+        model = build_model(config, ALL_COMPONENTS, pipeline.FEATURE_COUNT)
+        train = pipeline.train_stage1 if stage == 1 else pipeline.train_stage2
+        with pytest.raises(TrainingError, match=re.escape(
+                f"stage {stage} needs windows of one shape: window 3 has inputs (7, 5) and targets (2,), "
+                "window 0 has (8, 5) and (2,)")):
+            train(model, windows, config)
+
+
 def _refused_fork(process):
     raise BlockingIOError(11, "Resource temporarily unavailable")
 
@@ -562,6 +632,18 @@ class TestModelFile:
         with pytest.raises(ConfigError, match="features"):
             pipeline.save_model(model, path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_repeated_member_is_refused(self, tmp_path):
+        # zipfile appends a second member of the same name, and reads the name as that later copy
+        path = tmp_path / "model.kgcm"
+        pipeline.save_model(build_model(_config(), ALL_COMPONENTS, pipeline.FEATURE_COUNT), path)
+        buffer = io.BytesIO()
+        np.lib.format.write_array(buffer, np.ones(_config().horizon))
+        with warnings.catch_warnings(), zipfile.ZipFile(path, "a") as archive:
+            warnings.simplefilter("ignore", UserWarning)  # "Duplicate name"
+            archive.writestr("ssa/head_b.npy", buffer.getvalue())
+        with pytest.raises(FormatError, match=re.escape("repeated member names ['ssa/head_b.npy']")):
+            pipeline.load_model(path)
 
     def test_a_save_that_raises_part_way_leaves_no_file(self, tmp_path, monkeypatch):
         model = build_model(_config(), ALL_COMPONENTS, pipeline.FEATURE_COUNT)
