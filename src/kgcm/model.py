@@ -26,8 +26,11 @@ tape entry each; the text cross-attention, whose token counts differ per
 window, runs window by window inside ``numeric.each_window``, and so do
 stage 1's readout and, on a tape, the graph pass. Off the tape
 (``stage2_values``) the graph pass runs on stacks of ``GRAPH_STACK``
-windows. Each window's values, loss and gradients are bitwise those of its
-own one-window forward, which ``predict`` and the gradient checks run.
+windows. Each window's values and loss, and the gradient of each window's
+rows, are bitwise those of its own one-window forward, which ``predict``
+and the gradient checks run; a parameter's gradient from a stack's (C,)
+losses is the gradient of their sum, which differs from the sum of the
+windows' own gradients only in the order of the additions.
 """
 
 from __future__ import annotations
@@ -158,6 +161,9 @@ class SeriesWindow:
 Windows = SeriesWindow | Sequence[SeriesWindow]  # one window, or a stack of them
 
 
+# One window keeps its rank-2 path, not a stack of one: through ``Model._values`` a stack of one cost 544 -> 617 us on
+# train-text and 1,532 -> 1,650 us on train-full, a taped stage 2 5-11% more and a taped stage 1 8-30% more (1 BLAS
+# thread, interleaved, 2-vCPU x86-64 guest).
 def _stacked(windows: Windows, read) -> np.ndarray:
     """``read(window)`` for one window; for a stack, the (C, ...) stack of each window's, which must share a shape."""
     if isinstance(windows, SeriesWindow):
@@ -171,8 +177,7 @@ def _stacked(windows: Windows, read) -> np.ndarray:
 def _per_window(rows: Tensor, windows: Windows, step) -> Tensor:
     """``step(rows, window)`` for one window's rows; for a (C, T, d) stack, the stack of each window's own result.
 
-    A stack runs ``step`` on each window's slice inside ``each_window``, so
-    a tape keeps each window's gradients apart.
+    A stack runs ``step`` on each window's slice inside ``each_window``.
     """
     if isinstance(windows, SeriesWindow):
         return step(rows, windows)
@@ -385,20 +390,16 @@ def joint_loss(predictions: Tensor, targets: np.ndarray, lpo_params: LpoParams |
 
     Stage 2 scores the horizon forecast with it, stage 1 the auxiliary
     one-step prediction. One window's (k,) predictions give a scalar loss; a
-    (C, k) stack gives (C,) losses, one per window, and each window's loss
-    adds its own prompt term, computed window by window inside
-    ``each_window``.
+    (C, k) stack gives (C,) losses, one per window. The prompt term is
+    computed once and added to each window's loss, so its gradient from the
+    (C,) losses is C times one window's.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if predictions.data.shape != targets.shape:
         raise ShapeError(f"predictions {predictions.data.shape} do not match targets {targets.shape}")
-    windows = predictions.data.ndim > 1
-    loss = sse(predictions, targets, windows=windows)
+    loss = sse(predictions, targets, windows=predictions.data.ndim > 1)
     if lpo_params is not None and lpo_params.has_text_fusion and lambda_prompt > 0.0:
-        def term(_=None) -> Tensor:
-            return scale(prompt_loss(lpo_params), lambda_prompt)
-
-        loss = add(loss, each_window(len(targets), term) if windows else term())
+        loss = add(loss, scale(prompt_loss(lpo_params), lambda_prompt))
     return loss
 
 

@@ -25,13 +25,13 @@ The value-path ops (``add``, ``relu``, ``linear``, ``matmul_nt``,
 take a leading window axis: (C, T, d) rows, where each window's slice of
 the result is bitwise that window's own call, on the tape or off it.
 ``take`` takes any rank. A tape records a stacked call as one entry, and
-``backward`` of a (C,) loss of C independent window losses keeps every
-window's gradients apart: a stacked tensor's gradient has its own shape,
-and a parameter's is a (C, ...) array whose slice c is bitwise window c's
-own gradient. The ops a stack cannot run (``step_cross_attention`` and the
-graph kernels on a tape) run once per window, on the ``unstack``-ed slices
-of a stack, inside ``each_window``, which stacks their results; their
-gradients land in slice c of the stack's and of each parameter's.
+``backward`` of a (C,) loss of C window losses differentiates their sum: a
+stacked tensor's gradient has its own shape, each window's slice bitwise
+its own, and a parameter's gradient is summed over the stack's rows. The
+ops a stack cannot run (``step_cross_attention`` and the graph kernels on a
+tape) run once per window, on the ``unstack``-ed slices of a stack, inside
+``each_window``, which stacks their results; a slice's gradient lands in
+its window's slice of the stack's.
 The graph kernels take an untaped stack too, after their step axis:
 ``history_columns`` lifts (C, T, d) rows to (T, C, d, n) states, and
 ``graph_layer`` runs them; a stacked call that a tape would record raises
@@ -150,13 +150,10 @@ class _Slice(Tensor):
     __slots__ = ("stack", "index")
 
 
-# Tape entries are (output, inputs, backward_fn, window) quadruples. backward_fn
-# maps the output gradient to a tuple of input gradients (None for non-grad
-# inputs). window is None, or (c, C) for an entry recorded as window c of a
-# stack of C inside ``each_window``.
-_TAPE: list[tuple[Tensor, tuple[Tensor, ...], Callable, tuple[int, int] | None]] = []
+# Tape entries are (output, inputs, backward_fn) triples. backward_fn maps the
+# output gradient to a tuple of input gradients (None for non-grad inputs).
+_TAPE: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
 _TRACING = True
-_WINDOW: tuple[int, int] | None = None
 
 
 def tape_size() -> int:
@@ -202,8 +199,12 @@ def unstack(stacked: Tensor) -> list[Tensor]:
     return views
 
 
-def _stack(parts: Sequence[Tensor]) -> Tensor:
-    """The (C, ...) stack of C one-window tensors of one shape, as one tape entry; slice c's gradient goes to part c."""
+def each_window(count: int, step: Callable[[int], Tensor]) -> Tensor:
+    """The (C, ...) stack of ``step(c)`` for each window c of ``count``, as one tape entry.
+
+    The entry hands slice c of the stack's gradient to ``step(c)``.
+    """
+    parts = [step(c) for c in range(count)]
     try:
         out = np.stack([p.data for p in parts])
     except ValueError as exc:
@@ -213,29 +214,6 @@ def _stack(parts: Sequence[Tensor]) -> Tensor:
         return tuple(g)
 
     return _result(out, tuple(parts), bw)
-
-
-def each_window(count: int, step: Callable[[int], Tensor]) -> Tensor:
-    """The (C, ...) stack of ``step(c)`` for each window c of ``count``, every entry it records taped as window c's.
-
-    The stack is one more tape entry, which hands slice c's gradient to
-    ``step(c)``.
-
-    ``backward`` adds the gradient that such an entry gives a tensor no
-    per-window entry made, a parameter, into slice c of that tensor's
-    (C, ...) gradient. Windows are not nested.
-    """
-    global _WINDOW
-    if _WINDOW is not None:
-        raise ContractError("each_window does not nest")
-    parts = []
-    try:
-        for c in range(count):
-            _WINDOW = (c, count)
-            parts.append(step(c))
-    finally:
-        _WINDOW = None
-    return _stack(parts)
 
 
 def _records(inputs: tuple[Tensor, ...]) -> bool:
@@ -261,96 +239,56 @@ def _result(arr: np.ndarray, inputs: tuple[Tensor, ...], backward_fn: Callable) 
     out.name = None
     if _records(inputs):
         out.requires_grad = True
-        _TAPE.append((out, inputs, backward_fn, _WINDOW))
+        _TAPE.append((out, inputs, backward_fn))
     else:
         out.requires_grad = False
     return out
 
 
-def backward(loss: Tensor, params: Iterable[Tensor] = (), windows: bool = False) -> dict[Tensor, np.ndarray]:
+def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> dict[Tensor, np.ndarray]:
     """Accumulate d(loss)/d(leaf) for every requires-grad leaf on the tape.
 
-    ``loss`` must be scalar, or with ``windows`` a (C,) stack of C windows'
-    independent losses. For a stack, the gradient of a tensor the windows
-    share, a parameter, is a (C, ...) array whose slice c is
-    d(loss[c])/d(tensor), bitwise what window c's own tape gives; a stacked
-    tensor's gradient has its own shape. Returns a map from tensor to
+    ``loss`` is a scalar, or a (C,) stack of C windows' losses, whose sum is
+    differentiated: each is seeded with one. Returns a map from tensor to
     gradient; tensors in ``params`` that the loss does not depend on get
-    explicit zeros, (C, ...) for a stack. The tape is cleared before
-    returning.
+    explicit zeros. The tape is cleared before returning.
 
     Gradients are added in reverse tape order, each sum a new array, except
-    where a window's gradient goes into its slice of a stacked one (see
-    ``_add_window``).
+    that a window's slice of a stack (``unstack``) adds its gradient into
+    that slice of the stack's, in place. Such an array starts at -0.0, which
+    adds to any x as x bitwise, so each slice is bitwise that window's own
+    gradient, signed zeros included.
     """
-    if loss.data.ndim != windows:
-        want = "a (C,) stack of window losses" if windows else "a scalar loss"
-        raise ContractError(f"backward requires {want}, got shape {loss.data.shape}")
+    if loss.data.ndim > 1:
+        raise ContractError(f"backward requires a scalar loss or a (C,) stack of window losses, "
+                            f"got shape {loss.data.shape}")
     if not _TAPE:
         raise ContractError("backward called with an empty tape")
     grads: dict[Tensor, np.ndarray] = {loss: np.ones(loss.data.shape, dtype=np.float64)}
-    owned: dict[Tensor, set[int] | None] = {}  # see _add_window
-    local = None  # the outputs of per-window entries
-    for out, inputs, backward_fn, window in reversed(_TAPE):
+    owned: set[Tensor] = set()  # the stacks whose gradient array backward made, to add slices into
+    for out, inputs, backward_fn in reversed(_TAPE):
         g = grads.pop(out, None)
         if g is None:
             continue
-        if window is not None and local is None:
-            local = {entry[0] for entry in _TAPE if entry[3] is not None}
         for t, gi in zip(inputs, backward_fn(g)):
             if gi is None or not t.requires_grad:
                 continue
             if type(t) is _Slice:
-                _add_window(grads, owned, t.stack, t.index, len(t.stack.data), gi)
-            elif window is not None and t not in local:  # a tensor the windows share
-                _add_window(grads, owned, t, *window, gi)
+                stack = t.stack
+                arr = grads.get(stack)
+                if stack not in owned:  # none yet, or another entry's array, which may be in use elsewhere
+                    arr = grads[stack] = np.full(stack.data.shape, -0.0, gi.dtype) if arr is None else arr.copy()
+                    owned.add(stack)
+                arr[t.index] += gi
             else:
                 prev = grads.get(t)
-                if prev is None:
-                    grads[t] = gi
-                    continue
-                written = owned.get(t)
-                if written is None:
-                    grads[t] = prev + gi
-                else:  # the windows not yet written take gi's slice as it is, as a first gradient does
-                    both = sorted(written)
-                    grads[t] = gi.copy()
-                    grads[t][both] += prev[both]
-                owned[t] = None
+                grads[t] = gi if prev is None else prev + gi
     clear_tape()
     grads.pop(loss, None)
-    stacked = loss.data.shape
     for p in params:
         if p not in grads:
-            grads[p] = np.zeros(stacked + p.data.shape, dtype=p.data.dtype)
+            grads[p] = np.zeros_like(p.data)
     return grads
-
-
-def _add_window(grads: dict[Tensor, np.ndarray], owned: dict[Tensor, set[int] | None], t: Tensor, c: int,
-                count: int, gi: np.ndarray) -> None:
-    """Add window ``c``'s gradient ``gi`` into slice ``c`` of ``t``'s (``count``, ...) gradient, in place.
-
-    ``owned`` holds the gradients ``backward`` may write in place: for each,
-    the set of windows written so far, or None for all of them. A window's
-    first gradient is stored as it is and later ones are added, as on its
-    own tape, so every slice is bitwise that window's own sum, signed zeros
-    included.
-    """
-    arr = grads.get(t)
-    if arr is None:
-        arr = grads[t] = np.zeros((count,) + gi.shape, dtype=gi.dtype)
-        owned[t] = {c}
-        arr[c] = gi
-        return
-    if t not in owned:  # another entry's array, which may be in use elsewhere
-        arr = grads[t] = arr.copy()
-        owned[t] = None
-    written = owned[t]
-    if written is None or c in written:
-        arr[c] += gi
-    else:
-        arr[c] = gi
-        written.add(c)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -372,7 +310,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b. On a tape, a stack of windows may be added to a stack or to a constant, not to a shared tensor."""
+    """a + b, broadcast; each input's gradient is summed over the axes it was broadcast along."""
     out = a.data + b.data
 
     def bw(g):
@@ -431,7 +369,7 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
     out = ad @ bd.T
 
     def bw(g):
-        return g @ bd, g.swapaxes(-1, -2) @ ad
+        return g @ bd, _rows(g).T @ _rows(ad)
 
     return _result(out, (a, b), bw)
 
@@ -439,10 +377,8 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight.T + bias with weight stored as (out_dim, in_dim).
 
-    x is rank 1 or 2, or a (C, T, in) stack of rank 3. A stack of single
-    rows, (C, 1, in), is C rank-1 calls: its backward takes the rank-1
-    outer products, which a (1, in) matrix product matches only up to the
-    sign of a zero.
+    x is rank 1 or 2, or a (C, T, in) stack of rank 3, whose parameter
+    gradients sum over all C * T rows in one product.
     """
     xd, wd = x.data, weight.data
     if wd.ndim != 2 or xd.ndim not in (1, 2, 3) or xd.shape[-1] != wd.shape[1]:
@@ -457,12 +393,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if xd.ndim == 1:
             gw = np.outer(g, xd)
             gb = g
-        elif xd.ndim == 3 and xd.shape[1] == 1:
-            gw = g.swapaxes(-1, -2) * xd
-            gb = g[:, 0]
         else:
-            gw = g.swapaxes(-1, -2) @ xd
-            gb = g.sum(axis=-2)
+            gw = _rows(g).T @ _rows(xd)
+            gb = _rows(g).sum(axis=0)
         if bias is None:
             return gx, gw
         return gx, gw, gb
@@ -527,12 +460,13 @@ def _norm_forward(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     return gamma * xhat + beta, xhat, inv
 
 
-def _norm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv: np.ndarray, windows: bool = False):
-    """Gradients of the layer norm's input, gamma and beta; the affine ones sum over the leading axes.
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a (..., k) array as one (rows, k) matrix; a rank-2 array unchanged."""
+    return a if a.ndim == 2 else a.reshape(-1, a.shape[-1])
 
-    With ``windows`` the first axis is a stack of windows, and the affine
-    gradients are (C, n), each window's own sum.
-    """
+
+def _norm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv: np.ndarray):
+    """Gradients of the layer norm's input, gamma and beta; the affine ones sum over the leading axes."""
     n = g.shape[-1]
     dxhat = g * gamma
     dy = inv * (
@@ -540,8 +474,7 @@ def _norm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv: np.n
         - _row_sum(dxhat) / n
         - xhat * _row_sum(dxhat * xhat) / n
     )
-    rows = (len(g), -1, n) if windows else (-1, n)
-    return dy, (g * xhat).reshape(rows).sum(axis=-2), g.reshape(rows).sum(axis=-2)
+    return dy, _rows(g * xhat).sum(axis=0), _rows(g).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +503,8 @@ def take(a: Tensor, key) -> Tensor:
 def gather_rows(table: Tensor, indices: Sequence[int] | np.ndarray) -> Tensor:
     """Select rows of a rank-2 table; gradients scatter-add back.
 
-    (C, T) indices give a (C, T, d) stack, and a (C, rows, d) gradient of
-    the table, each window's scatter-add in its own slice.
+    (C, T) indices give a (C, T, d) stack, whose gradient scatter-adds every
+    window's rows into the one table gradient.
     """
     if table.data.ndim != 2:
         raise ShapeError(f"gather_rows expects rank 2, got shape {table.data.shape}")
@@ -581,12 +514,8 @@ def gather_rows(table: Tensor, indices: Sequence[int] | np.ndarray) -> Tensor:
     out = table.data[idx]
 
     def bw(g):
-        if idx.ndim < 2:
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx, g)
-        else:
-            full = np.zeros((len(idx),) + table.data.shape)
-            np.add.at(full, (np.arange(len(idx))[:, None], idx), g)
+        full = np.zeros_like(table.data)
+        np.add.at(full, idx, g)
         return (full,)
 
     return _result(out, (table,), bw)
@@ -699,11 +628,14 @@ def sse(pred: Tensor, target: np.ndarray, windows: bool = False) -> Tensor:
 # result is bitwise its own call's. Scoring runs the value path so, a chunk
 # of windows per call, and training a stack of windows per tape, and the
 # fixed cost of each numpy call, each ``_result`` check and each tape entry
-# is paid once per stack. The backwards follow the same rule: the
-# transposes are ``swapaxes`` of the last two axes, which for rank 2 is
-# ``.T``, a parameter's gradient is each window's product or its sum over
-# its own rows (axis -2, and per window in ``_norm_backward``), so it comes
-# back as a (C, ...) stack of the windows' own gradients. The graph kernels
+# is paid once per stack. The backwards follow the same rule for the input
+# gradient, whose transposes are ``swapaxes`` of the last two axes. A
+# parameter's gradient is the gradient of the windows' summed loss: one
+# product, or one sum, over the flattened rows of the whole stack
+# (``_rows``), such as ``_rows(x).T @ _rows(g)``. ``_rows`` hands a rank-2
+# array back as it is, so a one-window call makes the BLAS call it always
+# made, and a stack's sum differs from the sum of its windows' gradients
+# only in the order of the additions. The graph kernels
 # stack windows the same way off the tape, but with the step axis
 # outermost: (S, C, d, n) states and (S, C, d, d) relations, so that each
 # step of the smoothing scan is one contiguous (C, d, d) block and the scan
@@ -910,13 +842,13 @@ def time_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tens
     out, xhat, inv = _norm_forward(att @ wo + xd, gamma.data, beta.data)
 
     def bw(g):
-        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv, xd.ndim == 3)
+        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv)
         datt = dy @ wo.T
         ds = _softmax_backward(datt @ v.swapaxes(-1, -2), p) * c
         dq, dk, dv = ds @ k, ds.swapaxes(-1, -2) @ q, p.swapaxes(-1, -2) @ datt
         dx = dq @ wq.T + dk @ wk.T + dv @ wv.T + dy
-        xt = xd.swapaxes(-1, -2)
-        return dx, xt @ dq, xt @ dk, xt @ dv, att.swapaxes(-1, -2) @ dy, dgamma, dbeta
+        xt = _rows(xd).T
+        return dx, xt @ _rows(dq), xt @ _rows(dk), xt @ _rows(dv), _rows(att).T @ _rows(dy), dgamma, dbeta
 
     return _result(out, inputs, bw)
 
@@ -952,7 +884,7 @@ def feature_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: T
     out, xhat, inv = _norm_forward(att @ wo + xr, gamma.data, beta.data)
 
     def bw(g):
-        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv, xd.ndim == 3)
+        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv)
         datt = dy @ wo.T
         ds = _softmax_backward(datt.swapaxes(-1, -2) @ v, p) * c
         dq, dk, dv = k @ ds.swapaxes(-1, -2), q @ ds, datt @ p
@@ -960,8 +892,9 @@ def feature_attention_norm(x: Tensor, w_query: Tensor, w_key: Tensor, w_value: T
         dx = dq @ wq.T + dk @ wk.T
         dx[rows] += dv @ wv.T
         dx[rows] += dy
-        xt = xd.swapaxes(-1, -2)
-        return dx, xt @ dq, xt @ dk, xr.swapaxes(-1, -2) @ dv, att.swapaxes(-1, -2) @ dy, dgamma, dbeta
+        xt = _rows(xd).T
+        return (dx, xt @ _rows(dq), xt @ _rows(dk), _rows(xr).T @ _rows(dv), _rows(att).T @ _rows(dy), dgamma,
+                dbeta)
 
     return _result(out, inputs, bw)
 
@@ -982,11 +915,11 @@ def feedforward_norm(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, 
     out, xhat, inv = _norm_forward(r @ w2d.T + b2.data + xd, gamma.data, beta.data)
 
     def bw(g):
-        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv, xd.ndim == 3)
+        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv)
         dh = dy @ w2d
         dh *= r > 0.0
-        return (dh @ w1d + dy, dh.swapaxes(-1, -2) @ xd, dh.sum(axis=-2), dy.swapaxes(-1, -2) @ r, dy.sum(axis=-2),
-                dgamma, dbeta)
+        hr, yr = _rows(dh), _rows(dy)
+        return dh @ w1d + dy, hr.T @ _rows(xd), hr.sum(axis=0), yr.T @ _rows(r), yr.sum(axis=0), dgamma, dbeta
 
     return _result(out, inputs, bw)
 
@@ -1013,10 +946,10 @@ def sigmoid_gate(h: Tensor, z: Tensor, w_gate: Tensor, b_gate: Tensor | None = N
         dboth = dpre @ w
         dh = grad * g + dboth[..., :d]
         dz = grad * (1.0 - g) + dboth[..., d:] if z.requires_grad else None
-        dw = dpre.swapaxes(-1, -2) @ both
+        dw = _rows(dpre).T @ _rows(both)
         if b_gate is None:
             return dh, dz, dw
-        return dh, dz, dw, dpre.sum(axis=-2)
+        return dh, dz, dw, _rows(dpre).sum(axis=0)
 
     return _result(out, inputs, bw)
 

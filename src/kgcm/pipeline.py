@@ -4,14 +4,14 @@ Stage 1 fits the local fusion and graph parameters against a one-step-ahead
 auxiliary head, then freezes the epoch-averaged relation matrix. Stage 2
 trains the whole value path end to end under the joint objective with that
 matrix held fixed. Both stages run the same minibatch loop and are
-deterministic given the config seed. Each process computes its windows of
-a batch in stacks of up to ``TRAIN_STACK`` windows, one taped pass each
-(one window per pass for a model with the graph), and keeps each window's
-loss and gradients apart. Where a second CPU and ``fork`` are there, this
-process has at most one forked helper process. Each stage forks its own,
-which computes half of each batch's windows, and this process adds every
-window's loss and gradients in window order, so the trained model is
-bitwise the same either way; the stage ends it when it returns.
+deterministic given the config seed. A batch splits into stacks of up to
+``TRAIN_STACK`` consecutive windows (one window for a model with the
+graph), one taped pass and one summed gradient each. Where a second CPU
+and ``fork`` are there, this process has at most one forked helper
+process. Each stage forks its own, which computes every other stack of
+each batch, and this process adds every stack's losses and gradients in
+stack order, so the trained model is bitwise the same either way; the
+stage ends it when it returns.
 ``predict_windows`` splits a window set the same way: the helper, the
 stage's or, outside a stage, one forked by the first two-process pass and
 kept for later ones, forecasts the windows at odd positions and is sent the
@@ -196,14 +196,14 @@ def _chunks(order: np.ndarray, size: int):
 # list of one array per window that the stage sums over its windows, or None.
 WindowLoss = Callable[[list[SeriesWindow], int], tuple[Tensor, list | None]]
 
-# Windows per tape when a stage trains a model without the graph: each process computes its share of a batch in
-# stacks of up to this many consecutive windows, one taped pass and one backward per stack. A steady two-process
-# train-text stage-2 epoch took 0.89-1.12 ms per window one window per tape, 0.74-0.94 in stacks of two, 0.65-0.69
-# in stacks of four and 0.60-0.72 in stacks of eight, with peaks of 43.5, 44.5, 46.9 and 51.8 MiB; at eight some
-# epochs faulted 200-400 pages in where the others faulted under 35 (2-vCPU x86-64 guest). A model with the graph
-# trains one window per tape, since its windows' taped graph state costs the most memory: on train-full, stacks of
-# two took 1.92-1.98 ms per window against 1.96-2.16 alone and raised the peak 45.6 -> 48.2 MiB, and stacks of four
-# took 1.74-1.97 ms against 2.06-2.50 and raised it 45.5 -> 53.3 MiB, beyond the benchmark's 10% memory bound.
+# Windows per tape when a stage trains a model without the graph: a batch splits into stacks of up to this many
+# consecutive windows, one taped pass and one backward per stack. A steady two-process train-text stage-2 epoch took
+# 0.89-1.12 ms per window one window per tape, 0.74-0.94 in stacks of two, 0.65-0.69 in stacks of four and 0.60-0.72
+# in stacks of eight, with peaks of 43.5, 44.5, 46.9 and 51.8 MiB; at eight some epochs faulted 200-400 pages in
+# where the others faulted under 35 (2-vCPU x86-64 guest). A model with the graph trains one window per tape, since
+# its windows' taped graph state costs the most memory: on the train-full benchmark workload (perfbench/run.py,
+# 30 s runs, 3 alternating pairs), stacks of four raised peak_rss_mib from 51.4-51.7 to 59.0-59.2, 14.9% on the
+# medians and beyond the benchmark's 10% bound, while train_windows_per_s rose from 621-663 to 733-772.
 TRAIN_STACK = 4
 
 HELPER_EXIT_S = 5.0  # a helper that has not ended this long after its pipe closed is killed
@@ -231,19 +231,19 @@ class _Helper:
     stage that forked it: the helper shares one anonymous ``mmap`` with the
     main process, in two regions sized to the stage's parameters. Once per
     batch the main process writes the parameters into the first and sends
-    the epoch and the helper's window indices. The helper computes them in
-    stacks of the stage's stack size (``_window_results``), and hands them
-    back one window at a time: it writes the window's gradients into the
-    second region and sends the loss, the names of the parameters with a
-    gradient and the window's array, and writes the next window's gradients
-    only after the main process acks, having added these. An exception from
-    a window is sent in place of its result. A "score" message is a model
-    and windows, pickled, and the helper replies with their ``_forecasts``.
-    A helper forked only to score maps no memory. Sending each window's
-    gradients pickled through the pipe instead, with no shared ``mmap`` and
-    no acks, trains bitwise the same model but made fits slower: train-full
-    by 6-22% (6 of 6 pairs) and train-text by 18-25% (4 of 4), on a 2-vCPU
-    x86-64 guest.
+    the epoch and the helper's stacks of window indices. The helper
+    computes them (``_stack_results``) and hands them back one stack at a
+    time: it writes the stack's summed gradients into the second region and
+    sends its losses, the names of the parameters with a gradient and its
+    arrays, and writes the next stack's gradients only after the main
+    process acks, having added these. An exception from a stack is sent in
+    place of its results. A "score" message is a model and windows,
+    pickled, and the helper replies with their ``_forecasts``. A helper
+    forked only to score maps no memory. Sending each window's gradients
+    pickled through the pipe instead, with no shared ``mmap`` and no acks,
+    trains bitwise the same model but made fits slower: train-full by 6-22%
+    (6 of 6 pairs) and train-text by 18-25% (4 of 4), on a 2-vCPU x86-64
+    guest.
 
     The helper ignores SIGINT: the main process takes Ctrl-C and ends it.
     It ends when the main process closes its end of the pipe: every forked
@@ -255,10 +255,8 @@ class _Helper:
     its ``OSError`` and leaves no pipe open and no memory mapped.
     """
 
-    def __init__(self, params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss | None,
-                 stack: int = 1):
+    def __init__(self, params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss | None):
         self._params = params
-        self._stack = stack
         self._last = []  # the helper's latest stack results (see _window_results)
         self._buffer = None
         self._shared = []
@@ -294,25 +292,25 @@ class _Helper:
             pass
 
     def _train(self, conn: Connection, windows: list[SeriesWindow], window_loss: WindowLoss, epoch: int,
-               indices: list[int]) -> None:
+               stacks: list[list[int]]) -> None:
         shared_params, grad_slot = self._shared
         for name, p in self._params.items():
             p.data = shared_params[name].copy()
         acked = True
-        results = _window_results(self._params, windows, window_loss, indices, epoch, self._stack, self._last)
+        results = _window_results(self._params, windows, window_loss, stacks, epoch, self._last)
         while True:
             try:
-                value, grads, array = next(results)
+                values, grads, arrays = next(results)
             except StopIteration:
                 break
-            except Exception as exc:  # raised in the main process at this window's position
+            except Exception as exc:  # raised in the main process at this stack's position
                 conn.send(exc)
                 break
             if not acked:
                 conn.recv()
             for name in grads:
                 grad_slot[name][...] = grads[name]
-            conn.send((value, list(grads), array))
+            conn.send((values, list(grads), arrays))
             grads = None  # see _window_results
             acked = False
         if not acked:
@@ -334,25 +332,25 @@ class _Helper:
         self._process.join(HELPER_EXIT_S)
         return HelperError(f"helper process ended with exit code {self._process.exitcode}")
 
-    def start_batch(self, epoch: int, indices: np.ndarray) -> None:
-        """Hand the helper the current parameters and the windows it computes this batch."""
+    def start_batch(self, epoch: int, stacks: list[np.ndarray]) -> None:
+        """Hand the helper the current parameters and the stacks of windows it computes this batch."""
         for name, p in self._params.items():
             self._shared[0][name][...] = p.data
-        self.send(("train", epoch, indices.tolist()))
+        self.send(("train", epoch, [stack.tolist() for stack in stacks]))
 
-    def add_next(self, sums: dict[str, np.ndarray]) -> tuple[float, np.ndarray | None]:
-        """Add the helper's next window's gradients into ``sums``; its loss and array.
+    def add_next(self, sums: dict[str, np.ndarray]) -> tuple[list[float], list | None]:
+        """Add the helper's next stack's gradients into ``sums``; its losses and arrays.
 
-        Raises the window's own exception if it raised one.
+        Raises the stack's own exception if it raised one.
         """
         message = self.recv()
         if isinstance(message, BaseException):
             raise message
-        value, present, array = message
+        values, present, arrays = message
         for name in present:
             sums[name] += self._shared[1][name]
         self.send(True)
-        return value, array
+        return values, arrays
 
     def _unmap(self) -> None:
         self._shared = []
@@ -375,8 +373,8 @@ class _Helper:
 _helper: _Helper | None = None  # this process's helper: at most one lives at a time
 
 
-def _start_helper(params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss | None,
-                  stack: int = 1) -> _Helper | None:
+def _start_helper(params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss | None
+                  ) -> _Helper | None:
     """End this process's helper, if it has one, and fork a new one; None if the fork fails.
 
     A helper that cannot be forked, at a process limit or out of memory,
@@ -385,7 +383,7 @@ def _start_helper(params: dict[str, Tensor], windows: list[SeriesWindow], window
     global _helper
     _end_helper()
     try:
-        _helper = _Helper(params, windows, window_loss, stack)
+        _helper = _Helper(params, windows, window_loss)
     except OSError as exc:
         log.debug("helper process could not start (%s); computing in this process", exc)
     return _helper
@@ -418,53 +416,48 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_inherited_helper)
 
 
-def _stack_results(params: dict[str, Tensor], loss: Tensor, arrays: list | None,
-                   count: int) -> list[tuple[float, dict[str, np.ndarray], np.ndarray | None]]:
-    """(loss, gradients, array) of each of the ``count`` windows of a taped ``loss``, from one backward.
+def _stack_results(params: dict[str, Tensor], loss: Tensor,
+                   arrays: list | None) -> tuple[list[float], dict[str, np.ndarray], list | None]:
+    """A stack's losses, its parameter gradients by name and its ``arrays``, from its taped ``loss`` by one backward.
 
-    ``gradients`` maps the name of each parameter with a gradient to the
-    window's own, bitwise what the window gives alone.
+    ``loss`` is one window's scalar or a stack's (C,) losses; each gradient
+    is the sum over the stack's windows.
     """
-    one = count == 1
-    grads = backward(loss, windows=not one)
-    found = [(name, grads[p]) for name, p in params.items() if p in grads]
-    values = [loss.item()] if one else loss.data.tolist()
-    return [(value, {name: g if one else g[c] for name, g in found}, None if arrays is None else arrays[c])
-            for c, value in enumerate(values)]
+    grads = backward(loss)
+    return loss.data.reshape(-1).tolist(), {name: grads[p] for name, p in params.items() if p in grads}, arrays
 
 
-def _window_results(params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss, indices,
-                    epoch: int, stack: int, last: list):
-    """Yield (loss, gradients, array) of each window of ``indices`` in turn, ``stack`` consecutive windows per tape.
+def _window_results(params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss, stacks,
+                    epoch: int, last: list):
+    """Yield the results of each stack of window indices in ``stacks`` in turn, one tape each.
 
-    A stack is computed when its first window's turn comes. A stack that
-    raises is computed again one window at a time, each when its turn
-    comes, so the first failing window raises its own exception.
+    A stack is computed when its turn comes. A stack of several windows that
+    raises is computed again one window at a time, so the first failing
+    window raises its own exception.
 
-    A window's gradients are views of its stack's, which the caller drops
-    once it has added them. ``last`` holds the latest stack's results from
-    call to call, until the next stack's forward has run: freed then, under
-    the forward's arrays, their memory takes the next backward's gradients.
-    Freed as soon as they were added, they freed the heap top, glibc gave it
-    back to the OS, and train-text epochs faulted hundreds to thousands of
-    pages in again where they faulted a few; held through the next
-    backward, they added 1.2 MiB to the training peak (2-vCPU x86-64 guest).
+    ``last`` holds the latest stack's results from call to call, until the
+    next stack's forward has run: freed then, under the forward's arrays,
+    their memory takes the next backward's gradients. Freed as soon as they
+    were added, they freed the heap top and glibc gave it back to the OS: in
+    steady two-process train-text stage-2 epochs the helper then faulted
+    8,053-34,370 pages in again in three epochs of nine, where with the hold
+    each process faulted at most 60 in any epoch (2-vCPU x86-64 guest).
     """
-    for start in range(0, len(indices), stack):
-        part = [windows[i] for i in indices[start: start + stack]]
+    for stack in stacks:
+        part = [windows[i] for i in stack]
         try:
             loss, arrays = window_loss(part, epoch)
             last.clear()
-            last.append(_stack_results(params, loss, arrays, len(part)))
+            last.append(_stack_results(params, loss, arrays))
         except Exception:
             if len(part) == 1:
                 raise
             clear_tape()
             for window in part:
-                last[:] = [_stack_results(params, *window_loss([window], epoch), 1)]
-                yield from last[0]
-            continue
-        yield from last[0]
+                window_loss([window], epoch)
+                clear_tape()
+            raise
+        yield last[0]
 
 
 def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig, stage: int,
@@ -472,30 +465,30 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
     """The minibatch loop both stages share; returns the float64 sum of the arrays ``window_loss`` gave.
 
     Every epoch shuffles the windows with the stage's own random stream. Each
-    batch takes one Adam step on the stage's parameters with the mean
-    gradient: each window's gradients are added in place, in window order,
-    into one zeroed buffer per parameter. The epoch's mean loss is appended
-    to the stage's history. The arrays ``window_loss`` returns, if any, are
-    summed in window order. The windows must share one shape.
+    batch splits into stacks of up to ``TRAIN_STACK`` consecutive windows,
+    one window for a model with the graph, and each stack is one
+    ``window_loss`` and one ``backward``, which sums the stack's parameter
+    gradients (``_window_results``). Each batch takes one Adam step on the
+    stage's parameters with the mean gradient: each stack's gradients are
+    added in place, in stack order, into one zeroed buffer per parameter.
+    The windows' losses are added to the epoch's total in batch order, and
+    the epoch's mean loss is appended to the stage's history. The arrays
+    ``window_loss`` returns, if any, are summed in batch order. The windows
+    must share one shape.
 
-    A process computes its windows of a batch in stacks of up to
-    ``TRAIN_STACK`` consecutive windows, one window for a model with the
-    graph: one ``window_loss`` and one ``backward`` per stack, which keeps
-    every window's loss, gradients and array apart, each bitwise what the
-    window gives alone (``_window_results``).
-
-    When ``_helper_can_start``, the stage ends this process's helper, if it
-    has one, and forks its own (``_start_helper``), which computes the
-    windows at odd batch positions while this process computes the even
-    ones. This process still adds every window's loss, gradients and array
-    in batch order, so the result is bitwise the same as with every window
-    computed here, which is what a batch of one window, a daemonic process,
-    a host with one usable CPU or one without ``fork``, or a failed fork
-    does. An exception from a helper window is raised at that window's
-    position; a helper that ends mid-batch raises ``TrainingError``. A
-    ``predict_windows`` pass made between batches is scored by the stage's
-    helper; if the pass ends that helper, the stage's later batches run in
-    this process. The stage ends its helper when it returns or raises.
+    When a batch can hold two stacks and ``_helper_can_start``, the stage
+    ends this process's helper, if it has one, and forks its own
+    (``_start_helper``), which computes the stacks at odd positions of each
+    batch while this process computes the even ones. This process still
+    adds every stack's losses, gradients and arrays in stack order, so the
+    result is bitwise the same as with every stack computed here, which is
+    what a batch of one stack, a daemonic process, a host with one usable
+    CPU or one without ``fork``, or a failed fork does. An exception from a
+    helper stack is raised at that stack's position; a helper that ends
+    mid-batch raises ``TrainingError``. A ``predict_windows`` pass made
+    between batches is scored by the stage's helper; if the pass ends that
+    helper, the stage's later batches run in this process. The stage ends
+    its helper when it returns or raises.
     """
     if not windows:
         raise TrainingError(f"stage {stage} needs a nonempty training set")
@@ -513,8 +506,8 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
     shuffle = SeededRng(config.seed).child(f"stage{stage}/shuffle")
     array_sum = None
     stack = 1 if model.dgso is not None else TRAIN_STACK
-    two = config.batch_size >= 2 and len(windows) >= 2 and _helper_can_start()
-    helper = _start_helper(params, windows, window_loss, stack) if two else None
+    two = min(config.batch_size, len(windows)) > stack and _helper_can_start()
+    helper = _start_helper(params, windows, window_loss) if two else None
     last = []  # this process's latest stack results (see _window_results)
     try:
         for epoch in range(epochs):
@@ -522,22 +515,24 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
             loss_total = 0.0
             for batch_no, batch in enumerate(_chunks(order, config.batch_size)):
                 sums = {name: np.zeros_like(p.data) for name, p in params.items()}
-                shared = helper is not None and helper is _helper and len(batch) > 1  # not ended by a pass
+                stacks = list(_chunks(batch, stack))
+                shared = helper is not None and helper is _helper and len(stacks) > 1  # not ended by a pass
                 try:
                     if shared:
-                        helper.start_batch(epoch, batch[1::2])
-                    mine = _window_results(params, windows, window_loss, batch[0::2] if shared else batch, epoch,
-                                           stack, last)
-                    for pos in range(len(batch)):
+                        helper.start_batch(epoch, stacks[1::2])
+                    mine = _window_results(params, windows, window_loss, stacks[0::2] if shared else stacks, epoch,
+                                           last)
+                    for pos in range(len(stacks)):
                         if shared and pos % 2:
-                            value, array = helper.add_next(sums)
+                            values, arrays = helper.add_next(sums)
                         else:
-                            value, grads, array = next(mine)
+                            values, grads, arrays = next(mine)
                             for name in grads:
                                 sums[name] += grads[name]
                             grads = None  # see _window_results
-                        loss_total += value
-                        if array is not None:
+                        for value in values:
+                            loss_total += value
+                        for array in arrays or ():
                             if array_sum is None:  # float64: the graph pass's float32 matrices sum in double
                                 array_sum = np.zeros(array.shape)
                             array_sum += array

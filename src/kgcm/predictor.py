@@ -14,8 +14,9 @@ that one row. A last block without feature attention runs every row.
 
 ``embed_sequence`` and ``forecast`` also take a (C, T, d) stack of C
 windows' rows, on the tape or off it (scoring and training run them so, see
-``numeric``); each window's result and gradients are bitwise those of its
-own (T, d) call.
+``numeric``); each window's result and the gradient of its rows are bitwise
+those of its own (T, d) call, and a parameter's gradient sums over the
+stack.
 """
 
 from __future__ import annotations

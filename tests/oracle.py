@@ -6,9 +6,10 @@ to a second, op-by-op derivation of the same math. They use ``numeric``'s
 private helpers, so they share its softmax, layer norm and sigmoid
 arithmetic, and their gradients are checked in ``test_numeric``.
 
-The three stacked graph kernels at the end (relation, smoothing scan,
-convolution) are the graph layer split into one tape entry each; the tests
-hold ``numeric.graph_layer`` to their composite.
+The three stacked graph kernels (relation, smoothing scan, convolution)
+are the graph layer split into one tape entry each; the tests hold
+``numeric.graph_layer`` to their composite. ``assert_window_sum`` at the end
+holds a stack's parameter gradient to its windows' own gradients.
 """
 
 from __future__ import annotations
@@ -225,3 +226,16 @@ def conv_residual_norm(states: Tensor, relation: Tensor, w_trans: Tensor, gamma:
         return dh, da, dw, dgamma, dbeta
 
     return _result(out, (states, relation, w_trans, gamma, beta), bw)
+
+
+def assert_window_sum(got: np.ndarray, windows: list[np.ndarray]) -> None:
+    """A stack's parameter gradient is the sum of its windows' one-window gradients, to 1e-12 of their largest entry.
+
+    The stack adds the same terms as the windows in another order, so it may
+    differ from their sum by rounding alone.
+    """
+    want = windows[0].copy()
+    for g in windows[1:]:
+        want += g
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(np.abs(g).max(initial=0.0) for g in windows)

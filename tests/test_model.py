@@ -14,6 +14,8 @@ from kgcm.numeric import Tensor
 from kgcm.pipeline import load_model, new_model, save_model, train_stage1
 from kgcm.text import encode_hashed
 
+import oracle
+
 INVALID_FIELDS = [
     ("d", 0, "d must be positive"),
     ("n", 1, "n must be >= 2"),
@@ -255,7 +257,7 @@ def _stage_gradients(model, stage, windows):
     nm.clear_tape()
     loss, matrices = _stage_loss(model, stage, windows)
     params = model.stage1_parameters() if stage == 1 else model.stage2_parameters()
-    grads = nm.backward(loss, params.values(), windows=not isinstance(windows, SeriesWindow))
+    grads = nm.backward(loss, params.values())
     return loss.data, matrices, {name: grads[p] for name, p in params.items()}
 
 
@@ -266,18 +268,18 @@ STAGE_CASES = [(name, stage) for name in STACK_SETS for stage in (1, 2)
 @pytest.mark.parametrize("count", [1, 2, 4])
 @pytest.mark.parametrize("name,stage", STAGE_CASES, ids=[f"{name}-stage{stage}" for name, stage in STAGE_CASES])
 def test_a_stack_of_windows_is_each_windows_own_forward_and_backward(name, stage, count):
+    # each window's loss and matrix bitwise its own; the parameter gradients the sum of the windows' own
     model, windows = _stack_model(name)
     losses, matrices, grads = _stage_gradients(model, stage, windows[:count])
     assert losses.shape == (count,)
-    for c, window in enumerate(windows[:count]):
-        loss, matrix, want = _stage_gradients(model, stage, window)
+    alone = [_stage_gradients(model, stage, window) for window in windows[:count]]
+    for c, (loss, matrix, _) in enumerate(alone):
         assert losses[c].tobytes() == loss.tobytes()
         assert (matrices is None) == (matrix is None)
         if matrix is not None:
             assert matrices[c].tobytes() == matrix.tobytes()
-        for key, g in want.items():
-            assert grads[key].shape == (count,) + g.shape
-            assert grads[key][c].tobytes() == g.tobytes(), key
+    for key, g in grads.items():
+        oracle.assert_window_sum(g, [want[key] for _, _, want in alone])
     nm.clear_tape()
     values = model.stage2_forward(windows[:count]).data
     nm.clear_tape()
@@ -285,10 +287,9 @@ def test_a_stack_of_windows_is_each_windows_own_forward_and_backward(name, stage
     nm.clear_tape()
 
 
-def _kernels(tape) -> tuple[Counter, Counter]:
-    """The kernels a tape recorded, by the name of their backward's function: shared entries, per-window ones."""
-    names = [(entry[2].__qualname__.split(".")[0], entry[3] is None) for entry in tape]
-    return Counter(n for n, shared in names if shared), Counter(n for n, shared in names if not shared)
+def _kernels(tape) -> Counter:
+    """The kernels a tape recorded, by the name of their backward's function."""
+    return Counter(entry[2].__qualname__.split(".")[0] for entry in tape)
 
 
 @pytest.mark.parametrize("count", [2, 4])
@@ -297,14 +298,12 @@ def test_a_stack_records_each_stacked_kernel_once_and_cross_attention_once_per_w
     assert all(any(len(t) for t in w.local_tokens) for w in windows)  # every window's cross-attention records
     nm.clear_tape()
     _stage_loss(model, 2, windows[0])
-    one, none = _kernels(nm._TAPE)
+    one = _kernels(nm._TAPE)
     nm.clear_tape()
     _stage_loss(model, 2, windows[:count])
-    shared, per_window = _kernels(nm._TAPE)
+    stacked = _kernels(nm._TAPE)
     nm.clear_tape()
-    assert not none
-    # one window: one cross-attention entry and the prompt term's three, each of which a stack records per window
-    windowed = Counter({"step_cross_attention": 1, "sub": 1, "sum_sq": 1, "scale": 1})
-    assert per_window == Counter({name: count * k for name, k in windowed.items()})
-    # everything else once, plus the two joins of the per-window results and the (C, 1, T') -> (C, T') take
-    assert shared == one - windowed + Counter({"_stack": 2, "take": 1})
+    # everything once, the prompt term too, but cross-attention once per window, plus the join of its results
+    # and the (C, 1, T') -> (C, T') take
+    assert one["step_cross_attention"] == 1
+    assert stacked == one + Counter({"step_cross_attention": count - 1, "each_window": 1, "take": 1})

@@ -162,9 +162,10 @@ class TestBackward:
         np.testing.assert_array_equal(grads[y], [0.0])
 
     def test_non_scalar_loss_rejected(self):
-        x = tensor([1.0, 2.0], requires_grad=True)
+        # a scalar, or a (C,) stack of window losses (TestTapedWindowStacks), but no loss of rank 2
+        x = tensor([[1.0, 2.0]], requires_grad=True)
         v = oracle.mul(x, x)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=r"a scalar loss or a \(C,\) stack of window losses"):
             backward(v)
 
     def test_empty_tape_rejected(self):
@@ -681,13 +682,17 @@ def _window_grads(call, params, x, target, windows):
     params = [tensor(p, requires_grad=True) for p in params]
     x = tensor(x, requires_grad=True)
     out = call(x, *params)
-    grads = backward(nm.sse(out, target.reshape(out.data.shape), windows=windows), params=[x] + params,
-                     windows=windows)
+    grads = backward(nm.sse(out, target.reshape(out.data.shape), windows=windows), params=[x] + params)
     return out.data, grads[x], [grads[p] for p in params]
 
 
 class TestTapedWindowStacks:
-    """A stack of C windows on a tape: outputs and every window's gradients bitwise those of C one-window tapes."""
+    """A stack of C windows on a tape: outputs and input gradients bitwise those of C one-window tapes.
+
+    A parameter's gradient from the (C,) losses is the gradient of their
+    sum: the sum of the windows' own gradients, up to the order of the
+    additions (``oracle.assert_window_sum``).
+    """
 
     @pytest.mark.parametrize("count", [1, 2, 4])
     @pytest.mark.parametrize("name", list(_taped_cases()))
@@ -698,19 +703,34 @@ class TestTapedWindowStacks:
         targets = rng.normal((count, call(tensor(rows[0]), *map(tensor, params)).data.size))
         stacked = rows.reshape((count, -1, shape[-1]))  # a rank-1 row stacks as (C, 1, d)
         out, dx, dparams = _window_grads(call, params, stacked, targets, True)
-        for c in range(count):
-            one_out, one_dx, one_dparams = _window_grads(call, params, rows[c], targets[c], False)
+        alone = [_window_grads(call, params, rows[c], targets[c], False) for c in range(count)]
+        for c, (one_out, one_dx, _) in enumerate(alone):
             assert out[c].tobytes() == one_out.tobytes()
             assert dx[c].tobytes() == one_dx.tobytes()
-            assert len(dparams) == len(one_dparams)
-            for got, want in zip(dparams, one_dparams):
-                assert got.shape == (count,) + want.shape
-                assert got[c].tobytes() == want.tobytes()
+        assert len(dparams) == len(alone[0][2])
+        for k, got in enumerate(dparams):
+            oracle.assert_window_sum(got, [one_dparams[k] for _, _, one_dparams in alone])
 
     def test_relu_gradients_carry_signed_zeros(self):
         # the comparison above reads bytes, so it holds the signs of zeros too; the cases make some
         _, dx, _ = _window_grads(nm.relu, [], -np.ones((2, 3, 4)), np.ones((2, 12)), True)
         assert (dx == 0.0).all() and np.signbit(dx).all()
+
+    def test_a_shared_tensor_added_to_a_stack_gets_the_sum_of_the_windows_gradients(self):
+        rng = SeededRng(99)
+        rows, targets, bias = rng.normal((3, 5, 4)), rng.normal((3, 5, 4)), rng.normal((4,))
+
+        def grads(x, target, windows):
+            b = tensor(bias, requires_grad=True)
+            x = tensor(x, requires_grad=True)
+            out = nm.add(nm.relu(x), b)
+            got = backward(nm.sse(out, target, windows=windows), params=[x, b])
+            return got[x], got[b]
+
+        dx, db = grads(rows, targets, True)
+        alone = [grads(rows[c], targets[c], False) for c in range(3)]
+        assert [g.tobytes() for g in dx] == [one_dx.tobytes() for one_dx, _ in alone]
+        oracle.assert_window_sum(db, [one_db for _, one_db in alone])
 
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_per_window_entries_route_their_gradients_to_each_windows_slice(self, count):
@@ -730,7 +750,7 @@ class TestTapedWindowStacks:
             def text(rows, c):
                 return nm.step_cross_attention(rows, tokens[c], counts[c], wq, wk, wv, pq, pk)
 
-            x = tensor(inputs[first:first + windows] if windows else inputs[first])
+            x = tensor(inputs[first:first + windows] if windows else inputs[first], requires_grad=True)
             hs = nm.relu(nm.linear(x, w_embed, b_embed))
             if windows:
                 views = nm.unstack(hs)
@@ -739,24 +759,28 @@ class TestTapedWindowStacks:
                 joined = text(hs, first)
             out = nm.sigmoid_gate(hs, joined, w_gate)
             target = targets[first:first + windows] if windows else targets[first]
-            grads = backward(nm.sse(out, target, windows=bool(windows)), params=params, windows=bool(windows))
-            return out.data, [grads[p] for p in params]
+            grads = backward(nm.sse(out, target, windows=bool(windows)), params=[x] + params)
+            return out.data, grads[x], [grads[p] for p in params]
 
-        out, grads = run(0, count)
-        for c in range(count):
-            one_out, one_grads = run(c, 0)
+        out, dx, grads = run(0, count)
+        alone = [run(c, 0) for c in range(count)]
+        for c, (one_out, one_dx, _) in enumerate(alone):
             assert out[c].tobytes() == one_out.tobytes()
-            for got, want in zip(grads, one_grads):
-                assert got[c].tobytes() == want.tobytes()
+            assert dx[c].tobytes() == one_dx.tobytes()
+        for k, got in enumerate(grads):
+            oracle.assert_window_sum(got, [one_grads[k] for _, _, one_grads in alone])
 
     def test_a_windows_first_gradient_keeps_its_signed_zeros(self):
-        # relu's backward gives the masked entry -0.0, the first gradient each window's slice of p gets
-        p = tensor(np.array([-1.0, 2.0]), requires_grad=True)
-        joined = nm.each_window(2, lambda c: nm.relu(p))
-        grads = backward(nm.sse(joined, np.ones((2, 2)), windows=True), windows=True)
-        want = backward(nm.sse(nm.relu(p), np.ones(2)))[p]
-        assert np.signbit(want[0]) and want[0] == 0.0
-        assert [g.tobytes() for g in grads[p]] == [want.tobytes()] * 2
+        # relu's backward gives the masked entry -0.0, the first gradient each window's slice of x gets
+        x = tensor(np.array([[-1.0, 2.0], [3.0, -4.0]]), requires_grad=True)
+        views = nm.unstack(x)
+        joined = nm.each_window(2, lambda c: nm.relu(views[c]))
+        got = backward(nm.sse(joined, np.ones((2, 2)), windows=True), params=[x])[x]
+        for c in range(2):
+            one = tensor(x.data[c], requires_grad=True)
+            want = backward(nm.sse(nm.relu(one), np.ones(2)), params=[one])[one]
+            assert np.signbit(want[c]) and want[c] == 0.0
+            assert got[c].tobytes() == want.tobytes()
 
     @staticmethod
     def _two_paths(x, count):
@@ -775,35 +799,35 @@ class TestTapedWindowStacks:
         rows = SeededRng(96).normal((3, 4, 2))
         targets = SeededRng(97).normal((3, 8))
         x = tensor(rows, requires_grad=True)
-        got = backward(nm.sse(self._two_paths(x, 3), targets.reshape(3, 4, 2), windows=True), params=[x],
-                       windows=True)[x]
+        got = backward(nm.sse(self._two_paths(x, 3), targets.reshape(3, 4, 2), windows=True), params=[x])[x]
         for c in range(3):
             one = tensor(rows[c], requires_grad=True)
             want = backward(nm.sse(self._two_paths(one, 0), targets[c].reshape(4, 2)), params=[one])[one]
             assert got[c].tobytes() == want.tobytes()
 
     def test_a_stacked_gradient_after_per_window_ones_keeps_the_other_windows_signed_zeros(self):
-        # b is a stacked linear's bias and, in window 0 alone, a per-window relu's input. Backward adds the
-        # per-window gradient first; the stacked one then fills window 1, -0.0 where b's large negative entry masks
-        rng = SeededRng(98)
-        x, w, b = rng.normal((2, 1, 3)), rng.glorot(2, 3), np.array([-50.0, 0.5])
+        # a is a stacked relu's output and, in window 0 alone, a per-window relu's input. Backward adds the
+        # per-window gradient first; the stacked one then fills window 1, -0.0 where x's negative entry masks
+        rows = np.array([[[-1.0, 0.5]], [[-2.0, 1.5]]])
 
-        def losses(rows, window):
-            params = [tensor(w, requires_grad=True), tensor(b, requires_grad=True)]
-            y = nm.relu(nm.linear(tensor(rows), *params))
+        def gradient(x, window):
+            x = tensor(x, requires_grad=True)
+            a = nm.relu(x)
+            y = nm.relu(a)
             if window is None:
-                z = nm.each_window(2, lambda c: nm.relu(params[1]) if c == 0 else tensor(np.zeros(2)))
-                loss = nm.add(nm.sse(y, np.ones((2, 1, 2)), windows=True), nm.sse(z, np.ones((2, 2)), windows=True))
+                views = nm.unstack(a)
+                z = nm.each_window(2, lambda c: nm.relu(views[c]) if c == 0 else tensor(np.zeros((1, 2))))
+                loss = nm.add(nm.sse(y, np.ones((2, 1, 2)), windows=True), nm.sse(z, np.ones((2, 1, 2)), windows=True))
             else:
-                loss = nm.sse(y, np.ones(2))
+                loss = nm.sse(y, np.ones((1, 2)))
                 if window == 0:
-                    loss = nm.add(loss, nm.sse(nm.relu(params[1]), np.ones(2)))
-            return backward(loss, params=params, windows=window is None)[params[1]]
+                    loss = nm.add(loss, nm.sse(nm.relu(a), np.ones((1, 2))))
+            return backward(loss, params=[x])[x]
 
-        got = losses(x, None)
+        got = gradient(rows, None)
         for c in range(2):
-            want = losses(x[c, 0], c)
-            assert np.signbit(want[0]) and want[0] == 0.0
+            want = gradient(rows[c], c)
+            assert np.signbit(want[0, 0]) and want[0, 0] == 0.0
             assert got[c].tobytes() == want.tobytes()
 
     def test_a_stack_records_one_entry_per_stacked_op_and_one_per_window_inside_each_window(self):
@@ -812,25 +836,13 @@ class TestTapedWindowStacks:
         assert nm.tape_size() == 0  # a slice is a view, not an entry
         joined = nm.each_window(3, lambda c: nm.relu(views[c]))
         assert nm.tape_size() == 3 + 1
-        assert [entry[3] for entry in nm._TAPE] == [(0, 3), (1, 3), (2, 3), None]
         assert joined.data.tobytes() == np.maximum(x.data, 0.0).tobytes()
 
-    def test_each_window_does_not_nest(self):
-        with pytest.raises(ContractError, match="does not nest"):
-            nm.each_window(2, lambda c: nm.each_window(2, lambda k: tensor(np.ones(2), requires_grad=True)))
-        # the window state is reset, so later entries are shared ones again
-        x = tensor(np.ones(3), requires_grad=True)
-        nm.relu(x)
-        assert nm._TAPE[-1][3] is None
-
-    def test_backward_of_window_losses_needs_a_stack_of_them(self):
-        x = tensor(np.ones((2, 3)), requires_grad=True)
-        with pytest.raises(ContractError, match="stack of window losses"):
-            backward(nm.sse(x, np.zeros((2, 3))), windows=True)
-        loss = nm.sse(x, np.zeros((2, 3)), windows=True)
-        assert loss.data.shape == (2,)
-        with pytest.raises(ContractError, match="scalar loss"):
-            backward(loss)
+    def test_backward_of_a_stack_of_window_losses_is_the_gradient_of_their_sum(self):
+        p = tensor(np.array([1.0, -2.0]), requires_grad=True)
+        loss = nm.add(nm.sse(tensor(np.ones((3, 2))), np.zeros((3, 2)), windows=True), sum_sq(p))
+        assert loss.data.shape == (3,)
+        assert backward(loss, params=[p])[p].tobytes() == (3 * 2.0 * p.data).tobytes()
 
 
 class TestRowSum:
