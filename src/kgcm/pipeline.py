@@ -232,7 +232,7 @@ class _Helper:
     main process, in two regions sized to the stage's parameters. Once per
     batch the main process writes the parameters into the first and sends
     the epoch and the helper's stacks of window indices. The helper
-    computes them (``_stack_results``) and hands them back one stack at a
+    computes them (``_window_results``) and hands them back one stack at a
     time: it writes the stack's summed gradients into the second region and
     sends its losses, the names of the parameters with a gradient and its
     arrays, and writes the next stack's gradients only after the main
@@ -416,22 +416,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_inherited_helper)
 
 
-def _stack_results(params: dict[str, Tensor], loss: Tensor,
-                   arrays: list | None) -> tuple[list[float], dict[str, np.ndarray], list | None]:
-    """A stack's losses, its parameter gradients by name and its ``arrays``, from its taped ``loss`` by one backward.
-
-    ``loss`` is one window's scalar or a stack's (C,) losses; each gradient
-    is the sum over the stack's windows.
-    """
-    grads = backward(loss)
-    return loss.data.reshape(-1).tolist(), {name: grads[p] for name, p in params.items() if p in grads}, arrays
-
-
 def _window_results(params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss, stacks,
                     epoch: int, last: list):
-    """Yield the results of each stack of window indices in ``stacks`` in turn, one tape each.
+    """Yield each stack's results in turn: its losses, its parameter gradients by name and its ``arrays``.
 
-    A stack is computed when its turn comes. A stack of several windows that
+    Each stack of window indices in ``stacks`` is one tape and one backward,
+    computed when its turn comes; each gradient is the sum over the stack's
+    windows. A stack of several windows that
     raises is computed again one window at a time, so the first failing
     window raises its own exception.
 
@@ -448,7 +439,9 @@ def _window_results(params: dict[str, Tensor], windows: list[SeriesWindow], wind
         try:
             loss, arrays = window_loss(part, epoch)
             last.clear()
-            last.append(_stack_results(params, loss, arrays))
+            grads = backward(loss)
+            last.append((loss.data.reshape(-1).tolist(), {name: grads[p] for name, p in params.items() if p in grads},
+                         arrays))
         except Exception:
             if len(part) == 1:
                 raise

@@ -358,13 +358,14 @@ class TestTrainingStacks:
 
     @pytest.mark.parametrize("helper", [False, True], ids=["one-process", "two-process"])
     def test_a_stack_that_raises_raises_its_first_failing_windows_error(self, monkeypatch, helper):
-        # batch 0's window at position 2 has a slot outside the table, and the one at position 4 a NaN input. A
-        # stack holding both raises the NaN first; computed again window by window, position 2 raises first
+        # batch 0's window at position 2 has a slot outside the table, and the one at position 3 a NaN input, so
+        # both sit in its first stack on one process and on two. That stack raises the NaN first; computed again
+        # window by window, position 2 raises first
         monkeypatch.setattr(pipeline, "_helper_can_start", lambda: helper)
         config = _config(batch_size=8)
         windows = _split(config).train
         order = pipeline.SeededRng(config.seed).child("stage2/shuffle").permutation(len(windows))
-        bad_slot, bad_input = windows[int(order[2])], windows[int(order[4])]
+        bad_slot, bad_input = windows[int(order[2])], windows[int(order[3])]
         bad_slot.slots = bad_slot.slots[:3] + [config.day_slots] + bad_slot.slots[4:]
         bad_input.inputs = bad_input.inputs.copy()
         bad_input.inputs[3, 0] = np.nan
