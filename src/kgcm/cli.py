@@ -5,7 +5,8 @@ success, 1 usage, 2 data/config error, 3 training/numeric error or a helper
 process that ended before it sent its results, 4 I/O error. Standard output
 is machine-parseable CSV-style lines. All file outputs are written to a temp
 file and renamed into place; `train`, `evaluate` and `ablate` check that the
-directory of --out exists before they read any model or data.
+directory of --out exists, and that --out is not a directory, before they
+read any model or data.
 
 The seed of `generate`, `train` and `ablate` is the --seed flag if given,
 else the config's value; `gradcheck --seed` defaults to 0. A set KGCM_SEED
@@ -91,10 +92,12 @@ def cmd_generate(args) -> int:
 
 
 def _check_out_dir(path: str) -> None:
-    """Refuse ``path`` before a long run if its directory does not exist, rather than at the final write."""
+    """Refuse ``path`` before a long run, not at the final write, if its directory is missing or it is one."""
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"--out {path}: directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--out {path} is a directory")
 
 
 def cmd_train(args) -> int:

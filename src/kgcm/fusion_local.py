@@ -3,7 +3,9 @@
 A window's (T, F) structured rows are embedded as (T, d) rows in one pass.
 The rows whose step carries text query the window's packed token vectors in
 one prompt-augmented cross-attention call (``numeric.step_cross_attention``),
-masked so that each row sees only its own step's tokens. ``Model`` blends
+masked so that each row sees only its own step's tokens; a (C, T, d)
+stack of windows' rows makes one call too, each window's tokens packed on
+their own. ``Model`` blends
 the structured and text rows with ``numeric.sigmoid_gate`` and the ``lpo``
 gate weight. The shared-context gate (rcpg) runs through the same kernel,
 with the pooled cross-region text vector tiled over the steps and a bias;
@@ -112,7 +114,17 @@ def embed_structured_rows(x: Tensor, params: LpoParams) -> Tensor:
     return relu(linear(x, params.w_embed, params.b_embed))
 
 
-def guided_cross_attention(h_s: Tensor, tokens: Sequence[np.ndarray], params: LpoParams) -> Tensor:
+def _packed(tokens: Sequence[np.ndarray], t: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A window's (M, d) block of its T steps' token rows in step order, and the (T,) count of each step's."""
+    if len(tokens) != t:
+        raise ShapeError(f"{t} rows need one token matrix each, got {len(tokens)}")
+    for step in tokens:
+        if step.ndim != 2 or step.shape[1] != d:
+            raise ShapeError(f"token matrix has shape {step.shape}, expected (m, {d})")
+    return np.concatenate(tokens), np.array([step.shape[0] for step in tokens])
+
+
+def guided_cross_attention(h_s: Tensor, tokens: Sequence, params: LpoParams) -> Tensor:
     """Attend from each step's structured row to that step's token rows.
 
     ``h_s`` holds the window's (T, d) embedded rows and ``tokens[t]`` is the
@@ -121,20 +133,21 @@ def guided_cross_attention(h_s: Tensor, tokens: Sequence[np.ndarray], params: Lp
     constant mask that leaves it only its own step's tokens. m_t = 0 is
     legal: that row of the (T, d) result is zero and is not scored. A window
     with no tokens at all returns untracked zeros and logs the event, so
-    sparsely annotated data still flows through.
+    sparsely annotated data still flows through. A (C, T, d) stack of rows
+    takes window c's token matrices in ``tokens[c]``, packed per window.
     """
     d = params.dim
     rows = h_s.data
-    if rows.ndim != 2 or rows.shape[1] != d or len(tokens) != rows.shape[0]:
-        raise ShapeError(f"query rows {rows.shape} need shape (T, {d}) and one token matrix per row, got {len(tokens)}")
-    for step in tokens:
-        if step.ndim != 2 or step.shape[1] != d:
-            raise ShapeError(f"token matrix has shape {step.shape}, expected (m, {d})")
-    counts = np.array([step.shape[0] for step in tokens])
-    if not counts.any():
+    if rows.ndim not in (2, 3) or rows.shape[-1] != d or (rows.ndim == 3 and len(tokens) != len(rows)):
+        raise ShapeError(f"query rows {rows.shape} need shape (T, {d}), or (C, T, {d}) with {len(tokens)} windows")
+    if rows.ndim == 2:
+        block, counts = _packed(tokens, rows.shape[0], d)
+    else:
+        block, counts = zip(*(_packed(window, rows.shape[1], d) for window in tokens))
+    if not (counts.any() if rows.ndim == 2 else any(k.any() for k in counts)):
         log.debug("empty local text: cross-attention output is the zero matrix")
         return zeros(rows.shape)
-    return step_cross_attention(h_s, np.concatenate(tokens), counts, params.w_query, params.w_key, params.w_value,
+    return step_cross_attention(h_s, block, counts, params.w_query, params.w_key, params.w_value,
                                 params.prompt_struct, params.prompt_text)
 
 

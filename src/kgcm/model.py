@@ -19,18 +19,47 @@ one ``numeric.cast`` tape entry. Parameters and their gradients, the
 scaler, ``a_star`` (the float64 mean of float32 matrices) and model files
 stay float64.
 
-Both forwards take one window, or a list of windows as one stack. On a
-stack the embedding, the gates, the ``acmfw`` weighting, the sequence
-embedding, the encoder, the heads and the loss run on (C, T, d) rows, one
-tape entry each; the text cross-attention, whose token counts differ per
-window, runs window by window inside ``numeric.each_window``, and so do
-stage 1's readout and, on a tape, the graph pass. Off the tape
-(``stage2_values``) the graph pass runs on stacks of ``GRAPH_STACK``
-windows. Each window's values and loss, and the gradient of each window's
-rows, are bitwise those of its own one-window forward, which ``predict``
-and the gradient checks run; a parameter's gradient from a stack's (C,)
-losses is the gradient of their sum, which differs from the sum of the
-windows' own gradients only in the order of the additions.
+Both forwards take one window, or a list of windows as one stack, whose
+ops, the text cross-attention and stage 1's graph-free readout included,
+run on (C, T, d) rows, one tape entry each. The graph pass takes a stack
+off the tape only (``stage2_values``, ``GRAPH_STACK`` windows per call):
+``run_dgso`` refuses a taped one with ``ContractError``, so a graph model
+trains one window per tape. Each window's values, loss and row gradients
+are bitwise those of its own one-window forward, which ``predict`` and the
+gradient checks run; a parameter's gradient from a stack's (C,) losses is
+the gradient of their sum, which differs from the sum of the windows' own
+gradients only in the order of the additions.
+
+The paper (arXiv:2509.06976) mapped to the code: quoted phrases are the
+abstract's, the rest this package's; "gradcheck:X" is the check ``kgcm
+gradcheck`` prints as X, "row +X" the ablation row that adds X.
+
+==============================================  ===================================  ==================================
+Paper phrase                                    Module and function                  Tested by
+==============================================  ===================================  ==================================
+"structured temporal traffic data" (backbone)   fusion_local.embed_structured_rows,  gradcheck:embed_structured_rows,
+                                                predictor.embed_sequence, forecast   gradcheck:time_attention_norm,
+                                                                                     gradcheck:feedforward_norm,
+                                                                                     gradcheck:predictor, row backbone
+feature attention, matrix as bias (ssa)         predictor.structural_bias,           gradcheck:feature_attention_norm,
+                                                numeric.feature_attention_norm       row +ssa
+"global knowledge": shared text gate (rcpg)     fusion_local.GlobalGateParams,       gradcheck:sigmoid_gate, row +rcpg
+                                                numeric.sigmoid_gate
+"adaptive graph networks" of features (dgso)    graph.run_dgso, numeric.graph_layer  gradcheck:graph_layer,
+                                                                                     gradcheck:graph_pass, row +dgso
+"cross-modal feature fusion": weights (acmfw)   fusion_local.acmfw_weight            gradcheck:acmfw_weight, row +acmfw
+"cross-modal feature fusion": text (lpo)        fusion_local.guided_cross_attention  gradcheck:guided_cross_attention,
+                                                and prompt_loss,                     gradcheck:prompt_loss, row +lpo
+                                                numeric.step_cross_attention
+"reasoning-based dynamic update strategy"       pipeline.train_stage1 freezes        rows +dgso, +acmfw and +lpo run
+                                                a_star, the mean of the graph's      it; no row leaves it out
+                                                ema_lambda-smoothed last matrices
+joint training of the value path (stage 2)      pipeline.train_stage2, joint_loss    gradcheck:joint_loss, every row
+"local and global adaptive graph networks"      none between regions: no forward     not testable on this data
+                                                pass reads SeriesWindow.region
+"prior knowledge dataset" built by an LLM       data.generate_synthetic templates,   not testable on this data
+                                                text.encode_hashed
+==============================================  ===================================  ==================================
 """
 
 from __future__ import annotations
@@ -60,7 +89,6 @@ from .numeric import (
     add,
     cast,
     constant,
-    each_window,
     history_columns,
     linear,
     mean_rows,
@@ -69,7 +97,6 @@ from .numeric import (
     sigmoid_gate,
     sse,
     take,
-    unstack,
 )
 from .predictor import SsaParams, embed_sequence, forecast, init_ssa_params, structural_bias
 from .text import EncoderConfig
@@ -172,17 +199,6 @@ def _stacked(windows: Windows, read) -> np.ndarray:
         return np.stack([read(w) for w in windows])
     except ValueError as exc:
         raise ShapeError(f"the windows of a stack differ in shape: {exc}") from exc
-
-
-def _per_window(rows: Tensor, windows: Windows, step) -> Tensor:
-    """``step(rows, window)`` for one window's rows; for a (C, T, d) stack, the stack of each window's own result.
-
-    A stack runs ``step`` on each window's slice inside ``each_window``.
-    """
-    if isinstance(windows, SeriesWindow):
-        return step(rows, windows)
-    views = unstack(rows)
-    return each_window(len(views), lambda c: step(views[c], windows[c]))
 
 
 def _tensors(node) -> Iterator[Tensor]:
@@ -290,7 +306,7 @@ class Model:
     # -- forwards ------------------------------------------------------
 
     def _fused_rows(self, windows: Windows, first: int = 0) -> Tensor:
-        """Embedded rows of steps ``first``..T-1, gated with the step text by one cross-attention call per window when lpo is on.
+        """Embedded rows of steps ``first``..T-1, gated with the step text by one cross-attention call when lpo is on.
 
         One window gives (T - first, d) rows, a stack a (C, T - first, d)
         stack. Each fused row depends on its own step alone, so the rows of
@@ -300,8 +316,9 @@ class Model:
         hs = embed_structured_rows(x, self.lpo)
         if "lpo" not in self.components:
             return hs
-        text = _per_window(hs, windows, lambda rows, w: guided_cross_attention(rows, w.local_tokens[first:], self.lpo))
-        return sigmoid_gate(hs, text, self.lpo.w_gate)
+        one = isinstance(windows, SeriesWindow)
+        tokens = windows.local_tokens[first:] if one else [w.local_tokens[first:] for w in windows]
+        return sigmoid_gate(hs, guided_cross_attention(hs, tokens, self.lpo), self.lpo.w_gate)
 
     def stage1_forward(self, windows: Windows) -> tuple[Tensor, np.ndarray | None]:
         """Auxiliary one-step-ahead loss over the final node states, and the graph's last smoothed matrix.
@@ -310,27 +327,19 @@ class Model:
         step's history columns), so only the last min(n, T) steps are fused;
         a window shorter than n still pads by repeating its first row. One
         window gives a scalar loss and a (d, d) matrix, a stack (C,) losses
-        and (C, d, d) matrices; the readout runs window by window.
+        and (C, d, d) matrices; ``run_dgso`` refuses a taped graph stack.
         """
-        n, matrices = self.config.n, []
-
-        def aux_pred(rows: Tensor, window: SeriesWindow) -> Tensor:
-            if self.dgso is None:
-                final_states = history_columns(rows, rows.data.shape[0] - 1, n)
-            else:
-                states, matrix = run_dgso(cast(rows, self.graph_dtype), self.dgso, n, last_step_only=True)
-                final_states = cast(take(states, 0), np.float64)
-                matrices.append(matrix)
-            return linear(mean_rows(final_states), self.aux_w, self.aux_b)
-
+        n, matrix = self.config.n, None
         steps = len((windows if isinstance(windows, SeriesWindow) else windows[0]).inputs)
-        first = max(steps - n, 0) if self.dgso is None else 0
-        pred = _per_window(self._fused_rows(windows, first), windows, aux_pred)
-        loss = joint_loss(pred, self.scale_targets(_stacked(windows, lambda w: w.targets[:1])), self.lpo,
-                          self.config.lambda_prompt)
-        if not matrices:
-            return loss, None
-        return loss, matrices[0] if isinstance(windows, SeriesWindow) else np.stack(matrices)
+        rows = self._fused_rows(windows, max(steps - n, 0) if self.dgso is None else 0)
+        if self.dgso is None:
+            final_states = history_columns(rows, rows.data.shape[-2] - 1, n)
+        else:
+            states, matrix = run_dgso(cast(rows, self.graph_dtype), self.dgso, n, last_step_only=True)
+            final_states = cast(take(states, 0), np.float64)
+        pred = linear(mean_rows(final_states), self.aux_w, self.aux_b)  # (1,), or (C, 1, 1) for a stack
+        targets = self.scale_targets(_stacked(windows, lambda w: w.targets[:1]))
+        return joint_loss(pred, targets.reshape(pred.data.shape), self.lpo, self.config.lambda_prompt), matrix
 
     def stage2_forward(self, windows: Windows) -> Tensor:
         """Full value path: fuse, refine, gate, weight, encode, forecast; on the scaled target scale.
@@ -352,17 +361,14 @@ class Model:
     def _graph_rows(self, rows: Tensor) -> Tensor:
         """Each step's column n-1 of the graph pass's final node states, in float64, for (T, d) or (C, T, d) rows.
 
-        One window's rows run between two ``cast`` entries. A stack on a
-        tape runs window by window; off it, ``GRAPH_STACK`` windows per
-        ``run_dgso`` call.
+        One window's rows run between two ``cast`` entries, and so does a
+        taped stack, which ``run_dgso`` refuses (``ContractError``); an
+        untaped stack runs ``GRAPH_STACK`` windows per ``run_dgso`` call.
         """
         n = self.config.n
-        if rows.data.ndim == 2:
+        if rows.data.ndim == 2 or rows.requires_grad:
             states = run_dgso(cast(rows, self.graph_dtype), self.dgso, n)[0]
             return cast(take(states, np.s_[:, :, n - 1]), np.float64)
-        if rows.requires_grad:
-            views = unstack(rows)
-            return each_window(len(views), lambda c: self._graph_rows(views[c]))
         out = np.empty(rows.data.shape)
         for first in range(0, len(out), GRAPH_STACK):
             part = constant(rows.data[first: first + GRAPH_STACK].astype(self.graph_dtype))

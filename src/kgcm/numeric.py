@@ -20,22 +20,18 @@ embedding, the heads, the losses and the graph lift use, and one fused
 kernel per value-path sublayer (see the comment that opens the fused-kernel
 section).
 
-The value-path ops (``add``, ``relu``, ``linear``, ``matmul_nt``,
-``gather_rows``, ``sse``, the encoder kernels and ``sigmoid_gate``) also
-take a leading window axis: (C, T, d) rows, where each window's slice of
-the result is bitwise that window's own call, on the tape or off it.
-``take`` takes any rank. A tape records a stacked call as one entry, and
-``backward`` of a (C,) loss of C window losses differentiates their sum: a
-stacked tensor's gradient has its own shape, each window's slice bitwise
-its own, and a parameter's gradient is summed over the stack's rows. The
-ops a stack cannot run (``step_cross_attention`` and the graph kernels on a
-tape) run once per window, on the ``unstack``-ed slices of a stack, inside
-``each_window``, which stacks their results; a slice's gradient lands in
-its window's slice of the stack's.
-The graph kernels take an untaped stack too, after their step axis:
-``history_columns`` lifts (C, T, d) rows to (T, C, d, n) states, and
-``graph_layer`` runs them; a stacked call that a tape would record raises
-``ContractError``.
+The ops a model path runs on rows (``add``, ``relu``, ``linear``,
+``matmul_nt``, ``gather_rows``, ``mean_rows``, ``sse``, ``history_columns``,
+the encoder kernels, ``sigmoid_gate`` and ``step_cross_attention``) also
+take a leading window axis, a (C, T, d) stack, and each window's slice of
+the result is bitwise that window's own call, on the tape or off it. A
+tape records a stacked call as one entry, and ``backward`` of a (C,) loss
+of C window losses differentiates their sum: each window's slice of a
+stacked gradient is bitwise its own, and a parameter's gradient sums over
+the windows. The graph pass takes a stack off the tape only:
+``history_columns`` at a sequence of steps and ``graph_layer`` put the
+window axis after the step axis, and raise ``ContractError`` where a tape
+would record the call.
 
 Randomness is centralized in ``SeededRng``, a thin wrapper over the
 counter-based Philox generator: one root seed, named child streams, and an
@@ -62,8 +58,6 @@ __all__ = [
     "tape_size",
     "clear_tape",
     "no_tape",
-    "unstack",
-    "each_window",
     "add",
     "sub",
     "scale",
@@ -132,22 +126,12 @@ class Tensor:
         self.requires_grad = requires_grad
         self.name = name
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = self.name or "tensor"
         return f"<{tag} shape={self.data.shape} grad={self.requires_grad}>"
-
-
-class _Slice(Tensor):
-    """Window ``index``'s slice of a stacked tensor, as a view; ``backward`` adds its gradient into the stack's."""
-
-    __slots__ = ("stack", "index")
 
 
 # Tape entries are (output, inputs, backward_fn) triples. backward_fn maps the
@@ -188,34 +172,6 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float64))
 
 
-def unstack(stacked: Tensor) -> list[Tensor]:
-    """Each window's slice of a (C, ...) stack, as a view that records nothing; its gradient lands in the stack's."""
-    views = []
-    for c, rows in enumerate(stacked.data):
-        view = _Slice.__new__(_Slice)
-        view.data, view.requires_grad, view.name = rows, stacked.requires_grad, None
-        view.stack, view.index = stacked, c
-        views.append(view)
-    return views
-
-
-def each_window(count: int, step: Callable[[int], Tensor]) -> Tensor:
-    """The (C, ...) stack of ``step(c)`` for each window c of ``count``, as one tape entry.
-
-    The entry hands slice c of the stack's gradient to ``step(c)``.
-    """
-    parts = [step(c) for c in range(count)]
-    try:
-        out = np.stack([p.data for p in parts])
-    except ValueError as exc:
-        raise ShapeError(f"the parts of a stack differ in shape: {exc}") from exc
-
-    def bw(g):
-        return tuple(g)
-
-    return _result(out, tuple(parts), bw)
-
-
 def _records(inputs: tuple[Tensor, ...]) -> bool:
     """Whether an op on ``inputs`` goes on the tape, so that its backward will run."""
     return _TRACING and any(t.requires_grad for t in inputs)
@@ -251,13 +207,8 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> dict[Tensor, np.nda
     ``loss`` is a scalar, or a (C,) stack of C windows' losses, whose sum is
     differentiated: each is seeded with one. Returns a map from tensor to
     gradient; tensors in ``params`` that the loss does not depend on get
-    explicit zeros. The tape is cleared before returning.
-
-    Gradients are added in reverse tape order, each sum a new array, except
-    that a window's slice of a stack (``unstack``) adds its gradient into
-    that slice of the stack's, in place. Such an array starts at -0.0, which
-    adds to any x as x bitwise, so each slice is bitwise that window's own
-    gradient, signed zeros included.
+    explicit zeros. The tape is cleared before returning. Gradients are
+    added in reverse tape order, each sum a new array.
     """
     if loss.data.ndim > 1:
         raise ContractError(f"backward requires a scalar loss or a (C,) stack of window losses, "
@@ -265,7 +216,6 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> dict[Tensor, np.nda
     if not _TAPE:
         raise ContractError("backward called with an empty tape")
     grads: dict[Tensor, np.ndarray] = {loss: np.ones(loss.data.shape, dtype=np.float64)}
-    owned: set[Tensor] = set()  # the stacks whose gradient array backward made, to add slices into
     for out, inputs, backward_fn in reversed(_TAPE):
         g = grads.pop(out, None)
         if g is None:
@@ -273,16 +223,8 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> dict[Tensor, np.nda
         for t, gi in zip(inputs, backward_fn(g)):
             if gi is None or not t.requires_grad:
                 continue
-            if type(t) is _Slice:
-                stack = t.stack
-                arr = grads.get(stack)
-                if stack not in owned:  # none yet, or another entry's array, which may be in use elsewhere
-                    arr = grads[stack] = np.full(stack.data.shape, -0.0, gi.dtype) if arr is None else arr.copy()
-                    owned.add(stack)
-                arr[t.index] += gi
-            else:
-                prev = grads.get(t)
-                grads[t] = gi if prev is None else prev + gi
+            prev = grads.get(t)
+            grads[t] = gi if prev is None else prev + gi
     clear_tape()
     grads.pop(loss, None)
     for p in params:
@@ -527,14 +469,15 @@ def gather_rows(table: Tensor, indices: Sequence[int] | np.ndarray) -> Tensor:
 
 
 def mean_rows(a: Tensor) -> Tensor:
-    """Mean over axis 0 of a rank-2 tensor."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"mean_rows expects rank 2, got shape {a.data.shape}")
-    rows = a.data.shape[0]
-    out = a.data.mean(axis=0)
+    """Mean over the rows of a (r, k) tensor, (k,); of each window's rows of a (C, r, k) stack, (C, 1, k)."""
+    x = a.data
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"mean_rows expects rank 2, or 3 for a stack, got shape {x.shape}")
+    rows = x.shape[-2]
+    out = x.mean(axis=-2, keepdims=x.ndim == 3)
 
     def bw(g):
-        return (np.tile(g / rows, (rows, 1)),)
+        return (np.broadcast_to(g / rows, x.shape).copy(),)
 
     return _result(out, (a,), bw)
 
@@ -620,28 +563,29 @@ def sse(pred: Tensor, target: np.ndarray, windows: bool = False) -> Tensor:
 # ``step_cross_attention`` the masked attention of a window's rows to its
 # step text.
 #
-# The encoder kernels and ``sigmoid_gate`` also take a leading window axis,
-# a (C, T, d) stack of C windows' rows (see the module docstring). numpy
-# runs a stacked matmul slice by slice, each slice through the BLAS call
-# that one window's rank-2 product makes, and every other step is
-# elementwise or reduces the last axis, so each window's slice of the
-# result is bitwise its own call's. Scoring runs the value path so, a chunk
-# of windows per call, and training a stack of windows per tape, and the
-# fixed cost of each numpy call, each ``_result`` check and each tape entry
-# is paid once per stack. The backwards follow the same rule for the input
-# gradient, whose transposes are ``swapaxes`` of the last two axes. A
-# parameter's gradient is the gradient of the windows' summed loss: one
-# product, or one sum, over the flattened rows of the whole stack
-# (``_rows``), such as ``_rows(x).T @ _rows(g)``. ``_rows`` hands a rank-2
-# array back as it is, so a one-window call makes the BLAS call it always
-# made, and a stack's sum differs from the sum of its windows' gradients
-# only in the order of the additions. The graph kernels
-# stack windows the same way off the tape, but with the step axis
-# outermost: (S, C, d, n) states and (S, C, d, d) relations, so that each
-# step of the smoothing scan is one contiguous (C, d, d) block and the scan
-# makes one numpy call per step for all C windows; every 2-D slice of their
-# products is still one window's step. On a tape they and
-# ``step_cross_attention`` stay one window per call.
+# The encoder kernels, ``sigmoid_gate`` and ``step_cross_attention`` also
+# take a leading window axis, a (C, T, d) stack of C windows' rows (see the
+# module docstring). numpy runs a stacked matmul slice by slice, each slice
+# through the BLAS call that one window's rank-2 product makes, and every
+# other step is elementwise or reduces the last axis, so each window's
+# slice of the result is bitwise its own call's. Scoring runs the value
+# path so, a chunk of windows per call, and training a stack of windows per
+# tape, and the fixed cost of each numpy call, each ``_result`` check and
+# each tape entry is paid once per stack. The backwards follow the same
+# rule for the input gradient, whose transposes are ``swapaxes`` of the
+# last two axes. A parameter's gradient is the gradient of the windows'
+# summed loss: one product, or one sum, over the flattened rows of the
+# whole stack (``_rows``), such as ``_rows(x).T @ _rows(g)``. ``_rows``
+# hands a rank-2 array back as it is, so a one-window call makes the BLAS
+# call it always made, and a stack's sum differs from the sum of its
+# windows' gradients only in the order of the additions; a stack's
+# cross-attention, whose token blocks differ in length, loops over its
+# windows inside its one entry. The graph kernels stack windows the same
+# way off the tape, but with the step axis outermost: (S, C, d, n) states
+# and (S, C, d, d) relations, so that each step of the smoothing scan is
+# one contiguous (C, d, d) block and the scan makes one numpy call per step
+# for all C windows; every 2-D slice of their products is still one
+# window's step. On a tape the graph pass stays one window per call.
 
 
 def _live_steps(g: np.ndarray, *arrays: np.ndarray):
@@ -775,16 +719,18 @@ def history_columns(rows: Tensor, steps, n: int) -> Tensor:
     An int step gives one (d, n) state; a sequence of S steps gives a stack
     of (S, d, n) states from one gather. Negative history indices repeat
     row 0, matching the pad-by-repetition rule for the start of a window.
-    Where no tape records the call, the rows may be a (C, T, d) stack of
-    windows, and the states then take a window axis after the step axis:
-    (C, d, n) or (S, C, d, n), each window's slice its own call's.
+    The rows may be a (C, T, d) stack of windows, and the states then take
+    a window axis after the step axis: (C, d, n) or (S, C, d, n), each
+    window's slice its own call's. A stack at a sequence of steps raises
+    ``ContractError`` where a tape would record it.
     The states and the gradient of the rows keep the rows' dtype.
     """
     x = rows.data
     if x.ndim not in (2, 3):
         raise ShapeError(f"history_columns expects rank 2, or 3 for a stack, got shape {x.shape}")
-    _untaped_stack("history_columns", x.ndim, (rows,))
     t = np.asarray(steps, dtype=np.intp)
+    if t.ndim:
+        _untaped_stack("history_columns", x.ndim, (rows,))
     if t.ndim > 1 or t.size == 0 or t.min() < 0 or t.max() >= x.shape[-2]:
         raise ShapeError(f"steps {steps!r} are not steps of a sequence of length {x.shape[-2]}")
     idx = np.maximum(t[..., None] + np.arange(1 - n, 1), 0)
@@ -801,7 +747,7 @@ def history_columns(rows: Tensor, steps, n: int) -> Tensor:
             live, (g, kept) = _live_steps(g, idx)
         g = np.swapaxes(g, -1, -2)
         if not (whole and isinstance(live, slice)):
-            np.add.at(full, kept, g)
+            np.add.at(full, kept if x.ndim == 2 else (slice(None), kept), g)  # a stack scatters on its row axis
             return (full,)
         # every step of the whole sequence: row r > 0 is column n-1-k of step r+k, summed in add.at's step
         # order by one slice-add per k; row 0 takes every padded column too, so those keep add.at
@@ -959,8 +905,8 @@ def sigmoid_gate(h: Tensor, z: Tensor, w_gate: Tensor, b_gate: Tensor | None = N
 MASKED_SCORE = -1e30
 
 
-def step_cross_attention(rows: Tensor, tokens: np.ndarray, counts: np.ndarray, w_query: Tensor, w_key: Tensor,
-                         w_value: Tensor, prompt_query: Tensor, prompt_key: Tensor) -> Tensor:
+def step_cross_attention(rows: Tensor, tokens, counts, w_query: Tensor, w_key: Tensor, w_value: Tensor,
+                         prompt_query: Tensor, prompt_key: Tensor) -> Tensor:
     """Each of the (T, d) rows attends to its own step's token rows, as one tape entry.
 
     ``tokens`` is the constant (M, d) block of every step's token rows in
@@ -969,37 +915,70 @@ def step_cross_attention(rows: Tensor, tokens: np.ndarray, counts: np.ndarray, w
     the rows whose step has tokens are scored, q k^T / sqrt(d) against all
     M keys under a constant mask that leaves each row its own step's
     tokens; the other rows of the (T, d) result are zero.
+
+    For a (C, T, d) stack, ``tokens`` and ``counts`` hold one block and one
+    (T,) vector per window: a window without tokens gets zero rows and no
+    gradient, and the others' parameter gradients add up, the last first.
     """
     xd = rows.data
     t, d = _check_rows("step_cross_attention", xd, w_query, w_key, w_value)
-    if xd.ndim != 2:
-        raise ShapeError(f"step_cross_attention expects one window's (T, d) rows, got {xd.shape}")
-    counts = np.asarray(counts)
-    if tokens.ndim != 2 or tokens.shape[1] != d or counts.shape != (t,) or not tokens.shape[0] \
-            or counts.sum() != tokens.shape[0] or counts.min() < 0:
-        raise ShapeError(f"{tokens.shape} token rows do not split into the per-step counts {counts.tolist()}")
     _check_affine("step_cross_attention", d, prompt_query, prompt_key)
+    inputs = (rows, w_query, w_key, w_value, prompt_query, prompt_key)
     wq, wk, wv = w_query.data, w_key.data, w_value.data
-    keep = np.flatnonzero(counts)
-    mask = np.where(np.repeat(np.arange(t), counts) == keep[:, None], 0.0, MASKED_SCORE)
-    kept = xd[keep]
     c = 1.0 / math.sqrt(d)
-    q = kept @ wq.T + prompt_query.data
-    k = tokens @ wk.T + prompt_key.data
-    v = tokens @ wv.T
-    p = _softmax((q @ k.T) * c + mask)
+
+    def attend(x, tokens, counts):
+        """One window's (T, d) result and its backward, which gives the gradients of its rows and the parameters."""
+        counts = np.asarray(counts)
+        if tokens.ndim != 2 or tokens.shape[1] != d or counts.shape != (t,) or counts.sum() != tokens.shape[0] \
+                or counts.min() < 0:
+            raise ShapeError(f"{tokens.shape} token rows do not split into the per-step counts {counts.tolist()}")
+        keep = np.flatnonzero(counts)
+        mask = np.where(np.repeat(np.arange(t), counts) == keep[:, None], 0.0, MASKED_SCORE)
+        kept = x[keep]
+        q = kept @ wq.T + prompt_query.data
+        k = tokens @ wk.T + prompt_key.data
+        v = tokens @ wv.T
+        p = _softmax((q @ k.T) * c + mask)
+        out = np.zeros_like(x)
+        out[keep] = p @ v
+
+        def window_bw(g):
+            gk = g[keep]
+            ds = _softmax_backward(gk @ v.T, p) * c
+            dq, dk = ds @ k, ds.T @ q
+            dx = np.zeros_like(x)
+            dx[keep] = dq @ wq
+            return dx, dq.T @ kept, dk.T @ tokens, (p.T @ gk).T @ tokens, dq.sum(axis=0), dk.sum(axis=0)
+
+        return out, window_bw
+
+    one = xd.ndim == 2
+    if not one and (len(tokens) != len(xd) or len(counts) != len(xd)):
+        raise ShapeError(f"{len(tokens)} token blocks and {len(counts)} count vectors for {len(xd)} windows")
+    if not (len(tokens) if one else any(len(block) for block in tokens)):
+        raise ShapeError("step_cross_attention needs at least one token row")
+    if one:
+        out, bw = attend(xd, tokens, counts)
+        return _result(out, inputs, bw)
     out = np.zeros_like(xd)
-    out[keep] = p @ v
+    attended = []  # (window, its backward) for each window with tokens
+    for w, (block, k) in enumerate(zip(tokens, counts)):
+        if len(block):
+            out[w], window_bw = attend(xd[w], block, k)
+            attended.append((w, window_bw))
+        elif np.shape(k) != (t,) or np.any(k):
+            raise ShapeError(f"window {w} has no token rows for its per-step counts {np.asarray(k).tolist()}")
 
     def bw(g):
-        gk = g[keep]
-        ds = _softmax_backward(gk @ v.T, p) * c
-        dq, dk = ds @ k, ds.T @ q
         dx = np.zeros_like(xd)
-        dx[keep] = dq @ wq
-        return dx, dq.T @ kept, dk.T @ tokens, (p.T @ gk).T @ tokens, dq.sum(axis=0), dk.sum(axis=0)
+        total = None
+        for w, window_bw in reversed(attended):  # last window first, as backward adds one entry per window
+            dx[w], *grads = window_bw(g[w])
+            total = grads if total is None else [a + b for a, b in zip(total, grads)]
+        return (dx, *total)
 
-    return _result(out, (rows, w_query, w_key, w_value, prompt_query, prompt_key), bw)
+    return _result(out, inputs, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ trains the whole value path end to end under the joint objective with that
 matrix held fixed. Both stages run the same minibatch loop and are
 deterministic given the config seed. A batch splits into stacks of up to
 ``TRAIN_STACK`` consecutive windows (one window for a model with the
-graph), one taped pass and one summed gradient each. Where a second CPU
-and ``fork`` are there, this process has at most one forked helper
-process. Each stage forks its own, which computes every other stack of
-each batch, and this process adds every stack's losses and gradients in
-stack order, so the trained model is bitwise the same either way; the
-stage ends it when it returns.
+graph, whose taped graph pass takes no stack), one taped pass and one
+summed gradient each. Where a second CPU and ``fork`` are there, this
+process has at most one forked helper process. Each stage forks its own,
+which computes every other stack of each batch, and this process adds
+every stack's losses and gradients in stack order, so the trained model is
+bitwise the same either way; the stage ends it when it returns.
 ``predict_windows`` splits a window set the same way: the helper, the
 stage's or, outside a stage, one forked by the first two-process pass and
 kept for later ones, forecasts the windows at odd positions and is sent the
@@ -192,18 +192,19 @@ def _chunks(order: np.ndarray, size: int):
 
 
 # A window loss takes a stack of windows and the epoch. For one window it
-# returns the window's scalar loss, for several their (C,) losses; and a
-# list of one array per window that the stage sums over its windows, or None.
-WindowLoss = Callable[[list[SeriesWindow], int], tuple[Tensor, list | None]]
+# returns the window's scalar loss, for several their (C,) losses; and an
+# array that the stage sums over its stacks, or None.
+WindowLoss = Callable[[list[SeriesWindow], int], tuple[Tensor, np.ndarray | None]]
 
 # Windows per tape when a stage trains a model without the graph: a batch splits into stacks of up to this many
 # consecutive windows, one taped pass and one backward per stack. A steady two-process train-text stage-2 epoch took
 # 0.89-1.12 ms per window one window per tape, 0.74-0.94 in stacks of two, 0.65-0.69 in stacks of four and 0.60-0.72
 # in stacks of eight, with peaks of 43.5, 44.5, 46.9 and 51.8 MiB; at eight some epochs faulted 200-400 pages in
 # where the others faulted under 35 (2-vCPU x86-64 guest). A model with the graph trains one window per tape, since
-# its windows' taped graph state costs the most memory: on the train-full benchmark workload (perfbench/run.py,
-# 30 s runs, 3 alternating pairs), stacks of four raised peak_rss_mib from 51.4-51.7 to 59.0-59.2, 14.9% on the
-# medians and beyond the benchmark's 10% bound, while train_windows_per_s rose from 621-663 to 733-772.
+# its windows' taped graph state costs the most memory: run window by window in stacks of four on the train-full
+# benchmark workload (perfbench/run.py, 30 s runs, 3 alternating pairs), it raised peak_rss_mib from 51.4-51.7 to
+# 59.0-59.2, 14.9% on the medians and beyond the benchmark's 10% bound, while train_windows_per_s rose from 621-663
+# to 733-772.
 TRAIN_STACK = 4
 
 HELPER_EXIT_S = 5.0  # a helper that has not ended this long after its pipe closed is killed
@@ -300,7 +301,7 @@ class _Helper:
         results = _window_results(self._params, windows, window_loss, stacks, epoch, self._last)
         while True:
             try:
-                values, grads, arrays = next(results)
+                values, grads, array = next(results)
             except StopIteration:
                 break
             except Exception as exc:  # raised in the main process at this stack's position
@@ -310,7 +311,7 @@ class _Helper:
                 conn.recv()
             for name in grads:
                 grad_slot[name][...] = grads[name]
-            conn.send((values, list(grads), arrays))
+            conn.send((values, list(grads), array))
             grads = None  # see _window_results
             acked = False
         if not acked:
@@ -338,19 +339,19 @@ class _Helper:
             self._shared[0][name][...] = p.data
         self.send(("train", epoch, [stack.tolist() for stack in stacks]))
 
-    def add_next(self, sums: dict[str, np.ndarray]) -> tuple[list[float], list | None]:
-        """Add the helper's next stack's gradients into ``sums``; its losses and arrays.
+    def add_next(self, sums: dict[str, np.ndarray]) -> tuple[list[float], np.ndarray | None]:
+        """Add the helper's next stack's gradients into ``sums``; its losses and array.
 
         Raises the stack's own exception if it raised one.
         """
         message = self.recv()
         if isinstance(message, BaseException):
             raise message
-        values, present, arrays = message
+        values, present, array = message
         for name in present:
             sums[name] += self._shared[1][name]
         self.send(True)
-        return values, arrays
+        return values, array
 
     def _unmap(self) -> None:
         self._shared = []
@@ -418,7 +419,7 @@ if hasattr(os, "register_at_fork"):
 
 def _window_results(params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss, stacks,
                     epoch: int, last: list):
-    """Yield each stack's results in turn: its losses, its parameter gradients by name and its ``arrays``.
+    """Yield each stack's results in turn: its losses, its parameter gradients by name and its array.
 
     Each stack of window indices in ``stacks`` is one tape and one backward,
     computed when its turn comes; each gradient is the sum over the stack's
@@ -437,11 +438,11 @@ def _window_results(params: dict[str, Tensor], windows: list[SeriesWindow], wind
     for stack in stacks:
         part = [windows[i] for i in stack]
         try:
-            loss, arrays = window_loss(part, epoch)
+            loss, array = window_loss(part, epoch)
             last.clear()
             grads = backward(loss)
             last.append((loss.data.reshape(-1).tolist(), {name: grads[p] for name, p in params.items() if p in grads},
-                         arrays))
+                         array))
         except Exception:
             if len(part) == 1:
                 raise
@@ -455,7 +456,7 @@ def _window_results(params: dict[str, Tensor], windows: list[SeriesWindow], wind
 
 def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig, stage: int,
                   window_loss: WindowLoss) -> np.ndarray | None:
-    """The minibatch loop both stages share; returns the float64 sum of the arrays ``window_loss`` gave.
+    """The minibatch loop both stages share; returns the float64 sum of the arrays ``window_loss`` gave, or None.
 
     Every epoch shuffles the windows with the stage's own random stream. Each
     batch splits into stacks of up to ``TRAIN_STACK`` consecutive windows,
@@ -466,14 +467,14 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
     added in place, in stack order, into one zeroed buffer per parameter.
     The windows' losses are added to the epoch's total in batch order, and
     the epoch's mean loss is appended to the stage's history. The arrays
-    ``window_loss`` returns, if any, are summed in batch order. The windows
-    must share one shape.
+    ``window_loss`` returns are summed in batch order. The windows must
+    share one shape.
 
     When a batch can hold two stacks and ``_helper_can_start``, the stage
     ends this process's helper, if it has one, and forks its own
     (``_start_helper``), which computes the stacks at odd positions of each
     batch while this process computes the even ones. This process still
-    adds every stack's losses, gradients and arrays in stack order, so the
+    adds every stack's losses, gradients and array in stack order, so the
     result is bitwise the same as with every stack computed here, which is
     what a batch of one stack, a daemonic process, a host with one usable
     CPU or one without ``fork``, or a failed fork does. An exception from a
@@ -517,15 +518,15 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
                                            last)
                     for pos in range(len(stacks)):
                         if shared and pos % 2:
-                            values, arrays = helper.add_next(sums)
+                            values, array = helper.add_next(sums)
                         else:
-                            values, grads, arrays = next(mine)
+                            values, grads, array = next(mine)
                             for name in grads:
                                 sums[name] += grads[name]
                             grads = None  # see _window_results
                         for value in values:
                             loss_total += value
-                        for array in arrays or ():
+                        if array is not None:
                             if array_sum is None:  # float64: the graph pass's float32 matrices sum in double
                                 array_sum = np.zeros(array.shape)
                             array_sum += array
@@ -550,12 +551,9 @@ def train_stage1(model: Model, windows: list[SeriesWindow], config: TrainConfig)
     if not model.uses_stage1:
         raise TrainingError("stage 1 requires the graph or local-text component")
 
-    def window_loss(stack: list[SeriesWindow], epoch: int) -> tuple[Tensor, list | None]:
-        one = len(stack) == 1
-        loss, matrix = model.stage1_forward(stack[0] if one else stack)
-        if matrix is None or epoch != config.epochs_stage1 - 1:
-            return loss, None
-        return loss, [matrix] if one else list(matrix)
+    def window_loss(stack: list[SeriesWindow], epoch: int) -> tuple[Tensor, np.ndarray | None]:
+        loss, matrix = model.stage1_forward(stack[0] if len(stack) == 1 else stack)  # a graph model's stacks are one
+        return loss, matrix if epoch == config.epochs_stage1 - 1 else None
 
     matrix_sum = _train_epochs(model, windows, config, 1, window_loss)
     t_steps = windows[0].inputs.shape[0]

@@ -132,17 +132,22 @@ def test_evaluate_writes_the_rows_and_prints_the_metrics_of_one_report(tmp_path,
                        f"n_floored,{m.n_floored}"]
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
-def test_a_missing_out_directory_is_refused_before_any_data_is_read(tmp_path, monkeypatch, capsys, command):
-    # a typo in --out used to surface only at the final write, after the whole run
+OUT_CASES = [(command, out) for out in ("no-such-dir/out", "existing-dir") for command in ("train", "evaluate", "ablate")]
+
+
+@pytest.mark.parametrize("command,out", OUT_CASES,
+                         ids=[command if out == "no-such-dir/out" else f"{command}-{out}" for command, out in OUT_CASES])
+def test_a_missing_out_directory_is_refused_before_any_data_is_read(tmp_path, monkeypatch, capsys, command, out):
+    # a typo in --out, or a directory named as --out, used to surface only at the final write, after the whole run
     write_dataset(generate_synthetic(GeneratorConfig(regions=1, days=2, slots_per_day=12)), tmp_path / "data")
+    (tmp_path / "existing-dir").mkdir()
     (tmp_path / "tiny.cfg").write_text(TINY.format(d=8))
     calls = []
     for module in (cli, kgcm_evaluate, pipeline):
         monkeypatch.setattr(module, "fit", lambda *args, **kwargs: calls.append(args))
     monkeypatch.setattr(cli, "load_csv", lambda *args: calls.append(args))
     monkeypatch.setattr(cli, "load_model", lambda *args: calls.append(args))
-    argv = [command, "--data", str(tmp_path / "data"), "--out", str(tmp_path / "no-such-dir" / "out")]
+    argv = [command, "--data", str(tmp_path / "data"), "--out", str(tmp_path / out)]
     if command == "evaluate":
         argv += ["--model", str(tmp_path / "model.kgcm")]
     else:
@@ -150,7 +155,7 @@ def test_a_missing_out_directory_is_refused_before_any_data_is_read(tmp_path, mo
     if command == "ablate":
         argv += ["--seeds", "1"]
     assert cli.main(argv) == cli.EXIT_IO
-    assert "no-such-dir" in capsys.readouterr().err
+    assert out.split("/")[0] in capsys.readouterr().err
     assert calls == []
 
 

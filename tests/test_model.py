@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from collections import Counter
 from datetime import timedelta
 
@@ -7,8 +8,11 @@ import pytest
 
 from kgcm import numeric as nm
 from kgcm.data import START_TIME, GeneratorConfig, generate_synthetic
-from kgcm.errors import ConfigError
+from kgcm import gradcheck
+from kgcm import model as model_module
+from kgcm.errors import ConfigError, ContractError
 from kgcm.evaluate import ablation_variants
+from kgcm.fusion_local import guided_cross_attention
 from kgcm.model import ALL_COMPONENTS, COMPONENT_ORDER, SeriesWindow, TrainConfig, build_model, joint_loss
 from kgcm.numeric import Tensor
 from kgcm.pipeline import load_model, new_model, save_model, train_stage1
@@ -268,16 +272,26 @@ STAGE_CASES = [(name, stage) for name in STACK_SETS for stage in (1, 2)
 @pytest.mark.parametrize("count", [1, 2, 4])
 @pytest.mark.parametrize("name,stage", STAGE_CASES, ids=[f"{name}-stage{stage}" for name, stage in STAGE_CASES])
 def test_a_stack_of_windows_is_each_windows_own_forward_and_backward(name, stage, count):
-    # each window's loss and matrix bitwise its own; the parameter gradients the sum of the windows' own
+    # each window's loss and matrix bitwise its own; the parameter gradients the sum of the windows' own. A graph
+    # model trains one window per tape: it refuses a taped stack, and runs one only off the tape
     model, windows = _stack_model(name)
+    if model.dgso is not None:
+        nm.clear_tape()
+        with pytest.raises(ContractError, match="stack of windows"):
+            _stage_loss(model, stage, windows[:count])
+        nm.clear_tape()
+        with nm.no_tape():
+            losses, matrices = _stage_loss(model, stage, windows[:count])
+            alone = [_stage_loss(model, stage, window) for window in windows[:count]]
+        assert [loss.tobytes() for loss in losses.data] == [loss.data.tobytes() for loss, _ in alone]
+        if stage == 1:
+            assert [m.tobytes() for m in matrices] == [matrix.tobytes() for _, matrix in alone]
+        return
     losses, matrices, grads = _stage_gradients(model, stage, windows[:count])
-    assert losses.shape == (count,)
+    assert losses.shape == (count,) and matrices is None
     alone = [_stage_gradients(model, stage, window) for window in windows[:count]]
-    for c, (loss, matrix, _) in enumerate(alone):
+    for c, (loss, _, _) in enumerate(alone):
         assert losses[c].tobytes() == loss.tobytes()
-        assert (matrices is None) == (matrix is None)
-        if matrix is not None:
-            assert matrices[c].tobytes() == matrix.tobytes()
     for key, g in grads.items():
         oracle.assert_window_sum(g, [want[key] for _, _, want in alone])
     nm.clear_tape()
@@ -287,13 +301,42 @@ def test_a_stack_of_windows_is_each_windows_own_forward_and_backward(name, stage
     nm.clear_tape()
 
 
+def _without_text(window: SeriesWindow) -> SeriesWindow:
+    return dataclasses.replace(window, local_tokens=[tokens[:0] for tokens in window.local_tokens])
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_a_stack_that_mixes_windows_with_and_without_text_is_each_windows_own(monkeypatch, stage):
+    model, windows = _stack_model("train-text")
+    mixed = [windows[0], _without_text(windows[1]), windows[2]]
+    assert all(any(len(t) for t in w.local_tokens[-model.config.n:]) for w in (windows[0], windows[2]))
+    attended = []
+    monkeypatch.setattr(model_module, "guided_cross_attention",
+                        lambda *args: attended.append(guided_cross_attention(*args)) or attended[-1])
+    losses, _, grads = _stage_gradients(model, stage, mixed)
+    stacked_text = attended.pop().data
+    alone = [_stage_gradients(model, stage, window) for window in mixed]
+    assert not stacked_text[1].any() and all(stacked_text[c].any() for c in (0, 2))
+    assert not attended[1].requires_grad  # the text-free window alone: untracked zeros
+    for c, (loss, _, _) in enumerate(alone):
+        assert losses[c].tobytes() == loss.tobytes()
+    for key, g in grads.items():
+        oracle.assert_window_sum(g, [want[key] for _, _, want in alone])
+    for key in ("lpo/w_query", "lpo/w_key", "lpo/w_value"):  # the text-free window adds no attention gradient
+        assert not alone[1][2][key].any() and grads[key].any()
+    nm.clear_tape()
+    values = model.stage2_values(mixed)
+    assert [v.tobytes() for v in values] == [model.stage2_values([w])[0].tobytes() for w in mixed]
+    nm.clear_tape()
+
+
 def _kernels(tape) -> Counter:
     """The kernels a tape recorded, by the name of their backward's function."""
     return Counter(entry[2].__qualname__.split(".")[0] for entry in tape)
 
 
 @pytest.mark.parametrize("count", [2, 4])
-def test_a_stack_records_each_stacked_kernel_once_and_cross_attention_once_per_window(count):
+def test_a_stack_records_each_kernel_once(count):
     model, windows = _stack_model("train-text")
     assert all(any(len(t) for t in w.local_tokens) for w in windows)  # every window's cross-attention records
     nm.clear_tape()
@@ -303,7 +346,45 @@ def test_a_stack_records_each_stacked_kernel_once_and_cross_attention_once_per_w
     _stage_loss(model, 2, windows[:count])
     stacked = _kernels(nm._TAPE)
     nm.clear_tape()
-    # everything once, the prompt term too, but cross-attention once per window, plus the join of its results
-    # and the (C, 1, T') -> (C, T') take
+    # everything once, the prompt term and the cross-attention too, plus the (C, 1, T') -> (C, T') take
     assert one["step_cross_attention"] == 1
-    assert stacked == one + Counter({"step_cross_attention": count - 1, "each_window": 1, "take": 1})
+    assert stacked == one + Counter({"take": 1})
+
+
+def _paper_table() -> list[list[str]]:
+    """The rows of the paper-to-code table in ``model``'s docstring, each cell's lines joined by spaces.
+
+    A simple table: columns under the runs of "=", and a row goes on below its first line with a blank first cell.
+    """
+    lines = model_module.__doc__.splitlines()
+    borders = [i for i, line in enumerate(lines) if line.startswith("=")]
+    assert len(borders) == 3
+    spans = [m.span() for m in re.finditer("=+", lines[borders[0]])]
+    rows = []
+    for line in lines[borders[0] + 1: borders[2]]:
+        if line.startswith("="):
+            continue
+        cells = [line[a:b].strip() for a, b in spans]
+        assert all(line[b: b + 2].strip() == "" for _, b in spans)  # no cell runs into the next column
+        if cells[0]:
+            rows.append(cells)
+        else:
+            rows[-1] = [" ".join(filter(None, pair)) for pair in zip(rows[-1], cells)]
+    return rows
+
+
+def test_the_paper_table_maps_every_component_and_both_stages_and_cites_real_checks(monkeypatch):
+    header, *rows = _paper_table()
+    assert header == ["Paper phrase", "Module and function", "Tested by"]
+    for name in COMPONENT_ORDER:
+        assert any(f"({name})" in phrase for phrase, _, _ in rows), name
+    code = " ".join(functions for _, functions, _ in rows)
+    assert "pipeline.train_stage1" in code and "pipeline.train_stage2" in code
+    cited = {name for _, _, tested in rows for name in re.findall(r"gradcheck:([\w/]+)", tested)}
+    for name in dir(gradcheck):  # the names alone: no check runs
+        if name.startswith("_check_"):
+            monkeypatch.setattr(gradcheck, name, lambda *args, **kwargs: 0.0)
+    checks = {result.name for result in gradcheck.run_all_checks()}
+    assert cited and cited <= checks
+    variants = {name for _, _, tested in rows for name in re.findall(r"\+\w+|backbone", tested)}
+    assert variants <= {name for name, _ in ablation_variants()}

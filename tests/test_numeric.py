@@ -633,10 +633,12 @@ class TestWindowStacks:
         call(tensor(self.STACK[0], requires_grad=True), *params)  # as one window's rows do
         assert nm.tape_size() == 1
 
-    def test_cross_attention_takes_one_window(self):
+    def test_cross_attention_on_a_stack_needs_one_token_block_per_window(self):
         w = [tensor(np.eye(4)) for _ in range(5)]
         with nm.no_tape(), pytest.raises(ShapeError):
             nm.step_cross_attention(tensor(self.STACK), np.ones((2, 4)), np.array([1, 0, 1, 0, 0]), *w)
+        with nm.no_tape(), pytest.raises(ShapeError):  # no window has a token
+            nm.step_cross_attention(tensor(self.STACK), [np.ones((0, 4))] * 3, np.zeros((3, 5), dtype=int), *w)
 
 
 def _taped_cases():
@@ -673,6 +675,10 @@ def _taped_cases():
             lambda x, *p: nm.feature_attention_norm(x, *p, bias=bias, last_only=True), block, (6, 4)),
         "feedforward_norm": (nm.feedforward_norm, ff, (6, 4)),
         "feedforward_norm-one-row": (nm.feedforward_norm, ff, (1, 4)),
+        # stage 1's graph-free readout: the last step's states, and their mean over the d nodes, (1, n) in a stack
+        "history_columns-last-step": (lambda x: nm.history_columns(nm.relu(x), x.data.shape[-2] - 1, 3), [], (6, 4)),
+        "history_columns-padded-step": (lambda x: nm.history_columns(x, 1, 4), [], (6, 4)),
+        "mean_rows": (lambda x: nm.mean_rows(nm.relu(x)), [], (6, 4)),
     }
 
 
@@ -732,34 +738,35 @@ class TestTapedWindowStacks:
         assert [g.tobytes() for g in dx] == [one_dx.tobytes() for one_dx, _ in alone]
         oracle.assert_window_sum(db, [one_db for _, one_db in alone])
 
-    @pytest.mark.parametrize("count", [1, 2, 4])
-    def test_per_window_entries_route_their_gradients_to_each_windows_slice(self, count):
-        # lpo's fused rows: a stacked embedding, cross-attention once per window on its slice, a stacked gate
-        rng = SeededRng(94)
+    @staticmethod
+    def _lpo_case(rng):
+        """lpo's parameters, and four windows' per-step token counts and token blocks; window 1 has no token."""
         d = 4
         arrays = [rng.glorot(d, 3), rng.normal((d,)), rng.glorot(d, d), rng.glorot(d, d), rng.glorot(d, d),
                   rng.normal((d,)), rng.normal((d,)), rng.glorot(d, 2 * d)]
-        counts = [np.array(k) for k in ([1, 0, 2, 0, 1], [0, 0, 3, 1, 0], [2, 2, 0, 0, 1], [0, 1, 0, 0, 0])]
-        tokens = [rng.normal((int(k.sum()), d)) for k in counts]
-        inputs, targets = rng.normal((count, 5, 3)), rng.normal((count, 5, d))
+        counts = [np.array(k) for k in ([1, 0, 2, 0, 1], [0, 0, 0, 0, 0], [2, 2, 0, 0, 1], [0, 1, 0, 0, 0])]
+        return arrays, counts, [rng.normal((int(k.sum()), d)) for k in counts]
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_fused_rows_of_a_stack_with_and_without_text_are_each_windows_own(self, count):
+        # lpo's fused rows: a stacked embedding, one stacked cross-attention call, a stacked gate
+        rng = SeededRng(94)
+        arrays, counts, tokens = self._lpo_case(rng)
+        inputs, targets = rng.normal((count, 5, 3)), rng.normal((count, 5, 4))
 
         def run(first, windows):
             params = [tensor(a, requires_grad=True) for a in arrays]
             w_embed, b_embed, wq, wk, wv, pq, pk, w_gate = params
-
-            def text(rows, c):
-                return nm.step_cross_attention(rows, tokens[c], counts[c], wq, wk, wv, pq, pk)
-
-            x = tensor(inputs[first:first + windows] if windows else inputs[first], requires_grad=True)
+            part = slice(first, first + windows) if windows else first
+            x = tensor(inputs[part], requires_grad=True)
             hs = nm.relu(nm.linear(x, w_embed, b_embed))
-            if windows:
-                views = nm.unstack(hs)
-                joined = nm.each_window(windows, lambda c: text(views[c], c))
-            else:
-                joined = text(hs, first)
-            out = nm.sigmoid_gate(hs, joined, w_gate)
-            target = targets[first:first + windows] if windows else targets[first]
-            grads = backward(nm.sse(out, target, windows=bool(windows)), params=[x] + params)
+            block = tokens[part]
+            if any(len(t) for t in block) if windows else len(block):
+                text = nm.step_cross_attention(hs, block, counts[part], wq, wk, wv, pq, pk)
+            else:  # as guided_cross_attention does for a window without text
+                text = nm.zeros(hs.data.shape)
+            out = nm.sigmoid_gate(hs, text, w_gate)
+            grads = backward(nm.sse(out, targets[part], windows=bool(windows)), params=[x] + params)
             return out.data, grads[x], [grads[p] for p in params]
 
         out, dx, grads = run(0, count)
@@ -770,73 +777,23 @@ class TestTapedWindowStacks:
         for k, got in enumerate(grads):
             oracle.assert_window_sum(got, [one_grads[k] for _, _, one_grads in alone])
 
-    def test_a_windows_first_gradient_keeps_its_signed_zeros(self):
-        # relu's backward gives the masked entry -0.0, the first gradient each window's slice of x gets
-        x = tensor(np.array([[-1.0, 2.0], [3.0, -4.0]]), requires_grad=True)
-        views = nm.unstack(x)
-        joined = nm.each_window(2, lambda c: nm.relu(views[c]))
-        got = backward(nm.sse(joined, np.ones((2, 2)), windows=True), params=[x])[x]
-        for c in range(2):
-            one = tensor(x.data[c], requires_grad=True)
-            want = backward(nm.sse(nm.relu(one), np.ones(2)), params=[one])[one]
-            assert np.signbit(want[c]) and want[c] == 0.0
-            assert got[c].tobytes() == want.tobytes()
+    def test_a_window_without_tokens_gets_zero_rows_and_adds_no_gradient(self):
+        arrays, counts, tokens = self._lpo_case(SeededRng(95))
+        rows, targets = SeededRng(96).normal((2, 5, 4)), SeededRng(97).normal((2, 5, 4))
 
-    @staticmethod
-    def _two_paths(x, count):
-        """relu(x) - x on a stack, plus relu of relu(x) window by window: x's gradient reaches both adds."""
-        a = nm.relu(x)
-        b = nm.scale(x, -1.0)
-        if count:
-            views = nm.unstack(a)
-            z = nm.each_window(count, lambda c: nm.relu(views[c]))
-        else:
-            z = nm.relu(a)
-        return nm.add(nm.add(a, b), z)
+        def run(part):
+            params = [tensor(a, requires_grad=True) for a in arrays[2:7]]
+            x = tensor(rows[part], requires_grad=True)
+            out = nm.step_cross_attention(x, tokens[part], counts[part], *params)
+            assert nm.tape_size() == 1
+            grads = backward(nm.sse(out, targets[part], windows=x.data.ndim == 3), params=[x] + params)
+            return out.data, grads[x], [grads[p] for p in params]
 
-    def test_a_windows_gradient_does_not_write_into_an_array_another_tensor_holds(self):
-        # add hands one gradient array to both of its inputs; window c's slice of a's must not land in b's
-        rows = SeededRng(96).normal((3, 4, 2))
-        targets = SeededRng(97).normal((3, 8))
-        x = tensor(rows, requires_grad=True)
-        got = backward(nm.sse(self._two_paths(x, 3), targets.reshape(3, 4, 2), windows=True), params=[x])[x]
-        for c in range(3):
-            one = tensor(rows[c], requires_grad=True)
-            want = backward(nm.sse(self._two_paths(one, 0), targets[c].reshape(4, 2)), params=[one])[one]
-            assert got[c].tobytes() == want.tobytes()
-
-    def test_a_stacked_gradient_after_per_window_ones_keeps_the_other_windows_signed_zeros(self):
-        # a is a stacked relu's output and, in window 0 alone, a per-window relu's input. Backward adds the
-        # per-window gradient first; the stacked one then fills window 1, -0.0 where x's negative entry masks
-        rows = np.array([[[-1.0, 0.5]], [[-2.0, 1.5]]])
-
-        def gradient(x, window):
-            x = tensor(x, requires_grad=True)
-            a = nm.relu(x)
-            y = nm.relu(a)
-            if window is None:
-                views = nm.unstack(a)
-                z = nm.each_window(2, lambda c: nm.relu(views[c]) if c == 0 else tensor(np.zeros((1, 2))))
-                loss = nm.add(nm.sse(y, np.ones((2, 1, 2)), windows=True), nm.sse(z, np.ones((2, 1, 2)), windows=True))
-            else:
-                loss = nm.sse(y, np.ones((1, 2)))
-                if window == 0:
-                    loss = nm.add(loss, nm.sse(nm.relu(a), np.ones((1, 2))))
-            return backward(loss, params=[x])[x]
-
-        got = gradient(rows, None)
-        for c in range(2):
-            want = gradient(rows[c], c)
-            assert np.signbit(want[0, 0]) and want[0, 0] == 0.0
-            assert got[c].tobytes() == want.tobytes()
-
-    def test_a_stack_records_one_entry_per_stacked_op_and_one_per_window_inside_each_window(self):
-        x = tensor(SeededRng(95).normal((3, 5, 4)), requires_grad=True)
-        views = nm.unstack(x)
-        assert nm.tape_size() == 0  # a slice is a view, not an entry
-        joined = nm.each_window(3, lambda c: nm.relu(views[c]))
-        assert nm.tape_size() == 3 + 1
-        assert joined.data.tobytes() == np.maximum(x.data, 0.0).tobytes()
+        out, dx, grads = run(slice(0, 2))  # window 0 has tokens, window 1 none
+        one_out, one_dx, one_grads = run(0)
+        assert out[0].tobytes() == one_out.tobytes() and dx[0].tobytes() == one_dx.tobytes()
+        assert not out[1].any() and not dx[1].any()
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in one_grads]
 
     def test_backward_of_a_stack_of_window_losses_is_the_gradient_of_their_sum(self):
         p = tensor(np.array([1.0, -2.0]), requires_grad=True)
