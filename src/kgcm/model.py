@@ -396,7 +396,7 @@ def joint_loss(predictions: Tensor, targets: np.ndarray, lpo_params: LpoParams |
 
     Stage 2 scores the horizon forecast with it, stage 1 the auxiliary
     one-step prediction. One window's (k,) predictions give a scalar loss; a
-    (C, k) stack gives (C,) losses, one per window. The prompt term is
+    (C, ...) stack gives (C,) losses, one per window. The prompt term is
     computed once and added to each window's loss, so its gradient from the
     (C,) losses is C times one window's.
     """
