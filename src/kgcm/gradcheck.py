@@ -9,13 +9,14 @@ and ``w_key``; the gate kernel as the ``lpo`` gate (no bias, both row sets
 tracked) and as the ``rcpg`` gate (a bias, the pooled vector tiled over the
 steps); (T, d) rows for ``acmfw_weight``; an (S, d, n) stack of node states
 with one step read out as zero for the graph layer kernel, in the states,
-``w_query`` and ``w_trans``; (T, d) rows with T > n through two layers for
-the graph pass; each encoder kernel in its input rows and one weight:
-time attention, feature attention under a non-uniform structural bias,
-and the feedforward across its ReLU; feature attention again cut to its
-last row (``last_only``), as the last block runs it; and the whole encoder
-through two blocks and the heads on the last row, an uncut block feeding a
-cut one.
+``w_query`` and ``w_trans``, and the same layer cut to its last step
+(``last_only``), as stage 1's last layer runs it; (T, d) rows with T > n
+through two layers for the graph pass; each encoder kernel in its input
+rows and one weight: time attention, feature attention under a
+non-uniform structural bias, and the feedforward across its ReLU; feature
+attention again cut to its last row (``last_only``), as the last block
+runs it; and the whole encoder through two blocks and the heads on the
+last row, an uncut block feeding a cut one.
 
 The end-to-end instance runs its graph pass in float64, where ``Model``
 runs it in float32: a float32 loss rounds far above what central
@@ -184,12 +185,13 @@ def _check_prompt_loss(rng: SeededRng) -> float:
     return grad_check(lambda ps: prompt_loss(replace(params, prompt_struct=ps)), Tensor(params.prompt_struct.data.copy()))
 
 
-def _check_graph_layer(rng: SeededRng) -> float:
+def _check_graph_layer(rng: SeededRng, last_only: bool = False) -> float:
     layer = init_dgso_params(4, 4, 1, 0.0, rng.child("p")).layers[0]
 
     def f(states, wq, w):
-        out, _ = nm.graph_layer(states, wq, layer.w_key, w, layer.ln_gamma, layer.ln_beta, uniform_matrix(5), 0.0)
-        return _weighted_steps(out, rng.child("ws"))
+        out, _ = nm.graph_layer(states, wq, layer.w_key, w, layer.ln_gamma, layer.ln_beta, uniform_matrix(5), 0.0,
+                                last_only)
+        return _weighted(out, rng.child("w")) if last_only else _weighted_steps(out, rng.child("ws"))
 
     return _each_argument(f, rng.normal((STACK_STEPS, 5, 4)), layer.w_query.data, layer.w_trans.data)
 
@@ -335,6 +337,7 @@ def run_all_checks(seed: int = 0, h: float = 1e-5) -> list[CheckResult]:
         ("time_attention_norm", _check_time_attention),
         ("feature_attention_norm", _check_feature_attention),
         ("feature_attention_norm/last_only", lambda rng: _check_feature_attention(rng, last_only=True)),
+        ("graph_layer/last_only", lambda rng: _check_graph_layer(rng, last_only=True)),
         ("feedforward_norm", _check_feedforward),
     ]
     results = []

@@ -17,12 +17,14 @@ relation, because the last smoothed matrix depends on all of them.
 ``run_dgso`` is what ``Model`` calls and what ``gradcheck`` checks, together
 with the layer kernel.
 
-Off the tape, ``run_dgso`` also takes a (C, T, d) stack of C windows' rows.
-The lift then gives (T, C, d, n) states, the step axis outermost, and each
-layer builds, smooths and convolves all C windows' steps at once, carrying
-C smoothing states from the shared start; each window's states and matrix
-are bitwise those of its own call. Scoring runs the pass so, on
-``model.GRAPH_STACK`` windows at a time.
+``run_dgso`` also takes a (C, T, d) stack of C windows' rows, on a tape and
+off it. The lift then gives (T, C, d, n) states, the step axis outermost,
+and each layer builds, smooths and convolves all C windows' steps at once,
+carrying C smoothing states from the shared start; each window's states,
+matrix and row gradient are bitwise those of its own call, and a
+parameter's gradient is the sum of the windows' own up to rounding.
+Training runs the pass so on ``pipeline.TRAIN_STACK`` windows per tape, and
+scoring on ``model.GRAPH_STACK`` windows at a time.
 
 The pass computes in the dtype of the rows it is given. ``Model`` casts its
 fused rows to ``GRAPH_DTYPE`` (float32) before ``run_dgso`` and casts the
@@ -111,10 +113,10 @@ def run_dgso(fused_rows: Tensor, params: DgsoParams, n: int, last_step_only: boo
     pad their history by repeating the first step. States and matrix have
     the dtype of ``fused_rows``.
 
-    Where no tape records the call, ``fused_rows`` may be a (C, T, d) stack
-    of C windows. The pass then runs them together, the step axis outermost,
-    and returns (T, C, d, n) states and (C, d, d) matrices, each window's
-    slice bitwise its own call's; a recording tape raises ``ContractError``.
+    ``fused_rows`` may also be a (C, T, d) stack of C windows. The pass then
+    runs them together, the step axis outermost, and returns (T, C, d, n)
+    states and (C, d, d) matrices, each window's slice bitwise its own
+    call's, on a tape and off it.
     """
     shape = fused_rows.data.shape
     if len(shape) not in (2, 3) or 0 in shape[:-1]:

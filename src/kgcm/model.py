@@ -20,14 +20,15 @@ scaler, ``a_star`` (the float64 mean of float32 matrices) and model files
 stay float64.
 
 Both forwards take one window, or a list of windows as one stack, whose
-ops, the text cross-attention and stage 1's graph-free readout included,
-run on (C, T, d) rows, one tape entry each. The graph pass takes a stack
-off the tape only (``stage2_values``, ``GRAPH_STACK`` windows per call):
-``run_dgso`` refuses a taped one with ``ContractError``, so a graph model
-trains one window per tape. Each window's values, loss and row gradients
-are bitwise those of its own one-window forward, which ``predict`` and the
-gradient checks run; a parameter's gradient from a stack's (C,) losses is
-the gradient of their sum, which differs from the sum of the windows' own
+ops, the text cross-attention, the graph pass and stage 1's readout
+included, run on (C, T, d) rows, one tape entry each; the graph pass runs
+on (T, C, d, n) states, the step axis outermost, and its (T, C, d) rows
+return to (C, T, d) through one ``swap_leading`` entry. Off the tape
+(``stage2_values``) the graph pass takes ``GRAPH_STACK`` windows per call.
+Each window's values, loss, stage-1 matrix and row gradients are bitwise
+those of its own one-window forward, which ``predict`` and the gradient
+checks run; a parameter's gradient from a stack's (C,) losses is the
+gradient of their sum, which differs from the sum of the windows' own
 gradients only in the order of the additions.
 
 The paper (arXiv:2509.06976) mapped to the code: quoted phrases are the
@@ -51,9 +52,10 @@ feature attention, matrix as bias (ssa)         predictor.structural_bias,      
 "cross-modal feature fusion": text (lpo)        fusion_local.guided_cross_attention  gradcheck:guided_cross_attention,
                                                 and prompt_loss,                     gradcheck:prompt_loss, row +lpo
                                                 numeric.step_cross_attention
-"reasoning-based dynamic update strategy"       pipeline.train_stage1 freezes        rows +dgso, +acmfw and +lpo run
-                                                a_star, the mean of the graph's      it; no row leaves it out
-                                                ema_lambda-smoothed last matrices
+"reasoning-based dynamic update strategy"       pipeline.train_stage1 freezes        gradcheck:graph_layer/last_only
+                                                a_star, the mean of the graph's      (its cut layer), rows +dgso,
+                                                ema_lambda-smoothed last matrices    +acmfw and +lpo run it; no row
+                                                                                     leaves it out
 joint training of the value path (stage 2)      pipeline.train_stage2, joint_loss    gradcheck:joint_loss, every row
 "local and global adaptive graph networks"      none between regions: no forward     not testable on this data
                                                 pass reads SeriesWindow.region
@@ -96,6 +98,7 @@ from .numeric import (
     scale,
     sigmoid_gate,
     sse,
+    swap_leading,
     take,
 )
 from .predictor import SsaParams, embed_sequence, forecast, init_ssa_params, structural_bias
@@ -116,9 +119,9 @@ __all__ = [
 COMPONENT_ORDER = ("ssa", "rcpg", "dgso", "acmfw", "lpo")
 ALL_COMPONENTS = frozenset(COMPONENT_ORDER)
 
-# Windows per untaped graph pass when a stack is scored (see ``pipeline.SCORE_CHUNK``). At the default shapes the
-# (T, C, d, d) = (48, 4, 32, 32) float32 relation stack of four windows is 768 KiB, and eight windows' 1.5 MiB
-# falls out of cache. A train-full evaluate pass over 105 windows took a median 92 ms on two processes with stacks
+# Windows per untaped graph pass when a stack is scored (see ``pipeline.SCORE_CHUNK``); training passes a stack of
+# ``pipeline.TRAIN_STACK`` windows whole. At the default shapes the (T, C, d, d) = (48, 4, 32, 32) float32 relation
+# stack of four windows is 768 KiB, and eight windows' 1.5 MiB falls out of cache. A train-full evaluate pass over 105 windows took a median 92 ms on two processes with stacks
 # of four, against 104 with two, 106 with eight and 120 with one window per call (118, 161, 138 and 156 ms on one
 # process; 2-vCPU x86-64 guest, fresh processes).
 GRAPH_STACK = 4
@@ -327,7 +330,7 @@ class Model:
         step's history columns), so only the last min(n, T) steps are fused;
         a window shorter than n still pads by repeating its first row. One
         window gives a scalar loss and a (d, d) matrix, a stack (C,) losses
-        and (C, d, d) matrices; ``run_dgso`` refuses a taped graph stack.
+        and (C, d, d) matrices.
         """
         n, matrix = self.config.n, None
         steps = len((windows if isinstance(windows, SeriesWindow) else windows[0]).inputs)
@@ -361,14 +364,17 @@ class Model:
     def _graph_rows(self, rows: Tensor) -> Tensor:
         """Each step's column n-1 of the graph pass's final node states, in float64, for (T, d) or (C, T, d) rows.
 
-        One window's rows run between two ``cast`` entries, and so does a
-        taped stack, which ``run_dgso`` refuses (``ContractError``); an
-        untaped stack runs ``GRAPH_STACK`` windows per ``run_dgso`` call.
+        One window's rows, or a taped stack's, run between two ``cast``
+        entries; a stack's (T, C, d) columns go back to (C, T, d) through
+        ``swap_leading``. An untaped stack runs ``GRAPH_STACK`` windows per
+        ``run_dgso`` call.
         """
         n = self.config.n
         if rows.data.ndim == 2 or rows.requires_grad:
             states = run_dgso(cast(rows, self.graph_dtype), self.dgso, n)[0]
-            return cast(take(states, np.s_[:, :, n - 1]), np.float64)
+            if rows.data.ndim == 2:
+                return cast(take(states, np.s_[:, :, n - 1]), np.float64)
+            return cast(swap_leading(take(states, np.s_[:, :, :, n - 1])), np.float64)
         out = np.empty(rows.data.shape)
         for first in range(0, len(out), GRAPH_STACK):
             part = constant(rows.data[first: first + GRAPH_STACK].astype(self.graph_dtype))

@@ -2,9 +2,11 @@
 
 Every tensor the model touches is a ``Tensor``: a rank <= 3 numpy array
 plus a ``requires_grad`` flag. Differentiable operations append an entry to
-a module-level tape; ``backward`` replays the tape in reverse and
-accumulates exactly one gradient per requires-grad leaf, then clears the
-tape. Non-finite values are rejected at every op boundary.
+a module-level tape; ``backward`` pops the entries last first and
+accumulates exactly one gradient per requires-grad leaf. Each entry, and the
+arrays it kept for its backward, is dropped as soon as that backward has
+run, so a tape's memory falls as its backward proceeds. Non-finite values
+are rejected at every op boundary.
 
 Tensors are float64, with one exception: the ``dgso`` graph pass runs in
 float32, between two ``cast`` entries that ``Model`` records around it.
@@ -28,10 +30,9 @@ the result is bitwise that window's own call, on the tape or off it. A
 tape records a stacked call as one entry, and ``backward`` of a (C,) loss
 of C window losses differentiates their sum: each window's slice of a
 stacked gradient is bitwise its own, and a parameter's gradient sums over
-the windows. The graph pass takes a stack off the tape only:
-``history_columns`` at a sequence of steps and ``graph_layer`` put the
-window axis after the step axis, and raise ``ContractError`` where a tape
-would record the call.
+the windows. The graph pass takes a stack too, with the window axis after
+the step axis: ``history_columns`` at a sequence of steps gives
+(S, C, d, n) states, and ``graph_layer`` takes them.
 
 Randomness is centralized in ``SeededRng``, a thin wrapper over the
 counter-based Philox generator: one root seed, named child streams, and an
@@ -66,6 +67,7 @@ __all__ = [
     "relu",
     "cast",
     "take",
+    "swap_leading",
     "gather_rows",
     "mean_rows",
     "sum_sq",
@@ -103,8 +105,8 @@ def fnv1a64(data: bytes) -> int:
 class Tensor:
     """Rank <= 3 array that can participate in differentiation.
 
-    The graph kernels return rank-4 tensors for an untaped stack of windows
-    (see ``graph_layer``); no tensor of rank 4 is built from data.
+    The graph kernels return rank-4 tensors for a stack of windows (see
+    ``graph_layer``); no tensor of rank 4 is built from data.
 
     Data is float64, except that a float32 numpy array is kept as float32:
     the graph pass's node states and relations are float32 (see the module
@@ -177,12 +179,6 @@ def _records(inputs: tuple[Tensor, ...]) -> bool:
     return _TRACING and any(t.requires_grad for t in inputs)
 
 
-def _untaped_stack(op: str, ndim: int, inputs: tuple[Tensor, ...], rank: int = 2) -> None:
-    """Refuse a leading window axis (rank ``ndim`` above one window's ``rank``) on a call that a tape would record."""
-    if ndim > rank and _records(inputs):
-        raise ContractError(f"{op} takes a stack of windows only where no tape records it")
-
-
 def _result(arr: np.ndarray, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
     """Wrap an op result, recording it on the tape when gradients are needed."""
     # One reduction instead of isfinite().all(): NaN/inf propagate through the
@@ -207,8 +203,10 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> dict[Tensor, np.nda
     ``loss`` is a scalar, or a (C,) stack of C windows' losses, whose sum is
     differentiated: each is seeded with one. Returns a map from tensor to
     gradient; tensors in ``params`` that the loss does not depend on get
-    explicit zeros. The tape is cleared before returning. Gradients are
-    added in reverse tape order, each sum a new array.
+    explicit zeros. Gradients are added in reverse tape order, each sum a
+    new array. Each entry leaves the tape before its backward runs, and is
+    dropped, with the arrays it kept for that backward, before the next
+    one's runs, so the tape is empty on return.
     """
     if loss.data.ndim > 1:
         raise ContractError(f"backward requires a scalar loss or a (C,) stack of window losses, "
@@ -216,16 +214,16 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> dict[Tensor, np.nda
     if not _TAPE:
         raise ContractError("backward called with an empty tape")
     grads: dict[Tensor, np.ndarray] = {loss: np.ones(loss.data.shape, dtype=np.float64)}
-    for out, inputs, backward_fn in reversed(_TAPE):
+    while _TAPE:
+        out, inputs, backward_fn = _TAPE.pop()
         g = grads.pop(out, None)
-        if g is None:
-            continue
-        for t, gi in zip(inputs, backward_fn(g)):
-            if gi is None or not t.requires_grad:
-                continue
-            prev = grads.get(t)
-            grads[t] = gi if prev is None else prev + gi
-    clear_tape()
+        if g is not None:
+            for t, gi in zip(inputs, backward_fn(g)):
+                if gi is None or not t.requires_grad:
+                    continue
+                prev = grads.get(t)
+                grads[t] = gi if prev is None else prev + gi
+        out = inputs = backward_fn = g = None  # the entry's kept arrays go now, not when the next entry is popped
     grads.pop(loss, None)
     for p in params:
         if p not in grads:
@@ -407,16 +405,20 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a if a.ndim == 2 else a.reshape(-1, a.shape[-1])
 
 
-def _norm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv: np.ndarray):
-    """Gradients of the layer norm's input, gamma and beta; the affine ones sum over the leading axes."""
+def _norm_input_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Gradient of the layer norm's input."""
     n = g.shape[-1]
     dxhat = g * gamma
-    dy = inv * (
+    return inv * (
         dxhat
         - _row_sum(dxhat) / n
         - xhat * _row_sum(dxhat * xhat) / n
     )
-    return dy, _rows(g * xhat).sum(axis=0), _rows(g).sum(axis=0)
+
+
+def _norm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv: np.ndarray):
+    """Gradients of the layer norm's input, gamma and beta; the affine ones sum over the leading axes."""
+    return _norm_input_backward(g, gamma, xhat, inv), _rows(g * xhat).sum(axis=0), _rows(g).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +440,16 @@ def take(a: Tensor, key) -> Tensor:
         full = np.zeros_like(a.data)
         full[key] = g
         return (full,)
+
+    return _result(out, (a,), bw)
+
+
+def swap_leading(a: Tensor) -> Tensor:
+    """``a`` with its first two axes swapped, as a contiguous array; the gradient swaps them back."""
+    out = np.ascontiguousarray(np.swapaxes(a.data, 0, 1))
+
+    def bw(g):
+        return (np.swapaxes(g, 0, 1),)
 
     return _result(out, (a,), bw)
 
@@ -531,16 +543,26 @@ def sse(pred: Tensor, target: np.ndarray, windows: bool = False) -> Tensor:
 # ``graph_layer`` is one whole graph layer: relation softmax, smoothing scan
 # and convolution with residual and layer norm, over a stack of S steps of
 # (S, d, n) node states; the graph pass runs all T steps of a window as one
-# stack. Its backward takes the convolution's gradient in the smoothed
-# matrices through the constant smoothing factor straight into the softmax
-# backward, and writes that gradient stack into the smoothed stack's memory,
-# so backward allocates no (S, d, d) stack of its own. Fewer fresh stacks
-# matter beyond their copies: glibc hands a freed heap top back to the OS,
-# and every fresh page then faults in again. Parameter gradients sum over
-# the steps. Backward leaves out the steps
-# whose incoming gradient is exactly zero: backward is linear in that
-# gradient, so this is exact, and a readout of the last step alone (stage 1)
-# then costs one step of backward instead of T. When no tape records the
+# stack. On a tape it keeps one (S, d, d) float stack, the relations, with
+# the bool ReLU masks of the scores and of the convolution and the layer
+# norm's ``xhat`` and ``inv``. Its backward rebuilds the smoothed stack by
+# running the scan again over the relations, and the products A H, H Wq and
+# H Wk, with the forward's own calls, so every rebuilt array is bitwise the
+# forward's (recomputation, as in Chen et al., "Training Deep Nets with
+# Sublinear Memory Cost", 2016). Rebuilding the relations too would cost
+# about 0.9 ms per stack of four windows and layer, so they stay. The cut
+# layer keeps a copy of its one smoothed step. At the default shapes a taped
+# stack of four windows keeps 1,229 KiB per layer, where keeping q, k, the
+# smoothed stack and the products as well kept 2,712 KiB. The backward takes
+# the convolution's gradient in the smoothed matrices through the constant
+# smoothing factor straight into the softmax backward, and writes that
+# gradient stack into the rebuilt stack's memory rather than a fresh one.
+# Fewer fresh stacks matter beyond their copies: glibc hands a freed heap
+# top back to the OS, and every fresh page then faults in again. Parameter
+# gradients sum over the steps. Backward leaves out the steps whose incoming
+# gradient is exactly zero: backward is linear in that gradient, so this is
+# exact, and a readout of the last step alone (stage 1) then costs one step
+# of backward instead of T. When no tape records the
 # call (``predict``, ``evaluate``), the layer keeps nothing for a backward:
 # no ReLU mask, and the smoothing runs in place over the relation stack;
 # its scores take a contiguous copy of k^T, and it frees the relation stack
@@ -581,11 +603,15 @@ def sse(pred: Tensor, target: np.ndarray, windows: bool = False) -> Tensor:
 # windows' gradients only in the order of the additions; a stack's
 # cross-attention, whose token blocks differ in length, loops over its
 # windows inside its one entry. The graph kernels stack windows the same
-# way off the tape, but with the step axis outermost: (S, C, d, n) states
-# and (S, C, d, d) relations, so that each step of the smoothing scan is
-# one contiguous (C, d, d) block and the scan makes one numpy call per step
-# for all C windows; every 2-D slice of their products is still one
-# window's step. On a tape the graph pass stays one window per call.
+# way, but with the step axis outermost: (S, C, d, n) states and
+# (S, C, d, d) relations, so that each step of the smoothing scan is one
+# contiguous (C, d, d) block and the scan makes one numpy call per step for
+# all C windows; every 2-D slice of their products is still one window's
+# step. Their float32 parameter gradients are summed window by window and
+# the windows' sums added in float64 (``_window_sum``): one float32 sum over
+# a whole stack's rows missed the windows' sum by up to 9.6e-6 of its
+# largest entry (ten all-five stacks of four, both stages), past what a fit
+# in stacks may differ from one in single windows.
 
 
 def _live_steps(g: np.ndarray, *arrays: np.ndarray):
@@ -609,14 +635,46 @@ def _on_steps(part: np.ndarray, live, shape: tuple[int, ...], first: int = 0) ->
     return full
 
 
+def _smooth(relations: np.ndarray, start: np.ndarray, lam: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The smoothing scan ``A[t] = lam * A[t-1] + (1 - lam) * relations[t]`` from ``A[-1] = start``, into ``out``.
+
+    ``out`` may be ``relations`` itself; None gives a new array. A taped
+    graph layer's backward runs the scan again on the relations it kept, so
+    the forward and the backward make the same calls and get the same bits.
+    """
+    a = np.multiply(relations, 1.0 - lam, out=out)
+    prev, carry = start, np.empty(a.shape[1:], dtype=a.dtype)  # the first step broadcasts start over a stack
+    for step in a:
+        np.multiply(prev, lam, out=carry)
+        step += carry
+        prev = step
+    return a
+
+
+def _window_sum(grad: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
+    """``grad`` of one window's (S, d, k) arrays in float64; of a stack's (S, C, d, k), each window's added in float64.
+
+    ``grad`` sums over the steps in the arrays' dtype. One float32 sum over
+    all C windows' rows missed the sum of the windows' own by up to 9.6e-6
+    of its largest entry; each window's own float32 sum, added in float64,
+    misses it by rounding alone.
+    """
+    if arrays[0].ndim == 3:
+        return grad(*arrays).astype(np.float64, copy=False)
+    total = grad(*(x[:, 0] for x in arrays)).astype(np.float64)
+    for c in range(1, arrays[0].shape[1]):
+        total += grad(*(x[:, c] for x in arrays))
+    return total
+
+
 def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor, gamma: Tensor, beta: Tensor,
                 start: np.ndarray, lam: float, last_only: bool = False) -> tuple[Tensor, np.ndarray]:
     """One graph layer over a (S, d, n) stack of node states, as a single tape entry.
 
-    Where no tape records the call, the states may also be a (S, C, d, n)
-    stack of C windows' states, the step axis outermost: the scan then
-    carries each window's (C, d, d) matrices from the shared ``start``, and
-    each window's slice of the states and matrix is bitwise its own call's.
+    The states may also be a (S, C, d, n) stack of C windows' states, the
+    step axis outermost: the scan then carries each window's (C, d, d)
+    matrices from the shared ``start``, and each window's slice of the
+    states, the matrix and the states' gradient is bitwise its own call's.
     Each step builds its relation softmax_rows(relu((H Wq)(H Wk)^T)), the
     smoothing scan ``A[t] = lam * A[t-1] + (1 - lam) * raw[t]`` from
     ``A[-1] = start`` carries it across the steps, and the convolution gives
@@ -626,10 +684,15 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
     (1, C, d, n) for a stack, and a copy of the last smoothed matrix, (d, d)
     or (C, d, d), a constant. The history is a constant too, so a step's
     gradient reaches its raw relation through its own smoothed matrix alone;
-    the parameter gradients sum over the steps. Only a call that a tape
-    records keeps the ReLU mask and the relations for its backward; without
-    one the smoothing runs in place, the scores take a contiguous k^T, and
-    the relations are freed before the layer norm.
+    the parameter gradients sum over the steps, and over a stack's windows
+    each window's sum (``_window_sum``). A call that a tape records keeps
+    for its backward the relations, the ReLU masks of the scores and of the
+    convolution, and the layer norm's ``xhat`` and ``inv``; the cut keeps
+    its one smoothed step as well. The backward rebuilds the rest with the
+    forward's own calls: the smoothing scan over the kept relations, the
+    products A H, H Wq and H Wk. Without a tape the smoothing runs in place,
+    the scores take a contiguous k^T, and the relations are freed before the
+    layer norm.
     The layer norm's row sums over the n history columns take
     ``_row_sum``'s short path for n = 8. The layer computes in the dtype of
     ``states``, float32 in the model's graph pass and float64 in the
@@ -643,7 +706,6 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
     n = h.shape[-1]
     _check_affine("graph_layer", n, gamma, beta)
     inputs = (states, w_query, w_key, w_trans, gamma, beta)
-    _untaped_stack("graph_layer", h.ndim, inputs, rank=3)
     # the layer computes in its states' dtype: the parameters and the start matrix are cast to it (no copy
     # when they share it), and lam becomes a Python float, which numpy applies in the array's dtype where a
     # numpy float64 scalar would widen a float32 array
@@ -668,12 +730,7 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
     raw /= raw.sum(axis=-1, keepdims=True)
     # the relations backward reads; the cut (after copying the step it reads) and an untaped call smooth in place
     p = raw[first:].copy() if taped and last_only else raw
-    a = np.multiply(raw, 1.0 - lam, out=None if taped and not last_only else raw)
-    prev, carry = start, np.empty(a.shape[1:], dtype=a.dtype)  # the first step broadcasts start over a stack
-    for step in a:
-        np.multiply(prev, lam, out=carry)
-        step += carry
-        prev = step
+    a = _smooth(raw, start, lam, out=None if taped and not last_only else raw)
     hc, ac = h[first:], a[first:]
     mixed = ac @ hc
     z = mixed @ w
@@ -687,28 +744,37 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
         y += hc
         return _result(_norm_forward(y, gam, bet)[0], inputs, None), matrix
     out, xhat, inv = _norm_forward(np.maximum(z, 0.0) + hc, gam, bet)
+    convolved = z > 0.0
+    # the cut's one smoothed step, copied so that it does not pin the whole (S, d, d) stack
+    kept = ac.copy() if last_only else None
 
     def bw(g):
-        live, (g, al, hl, ml, zl, il, xl, pl, pos, ql, kl) = _live_steps(
-            g, ac, hc, mixed, z, inv, xhat, p, positive, q[first:], k[first:])
-        dy, dgamma, dbeta = _norm_backward(g, gam, xl, il)
-        dz = dy * (zl > 0.0)
-        dw = ml.reshape(-1, n).T @ dz.reshape(-1, n)
+        # the smoothed steps, rebuilt from the kept relations unless the cut kept its own; backward runs once,
+        # so the convolution's gradient in A takes their memory below
+        smoothed = kept if last_only else _smooth(p, start, lam)
+        live, (g, al, hl, pl, pos, xl, il, cl) = _live_steps(g, smoothed, hc, p, positive, xhat, inv, convolved)
+        del smoothed
+        dy = _norm_input_backward(g, gam, xl, il)
+        dgamma = _window_sum(lambda gw, xw: _rows(gw * xw).sum(axis=0), g, xl)
+        dbeta = _window_sum(lambda gw: _rows(gw).sum(axis=0), g)
+        dz = dy * cl
+        mixed = al @ hl
+        dw = _window_sum(lambda mw, dzw: mw.reshape(-1, n).T @ dzw.reshape(-1, n), mixed, dz)
         dmixed = dz @ w.T
-        dh = al.transpose(0, 2, 1) @ dmixed + dy
-        # the convolution's gradient in A, through the smoothing factor, into the softmax of the raw
-        # relation; backward runs once, so the gradient stack takes the smoothed stack's memory
-        gs = np.matmul(dmixed, hl.transpose(0, 2, 1), out=al)
+        del mixed, dz
+        dh = al.swapaxes(-1, -2) @ dmixed + dy
+        # the convolution's gradient in A, through the smoothing factor, into the softmax of the raw relation
+        gs = np.matmul(dmixed, hl.swapaxes(-1, -2), out=al)
         gs *= 1.0 - lam
         gs -= (gs * pl).sum(axis=-1, keepdims=True)
         gs *= pl
         gs *= pos
-        gq = gs @ kl
-        gk = gs.transpose(0, 2, 1) @ ql
+        gq = gs @ (hl @ wk)
+        gk = gs.swapaxes(-1, -2) @ (hl @ wq)
         dh = _on_steps(dh + (gq @ wq.T + gk @ wk.T), live, h.shape, first)
-        flat = hl.reshape(-1, n).T
-        dparams = (flat @ gq.reshape(-1, wq.shape[1]), flat @ gk.reshape(-1, wk.shape[1]), dw, dgamma, dbeta)
-        return (dh,) + tuple(d.astype(np.float64, copy=False) for d in dparams)
+        dwq, dwk = (_window_sum(lambda hw, gw: hw.reshape(-1, n).T @ gw.reshape(-1, gw.shape[-1]), hl, gp)
+                    for gp in (gq, gk))
+        return dh, dwq, dwk, dw, dgamma, dbeta
 
     return _result(out, inputs, bw), a[-1].copy()
 
@@ -721,16 +787,13 @@ def history_columns(rows: Tensor, steps, n: int) -> Tensor:
     row 0, matching the pad-by-repetition rule for the start of a window.
     The rows may be a (C, T, d) stack of windows, and the states then take
     a window axis after the step axis: (C, d, n) or (S, C, d, n), each
-    window's slice its own call's. A stack at a sequence of steps raises
-    ``ContractError`` where a tape would record it.
+    window's slice, and its rows' gradient, its own call's.
     The states and the gradient of the rows keep the rows' dtype.
     """
     x = rows.data
     if x.ndim not in (2, 3):
         raise ShapeError(f"history_columns expects rank 2, or 3 for a stack, got shape {x.shape}")
     t = np.asarray(steps, dtype=np.intp)
-    if t.ndim:
-        _untaped_stack("history_columns", x.ndim, (rows,))
     if t.ndim > 1 or t.size == 0 or t.min() < 0 or t.max() >= x.shape[-2]:
         raise ShapeError(f"steps {steps!r} are not steps of a sequence of length {x.shape[-2]}")
     idx = np.maximum(t[..., None] + np.arange(1 - n, 1), 0)
@@ -738,7 +801,8 @@ def history_columns(rows: Tensor, steps, n: int) -> Tensor:
     if x.ndim == 3:  # the window axis goes after the step axis
         cols = np.moveaxis(cols, 0, t.ndim)
     out = np.swapaxes(cols, -1, -2).copy()
-    whole = t.ndim == 1 and np.array_equal(t, np.arange(x.shape[0]))
+    length = x.shape[-2]
+    whole = t.ndim == 1 and np.array_equal(t, np.arange(length))
 
     def bw(g):
         full = np.zeros_like(x)
@@ -746,15 +810,18 @@ def history_columns(rows: Tensor, steps, n: int) -> Tensor:
         if t.ndim:
             live, (g, kept) = _live_steps(g, idx)
         g = np.swapaxes(g, -1, -2)
+        window = () if x.ndim == 2 else (slice(None),)  # a stack scatters on its row axis, window by window
+        if window and t.ndim:
+            g = np.moveaxis(g, 1, 0)  # the window axis back in front of the step axis
         if not (whole and isinstance(live, slice)):
-            np.add.at(full, kept if x.ndim == 2 else (slice(None), kept), g)  # a stack scatters on its row axis
+            np.add.at(full, window + (kept,), g)
             return (full,)
         # every step of the whole sequence: row r > 0 is column n-1-k of step r+k, summed in add.at's step
         # order by one slice-add per k; row 0 takes every padded column too, so those keep add.at
         pad = idx == 0
-        np.add.at(full, idx[pad], g[pad])
-        for k in range(min(n, len(x) - 1)):
-            full[1:len(x) - k] += g[1 + k:, n - 1 - k]
+        np.add.at(full, window + (idx[pad],), g[window + (pad,)])
+        for k in range(min(n, length - 1)):
+            full[window + (slice(1, length - k),)] += g[window + (slice(1 + k, None), n - 1 - k)]
         return (full,)
 
     return _result(out, (rows,), bw)

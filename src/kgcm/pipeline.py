@@ -5,9 +5,8 @@ auxiliary head, then freezes the epoch-averaged relation matrix. Stage 2
 trains the whole value path end to end under the joint objective with that
 matrix held fixed. Both stages run the same minibatch loop and are
 deterministic given the config seed. A batch splits into stacks of up to
-``TRAIN_STACK`` consecutive windows (one window for a model with the
-graph, whose taped graph pass takes no stack), one taped pass and one
-summed gradient each. Where a second CPU and ``fork`` are there, this
+``TRAIN_STACK`` consecutive windows, one taped pass and one summed
+gradient each. Where a second CPU and ``fork`` are there, this
 process has at most one forked helper process. Each stage forks its own,
 which computes every other stack of each batch, and this process adds
 every stack's losses and gradients in stack order, so the trained model is
@@ -192,19 +191,20 @@ def _chunks(order: np.ndarray, size: int):
 
 
 # A window loss takes a stack of windows and the epoch. For one window it
-# returns the window's scalar loss, for several their (C,) losses; and an
-# array that the stage sums over its stacks, or None.
+# returns the window's scalar loss, for several their (C,) losses; and a
+# (C, ...) stack of one array per window, which the stage sums window by
+# window, or None.
 WindowLoss = Callable[[list[SeriesWindow], int], tuple[Tensor, np.ndarray | None]]
 
-# Windows per tape when a stage trains a model without the graph: a batch splits into stacks of up to this many
-# consecutive windows, one taped pass and one backward per stack. A steady two-process train-text stage-2 epoch took
-# 0.89-1.12 ms per window one window per tape, 0.74-0.94 in stacks of two, 0.65-0.69 in stacks of four and 0.60-0.72
-# in stacks of eight, with peaks of 43.5, 44.5, 46.9 and 51.8 MiB; at eight some epochs faulted 200-400 pages in
-# where the others faulted under 35 (2-vCPU x86-64 guest). A model with the graph trains one window per tape, since
-# its windows' taped graph state costs the most memory: run window by window in stacks of four on the train-full
-# benchmark workload (perfbench/run.py, 30 s runs, 3 alternating pairs), it raised peak_rss_mib from 51.4-51.7 to
-# 59.0-59.2, 14.9% on the medians and beyond the benchmark's 10% bound, while train_windows_per_s rose from 621-663
-# to 733-772.
+# Windows per tape: a batch splits into stacks of up to this many consecutive windows, one taped pass and one backward
+# per stack. A steady two-process train-text stage-2 epoch took 0.89-1.12 ms per window one window per tape, 0.74-0.94
+# in stacks of two, 0.65-0.69 in stacks of four and 0.60-0.72 in stacks of eight, with peaks of 43.5, 44.5, 46.9 and
+# 51.8 MiB; at eight some epochs faulted 200-400 pages in where the others faulted under 35 (2-vCPU x86-64 guest).
+# Graph models stack too, since a taped graph layer keeps only its relations, masks and layer-norm state and backward
+# drops each tape entry once it has run: on the train-full benchmark workload (perfbench/run.py, 30 s runs, 10
+# alternating pairs, quartiles) stacks of four raised train_windows_per_s from 649-674 to 867-893 and peak_rss_mib
+# from 52.1-52.3 to 54.6-55.0 MiB (+5.0% on the medians), where stacks whose graph layers kept all their forward
+# arrays raised it by 14.9%, past the benchmark's 10% bound.
 TRAIN_STACK = 4
 
 HELPER_EXIT_S = 5.0  # a helper that has not ended this long after its pipe closed is killed
@@ -460,15 +460,15 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
 
     Every epoch shuffles the windows with the stage's own random stream. Each
     batch splits into stacks of up to ``TRAIN_STACK`` consecutive windows,
-    one window for a model with the graph, and each stack is one
-    ``window_loss`` and one ``backward``, which sums the stack's parameter
-    gradients (``_window_results``). Each batch takes one Adam step on the
-    stage's parameters with the mean gradient: each stack's gradients are
-    added in place, in stack order, into one zeroed buffer per parameter.
+    and each stack is one ``window_loss`` and one ``backward``, which sums
+    the stack's parameter gradients (``_window_results``). Each batch takes
+    one Adam step on the stage's parameters with the mean gradient: each
+    stack's gradients are added in place, in stack order, into one zeroed
+    buffer per parameter.
     The windows' losses are added to the epoch's total in batch order, and
     the epoch's mean loss is appended to the stage's history. The arrays
-    ``window_loss`` returns are summed in batch order. The windows must
-    share one shape.
+    ``window_loss`` returns, one per window, are summed in batch order. The
+    windows must share one shape.
 
     When a batch can hold two stacks and ``_helper_can_start``, the stage
     ends this process's helper, if it has one, and forks its own
@@ -499,8 +499,7 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
     adam = AdamState(lr=config.lr, clip_norm=config.clip_norm)
     shuffle = SeededRng(config.seed).child(f"stage{stage}/shuffle")
     array_sum = None
-    stack = 1 if model.dgso is not None else TRAIN_STACK
-    two = min(config.batch_size, len(windows)) > stack and _helper_can_start()
+    two = min(config.batch_size, len(windows)) > TRAIN_STACK and _helper_can_start()
     helper = _start_helper(params, windows, window_loss) if two else None
     last = []  # this process's latest stack results (see _window_results)
     try:
@@ -509,7 +508,7 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
             loss_total = 0.0
             for batch_no, batch in enumerate(_chunks(order, config.batch_size)):
                 sums = {name: np.zeros_like(p.data) for name, p in params.items()}
-                stacks = list(_chunks(batch, stack))
+                stacks = list(_chunks(batch, TRAIN_STACK))
                 shared = helper is not None and helper is _helper and len(stacks) > 1  # not ended by a pass
                 try:
                     if shared:
@@ -528,8 +527,9 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
                             loss_total += value
                         if array is not None:
                             if array_sum is None:  # float64: the graph pass's float32 matrices sum in double
-                                array_sum = np.zeros(array.shape)
-                            array_sum += array
+                                array_sum = np.zeros(array.shape[1:])
+                            for window_array in array:  # in batch order, as one window per stack adds them
+                                array_sum += window_array
                     adam_step(adam, params, {name: s / len(batch) for name, s in sums.items()})
                 except (NumericError, HelperError) as exc:
                     raise TrainingError(f"stage {stage}, epoch {epoch}, batch {batch_no}: {exc}") from exc
@@ -552,8 +552,10 @@ def train_stage1(model: Model, windows: list[SeriesWindow], config: TrainConfig)
         raise TrainingError("stage 1 requires the graph or local-text component")
 
     def window_loss(stack: list[SeriesWindow], epoch: int) -> tuple[Tensor, np.ndarray | None]:
-        loss, matrix = model.stage1_forward(stack[0] if len(stack) == 1 else stack)  # a graph model's stacks are one
-        return loss, matrix if epoch == config.epochs_stage1 - 1 else None
+        loss, matrix = model.stage1_forward(stack[0] if len(stack) == 1 else stack)
+        if matrix is None or epoch != config.epochs_stage1 - 1:
+            return loss, None
+        return loss, matrix.reshape((len(stack),) + matrix.shape[-2:])  # one (d, d) matrix per window
 
     matrix_sum = _train_epochs(model, windows, config, 1, window_loss)
     t_steps = windows[0].inputs.shape[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kgcm.errors import ConfigError, ContractError, ShapeError
+from kgcm.errors import ConfigError, ShapeError
 from kgcm.gradcheck import grad_check
 from kgcm.graph import (
     DgsoLayerParams,
@@ -25,6 +25,7 @@ from kgcm.numeric import (
     tensor,
 )
 
+import oracle
 from oracle import conv_residual_norm, lerp_const, mul, relation_softmax
 
 
@@ -542,28 +543,48 @@ class TestWindowStacks:
         assert [stacked[:, c].tobytes() for c in range(3)] == [a.tobytes() for a in alone]
         assert one_step.tobytes() == stacked[5].tobytes()
 
-    def _calls(self):
-        """A stack through each graph op: the lift, one layer and the whole pass."""
-        params = init_dgso_params(self.N, 3, 2, 0.9, SeededRng(620))
+    @pytest.mark.parametrize("op", ["history_columns", "graph_layer", "graph_layer-last_only", "run_dgso"])
+    def test_a_taped_stack_is_each_windows_own_taped_call(self, op):
+        # values, matrices and input gradients bitwise each window's own taped call, parameter gradients the sum
+        # of the windows' own. A stack of four windows lifted at steps 0..3 of six rows takes the steps for the
+        # whole sequence if their count is read off the window axis
+        n, d = self.N, self.D
+        params = init_dgso_params(n, 3, 2, 0.9, SeededRng(620))
         layer = params.layers[0]
-        rows = SeededRng(621).normal((2, 6, self.D))
-        states = history_columns(Tensor(rows), range(6), self.N)  # no gradient to the rows, so not recorded
-        return {
-            "history_columns": lambda: history_columns(Tensor(rows, requires_grad=True), range(6), self.N),
-            "graph_layer": lambda: graph_layer(states, layer.w_query, layer.w_key, layer.w_trans,
-                                               layer.ln_gamma, layer.ln_beta, uniform_matrix(self.D), 0.9),
-            "run_dgso": lambda: run_dgso(Tensor(rows), params, self.N),
-        }
+        weights = [t for l in params.layers for t in (l.w_query, l.w_key, l.w_trans, l.ln_gamma, l.ln_beta)]
+        cases = [(2, 6, 6), (4, 4, 4)] + [(4, 6, 4)] * (op == "history_columns")  # windows, rows, steps lifted
 
-    @pytest.mark.parametrize("op", ["history_columns", "graph_layer", "run_dgso"])
-    def test_a_stack_on_a_recording_tape_raises_a_contract_error(self, op):
-        call = self._calls()[op]
-        with pytest.raises(ContractError, match="stack of windows"):
-            call()
-        assert tape_size() == 0
-        with no_tape():
-            call()
-        assert tape_size() == 0
+        def call(rows, steps):
+            if op == "history_columns":
+                return history_columns(rows, range(steps), n), None
+            if op == "run_dgso":
+                return run_dgso(rows, params, n)
+            states = history_columns(rows, range(steps), n)  # a rank-4 stack comes from the lift alone
+            return graph_layer(states, layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma, layer.ln_beta,
+                               uniform_matrix(d), 0.9, op.endswith("last_only"))
+
+        for dtype in (np.float32, np.float64):
+            for windows, t_steps, steps in cases:
+                x = SeededRng(630 + 10 * windows + t_steps).normal((windows, t_steps, d)).astype(dtype)
+
+                def taped(rows):
+                    rows = Tensor(rows, requires_grad=True)
+                    out, matrix = call(rows, steps)
+                    readout = Tensor(SeededRng(640).normal((d, n)).astype(dtype))  # (d, n) weights for every state
+                    grads = _gradients(sum_sq(mul(out, readout)), [rows] + weights)
+                    return out.data, matrix, grads[0], grads[1:]
+
+                states, matrices, dx, dparams = taped(x)
+                own = [taped(rows) for rows in x]
+                assert tape_size() == 0
+                for c, (own_states, own_matrix, own_dx, _) in enumerate(own):
+                    assert states[:, c].tobytes() == own_states.tobytes()
+                    assert dx[c].tobytes() == own_dx.tobytes()
+                    if matrices is not None:
+                        assert matrices[c].tobytes() == own_matrix.tobytes()
+                if op != "history_columns":
+                    for i, g in enumerate(dparams):
+                        oracle.assert_window_sum(g, [w[3][i] for w in own])
 
 
 class TestFloat32Pass:

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from kgcm import numeric as nm
 from kgcm.errors import ContractError, NumericError, ShapeError
 from kgcm.gradcheck import grad_check
+from kgcm.graph import init_dgso_params, uniform_matrix
 from kgcm.numeric import (
     SeededRng,
     Tensor,
@@ -177,6 +179,25 @@ class TestBackward:
         x = tensor([1.0], requires_grad=True)
         backward(sum_sq(x), params=(x,))
         assert nm.tape_size() == 0
+
+    def test_an_entry_drops_what_it_kept_before_the_entry_before_it_runs(self):
+        # the graph layer's kept relations, masks and casts go as soon as its backward has run, not at the end
+        rng = SeededRng(31)
+        layer = init_dgso_params(4, 4, 1, 0.9, rng.child("params")).layers[0]
+        rows = Tensor(rng.normal((6, 5)).astype(np.float32), requires_grad=True)
+        states = nm.history_columns(rows, range(6), 4)
+        out, _ = nm.graph_layer(states, layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma, layer.ln_beta,
+                                uniform_matrix(5), 0.9)
+        (lift_out, lift_inputs, lift_bw), (_, _, layer_bw) = nm._TAPE
+        kept = [weakref.ref(cell.cell_contents) for cell in layer_bw.__closure__
+                if isinstance(cell.cell_contents, np.ndarray) and cell.cell_contents is not states.data]
+        assert len(kept) >= 5
+        del layer_bw
+        alive = []
+        nm._TAPE[0] = (lift_out, lift_inputs, lambda g: alive.append([r() is not None for r in kept]) or lift_bw(g))
+        grads = backward(sum_sq(out), params=(rows,))
+        assert alive == [[False] * len(kept)]
+        assert grads[rows].any()
 
     def test_fanout_accumulates(self):
         x = tensor([2.0], requires_grad=True)

@@ -82,9 +82,9 @@ class TestTrainingLoop:
         matrices = []
         forward = model.stage1_forward
 
-        def recording(window):
-            loss, matrix = forward(window)
-            matrices.append(matrix.copy())
+        def recording(windows):
+            loss, matrix = forward(windows)
+            matrices.extend(matrix.reshape(-1, 8, 8).copy())  # one (d, d) matrix per window of a stack
             return loss, matrix
 
         model.stage1_forward = recording
@@ -171,8 +171,8 @@ class TestTrainingHelper:
 
     @pytest.mark.parametrize("variant,components", ablation_variants(), ids=[v for v, _ in ablation_variants()])
     def test_two_process_fits_equal_in_process_fits(self, monkeypatch, variant, components):
-        # 10 training windows in batches of 9: the helper computes the odd windows of the first batch, or its
-        # second stack of four, and this process the lone window of the last one
+        # 10 training windows in batches of 9: the helper computes the second stack of four of the first batch,
+        # and this process the lone window of the last one
         config = _config(batch_size=9, epochs_stage1=2)
         started = []
         init = pipeline._Helper.__init__
@@ -190,11 +190,12 @@ class TestTrainingHelper:
 
     @pytest.mark.parametrize("stage", [1, 2])
     def test_a_nan_helper_window_raises_the_in_process_error(self, monkeypatch, stage):
-        config = _config()
+        # batches of 8: the helper computes each batch's second stack of four, and the NaN window heads it
+        config = _config(batch_size=8)
         windows = _split(config).train
-        second = int(pipeline.SeededRng(config.seed).child(f"stage{stage}/shuffle").permutation(len(windows))[1])
-        windows[second].inputs = windows[second].inputs.copy()
-        windows[second].inputs[3, 0] = np.nan
+        fifth = int(pipeline.SeededRng(config.seed).child(f"stage{stage}/shuffle").permutation(len(windows))[4])
+        windows[fifth].inputs = windows[fifth].inputs.copy()
+        windows[fifth].inputs[3, 0] = np.nan
         train = pipeline.train_stage1 if stage == 1 else pipeline.train_stage2
         messages = []
         for on in (True, False):
@@ -215,7 +216,7 @@ class TestTrainingHelper:
 
         monkeypatch.setattr(Model, "stage2_forward", dying)
         with pytest.raises(TrainingError, match="^stage 2, epoch 0, batch 0: helper process ended with exit code -9$"):
-            pipeline.fit(_dataset(), _config(), ALL_COMPONENTS)
+            pipeline.fit(_dataset(), _config(batch_size=8), ALL_COMPONENTS)
 
     def test_a_helper_that_cannot_fork_leaves_the_fit_to_this_process(self, monkeypatch, caplog):
         fits, maps = {}, []
@@ -227,7 +228,7 @@ class TestTrainingHelper:
                     patch.setattr(multiprocessing.get_context("fork").Process, "start", _refused_fork)
                     patch.setattr(pipeline.mmap, "mmap", lambda *args: maps.append(real_mmap(*args)) or maps[-1])
                 with caplog.at_level("DEBUG", logger="kgcm.pipeline"):
-                    model = pipeline.fit(_dataset(), _config(), ALL_COMPONENTS)
+                    model = pipeline.fit(_dataset(), _config(batch_size=8), ALL_COMPONENTS)
             fits[refused] = (np.array(model.stage1_history).tobytes(), np.array(model.stage2_history).tobytes(),
                              model.a_star.tobytes(),
                              {name: p.data.tobytes() for name, p in model.named_parameters().items()})
@@ -238,7 +239,7 @@ class TestTrainingHelper:
 
     def test_a_stage_whose_helper_a_pass_ended_finishes_in_this_process(self, monkeypatch):
         # a caller that catches the pass's HelperError and goes on training gets the one-process fit
-        config = _config()
+        config = _config(batch_size=8)
         step, killed = pipeline.adam_step, []
 
         def step_then_kill_and_score(*args):
@@ -264,7 +265,7 @@ class TestTrainingHelper:
 
     def test_a_pass_inside_a_stage_is_scored_by_the_stages_helper(self, monkeypatch):
         # item 1's validation path: after each batch's Adam step, score windows with the model being trained
-        config = _config()
+        config = _config(batch_size=8)
         stages, passes = [], []
         init = pipeline._Helper.__init__
         monkeypatch.setattr(pipeline._Helper, "__init__", lambda self, *args: stages.append(self) or init(self, *args))
@@ -291,14 +292,14 @@ class TestTrainingHelper:
         assert len(split.val + split.test) >= 2
         assert fits[True, True] == fits[False, True] == fits[True, False]
         with_helper, alone = passes[:len(passes) // 2], passes[len(passes) // 2:]
-        assert len(with_helper) == len(alone) == 9  # 10 windows in batches of 4: 3 steps an epoch, 3 epochs
+        assert len(with_helper) == len(alone) == 6  # 10 windows in batches of 8: 2 steps an epoch, 3 epochs
         assert len(stages) == 4  # one helper per stage, on each of the two fits with the helper on
         assert [forecasts for forecasts, *_ in with_helper] == [forecasts for forecasts, *_ in alone]
         assert all(children == 1 and live is stage for _, children, live, stage in with_helper)
         assert all(children == 0 for _, children, *_ in alone)
 
 
-STACKED_SETS = {**{name: components for name, components in ablation_variants()[:3]},
+STACKED_SETS = {**{name: components for name, components in ablation_variants()},
                 "train-text": frozenset({"ssa", "rcpg", "lpo"})}
 
 
@@ -344,16 +345,21 @@ class TestTrainingStacks:
         one, two = (self._fit(monkeypatch, STACKED_SETS[name], 4, helper) for helper in (False, True))
         assert {key: a.tobytes() for key, a in two.items()} == {key: a.tobytes() for key, a in one.items()}
 
-    def test_a_model_with_the_graph_trains_one_window_per_tape(self, monkeypatch):
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_every_model_trains_in_stacks(self, monkeypatch, stage):
+        # 10 windows in batches of 8: stacks of four and four, then one of two
         sizes = []
-        forward = Model.stage2_forward
-        monkeypatch.setattr(Model, "stage2_forward",
-                            lambda model, windows: sizes.append(isinstance(windows, list)) or forward(model, windows))
+        name = f"stage{stage}_forward"
+        forward = getattr(Model, name)
+        monkeypatch.setattr(Model, name, lambda model, windows: sizes.append(len(windows)) or forward(model, windows))
         monkeypatch.setattr(pipeline, "_helper_can_start", lambda: False)
-        config = _config(batch_size=8)
+        config = _config(batch_size=8, epochs_stage1=1, epochs_stage2=1)
+        train = pipeline.train_stage1 if stage == 1 else pipeline.train_stage2
         for components in (ALL_COMPONENTS, STACKED_SETS["train-text"]):
-            pipeline.train_stage2(build_model(config, components, pipeline.FEATURE_COUNT), _split(config).train, config)
-            assert sizes and all(stacked == ("dgso" not in components) for stacked in sizes)
+            windows = _split(config).train
+            assert len(windows) == 10
+            train(build_model(config, components, pipeline.FEATURE_COUNT), windows, config)
+            assert sizes == [4, 4, 2]
             sizes.clear()
 
     @pytest.mark.parametrize("helper", [False, True], ids=["one-process", "two-process"])
