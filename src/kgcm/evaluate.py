@@ -5,11 +5,10 @@ split. ``evaluate`` returns the scored windows with their forecasts and
 targets as (W, H) arrays; per-point rows are derived from these. It
 forecasts through ``pipeline.predict_windows``: each process scores its
 windows in chunks of ``pipeline.SCORE_CHUNK``, one untaped stacked
-value-path pass per chunk with the graph pass on stacks of
-``model.GRAPH_STACK`` windows, and where a second CPU and ``fork`` are
-there, the process's one helper process forecasts the windows at odd
-positions: inside a training stage the stage's helper, elsewhere one
-forked by the first such pass that serves every later one. Either way
+value-path pass per chunk, its graph pass included. Where a second CPU
+and ``fork`` are there, the process's one helper process forecasts the
+windows at odd positions: inside a training stage the stage's helper,
+elsewhere one forked by the first such pass that serves every later one. Either way
 every forecast is bitwise the one ``pipeline.predict`` gives.
 The ablation harness trains six variants per seed, enabling the components
 one at a time in the fixed order backbone, +ssa, +rcpg, +dgso, +acmfw,

@@ -24,7 +24,8 @@ carrying C smoothing states from the shared start; each window's states,
 matrix and row gradient are bitwise those of its own call, and a
 parameter's gradient is the sum of the windows' own up to rounding.
 Training runs the pass so on ``pipeline.TRAIN_STACK`` windows per tape, and
-scoring on ``model.GRAPH_STACK`` windows at a time.
+scoring on each chunk of ``pipeline.SCORE_CHUNK`` windows, through the same
+calls off the tape.
 
 The pass computes in the dtype of the rows it is given. ``Model`` casts its
 fused rows to ``GRAPH_DTYPE`` (float32) before ``run_dgso`` and casts the

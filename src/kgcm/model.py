@@ -19,17 +19,18 @@ one ``numeric.cast`` tape entry. Parameters and their gradients, the
 scaler, ``a_star`` (the float64 mean of float32 matrices) and model files
 stay float64.
 
-Both forwards take one window, or a list of windows as one stack, whose
-ops, the text cross-attention, the graph pass and stage 1's readout
-included, run on (C, T, d) rows, one tape entry each; the graph pass runs
-on (T, C, d, n) states, the step axis outermost, and its (T, C, d) rows
-return to (C, T, d) through one ``swap_leading`` entry. Off the tape
-(``stage2_values``) the graph pass takes ``GRAPH_STACK`` windows per call.
-Each window's values, loss, stage-1 matrix and row gradients are bitwise
-those of its own one-window forward, which ``predict`` and the gradient
-checks run; a parameter's gradient from a stack's (C,) losses is the
-gradient of their sum, which differs from the sum of the windows' own
-gradients only in the order of the additions.
+Both forwards take a list of windows as one stack, whose ops, the text
+cross-attention, the graph pass and stage 1's readout included, run on
+(C, T, d) rows, one tape entry each; the graph pass runs on (T, C, d, n)
+states, the step axis outermost, and its (T, C, d) rows return to
+(C, T, d) through one ``swap_leading`` entry, on the tape and off it.
+Training, scoring (``stage2_values``) and the joint-loss gradient check
+pass stacks, stacks of one included. A single window keeps a rank-2 path
+with two readers: ``pipeline.predict``, and the tests, which hold each
+window's values, loss, stage-1 matrix and row gradients in a stack bitwise
+to those of its own one-window forward. A parameter's gradient from a
+stack's (C,) losses is the gradient of their sum, which differs from the
+sum of the windows' own gradients only in the order of the additions.
 
 The paper (arXiv:2509.06976) mapped to the code: quoted phrases are the
 abstract's, the rest this package's; "gradcheck:X" is the check ``kgcm
@@ -119,14 +120,6 @@ __all__ = [
 COMPONENT_ORDER = ("ssa", "rcpg", "dgso", "acmfw", "lpo")
 ALL_COMPONENTS = frozenset(COMPONENT_ORDER)
 
-# Windows per untaped graph pass when a stack is scored (see ``pipeline.SCORE_CHUNK``); training passes a stack of
-# ``pipeline.TRAIN_STACK`` windows whole. At the default shapes the (T, C, d, d) = (48, 4, 32, 32) float32 relation
-# stack of four windows is 768 KiB, and eight windows' 1.5 MiB falls out of cache. A train-full evaluate pass over 105 windows took a median 92 ms on two processes with stacks
-# of four, against 104 with two, 106 with eight and 120 with one window per call (118, 161, 138 and 156 ms on one
-# process; 2-vCPU x86-64 guest, fresh processes).
-GRAPH_STACK = 4
-
-
 @dataclass
 class TrainConfig:
     """Model dimensions and optimization settings with validated defaults."""
@@ -191,9 +184,8 @@ class SeriesWindow:
 Windows = SeriesWindow | Sequence[SeriesWindow]  # one window, or a stack of them
 
 
-# One window keeps its rank-2 path, not a stack of one: through ``Model._values`` a stack of one cost 544 -> 617 us on
-# train-text and 1,532 -> 1,650 us on train-full, a taped stage 2 5-11% more and a taped stage 1 8-30% more (1 BLAS
-# thread, interleaved, 2-vCPU x86-64 guest).
+# ``predict`` keeps the rank-2 path of one window, not a stack of one: through ``Model._values`` a stack of one cost
+# 544 -> 617 us on train-text and 1,532 -> 1,650 us on train-full (1 BLAS thread, interleaved, 2-vCPU x86-64 guest).
 def _stacked(windows: Windows, read) -> np.ndarray:
     """``read(window)`` for one window; for a stack, the (C, ...) stack of each window's, which must share a shape."""
     if isinstance(windows, SeriesWindow):
@@ -355,31 +347,24 @@ class Model:
     def stage2_values(self, windows: Sequence[SeriesWindow]) -> np.ndarray:
         """``stage2_forward``'s values for each of ``windows``, as (C, T') rows, computed off the tape.
 
-        Two or more windows run as one (C, T, d) stack, and must share their
-        shapes; each row is bitwise its window's ``stage2_forward`` value.
+        The windows run as one (C, T, d) stack, and must share their shapes;
+        each row is bitwise its window's one-window ``stage2_forward`` value.
         """
         with no_tape():
-            return self._values(windows[0] if len(windows) == 1 else windows).data.reshape(len(windows), -1)
+            return self._values(windows).data.reshape(len(windows), -1)
 
     def _graph_rows(self, rows: Tensor) -> Tensor:
         """Each step's column n-1 of the graph pass's final node states, in float64, for (T, d) or (C, T, d) rows.
 
-        One window's rows, or a taped stack's, run between two ``cast``
-        entries; a stack's (T, C, d) columns go back to (C, T, d) through
-        ``swap_leading``. An untaped stack runs ``GRAPH_STACK`` windows per
-        ``run_dgso`` call.
+        The rows run between two ``cast`` entries, a whole stack in one
+        ``run_dgso`` call; a stack's (T, C, d) columns go back to (C, T, d)
+        through ``swap_leading``.
         """
         n = self.config.n
-        if rows.data.ndim == 2 or rows.requires_grad:
-            states = run_dgso(cast(rows, self.graph_dtype), self.dgso, n)[0]
-            if rows.data.ndim == 2:
-                return cast(take(states, np.s_[:, :, n - 1]), np.float64)
-            return cast(swap_leading(take(states, np.s_[:, :, :, n - 1])), np.float64)
-        out = np.empty(rows.data.shape)
-        for first in range(0, len(out), GRAPH_STACK):
-            part = constant(rows.data[first: first + GRAPH_STACK].astype(self.graph_dtype))
-            out[first: first + GRAPH_STACK] = run_dgso(part, self.dgso, n)[0].data[..., n - 1].swapaxes(0, 1)
-        return constant(out)
+        states = run_dgso(cast(rows, self.graph_dtype), self.dgso, n)[0]
+        if rows.data.ndim == 2:
+            return cast(take(states, np.s_[:, :, n - 1]), np.float64)
+        return cast(swap_leading(take(states, np.s_[:, :, :, n - 1])), np.float64)
 
     def _values(self, windows: Windows) -> Tensor:
         """The value path for one window's (T, d) rows, or for a stack's (C, T, d) rows: (T',) or (C, 1, T')."""

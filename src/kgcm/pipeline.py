@@ -16,10 +16,8 @@ stage's or, outside a stage, one forked by the first two-process pass and
 kept for later ones, forecasts the windows at odd positions and is sent the
 model and its windows pickled. Each process runs its share in chunks
 of ``SCORE_CHUNK`` windows, one untaped stacked value-path pass per chunk
-(``Model.stage2_values``) whose graph pass runs on stacks of
-``model.GRAPH_STACK`` windows, and each forecast is bitwise the one
-``predict`` gives. A helper that cannot be forked leaves the work to this
-process.
+(``Model.stage2_values``), and each forecast is bitwise the one ``predict``
+gives. A helper that cannot be forked leaves the work to this process.
 
 Every window set a model sees is built here: ``new_model`` with a new model,
 which records its text encoder, and ``model_split`` as a model recorded.
@@ -190,10 +188,10 @@ def _chunks(order: np.ndarray, size: int):
         yield order[i: i + size]
 
 
-# A window loss takes a stack of windows and the epoch. For one window it
-# returns the window's scalar loss, for several their (C,) losses; and a
-# (C, ...) stack of one array per window, which the stage sums window by
-# window, or None.
+# A window loss takes a stack of windows and the epoch, and returns the
+# windows' (C,) losses, passing the stack to the model whole, a stack of one
+# included; and a (C, ...) stack of one array per window, which the stage
+# sums window by window, or None.
 WindowLoss = Callable[[list[SeriesWindow], int], tuple[Tensor, np.ndarray | None]]
 
 # Windows per tape: a batch splits into stacks of up to this many consecutive windows, one taped pass and one backward
@@ -552,10 +550,8 @@ def train_stage1(model: Model, windows: list[SeriesWindow], config: TrainConfig)
         raise TrainingError("stage 1 requires the graph or local-text component")
 
     def window_loss(stack: list[SeriesWindow], epoch: int) -> tuple[Tensor, np.ndarray | None]:
-        loss, matrix = model.stage1_forward(stack[0] if len(stack) == 1 else stack)
-        if matrix is None or epoch != config.epochs_stage1 - 1:
-            return loss, None
-        return loss, matrix.reshape((len(stack),) + matrix.shape[-2:])  # one (d, d) matrix per window
+        loss, matrix = model.stage1_forward(stack)
+        return loss, matrix if epoch == config.epochs_stage1 - 1 else None  # one (d, d) matrix per window, or None
 
     matrix_sum = _train_epochs(model, windows, config, 1, window_loss)
     t_steps = windows[0].inputs.shape[0]
@@ -572,11 +568,8 @@ def train_stage2(model: Model, windows: list[SeriesWindow], config: TrainConfig)
     frozen_bytes = model.a_star.tobytes() if model.a_star is not None else None
 
     def window_loss(stack: list[SeriesWindow], epoch: int) -> tuple[Tensor, None]:
-        if len(stack) == 1:
-            values, targets = model.stage2_forward(stack[0]), stack[0].targets
-        else:
-            values, targets = model.stage2_forward(stack), np.stack([w.targets for w in stack])
-        return joint_loss(values, model.scale_targets(targets), model.lpo, config.lambda_prompt), None
+        targets = model.scale_targets(np.stack([w.targets for w in stack]))
+        return joint_loss(model.stage2_forward(stack), targets, model.lpo, config.lambda_prompt), None
 
     _train_epochs(model, windows, config, 2, window_loss)
     if frozen_bytes is not None and model.a_star.tobytes() != frozen_bytes:
@@ -621,9 +614,9 @@ def predict(model: Model, window: SeriesWindow) -> np.ndarray:
         return model.unscale_predictions(model.stage2_forward(window).data)
 
 
-# Windows per stacked value-path pass when a window set is scored; the chunk's graph pass runs on stacks of
-# model.GRAPH_STACK windows. One constant for both, chunks of four, gives bitwise the same forecasts but made a
-# 105-window evaluate pass slower: train-full by 4-17% and train-text by 6-31% (6 rounds each, 2-vCPU x86-64 guest).
+# Windows per stacked value-path pass when a window set is scored, the graph pass included. Chunks of four give bitwise
+# the same forecasts but made a 105-window evaluate pass slower: train-full by 4-17% and train-text by 6-31% (6 rounds
+# each, 2-vCPU x86-64 guest). One graph pass per chunk of eight was as fast as two of four (ROADMAP item 10).
 SCORE_CHUNK = 8
 
 

@@ -53,10 +53,14 @@ class EncoderConfig:
     """A model's text encoder: vectors looked up by id in ``embedding_file``, or hashed when it is None.
 
     The file is read on the first lookup. A model records the encoder its
-    training windows were built with, and its model file carries it.
+    training windows were built with, and its model file carries it; a
+    pickle carries the name alone, not the table (scoring pickles models).
     """
 
     embedding_file: str | None = None
+
+    def __reduce__(self):
+        return EncoderConfig, (self.embedding_file,)
 
     @cached_property
     def embeddings(self) -> dict[str, TokenEmbeddings]:

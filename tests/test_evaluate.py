@@ -30,6 +30,7 @@ from kgcm.evaluate import (
 )
 from kgcm.model import ALL_COMPONENTS, Model, TrainConfig
 from kgcm.numeric import SeededRng
+from kgcm.text import EncoderConfig
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -158,7 +159,8 @@ class TestPredictionHelper:
             raise AssertionError("a chunk fell back to predict")
 
         monkeypatch.setattr(pipeline, "predict", refused)  # every chunk must run stacked
-        # with all five components, sets whose chunks end a stack of GRAPH_STACK graph windows part way
+        # with all five components, more sets whose last chunk falls short of SCORE_CHUNK, so the graph pass runs on
+        # stacks of more sizes
         sizes = (1, 7, 8, 9, 19) + ((3, 5, 12, 13) if components == ALL_COMPONENTS else ())
         for on in (True, False):
             self._started(monkeypatch, on)
@@ -271,6 +273,59 @@ class TestPredictionHelper:
         got = pipeline.predict_windows(model, windows)
         assert started == [1]
         assert [f.tobytes() for f in got] == [pipeline.predict(model, w).tobytes() for w in windows]
+
+    def test_a_file_encoder_model_scores_on_two_processes_as_predict_does(self, monkeypatch, tmp_path):
+        data = generate_synthetic(self.DATA)
+        ids = [f"{source}|{ts.isoformat()}" for source in (*data.regions, "global") for ts in data.timestamps]
+        rng = np.random.default_rng(0)
+        table = tmp_path / "embeddings.csv"
+        table.write_text("".join(f"{i}," + ",".join(map(str, rng.normal(size=self.CONFIG.d).tolist())) + "\n" for i in ids))
+        model, split = pipeline.new_model(data, self.CONFIG, ALL_COMPONENTS, EncoderConfig(str(table)))
+        assert "embeddings" in vars(model.encoder)  # read by new_model's window build
+        windows = split.test + split.val
+        started = self._started(monkeypatch, True)
+        report = evaluate(model, windows)
+        assert started == [1]
+        assert report.forecasts.tobytes() == np.stack([pipeline.predict(model, w) for w in windows]).tobytes()
+
+    @pytest.mark.parametrize("on", [True, False], ids=["helper", "alone"])
+    def test_every_batch_call_gets_a_stack(self, monkeypatch, tmp_path, on):
+        # each call appends its kind and process to a file, so calls in the forked helper count too
+        log = tmp_path / "calls.txt"
+
+        def recording(method):
+            def wrapped(model, windows, *args):
+                with open(log, "a") as fh:
+                    fh.write(f"{type(windows).__name__} {os.getpid()}\n")
+                return method(model, windows, *args)
+            return wrapped
+
+        def calls() -> list[tuple[str, bool]]:
+            """(argument type, made in this process) of each call logged so far; clears the log."""
+            lines = log.read_text().split() if log.exists() else []
+            log.unlink(missing_ok=True)
+            return [(kind, int(pid) == os.getpid()) for kind, pid in zip(lines[::2], lines[1::2])]
+
+        for name in ("stage1_forward", "_values"):
+            monkeypatch.setattr(Model, name, recording(getattr(Model, name)))
+        monkeypatch.setattr(pipeline, "TRAIN_STACK", 4)
+        self._started(monkeypatch, on)
+        model, split = pipeline.new_model(generate_synthetic(self.DATA), replace(self.CONFIG, batch_size=5),
+                                          ALL_COMPONENTS)
+        assert len(split.train) % 5 == 0  # every batch is a stack of four and a stack of one
+        pipeline.train_stage1(model, split.train, model.config)
+        pipeline.train_stage2(model, split.train, model.config)
+        fitted = calls()
+        assert {kind for kind, _ in fitted} == {"list"}
+        assert {here for _, here in fitted} == {True, False} if on else {True}
+        # 17 windows: alone, chunks of 8, 8 and 1; with the helper, this process's 9 in chunks of 8 and 1
+        windows = (split.val + split.test + split.train)[:17]
+        pipeline.predict_windows(model, windows)
+        scored = calls()
+        assert {kind for kind, _ in scored} == {"list"}
+        assert {here for _, here in scored} == {True, False} if on else {True}
+        pipeline.predict(model, windows[0])
+        assert calls() == [("SeriesWindow", True)]
 
     def test_one_helper_serves_many_passes(self, monkeypatch):
         data = generate_synthetic(self.DATA)

@@ -1,3 +1,4 @@
+import pickle
 from datetime import datetime, timezone
 
 import numpy as np
@@ -185,6 +186,18 @@ class TestEncodeDispatch:
         np.testing.assert_array_equal(encode("x", "k", encoder, 8).pooled, [1.0, 2.0])
         p.unlink()
         np.testing.assert_array_equal(encode("x", "k", encoder, 8).pooled, [1.0, 2.0])
+
+    def test_a_pickle_carries_the_file_name_and_not_the_table_read_from_it(self, tmp_path):
+        # a two-process scoring pass pickles its model, encoder included, each time
+        p = tmp_path / "emb.csv"
+        p.write_text("".join(f"k{i},{i}.5,2.0\n" for i in range(100)))
+        encoder = EncoderConfig(str(p))
+        encode("x", "k1", encoder, 8)
+        assert "embeddings" in vars(encoder)
+        assert pickle.dumps(encoder) == pickle.dumps(EncoderConfig(str(p)))
+        copy = pickle.loads(pickle.dumps(encoder))
+        assert copy == encoder and "embeddings" not in vars(copy)
+        np.testing.assert_array_equal(encode("x", "k99", copy, 8).pooled, [99.5, 2.0])
 
 
 def test_embedding_id_names_the_source_and_the_timestamp():
