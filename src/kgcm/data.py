@@ -95,6 +95,8 @@ class GeneratorConfig:
             raise ConfigError("event_amp_lo must not exceed event_amp_hi")
         if self.text_mode not in ("full", "shuffled", "empty"):
             raise ConfigError(f"text_mode must be full, shuffled or empty, got {self.text_mode!r}")
+        if not 0 <= self.seed < 2 ** 64:  # the random streams take a 64-bit seed, and would wrap any other
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass

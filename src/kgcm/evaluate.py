@@ -144,10 +144,10 @@ def ablation_variants() -> list[tuple[str, frozenset[str]]]:
 
 
 def _run_one(args) -> AblationRow:
-    dataset, config, variant, components, seed, encoder = args
-    model = fit(dataset, replace(config, seed=seed), components, encoder)
+    dataset, config, variant, components, encoder = args
+    model = fit(dataset, config, components, encoder)
     report = evaluate(model, model_split(model, dataset).test)
-    return AblationRow(variant=variant, components=components, seed=seed, report=report.metrics)
+    return AblationRow(variant=variant, components=components, seed=config.seed, report=report.metrics)
 
 
 def run_ablation(dataset: DemandDataset, config: TrainConfig, seeds,
@@ -160,11 +160,11 @@ def run_ablation(dataset: DemandDataset, config: TrainConfig, seeds,
     way, in task order: variant order and then seed order. If fits raise,
     the exception of the first in that order is raised.
     """
-    seeds = list(seeds)
-    if not seeds:
+    configs = [replace(config, seed=seed) for seed in seeds]  # a seed outside [0, 2**64) fails here, before any fit
+    if not configs:
         raise MetricError("ablation needs at least one seed")
-    tasks = [(dataset, config, variant, components, seed, encoder)
-             for variant, components in ablation_variants() for seed in seeds]
+    tasks = [(dataset, seeded, variant, components, encoder)
+             for variant, components in ablation_variants() for seeded in configs]
     workers = min(usable_cpus(), len(tasks))
     if workers < 2:
         return [_run_one(task) for task in tasks]

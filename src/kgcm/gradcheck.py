@@ -1,7 +1,7 @@
 """Finite-difference verification of what ``Model`` runs.
 
 Each check builds a scalar function around one function or kernel that
-``Model`` calls (or around the whole joint objective), on the shapes it
+``Model`` calls (or around a whole stage objective), on the shapes it
 passes, and compares tape gradients against central differences. Every
 kernel with a window axis gets a stack of two different windows, as
 training and scoring stack them: (C, T, F) rows for the embedding, in its
@@ -11,9 +11,9 @@ whose token counts differ and skip a step, so its per-window loop sums two
 windows' gradients; the gate as the ``lpo`` gate (no bias, both row sets
 tracked) and as the ``rcpg`` gate (a bias, each window's pooled vector
 tiled over its steps); ``acmfw_weight``; the graph layer on (S, C, d, n)
-states lifted from rows by ``history_columns``, one step read out as zero,
-in the rows, ``w_query`` and ``w_trans`` (``numeric._window_sum``), and cut
-to its last step (``last_only``) as stage 1's last layer runs it; the graph
+states lifted from rows by ``history_columns``, in the rows, ``w_query``
+and ``w_trans`` (``numeric._window_sum``), and carried: step T-1 alone from
+a row-stochastic start of each window's own, as stage 1 tapes it; the graph
 pass through two layers with T > n, in the rows (the stacked
 ``history_columns`` scatter) and ``w_key``; each encoder kernel in its rows
 and one weight: time attention, feature attention under a non-uniform
@@ -21,19 +21,24 @@ structural bias, also cut to its last row (``last_only``), and the
 feedforward across its ReLU; and the whole encoder through two blocks and
 the heads on each window's last row, an uncut block feeding a cut one.
 
-The end-to-end instance runs the joint objective on a stack of one window,
-as training does, with its graph pass in float64, where ``Model`` runs it
-in float32: a float32 loss rounds far above what central differences can
-resolve. The graph layer and graph pass checks get float64 states and rows.
-The graph layer check and the end-to-end instance keep the smoothing
-coefficient at zero because the smoothing history is deliberately carried
-as a constant; any nonzero coefficient would make the comparison measure
-that design choice instead of the gradients. The tests hold the layer at a
-nonzero coefficient to its three-kernel composite instead. The end-to-end
-instance's input series is smooth so the two-point node layer norm stays in
-its epsilon-dominated regime, where finite differences can resolve the true
-gradients. Its loss is scored against the noise of its own finite
-differences (see ``_check_joint_loss``).
+The end-to-end checks run each stage's objective on a stack of one window,
+as training does: the joint loss of stage 2, and stage 1's auxiliary loss
+with all five components and with ``lpo`` alone. Their instance runs its
+graph pass in float64, where ``Model`` runs it in float32: a float32 loss
+rounds far above what central differences can resolve. The graph layer and
+graph pass checks get float64 states and rows. The uncut graph layer check
+and the end-to-end instance keep the smoothing coefficient at zero because
+the smoothing history is deliberately carried as a constant; at a nonzero
+coefficient central differences would see the carried matrices move,
+which the tape does not, and the comparison would measure that design
+choice instead of the gradients. The carried check runs at 0.9: its start
+matrix is an argument, not a function of the probed inputs, so it shows
+that the layer's gradient passes the smoothing factor. The tests hold the
+layer at a nonzero coefficient to its three-kernel composite too. The
+end-to-end instance's input series is smooth so the two-point node layer
+norm stays in its epsilon-dominated regime, where finite differences can
+resolve the true gradients. Its losses are scored against the noise of
+their own finite differences (see ``_check_objective``).
 
 ``grad_check`` compares one tensor's tape gradients with central
 differences. No model path runs it, so it stays out of ``numeric``.
@@ -68,7 +73,7 @@ from .text import encode_hashed
 __all__ = ["CheckResult", "grad_check", "run_all_checks", "tiny_instance_window", "tiny_instance_config"]
 
 DEFAULT_TOLERANCE = 1e-4
-STACK_STEPS = 4  # stacked graph-layer check: enough steps for one read out as zero
+GRAPH_STEPS = 4  # rows per window of the graph-layer checks
 # The joint-loss check allows each coordinate this many times its finite
 # difference's estimated noise on top of the relative tolerance. The estimate
 # |CD(h) - CD(2h)| is three times CD(h)'s O(h^2) truncation error, but the
@@ -123,12 +128,6 @@ def _central_difference(loss: Callable[[], Tensor], flat: np.ndarray, i: int, h:
 def _weighted(x: Tensor, rng: SeededRng) -> Tensor:
     """Squared error against a random target; keeps probes away from flat loss directions."""
     return nm.sse(x, rng.normal(x.data.shape))
-
-
-def _weighted_steps(x: Tensor, rng: SeededRng) -> Tensor:
-    """``_weighted`` on a stack of steps without step 1, so step 1's gradient is exactly zero."""
-    target = rng.normal(x.data.shape)
-    return nm.add(nm.sse(nm.take(x, 0), target[0]), nm.sse(nm.take(x, np.s_[2:]), target[2:]))
 
 
 def _each_argument(f, *arrays: np.ndarray) -> float:
@@ -190,16 +189,25 @@ def _check_prompt_loss(rng: SeededRng) -> float:
     return grad_check(lambda ps: prompt_loss(replace(params, prompt_struct=ps)), Tensor(params.prompt_struct.data.copy()))
 
 
-def _check_graph_layer(rng: SeededRng, last_only: bool = False) -> float:
-    layer = init_dgso_params(4, 4, 1, 0.0, rng.child("p")).layers[0]
+def _check_graph_layer(rng: SeededRng, carried: bool = False) -> float:
+    """The layer on every step of a stack at lam = 0, or, ``carried``, as stage 1 tapes it.
+
+    The carried layer runs step T-1 alone at lam = 0.9 from a row-stochastic
+    start of each window's own. The start is an argument, not a function of
+    the probed inputs, so the check is exact at a nonzero coefficient.
+    """
+    lam = 0.9 if carried else 0.0
+    layer = init_dgso_params(4, 4, 1, lam, rng.child("p")).layers[0]
+    raw = rng.uniform((2, 5, 5)) + 0.1
+    start = raw / raw.sum(axis=-1, keepdims=True) if carried else uniform_matrix(5)
+    steps = [GRAPH_STEPS - 1] if carried else range(GRAPH_STEPS)
 
     def f(rows, wq, w):
-        states = nm.history_columns(rows, range(STACK_STEPS), 4)  # (S, C, d, n): no tensor of rank 4 holds data
-        out, _ = nm.graph_layer(states, wq, layer.w_key, w, layer.ln_gamma, layer.ln_beta, uniform_matrix(5), 0.0,
-                                last_only)
-        return _weighted(out, rng.child("w")) if last_only else _weighted_steps(out, rng.child("ws"))
+        states = nm.history_columns(rows, steps, 4)  # (S, C, d, n): no tensor of rank 4 holds data
+        out, _ = nm.graph_layer(states, wq, layer.w_key, w, layer.ln_gamma, layer.ln_beta, start, lam)
+        return _weighted(out, rng.child("w"))
 
-    return _each_argument(f, rng.normal((2, STACK_STEPS, 5)), layer.w_query.data, layer.w_trans.data)
+    return _each_argument(f, rng.normal((2, GRAPH_STEPS, 5)), layer.w_query.data, layer.w_trans.data)
 
 
 def _check_graph_pass(rng: SeededRng) -> float:
@@ -289,10 +297,12 @@ def tiny_instance_window(config: TrainConfig, seed: int = 0) -> SeriesWindow:
     )
 
 
-def _check_joint_loss(seed: int, h: float) -> float:
-    """Gradients of the full objective for every live parameter at once.
+def _check_objective(seed: int, h: float, stage: int = 2, components=ALL_COMPONENTS) -> float:
+    """Gradients of a stage's objective on the tiny instance for every live parameter at once.
 
-    Each coordinate is scored by the part of its error that exceeds
+    Stage 2 is the joint loss of the forecast, stage 1 the auxiliary loss
+    of ``stage1_forward``; both run on a stack of one window, as training
+    does. Each coordinate is scored by the part of its error that exceeds
     ``NOISE_FACTOR`` times the noise of its central difference CD(h), relative
     to the larger of the analytic and the numeric gradient. The noise is the
     larger of |CD(h) - CD(2h)| and eps |loss| / h, the difference quotient of
@@ -300,18 +310,21 @@ def _check_joint_loss(seed: int, h: float) -> float:
     |analytic - CD(h)| is below the tolerance times the gradient plus that
     allowance. An error within ``NOISE_FACTOR`` rounding steps scores zero
     whatever CD(2h) reads, so CD(2h) is computed only for the others: on
-    seeds 0 to 2, for 6 to 37 coordinates of 518.
+    seeds 0 to 2, for 6 to 37 coordinates of the joint loss's 518.
     """
     config = tiny_instance_config(seed)
-    model = build_model(config, ALL_COMPONENTS, feature_count=5)
+    model = build_model(config, components, feature_count=5)
     # central differences of a float32 graph pass cannot resolve its gradients; the check runs it in float64
     model.graph_dtype = np.float64
     window = tiny_instance_window(config, seed)
-    params = model.stage2_parameters()
+    params = model.stage1_parameters() if stage == 1 else model.stage2_parameters()
 
     def loss_value() -> Tensor:
-        losses = joint_loss(model.stage2_forward([window]), model.scale_targets(window.targets[None]), model.lpo,
-                            config.lambda_prompt)
+        if stage == 1:
+            losses = model.stage1_forward([window])[0]
+        else:
+            losses = joint_loss(model.stage2_forward([window]), model.scale_targets(window.targets[None]),
+                                model.lpo, config.lambda_prompt)
         return nm.take(losses, 0)  # the one loss of a stack of one
 
     nm.clear_tape()
@@ -333,7 +346,7 @@ def _check_joint_loss(seed: int, h: float) -> float:
 
 
 def run_all_checks(seed: int = 0, h: float = 1e-5) -> list[CheckResult]:
-    """Every check of a function ``Model`` calls, plus the end-to-end joint objective."""
+    """Every check of a function ``Model`` calls, plus the end-to-end objectives of both stages."""
     checks = [
         ("linear", _check_linear),
         ("embed_structured_rows", _check_embed_structured_rows),
@@ -347,12 +360,14 @@ def run_all_checks(seed: int = 0, h: float = 1e-5) -> list[CheckResult]:
         ("time_attention_norm", _check_time_attention),
         ("feature_attention_norm", _check_feature_attention),
         ("feature_attention_norm/last_only", lambda rng: _check_feature_attention(rng, last_only=True)),
-        ("graph_layer/last_only", lambda rng: _check_graph_layer(rng, last_only=True)),
+        ("graph_layer/carried", lambda rng: _check_graph_layer(rng, carried=True)),
         ("feedforward_norm", _check_feedforward),
     ]
     results = []
     for name, fn in checks:
         rng = SeededRng(seed).child(f"gradcheck/{name}")
         results.append(CheckResult(name=name, max_error=fn(rng)))
-    results.append(CheckResult(name="joint_loss", max_error=_check_joint_loss(seed, h)))
+    results.append(CheckResult(name="joint_loss", max_error=_check_objective(seed, h)))
+    results.append(CheckResult(name="stage1_loss", max_error=_check_objective(seed, h, stage=1)))
+    results.append(CheckResult(name="stage1_loss/lpo", max_error=_check_objective(seed, h, 1, frozenset({"lpo"}))))
     return results

@@ -7,15 +7,14 @@ Every step builds a row-stochastic relation matrix from projected node
 states, smooths it against the previous step's matrix, and runs one graph
 convolution per layer with residual + layer norm. Gradients flow through
 the current step's raw matrix only; the smoothing history is carried as a
-constant. A step's math therefore depends only on its own inputs and the
-parameters, so each layer runs on all T steps at once: one lift of the
-(T, d, n) states, then per layer one fused kernel (``numeric.graph_layer``)
-that builds, smooths and convolves the stack and records one tape entry.
-Stage 1 reads only the last step's final states, so there the last layer
-convolves the last step alone; it still builds and smooths every step's
-relation, because the last smoothed matrix depends on all of them.
-``run_dgso`` is what ``Model`` calls and what ``gradcheck`` checks, together
-with the layer kernel.
+constant (backpropagation through time truncated at one step). A step's
+math therefore depends only on its own inputs and the parameters, so each
+layer runs on all T steps at once: one lift of the (T, d, n) states, then
+per layer one fused kernel (``numeric.graph_layer``) that builds, smooths
+and convolves the stack and records one tape entry. Stage 1 reads only the
+last step, so it tapes step T-1 alone from matrices carried off the tape.
+``run_dgso`` is what ``Model`` calls and what ``gradcheck`` checks,
+together with the layer kernel.
 
 ``run_dgso`` also takes a (C, T, d) stack of C windows' rows, on a tape and
 off it. The lift then gives (T, C, d, n) states, the step axis outermost,
@@ -46,6 +45,8 @@ from .numeric import (
     Tensor,
     graph_layer,
     history_columns,
+    no_tape,
+    relation_carry,
 )
 
 __all__ = [
@@ -106,26 +107,39 @@ def run_dgso(fused_rows: Tensor, params: DgsoParams, n: int, last_step_only: boo
     """Run the full graph pass over a (T, d) window of fused step rows.
 
     Returns the last layer's (T, d, n) node states and its smoothed relation
-    matrix at the last step. With ``last_step_only`` (stage 1) the last
-    layer convolves step T-1 alone and the states are (1, d, n); the matrix
-    is the same. Every layer's smoothing state starts at the uniform matrix
-    at the window's first step and is carried across its consecutive steps,
-    so a window's pass depends on that window alone. Steps earlier than n-1
-    pad their history by repeating the first step. States and matrix have
-    the dtype of ``fused_rows``.
+    matrix at the last step. Every layer's smoothing state starts at the
+    uniform matrix at the window's first step and is carried across its
+    consecutive steps, so a window's pass depends on that window alone.
+    Steps earlier than n-1 pad their history by repeating the first step.
+    States and matrix have the dtype of ``fused_rows``.
+
+    With ``last_step_only`` (stage 1) the states are step T-1's, (1, d, n),
+    and the matrix is the same: steps 0..T-2 run off the tape, the last
+    layer through ``relation_carry``, and each layer's matrix at step T-2
+    is the constant ``start`` of its taped call on step T-1.
 
     ``fused_rows`` may also be a (C, T, d) stack of C windows. The pass then
     runs them together, the step axis outermost, and returns (T, C, d, n)
-    states and (C, d, d) matrices, each window's slice bitwise its own
-    call's, on a tape and off it.
+    states, or (1, C, d, n), and (C, d, d) matrices, each window's slice
+    bitwise its own call's, on a tape and off it.
     """
     shape = fused_rows.data.shape
     if len(shape) not in (2, 3) or 0 in shape[:-1]:
         raise ContractError(f"run_dgso needs a (T, d) window or a (C, T, d) stack, got shape {shape}")
     t_steps, d = shape[-2:]
-    states = history_columns(fused_rows, range(t_steps), n)
-    start, last = uniform_matrix(d), len(params.layers) - 1
-    for l, layer in enumerate(params.layers):
+    layers, lam, steps = params.layers, params.ema_lambda, range(t_steps)
+    starts = [uniform_matrix(d)] * len(layers)
+    if last_step_only:
+        steps = [t_steps - 1]
+        if t_steps > 1:
+            with no_tape():
+                states = history_columns(fused_rows, range(t_steps - 1), n)
+                for l, layer in enumerate(layers[:-1]):
+                    states, starts[l] = graph_layer(states, layer.w_query, layer.w_key, layer.w_trans,
+                                                    layer.ln_gamma, layer.ln_beta, starts[l], lam)
+                starts[-1] = relation_carry(states, layers[-1].w_query, layers[-1].w_key, starts[-1], lam)
+    states = history_columns(fused_rows, steps, n)
+    for layer, start in zip(layers, starts):
         states, matrix = graph_layer(states, layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma,
-                                     layer.ln_beta, start, params.ema_lambda, last_step_only and l == last)
+                                     layer.ln_beta, start, lam)
     return states, matrix

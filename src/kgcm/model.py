@@ -24,8 +24,8 @@ cross-attention, the graph pass and stage 1's readout included, run on
 (C, T, d) rows, one tape entry each; the graph pass runs on (T, C, d, n)
 states, the step axis outermost, and its (T, C, d) rows return to
 (C, T, d) through one ``swap_leading`` entry, on the tape and off it.
-Training, scoring (``stage2_values``) and the joint-loss gradient check
-pass stacks, stacks of one included. A single window keeps a rank-2 path
+Training, scoring (``stage2_values``) and the gradient checks of both
+stage objectives pass stacks, stacks of one included. A single window keeps a rank-2 path
 with two readers: ``pipeline.predict``, and the tests, which hold each
 window's values, loss, stage-1 matrix and row gradients in a stack bitwise
 to those of its own one-window forward. A parameter's gradient from a
@@ -53,10 +53,12 @@ feature attention, matrix as bias (ssa)         predictor.structural_bias,      
 "cross-modal feature fusion": text (lpo)        fusion_local.guided_cross_attention  gradcheck:guided_cross_attention,
                                                 and prompt_loss,                     gradcheck:prompt_loss, row +lpo
                                                 numeric.step_cross_attention
-"reasoning-based dynamic update strategy"       pipeline.train_stage1 freezes        gradcheck:graph_layer/last_only
-                                                a_star, the mean of the graph's      (its cut layer), rows +dgso,
-                                                ema_lambda-smoothed last matrices    +acmfw and +lpo run it; no row
-                                                                                     leaves it out
+"reasoning-based dynamic update strategy"       pipeline.train_stage1 freezes        gradcheck:graph_layer/carried
+                                                a_star, the mean of the graph's      (its taped last step),
+                                                ema_lambda-smoothed last matrices    gradcheck:stage1_loss,
+                                                                                     gradcheck:stage1_loss/lpo, rows
+                                                                                     +dgso, +acmfw and +lpo run it;
+                                                                                     no row leaves it out
 joint training of the value path (stage 2)      pipeline.train_stage2, joint_loss    gradcheck:joint_loss, every row
 "local and global adaptive graph networks"      none between regions: no forward     not testable on this data
                                                 pass reads SeriesWindow.region
@@ -165,6 +167,8 @@ class TrainConfig:
             raise ConfigError(f"ema_lambda must lie in [0, 1], got {self.ema_lambda}")
         if self.lambda_prompt < 0.0:
             raise ConfigError(f"lambda_prompt must be >= 0, got {self.lambda_prompt}")
+        if not 0 <= self.seed < 2 ** 64:  # the random streams take a 64-bit seed, and would wrap any other
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass

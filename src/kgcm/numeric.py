@@ -32,7 +32,7 @@ of C window losses differentiates their sum: each window's slice of a
 stacked gradient is bitwise its own, and a parameter's gradient sums over
 the windows. The graph pass takes a stack too, with the window axis after
 the step axis: ``history_columns`` at a sequence of steps gives
-(S, C, d, n) states, and ``graph_layer`` takes them.
+(S, C, d, n) states, and ``graph_layer`` and ``relation_carry`` take them.
 
 Randomness is centralized in ``SeededRng``, a thin wrapper over the
 counter-based Philox generator: one root seed, named child streams, and an
@@ -73,6 +73,7 @@ __all__ = [
     "sum_sq",
     "sse",
     "graph_layer",
+    "relation_carry",
     "history_columns",
     "time_attention_norm",
     "feature_attention_norm",
@@ -542,36 +543,33 @@ def sse(pred: Tensor, target: np.ndarray, windows: bool = False) -> Tensor:
 #
 # ``graph_layer`` is one whole graph layer: relation softmax, smoothing scan
 # and convolution with residual and layer norm, over a stack of S steps of
-# (S, d, n) node states; the graph pass runs all T steps of a window as one
-# stack. On a tape it keeps one (S, d, d) float stack, the relations, with
-# the bool ReLU masks of the scores and of the convolution and the layer
-# norm's ``xhat`` and ``inv``. Its backward rebuilds the smoothed stack by
-# running the scan again over the relations, and the products A H, H Wq and
-# H Wk, with the forward's own calls, so every rebuilt array is bitwise the
-# forward's (recomputation, as in Chen et al., "Training Deep Nets with
-# Sublinear Memory Cost", 2016). Rebuilding the relations too would cost
-# about 0.9 ms per stack of four windows and layer, so they stay. The cut
-# layer keeps a copy of its one smoothed step. At the default shapes a taped
-# stack of four windows keeps 1,229 KiB per layer, where keeping q, k, the
-# smoothed stack and the products as well kept 2,712 KiB. The backward takes
-# the convolution's gradient in the smoothed matrices through the constant
-# smoothing factor straight into the softmax backward, and writes that
-# gradient stack into the rebuilt stack's memory rather than a fresh one.
-# Fewer fresh stacks matter beyond their copies: glibc hands a freed heap
-# top back to the OS, and every fresh page then faults in again. Parameter
-# gradients sum over the steps. Backward leaves out the steps whose incoming
-# gradient is exactly zero: backward is linear in that gradient, so this is
-# exact, and a readout of the last step alone (stage 1) then costs one step
-# of backward instead of T. When no tape records the
-# call (``predict``, ``evaluate``), the layer keeps nothing for a backward:
-# no ReLU mask, and the smoothing runs in place over the relation stack;
-# its scores take a contiguous copy of k^T, and it frees the relation stack
-# before its layer norm, whose residual sum runs in place. Its layer norms
-# reduce rows of only n history columns, which ``_row_sum`` adds for n = 8
-# by strided slice-adds in numpy's own summation order, so every output
-# stays bitwise what ``sum`` gives. The model runs the layer on float32 states, which
-# halves the bytes its (S, d, d) stacks move; given float64 states it is
-# the float64 layer it was, bit for bit.
+# (S, d, n) node states. Stage 2 runs all T steps of a window as one stack;
+# stage 1 tapes step T-1 alone (``graph.run_dgso``). On a tape the layer
+# keeps one (S, d, d) float stack, the relations, with the bool ReLU masks
+# of the scores and of the convolution and the layer norm's ``xhat`` and
+# ``inv``. Its backward rebuilds the smoothed stack by running the scan
+# again over the relations, and the products A H, H Wq and H Wk, with the
+# forward's own calls, so every rebuilt array is bitwise the forward's
+# (recomputation, as in Chen et al., "Training Deep Nets with Sublinear
+# Memory Cost", 2016). Rebuilding the relations too would cost about 0.9 ms
+# per stack of four windows and layer, so they stay. At the default shapes a
+# taped stack of four windows keeps 1,229 KiB per layer, where keeping q, k,
+# the smoothed stack and the products as well kept 2,712 KiB. The backward
+# takes the convolution's gradient in the smoothed matrices through the
+# constant smoothing factor straight into the softmax backward, and writes
+# that gradient stack into the rebuilt stack's memory rather than a fresh
+# one. Fewer fresh stacks matter beyond their copies: glibc hands a freed
+# heap top back to the OS, and every fresh page then faults in again.
+# Parameter gradients sum over the steps. When no tape records the call
+# (``predict``, ``evaluate``, stage 1's earlier steps), the layer keeps
+# nothing for a backward: no ReLU mask, and the smoothing runs in place over
+# the relation stack; its scores take a contiguous copy of k^T, and it frees
+# the relation stack before its layer norm, whose residual sum runs in
+# place. Its layer norms reduce rows of only n history columns, which
+# ``_row_sum`` adds for n = 8 by strided slice-adds in numpy's own summation
+# order, so every output stays bitwise what ``sum`` gives. The model runs
+# the layer on float32 states, which halves the bytes its (S, d, d) stacks
+# move; given float64 states it is the float64 layer it was, bit for bit.
 #
 # The encoder kernels (``time_attention_norm``, ``feature_attention_norm``,
 # ``feedforward_norm``) are the three sublayers of one encoder block, each
@@ -614,27 +612,6 @@ def sse(pred: Tensor, target: np.ndarray, windows: bool = False) -> Tensor:
 # in stacks may differ from one in single windows.
 
 
-def _live_steps(g: np.ndarray, *arrays: np.ndarray):
-    """The stacked steps whose gradient is not all zero, and ``g`` and ``arrays`` cut to them.
-
-    Backward is linear in ``g``, so leaving out the all-zero steps is exact.
-    Returns ``slice(None)`` and the inputs unchanged when every step is live.
-    """
-    live = np.flatnonzero(g.reshape(len(g), -1).any(axis=1))
-    if live.size == len(g):
-        return slice(None), (g,) + arrays
-    return live, tuple(x[live] for x in (g,) + arrays)
-
-
-def _on_steps(part: np.ndarray, live, shape: tuple[int, ...], first: int = 0) -> np.ndarray:
-    """The live steps' gradient placed in zeros of the full stacked ``shape``, counting the steps from ``first``."""
-    if isinstance(live, slice) and not first:
-        return part
-    full = np.zeros(shape, dtype=part.dtype)
-    full[first:][live] = part
-    return full
-
-
 def _smooth(relations: np.ndarray, start: np.ndarray, lam: float, out: np.ndarray | None = None) -> np.ndarray:
     """The smoothing scan ``A[t] = lam * A[t-1] + (1 - lam) * relations[t]`` from ``A[-1] = start``, into ``out``.
 
@@ -667,60 +644,14 @@ def _window_sum(grad: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndar
     return total
 
 
-def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor, gamma: Tensor, beta: Tensor,
-                start: np.ndarray, lam: float, last_only: bool = False) -> tuple[Tensor, np.ndarray]:
-    """One graph layer over a (S, d, n) stack of node states, as a single tape entry.
-
-    The states may also be a (S, C, d, n) stack of C windows' states, the
-    step axis outermost: the scan then carries each window's (C, d, d)
-    matrices from the shared ``start``, and each window's slice of the
-    states, the matrix and the states' gradient is bitwise its own call's.
-    Each step builds its relation softmax_rows(relu((H Wq)(H Wk)^T)), the
-    smoothing scan ``A[t] = lam * A[t-1] + (1 - lam) * raw[t]`` from
-    ``A[-1] = start`` carries it across the steps, and the convolution gives
-    layer_norm(relu(A H W) + H). With ``last_only`` every step's relation is
-    built and smoothed, but only the last step is convolved. Returns the
-    convolved steps' (S, d, n) or (1, d, n) states, (S, C, d, n) or
-    (1, C, d, n) for a stack, and a copy of the last smoothed matrix, (d, d)
-    or (C, d, d), a constant. The history is a constant too, so a step's
-    gradient reaches its raw relation through its own smoothed matrix alone;
-    the parameter gradients sum over the steps, and over a stack's windows
-    each window's sum (``_window_sum``). A call that a tape records keeps
-    for its backward the relations, the ReLU masks of the scores and of the
-    convolution, and the layer norm's ``xhat`` and ``inv``; the cut keeps
-    its one smoothed step as well. The backward rebuilds the rest with the
-    forward's own calls: the smoothing scan over the kept relations, the
-    products A H, H Wq and H Wk. Without a tape the smoothing runs in place,
-    the scores take a contiguous k^T, and the relations are freed before the
-    layer norm.
-    The layer norm's row sums over the n history columns take
-    ``_row_sum``'s short path for n = 8. The layer computes in the dtype of
-    ``states``, float32 in the model's graph pass and float64 in the
-    gradient checks: the states, their gradient and the returned matrix
-    have that dtype, and the parameter gradients are float64.
-    """
-    h, wq, wk, w = states.data, w_query.data, w_key.data, w_trans.data
-    if h.ndim not in (3, 4) or not len(h) or wq.ndim != 2 or wk.ndim != 2 or h.shape[-1] != wq.shape[0] \
-            or h.shape[-1] != wk.shape[0] or w.shape != (h.shape[-1],) * 2 or start.shape != (h.shape[-2],) * 2:
-        raise ShapeError(f"graph_layer shapes disagree: {h.shape}, {wq.shape}, {wk.shape}, {w.shape}, {start.shape}")
-    n = h.shape[-1]
-    _check_affine("graph_layer", n, gamma, beta)
-    inputs = (states, w_query, w_key, w_trans, gamma, beta)
-    # the layer computes in its states' dtype: the parameters and the start matrix are cast to it (no copy
-    # when they share it), and lam becomes a Python float, which numpy applies in the array's dtype where a
-    # numpy float64 scalar would widen a float32 array
-    wq, wk, w, gam, bet, start = (np.asarray(x, dtype=h.dtype) for x in (wq, wk, w, gamma.data, beta.data, start))
-    lam = float(lam)
-    taped = _records(inputs)  # without a tape no backward runs, so the layer keeps nothing for one
-    first = len(h) - 1 if last_only else 0  # the first step convolved, and the first that backward reads
-    q = h @ wq
-    k = h @ wk
-    # in place from the scores on: the (S, d, d) temporaries dominate the memory traffic. A contiguous
-    # k^T gives the same product faster than the transposed view; a taped call keeps the view, since
-    # with that extra temporary training fell into glibc's heap trimming, faulting pages in every window
-    kt = k.swapaxes(-1, -2)
-    raw = q @ (kt if taped else np.ascontiguousarray(kt))
-    positive = raw[first:] > 0.0 if taped else None
+def _relations(h: np.ndarray, wq: np.ndarray, wk: np.ndarray, taped: bool):
+    """softmax_rows(relu((H Wq)(H Wk)^T)) of each (d, n) state in ``h``, and the scores' ReLU mask if ``taped``."""
+    # in place from the scores on: the (S, d, d) temporaries dominate the memory traffic. A contiguous k^T gives
+    # the same product faster than the transposed view; a taped call keeps the view, since with that extra
+    # temporary training fell into glibc's heap trimming, faulting pages in every window
+    kt = (h @ wk).swapaxes(-1, -2)
+    raw = (h @ wq) @ (kt if taped else np.ascontiguousarray(kt))
+    positive = raw > 0.0 if taped else None
     np.maximum(raw, 0.0, out=raw)
     # non-negative floats order as their bit patterns read as signed integers of the same width: the same
     # exact row max, about twice as fast
@@ -728,51 +659,108 @@ def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor,
     raw -= raw.view(bits).max(axis=-1, keepdims=True).view(raw.dtype)
     np.exp(raw, out=raw)
     raw /= raw.sum(axis=-1, keepdims=True)
-    # the relations backward reads; the cut (after copying the step it reads) and an untaped call smooth in place
-    p = raw[first:].copy() if taped and last_only else raw
-    a = _smooth(raw, start, lam, out=None if taped and not last_only else raw)
-    hc, ac = h[first:], a[first:]
-    mixed = ac @ hc
+    return raw, positive
+
+
+def _graph_arrays(op: str, states: Tensor, start: np.ndarray, *weights: Tensor) -> tuple[np.ndarray, ...]:
+    """The states, then ``w_query``, ``w_key``, any (n, n) weights and ``start``, checked and in the states' dtype."""
+    h, (wq, wk, *square) = states.data, (w.data for w in weights)
+    nodes, n = h.shape[-2:-1], h.shape[-1:]  # a start is (d, d), or (C, d, d) for a stack of C windows
+    if h.ndim not in (3, 4) or not len(h) or wq.ndim != 2 or wq.shape != wk.shape or n != wq.shape[:1] \
+            or any(w.shape != n * 2 for w in square) or start.shape not in (nodes * 2, h.shape[1:-1] + nodes):
+        raise ShapeError(f"{op} shapes disagree: {h.shape}, {', '.join(str(w.data.shape) for w in weights)}, "
+                         f"{start.shape}")
+    return (h,) + tuple(np.asarray(x, dtype=h.dtype) for x in (wq, wk, *square, start))
+
+
+def relation_carry(states: Tensor, w_query: Tensor, w_key: Tensor, start: np.ndarray, lam: float) -> np.ndarray:
+    """``graph_layer``'s last smoothed matrix of the same states, bitwise, by its own calls, with no convolution.
+
+    Nothing goes on a tape: stage 1 carries the matrix into the taped pass
+    of a window's last step as that step's constant ``start``.
+    """
+    h, wq, wk, start = _graph_arrays("relation_carry", states, start, w_query, w_key)
+    raw = _relations(h, wq, wk, taped=False)[0]
+    return _smooth(raw, start, float(lam), out=raw)[-1].copy()
+
+
+def graph_layer(states: Tensor, w_query: Tensor, w_key: Tensor, w_trans: Tensor, gamma: Tensor, beta: Tensor,
+                start: np.ndarray, lam: float) -> tuple[Tensor, np.ndarray]:
+    """One graph layer over a (S, d, n) stack of node states, as a single tape entry.
+
+    The states may also be a (S, C, d, n) stack of C windows' states, the
+    step axis outermost: the scan then carries each window's (C, d, d)
+    matrices from ``start``, one (d, d) matrix that every window shares or
+    a (C, d, d) stack of one per window, and each window's slice of the
+    states, the matrix and the states' gradient is bitwise its own call's.
+    Each step builds its relation softmax_rows(relu((H Wq)(H Wk)^T)), the
+    smoothing scan ``A[t] = lam * A[t-1] + (1 - lam) * raw[t]`` from
+    ``A[-1] = start`` carries it across the steps, and the convolution gives
+    layer_norm(relu(A H W) + H). Returns the (S, d, n) or (S, C, d, n)
+    states and a copy of the last smoothed matrix, (d, d) or (C, d, d), a
+    constant. The history is a constant too, so a step's gradient reaches
+    its raw relation through its own smoothed matrix alone; the parameter
+    gradients sum over the steps, and over a stack's windows each window's
+    sum (``_window_sum``). A call that a tape records keeps for its
+    backward the relations, the ReLU masks of the scores and of the
+    convolution, and the layer norm's ``xhat`` and ``inv``. The backward
+    rebuilds the rest with the forward's own calls: the smoothing scan over
+    the kept relations, the products A H, H Wq and H Wk. Without a tape the
+    smoothing runs in place, the scores take a contiguous k^T, and the
+    relations are freed before the layer norm.
+    The layer norm's row sums over the n history columns take
+    ``_row_sum``'s short path for n = 8. The layer computes in the dtype of
+    ``states``, float32 in the model's graph pass and float64 in the
+    gradient checks: the states, their gradient and the returned matrix
+    have that dtype, and the parameter gradients are float64.
+    """
+    h, wq, wk, w, start = _graph_arrays("graph_layer", states, start, w_query, w_key, w_trans)
+    n = h.shape[-1]
+    _check_affine("graph_layer", n, gamma, beta)
+    inputs = (states, w_query, w_key, w_trans, gamma, beta)
+    gam, bet = (np.asarray(x.data, dtype=h.dtype) for x in (gamma, beta))
+    # a Python float, which numpy applies in the array's dtype where a numpy float64 scalar would widen float32
+    lam = float(lam)
+    taped = _records(inputs)  # without a tape no backward runs, so the layer keeps nothing for one
+    p, positive = _relations(h, wq, wk, taped)
+    a = _smooth(p, start, lam, out=None if taped else p)  # the relations backward reads; untaped, in place
+    mixed = a @ h
     z = mixed @ w
     if not taped:
-        # nothing reads the projections, the relations or the products again: they go before the layer norm,
-        # whose residual sum takes z's memory. A stack of four windows that held them to the end freed more
-        # than glibc's trim threshold on return, and every call faulted its pages in again
+        # nothing reads the relations or the products again: they go before the layer norm, whose residual sum
+        # takes z's memory. A stack of four windows that held them to the end freed more than glibc's trim
+        # threshold on return, and every call faulted its pages in again
         matrix = a[-1].copy()
-        del q, k, kt, raw, p, a, ac, mixed
+        del p, a, mixed
         y = np.maximum(z, 0.0, out=z)
-        y += hc
+        y += h
         return _result(_norm_forward(y, gam, bet)[0], inputs, None), matrix
-    out, xhat, inv = _norm_forward(np.maximum(z, 0.0) + hc, gam, bet)
+    out, xhat, inv = _norm_forward(np.maximum(z, 0.0) + h, gam, bet)
     convolved = z > 0.0
-    # the cut's one smoothed step, copied so that it does not pin the whole (S, d, d) stack
-    kept = ac.copy() if last_only else None
 
     def bw(g):
-        # the smoothed steps, rebuilt from the kept relations unless the cut kept its own; backward runs once,
-        # so the convolution's gradient in A takes their memory below
-        smoothed = kept if last_only else _smooth(p, start, lam)
-        live, (g, al, hl, pl, pos, xl, il, cl) = _live_steps(g, smoothed, hc, p, positive, xhat, inv, convolved)
-        del smoothed
-        dy = _norm_input_backward(g, gam, xl, il)
-        dgamma = _window_sum(lambda gw, xw: _rows(gw * xw).sum(axis=0), g, xl)
+        # the smoothed steps, rebuilt from the kept relations; backward runs once, so the convolution's gradient
+        # in A takes their memory below
+        smoothed = _smooth(p, start, lam)
+        dy = _norm_input_backward(g, gam, xhat, inv)
+        dgamma = _window_sum(lambda gw, xw: _rows(gw * xw).sum(axis=0), g, xhat)
         dbeta = _window_sum(lambda gw: _rows(gw).sum(axis=0), g)
-        dz = dy * cl
-        mixed = al @ hl
+        dz = dy * convolved
+        mixed = smoothed @ h
         dw = _window_sum(lambda mw, dzw: mw.reshape(-1, n).T @ dzw.reshape(-1, n), mixed, dz)
         dmixed = dz @ w.T
         del mixed, dz
-        dh = al.swapaxes(-1, -2) @ dmixed + dy
+        dh = smoothed.swapaxes(-1, -2) @ dmixed + dy
         # the convolution's gradient in A, through the smoothing factor, into the softmax of the raw relation
-        gs = np.matmul(dmixed, hl.swapaxes(-1, -2), out=al)
+        gs = np.matmul(dmixed, h.swapaxes(-1, -2), out=smoothed)
         gs *= 1.0 - lam
-        gs -= (gs * pl).sum(axis=-1, keepdims=True)
-        gs *= pl
-        gs *= pos
-        gq = gs @ (hl @ wk)
-        gk = gs.swapaxes(-1, -2) @ (hl @ wq)
-        dh = _on_steps(dh + (gq @ wq.T + gk @ wk.T), live, h.shape, first)
-        dwq, dwk = (_window_sum(lambda hw, gw: hw.reshape(-1, n).T @ gw.reshape(-1, gw.shape[-1]), hl, gp)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= positive
+        gq = gs @ (h @ wk)
+        gk = gs.swapaxes(-1, -2) @ (h @ wq)
+        dh = dh + (gq @ wq.T + gk @ wk.T)
+        dwq, dwk = (_window_sum(lambda hw, gw: hw.reshape(-1, n).T @ gw.reshape(-1, gw.shape[-1]), h, gp)
                     for gp in (gq, gk))
         return dh, dwq, dwk, dw, dgamma, dbeta
 
@@ -806,15 +794,12 @@ def history_columns(rows: Tensor, steps, n: int) -> Tensor:
 
     def bw(g):
         full = np.zeros_like(x)
-        live, kept = None, idx
-        if t.ndim:
-            live, (g, kept) = _live_steps(g, idx)
         g = np.swapaxes(g, -1, -2)
         window = () if x.ndim == 2 else (slice(None),)  # a stack scatters on its row axis, window by window
         if window and t.ndim:
             g = np.moveaxis(g, 1, 0)  # the window axis back in front of the step axis
-        if not (whole and isinstance(live, slice)):
-            np.add.at(full, window + (kept,), g)
+        if not whole:
+            np.add.at(full, window + (idx,), g)
             return (full,)
         # every step of the whole sequence: row r > 0 is column n-1-k of step r+k, summed in add.at's step
         # order by one slice-add per k; row 0 takes every padded column too, so those keep add.at

@@ -20,10 +20,8 @@ from kgcm.errors import ShapeError
 from kgcm.numeric import (
     Tensor,
     _check_affine,
-    _live_steps,
     _norm_backward,
     _norm_forward,
-    _on_steps,
     _result,
     _sigmoid,
     _softmax,
@@ -167,15 +165,14 @@ def relation_softmax(states: Tensor, w_query: Tensor, w_key: Tensor) -> Tensor:
     out /= out.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        live, (g, o, pos, hl, ql, kl) = _live_steps(g, out, positive, h, q, k)
-        gs = g * o
+        gs = g * out
         np.subtract(g, gs.sum(axis=-1, keepdims=True), out=gs)
-        gs *= o
-        gs *= pos
-        gq = gs @ kl
-        gk = gs.transpose(0, 2, 1) @ ql
-        gh = _on_steps(gq @ wq.T + gk @ wk.T, live, h.shape)
-        flat = hl.reshape(-1, h.shape[-1]).T
+        gs *= out
+        gs *= positive
+        gq = gs @ k
+        gk = gs.transpose(0, 2, 1) @ q
+        gh = gq @ wq.T + gk @ wk.T
+        flat = h.reshape(-1, h.shape[-1]).T
         return gh, flat @ gq.reshape(-1, wq.shape[1]), flat @ gk.reshape(-1, wk.shape[1])
 
     return _result(out, (states, w_query, w_key), bw)
@@ -216,13 +213,12 @@ def conv_residual_norm(states: Tensor, relation: Tensor, w_trans: Tensor, gamma:
     out, xhat, inv = _norm_forward(np.maximum(z, 0.0) + h, gamma.data, beta.data)
 
     def bw(g):
-        live, (g, al, hl, ml, zl, il, xl) = _live_steps(g, a, h, mixed, z, inv, xhat)
-        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xl, il)
-        dz = dy * (zl > 0.0)
-        dw = ml.reshape(-1, n).T @ dz.reshape(-1, n)
+        dy, dgamma, dbeta = _norm_backward(g, gamma.data, xhat, inv)
+        dz = dy * (z > 0.0)
+        dw = mixed.reshape(-1, n).T @ dz.reshape(-1, n)
         dmixed = dz @ w.T
-        da = _on_steps(dmixed @ hl.transpose(0, 2, 1), live, a.shape)
-        dh = _on_steps(al.transpose(0, 2, 1) @ dmixed + dy, live, h.shape)
+        da = dmixed @ h.transpose(0, 2, 1)
+        dh = a.transpose(0, 2, 1) @ dmixed + dy
         return dh, da, dw, dgamma, dbeta
 
     return _result(out, (states, relation, w_trans, gamma, beta), bw)

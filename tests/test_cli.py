@@ -314,6 +314,13 @@ EXIT_CODE_CASES = {
     **{f"ablate-seeds-{value}": (["ablate", "--config", "tiny.cfg", "--data", "data", "--seeds", value,
                                   "--out", "m.csv"], {}, cli.EXIT_USAGE)
        for value in ("0", "-3", "1.5")},
+    # a seed outside [0, 2**64) would wrap to another seed in the random streams
+    **{f"{command}-seed-{value}": (argv + ["--seed", value], {}, cli.EXIT_DATA)
+       for command, argv in (("generate", ["generate", "--config", "tiny.cfg", "--out", "gen"]),
+                             ("train", _train("tiny.cfg")))
+       for value in ("-1", str(2 ** 64))},
+    "ablate-seed-range-past-the-last-seed": (["ablate", "--config", "tiny.cfg", "--data", "data", "--seeds", "2",
+                                              "--out", "m.csv", "--seed", str(2 ** 64 - 1)], {}, cli.EXIT_DATA),
     "text-encoder-key-model-file": (["evaluate", "--model", "encoder-key.kgcm", "--data", "data", "--out", "m.csv"],
                                     {}, cli.EXIT_DATA),
     **{f"bad-{case}": (_train("tiny.cfg", case), {}, cli.EXIT_DATA) for case in BAD_DEMAND_FIELDS},

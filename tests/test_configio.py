@@ -30,7 +30,7 @@ def train_configs(draw) -> TrainConfig:
         epochs_stage1=draw(st.integers(1, 500)),
         epochs_stage2=draw(st.integers(1, 500)),
         batch_size=draw(st.integers(1, 512)),
-        seed=draw(st.integers(-(2**63), 2**64)),
+        seed=draw(st.integers(0, 2**64 - 1)),
     )
 
 

@@ -70,6 +70,14 @@ def test_a_non_finite_generator_field_is_refused(field, value):
         GeneratorConfig(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_a_seed_outside_64_bits_is_refused(seed):
+    # the random streams would wrap it: seeds -1 and 2**64 - 1 wrote byte-identical data, and so did 0 and 2**64
+    with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        GeneratorConfig(seed=seed)
+    assert GeneratorConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
 @pytest.mark.parametrize("flag", [0.5, 0.9999999])
 def test_a_flag_that_is_not_0_or_1_is_not_read_back_truncated(tmp_path, flag):
     dataset = generate_synthetic(GeneratorConfig(regions=1, days=1, slots_per_day=4))

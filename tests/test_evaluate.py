@@ -15,7 +15,7 @@ import pytest
 from kgcm import evaluate as kgcm_evaluate
 from kgcm import pipeline
 from kgcm.data import GeneratorConfig, PredictionRow, generate_synthetic
-from kgcm.errors import HelperError, MetricError, NumericError, ShapeError
+from kgcm.errors import ConfigError, HelperError, MetricError, NumericError, ShapeError
 from kgcm.evaluate import (
     AblationRow,
     MetricReport,
@@ -108,10 +108,17 @@ def test_an_ablation_pool_starts_no_more_workers_than_tasks(monkeypatch, cpus, w
             return map(fn, tasks)
 
     monkeypatch.setattr(kgcm_evaluate, "get_context", lambda method: method == "spawn" and SimpleNamespace(Pool=Pool))
-    monkeypatch.setattr(kgcm_evaluate, "_run_one", lambda task: AblationRow(task[2], task[3], task[4],
+    monkeypatch.setattr(kgcm_evaluate, "_run_one", lambda task: AblationRow(task[2], task[3], task[1].seed,
                                                                           MetricReport(1.0, 1.0, 1.0, 1, 0)))
     assert len(_rows_on(monkeypatch, cpus, None, TrainConfig(), [0])) == 6
     assert asked == ([] if workers is None else [workers])
+
+
+def test_an_ablation_refuses_a_seed_range_past_the_last_64_bit_seed_before_any_fit(monkeypatch):
+    # seed 2**64 would wrap to seed 0 in the random streams, so the range [2**64 - 1, 2**64] is refused whole
+    monkeypatch.setattr(kgcm_evaluate, "_run_one", lambda task: pytest.fail("a fit started"))
+    with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*64\), got 18446744073709551616"):
+        _rows_on(monkeypatch, 1, None, TrainConfig(seed=2 ** 64 - 1), [2 ** 64 - 1, 2 ** 64])
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the prediction helper is forked")

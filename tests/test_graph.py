@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from kgcm.numeric import (
     graph_layer,
     history_columns,
     no_tape,
+    relation_carry,
     sum_sq,
     take,
     tape_size,
@@ -348,6 +351,12 @@ def _per_step_oracle(rows, params, n):
     return step_rows, take(states, 0), prev
 
 
+def _row_stochastic(rng, shape):
+    """Positive matrices whose rows sum to one, like every smoothed relation matrix."""
+    raw = rng.uniform(shape) + 0.1
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
 def _gradients(loss, tensors):
     grads = backward(loss, params=tensors)
     return [grads[t] for t in tensors]
@@ -404,20 +413,23 @@ class TestStackedGraphPass:
 
 
 def _composite_layers(states, params):
-    """The layer stack from the oracle's kernels: per layer relation, smoothing scan and convolution, an entry each."""
+    """The layer stack from the oracle's kernels: per layer relation, smoothing scan and convolution, an entry each.
+
+    Returns the last layer's states and each layer's (S, d, d) smoothed stack.
+    """
     d = states.data.shape[1]
+    smoothed = []
     for layer in params.layers:
-        smoothed = lerp_const(_relation(states, layer), uniform_matrix(d), params.ema_lambda)
-        states = _conv(states, smoothed, layer)
-    return states, smoothed.data[-1]
+        smoothed.append(lerp_const(_relation(states, layer), uniform_matrix(d), params.ema_lambda))
+        states = _conv(states, smoothed[-1], layer)
+    return states, [stack.data for stack in smoothed]
 
 
-def _fused_layers(states, params, cut):
-    """The same stack from ``graph_layer``, the last layer convolving only the last step when ``cut``."""
-    start = uniform_matrix(states.data.shape[1])
-    for l, layer in enumerate(params.layers):
+def _fused_layers(states, params, starts):
+    """The same stack from ``graph_layer``, layer l's smoothing scan starting at ``starts[l]``."""
+    for layer, start in zip(params.layers, starts, strict=True):
         states, matrix = graph_layer(states, layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma,
-                                     layer.ln_beta, start, params.ema_lambda, cut and l == len(params.layers) - 1)
+                                     layer.ln_beta, start, params.ema_lambda)
     return states, matrix
 
 
@@ -431,26 +443,32 @@ class TestGraphLayer:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("ema_lambda", [0.0, 0.9])
     def test_matches_three_kernel_composite(self, ema_lambda, depth, t_steps, cut):
+        # cut: step T-1 alone, each layer's scan carried from the composite's own matrix at step T-2, as stage 1
+        # runs it, must give the composite's last step
         n, d = self.N, self.D
         rng = SeededRng(70 + 7 * t_steps + depth)
         params = init_dgso_params(n, 3, depth, ema_lambda, rng.child("params"))
         rows = Tensor(rng.normal((t_steps, d)), requires_grad=True)
         tensors = [rows] + [t for layer in params.layers
                             for t in (layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma, layer.ln_beta)]
+        first = t_steps - 1 if cut else 0
 
-        def lift():
-            return history_columns(rows, range(t_steps), n)
+        def lift(steps=range(first, t_steps)):
+            return history_columns(rows, steps, n)
 
-        states, matrix = _fused_layers(lift(), params, cut)
+        with no_tape():
+            smoothed = _composite_layers(lift(range(t_steps)), params)[1]
+        starts = [stack[first - 1] if first else uniform_matrix(d) for stack in smoothed]
+        states, matrix = _fused_layers(lift(), params, starts)
         entries = tape_size()
         with no_tape():  # no backward state, the smoothing in place, and the taped call's bytes
-            untaped, untaped_matrix = _fused_layers(lift(), params, cut)
+            untaped, untaped_matrix = _fused_layers(lift(), params, starts)
         assert tape_size() == entries and not untaped.requires_grad
         assert untaped.data.tobytes() == states.data.tobytes()
         assert untaped_matrix.tobytes() == matrix.tobytes()
-        want_states, want_matrix = _composite_layers(lift(), params)
+        want_states, want_smoothed = _composite_layers(lift(range(t_steps)), params)
+        want_matrix = want_smoothed[-1][-1]
         clear_tape()
-        first = t_steps - 1 if cut else 0
         assert states.data.tobytes() == want_states.data[first:].tobytes()
         assert matrix.tobytes() == want_matrix.tobytes()
 
@@ -458,16 +476,16 @@ class TestGraphLayer:
         dense = rng.normal(states.data.shape)
         sparse = dense * (np.arange(len(dense)) % 3 != 1)[:, None, None]
         for readout in (dense, sparse):
-            fused, matrix = _fused_layers(lift(), params, cut)
+            fused, matrix = _fused_layers(lift(), params, starts)
             got = _gradients(sum_sq(mul(fused, tensor(readout))), tensors)
-            out = take(_composite_layers(lift(), params)[0], np.s_[first:])
+            out = take(_composite_layers(lift(range(t_steps)), params)[0], np.s_[first:])
             TestStackedGraphPass._assert_close(got, _gradients(sum_sq(mul(out, tensor(readout))), tensors))
             # backward reuses the layer's stacks; the matrix it handed out stays as it was
             assert matrix.tobytes() == want_matrix.tobytes()
 
 
 class TestStage1Cut:
-    """Stage 1 reads step T-1 alone, so its pass convolves only that step in the last layer."""
+    """Stage 1 reads step T-1 alone, so its pass tapes that step alone, from the earlier steps' carried matrices."""
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("ema_lambda", [0.0, 0.9])
@@ -497,6 +515,46 @@ class TestStage1Cut:
         params = init_dgso_params(4, 4, depth, 0.9, SeededRng(95))
         run_dgso(Tensor(SeededRng(96).normal((10, 6)), requires_grad=True), params, 4, last_step_only)
         assert tape_size() == 1 + depth
+
+
+class TestRelationCarry:
+    """``relation_carry`` is the matrix ``graph_layer`` returns for the same states, with no convolution and no tape."""
+
+    N, D = 4, 5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("windows", [None, 1, 4])
+    @pytest.mark.parametrize("t_steps", [1, N - 1, 47])
+    @pytest.mark.parametrize("ema_lambda", [0.0, 0.9])
+    def test_is_bitwise_the_layers_matrix(self, ema_lambda, t_steps, windows, dtype):
+        n, d, rng = self.N, self.D, SeededRng(700 + t_steps + 3 * (windows or 0))
+        layer = init_dgso_params(n, 3, 1, ema_lambda, rng.child("params")).layers[0]
+        shape = (t_steps, d) if windows is None else (windows, t_steps, d)
+        rows = rng.normal(shape).astype(dtype)
+        # the uniform start every window shares, and a start of each window's own as a carried matrix gives
+        starts = [uniform_matrix(d), _row_stochastic(rng.child("start"), shape[:-2] + (d, d))]
+        for taped, start in ((taped, start) for taped in (False, True) for start in starts):
+            with nullcontext() if taped else no_tape():
+                states = history_columns(Tensor(rows, requires_grad=True), range(t_steps), n)
+                entries = tape_size()
+                carried = relation_carry(states, layer.w_query, layer.w_key, start, ema_lambda)
+                assert tape_size() == entries
+                _, matrix = graph_layer(states, layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma,
+                                        layer.ln_beta, start, ema_lambda)
+                assert tape_size() == entries + taped
+            assert carried.dtype == matrix.dtype == dtype
+            assert carried.shape == matrix.shape == shape[:-2] + (d, d)
+            assert carried.tobytes() == matrix.tobytes()
+            clear_tape()
+
+    def test_shapes_are_checked(self):
+        layer = init_dgso_params(self.N, 3, 1, 0.9, SeededRng(710)).layers[0]
+        states = history_columns(Tensor(SeededRng(711).normal((2, 6, self.D))), range(6), self.N)
+        for start in (uniform_matrix(self.D + 1), np.stack([uniform_matrix(self.D)] * 3)):
+            with pytest.raises(ShapeError):
+                relation_carry(states, layer.w_query, layer.w_key, start, 0.9)
+        with pytest.raises(ShapeError):
+            relation_carry(states, layer.w_trans, layer.w_key, uniform_matrix(self.D), 0.9)
 
 
 class TestWindowStacks:
@@ -543,39 +601,42 @@ class TestWindowStacks:
         assert [stacked[:, c].tobytes() for c in range(3)] == [a.tobytes() for a in alone]
         assert one_step.tobytes() == stacked[5].tobytes()
 
-    @pytest.mark.parametrize("op", ["history_columns", "graph_layer", "graph_layer-last_only", "run_dgso"])
+    @pytest.mark.parametrize("op", ["history_columns", "graph_layer", "graph_layer-carried", "run_dgso"])
     def test_a_taped_stack_is_each_windows_own_taped_call(self, op):
         # values, matrices and input gradients bitwise each window's own taped call, parameter gradients the sum
         # of the windows' own. A stack of four windows lifted at steps 0..3 of six rows takes the steps for the
-        # whole sequence if their count is read off the window axis
+        # whole sequence if their count is read off the window axis. The carried layer runs the last step alone
+        # from a row-stochastic start of each window's own, as stage 1 runs it
         n, d = self.N, self.D
         params = init_dgso_params(n, 3, 2, 0.9, SeededRng(620))
         layer = params.layers[0]
         weights = [t for l in params.layers for t in (l.w_query, l.w_key, l.w_trans, l.ln_gamma, l.ln_beta)]
         cases = [(2, 6, 6), (4, 4, 4)] + [(4, 6, 4)] * (op == "history_columns")  # windows, rows, steps lifted
 
-        def call(rows, steps):
+        def call(rows, steps, start):
             if op == "history_columns":
                 return history_columns(rows, range(steps), n), None
             if op == "run_dgso":
                 return run_dgso(rows, params, n)
-            states = history_columns(rows, range(steps), n)  # a rank-4 stack comes from the lift alone
+            lifted = [steps - 1] if op.endswith("carried") else range(steps)
+            states = history_columns(rows, lifted, n)  # a rank-4 stack comes from the lift alone
             return graph_layer(states, layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma, layer.ln_beta,
-                               uniform_matrix(d), 0.9, op.endswith("last_only"))
+                               start if op.endswith("carried") else uniform_matrix(d), 0.9)
 
         for dtype in (np.float32, np.float64):
             for windows, t_steps, steps in cases:
                 x = SeededRng(630 + 10 * windows + t_steps).normal((windows, t_steps, d)).astype(dtype)
+                starts = _row_stochastic(SeededRng(650 + windows), (windows, d, d))
 
-                def taped(rows):
+                def taped(rows, start):
                     rows = Tensor(rows, requires_grad=True)
-                    out, matrix = call(rows, steps)
+                    out, matrix = call(rows, steps, start)
                     readout = Tensor(SeededRng(640).normal((d, n)).astype(dtype))  # (d, n) weights for every state
                     grads = _gradients(sum_sq(mul(out, readout)), [rows] + weights)
                     return out.data, matrix, grads[0], grads[1:]
 
-                states, matrices, dx, dparams = taped(x)
-                own = [taped(rows) for rows in x]
+                states, matrices, dx, dparams = taped(x, starts)
+                own = [taped(rows, start) for rows, start in zip(x, starts)]
                 assert tape_size() == 0
                 for c, (own_states, own_matrix, own_dx, _) in enumerate(own):
                     assert states[:, c].tobytes() == own_states.tobytes()
@@ -621,11 +682,14 @@ class TestFloat32Pass:
         for narrow, wide in zip(grads[np.float32], grads[np.float64], strict=True):
             assert np.abs(narrow - wide).max() <= 1e-4 * np.abs(wide).max()
 
-    @pytest.mark.parametrize("last_only", [False, True])
-    def test_the_layer_returns_the_states_gradient_in_their_dtype(self, last_only):
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_the_layer_returns_the_states_gradient_in_their_dtype(self, carried):
+        # carried: one step from a float64 start matrix, as stage 1 tapes it
         rng = SeededRng(530)
         layer = init_dgso_params(4, 4, 1, 0.9, rng.child("params")).layers[0]
-        states = Tensor(rng.normal((6, 5, 4)).astype(np.float32), requires_grad=True)
-        out, _ = graph_layer(states, layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma, layer.ln_beta,
-                             uniform_matrix(5), 0.9, last_only)
+        states = Tensor(rng.normal((1 if carried else 6, 5, 4)).astype(np.float32), requires_grad=True)
+        start = _row_stochastic(rng.child("start"), (5, 5)) if carried else uniform_matrix(5)
+        out, matrix = graph_layer(states, layer.w_query, layer.w_key, layer.w_trans, layer.ln_gamma, layer.ln_beta,
+                                  start, 0.9)
+        assert matrix.dtype == np.float32
         assert backward(sum_sq(out), params=(states,))[states].dtype == np.float32

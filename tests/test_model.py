@@ -38,6 +38,8 @@ INVALID_FIELDS = [
     ("epochs_stage1", 0, "epochs_stage1 must be positive"),
     ("epochs_stage2", 0, "epochs_stage2 must be positive"),
     ("batch_size", 0, "batch_size must be positive"),
+    ("seed", -1, r"seed must lie in \[0, 2\*\*64\)"),
+    ("seed", 2 ** 64, r"seed must lie in \[0, 2\*\*64\)"),
 ]
 
 
@@ -292,31 +294,49 @@ def test_a_stack_of_windows_is_each_windows_own_forward_and_backward(name, stage
     nm.clear_tape()
 
 
+def _graph_tape(stage):
+    """A taped all-five stage pass of a stack of four at the default shapes: the shapes of the float arrays that
+    each graph layer's tape entry keeps, and the tracemalloc peak of the stage's backward."""
+    model, windows = _stack_model("+lpo")
+    assert model.components == ALL_COMPONENTS
+    _stage_gradients(model, stage, windows)  # the first pass allocates what later passes reuse
+    tracemalloc.start()
+    try:
+        loss = _stage_loss(model, stage, windows)[0]
+        layers = [bw for _, _, bw in nm._TAPE if bw.__qualname__.startswith("graph_layer")]
+        assert len(layers) == model.config.layers
+        kept = [[cell.cell_contents.shape for cell in bw.__closure__
+                 if isinstance(cell.cell_contents, np.ndarray) and cell.cell_contents.dtype.kind == "f"]
+                for bw in layers]
+        del layers
+        tracemalloc.reset_peak()
+        nm.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return model, windows, kept, peak
+
+
 def test_a_taped_graph_stack_keeps_one_relation_stack_per_layer_and_a_bounded_backward_peak():
     # each taped graph layer keeps its (T, C, d, d) relations and rebuilds the smoothed stack and the products in
     # its backward, and backward drops each entry once it has run. All five components, stage 2, a stack of four
     # at the default shapes, traced by tracemalloc: 5.9 MiB held after the forward and a 6.6 MiB peak in the
     # backward. Layers that also kept the smoothed stack, q, k, A H and its product with W peaked at 9.6 MiB, and
     # a backward that dropped no entry before its end at 8.7 MiB
-    model, windows = _stack_model("+lpo")
-    assert model.components == ALL_COMPONENTS
-    t_steps, d = len(windows[0].inputs), model.config.d
-    _stage_gradients(model, 2, windows)  # the first pass allocates what later passes reuse
-    tracemalloc.start()
-    try:
-        loss = _stage_loss(model, 2, windows)[0]
-        layers = [bw for _, _, bw in nm._TAPE if bw.__qualname__.startswith("graph_layer")]
-        assert len(layers) == model.config.layers
-        for bw in layers:
-            kept = [cell.cell_contents for cell in bw.__closure__ if isinstance(cell.cell_contents, np.ndarray)]
-            assert sum(a.shape == (t_steps, len(windows), d, d) and a.dtype.kind == "f" for a in kept) == 1
-        del layers, bw, kept
-        tracemalloc.reset_peak()
-        nm.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    model, windows, kept, peak = _graph_tape(2)
+    relations = (len(windows[0].inputs), len(windows), model.config.d, model.config.d)
+    assert all(shapes.count(relations) == 1 for shapes in kept)
     assert peak <= 7 * 2 ** 20
+
+
+def test_stage1_tapes_the_last_step_of_each_graph_layer_alone():
+    # stage 1 runs steps 0..T-2 off the tape and tapes step T-1 alone, so each layer keeps one step's relations.
+    # Taping every step, with the last layer cut to its last step's convolution, held 2.51 MiB after the forward
+    # and peaked at 3.44 MiB in the backward; one taped step holds 0.98 MiB and peaks at 1.23 MiB
+    model, windows, kept, peak = _graph_tape(1)
+    relations = (1, len(windows), model.config.d, model.config.d)
+    assert all(relations in shapes and all(len(shape) < 4 or shape[0] == 1 for shape in shapes) for shapes in kept)
+    assert peak <= 1.5 * 2 ** 20
 
 
 def _without_text(window: SeriesWindow) -> SeriesWindow:
