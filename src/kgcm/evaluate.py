@@ -9,7 +9,9 @@ value-path pass per chunk, its graph pass included. Where a second CPU
 and ``fork`` are there, the process's one helper process forecasts the
 windows at odd positions: inside a training stage the stage's helper,
 elsewhere one forked by the first such pass that serves every later one. Either way
-every forecast is bitwise the one ``pipeline.predict`` gives.
+every forecast is bitwise the one ``pipeline.predict`` gives. A window set of more
+than one shape is refused with ``ShapeError`` before any chunk runs, and a chunk
+that raises ends the pass with its own exception: no window is forecast again.
 The ablation harness trains six variants per seed, enabling the components
 one at a time in the fixed order backbone, +ssa, +rcpg, +dgso, +acmfw,
 +lpo, and reports the median metrics per variant with deltas against the

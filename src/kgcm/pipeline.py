@@ -8,16 +8,18 @@ deterministic given the config seed. A batch splits into stacks of up to
 ``TRAIN_STACK`` consecutive windows, one taped pass and one summed
 gradient each. Where a second CPU and ``fork`` are there, this
 process has at most one forked helper process. Each stage forks its own,
-which computes every other stack of each batch, and this process adds
-every stack's losses and gradients in stack order, so the trained model is
-bitwise the same either way; the stage ends it when it returns.
+which sums the odd stacks of each batch while this process sums the even
+ones, as one process sums them apart, so the trained model is bitwise the
+same either way; the stage ends it when it returns.
 ``predict_windows`` splits a window set the same way: the helper, the
 stage's or, outside a stage, one forked by the first two-process pass and
 kept for later ones, forecasts the windows at odd positions and is sent the
 model and its windows pickled. Each process runs its share in chunks
 of ``SCORE_CHUNK`` windows, one untaped stacked value-path pass per chunk
 (``Model.stage2_values``), and each forecast is bitwise the one ``predict``
-gives. A helper that cannot be forked leaves the work to this process.
+gives. Each request to the helper gets one reply, and a stack or chunk
+that raises raises its own exception once: nothing is computed again. A
+helper that cannot be forked leaves the work to this process.
 
 Every window set a model sees is built here: ``new_model`` with a new model,
 which records its text encoder, and ``model_split`` as a model recorded.
@@ -42,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .data import FEATURES, DemandDataset, atomic_open
-from .errors import ConfigError, DataError, FormatError, HelperError, NumericError, TrainingError
+from .errors import ConfigError, DataError, FormatError, HelperError, NumericError, ShapeError, TrainingError
 from .model import ALL_COMPONENTS, Model, SeriesWindow, TrainConfig, build_model, joint_loss
 from .numeric import SeededRng, Tensor, backward, clear_tape, no_tape
 from .optim import AdamState, adam_step
@@ -226,23 +228,21 @@ def _helper_can_start() -> bool:
 class _Helper:
     """A daemonic forked process that computes part of this process's work, and the main end of its pipe.
 
-    It serves two kinds of message. A "train" message is a batch of the
-    stage that forked it: the helper shares one anonymous ``mmap`` with the
-    main process, in two regions sized to the stage's parameters. Once per
-    batch the main process writes the parameters into the first and sends
-    the epoch and the helper's stacks of window indices. The helper
-    computes them (``_window_results``) and hands them back one stack at a
-    time: it writes the stack's summed gradients into the second region and
-    sends its losses, the names of the parameters with a gradient and its
-    arrays, and writes the next stack's gradients only after the main
-    process acks, having added these. An exception from a stack is sent in
-    place of its results. A "score" message is a model and windows,
-    pickled, and the helper replies with their ``_forecasts``. A helper
+    Every request gets exactly one reply: a "train" request a list of each
+    stack's losses and array, a "score" request a list of forecasts, and a
+    request whose work raised ``(exception,)``, after which the helper keeps
+    serving. A "train" request is a batch of the stage that forked it: the
+    helper shares one anonymous ``mmap`` with the main process, in two
+    regions sized to the stage's parameters. Once per batch the main process
+    writes the parameters into the first and sends the epoch and the
+    helper's stacks of window indices; the helper sums their gradients into
+    the second region (``_add_stacks``) and replies. A "score" request is a
+    model and windows, pickled, answered with their ``_forecasts``. A helper
     forked only to score maps no memory. Sending each window's gradients
-    pickled through the pipe instead, with no shared ``mmap`` and no acks,
-    trains bitwise the same model but made fits slower: train-full by 6-22%
-    (6 of 6 pairs) and train-text by 18-25% (4 of 4), on a 2-vCPU x86-64
-    guest.
+    pickled through the pipe instead of through the ``mmap`` trained
+    bitwise the same model but made fits slower: train-full by 6-22% (6 of
+    6 pairs) and train-text by 18-25% (4 of 4), on a 2-vCPU x86-64 guest,
+    against an ``mmap`` that took one stack's gradients at a time.
 
     The helper ignores SIGINT: the main process takes Ctrl-C and ends it.
     It ends when the main process closes its end of the pipe: every forked
@@ -256,7 +256,7 @@ class _Helper:
 
     def __init__(self, params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss | None):
         self._params = params
-        self._last = []  # the helper's latest stack results (see _window_results)
+        self._last = []  # the helper's latest stack gradients (see _add_stacks)
         self._buffer = None
         self._shared = []
         if params:
@@ -283,37 +283,20 @@ class _Helper:
         try:
             while True:
                 kind, *message = conn.recv()
-                if kind == "score":
-                    conn.send(_forecasts(*message))
-                else:
-                    self._train(conn, windows, window_loss, *message)
+                try:
+                    reply = _forecasts(*message) if kind == "score" else self._train(windows, window_loss, *message)
+                except Exception as exc:  # raised in the main process
+                    reply = (exc,)
+                conn.send(reply)
         except (EOFError, OSError):  # the main process closed its end
             pass
 
-    def _train(self, conn: Connection, windows: list[SeriesWindow], window_loss: WindowLoss, epoch: int,
-               stacks: list[list[int]]) -> None:
-        shared_params, grad_slot = self._shared
+    def _train(self, windows: list[SeriesWindow], window_loss: WindowLoss, epoch: int, stacks: list[list[int]]
+               ) -> list[tuple[list[float], np.ndarray | None]]:
+        shared_params, grads = self._shared
         for name, p in self._params.items():
             p.data = shared_params[name].copy()
-        acked = True
-        results = _window_results(self._params, windows, window_loss, stacks, epoch, self._last)
-        while True:
-            try:
-                values, grads, array = next(results)
-            except StopIteration:
-                break
-            except Exception as exc:  # raised in the main process at this stack's position
-                conn.send(exc)
-                break
-            if not acked:
-                conn.recv()
-            for name in grads:
-                grad_slot[name][...] = grads[name]
-            conn.send((values, list(grads), array))
-            grads = None  # see _window_results
-            acked = False
-        if not acked:
-            conn.recv()
+        return _add_stacks(self._params, windows, window_loss, stacks, epoch, grads, self._last)
 
     def send(self, message) -> None:
         try:
@@ -337,19 +320,10 @@ class _Helper:
             self._shared[0][name][...] = p.data
         self.send(("train", epoch, [stack.tolist() for stack in stacks]))
 
-    def add_next(self, sums: dict[str, np.ndarray]) -> tuple[list[float], np.ndarray | None]:
-        """Add the helper's next stack's gradients into ``sums``; its losses and array.
-
-        Raises the stack's own exception if it raised one.
-        """
-        message = self.recv()
-        if isinstance(message, BaseException):
-            raise message
-        values, present, array = message
-        for name in present:
-            sums[name] += self._shared[1][name]
-        self.send(True)
-        return values, array
+    def add_gradients(self, sums: dict[str, np.ndarray]) -> None:
+        """Add the gradients the helper summed this batch into ``sums``, once it has replied."""
+        for name, grad in self._shared[1].items():
+            sums[name] += grad
 
     def _unmap(self) -> None:
         self._shared = []
@@ -367,6 +341,13 @@ class _Helper:
         self._process.close()
         self._unmap()
         return code
+
+
+def _helper_results(reply):
+    """A helper's reply: its results, or the exception it answered with, raised here."""
+    if isinstance(reply, tuple):
+        raise reply[0]
+    return reply
 
 
 _helper: _Helper | None = None  # this process's helper: at most one lives at a time
@@ -415,17 +396,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_inherited_helper)
 
 
-def _window_results(params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss, stacks,
-                    epoch: int, last: list):
-    """Yield each stack's results in turn: its losses, its parameter gradients by name and its array.
+def _add_stacks(params: dict[str, Tensor], windows: list[SeriesWindow], window_loss: WindowLoss, stacks,
+                epoch: int, sums: dict[str, np.ndarray], last: list) -> list[tuple[list[float], np.ndarray | None]]:
+    """Sum the stacks' parameter gradients into ``sums``, zeroed first; returns each stack's losses and array.
 
     Each stack of window indices in ``stacks`` is one tape and one backward,
-    computed when its turn comes; each gradient is the sum over the stack's
-    windows. A stack of several windows that
-    raises is computed again one window at a time, so the first failing
-    window raises its own exception.
+    whose gradients are the sums over the stack's windows. A stack that
+    raises clears what it recorded on the tape and raises its own exception.
 
-    ``last`` holds the latest stack's results from call to call, until the
+    ``last`` holds the latest stack's gradients from call to call, until the
     next stack's forward has run: freed then, under the forward's arrays,
     their memory takes the next backward's gradients. Freed as soon as they
     were added, they freed the heap top and glibc gave it back to the OS: in
@@ -433,23 +412,31 @@ def _window_results(params: dict[str, Tensor], windows: list[SeriesWindow], wind
     8,053-34,370 pages in again in three epochs of nine, where with the hold
     each process faulted at most 60 in any epoch (2-vCPU x86-64 guest).
     """
+    results = []
+    for s in sums.values():
+        s[...] = 0.0
     for stack in stacks:
-        part = [windows[i] for i in stack]
         try:
-            loss, array = window_loss(part, epoch)
+            loss, array = window_loss([windows[i] for i in stack], epoch)
             last.clear()
-            grads = backward(loss)
-            last.append((loss.data.reshape(-1).tolist(), {name: grads[p] for name, p in params.items() if p in grads},
-                         array))
-        except Exception:
-            if len(part) == 1:
-                raise
+            last.append(backward(loss))
+        except BaseException:
             clear_tape()
-            for window in part:
-                window_loss([window], epoch)
-                clear_tape()
             raise
-        yield last[0]
+        for name, p in params.items():
+            if p in last[0]:
+                sums[name] += last[0][p]
+        results.append((loss.data.reshape(-1).tolist(), array))
+    return results
+
+
+def _check_one_shape(windows: list[SeriesWindow], user: str) -> None:
+    """Refuse, with ``ShapeError``, windows whose inputs or targets differ in shape, naming the first that differs."""
+    shape = (windows[0].inputs.shape, windows[0].targets.shape) if windows else None
+    odd = next((i for i, w in enumerate(windows) if (w.inputs.shape, w.targets.shape) != shape), None)
+    if odd is not None:
+        raise ShapeError(f"{user} needs windows of one shape: window {odd} has inputs {windows[odd].inputs.shape} "
+                         f"and targets {windows[odd].targets.shape}, window 0 has {shape[0]} and {shape[1]}")
 
 
 def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig, stage: int,
@@ -458,38 +445,35 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
 
     Every epoch shuffles the windows with the stage's own random stream. Each
     batch splits into stacks of up to ``TRAIN_STACK`` consecutive windows,
-    and each stack is one ``window_loss`` and one ``backward``, which sums
-    the stack's parameter gradients (``_window_results``). Each batch takes
-    one Adam step on the stage's parameters with the mean gradient: each
-    stack's gradients are added in place, in stack order, into one zeroed
-    buffer per parameter.
-    The windows' losses are added to the epoch's total in batch order, and
-    the epoch's mean loss is appended to the stage's history. The arrays
-    ``window_loss`` returns, one per window, are summed in batch order. The
-    windows must share one shape.
+    each one ``window_loss`` and one ``backward`` (``_add_stacks``). Each
+    batch takes one Adam step on the stage's parameters with the mean
+    gradient: the sum of the stacks at even positions plus the sum of those
+    at odd positions, each summed in stack order. The windows' losses are
+    added to the epoch's total in batch order, and the epoch's mean loss is
+    appended to the stage's history. The arrays ``window_loss`` returns, one
+    per window, are summed in batch order. Windows of more than one shape
+    are refused up front with ``TrainingError`` (``_check_one_shape``).
 
     When a batch can hold two stacks and ``_helper_can_start``, the stage
     ends this process's helper, if it has one, and forks its own
-    (``_start_helper``), which computes the stacks at odd positions of each
-    batch while this process computes the even ones. This process still
-    adds every stack's losses, gradients and array in stack order, so the
-    result is bitwise the same as with every stack computed here, which is
+    (``_start_helper``). Each batch of two stacks or more is then one request
+    to it and one reply: it sums the odd stacks into its shared gradient
+    region while this process sums the even ones. The sums, losses and
+    arrays are the same as with every stack computed here, bitwise, which is
     what a batch of one stack, a daemonic process, a host with one usable
-    CPU or one without ``fork``, or a failed fork does. An exception from a
-    helper stack is raised at that stack's position; a helper that ends
-    mid-batch raises ``TrainingError``. A ``predict_windows`` pass made
-    between batches is scored by the stage's helper; if the pass ends that
-    helper, the stage's later batches run in this process. The stage ends
-    its helper when it returns or raises.
+    CPU or one without ``fork``, or a failed fork does. A stack that raises
+    ends the stage with its own exception, this process's before the
+    helper's; a helper that ends mid-batch raises ``TrainingError``. A
+    ``predict_windows`` pass made between batches is scored by the stage's
+    helper; if the pass ends that helper, the stage's later batches run in
+    this process. The stage ends its helper when it returns or raises.
     """
     if not windows:
         raise TrainingError(f"stage {stage} needs a nonempty training set")
-    shape = (windows[0].inputs.shape, windows[0].targets.shape)
-    odd = next((i for i, w in enumerate(windows) if (w.inputs.shape, w.targets.shape) != shape), None)
-    if odd is not None:
-        raise TrainingError(f"stage {stage} needs windows of one shape: window {odd} has inputs "
-                            f"{windows[odd].inputs.shape} and targets {windows[odd].targets.shape}, window 0 has "
-                            f"{shape[0]} and {shape[1]}")
+    try:
+        _check_one_shape(windows, f"stage {stage}")
+    except ShapeError as exc:
+        raise TrainingError(str(exc)) from exc
     if stage == 1:
         params, history, epochs = model.stage1_parameters(), model.stage1_history, config.epochs_stage1
     else:
@@ -499,28 +483,28 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
     array_sum = None
     two = min(config.batch_size, len(windows)) > TRAIN_STACK and _helper_can_start()
     helper = _start_helper(params, windows, window_loss) if two else None
-    last = []  # this process's latest stack results (see _window_results)
+    even, odd = ({name: np.zeros_like(p.data) for name, p in params.items()} for _ in range(2))  # stack sums
+    last = []  # this process's latest stack gradients (see _add_stacks)
     try:
         for epoch in range(epochs):
             order = shuffle.permutation(len(windows))
             loss_total = 0.0
             for batch_no, batch in enumerate(_chunks(order, config.batch_size)):
-                sums = {name: np.zeros_like(p.data) for name, p in params.items()}
                 stacks = list(_chunks(batch, TRAIN_STACK))
+                results = [None] * len(stacks)
                 shared = helper is not None and helper is _helper and len(stacks) > 1  # not ended by a pass
                 try:
                     if shared:
                         helper.start_batch(epoch, stacks[1::2])
-                    mine = _window_results(params, windows, window_loss, stacks[0::2] if shared else stacks, epoch,
-                                           last)
-                    for pos in range(len(stacks)):
-                        if shared and pos % 2:
-                            values, array = helper.add_next(sums)
-                        else:
-                            values, grads, array = next(mine)
-                            for name in grads:
-                                sums[name] += grads[name]
-                            grads = None  # see _window_results
+                    results[0::2] = _add_stacks(params, windows, window_loss, stacks[0::2], epoch, even, last)
+                    if shared:
+                        results[1::2] = _helper_results(helper.recv())
+                        helper.add_gradients(even)
+                    else:
+                        results[1::2] = _add_stacks(params, windows, window_loss, stacks[1::2], epoch, odd, last)
+                        for name, s in odd.items():
+                            even[name] += s
+                    for values, array in results:
                         for value in values:
                             loss_total += value
                         if array is not None:
@@ -528,7 +512,7 @@ def _train_epochs(model: Model, windows: list[SeriesWindow], config: TrainConfig
                                 array_sum = np.zeros(array.shape[1:])
                             for window_array in array:  # in batch order, as one window per stack adds them
                                 array_sum += window_array
-                    adam_step(adam, params, {name: s / len(batch) for name, s in sums.items()})
+                    adam_step(adam, params, {name: s / len(batch) for name, s in even.items()})
                 except (NumericError, HelperError) as exc:
                     raise TrainingError(f"stage {stage}, epoch {epoch}, batch {batch_no}: {exc}") from exc
             history.append(loss_total / len(windows))
@@ -620,56 +604,48 @@ def predict(model: Model, window: SeriesWindow) -> np.ndarray:
 SCORE_CHUNK = 8
 
 
-def _forecasts(model: Model, windows: list[SeriesWindow]) -> list[np.ndarray] | None:
-    """``predict`` of each window, ``SCORE_CHUNK`` at a time through one ``Model.stage2_values`` stack each.
-
-    None if a chunk raises, its windows' differing shapes included.
-    """
+def _forecasts(model: Model, windows: list[SeriesWindow]) -> list[np.ndarray]:
+    """``predict`` of each window, ``SCORE_CHUNK`` at a time through one ``Model.stage2_values`` stack each."""
     forecasts = []
-    try:
-        for start in range(0, len(windows), SCORE_CHUNK):
-            forecasts += list(model.unscale_predictions(model.stage2_values(windows[start: start + SCORE_CHUNK])))
-    except Exception:
-        return None
+    for start in range(0, len(windows), SCORE_CHUNK):
+        forecasts += list(model.unscale_predictions(model.stage2_values(windows[start: start + SCORE_CHUNK])))
     return forecasts
 
 
 def predict_windows(model: Model, windows: list[SeriesWindow]) -> list[np.ndarray]:
     """``predict`` of each window, in window order, bitwise.
 
-    Windows are forecast in chunks of ``SCORE_CHUNK`` through one stacked
-    pass each (``_forecasts``). When ``_helper_can_start`` and there are at
-    least two windows, this process's helper forecasts the windows at odd
-    positions while this process forecasts the even ones: it is sent the
-    model and its windows, pickled, and sends the forecasts back in one
-    message. Inside a training stage that helper is the stage's. With no
-    live helper, the pass forks one that only scores, and later passes reuse
-    it; it ends when a stage starts, at interpreter exit, or when this
+    Windows of more than one shape are refused up front with ``ShapeError``
+    (``_check_one_shape``). Windows are forecast in chunks of
+    ``SCORE_CHUNK`` through one stacked pass each (``_forecasts``). When
+    ``_helper_can_start`` and there are at least two windows, this process's
+    helper forecasts the windows at odd positions while this process
+    forecasts the even ones: it is sent the model and its windows, pickled,
+    and replies once, with the forecasts or with the exception a chunk of
+    its raised. Inside a training stage that helper is the stage's. With no
+    live helper, the pass forks one that only scores, and later passes
+    reuse it; it ends when a stage starts, at interpreter exit, or when this
     process dies and its pipe closes. It serves one pass at a time, so
     threads must not run passes at once. A helper that cannot be forked
-    leaves every window to this process. If a chunk raises in either
-    process, the whole set runs again through ``predict`` one window at a
-    time here, so the first failing window raises its own exception and
-    windows of any shape are forecast. A helper that ends before it sends
-    raises ``HelperError``, and the next pass forks a new one.
+    leaves every window to this process. A chunk that raises raises its own
+    exception, this process's before the helper's. A helper that answered
+    with an exception serves the next pass; a pass cut short here ends it,
+    and so does a helper that ends before it replies, which raises
+    ``HelperError``. The next pass then forks a new one.
     """
+    _check_one_shape(windows, "scoring")
     helper = (_helper or _start_helper({}, [], None)) if len(windows) >= 2 and _helper_can_start() else None
     if helper is None:
-        out = _forecasts(model, windows)
-    else:
-        try:
-            helper.send(("score", model, windows[1::2]))
-            even = _forecasts(model, windows[0::2])
-            odd = helper.recv()
-        except BaseException:  # a helper that died, or a pass cut short with the helper's reply still to come
-            _end_helper()
-            raise
-        out = None
-        if even is not None and odd is not None:
-            out = [None] * len(windows)
-            out[::2], out[1::2] = even, odd
-    if out is None:
-        return [predict(model, window) for window in windows]
+        return _forecasts(model, windows)
+    try:
+        helper.send(("score", model, windows[1::2]))
+        even = _forecasts(model, windows[0::2])
+        odd = helper.recv()
+    except BaseException:  # a helper that died, or a pass cut short with the helper's reply still to come
+        _end_helper()
+        raise
+    out = [None] * len(windows)
+    out[::2], out[1::2] = even, _helper_results(odd)
     return out
 
 
@@ -726,7 +702,8 @@ def load_model(path) -> Model:
     An unreadable path raises ``OSError``. ``FormatError`` is raised for
     bytes that are not an intact numpy archive, a member among them that
     fails its CRC-32 check; for a record other than the config that is not
-    finite float64; for a member name that appears twice; for a config that
+    finite float64; for a member name that appears twice, with or without
+    the ``.npy`` suffix, naming each such member; for a config that
     is not UTF-8 or does not parse; for record names other than those
     ``save_model`` writes for the config's model, or parameter shapes other
     than its own; and for a mis-shaped
@@ -749,8 +726,9 @@ def load_model(path) -> Model:
         # a bad directory or CRC, a cut-off member, a compression or encryption flag, a bad offset, or an
         # npy header that does not parse or gives a shape too large to allocate
         raise FormatError(f"{path}: not an intact model archive: {exc}") from exc
-    if len(records) != len(names):  # zipfile reads a repeated name as its last copy
-        repeated = sorted({name for name in names if names.count(name) > 1})
+    if len(records) != len(names):  # zipfile reads a repeated name as its last copy; "x" and "x.npy" are one record
+        stems = [name.removesuffix(".npy") for name in names]
+        repeated = sorted({name for name, stem in zip(names, stems) if stems.count(stem) > 1})
         raise FormatError(f"{path}: repeated member names {repeated}")
     for name, arr in records.items():
         kind = np.dtype(np.uint8 if name == CONFIG_RECORD else np.float64)

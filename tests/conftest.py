@@ -2,7 +2,7 @@ import multiprocessing
 
 import pytest
 
-from kgcm import pipeline
+from kgcm import numeric, pipeline
 
 
 @pytest.fixture(autouse=True)
@@ -21,3 +21,16 @@ def no_process_left_running():
         process.join()
     if left:
         pytest.fail(f"the test left {len(left)} child processes running: {left}")
+
+
+@pytest.fixture(autouse=True)
+def no_tape_left():
+    """Fail a test that leaves entries on ``numeric``'s tape, after clearing them, so no later test reads them.
+
+    ``backward`` empties the tape, and a taped pass that raises clears what it recorded.
+    """
+    yield
+    left = numeric.tape_size()
+    numeric.clear_tape()
+    if left:
+        pytest.fail(f"the test left {left} entries on the tape")

@@ -237,28 +237,80 @@ class TestPredictionHelper:
 
     # 19 windows: with the helper, this process scores positions 0, 2, ..., 18 in the chunks 0-14 and 16-18, the
     # helper 1, 3, ..., 17 in the chunks 1-15 and 17; alone, this process scores the chunks 0-7, 8-15 and 16-18
-    @pytest.mark.parametrize("nan_at, cut_at", [(1, 4), (2, 5), (2, 6), (3, 16), (12, 5)],
-                             ids=["odd-then-even", "even-then-odd", "one-chunk", "other-chunk-and-process",
-                                  "cut-first"])
-    def test_the_first_bad_window_in_order_raises_wherever_it_ran(self, monkeypatch, nan_at, cut_at):
-        # a NaN input raises NumericError and a cut window ShapeError; the earlier in window order must win,
-        # with the type and message one process scoring window by window gives
-        model = self._untrained()
-        windows = self._windows(19)
-        windows[nan_at].inputs = windows[nan_at].inputs.copy()
-        windows[nan_at].inputs[3, 0] = np.nan
-        windows[cut_at].inputs = windows[cut_at].inputs[:5]
-        with pytest.raises((NumericError, ShapeError)) as info:
-            for window in windows:
-                pipeline.predict(model, window)
-        want = (type(info.value), str(info.value))
-        assert want[0] is (NumericError if nan_at < cut_at else ShapeError)
+    @pytest.mark.parametrize("bad_at", [2, 17], ids=["even", "odd"])
+    def test_a_bad_window_raises_its_own_error_once(self, monkeypatch, tmp_path, bad_at):
+        # a NaN input raises NumericError from the one chunk that holds it, computed once; a cut window is refused
+        # with a ShapeError that names it before any chunk runs. Each stage2_values call appends to a file how many
+        # NaN windows its chunk holds, so the helper's calls count too
+        model, windows = self._untrained(), self._windows(19)
+        log, values = tmp_path / "calls.txt", Model.stage2_values
+
+        def logged(model, chunk):
+            with open(log, "a") as fh:
+                fh.write(f"{sum(bool(np.isnan(w.inputs).any()) for w in chunk)}\n")
+            return values(model, chunk)
+
+        monkeypatch.setattr(Model, "stage2_values", logged)
+        windows[bad_at].inputs = windows[bad_at].inputs.copy()
+        windows[bad_at].inputs[3, 0] = np.nan
         for on in (True, False):
             started = self._started(monkeypatch, on)
-            with pytest.raises((NumericError, ShapeError)) as info:
+            with pytest.raises(NumericError):
                 evaluate(model, windows)
             assert len(started) == on
-            assert (type(info.value), str(info.value)) == want
+            assert log.read_text().split().count("1") == 1
+            log.unlink()
+        windows[bad_at].inputs = windows[bad_at].inputs[:5]
+        for on in (True, False):
+            started = self._started(monkeypatch, on)
+            with pytest.raises(ShapeError, match=re.escape(f"scoring needs windows of one shape: window {bad_at} has "
+                                                           "inputs (5, 5) and targets (2,), window 0 has (8, 5) and "
+                                                           "(2,)")):
+                evaluate(model, windows)
+            assert started == []
+            assert not log.exists()
+
+    @pytest.mark.parametrize("bad_at", [16, 17], ids=["even", "odd"])
+    @pytest.mark.parametrize("on", [True, False], ids=["helper", "alone"])
+    def test_a_chunk_that_raises_ends_the_pass_with_its_error(self, monkeypatch, on, bad_at):
+        # a failing stacked pass, a bug included, is not forecast again window by window
+        model, windows = self._untrained(), self._windows(19)
+        values, marked = Model.stage2_values, (windows[bad_at].region, windows[bad_at].target_times)
+
+        def failing(model, chunk):
+            if any((w.region, w.target_times) == marked for w in chunk):  # the helper's windows are copies
+                raise RuntimeError("a chunk failed")
+            return values(model, chunk)
+
+        def refused(*args):
+            raise AssertionError("a pass fell back to predict")
+
+        monkeypatch.setattr(Model, "stage2_values", failing)
+        monkeypatch.setattr(pipeline, "predict", refused)
+        started = self._started(monkeypatch, on)
+        with pytest.raises(RuntimeError, match="^a chunk failed$"):
+            evaluate(model, windows)
+        assert len(started) == on
+
+    def test_a_helper_that_answered_with_an_error_serves_the_next_pass(self, monkeypatch):
+        model, windows = self._untrained(), self._windows()
+        values, parent, failed = Model.stage2_values, os.getpid(), []
+
+        def failing_once_in_the_helper(model, chunk):
+            if os.getpid() != parent and not failed:  # the forked helper keeps its own copy of the list
+                failed.append(1)
+                raise RuntimeError("the helper's chunk failed")
+            return values(model, chunk)
+
+        monkeypatch.setattr(Model, "stage2_values", failing_once_in_the_helper)
+        started = self._started(monkeypatch, True)
+        with pytest.raises(RuntimeError, match="^the helper's chunk failed$"):
+            evaluate(model, windows)
+        helper = pipeline._helper
+        got = pipeline.predict_windows(model, windows)
+        assert started == [1]
+        assert pipeline._helper is helper
+        assert [f.tobytes() for f in got] == [pipeline.predict(model, w).tobytes() for w in windows]
 
     def test_a_helper_that_dies_ends_the_pass_with_a_helper_error(self, monkeypatch):
         model = self._untrained()

@@ -224,6 +224,14 @@ class TestGradCheck:
         err = grad_check(f, tensor(rng.normal((4, 5))))
         assert err < 1e-4
 
+    def test_a_wrong_gradient_scores_its_relative_error(self):
+        # a backward 1% off scores 0.02 / 2.02: the noise allowance and the h / 10 probe forgive only what the
+        # finite differences cannot resolve
+        def f(x):
+            return nm._result(np.asarray((x.data * x.data).sum()), (x,), lambda g: (2.02 * x.data * g,))
+
+        assert 0.0098 < grad_check(f, tensor(SeededRng(0).normal((6,)))) < 0.0100
+
     def test_nonfinite_probe_rejected(self):
         def f(x):
             with np.errstate(over="ignore"):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from kgcm import pipeline
 from kgcm.configio import render_model_config
 from kgcm.data import GeneratorConfig, generate_synthetic
-from kgcm.errors import ConfigError, DataError, FormatError, HelperError, TrainingError
+from kgcm.errors import ConfigError, DataError, FormatError, HelperError, NumericError, ShapeError, TrainingError
 from kgcm.evaluate import ablation_variants
 from kgcm.gradcheck import tiny_instance_config, tiny_instance_window
 from kgcm.model import ALL_COMPONENTS, Model, TrainConfig, build_model
@@ -205,6 +205,19 @@ class TestTrainingHelper:
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
 
+    def test_each_two_process_batch_is_one_request_and_one_reply(self, monkeypatch):
+        # 10 windows in one batch of five stacks of two: the helper computes the stacks at positions 1 and 3
+        monkeypatch.setattr(pipeline, "TRAIN_STACK", 2)
+        self._helper(monkeypatch, True)
+        sent, received = [], []
+        send, recv = pipeline._Helper.send, pipeline._Helper.recv
+        monkeypatch.setattr(pipeline._Helper, "send", lambda self, message: sent.append(
+            message[0] if isinstance(message, tuple) else message) or send(self, message))
+        monkeypatch.setattr(pipeline._Helper, "recv", lambda self: received.append(1) or recv(self))
+        pipeline.fit(_dataset(), _config(batch_size=10, epochs_stage1=2, epochs_stage2=3), ALL_COMPONENTS)
+        assert sent == ["train"] * 5
+        assert len(received) == 5
+
     def test_a_helper_that_dies_ends_the_fit_with_a_training_error(self, monkeypatch):
         self._helper(monkeypatch, True)
         forward, parent = Model.stage2_forward, os.getpid()
@@ -363,15 +376,50 @@ class TestTrainingStacks:
             sizes.clear()
 
     @pytest.mark.parametrize("helper", [False, True], ids=["one-process", "two-process"])
-    def test_a_stack_that_raises_raises_its_first_failing_windows_error(self, monkeypatch, helper):
-        # batch 0's window at position 2 has a slot outside the table, and the one at position 3 a NaN input, so
-        # both sit in its first stack on one process and on two. That stack raises the NaN first; computed again
-        # window by window, position 2 raises first
+    def test_a_stack_that_raises_raises_its_own_error_once(self, monkeypatch, tmp_path, helper):
+        # batches of 8: stacks of four at batch positions 0-3 and 4-7, the second the helper's on two processes.
+        # The window at position 5 has a NaN target, so its stack raises in the loss, after its forward was taped.
+        # Each stage2_forward call appends to a file how many NaN windows its stack holds, so the helper's count too
+        monkeypatch.setattr(pipeline, "_helper_can_start", lambda: helper)
+        log, forward = tmp_path / "calls.txt", Model.stage2_forward
+
+        def logged(model, windows):
+            with open(log, "a") as fh:
+                fh.write(f"{sum(bool(np.isnan(w.targets).any()) for w in windows)}\n")
+            return forward(model, windows)
+
+        monkeypatch.setattr(Model, "stage2_forward", logged)
+        config = _config(batch_size=8)
+        windows = _split(config).train
+        order = pipeline.SeededRng(config.seed).child("stage2/shuffle").permutation(len(windows))
+        bad = windows[int(order[5])]
+        bad.targets = bad.targets.copy()
+        bad.targets[1] = np.nan
+        model = build_model(config, STACKED_SETS["train-text"], pipeline.FEATURE_COUNT)
+        with pytest.raises(TrainingError, match="^stage 2, epoch 0, batch 0: ") as raised:
+            pipeline.train_stage2(model, windows, config)
+        assert isinstance(raised.value.__cause__, NumericError)
+        assert sorted(log.read_text().split()) == ["0", "1"]  # batch 0's two stacks, each once
+        assert tape_size() == 0
+        log.unlink()
+        # a cut window is refused before any stack runs, and names its place in the window list
+        cut = len(windows) - 1
+        windows[cut] = dataclasses.replace(windows[cut], inputs=windows[cut].inputs[1:])
+        with pytest.raises(TrainingError, match=re.escape(f"stage 2 needs windows of one shape: window {cut} has "
+                                                          "inputs (7, 5)")) as raised:
+            pipeline.train_stage2(model, windows, config)
+        assert isinstance(raised.value.__cause__, ShapeError)
+        assert not log.exists()
+
+    @pytest.mark.parametrize("helper", [False, True], ids=["one-process", "two-process"])
+    def test_this_processs_failing_stack_raises_before_the_helpers(self, monkeypatch, helper):
+        # batches of 8: the window at batch position 1 has a slot outside the table and the one at 5 a NaN input, so
+        # each stack of batch 0 raises, the second in the helper on two processes
         monkeypatch.setattr(pipeline, "_helper_can_start", lambda: helper)
         config = _config(batch_size=8)
         windows = _split(config).train
         order = pipeline.SeededRng(config.seed).child("stage2/shuffle").permutation(len(windows))
-        bad_slot, bad_input = windows[int(order[2])], windows[int(order[3])]
+        bad_slot, bad_input = windows[int(order[1])], windows[int(order[5])]
         bad_slot.slots = bad_slot.slots[:3] + [config.day_slots] + bad_slot.slots[4:]
         bad_input.inputs = bad_input.inputs.copy()
         bad_input.inputs[3, 0] = np.nan
@@ -670,6 +718,17 @@ class TestModelFile:
             warnings.simplefilter("ignore", UserWarning)  # "Duplicate name"
             archive.writestr("ssa/head_b.npy", buffer.getvalue())
         with pytest.raises(FormatError, match=re.escape("repeated member names ['ssa/head_b.npy']")):
+            pipeline.load_model(path)
+
+    def test_members_that_name_one_record_are_both_named(self, tmp_path):
+        # np.savez writes "ssa/head_b.npy", and a member "ssa/head_b" reads as the same record
+        path = tmp_path / "model.kgcm"
+        pipeline.save_model(build_model(_config(), ALL_COMPONENTS, pipeline.FEATURE_COUNT), path)
+        buffer = io.BytesIO()
+        np.lib.format.write_array(buffer, np.ones(_config().horizon))
+        with zipfile.ZipFile(path, "a") as archive:
+            archive.writestr("ssa/head_b", buffer.getvalue())
+        with pytest.raises(FormatError, match=re.escape("repeated member names ['ssa/head_b', 'ssa/head_b.npy']")):
             pipeline.load_model(path)
 
     def test_a_save_that_raises_part_way_leaves_no_file(self, tmp_path, monkeypatch):
